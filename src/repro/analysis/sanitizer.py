@@ -33,10 +33,11 @@ contracts into checked invariants:
 The sanitizer *records, never re-executes*: ACC hooks may have internal
 side effects (delta-SSSP's bucket advance, PageRank's pending reset), so
 each hook is invoked exactly once per engine call and all checking happens
-on the recorded streams. A violation raises :class:`SanitizerError`
-(default) or is collected into the report
-(``EngineConfig.sanitize_raise=False``); either way the machine-readable
-report lands in ``RunResult.extra["sanitizer"]``.
+on the recorded streams. A violation raises :class:`SanitizerError` - the
+engine always runs the sanitizer that way - or, for a sanitizer built
+directly with ``RuntimeSanitizer(graph, raise_on_violation=False)``, is
+collected into the report; a clean engine run lands the machine-readable
+report in ``RunResult.extra["sanitizer"]``.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class SanitizerViolation:
 
 
 class SanitizerError(RuntimeError):
-    """Raised on the first violation when ``sanitize_raise`` is on."""
+    """Raised on the first violation unless ``raise_on_violation=False``."""
 
     def __init__(self, violations: Sequence[SanitizerViolation]):
         self.violations = list(violations)

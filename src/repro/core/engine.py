@@ -1,7 +1,11 @@
 """The SIMD-X execution engine (Figure 4(b), Sections 3-5 combined).
 
-The engine runs an :class:`~repro.core.acc.ACCAlgorithm` as a BSP loop. Each
-iteration:
+The engine runs an :class:`~repro.core.acc.ACCAlgorithm` as a BSP loop. The
+loop itself lives in :mod:`repro.core.superstep` - one driver shared by
+``run``, ``run_batch`` and sharded execution; this module holds the engine's
+configuration, its entry points, the lane-group planner and the shared
+Combine/apply, task-management and cost-accounting tails the driver calls.
+Each iteration:
 
 1. picks the execution direction with the Beamer-style selector (Section 5):
    the frontier's out-edge share decides between *push* (scatter the
@@ -38,9 +42,7 @@ claim that programming (ACC) is decoupled from processing (JIT + fusion).
 
 from __future__ import annotations
 
-import copy
-
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +52,6 @@ from repro.core.direction import (
     BatchDirectionPolicy,
     DEFAULT_TRAFFIC_MODEL,
     Direction,
-    DirectionSelector,
     SubBatchPlan,
     TrafficModel,
 )
@@ -59,25 +60,16 @@ from repro.core.filters import (
     FilterMode,
     FilterOverflowError,
     FilterResult,
-    make_filter,
 )
-from repro.core.frontier import (
-    BatchedFrontier,
-    ClassifiedFrontier,
-    LANES_PER_WORD,
-    WorklistClassifier,
-    threads_for_frontier,
-)
-from repro.analysis import registry as extra_keys
-from repro.analysis.sanitizer import RuntimeSanitizer
+from repro.core.frontier import ClassifiedFrontier, WorklistClassifier
 from repro.core import kernels as kernel_backends
 from repro.core.fusion import FusionPlan, FusionStrategy
-from repro.core.jit import JITTaskManager
-from repro.core.metrics import BatchRunResult, IterationRecord, RunResult
+from repro.core.metrics import BatchRunResult, RunResult
+from repro.core.superstep import Stream, SuperstepDriver, _ExpansionResult
 from repro.gpu import memory as gmem
 from repro.gpu.atomics import profile_atomic_updates
 from repro.gpu.barrier import SoftwareGlobalBarrier
-from repro.gpu.device import DeviceOutOfMemory, GPUDevice, K40
+from repro.gpu.device import GPUDevice, K40
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.gpu.warp import divergence_fraction, reduction_primitive_ops
 
@@ -151,9 +143,6 @@ class EngineConfig:
     #: results are bit-identical; a clean run lands its report in
     #: ``RunResult.extra["sanitizer"]``.
     sanitize: bool = False
-    #: With ``sanitize=True``: raise :class:`SanitizerError` on the first
-    #: violation (default) or collect violations into the report only.
-    sanitize_raise: bool = True
     #: Partition the graph into this many contiguous vertex-range shards,
     #: each with its own simulated device, memory budget, frontier slice
     #: and direction/JIT state; supersteps run as local push/pull
@@ -201,25 +190,6 @@ class EngineConfig:
             raise ValueError("split_margin must be non-negative")
 
 
-@dataclass
-class _ExpansionResult:
-    """Functional outcome of expanding one frontier (push or pull)."""
-
-    touched: np.ndarray          # unique destinations whose value changed
-    update_destinations: np.ndarray   # destination of every valid update
-    #: What the task-management filter observes: in push mode one entry per
-    #: valid update (the scatter thread saw each one happen); in pull mode
-    #: one entry per destination that received any update (the gather thread
-    #: learns about its own vertex once, post-combine).
-    recorded_destinations: np.ndarray
-    recorded_producers: np.ndarray    # worker slot owning each recorded entry
-    num_workers: int                  # worker threads (frontier / receivers)
-    edges_expanded: int
-    #: Edges whose source was in the frontier (== ``edges_expanded`` in push
-    #: mode). A pull iteration scans every candidate in-edge but only these
-    #: pay the scattered source-metadata read and the Compute evaluation.
-    active_edges: int = 0
-
 
 class SIMDXEngine:
     """Run ACC algorithms on a simulated GPU with SIMD-X's optimizations."""
@@ -248,7 +218,6 @@ class SIMDXEngine:
         self.fusion_plan = FusionPlan(
             self.config.fusion, threads_per_cta=self.config.threads_per_cta
         )
-        self._graph_alloc = None
         #: Kernel backend the CSR-walk primitives run on (docs/kernels.md).
         self.kernel = kernel_backends.get_kernel_backend(
             self.config.kernel_backend
@@ -300,6 +269,14 @@ class SIMDXEngine:
             return schedule[min(iteration - 1, len(schedule) - 1)]
         return cfg.forced_direction or start
 
+
+    @property
+    def in_degrees(self) -> np.ndarray:
+        """In-degree of every vertex (forces the lazy in-CSR transpose)."""
+        if self._in_degrees is None:
+            self._in_degrees = self.graph.in_degrees()
+        return self._in_degrees
+
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -312,43 +289,7 @@ class SIMDXEngine:
             from repro.shard.executor import ShardedExecutor
 
             return ShardedExecutor(self).run(algorithm, **params)
-        device = self.device
-        self._begin_run()
-
-        try:
-            # Allocation sizes follow the modeled (paper-scale) graph so the
-            # memory-feasibility behaviour of Table 4 is reproduced even
-            # though the functional run uses the scaled-down analogue.
-            self._graph_alloc = device.malloc(
-                self.graph.modeled_csr_bytes(), label="csr_graph"
-            )
-            metadata_alloc = device.malloc(
-                2 * self.graph.modeled_num_vertices * 8, label="metadata"
-            )
-            device.malloc(
-                3 * self.graph.modeled_num_vertices * 4, label="worklists"
-            )
-        except DeviceOutOfMemory as exc:
-            return RunResult.failure(
-                self.SYSTEM_NAME, algorithm.name, self.graph.name, f"OOM: {exc}",
-                device=device.spec.name,
-            )
-
-        try:
-            result = self._run_loop(algorithm, **params)
-        except DeviceOutOfMemory as exc:
-            result = RunResult.failure(
-                self.SYSTEM_NAME, algorithm.name, self.graph.name, f"OOM: {exc}",
-                device=device.spec.name,
-            )
-        except FilterOverflowError as exc:
-            result = RunResult.failure(
-                self.SYSTEM_NAME, algorithm.name, self.graph.name,
-                f"online filter overflow: {exc}", device=device.spec.name,
-            )
-        finally:
-            device.reset_memory()
-        return result
+        return self._device_driver(algorithm).run(algorithm, params)
 
     def run_batch(
         self,
@@ -392,8 +333,6 @@ class SIMDXEngine:
         each lane's own copy rather than the shared flattened call, so
         parameter-dependent computes stay correct per lane.
         """
-        device = self.device
-        graph = self.graph
         sources = [int(s) for s in sources]
         if not sources:
             raise ValueError("run_batch needs at least one source")
@@ -415,7 +354,6 @@ class SIMDXEngine:
                         raise ValueError(
                             f"unknown algorithm parameter {key!r} in lane_params"
                         )
-        num_lanes = len(sources)
         self._kernel_edges_walked = 0
         if self.config.num_shards > 1:
             from repro.shard.executor import ShardedExecutor
@@ -423,257 +361,35 @@ class SIMDXEngine:
             return ShardedExecutor(self).run_batch(
                 algorithm, sources, lane_params=lane_params, **params
             )
+        return self._device_driver(algorithm).run_batch(
+            algorithm, sources, lane_params, params
+        )
+
+    def _device_driver(self, algorithm: ACCAlgorithm) -> SuperstepDriver:
+        """The superstep driver over this engine's own device.
+
+        One device is the one-stream plan: a single stream covering every
+        vertex, bound to ``self.device`` / ``self.fusion_plan`` (the
+        :class:`~repro.shard.executor.ShardedExecutor` builds one stream
+        per shard around the same driver).
+        """
         self._begin_run()
-
-        num_words = -(-num_lanes // LANES_PER_WORD)
-        try:
-            self._graph_alloc = device.malloc(
-                graph.modeled_csr_bytes(), label="csr_graph"
-            )
-            # The dominant batching cost: one metadata array (current +
-            # previous) per lane.
-            device.malloc(
-                2 * num_lanes * graph.modeled_num_vertices * 8,
-                label="metadata_lanes",
-            )
-            # Union worklists plus the per-vertex lane bitmask words.
-            device.malloc(
-                3 * graph.modeled_num_vertices * 4
-                + graph.modeled_num_vertices * num_words * 8,
-                label="worklists",
-            )
-        except DeviceOutOfMemory as exc:
-            return BatchRunResult.failure(
-                self.SYSTEM_NAME, algorithm.name, graph.name, sources,
-                f"OOM: {exc}", device=device.spec.name,
-            )
-
-        try:
-            result = self._run_batch_loop(
-                algorithm, sources, lane_params=lane_params, **params
-            )
-        except DeviceOutOfMemory as exc:
-            result = BatchRunResult.failure(
-                self.SYSTEM_NAME, algorithm.name, graph.name, sources,
-                f"OOM: {exc}", device=device.spec.name,
-            )
-        except FilterOverflowError as exc:
-            result = BatchRunResult.failure(
-                self.SYSTEM_NAME, algorithm.name, graph.name, sources,
-                f"online filter overflow: {exc}", device=device.spec.name,
-            )
-        finally:
-            device.reset_memory()
-        return result
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-    def _run_loop(self, algorithm: ACCAlgorithm, **params) -> RunResult:
-        sanitizer: Optional[RuntimeSanitizer] = None
-        if self.config.sanitize:
-            sanitizer = RuntimeSanitizer(
-                self.graph, raise_on_violation=self.config.sanitize_raise
-            )
-        try:
-            return self._run_loop_impl(algorithm, sanitizer, **params)
-        finally:
-            if sanitizer is not None:
-                # Unfreeze the CSR arrays on every exit path, including a
-                # raised SanitizerError - the graph outlives the run.
-                sanitizer.release()
-
-    def _run_loop_impl(
-        self,
-        algorithm: ACCAlgorithm,
-        sanitizer: Optional[RuntimeSanitizer],
-        **params,
-    ) -> RunResult:
-        cfg = self.config
         graph = self.graph
-        device = self.device
-        n = graph.num_vertices
-
-        state = algorithm.init(graph, **params)
-        metadata = np.asarray(state.metadata, dtype=np.float64).copy()
-        worklist_raw = np.asarray(state.frontier, dtype=np.int64)
-        frontier = np.unique(worklist_raw)
-        sortedness = 1.0
-
-        if sanitizer is not None:
-            # Wrapping after init: init owns its arrays, every later hook
-            # call is intercepted and checked.
-            algorithm = sanitizer.wrap(algorithm, lane=0)
-            sanitizer.freeze_graph()
-
-        jit: Optional[JITTaskManager] = None
-        standalone_filter = None
-        if cfg.filter_mode == FilterMode.JIT:
-            jit = JITTaskManager(
-                overflow_threshold=cfg.overflow_threshold,
-                shadow_online=cfg.shadow_online,
-            )
-        else:
-            standalone_filter = make_filter(
-                cfg.filter_mode, online_capacity=cfg.overflow_threshold
-            )
-
-        selector = DirectionSelector(
+        stream = Stream(
+            self, 0, 0, graph.num_vertices,
+            device=self.device,
+            fusion_plan=self.fusion_plan,
             total_edges=graph.num_edges,
-            to_pull_threshold=cfg.to_pull_threshold,
-            to_push_threshold=cfg.to_push_threshold,
-            start_direction=Direction.PULL if algorithm.starts_in_pull else Direction.PUSH,
-        )
-
-        barrier = self._make_barrier()
-
-        max_iterations = (
-            cfg.max_iterations if cfg.max_iterations is not None
-            else algorithm.max_iterations
-        )
-        records: List[IterationRecord] = []
-        filter_trace: List[str] = []
-        direction_trace: List[str] = []
-        total_us = 0.0
-        iteration = 0
-
-        while frontier.size and iteration < max_iterations:
-            iteration += 1
-            prev_metadata = metadata.copy()
-            if sanitizer is not None:
-                sanitizer.begin_superstep(iteration, metadata)
-
-            # ---------------- direction + worklist classification --------
-            # The Beamer-style test prices the frontier by its out-edges
-            # (the would-be push cost); pull iterations then reclassify the
-            # gather worklist by in-degree, push iterations reuse the
-            # frontier classification as-is.
-            push_classified = self.classifier.classify(frontier)
-            frontier_out_edges = push_classified.total_edges
-            if cfg.direction_auto:
-                direction = selector.decide(frontier_out_edges)
-            else:
-                direction = selector.force(
-                    self._forced_direction(iteration, selector.start_direction)
-                )
-
-            if direction is Direction.PULL:
-                candidates = self._gather_candidates(algorithm, metadata, frontier)
-                classifier = self.pull_classifier
-                classified = classifier.classify(candidates)
-            else:
-                candidates = None
-                classifier = self.classifier
-                classified = push_classified
-            frontier_edges = classified.total_edges
-
-            # ---------------- functional compute + combine + apply ------
-            expansion = self._expand_and_apply(
-                algorithm, metadata, frontier, direction,
-                candidates=candidates,
-                frontier_out_edges=frontier_out_edges,
-            )
-
-            # ---------------- next worklist (task management) -----------
-            active_mask = algorithm.active_mask(metadata, prev_metadata)
-            success_rate = 1.0
-            if (
-                jit is not None
-                and direction is Direction.PUSH
-                and direction_trace
-                and direction_trace[-1] == Direction.PULL.value
-            ):
-                # Pull->push switch: the pre-arm bound folds in the
-                # expected offer success rate, estimated from the
-                # pre-iteration metadata (see _offer_success_rate).
-                success_rate = self._offer_success_rate(algorithm, prev_metadata)
-            (
-                filter_result, filter_name,
-                compute_us, launch_us, filter_us, barrier_us,
-            ) = self._finish_iteration(
-                algorithm=algorithm,
-                classified=classified,
-                classifier=classifier,
-                direction=direction,
-                sortedness=sortedness,
-                expansion=expansion,
-                active_mask=active_mask,
-                frontier=frontier,
-                jit=jit,
-                standalone_filter=standalone_filter,
-                iteration=iteration,
-                barrier=barrier,
-                success_rate=success_rate,
-            )
-
-            iteration_us = compute_us + launch_us + filter_us + barrier_us
-            total_us += iteration_us
-            records.append(
-                IterationRecord(
-                    iteration=iteration,
-                    direction=direction.value,
-                    frontier_vertices=int(frontier.size),
-                    frontier_edges=int(frontier_edges),
-                    filter_used=filter_name,
-                    filter_overflowed=filter_result.overflowed,
-                    compute_us=compute_us,
-                    filter_us=filter_us,
-                    barrier_us=barrier_us,
-                    launch_us=launch_us,
-                    active_edges=int(expansion.active_edges),
-                )
-            )
-            if sanitizer is not None:
-                sanitizer.observe_record(records[-1])
-            filter_trace.append(filter_name)
-            direction_trace.append(direction.value)
-
-            # ---------------- advance to the next iteration --------------
-            worklist_raw = filter_result.worklist
-            sortedness = filter_result.sortedness if worklist_raw.size else 1.0
-            frontier = np.unique(worklist_raw)
-            if frontier.size == 0 and not algorithm.converged(
-                metadata, prev_metadata, iteration
-            ):
-                # Algorithm wants more iterations despite an empty frontier
-                # (not used by the shipped algorithms, but part of the API).
-                frontier = np.nonzero(active_mask)[0].astype(np.int64)
-            if sanitizer is not None:
-                sanitizer.end_superstep(iteration, metadata)
-
-        extra = {
-            extra_keys.FUSION: cfg.fusion.value,
-            extra_keys.FILTER_MODE: cfg.filter_mode.value,
-            extra_keys.DIRECTION_SWITCHES: selector.switches(),
-            extra_keys.BREAKDOWN: device.profiler.breakdown(),
-            # Iterations whose ballot was pre-armed at a pull->push
-            # switch (empty for non-JIT filter modes).
-            extra_keys.JIT_PRE_ARMED_ITERATIONS: (
-                jit.pre_armed_iterations() if jit is not None else []
+            start_direction=(
+                Direction.PULL if algorithm.starts_in_pull else Direction.PUSH
             ),
-            extra_keys.KERNEL_BACKEND: cfg.kernel_backend,
-            extra_keys.KERNEL_EDGES_WALKED: int(self._kernel_edges_walked),
-        }
-        if sanitizer is not None:
-            sanitizer.validate_extra(extra)
-            extra[extra_keys.SANITIZER] = sanitizer.report()
-        return RunResult(
-            system=self.SYSTEM_NAME,
-            algorithm=algorithm.name,
-            graph=graph.name,
-            values=algorithm.vertex_value(metadata),
-            elapsed_us=total_us,
-            iterations=iteration,
-            device=device.spec.name,
-            kernel_launches=device.profiler.launch_count(),
-            filter_trace=filter_trace,
-            direction_trace=direction_trace,
-            iteration_records=records,
-            extra=extra,
+            modeled_vertices=graph.modeled_num_vertices,
+            modeled_edges=graph.modeled_num_edges,
         )
+        return SuperstepDriver(self, [stream])
 
     # ------------------------------------------------------------------
-    # Batched multi-source loop (with lane-aware direction splitting)
+    # Lane-group planning (batched runs on one device)
     # ------------------------------------------------------------------
     def _plan_groups(
         self,
@@ -727,424 +443,6 @@ class SIMDXEngine:
             return list(decision.groups)
         return [SubBatchPlan(union_direction, tuple(live))]
 
-    def _run_batch_loop(
-        self,
-        algorithm: ACCAlgorithm,
-        sources: List[int],
-        *,
-        lane_params: Optional[List[Dict[str, object]]] = None,
-        **params,
-    ) -> BatchRunResult:
-        sanitizer: Optional[RuntimeSanitizer] = None
-        if self.config.sanitize:
-            sanitizer = RuntimeSanitizer(
-                self.graph, raise_on_violation=self.config.sanitize_raise
-            )
-        try:
-            return self._run_batch_loop_impl(
-                algorithm, sources, sanitizer, lane_params=lane_params, **params
-            )
-        finally:
-            if sanitizer is not None:
-                sanitizer.release()
-
-    def _run_batch_loop_impl(
-        self,
-        algorithm: ACCAlgorithm,
-        sources: List[int],
-        sanitizer: Optional[RuntimeSanitizer],
-        *,
-        lane_params: Optional[List[Dict[str, object]]] = None,
-        **params,
-    ) -> BatchRunResult:
-        cfg = self.config
-        graph = self.graph
-        device = self.device
-        n = graph.num_vertices
-        num_lanes = len(sources)
-
-        # Per-lane algorithm copies isolate stateful hooks (SSSP's pending
-        # set, k-Core's bookkeeping); the shared prototype serves the
-        # stateless flattened Compute calls - unless heterogeneous per-lane
-        # parameters require evaluating Compute through each lane's copy.
-        per_lane_compute = lane_params is not None
-        clones: List[ACCAlgorithm] = []
-        metadata = np.zeros((num_lanes, n), dtype=np.float64)
-        lane_frontiers: List[np.ndarray] = []
-        for lane, source in enumerate(sources):
-            clone = copy.copy(algorithm)
-            if lane_params is not None:
-                for key, value in lane_params[lane].items():
-                    setattr(clone, key, value)
-            state = clone.init(graph, source=source, **params)
-            clones.append(clone)
-            metadata[lane] = np.asarray(state.metadata, dtype=np.float64)
-            lane_frontiers.append(
-                np.unique(np.asarray(state.frontier, dtype=np.int64))
-            )
-        if sanitizer is not None:
-            # Wrap after cloning/init: each clone's hooks are checked on
-            # its own lane row; the prototype's flattened calls carry the
-            # lane axis explicitly.
-            clones = [
-                sanitizer.wrap(clone, lane=k) for k, clone in enumerate(clones)
-            ]
-            algorithm = sanitizer.wrap(algorithm, lane=None)
-            sanitizer.freeze_graph()
-
-        # Task-management streams: the primary stream serves single-group
-        # iterations and the first sub-batch of a split; a split forks a
-        # side stream from the primary (same ballot/online mode, same last
-        # direction - what every lane experienced up to the split), which
-        # persists across consecutive split iterations and retires on
-        # re-merge. Stream identity affects cost and traces only, never
-        # per-lane results.
-        jit_main: Optional[JITTaskManager] = None
-        jit_side: Optional[JITTaskManager] = None
-        retired_side_jits: List[JITTaskManager] = []
-        standalone_filter = None
-        if cfg.filter_mode == FilterMode.JIT:
-            jit_main = JITTaskManager(
-                overflow_threshold=cfg.overflow_threshold,
-                shadow_online=cfg.shadow_online,
-            )
-        else:
-            standalone_filter = make_filter(
-                cfg.filter_mode, online_capacity=cfg.overflow_threshold
-            )
-
-        start_direction = (
-            Direction.PULL if algorithm.starts_in_pull else Direction.PUSH
-        )
-        selector = DirectionSelector(
-            total_edges=graph.num_edges,
-            to_pull_threshold=cfg.to_pull_threshold,
-            to_push_threshold=cfg.to_push_threshold,
-            start_direction=start_direction,
-        )
-        policy: Optional[BatchDirectionPolicy] = None
-        if cfg.direction_auto and cfg.lane_aware_split:
-            policy = BatchDirectionPolicy(
-                total_edges=graph.num_edges,
-                num_lanes=num_lanes,
-                to_pull_threshold=cfg.to_pull_threshold,
-                to_push_threshold=cfg.to_push_threshold,
-                start_direction=start_direction,
-                traffic_model=cfg.traffic_model,
-                margin=cfg.split_margin,
-            )
-        pull_scan_fraction = (
-            cfg.traffic_model.voting_pull_scan_fraction
-            if algorithm.combine_kind is CombineKind.VOTING else 1.0
-        )
-        barrier = self._make_barrier()
-        max_iterations = (
-            cfg.max_iterations if cfg.max_iterations is not None
-            else algorithm.max_iterations
-        )
-
-        records: List[IterationRecord] = []
-        filter_trace: List[str] = []
-        direction_trace: List[str] = []
-        split_iterations: List[int] = []
-        lane_iterations = [0] * num_lanes
-        total_us = 0.0
-        iteration = 0
-        sortedness = {"main": 1.0, "side": 1.0}
-
-        while any(f.size for f in lane_frontiers) and iteration < max_iterations:
-            iteration += 1
-            live = [k for k in range(num_lanes) if lane_frontiers[k].size]
-            for lane in live:
-                lane_iterations[lane] = iteration
-            prev_metadata = metadata.copy()
-            if sanitizer is not None:
-                sanitizer.begin_superstep(iteration, metadata)
-            batched = BatchedFrontier.from_lanes(
-                lane_frontiers, backend=self.kernel
-            )
-            union = batched.vertices
-
-            # ------------- direction: union decision + lane-aware plan ---
-            # The union selector still runs every iteration (its history is
-            # the direction_switches trace and the fallback decision); the
-            # lane-aware policy may override it per sub-batch. Per-lane
-            # out-edge counts are needed only for planning (policy or
-            # forced schedule) and for gating pull-mode frontier hooks, so
-            # pure decide-once push iterations skip the K degree sums.
-            if policy is not None or cfg.split_schedule is not None:
-                lane_out_edges = {
-                    lane: self.classifier.edge_count(lane_frontiers[lane])
-                    for lane in live
-                }
-            else:
-                lane_out_edges = {}
-            union_out_edges = self.classifier.edge_count(union)
-            if cfg.direction_auto:
-                union_direction = selector.decide(union_out_edges)
-            else:
-                union_direction = selector.force(
-                    self._forced_direction(iteration, selector.start_direction)
-                )
-
-            # Gather candidates are cached per (iteration, lane) so the
-            # planner's pull scoring and the pull expansion both price the
-            # same pruned worklist, computed from iteration-start metadata.
-            lane_candidates_cache: Dict[int, np.ndarray] = {}
-
-            def lane_gather_candidates(lane: int) -> np.ndarray:
-                if lane not in lane_candidates_cache:
-                    if self._in_degrees is None:
-                        self._in_degrees = graph.in_degrees()
-                    mask = np.asarray(
-                        clones[lane].gather_mask(
-                            metadata[lane], graph, lane_frontiers[lane]
-                        ),
-                        dtype=bool,
-                    )
-                    lane_candidates_cache[lane] = np.nonzero(
-                        mask & (self._in_degrees > 0)
-                    )[0].astype(np.int64)
-                return lane_candidates_cache[lane]
-
-            def pull_estimate(lane: int) -> Tuple[int, int]:
-                candidates = lane_gather_candidates(lane)
-                scanned = int(self._in_degrees[candidates].sum())
-                return scanned, int(candidates.size)
-
-            groups = self._plan_groups(
-                iteration, live, lane_out_edges, lane_frontiers,
-                pull_estimate, union_direction, policy, pull_scan_fraction,
-            )
-            if sanitizer is not None:
-                sanitizer.check_groups(iteration, live, groups)
-            if len(groups) > 1:
-                split_iterations.append(iteration)
-                if jit_main is not None and jit_side is None:
-                    jit_side = jit_main.fork()
-            elif jit_side is not None:
-                # Decisions reconverged: the side stream retires, the
-                # primary stream carries on for the merged batch.
-                retired_side_jits.append(jit_side)
-                jit_side = None
-
-            # ------------- per-sub-batch expansion + tail ----------------
-            group_directions: List[str] = []
-            group_filters: List[str] = []
-            for group_index, group in enumerate(groups):
-                group_lanes = list(group.lanes)
-                direction = group.direction
-                stream_key = "main" if group_index == 0 else "side"
-                jit_stream = jit_main if group_index == 0 else jit_side
-
-                if direction is Direction.PULL:
-                    lane_candidates = {
-                        lane: lane_gather_candidates(lane)
-                        for lane in group_lanes
-                    }
-                    non_empty = [
-                        c for c in lane_candidates.values() if c.size
-                    ]
-                    union_candidates = (
-                        np.unique(np.concatenate(non_empty)) if non_empty
-                        else np.zeros(0, dtype=np.int64)
-                    )
-                    classifier = self.pull_classifier
-                    classified = classifier.classify(union_candidates)
-                    group_out_edges = {
-                        l: (
-                            lane_out_edges[l] if l in lane_out_edges
-                            else self.classifier.edge_count(lane_frontiers[l])
-                        )
-                        for l in group_lanes
-                    }
-                    expansion, lane_recorded, lane_pairs = self._expand_batch_pull(
-                        algorithm, clones, metadata, lane_frontiers,
-                        group_lanes, lane_candidates, union_candidates,
-                        group_out_edges,
-                        per_lane_compute=per_lane_compute,
-                    )
-                    front_parts = [
-                        lane_frontiers[l] for l in group_lanes
-                        if lane_frontiers[l].size
-                    ]
-                    group_frontier = (
-                        np.unique(np.concatenate(front_parts)) if front_parts
-                        else np.zeros(0, dtype=np.int64)
-                    )
-                else:
-                    view = (
-                        batched if len(groups) == 1
-                        else batched.sub_batch(group_lanes)
-                    )
-                    if sanitizer is not None:
-                        # Before expansion: group lanes' frontiers are
-                        # still the iteration-start ones here.
-                        sanitizer.check_sub_batch(
-                            view, group_lanes, lane_frontiers, iteration
-                        )
-                    group_frontier = (
-                        union if len(groups) == 1 else view.vertices
-                    )
-                    classifier = self.classifier
-                    classified = classifier.classify(group_frontier)
-                    expansion, lane_recorded, lane_pairs = self._expand_batch_push(
-                        algorithm, clones, metadata, view, group_lanes,
-                        per_lane_compute=per_lane_compute,
-                    )
-                frontier_edges = classified.total_edges
-
-                # Per-lane next frontiers: mirror the single-run worklist
-                # derivation (recorded ∩ active, with the convergence
-                # re-seed) on each group lane's own metadata row.
-                group_active = np.zeros(n, dtype=bool)
-                for lane in group_lanes:
-                    active = np.asarray(
-                        clones[lane].active_mask(
-                            metadata[lane], prev_metadata[lane]
-                        ),
-                        dtype=bool,
-                    )
-                    group_active |= active
-                    recorded_lane = lane_recorded[lane]
-                    worklist = (
-                        recorded_lane[active[recorded_lane]]
-                        if recorded_lane.size else recorded_lane
-                    )
-                    next_frontier = np.unique(worklist)
-                    if next_frontier.size == 0 and not clones[lane].converged(
-                        metadata[lane], prev_metadata[lane], iteration
-                    ):
-                        next_frontier = np.nonzero(active)[0].astype(np.int64)
-                    lane_frontiers[lane] = next_frontier
-
-                # One task-management pass per sub-batch, charged and traced
-                # exactly like a single-source iteration over the group's
-                # union worklist; its output worklist is redundant with the
-                # per-lane derivation above and feeds only the sortedness of
-                # the stream's next iteration.
-                success_rate = 1.0
-                if (
-                    jit_stream is not None
-                    and direction is Direction.PUSH
-                    and jit_stream.last_direction is Direction.PULL
-                ):
-                    # Group analogue of _offer_success_rate: a destination
-                    # is still updatable if any group lane can update it.
-                    updatable = np.zeros(n, dtype=bool)
-                    for lane in group_lanes:
-                        updatable |= np.asarray(
-                            clones[lane].gather_mask(
-                                prev_metadata[lane], graph, None
-                            ),
-                            dtype=bool,
-                        )
-                    success_rate = float(updatable.mean()) if n else 1.0
-                (
-                    filter_result, filter_name,
-                    compute_us, launch_us, filter_us, barrier_us,
-                ) = self._finish_iteration(
-                    algorithm=algorithm,
-                    classified=classified,
-                    classifier=classifier,
-                    direction=direction,
-                    sortedness=sortedness[stream_key],
-                    expansion=expansion,
-                    active_mask=group_active,
-                    frontier=group_frontier,
-                    jit=jit_stream,
-                    standalone_filter=standalone_filter,
-                    iteration=iteration,
-                    barrier=barrier,
-                    success_rate=success_rate,
-                    extra_lane_pairs=max(0, lane_pairs - expansion.active_edges),
-                )
-                sortedness[stream_key] = (
-                    filter_result.sortedness if filter_result.worklist.size
-                    else 1.0
-                )
-
-                total_us += compute_us + launch_us + filter_us + barrier_us
-                records.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        direction=direction.value,
-                        frontier_vertices=int(group_frontier.size),
-                        frontier_edges=int(frontier_edges),
-                        filter_used=filter_name,
-                        filter_overflowed=filter_result.overflowed,
-                        compute_us=compute_us,
-                        filter_us=filter_us,
-                        barrier_us=barrier_us,
-                        launch_us=launch_us,
-                        active_edges=int(expansion.active_edges),
-                        lane_edge_pairs=int(lane_pairs),
-                        active_lanes=len(group_lanes),
-                    )
-                )
-                if sanitizer is not None:
-                    sanitizer.observe_record(records[-1])
-                group_directions.append(direction.value)
-                group_filters.append(filter_name)
-
-            filter_trace.append("+".join(group_filters))
-            direction_trace.append("+".join(group_directions))
-            if sanitizer is not None:
-                sanitizer.end_superstep(iteration, metadata)
-
-        pre_armed: List[int] = []
-        for manager in (jit_main, jit_side, *retired_side_jits):
-            if manager is not None:
-                pre_armed.extend(manager.pre_armed_iterations())
-        values = np.stack(
-            [clones[k].vertex_value(metadata[k]) for k in range(num_lanes)]
-        )
-        extra = {
-            extra_keys.FUSION: cfg.fusion.value,
-            extra_keys.FILTER_MODE: cfg.filter_mode.value,
-            extra_keys.DIRECTION_SWITCHES: selector.switches(),
-            extra_keys.BREAKDOWN: device.profiler.breakdown(),
-            extra_keys.JIT_PRE_ARMED_ITERATIONS: sorted(set(pre_armed)),
-            # Amortization bookkeeping: edges the union walks touched vs
-            # the (edge, lane) pairs a serial execution would have
-            # walked, plus the gather share (the quantity lane-aware
-            # splitting shrinks on road-style graphs).
-            extra_keys.UNION_EDGES_WALKED: sum(
-                r.frontier_edges for r in records
-            ),
-            extra_keys.LANE_EDGE_PAIRS: sum(
-                r.lane_edge_pairs for r in records
-            ),
-            extra_keys.PULL_EDGES_SCANNED: sum(
-                r.frontier_edges for r in records
-                if r.direction == Direction.PULL.value
-            ),
-            extra_keys.SPLIT_ITERATIONS: split_iterations,
-            extra_keys.LANE_SPLITS: len(split_iterations),
-            extra_keys.KERNEL_BACKEND: cfg.kernel_backend,
-            extra_keys.KERNEL_EDGES_WALKED: int(self._kernel_edges_walked),
-        }
-        if sanitizer is not None:
-            sanitizer.validate_extra(extra)
-            extra[extra_keys.SANITIZER] = sanitizer.report()
-        return BatchRunResult(
-            system=self.SYSTEM_NAME,
-            algorithm=algorithm.name,
-            graph=graph.name,
-            sources=sources,
-            metadata=metadata,
-            values=values,
-            elapsed_us=total_us,
-            iterations=iteration,
-            lane_iterations=lane_iterations,
-            device=device.spec.name,
-            kernel_launches=device.profiler.launch_count(),
-            filter_trace=filter_trace,
-            direction_trace=direction_trace,
-            iteration_records=records,
-            extra=extra,
-        )
-
     # ------------------------------------------------------------------
     # Shared iteration tail (task management + cost accounting)
     # ------------------------------------------------------------------
@@ -1155,32 +453,30 @@ class SIMDXEngine:
         classified: ClassifiedFrontier,
         classifier: WorklistClassifier,
         direction: Direction,
-        sortedness: float,
         expansion: _ExpansionResult,
         active_mask: np.ndarray,
         frontier: np.ndarray,
-        jit: Optional[JITTaskManager],
-        standalone_filter,
+        stream: Stream,
         iteration: int,
-        barrier: Optional[SoftwareGlobalBarrier],
         success_rate: float = 1.0,
         extra_lane_pairs: int = 0,
-        device: Optional[GPUDevice] = None,
-        fusion_plan: Optional[FusionPlan] = None,
     ) -> Tuple[FilterResult, str, float, float, float, float]:
-        """Task management + cost accounting shared by both loops.
+        """Task management + cost accounting of one work unit.
 
         ``frontier`` is the executed push worklist (the active frontier in
-        a single run, the lane union in a batch) whose out-degrees bound a
-        scatter worker's recordings; ``active_mask``/``expansion`` describe
-        what the iteration updated. Returns ``(filter_result, filter_name,
-        compute_us, launch_us, filter_us, barrier_us)``. Keeping this tail
-        in one place guarantees batched iterations are charged and traced
-        exactly like single-source iterations over the union worklist.
+        a single run, the lane union in a batch, a shard's slice of either)
+        whose out-degrees bound a scatter worker's recordings;
+        ``active_mask``/``expansion`` describe what the unit updated and
+        ``stream`` carries the filter state and the device to charge.
+        Returns ``(filter_result, filter_name, compute_us, launch_us,
+        filter_us, barrier_us)``. Keeping this tail in one place guarantees
+        batched and sharded units are charged and traced exactly like
+        single-source iterations over their worklist.
         """
         cfg = self.config
         graph = self.graph
-        device = device if device is not None else self.device
+        device = stream.device
+        jit = stream.jit
 
         # The online/batch/atomic filters record destinations that just
         # became active, as observed by the worker that updated them.
@@ -1209,8 +505,8 @@ class SIMDXEngine:
             filter_result = jit.build(ctx, iteration, direction=direction)
             filter_name = jit.decisions[-1].filter_used
         else:
-            filter_result = standalone_filter.build(ctx)
-            filter_name = standalone_filter.name
+            filter_result = stream.standalone_filter.build(ctx)
+            filter_name = stream.standalone_filter.name
             if filter_result.overflowed and cfg.filter_mode == FilterMode.ONLINE:
                 raise FilterOverflowError(
                     f"iteration {iteration}: thread bin exceeded "
@@ -1230,20 +526,16 @@ class SIMDXEngine:
         if cfg.atomic_combine:
             atomic_profile = profile_atomic_updates(expansion.update_destinations)
         compute_us, launch_us, task_kernel = self._charge_compute(
-            classified, classifier, direction, sortedness, algorithm,
+            classified, classifier, direction, stream, algorithm,
             atomic_profile=atomic_profile,
             active_edge_fraction=(
                 expansion.active_edges / expansion.edges_expanded
                 if expansion.edges_expanded else 1.0
             ),
             extra_lane_pairs=extra_lane_pairs,
-            device=device,
-            fusion_plan=fusion_plan,
         )
-        filter_us = self._charge_filter(
-            filter_result, direction, task_kernel, device=device
-        )
-        barrier_us = self._charge_barrier(barrier)
+        filter_us = self._charge_filter(filter_result, task_kernel, device)
+        barrier_us = self._charge_barrier(stream.barrier)
 
         if transient_alloc is not None:
             device.free(transient_alloc)
@@ -1252,71 +544,9 @@ class SIMDXEngine:
             compute_us, launch_us, filter_us, barrier_us,
         )
 
-    def _offer_success_rate(
-        self, algorithm: ACCAlgorithm, metadata: np.ndarray
-    ) -> float:
-        """Estimated share of scatter offers that can still change a vertex.
-
-        A scatter worker records an entry only when its offer *changes* the
-        destination, so the pre-arm bound (max frontier out-degree) is
-        pessimistic on mostly-settled graphs. The algorithm's frontier-free
-        ``gather_mask`` marks exactly the vertices that can still receive a
-        valid update (the unvisited share for BFS, the surviving core for
-        k-Core); its population share over the pre-iteration metadata is
-        the global estimate of a hub's per-neighbour success probability.
-        The estimate assumes the hub's neighbourhood is not systematically
-        less settled than the rest of the graph - if it ever is, the
-        generic overflow signal still corrects the filter choice within
-        the same iteration, at the cost of the incomplete online pass the
-        pre-arm exists to skip.
-        """
-        if metadata.shape[0] == 0:
-            return 1.0
-        mask = np.asarray(
-            algorithm.gather_mask(metadata, self.graph, None), dtype=bool
-        )
-        return float(mask.mean())
-
     # ------------------------------------------------------------------
-    # Functional expansion (Compute + Combine + apply)
+    # Functional primitives shared by every expansion
     # ------------------------------------------------------------------
-    def _gather_candidates(
-        self, algorithm: ACCAlgorithm, metadata: np.ndarray, frontier: np.ndarray
-    ) -> np.ndarray:
-        """Destinations a pull iteration gathers at.
-
-        The algorithm's ``gather_mask`` prunes destinations that provably
-        cannot receive a valid update - including frontier-dependent bounds
-        (only frontier sources contribute this iteration, so e.g. SSSP can
-        prune destinations already at or below the frontier's best
-        distance); vertices without in-edges have nothing to gather either
-        way.
-        """
-        mask = np.asarray(
-            algorithm.gather_mask(metadata, self.graph, frontier), dtype=bool
-        )
-        if self._in_degrees is None:
-            self._in_degrees = self.graph.in_degrees()
-        return np.nonzero(mask & (self._in_degrees > 0))[0].astype(np.int64)
-
-    def _expand_and_apply(
-        self,
-        algorithm: ACCAlgorithm,
-        metadata: np.ndarray,
-        frontier: np.ndarray,
-        direction: Direction,
-        *,
-        candidates: Optional[np.ndarray] = None,
-        frontier_out_edges: int = 0,
-    ) -> _ExpansionResult:
-        if direction is Direction.PULL:
-            if candidates is None:
-                candidates = self._gather_candidates(algorithm, metadata, frontier)
-            return self._expand_pull(
-                algorithm, metadata, frontier, candidates, frontier_out_edges
-            )
-        return self._expand_push(algorithm, metadata, frontier)
-
     @staticmethod
     def _walk_edges(csr, worklist: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
         """Vectorized CSR walk shared by both directions.
@@ -1327,13 +557,13 @@ class SIMDXEngine:
         out-CSR with the frontier, pull walks the in-CSR with the gather
         candidates - one implementation so the two cannot drift apart.
         """
-        offsets = csr.offsets.astype(np.int64)
-        counts = np.diff(offsets)[worklist]
+        # Row bounds of the worklist only - never an O(|V|) pass.
+        starts = csr.offsets[worklist].astype(np.int64)
+        counts = csr.offsets[worklist + 1].astype(np.int64) - starts
         total = int(counts.sum())
         if total == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, 0
-        starts = offsets[worklist]
         cum = np.zeros(worklist.size, dtype=np.int64)
         np.cumsum(counts[:-1], out=cum[1:])
         edge_idx = np.repeat(starts - cum, counts) + np.arange(total, dtype=np.int64)
@@ -1355,397 +585,6 @@ class SIMDXEngine:
             slot, edge_idx, total = self.kernel.walk_edges(csr, worklist)
         self._kernel_edges_walked += int(total)
         return slot, edge_idx, total
-
-    def _expand_push(
-        self,
-        algorithm: ACCAlgorithm,
-        metadata: np.ndarray,
-        frontier: np.ndarray,
-    ) -> _ExpansionResult:
-        """Scatter: expand every out-edge of every frontier vertex."""
-        graph = self.graph
-        csr = graph.out_csr
-        num_workers = int(frontier.size)
-
-        src_slot, edge_idx, total = self._walk(csr, frontier)
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return _ExpansionResult(empty, empty, empty, empty, num_workers, 0, 0)
-
-        src = frontier[src_slot]
-        dst = csr.targets[edge_idx].astype(np.int64)
-        weights = csr.weights[edge_idx].astype(np.float64)
-
-        updates = algorithm.compute_edges(
-            metadata[src], weights, metadata[dst], src, dst, graph
-        )
-        updates = np.asarray(updates, dtype=np.float64)
-        algorithm.on_frontier_expanded(frontier, metadata)
-        valid = ~np.isnan(updates)
-        if not valid.all():
-            src_slot = src_slot[valid]
-            dst = dst[valid]
-            updates = updates[valid]
-
-        if updates.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return _ExpansionResult(
-                empty, empty, empty, empty, num_workers, total, total
-            )  # nothing changed
-
-        changed_vertices = self._combine_and_apply(algorithm, metadata, updates, dst)
-        return _ExpansionResult(
-            touched=changed_vertices,
-            update_destinations=dst,
-            recorded_destinations=dst,
-            recorded_producers=src_slot,
-            num_workers=num_workers,
-            edges_expanded=total,
-            active_edges=total,
-        )
-
-    def _expand_pull(
-        self,
-        algorithm: ACCAlgorithm,
-        metadata: np.ndarray,
-        frontier: np.ndarray,
-        candidates: np.ndarray,
-        frontier_out_edges: int,
-    ) -> _ExpansionResult:
-        """Gather: every candidate destination walks its in-edges and keeps
-        the contributions whose source lies in the frontier.
-
-        The kept edge set is exactly the frontier's out-edge set (possibly
-        minus edges ``gather_mask`` proved updateless), the per-edge operands
-        match the push path, and the in-CSR's (destination, source) sort
-        order reproduces the push path's per-destination combine order - so
-        push and pull produce bit-identical vertex values.
-        """
-        graph = self.graph
-        n = graph.num_vertices
-        csr = graph.in_csr
-        empty = np.zeros(0, dtype=np.int64)
-
-        dst_slot, edge_idx, total = self._walk(csr, candidates)
-        if total == 0:
-            # Fire the frontier hook under the same condition as push mode:
-            # the frontier had out-edges to consume.
-            if frontier_out_edges > 0:
-                algorithm.on_frontier_expanded(frontier, metadata)
-            return _ExpansionResult(empty, empty, empty, empty, 0, 0, 0)
-
-        dst = candidates[dst_slot]
-        src = csr.targets[edge_idx].astype(np.int64)
-
-        # Each gather consults the frontier bitmap: only in-edges whose
-        # source is active contribute this iteration.
-        in_frontier = self.kernel.membership_mask(frontier, n)
-        keep = in_frontier[src]
-        if not keep.all():
-            dst_slot = dst_slot[keep]
-            dst = dst[keep]
-            src = src[keep]
-            edge_idx = edge_idx[keep]
-        if src.size == 0:
-            if frontier_out_edges > 0:
-                algorithm.on_frontier_expanded(frontier, metadata)
-            return _ExpansionResult(empty, empty, empty, empty, 0, total, 0)
-
-        active = int(src.size)
-        weights = csr.weights[edge_idx].astype(np.float64)
-        updates = algorithm.gather_edges(
-            metadata[src], weights, metadata[dst], src, dst, graph
-        )
-        updates = np.asarray(updates, dtype=np.float64)
-        algorithm.on_frontier_expanded(frontier, metadata)
-        valid = ~np.isnan(updates)
-        if not valid.all():
-            dst_slot = dst_slot[valid]
-            dst = dst[valid]
-            updates = updates[valid]
-
-        if updates.size == 0:
-            return _ExpansionResult(empty, empty, empty, empty, 0, total, active)
-
-        changed_vertices = self._combine_and_apply(algorithm, metadata, updates, dst)
-        # A gather worker learns only about its own vertex: it records the
-        # destination once, post-combine, not once per incoming edge. Workers
-        # whose gather produced nothing own empty bins and contribute no
-        # recording or concatenation work, so the filter context only sees
-        # the receivers (with compacted worker slots).
-        receiver_slots = np.unique(dst_slot)
-        receivers = candidates[receiver_slots]
-        return _ExpansionResult(
-            touched=changed_vertices,
-            update_destinations=dst,
-            recorded_destinations=receivers,
-            recorded_producers=np.arange(receivers.size, dtype=np.int64),
-            num_workers=int(receivers.size),
-            edges_expanded=total,
-            active_edges=active,
-        )
-
-    def _expand_batch_push(
-        self,
-        algorithm: ACCAlgorithm,
-        clones: List[ACCAlgorithm],
-        metadata: np.ndarray,
-        view: BatchedFrontier,
-        lanes: List[int],
-        *,
-        per_lane_compute: bool = False,
-    ) -> Tuple[_ExpansionResult, List[np.ndarray], int]:
-        """Batched scatter: walk ``view``'s union out-edges once, expand
-        each edge into the lanes whose frontier contains its source.
-
-        ``view`` is the full :class:`BatchedFrontier` for a single-group
-        iteration or a :meth:`~BatchedFrontier.sub_batch` view for a split
-        one; ``lanes`` are the global lane ids it serves. Returns the
-        group-level expansion (what that sub-batch's task-management pass
-        and the cost model see), the per-lane recorded destinations (what
-        each lane's next frontier derives from), and the total
-        ``(edge, lane)`` pair count. Pairs are assembled lane-major with
-        each lane's edges in union-walk order, which is exactly the edge
-        order of that lane's independent single-source run - so the
-        per-destination combine order, and therefore the metadata, is
-        bit-identical per lane under every split schedule.
-        """
-        graph = self.graph
-        csr = graph.out_csr
-        union = view.vertices
-        num_workers = int(union.size)
-        empty = np.zeros(0, dtype=np.int64)
-        lane_recorded: List[np.ndarray] = [empty] * len(clones)
-        local_of = (
-            {lane: lane for lane in lanes} if view.lane_ids is None
-            else {g: i for i, g in enumerate(view.lane_ids)}
-        )
-
-        slot, edge_idx, total = self._walk(csr, union)
-        if total == 0:
-            return (
-                _ExpansionResult(empty, empty, empty, empty, num_workers, 0, 0),
-                lane_recorded,
-                0,
-            )
-        src = union[slot]
-        dst = csr.targets[edge_idx].astype(np.int64)
-        weights = csr.weights[edge_idx].astype(np.float64)
-
-        # Every union vertex comes from some lane's frontier, so each
-        # walked edge belongs to at least one lane: pair_parts is non-empty
-        # whenever total > 0.
-        pair_parts: List[Tuple[int, np.ndarray]] = []
-        for lane in lanes:
-            lane_edges = np.nonzero(view.lane_mask(local_of[lane])[slot])[0]
-            if lane_edges.size:
-                pair_parts.append((lane, lane_edges))
-        pair_src = np.concatenate([src[idx] for _, idx in pair_parts])
-        pair_dst = np.concatenate([dst[idx] for _, idx in pair_parts])
-        pair_weights = np.concatenate([weights[idx] for _, idx in pair_parts])
-        pair_lane = np.concatenate(
-            [np.full(idx.size, lane, dtype=np.int64) for lane, idx in pair_parts]
-        )
-        lane_pairs = int(pair_src.size)
-
-        if per_lane_compute:
-            # Heterogeneous lane parameters: evaluate Compute through each
-            # lane's own copy. Concatenation order is lane-major like the
-            # flattened call, so homogeneous parameters give bit-identical
-            # updates either way.
-            updates = np.concatenate([
-                np.asarray(
-                    clones[lane].scatter_edges(
-                        metadata[lane, src[idx]], weights[idx],
-                        metadata[lane, dst[idx]], src[idx], dst[idx], graph,
-                        lanes=np.full(idx.size, lane, dtype=np.int64),
-                    ),
-                    dtype=np.float64,
-                )
-                for lane, idx in pair_parts
-            ])
-        else:
-            updates = algorithm.scatter_edges(
-                metadata[pair_lane, pair_src], pair_weights,
-                metadata[pair_lane, pair_dst], pair_src, pair_dst, graph,
-                lanes=pair_lane,
-            )
-            updates = np.asarray(updates, dtype=np.float64)
-
-        # Per-lane tail: hook, NaN filter, Combine + apply on the lane's own
-        # metadata row - the same sequence as _expand_push, per lane.
-        valid_any = np.zeros(total, dtype=bool)
-        offset = 0
-        for lane, lane_edges in pair_parts:
-            begin, offset = offset, offset + lane_edges.size
-            clones[lane].on_frontier_expanded(
-                view.lane_vertices(local_of[lane]), metadata[lane]
-            )
-            lane_updates = updates[begin:offset]
-            valid = ~np.isnan(lane_updates)
-            valid_any[lane_edges[valid]] = True
-            if valid.any():
-                lane_dst = pair_dst[begin:offset][valid]
-                self._combine_and_apply(
-                    clones[lane], metadata[lane], lane_updates[valid], lane_dst
-                )
-                lane_recorded[lane] = lane_dst
-
-        union_recorded = np.nonzero(valid_any)[0]
-        return (
-            _ExpansionResult(
-                touched=np.unique(dst[union_recorded]),
-                update_destinations=dst[union_recorded],
-                recorded_destinations=dst[union_recorded],
-                recorded_producers=slot[union_recorded],
-                num_workers=num_workers,
-                edges_expanded=total,
-                active_edges=total,
-            ),
-            lane_recorded,
-            lane_pairs,
-        )
-
-    def _expand_batch_pull(
-        self,
-        algorithm: ACCAlgorithm,
-        clones: List[ACCAlgorithm],
-        metadata: np.ndarray,
-        lane_frontiers: List[np.ndarray],
-        lanes: List[int],
-        lane_candidates: Dict[int, np.ndarray],
-        union_candidates: np.ndarray,
-        lane_out_edges: Dict[int, int],
-        *,
-        per_lane_compute: bool = False,
-    ) -> Tuple[_ExpansionResult, List[np.ndarray], int]:
-        """Batched gather: walk the in-edges of the group's union gather
-        worklist once; a lane keeps an in-edge when the destination is in
-        its own gather worklist *and* the source is in its own frontier.
-
-        ``lanes`` are the (global) lanes of this sub-batch - the whole
-        batch for a single-group iteration, the pull-leaning group of a
-        split one. Per lane the kept edge set and order match the lane's
-        independent forced-pull iteration (candidates sorted, in-CSR row
-        order), which in turn is bit-identical to its push expansion - the
-        engine's push/pull equivalence carried through the lane axis,
-        under every split schedule.
-        """
-        graph = self.graph
-        n = graph.num_vertices
-        csr = graph.in_csr
-        empty = np.zeros(0, dtype=np.int64)
-        num_lanes = len(clones)
-        lane_recorded: List[np.ndarray] = [empty] * num_lanes
-
-        def fire_hooks() -> None:
-            # Same condition as the single-run early returns: the lane's
-            # frontier had out-edges to consume, gathered or not.
-            for lane in lanes:
-                if lane_out_edges.get(lane, 0) > 0:
-                    clones[lane].on_frontier_expanded(
-                        lane_frontiers[lane], metadata[lane]
-                    )
-
-        dst_slot, edge_idx, total = self._walk(csr, union_candidates)
-        if total == 0:
-            fire_hooks()
-            return (
-                _ExpansionResult(empty, empty, empty, empty, 0, 0, 0),
-                lane_recorded,
-                0,
-            )
-        src = csr.targets[edge_idx].astype(np.int64)
-        dst = union_candidates[dst_slot]
-
-        kept_any = np.zeros(total, dtype=bool)
-        pair_parts: List[Tuple[int, np.ndarray]] = []
-        for lane in lanes:
-            candidates = lane_candidates[lane]
-            if candidates.size == 0 or lane_frontiers[lane].size == 0:
-                continue
-            candidate_rows = np.zeros(union_candidates.size, dtype=bool)
-            candidate_rows[
-                self.kernel.rows_in_sorted(union_candidates, candidates)
-            ] = True
-            in_frontier = self.kernel.membership_mask(lane_frontiers[lane], n)
-            keep = candidate_rows[dst_slot] & in_frontier[src]
-            lane_edges = np.nonzero(keep)[0]
-            if lane_edges.size:
-                kept_any[lane_edges] = True
-                pair_parts.append((lane, lane_edges))
-        union_active = int(np.count_nonzero(kept_any))
-        if not pair_parts:
-            fire_hooks()
-            return (
-                _ExpansionResult(empty, empty, empty, empty, 0, total, 0),
-                lane_recorded,
-                0,
-            )
-
-        pair_src = np.concatenate([src[idx] for _, idx in pair_parts])
-        pair_dst = np.concatenate([dst[idx] for _, idx in pair_parts])
-        pair_weights = np.concatenate(
-            [csr.weights[edge_idx[idx]].astype(np.float64) for _, idx in pair_parts]
-        )
-        pair_lane = np.concatenate(
-            [np.full(idx.size, lane, dtype=np.int64) for lane, idx in pair_parts]
-        )
-        lane_pairs = int(pair_src.size)
-
-        if per_lane_compute:
-            # Heterogeneous lane parameters: evaluate Compute through each
-            # lane's own copy (lane-major order matches the flattened call).
-            updates = np.concatenate([
-                np.asarray(
-                    clones[lane].gather_edges(
-                        metadata[lane, src[idx]],
-                        csr.weights[edge_idx[idx]].astype(np.float64),
-                        metadata[lane, dst[idx]], src[idx], dst[idx], graph,
-                        lanes=np.full(idx.size, lane, dtype=np.int64),
-                    ),
-                    dtype=np.float64,
-                )
-                for lane, idx in pair_parts
-            ])
-        else:
-            updates = algorithm.gather_edges(
-                metadata[pair_lane, pair_src], pair_weights,
-                metadata[pair_lane, pair_dst], pair_src, pair_dst, graph,
-                lanes=pair_lane,
-            )
-            updates = np.asarray(updates, dtype=np.float64)
-        fire_hooks()
-
-        valid_any = np.zeros(total, dtype=bool)
-        offset = 0
-        for lane, lane_edges in pair_parts:
-            begin, offset = offset, offset + lane_edges.size
-            lane_updates = updates[begin:offset]
-            valid = ~np.isnan(lane_updates)
-            valid_any[lane_edges[valid]] = True
-            if valid.any():
-                lane_dst = pair_dst[begin:offset][valid]
-                self._combine_and_apply(
-                    clones[lane], metadata[lane], lane_updates[valid], lane_dst
-                )
-                # A gather worker records its own destination once.
-                lane_recorded[lane] = np.unique(lane_dst)
-
-        receivers = np.unique(dst[valid_any])
-        return (
-            _ExpansionResult(
-                touched=receivers,
-                update_destinations=dst[valid_any],
-                recorded_destinations=receivers,
-                recorded_producers=np.arange(receivers.size, dtype=np.int64),
-                num_workers=int(receivers.size),
-                edges_expanded=total,
-                active_edges=union_active,
-            ),
-            lane_recorded,
-            lane_pairs,
-        )
 
     def _combine_and_apply(
         self,
@@ -1770,14 +609,10 @@ class SIMDXEngine:
     # Cost accounting helpers
     # ------------------------------------------------------------------
     def _make_barrier(
-        self,
-        device: Optional[GPUDevice] = None,
-        fusion_plan: Optional[FusionPlan] = None,
+        self, device: GPUDevice, fusion_plan: FusionPlan
     ) -> Optional[SoftwareGlobalBarrier]:
         if self.config.fusion == FusionStrategy.NONE:
             return None
-        device = device if device is not None else self.device
-        fusion_plan = fusion_plan if fusion_plan is not None else self.fusion_plan
         kernel_key = (
             "fused_all" if self.config.fusion == FusionStrategy.ALL else "fused_push"
         )
@@ -1867,14 +702,12 @@ class SIMDXEngine:
         classified: ClassifiedFrontier,
         classifier: WorklistClassifier,
         direction: Direction,
-        sortedness: float,
+        stream: Stream,
         algorithm: ACCAlgorithm,
         *,
         atomic_profile=None,
         active_edge_fraction: float = 1.0,
         extra_lane_pairs: int = 0,
-        device: Optional[GPUDevice] = None,
-        fusion_plan: Optional[FusionPlan] = None,
     ) -> Tuple[float, float, Tuple[Kernel, bool]]:
         """Charge the three compute kernels.
 
@@ -1894,9 +727,8 @@ class SIMDXEngine:
         The adjacency, offset and worklist traffic is *not* re-paid - that
         is what ``run_batch`` amortizes across lanes.
         """
-        device = device if device is not None else self.device
-        plan = fusion_plan if fusion_plan is not None else self.fusion_plan
-        phase = plan.phase_kernels(direction)
+        device = stream.device
+        phase = stream.fusion_plan.phase_kernels(direction)
         kernels = list(phase.launch_kernels) + list(phase.continuation_kernels)
         fused_flags = [False] * len(phase.launch_kernels) + [True] * len(
             phase.continuation_kernels
@@ -1920,7 +752,7 @@ class SIMDXEngine:
                 deg(vertices) if vertices.size else np.zeros(0),
                 stage,
                 direction,
-                sortedness,
+                stream.sortedness,
                 algorithm,
                 active_fraction=active_edge_fraction,
             )
@@ -1987,12 +819,10 @@ class SIMDXEngine:
     def _charge_filter(
         self,
         filter_result: FilterResult,
-        direction: Direction,
         task_kernel: Tuple[Kernel, bool],
-        device: Optional[GPUDevice] = None,
+        device: GPUDevice,
     ) -> float:
         kernel, fused = task_kernel
-        device = device if device is not None else self.device
         result = device.launch(
             KernelLaunch(
                 kernel=kernel,

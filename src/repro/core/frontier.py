@@ -345,18 +345,6 @@ class BatchedFrontier:
             dtype=np.int64,
         )
 
-    def vertex_range_rows(self, start: int, stop: int) -> Tuple[int, int]:
-        """Union-row span ``[lo, hi)`` of vertex ids in ``[start, stop)``.
-
-        ``vertices`` is sorted, so a contiguous vertex-range shard owns a
-        contiguous block of union rows; the sharded executor slices the
-        union (and the per-row ``lane_bits``) with the two bounds instead
-        of materializing per-shard masks.
-        """
-        lo = int(np.searchsorted(self.vertices, start, side="left"))
-        hi = int(np.searchsorted(self.vertices, stop, side="left"))
-        return lo, hi
-
     def global_lane(self, lane: int) -> int:
         """Global lane id of local ``lane`` (identity for a full batch)."""
         if self.lane_ids is None:

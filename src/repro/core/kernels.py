@@ -132,13 +132,13 @@ class NumpyKernelBackend(KernelBackend):
     name = "numpy"
 
     def walk_edges(self, csr, worklist):
-        offsets = csr.offsets.astype(np.int64)
-        counts = np.diff(offsets)[worklist]
+        # Row bounds of the worklist only - never an O(|V|) pass.
+        starts = csr.offsets[worklist].astype(np.int64)
+        counts = csr.offsets[worklist + 1].astype(np.int64) - starts
         total = int(counts.sum())
         if total == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, 0
-        starts = offsets[worklist]
         cum = np.zeros(worklist.size, dtype=np.int64)
         np.cumsum(counts[:-1], out=cum[1:])
         edge_idx = np.repeat(starts - cum, counts) + np.arange(

@@ -25,9 +25,15 @@ import numpy as np
 
 @dataclass
 class IterationRecord:
-    """One BSP iteration of a run.
+    """One work unit of one BSP iteration.
 
-    ``frontier_vertices`` is always the size of the active (push) frontier;
+    A single-device ``run`` emits one record per iteration; a batched
+    iteration emits one per lane group and a sharded one one per scatter /
+    gather unit of each shard (the run's traces join them with ``+``).
+
+    ``frontier_vertices`` is always the size of the unit's active (push)
+    frontier - the lanes' frontier union inside the unit's vertex range,
+    never the gather worklist - on every path;
     ``frontier_edges`` counts the edges of the worklist the executed
     ``direction`` actually walked - the frontier's out-edges in push mode,
     the gather worklist's scanned in-edges in pull mode (which can span most
@@ -54,7 +60,9 @@ class IterationRecord:
     #: serial execution of the same K queries would have walked
     #: ``lane_edge_pairs`` edges; 0 in single-query runs.
     lane_edge_pairs: int = 0
-    #: Batched runs only: lanes with a non-empty frontier this iteration.
+    #: Batched runs only: lanes with a non-empty frontier in the unit (the
+    #: group's lanes on one device; on a shard, the lanes holding frontier
+    #: vertices inside the shard's range).
     active_lanes: int = 0
 
     @property
@@ -155,8 +163,15 @@ class BatchRunResult:
     which makes even a *single* run's iteration trajectory depend on the
     filter each iteration happens to use (the ballot worklist carries
     those pending vertices, the online worklist only this iteration's
-    recordings) - so a batch, which makes one union filter decision, may
-    reach the same final metadata in a different number of iterations.
+    recordings) - so a batch of several lanes, which makes one filter
+    decision per lane group, may reach the same final metadata in a
+    different number of iterations.
+
+    The next-frontier rule is the same for ``run`` and ``run_batch``: a
+    lane whose filter pass covered exactly that lane over the whole vertex
+    range continues from that pass's worklist, every other lane from its
+    own ``recorded ∩ active``. A one-lane batch on one device is therefore
+    record-for-record identical to the single run, delta-stepping included.
     """
 
     system: str

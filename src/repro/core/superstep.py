@@ -1,0 +1,1156 @@
+"""The one BSP superstep driver behind ``run``, ``run_batch`` and sharding.
+
+Every execution path of the engine is the same Active -> Compute ->
+Combine loop (Figure 4(b)) over two axes:
+
+* a **lane set** (:class:`LaneSet`): K algorithm instances, a ``(K, n)``
+  metadata block and K sorted frontiers. ``SIMDXEngine.run`` is the
+  one-lane set whose lane is the caller's own instance; ``run_batch``
+  clones the algorithm once per source.
+* a list of **streams** (:class:`Stream`): one per device, each owning a
+  contiguous vertex range, a simulated device and its task-management
+  state. A single device is the one-stream plan covering ``[0, n)``;
+  ``EngineConfig(num_shards=N)`` supplies one stream per
+  :class:`~repro.shard.partition.ShardPlan` range.
+
+Per superstep a planner yields work units ``(direction, lanes, stream)``
+- on one stream the lane groups ``SIMDXEngine._plan_groups`` returns, on N
+streams one scatter and/or gather unit per shard with the shard's own
+selector decision - and the two-phase schedule runs them:
+
+1. **Compute** - every unit expands against *iteration-start* metadata
+   through :meth:`SuperstepDriver._expand_push` or
+   :meth:`~SuperstepDriver._expand_pull`; valid updates are queued at
+   their destination's owner stream, per lane, in unit order. Then every
+   lane's frontier hook fires exactly once.
+2. **Combine + apply** - each owner drains its queues through
+   ``SIMDXEngine._combine_and_apply``, then every unit goes through the
+   shared task-management / cost tail (``SIMDXEngine._finish_iteration``)
+   and emits one :class:`~repro.core.metrics.IterationRecord`.
+
+**Why every path is bit-identical.** A lane's Combine stream at any
+destination is in global source-ascending order on every path: a push unit
+walks its sorted frontier slice in order, scatter units run in ascending
+stream (= ascending vertex range) order and an owner drains them in that
+order, and an in-CSR row is sorted by source - so push, pull, lane groups
+and shards all hand ``segment_reduce`` the operands of the lane's
+independent single-device run in the same order (``docs/sharding.md``
+spells the argument out). Lanes never share a metadata row, so unit order
+across lanes is irrelevant to values; it only fixes the order of cost
+charges and records.
+"""
+
+from __future__ import annotations
+
+import copy
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.analysis import registry as extra_keys
+from repro.analysis.sanitizer import RuntimeSanitizer
+from repro.core.acc import ACCAlgorithm, CombineKind
+from repro.core.direction import (
+    BatchDirectionPolicy,
+    Direction,
+    DirectionSelector,
+    SubBatchPlan,
+)
+from repro.core.filters import FilterMode, FilterOverflowError, make_filter
+from repro.core.frontier import (
+    LANES_PER_WORD,
+    BatchedFrontier,
+    ClassifiedFrontier,
+)
+from repro.core.jit import JITTaskManager
+from repro.core.metrics import BatchRunResult, IterationRecord, RunResult
+from repro.gpu.device import DeviceOutOfMemory
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def _take(array: np.ndarray, index) -> np.ndarray:
+    """``array[index]``, with ``None`` meaning every element (no copy)."""
+    return array if index is None else array[index]
+
+
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _union(parts: List[np.ndarray]) -> np.ndarray:
+    """Sorted union of sorted duplicate-free arrays; one part is itself."""
+    parts = [p for p in parts if p.size]
+    if len(parts) <= 1:
+        return parts[0] if parts else _EMPTY
+    return np.unique(np.concatenate(parts))
+
+
+def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an already non-decreasing array, without the sort."""
+    if values.size < 2:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _range_rows(vertices: np.ndarray, start: int, stop: int) -> Tuple[int, int]:
+    """Row span ``[lo, hi)`` of the ids in ``[start, stop)`` of a sorted array."""
+    return (
+        int(np.searchsorted(vertices, start, side="left")),
+        int(np.searchsorted(vertices, stop, side="left")),
+    )
+
+
+def _reaches(vertices: np.ndarray, start: int, stop: int) -> bool:
+    """Does the sorted array hold any id in ``[start, stop)``?"""
+    lo, hi = _range_rows(vertices, start, stop)
+    return hi > lo
+
+
+@dataclass
+class _ExpansionResult:
+    """What one unit's expansion hands the task-management/cost tail."""
+
+    #: Destination of every valid update; only the atomic-combine ablation
+    #: prices it, so a gather keeps it (it can be edge-sized) only then.
+    update_destinations: Optional[np.ndarray]
+    #: What the task-management filter observes: in push mode one entry per
+    #: valid update (the scatter thread saw each one happen); in pull mode
+    #: one entry per destination that received any update (the gather thread
+    #: learns about its own vertex once, post-combine).
+    recorded_destinations: np.ndarray
+    recorded_producers: np.ndarray    # worker slot owning each recorded entry
+    num_workers: int                  # worker threads (frontier / receivers)
+    edges_expanded: int
+    #: Edges that paid the Compute evaluation: every walked edge in push
+    #: mode (minus edges whose destination a pull-mode shard gathers
+    #: itself); in pull mode the scanned in-edges whose source was in the
+    #: frontier - the rest only paid the bitmap test.
+    active_edges: int = 0
+
+
+class Stream:
+    """One device's share of a run.
+
+    Owns the vertex range ``[start, stop)``, the simulated device with its
+    fusion plan and barrier, the direction selector deciding for that
+    range's frontier slice, and the task-management state (JIT controller
+    or standalone filter plus the sortedness of the worklist it last
+    produced). Stream identity affects cost and traces only, never values.
+    """
+
+    __slots__ = (
+        "index", "start", "stop", "device", "fusion_plan", "barrier", "jit",
+        "standalone_filter", "selector", "sortedness", "scanned_edges",
+        "modeled_vertices", "modeled_edges",
+    )
+
+    def __init__(
+        self, engine, index: int, start: int, stop: int, *, device,
+        fusion_plan, total_edges: int, start_direction: Direction,
+        modeled_vertices: int, modeled_edges: int,
+    ):
+        cfg = engine.config
+        self.index, self.start, self.stop = index, start, stop
+        self.device = device
+        self.fusion_plan = fusion_plan
+        self.barrier = engine._make_barrier(device, fusion_plan)
+        self.jit: Optional[JITTaskManager] = None
+        self.standalone_filter = None
+        if cfg.filter_mode == FilterMode.JIT:
+            self.jit = JITTaskManager(
+                overflow_threshold=cfg.overflow_threshold,
+                shadow_online=cfg.shadow_online,
+            )
+        else:
+            self.standalone_filter = make_filter(
+                cfg.filter_mode, online_capacity=cfg.overflow_threshold
+            )
+        self.selector = DirectionSelector(
+            total_edges=total_edges,
+            to_pull_threshold=cfg.to_pull_threshold,
+            to_push_threshold=cfg.to_push_threshold,
+            start_direction=start_direction,
+        )
+        self.sortedness = 1.0
+        self.scanned_edges = 0
+        self.modeled_vertices = modeled_vertices
+        self.modeled_edges = modeled_edges
+
+
+@dataclass
+class LaneSet:
+    """K algorithm instances over a ``(K, n)`` metadata block.
+
+    ``clones[k]`` owns lane k's stateful hooks (SSSP's pending set, k-Core's
+    bookkeeping) and ``frontiers[k]`` its sorted duplicate-free frontier.
+    ``batched`` lane sets (``run_batch``) route Compute through the lane-axis
+    hooks ``scatter_edges`` / ``gather_edges`` of the shared ``prototype`` -
+    or of each lane's own copy when heterogeneous ``lane_params`` make
+    Compute parameter-dependent; the ``run`` lane set is the caller's own
+    instance and keeps the lane-free ``compute_edges`` / ``gather_edges``
+    signatures.
+    """
+
+    prototype: ACCAlgorithm
+    clones: List[ACCAlgorithm]
+    metadata: np.ndarray
+    frontiers: List[np.ndarray]
+    batched: bool
+    per_lane_compute: bool = False
+
+    @classmethod
+    def single(cls, algorithm, graph, params, sanitizer) -> "LaneSet":
+        state = algorithm.init(graph, **params)
+        metadata = np.array(state.metadata, dtype=np.float64, ndmin=2)
+        frontier = np.unique(np.asarray(state.frontier, dtype=np.int64))
+        if sanitizer is not None:
+            # Wrapping after init: init owns its arrays, every later hook
+            # call is intercepted and checked.
+            algorithm = sanitizer.wrap(algorithm, lane=0)
+            sanitizer.freeze_graph()
+        return cls(algorithm, [algorithm], metadata, [frontier], batched=False)
+
+    @classmethod
+    def batch(
+        cls, algorithm, graph, sources, lane_params, params, sanitizer
+    ) -> "LaneSet":
+        clones: List[ACCAlgorithm] = []
+        metadata = np.zeros((len(sources), graph.num_vertices), dtype=np.float64)
+        frontiers: List[np.ndarray] = []
+        for lane, source in enumerate(sources):
+            clone = copy.copy(algorithm)
+            if lane_params is not None:
+                for key, value in lane_params[lane].items():
+                    setattr(clone, key, value)
+            state = clone.init(graph, source=source, **params)
+            clones.append(clone)
+            metadata[lane] = np.asarray(state.metadata, dtype=np.float64)
+            frontiers.append(
+                np.unique(np.asarray(state.frontier, dtype=np.int64))
+            )
+        if sanitizer is not None:
+            # Each clone's hooks are checked on its own lane row; the
+            # prototype's flattened calls carry the lane axis explicitly.
+            clones = [sanitizer.wrap(c, lane=k) for k, c in enumerate(clones)]
+            algorithm = sanitizer.wrap(algorithm, lane=None)
+            sanitizer.freeze_graph()
+        return cls(
+            algorithm, clones, metadata, frontiers, batched=True,
+            per_lane_compute=lane_params is not None,
+        )
+
+
+@dataclass(eq=False)
+class _Unit:
+    """One planned work unit of a superstep."""
+
+    direction: Direction
+    #: Lanes the unit serves (its Active mask is their union).
+    lanes: Tuple[int, ...]
+    stream: Stream
+    #: Union of the lanes' frontiers inside the stream's vertex range.
+    frontier: np.ndarray
+    #: Lane-bit view over ``frontier`` rows ``[rows[0], rows[1])`` of
+    #: ``view.vertices`` (``None`` while a single lane is live).
+    view: Optional[BatchedFrontier] = None
+    rows: Optional[Tuple[int, int]] = None
+    #: Lanes with a non-empty frontier inside the range (default: all).
+    range_lanes: Optional[Sequence[int]] = None
+    classified: Optional[ClassifiedFrontier] = None
+    #: What the unit walks: ``frontier`` (push) or the union of the lanes'
+    #: gather candidates inside the range (pull, with the per-lane parts).
+    worklist: Optional[np.ndarray] = None
+    lane_candidates: Optional[List[np.ndarray]] = None
+    expansion: Optional[_ExpansionResult] = None
+    lane_pairs: int = 0
+
+    def __post_init__(self) -> None:
+        self.worklist = self.frontier
+        if self.range_lanes is None:
+            self.range_lanes = self.lanes
+
+
+class _Step:
+    """Scratch state of one superstep."""
+
+    def __init__(self, driver: "SuperstepDriver", iteration: int, live):
+        lanes = driver.lanes
+        self.iteration = iteration
+        self.live: Tuple[int, ...] = live
+        self.prev = lanes.metadata.copy()
+        self.dst_is_push: Optional[np.ndarray] = None
+        self.candidates: Dict[int, np.ndarray] = {}
+        self.bitmaps: Dict[int, np.ndarray] = {}
+        #: ``(owner stream, lane) -> [(updates, destinations), ...]``
+        self.pending: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self.recorded: Dict[int, List[np.ndarray]] = {k: [] for k in live}
+        self.received = [0] * len(driver.streams)
+        self.active: Dict[int, np.ndarray] = {}
+        self.active_unions: Dict[Tuple[int, ...], np.ndarray] = {}
+        #: Lanes whose next frontier is a filter pass's own worklist.
+        self.solo: Dict[int, np.ndarray] = {}
+
+
+class SuperstepDriver:
+    """Runs one lane set over one stream plan (see the module docstring)."""
+
+    def __init__(self, engine, streams: List[Stream], sharding=None):
+        self.engine = engine
+        self.graph = engine.graph
+        self.streams = streams
+        #: The :class:`~repro.shard.executor.ShardedExecutor` behind a
+        #: multi-stream plan (owner lookup, boundary-merge charge, shard
+        #: ``extra`` keys); ``None`` on a single device.
+        self.sharding = sharding
+        name = engine.device.spec.name
+        self.device_name = name if sharding is None else f"{name}x{len(streams)}"
+        self.lanes: Optional[LaneSet] = None
+        self.sanitizer: Optional[RuntimeSanitizer] = None
+        self.side: Optional[Stream] = None
+        #: Every JIT controller that ran: the streams' own plus side forks.
+        self.jits: List[JITTaskManager] = [
+            s.jit for s in streams if s.jit is not None
+        ]
+        self.records: List[IterationRecord] = []
+        self.filter_trace: List[str] = []
+        self.direction_trace: List[str] = []
+        self.split_iterations: List[int] = []
+        self.lane_iterations: List[int] = []
+        self.boundary_updates = 0
+        self.total_us = 0.0
+        self.iteration = 0
+
+    # ------------------------------------------------------------------
+    # Entry points: two result constructors over the same driver state
+    # ------------------------------------------------------------------
+    def run(self, algorithm: ACCAlgorithm, params) -> RunResult:
+        engine, graph = self.engine, self.graph
+
+        def body() -> RunResult:
+            lanes = LaneSet.single(algorithm, graph, params, self.sanitizer)
+            self._loop(lanes)
+            extra = self._extra()
+            return RunResult(
+                system=engine.SYSTEM_NAME,
+                algorithm=algorithm.name,
+                graph=graph.name,
+                values=lanes.clones[0].vertex_value(lanes.metadata[0]),
+                elapsed_us=self.total_us,
+                iterations=self.iteration,
+                device=self.device_name,
+                kernel_launches=self._kernel_launches(),
+                filter_trace=self.filter_trace,
+                direction_trace=self.direction_trace,
+                iteration_records=self.records,
+                extra=extra,
+            )
+
+        return self._guarded(body, None, lambda reason: RunResult.failure(
+            engine.SYSTEM_NAME, algorithm.name, graph.name, reason,
+            device=self.device_name,
+        ))
+
+    def run_batch(
+        self, algorithm: ACCAlgorithm, sources: List[int], lane_params, params
+    ) -> BatchRunResult:
+        engine, graph = self.engine, self.graph
+
+        def body() -> BatchRunResult:
+            lanes = LaneSet.batch(
+                algorithm, graph, sources, lane_params, params, self.sanitizer
+            )
+            self._loop(lanes)
+            records = self.records
+            extra = self._extra({
+                # Amortization bookkeeping: edges the union walks touched
+                # vs the (edge, lane) pairs a serial execution would have
+                # walked, plus the gather share (the quantity lane-aware
+                # splitting shrinks on road-style graphs).
+                extra_keys.UNION_EDGES_WALKED: sum(
+                    r.frontier_edges for r in records
+                ),
+                extra_keys.LANE_EDGE_PAIRS: sum(
+                    r.lane_edge_pairs for r in records
+                ),
+                extra_keys.PULL_EDGES_SCANNED: sum(
+                    r.frontier_edges for r in records
+                    if r.direction == Direction.PULL.value
+                ),
+                # Empty when sharded: per-shard direction selection
+                # replaces lane-group splitting (EngineConfig.num_shards).
+                extra_keys.SPLIT_ITERATIONS: self.split_iterations,
+                extra_keys.LANE_SPLITS: len(self.split_iterations),
+            })
+            return BatchRunResult(
+                system=engine.SYSTEM_NAME,
+                algorithm=algorithm.name,
+                graph=graph.name,
+                sources=sources,
+                metadata=lanes.metadata,
+                values=np.stack([
+                    clone.vertex_value(row)
+                    for clone, row in zip(lanes.clones, lanes.metadata)
+                ]),
+                elapsed_us=self.total_us,
+                iterations=self.iteration,
+                lane_iterations=self.lane_iterations,
+                device=self.device_name,
+                kernel_launches=self._kernel_launches(),
+                filter_trace=self.filter_trace,
+                direction_trace=self.direction_trace,
+                iteration_records=records,
+                extra=extra,
+            )
+
+        return self._guarded(
+            body, len(sources), lambda reason: BatchRunResult.failure(
+                engine.SYSTEM_NAME, algorithm.name, graph.name, sources,
+                reason, device=self.device_name,
+            ),
+        )
+
+    def _guarded(self, body, num_lanes: Optional[int], failure):
+        """Allocate, run ``body``, map the two failure modes to a result."""
+        if self.engine.config.sanitize:
+            self.sanitizer = RuntimeSanitizer(self.graph)
+        try:
+            self._allocate(num_lanes)
+            return body()
+        except DeviceOutOfMemory as exc:
+            return failure(f"OOM: {exc}")
+        except FilterOverflowError as exc:
+            return failure(f"online filter overflow: {exc}")
+        finally:
+            if self.sanitizer is not None:
+                # Unfreeze the CSR arrays on every exit path, including a
+                # raised SanitizerError - the graph outlives the run.
+                self.sanitizer.release()
+            for stream in self.streams:
+                stream.device.reset_memory()
+
+    def _allocate(self, num_lanes: Optional[int]) -> None:
+        """Resident per-stream allocations, modeled at paper scale.
+
+        Sizes follow the stream's share of the modeled (paper-scale) graph
+        so the memory-feasibility behaviour of Table 4 is reproduced even
+        though the functional run uses the scaled-down analogue - at
+        1/num_shards scale per device when sharded.
+        """
+        directions = 2 if self.graph.directed else 1
+        for stream in self.streams:
+            mv, me = stream.modeled_vertices, stream.modeled_edges
+            malloc = stream.device.malloc
+            malloc(directions * (mv * 8 + me * 8), label="csr_graph")
+            if num_lanes is None:
+                malloc(2 * mv * 8, label="metadata")
+                malloc(3 * mv * 4, label="worklists")
+            else:
+                # The dominant batching cost: one metadata array (current
+                # + previous) per lane; the worklists carry the per-vertex
+                # lane bitmask words on top of the union worklists.
+                num_words = -(-num_lanes // LANES_PER_WORD)
+                malloc(2 * num_lanes * mv * 8, label="metadata_lanes")
+                malloc(3 * mv * 4 + mv * num_words * 8, label="worklists")
+
+    def _kernel_launches(self) -> int:
+        return sum(s.device.profiler.launch_count() for s in self.streams)
+
+    def _extra(self, batch_keys: Optional[dict] = None) -> dict:
+        cfg = self.engine.config
+        breakdown: Dict[str, float] = {}
+        for stream in self.streams:
+            for key, value in stream.device.profiler.breakdown().items():
+                breakdown[key] = breakdown.get(key, 0.0) + value
+        # Iterations whose ballot was pre-armed at a pull->push switch
+        # (empty for non-JIT filter modes), over every stream that ran.
+        pre_armed = set()
+        for jit in self.jits:
+            pre_armed.update(jit.pre_armed_iterations())
+        extra = {
+            extra_keys.FUSION: cfg.fusion.value,
+            extra_keys.FILTER_MODE: cfg.filter_mode.value,
+            extra_keys.DIRECTION_SWITCHES: sum(
+                s.selector.switches() for s in self.streams
+            ),
+            extra_keys.BREAKDOWN: breakdown,
+            extra_keys.JIT_PRE_ARMED_ITERATIONS: sorted(pre_armed),
+            extra_keys.KERNEL_BACKEND: cfg.kernel_backend,
+            extra_keys.KERNEL_EDGES_WALKED: int(self.engine._kernel_edges_walked),
+        }
+        if batch_keys:
+            extra.update(batch_keys)
+        if self.sharding is not None:
+            extra.update(
+                self.sharding.shard_extra(self.streams, self.boundary_updates)
+            )
+        if self.sanitizer is not None:
+            self.sanitizer.validate_extra(extra)
+            extra[extra_keys.SANITIZER] = self.sanitizer.report()
+        return extra
+
+    # ------------------------------------------------------------------
+    # The superstep loop
+    # ------------------------------------------------------------------
+    def _loop(self, lanes: LaneSet) -> None:
+        engine, cfg, sanitizer = self.engine, self.engine.config, self.sanitizer
+        self.lanes = lanes
+        frontiers, metadata, clones = lanes.frontiers, lanes.metadata, lanes.clones
+        sharded = self.sharding is not None
+        self.lane_iterations = [0] * len(clones)
+        policy: Optional[BatchDirectionPolicy] = None
+        if lanes.batched and not sharded and cfg.direction_auto and cfg.lane_aware_split:
+            selector = self.streams[0].selector
+            policy = BatchDirectionPolicy(
+                total_edges=self.graph.num_edges,
+                num_lanes=len(clones),
+                to_pull_threshold=cfg.to_pull_threshold,
+                to_push_threshold=cfg.to_push_threshold,
+                start_direction=selector.start_direction,
+                traffic_model=cfg.traffic_model,
+                margin=cfg.split_margin,
+            )
+        max_iterations = (
+            cfg.max_iterations if cfg.max_iterations is not None
+            else lanes.prototype.max_iterations
+        )
+
+        while any(f.size for f in frontiers) and self.iteration < max_iterations:
+            self.iteration = iteration = self.iteration + 1
+            live = tuple(k for k, f in enumerate(frontiers) if f.size)
+            for lane in live:
+                self.lane_iterations[lane] = iteration
+            step = _Step(self, iteration, live)
+            if sanitizer is not None:
+                sanitizer.begin_superstep(iteration, metadata)
+
+            # ---------------- phase 1: plan + compute -------------------
+            # All Compute evaluations read iteration-start metadata; valid
+            # (non-NaN) updates queue at their destination's owner.
+            units, lane_out_edges = self._plan(step, policy)
+            for unit in units:
+                if unit.direction is Direction.PUSH:
+                    self._expand_push(unit, step)
+                else:
+                    self._expand_pull(unit, step)
+            # The frontier hook fires once per lane, on the lane's whole
+            # frontier, whenever it had out-edges to consume (scattered or
+            # gathered, however far gather_mask shrank the worklist) -
+            # after all Computes, before any apply.
+            for lane in live:
+                if lane_out_edges[lane] > 0:
+                    clones[lane].on_frontier_expanded(
+                        frontiers[lane], metadata[lane]
+                    )
+
+            # ---------------- phase 2: combine + apply ------------------
+            # Owners drain in ascending stream order, each lane's queue in
+            # arrival (= source-stream-ascending) order: the concatenated
+            # stream is source-ascending per destination, so Combine sees
+            # the single-device order (module docstring).
+            for owner in range(len(self.streams)):
+                for lane in live:
+                    queue = step.pending.get((owner, lane))
+                    if queue:
+                        engine._combine_and_apply(
+                            clones[lane], metadata[lane],
+                            _concat([u for u, _ in queue]),
+                            _concat([d for _, d in queue]),
+                        )
+            for lane in live:
+                step.active[lane] = np.asarray(
+                    clones[lane].active_mask(metadata[lane], step.prev[lane]),
+                    dtype=bool,
+                )
+
+            # ---------------- task management, cost, records ------------
+            shard_us = [0.0] * len(self.streams)
+            for unit in units:
+                unit_us = self._finish_unit(unit, step)
+                if sharded:
+                    shard_us[unit.stream.index] += unit_us
+                else:
+                    # One device runs its units back to back.
+                    self.total_us += unit_us
+            if sharded:
+                # Devices run concurrently: the superstep costs its slowest
+                # shard, boundary-merge drain included.
+                for stream in self.streams:
+                    shard_us[stream.index] += self.sharding.charge_boundary_merge(
+                        stream, step.received[stream.index]
+                    )
+                self.total_us += max(shard_us)
+            tail = self.records[len(self.records) - len(units):]
+            self.direction_trace.append("+".join(r.direction for r in tail))
+            self.filter_trace.append("+".join(r.filter_used for r in tail))
+
+            # ---------------- next frontiers ----------------------------
+            # The one next-frontier rule: a lane whose filter pass covered
+            # exactly that lane over the whole vertex range continues from
+            # the pass's own worklist (what a single run has always done -
+            # a ballot scan may carry active vertices that received no
+            # update this superstep, e.g. delta-stepping's pending set);
+            # every other lane derives its own ``recorded ∩ active``.
+            for lane in live:
+                active = step.active[lane]
+                worklist = step.solo.get(lane)
+                if worklist is None:
+                    recorded = (
+                        np.concatenate(step.recorded[lane])
+                        if step.recorded[lane] else _EMPTY
+                    )
+                    worklist = recorded[active[recorded]]
+                frontier = np.unique(worklist)
+                if frontier.size == 0 and not clones[lane].converged(
+                    metadata[lane], step.prev[lane], iteration
+                ):
+                    # The algorithm wants more iterations despite an empty
+                    # worklist (delta-stepping advancing its bucket).
+                    frontier = np.nonzero(active)[0].astype(np.int64)
+                frontiers[lane] = frontier
+            if sanitizer is not None:
+                sanitizer.end_superstep(iteration, metadata)
+
+    # ------------------------------------------------------------------
+    # Planning
+    # ------------------------------------------------------------------
+    def _plan(self, step: _Step, policy) -> Tuple[List[_Unit], Dict[int, int]]:
+        """Directions and work units of one superstep, in execution order."""
+        engine, cfg, lanes = self.engine, self.engine.config, self.lanes
+        frontiers, live, streams = lanes.frontiers, step.live, self.streams
+        sharded = self.sharding is not None
+
+        # Union frontier; the lane bitmask only exists when it has
+        # something to tell apart (more than one live lane).
+        batched: Optional[BatchedFrontier] = None
+        if len(live) == 1:
+            union = frontiers[live[0]]
+        else:
+            batched = BatchedFrontier.from_lanes(frontiers, backend=engine.kernel)
+            union = batched.vertices
+        if sharded:
+            rows = [_range_rows(union, s.start, s.stop) for s in streams]
+            slices = [union[lo:hi] for lo, hi in rows]
+        else:
+            rows, slices = [(0, int(union.size))], [union]
+        # The Beamer-style test prices each stream's frontier slice by its
+        # out-edges (the would-be push cost); a push unit over the slice
+        # reuses the classification, a pull unit reclassifies its gather
+        # worklist by in-degree.
+        classified = [engine.classifier.classify(s) for s in slices]
+        directions = []
+        for stream, sized in zip(streams, classified):
+            if cfg.direction_auto:
+                directions.append(stream.selector.decide(sized.total_edges))
+            else:
+                directions.append(stream.selector.force(engine._forced_direction(
+                    step.iteration, stream.selector.start_direction
+                )))
+        if len(live) == 1:
+            lane_out_edges = {live[0]: sum(c.total_edges for c in classified)}
+        else:
+            lane_out_edges = {
+                lane: engine.classifier.edge_count(frontiers[lane])
+                for lane in live
+            }
+
+        units: List[_Unit] = []
+        if sharded:
+            any_push = Direction.PUSH in directions
+            if any_push and Direction.PULL in directions:
+                # Mixed superstep: scatters keep only the edges whose
+                # destination owner is push-mode; pull-mode owners gather
+                # theirs. (Needed only then - the mask is n-sized.)
+                step.dst_is_push = np.zeros(self.graph.num_vertices, dtype=bool)
+                for stream, direction in zip(streams, directions):
+                    if direction is Direction.PUSH:
+                        step.dst_is_push[stream.start:stream.stop] = True
+            for t, stream in enumerate(streams):
+                in_range = [
+                    lane for lane in live
+                    if _reaches(frontiers[lane], stream.start, stream.stop)
+                ] if slices[t].size else []
+                if any_push and slices[t].size:
+                    units.append(_Unit(
+                        Direction.PUSH, live, stream, slices[t], view=batched,
+                        rows=rows[t], range_lanes=in_range,
+                        classified=classified[t],
+                    ))
+                if directions[t] is Direction.PULL:
+                    unit = _Unit(
+                        Direction.PULL, live, stream, slices[t],
+                        range_lanes=in_range,
+                    )
+                    self._gather_worklist(unit, step)
+                    if unit.worklist.size or unit.frontier.size:
+                        units.append(unit)
+            return units, lane_out_edges
+
+        main = streams[0]
+        if lanes.batched:
+            groups = self._lane_groups(
+                step, policy, lane_out_edges, directions[0]
+            )
+        else:
+            groups = [SubBatchPlan(directions[0], (live[0],))]
+        for index, group in enumerate(groups):
+            stream = main if index == 0 else self.side
+            if group.direction is Direction.PUSH:
+                view = batched
+                if len(groups) > 1:
+                    view = batched.sub_batch(group.lanes)
+                if view is not None and self.sanitizer is not None:
+                    self.sanitizer.check_sub_batch(
+                        view, group.lanes, frontiers, step.iteration
+                    )
+                units.append(_Unit(
+                    Direction.PUSH, group.lanes, stream,
+                    union if len(groups) == 1 else view.vertices, view=view,
+                    rows=None if view is None else (0, int(view.vertices.size)),
+                    classified=classified[0] if len(groups) == 1 else None,
+                ))
+            else:
+                unit = _Unit(
+                    Direction.PULL, group.lanes, stream,
+                    union if len(groups) == 1
+                    else _union([frontiers[lane] for lane in group.lanes]),
+                )
+                self._gather_worklist(unit, step)
+                units.append(unit)
+        return units, lane_out_edges
+
+    def _lane_groups(
+        self, step: _Step, policy, lane_out_edges, union_direction
+    ) -> List[SubBatchPlan]:
+        """Lane groups of a single-device batched superstep + their streams.
+
+        The main stream serves single-group supersteps and the first group
+        of a split; a split forks a side stream from it (same ballot/online
+        mode, same last direction - what every lane experienced up to the
+        split), which persists across consecutive split supersteps and
+        retires on re-merge.
+        """
+        engine, lanes = self.engine, self.lanes
+        in_degrees = engine.in_degrees
+
+        def pull_estimate(lane: int) -> Tuple[int, int]:
+            candidates = self._candidates(step, lane)
+            return int(in_degrees[candidates].sum()), int(candidates.size)
+
+        groups = engine._plan_groups(
+            step.iteration, step.live, lane_out_edges, lanes.frontiers,
+            pull_estimate, union_direction, policy,
+            engine.config.traffic_model.voting_pull_scan_fraction
+            if lanes.prototype.combine_kind is CombineKind.VOTING else 1.0,
+        )
+        if self.sanitizer is not None:
+            self.sanitizer.check_groups(step.iteration, step.live, groups)
+        main = self.streams[0]
+        if len(groups) > 1:
+            self.split_iterations.append(step.iteration)
+            if self.side is None:
+                self.side = copy.copy(main)
+                self.side.jit, self.side.sortedness = None, 1.0
+            if main.jit is not None and self.side.jit is None:
+                self.side.jit = main.jit.fork()
+                self.jits.append(self.side.jit)
+        elif self.side is not None:
+            # Decisions reconverged: the side stream retires, the main
+            # stream carries on for the merged batch.
+            self.side.jit = None
+        return groups
+
+    def _candidates(self, step: _Step, lane: int) -> np.ndarray:
+        """Destinations lane ``lane`` gathers at this superstep.
+
+        The algorithm's ``gather_mask`` prunes destinations that provably
+        cannot receive a valid update - including frontier-dependent bounds
+        (only frontier sources contribute, so e.g. SSSP prunes destinations
+        already at or below the frontier's best distance); vertices without
+        in-edges have nothing to gather either way. Cached per superstep so
+        the planner's pull scoring and the pull expansion price the same
+        worklist, computed from iteration-start metadata.
+        """
+        if lane not in step.candidates:
+            lanes = self.lanes
+            mask = np.asarray(
+                lanes.clones[lane].gather_mask(
+                    lanes.metadata[lane], self.graph, lanes.frontiers[lane]
+                ),
+                dtype=bool,
+            )
+            step.candidates[lane] = np.nonzero(
+                mask & (self.engine.in_degrees > 0)
+            )[0].astype(np.int64)
+        return step.candidates[lane]
+
+    def _gather_worklist(self, unit: _Unit, step: _Step) -> None:
+        """A pull unit gathers at its lanes' candidates inside its range."""
+        stream = unit.stream
+        unit.lane_candidates = []
+        for lane in unit.lanes:
+            candidates = self._candidates(step, lane)
+            if self.sharding is not None:
+                lo, hi = _range_rows(candidates, stream.start, stream.stop)
+                candidates = candidates[lo:hi]
+            unit.lane_candidates.append(candidates)
+        unit.worklist = _union(unit.lane_candidates)
+
+    # ------------------------------------------------------------------
+    # Expansion: one scatter, one gather
+    # ------------------------------------------------------------------
+    def _expand_push(self, unit: _Unit, step: _Step) -> None:
+        """Scatter: walk the unit's frontier out-edges once and expand each
+        edge into the lanes whose frontier contains its source.
+
+        Pairs are assembled lane-major with each lane's edges in walk
+        order, which is exactly the edge order of that lane's independent
+        run - so the per-destination combine order, and therefore the
+        metadata, is bit-identical per lane under every grouping.
+        """
+        csr = self.graph.out_csr
+        worklist = unit.frontier
+        slot, edge_idx, total = self.engine._walk(csr, worklist)
+        kept = 0
+        recorded = producers = _EMPTY
+        if total:
+            dst = csr.targets[edge_idx].astype(np.int64)
+            if step.dst_is_push is not None:
+                keep = step.dst_is_push[dst]
+                if not keep.all():
+                    slot, dst, edge_idx = slot[keep], dst[keep], edge_idx[keep]
+            kept = int(dst.size)
+        if kept:
+            if len(unit.range_lanes) == 1:
+                # Every frontier row belongs to the one lane: no bitmask.
+                parts = [(unit.range_lanes[0], None)]
+            else:
+                lo, hi = unit.rows
+                view = unit.view
+                parts = []
+                for lane in unit.range_lanes:
+                    local = (
+                        lane if view.lane_ids is None
+                        else view.lane_ids.index(lane)
+                    )
+                    lane_edges = np.nonzero(view.lane_mask(local)[lo:hi][slot])[0]
+                    if lane_edges.size:
+                        parts.append((lane, lane_edges))
+            valid = self._compute_and_route(
+                unit, step, parts, worklist[slot], dst, csr, edge_idx
+            )
+            recorded, producers = _take(dst, valid), _take(slot, valid)
+        unit.expansion = _ExpansionResult(
+            update_destinations=recorded,
+            recorded_destinations=recorded,
+            recorded_producers=producers,
+            num_workers=int(worklist.size),
+            edges_expanded=total,
+            active_edges=kept,
+        )
+
+    def _expand_pull(self, unit: _Unit, step: _Step) -> None:
+        """Gather: walk the in-edges of the unit's gather worklist once; a
+        lane keeps an in-edge when the destination is in its own gather
+        worklist *and* the source is in its own frontier.
+
+        Per lane the kept edge set is the frontier's out-edge set (minus
+        edges ``gather_mask`` proved updateless), the per-edge operands
+        match the push path, and the in-CSR's (destination, source) sort
+        order reproduces the push path's per-destination combine order -
+        so push and pull produce bit-identical vertex values.
+        """
+        kernel = self.engine.kernel
+        csr = self.graph.in_csr
+        worklist = unit.worklist
+        dst_slot, edge_idx, total = self.engine._walk(csr, worklist)
+        active = 0
+        updated = receivers = _EMPTY
+        if total:
+            src = csr.targets[edge_idx].astype(np.int64)
+            dst = worklist[dst_slot]
+            parts = []
+            for lane, candidates in zip(unit.lanes, unit.lane_candidates):
+                if candidates.size == 0:
+                    continue
+                if lane not in step.bitmaps:
+                    step.bitmaps[lane] = kernel.membership_mask(
+                        self.lanes.frontiers[lane], self.graph.num_vertices
+                    )
+                # Each gather consults the frontier bitmap: only in-edges
+                # whose source is active contribute this iteration.
+                keep = step.bitmaps[lane][src]
+                if candidates.size != worklist.size:
+                    candidate_rows = np.zeros(worklist.size, dtype=bool)
+                    candidate_rows[
+                        kernel.rows_in_sorted(worklist, candidates)
+                    ] = True
+                    keep &= candidate_rows[dst_slot]
+                if keep.all():
+                    parts.append((lane, None))
+                    continue
+                lane_edges = np.nonzero(keep)[0]
+                if lane_edges.size:
+                    parts.append((lane, lane_edges))
+            if len(parts) == 1:
+                lane, lane_edges = parts[0]
+                if lane_edges is not None:
+                    # One lane: narrow the walked arrays in place (the
+                    # scanned-but-inactive edges are done with) instead of
+                    # carrying positions into them.
+                    src, dst = src[lane_edges], dst[lane_edges]
+                    edge_idx = edge_idx[lane_edges]
+                    parts = [(lane, None)]
+                active = int(src.size)
+            elif any(lane_edges is None for _, lane_edges in parts):
+                active = total
+            elif parts:
+                kept_any = np.zeros(total, dtype=bool)
+                for _, lane_edges in parts:
+                    kept_any[lane_edges] = True
+                active = int(np.count_nonzero(kept_any))
+            if parts:
+                del dst_slot  # done with; release it before Compute allocates
+                updated = _take(dst, self._compute_and_route(
+                    unit, step, parts, src, dst, csr, edge_idx
+                ))
+                # A gather worker learns only about its own vertex: it
+                # records the destination once, post-combine, not once per
+                # incoming edge. Workers whose gather produced nothing own
+                # empty bins, so the filter context only sees the receivers
+                # (with compacted worker slots).
+                receivers = _dedupe_sorted(updated)
+        unit.expansion = _ExpansionResult(
+            update_destinations=(
+                updated if self.engine.config.atomic_combine else None
+            ),
+            recorded_destinations=receivers,
+            recorded_producers=np.arange(receivers.size, dtype=np.int64),
+            num_workers=int(receivers.size),
+            edges_expanded=total,
+            active_edges=active,
+        )
+
+    def _compute_and_route(
+        self, unit: _Unit, step: _Step, parts, src, dst, csr, edge_idx
+    ):
+        """Compute over every ``(edge, lane)`` pair of ``parts`` and queue
+        each lane's valid updates at their owners.
+
+        ``parts`` lists ``(lane, edge positions)`` with ``None`` for "every
+        edge"; pairs are laid out lane-major (a single part is the walked
+        arrays themselves - no assembly). Returns a boolean mask over the
+        edges that produced a valid update in any lane (``None`` for all) -
+        what the unit's task-management pass records.
+        """
+        lanes, graph = self.lanes, self.graph
+        meta = lanes.metadata
+        push = unit.direction is Direction.PUSH
+        ids = [lane for lane, _ in parts]
+        if len(parts) == 1:
+            at = parts[0][1]
+            s, d = _take(src, at), _take(dst, at)
+            w = csr.weights[_take(edge_idx, at)].astype(np.float64)
+            spans = [(0, int(d.size))]
+        else:
+            s = np.concatenate([_take(src, at) for _, at in parts])
+            d = np.concatenate([_take(dst, at) for _, at in parts])
+            w = np.concatenate([
+                csr.weights[_take(edge_idx, at)].astype(np.float64)
+                for _, at in parts
+            ])
+            ends = np.cumsum([
+                dst.size if at is None else at.size for _, at in parts
+            ]).tolist()
+            spans = list(zip([0] + ends[:-1], ends))
+        if not lanes.batched:
+            # ``run``: the caller's own instance, lane-free signatures.
+            alg, row = lanes.prototype, meta[ids[0]]
+            compute = alg.compute_edges if push else alg.gather_edges
+            updates = compute(row[s], w, row[d], s, d, graph)
+        elif lanes.per_lane_compute:
+            # Heterogeneous lane parameters: evaluate Compute through each
+            # lane's own copy (lane-major, like the flattened call, so
+            # homogeneous parameters give bit-identical updates either way).
+            outputs = []
+            for lane, (lo, hi) in zip(ids, spans):
+                alg, row = lanes.clones[lane], meta[lane]
+                compute = alg.scatter_edges if push else alg.gather_edges
+                outputs.append(np.asarray(compute(
+                    row[s[lo:hi]], w[lo:hi], row[d[lo:hi]],
+                    s[lo:hi], d[lo:hi], graph,
+                    lanes=np.full(hi - lo, lane, dtype=np.int64),
+                ), dtype=np.float64))
+            updates = _concat(outputs)
+        else:
+            alg = lanes.prototype
+            compute = alg.scatter_edges if push else alg.gather_edges
+            pair_lane = np.repeat(
+                np.asarray(ids, dtype=np.int64), [hi - lo for lo, hi in spans]
+            )
+            updates = compute(
+                meta[pair_lane, s], w, meta[pair_lane, d], s, d, graph,
+                lanes=pair_lane,
+            )
+        updates = np.asarray(updates, dtype=np.float64)
+        unit.lane_pairs += int(updates.size)
+
+        # Per-lane tail: NaN filter, then queue the lane's valid updates at
+        # their owners (only a sharded gather needs the sources again, to
+        # count its boundary reads).
+        valid = ~np.isnan(updates)
+        remote_reads = self.sharding is not None and not push
+        any_valid = valid if len(parts) == 1 and parts[0][1] is None else (
+            np.zeros(dst.size, dtype=bool)
+        )
+        for (lane, at), (lo, hi) in zip(parts, spans):
+            lane_updates, lane_dst = updates[lo:hi], d[lo:hi]
+            lane_src = s[lo:hi] if remote_reads else None
+            lane_valid = valid[lo:hi]
+            if not lane_valid.all():
+                lane_updates, lane_dst = lane_updates[lane_valid], lane_dst[lane_valid]
+                if remote_reads:
+                    lane_src = lane_src[lane_valid]
+                if at is not None:
+                    at = at[lane_valid]
+            if any_valid is not valid:
+                if at is None:
+                    any_valid |= lane_valid
+                else:
+                    any_valid[at] = True
+            if lane_updates.size:
+                step.recorded[lane].append(
+                    lane_dst if push else _dedupe_sorted(lane_dst)
+                )
+                self._route(unit, step, lane, lane_updates, lane_dst, lane_src)
+        return None if any_valid.all() else any_valid
+
+    def _route(self, unit, step, lane, updates, dst, src) -> None:
+        """Queue one lane's valid updates at their destination owners."""
+        here = unit.stream.index
+        if self.sharding is None:
+            step.pending.setdefault((0, lane), []).append((updates, dst))
+            return
+        plan = self.sharding.plan
+        if unit.direction is Direction.PULL:
+            # A gather's destinations are its own shard's; its sources may
+            # live on a remote shard - a boundary read.
+            step.pending.setdefault((here, lane), []).append((updates, dst))
+            remote = int((plan.owner_of(src) != here).sum())
+            self.boundary_updates += remote
+            step.received[here] += remote
+            return
+        owner = plan.owner_of(dst)
+        for t in np.unique(owner):
+            t = int(t)
+            member = owner == t
+            step.pending.setdefault((t, lane), []).append(
+                (updates[member], dst[member])
+            )
+            if t != here:
+                count = int(member.sum())
+                self.boundary_updates += count
+                step.received[t] += count
+
+    # ------------------------------------------------------------------
+    # Per-unit tail: task management, cost accounting, the record
+    # ------------------------------------------------------------------
+    def _offer_success_rate(self, unit_lanes, step: _Step) -> float:
+        """Estimated share of scatter offers that can still change a vertex.
+
+        A scatter worker records an entry only when its offer *changes* the
+        destination, so the pre-arm bound (max frontier out-degree) is
+        pessimistic on mostly-settled graphs. The algorithm's frontier-free
+        ``gather_mask`` marks exactly the vertices that can still receive a
+        valid update (the unvisited share for BFS, the surviving core for
+        k-Core); its population share over the pre-iteration metadata - a
+        destination counts if *any* of the unit's lanes can still update
+        it - is the global estimate of a hub's per-neighbour success
+        probability. The estimate assumes the hub's neighbourhood is not
+        systematically less settled than the rest of the graph - if it ever
+        is, the generic overflow signal still corrects the filter choice
+        within the same iteration, at the cost of the incomplete online
+        pass the pre-arm exists to skip.
+        """
+        n = self.graph.num_vertices
+        if n == 0:
+            return 1.0
+        updatable = np.zeros(n, dtype=bool)
+        for lane in unit_lanes:
+            updatable |= np.asarray(
+                self.lanes.clones[lane].gather_mask(
+                    step.prev[lane], self.graph, None
+                ),
+                dtype=bool,
+            )
+        return float(updatable.mean())
+
+    def _finish_unit(self, unit: _Unit, step: _Step) -> float:
+        """One task-management pass per unit, charged and traced exactly
+        like a single-source iteration over the unit's worklist; returns
+        the unit's simulated microseconds."""
+        engine, lanes, stream = self.engine, self.lanes, unit.stream
+        push = unit.direction is Direction.PUSH
+        classifier = engine.classifier if push else engine.pull_classifier
+        classified = unit.classified
+        if classified is None:
+            classified = classifier.classify(unit.worklist)
+        expansion = unit.expansion
+        unit_active = step.active_unions.get(unit.lanes)
+        if unit_active is None:
+            masks = [step.active[lane] for lane in unit.lanes]
+            unit_active = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
+            step.active_unions[unit.lanes] = unit_active
+        success_rate = 1.0
+        if (
+            push and stream.jit is not None
+            and stream.jit.last_direction is Direction.PULL
+        ):
+            # Pull->push hand-over on this stream: the pre-arm bound folds
+            # in the expected offer success rate.
+            success_rate = self._offer_success_rate(unit.lanes, step)
+        (
+            filter_result, filter_name,
+            compute_us, launch_us, filter_us, barrier_us,
+        ) = engine._finish_iteration(
+            algorithm=lanes.prototype,
+            classified=classified,
+            classifier=classifier,
+            direction=unit.direction,
+            expansion=expansion,
+            active_mask=unit_active,
+            frontier=unit.frontier,
+            stream=stream,
+            iteration=step.iteration,
+            success_rate=success_rate,
+            extra_lane_pairs=max(0, unit.lane_pairs - expansion.active_edges),
+        )
+        stream.sortedness = (
+            filter_result.sortedness if filter_result.worklist.size else 1.0
+        )
+        if len(unit.lanes) == 1 and self.sharding is None:
+            step.solo[unit.lanes[0]] = filter_result.worklist
+        record = IterationRecord(
+            iteration=step.iteration,
+            direction=unit.direction.value,
+            frontier_vertices=int(unit.frontier.size),
+            frontier_edges=int(classified.total_edges),
+            filter_used=filter_name,
+            filter_overflowed=filter_result.overflowed,
+            compute_us=compute_us,
+            filter_us=filter_us,
+            barrier_us=barrier_us,
+            launch_us=launch_us,
+            active_edges=int(expansion.active_edges),
+            lane_edge_pairs=unit.lane_pairs if lanes.batched else 0,
+            active_lanes=len(unit.range_lanes) if lanes.batched else 0,
+        )
+        stream.scanned_edges += record.frontier_edges
+        self.records.append(record)
+        if self.sanitizer is not None:
+            self.sanitizer.observe_record(record)
+        return compute_us + launch_us + filter_us + barrier_us

@@ -3,58 +3,50 @@
 :class:`ShardedExecutor` runs ``SIMDXEngine.run`` / ``run_batch``
 semantics across ``EngineConfig.num_shards`` simulated devices, one per
 contiguous vertex range of a :class:`~repro.shard.partition.ShardPlan`.
-Each shard owns its range's metadata (and lane-metadata) slice, its own
-device + memory budget, fusion plan, JIT task-management stream and
-direction selector - direction is decided per shard on the shard's own
-frontier slice, so one superstep may mix push and pull shards.
+It does not own a loop: it builds one
+:class:`~repro.core.superstep.Stream` per shard - the range's metadata
+(and lane-metadata) slice, its own device + memory budget, fusion plan,
+JIT task-management stream and direction selector - and hands them to the
+same :class:`~repro.core.superstep.SuperstepDriver` a single device runs
+on one stream. Direction is decided per shard on the shard's own frontier
+slice, so one superstep may mix push and pull shards.
 
-A superstep runs in two phases so results stay **bit-identical** to the
-single-device engine:
+What sharding adds to the driver's two-phase superstep:
 
-1. **Compute** - every shard expands against *iteration-start*
-   metadata. Push-mode destinations are produced by a scatter pass
-   (each shard with frontier vertices walks its local out-edges, keeps
-   the edges whose destination owner is push-mode, and routes the valid
-   updates to the owner's buffer - local or boundary); pull-mode
-   destinations are produced by the owning shard's gather pass over its
+1. **Compute** - push-mode destinations are produced by scatter units
+   (each shard with frontier vertices walks its local out-edges, keeps the
+   edges whose destination owner is push-mode, and routes the valid
+   updates to the owner's queue - local or boundary); pull-mode
+   destinations are produced by the owning shard's gather unit over its
    slice of the gather candidates (in-edges whose source may live on a
-   remote shard - a boundary read). Then each algorithm instance's
-   frontier hook fires exactly once, like on one device.
-2. **Merge + apply** - each shard drains its buffers in source-shard
-   order through the engine's Combine + apply tail. Because shards are
-   contiguous ranges of a sorted frontier and in-CSR rows are sorted by
-   source, every destination's combine stream is in global
-   source-ascending order - exactly the order the single-device push
-   *and* pull paths produce, which is what makes the ACC ordering
-   invariants (and bit-identity) hold across shards.
+   remote shard - a boundary read).
+2. **Merge + apply** - each shard drains its queues in source-shard
+   order. Because shards are contiguous ranges of a sorted frontier and
+   in-CSR rows are sorted by source, every destination's combine stream
+   is in global source-ascending order - exactly the order the
+   single-device push *and* pull paths produce, which is what makes the
+   ACC ordering invariants (and bit-identity) hold across shards
+   (``docs/sharding.md``).
 
-The next frontier derives globally (``recorded ∩ active`` plus the
-convergence re-seed), identical to the single-device worklist. Costs
-are charged per shard through the engine's shared iteration tail; a
+Costs are charged per shard through the engine's shared iteration tail; a
 superstep's elapsed time is the *max* over shards (devices run
-concurrently) including a per-shard boundary-merge kernel charge.
+concurrently) including the per-shard boundary-merge kernel charged here.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import List
 
 from repro.analysis import registry as extra_keys
-from repro.analysis.sanitizer import RuntimeSanitizer
-from repro.core.direction import Direction, DirectionSelector
-from repro.core.engine import _ExpansionResult
-from repro.core.filters import FilterMode, FilterOverflowError, make_filter
-from repro.core.frontier import LANES_PER_WORD, BatchedFrontier
+from repro.core.direction import Direction
 from repro.core.fusion import FusionPlan
-from repro.core.jit import JITTaskManager
-from repro.core.metrics import BatchRunResult, IterationRecord, RunResult
+from repro.core.metrics import BatchRunResult, RunResult
+from repro.core.superstep import Stream, SuperstepDriver
 from repro.gpu import memory as gmem
-from repro.gpu.device import DeviceOutOfMemory, GPUDevice
+from repro.gpu.device import GPUDevice
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.shard.partition import ShardPlan
+
 
 #: The per-superstep exchange kernel: each shard scatters the boundary
 #: updates it received into its local combine buffers.
@@ -73,140 +65,63 @@ BOUNDARY_UPDATE_BYTES = 16
 EXCHANGE_CHUNK_BYTES = 256 * 1024 * 1024
 
 
-class _Shard:
-    """Per-shard execution state: device, filter stream, selector."""
-
-    __slots__ = (
-        "index", "start", "stop", "device", "fusion_plan", "barrier",
-        "jit", "standalone_filter", "selector", "sortedness",
-        "scanned_edges",
-    )
-
-    def __init__(self, index: int, start: int, stop: int):
-        self.index = index
-        self.start = start
-        self.stop = stop
-        self.sortedness = 1.0
-        self.scanned_edges = 0
-
-
 class ShardedExecutor:
     """Runs one engine's configuration across vertex-range shards."""
 
     def __init__(self, engine):
         self.engine = engine
         self.graph = engine.graph
-        self.config = engine.config
         self.plan = ShardPlan.build(engine.graph, engine.config.num_shards)
 
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-    @property
-    def device_name(self) -> str:
-        return f"{self.engine.device.spec.name}x{self.plan.num_shards}"
-
-    def _make_shards(self, start_direction: Direction) -> List[_Shard]:
-        engine = self.engine
-        cfg = self.config
-        shards: List[_Shard] = []
-        for t in range(self.plan.num_shards):
-            sh = _Shard(t, int(self.plan.starts[t]), int(self.plan.stops[t]))
-            sh.device = GPUDevice(
-                engine.device.spec, memory_scale=engine.device.memory_scale
-            )
-            sh.fusion_plan = FusionPlan(
-                cfg.fusion, threads_per_cta=cfg.threads_per_cta
-            )
-            sh.barrier = engine._make_barrier(
-                device=sh.device, fusion_plan=sh.fusion_plan
-            )
-            sh.jit = None
-            sh.standalone_filter = None
-            if cfg.filter_mode == FilterMode.JIT:
-                sh.jit = JITTaskManager(
-                    overflow_threshold=cfg.overflow_threshold,
-                    shadow_online=cfg.shadow_online,
-                )
-            else:
-                sh.standalone_filter = make_filter(
-                    cfg.filter_mode, online_capacity=cfg.overflow_threshold
-                )
-            sh.selector = DirectionSelector(
-                total_edges=int(self.plan.out_edge_counts[t]),
-                to_pull_threshold=cfg.to_pull_threshold,
-                to_push_threshold=cfg.to_push_threshold,
+    def _driver(self, algorithm) -> SuperstepDriver:
+        """One stream per shard, each on its own simulated device."""
+        engine, plan = self.engine, self.plan
+        cfg = engine.config
+        start_direction = (
+            Direction.PULL if algorithm.starts_in_pull else Direction.PUSH
+        )
+        streams: List[Stream] = [
+            Stream(
+                engine, t, int(plan.starts[t]), int(plan.stops[t]),
+                device=GPUDevice(
+                    engine.device.spec, memory_scale=engine.device.memory_scale
+                ),
+                fusion_plan=FusionPlan(
+                    cfg.fusion, threads_per_cta=cfg.threads_per_cta
+                ),
+                total_edges=int(plan.out_edge_counts[t]),
                 start_direction=start_direction,
+                modeled_vertices=int(plan.modeled_vertices[t]),
+                modeled_edges=int(plan.modeled_edges[t]),
             )
-            shards.append(sh)
-        return shards
+            for t in range(plan.num_shards)
+        ]
+        return SuperstepDriver(engine, streams, sharding=self)
 
-    def _allocate(
-        self, shards: List[_Shard], num_lanes: Optional[int] = None
-    ) -> None:
-        """Resident per-shard allocations, modeled at paper scale.
+    def run(self, algorithm, **params) -> RunResult:
+        return self._driver(algorithm).run(algorithm, params)
 
-        Mirrors the single-device engine's allocation set - CSR slice,
-        metadata (or K lane-metadata rows) and worklists - each sized on
-        the shard's prefix-rounded share of the modeled graph, so the
-        Table-4 memory-feasibility behaviour reproduces at 1/num_shards
-        scale per device.
-        """
-        directions = 2 if self.graph.directed else 1
-        for t, sh in enumerate(shards):
-            mv = int(self.plan.modeled_vertices[t])
-            me = int(self.plan.modeled_edges[t])
-            sh.device.malloc(
-                directions * (mv * 8 + me * 8), label="csr_graph"
-            )
-            if num_lanes is None:
-                sh.device.malloc(2 * mv * 8, label="metadata")
-                sh.device.malloc(3 * mv * 4, label="worklists")
-            else:
-                num_words = -(-num_lanes // LANES_PER_WORD)
-                sh.device.malloc(
-                    2 * num_lanes * mv * 8, label="metadata_lanes"
-                )
-                sh.device.malloc(
-                    3 * mv * 4 + mv * num_words * 8, label="worklists"
-                )
+    def run_batch(
+        self, algorithm, sources: List[int], *, lane_params=None, **params
+    ) -> BatchRunResult:
+        return self._driver(algorithm).run_batch(
+            algorithm, [int(s) for s in sources], lane_params, params
+        )
 
-    def _plan_directions(
-        self, shards: List[_Shard], shard_out_edges: List[int], iteration: int
-    ) -> List[Direction]:
-        cfg = self.config
-        engine = self.engine
-        directions = []
-        for t, sh in enumerate(shards):
-            if cfg.direction_auto:
-                directions.append(sh.selector.decide(shard_out_edges[t]))
-            else:
-                directions.append(sh.selector.force(
-                    engine._forced_direction(
-                        iteration, sh.selector.start_direction
-                    )
-                ))
-        return directions
-
-    def _push_owner_mask(self, directions: List[Direction]) -> np.ndarray:
-        mask = np.zeros(self.graph.num_vertices, dtype=bool)
-        for t, direction in enumerate(directions):
-            if direction is Direction.PUSH:
-                mask[self.plan.starts[t]:self.plan.stops[t]] = True
-        return mask
-
-    def _charge_boundary_merge(
-        self, sh: _Shard, received: int, shard_us: np.ndarray
-    ) -> None:
-        """Charge shard ``sh`` for draining ``received`` boundary updates.
+    # ------------------------------------------------------------------
+    # What the driver asks of a sharded plan
+    # ------------------------------------------------------------------
+    def charge_boundary_merge(self, stream: Stream, received: int) -> float:
+        """Charge ``stream`` for draining ``received`` boundary updates.
 
         The receive buffer is a transient allocation (modeled at paper
         scale like every other edge-proportional buffer) and the merge
         itself is one scatter-dominated kernel on the receiving device.
+        Returns the simulated microseconds.
         """
         if received <= 0:
-            return
-        buffer_alloc = sh.device.malloc(
+            return 0.0
+        buffer_alloc = stream.device.malloc(
             min(
                 int(
                     received * BOUNDARY_UPDATE_BYTES
@@ -220,1064 +135,25 @@ class ShardedExecutor:
             scattered_transactions=gmem.metadata_scatter_transactions(received),
             compute_ops=float(received),
         )
-        result = sh.device.launch(KernelLaunch(
+        result = stream.device.launch(KernelLaunch(
             kernel=BOUNDARY_MERGE_KERNEL,
             work=work,
             num_ctas=max(
                 1, -(-received // BOUNDARY_MERGE_KERNEL.threads_per_cta)
             ),
         ))
-        shard_us[sh.index] += result.total_us
-        sh.device.free(buffer_alloc)
+        stream.device.free(buffer_alloc)
+        return result.total_us
 
-    def _emit_record(
-        self,
-        sh: _Shard,
-        *,
-        algorithm,
-        direction: Direction,
-        worklist: np.ndarray,
-        classifier,
-        expansion: _ExpansionResult,
-        active_mask: np.ndarray,
-        frontier_vertices: int,
-        iteration: int,
-        success_rate: float,
-        lane_pairs: int = 0,
-        active_lanes: int = 0,
-        shard_us: Optional[np.ndarray] = None,
-    ) -> IterationRecord:
-        """One per-shard iteration record through the engine's shared tail."""
-        engine = self.engine
-        classified = classifier.classify(worklist)
-        (
-            filter_result, filter_name,
-            compute_us, launch_us, filter_us, barrier_us,
-        ) = engine._finish_iteration(
-            algorithm=algorithm,
-            classified=classified,
-            classifier=classifier,
-            direction=direction,
-            sortedness=sh.sortedness,
-            expansion=expansion,
-            active_mask=active_mask,
-            frontier=worklist,
-            jit=sh.jit,
-            standalone_filter=sh.standalone_filter,
-            iteration=iteration,
-            barrier=sh.barrier,
-            success_rate=success_rate,
-            extra_lane_pairs=max(0, lane_pairs - expansion.active_edges),
-            device=sh.device,
-            fusion_plan=sh.fusion_plan,
-        )
-        sh.sortedness = (
-            filter_result.sortedness if filter_result.worklist.size else 1.0
-        )
-        if shard_us is not None:
-            shard_us[sh.index] += (
-                compute_us + launch_us + filter_us + barrier_us
-            )
-        record = IterationRecord(
-            iteration=iteration,
-            direction=direction.value,
-            frontier_vertices=frontier_vertices,
-            frontier_edges=int(classified.total_edges),
-            filter_used=filter_name,
-            filter_overflowed=filter_result.overflowed,
-            compute_us=compute_us,
-            filter_us=filter_us,
-            barrier_us=barrier_us,
-            launch_us=launch_us,
-            active_edges=int(expansion.active_edges),
-            lane_edge_pairs=int(lane_pairs),
-            active_lanes=int(active_lanes),
-        )
-        sh.scanned_edges += record.frontier_edges
-        return record
-
-    def _success_rate(self, sh: _Shard, updatable_mean) -> float:
-        """Pre-arm success rate for a shard's push record (cost only)."""
-        if (
-            sh.jit is not None
-            and sh.jit.last_direction is Direction.PULL
-        ):
-            return updatable_mean()
-        return 1.0
-
-    def _shared_extra(self, shards: List[_Shard], boundary_updates: int) -> dict:
-        cfg = self.config
-        breakdown: Dict[str, float] = {}
-        for sh in shards:
-            for key, value in sh.device.profiler.breakdown().items():
-                breakdown[key] = breakdown.get(key, 0.0) + value
-        pre_armed = set()
-        for sh in shards:
-            if sh.jit is not None:
-                pre_armed.update(sh.jit.pre_armed_iterations())
+    def shard_extra(self, streams: List[Stream], boundary_updates: int) -> dict:
+        """The ``shard_*`` keys a sharded run adds to ``extra``."""
         return {
-            extra_keys.FUSION: cfg.fusion.value,
-            extra_keys.FILTER_MODE: cfg.filter_mode.value,
-            extra_keys.DIRECTION_SWITCHES: sum(
-                sh.selector.switches() for sh in shards
-            ),
-            extra_keys.BREAKDOWN: breakdown,
-            extra_keys.JIT_PRE_ARMED_ITERATIONS: sorted(pre_armed),
-            extra_keys.KERNEL_BACKEND: cfg.kernel_backend,
-            extra_keys.KERNEL_EDGES_WALKED: int(
-                self.engine._kernel_edges_walked
-            ),
             extra_keys.SHARDS: self.plan.num_shards,
             extra_keys.SHARD_BOUNDARY_UPDATES: int(boundary_updates),
             extra_keys.SHARD_SCANNED_EDGES: [
-                int(sh.scanned_edges) for sh in shards
+                int(s.scanned_edges) for s in streams
             ],
             extra_keys.SHARD_PEAK_BYTES: [
-                int(sh.device.profiler.peak_allocated_bytes) for sh in shards
+                int(s.device.profiler.peak_allocated_bytes) for s in streams
             ],
         }
-
-    # ------------------------------------------------------------------
-    # Single-source run
-    # ------------------------------------------------------------------
-    def run(self, algorithm, **params) -> RunResult:
-        engine = self.engine
-        graph = self.graph
-
-        def failure(reason: str) -> RunResult:
-            return RunResult.failure(
-                engine.SYSTEM_NAME, algorithm.name, graph.name, reason,
-                device=self.device_name,
-            )
-
-        start_direction = (
-            Direction.PULL if algorithm.starts_in_pull else Direction.PUSH
-        )
-        shards = self._make_shards(start_direction)
-        try:
-            self._allocate(shards)
-        except DeviceOutOfMemory as exc:
-            return failure(f"OOM: {exc}")
-
-        sanitizer: Optional[RuntimeSanitizer] = None
-        if self.config.sanitize:
-            sanitizer = RuntimeSanitizer(
-                graph, raise_on_violation=self.config.sanitize_raise
-            )
-        try:
-            return self._run_loop(algorithm, shards, sanitizer, **params)
-        except DeviceOutOfMemory as exc:
-            return failure(f"OOM: {exc}")
-        except FilterOverflowError as exc:
-            return failure(f"online filter overflow: {exc}")
-        finally:
-            if sanitizer is not None:
-                sanitizer.release()
-            for sh in shards:
-                sh.device.reset_memory()
-
-    def _run_loop(
-        self,
-        algorithm,
-        shards: List[_Shard],
-        sanitizer: Optional[RuntimeSanitizer],
-        **params,
-    ) -> RunResult:
-        engine = self.engine
-        cfg = self.config
-        graph = self.graph
-        plan = self.plan
-        n = graph.num_vertices
-        num_shards = plan.num_shards
-
-        state = algorithm.init(graph, **params)
-        metadata = np.asarray(state.metadata, dtype=np.float64).copy()
-        frontier = np.unique(np.asarray(state.frontier, dtype=np.int64))
-
-        if sanitizer is not None:
-            algorithm = sanitizer.wrap(algorithm, lane=0)
-            sanitizer.freeze_graph()
-
-        max_iterations = (
-            cfg.max_iterations if cfg.max_iterations is not None
-            else algorithm.max_iterations
-        )
-        records: List[IterationRecord] = []
-        filter_trace: List[str] = []
-        direction_trace: List[str] = []
-        boundary_updates = 0
-        total_us = 0.0
-        iteration = 0
-
-        while frontier.size and iteration < max_iterations:
-            iteration += 1
-            prev_metadata = metadata.copy()
-            if sanitizer is not None:
-                sanitizer.begin_superstep(iteration, metadata)
-            shard_us = np.zeros(num_shards, dtype=np.float64)
-
-            shard_frontiers = plan.split_sorted(frontier)
-            shard_out_edges = [
-                engine.classifier.edge_count(f) for f in shard_frontiers
-            ]
-            frontier_out_edges = sum(shard_out_edges)
-            directions = self._plan_directions(
-                shards, shard_out_edges, iteration
-            )
-            any_push = any(d is Direction.PUSH for d in directions)
-            any_pull = any(d is Direction.PULL for d in directions)
-            dst_is_push = (
-                self._push_owner_mask(directions) if any_push else None
-            )
-
-            # Pull shards gather at their slice of the global candidate
-            # worklist (pruned by gather_mask on iteration-start metadata,
-            # exactly as one device would prune it).
-            shard_candidates: List[np.ndarray] = [
-                np.zeros(0, dtype=np.int64)
-            ] * num_shards
-            if any_pull:
-                candidates = engine._gather_candidates(
-                    algorithm, metadata, frontier
-                )
-                shard_candidates = plan.split_sorted(candidates)
-
-            # ---------------- phase 1: compute --------------------------
-            # All Compute evaluations read iteration-start metadata; the
-            # valid (non-NaN) updates are routed to their destination
-            # owner's pending buffer, per source shard in ascending order.
-            pending: List[List[Tuple[np.ndarray, np.ndarray]]] = [
-                [] for _ in range(num_shards)
-            ]
-            received_boundary = np.zeros(num_shards, dtype=np.int64)
-            scatter_jobs: Dict[int, dict] = {}
-            gather_jobs: Dict[int, dict] = {}
-            in_frontier: Optional[np.ndarray] = None
-
-            if any_push:
-                out_csr = graph.out_csr
-                for s in range(num_shards):
-                    f_s = shard_frontiers[s]
-                    if f_s.size == 0:
-                        continue
-                    slot, edge_idx, total = engine._walk(out_csr, f_s)
-                    job = {
-                        "edges_expanded": total,
-                        "active_edges": 0,
-                        "recorded": np.zeros(0, dtype=np.int64),
-                        "producers": np.zeros(0, dtype=np.int64),
-                        "num_workers": int(f_s.size),
-                    }
-                    scatter_jobs[s] = job
-                    if total == 0:
-                        continue
-                    dst = out_csr.targets[edge_idx].astype(np.int64)
-                    keep = dst_is_push[dst]
-                    if not keep.all():
-                        slot = slot[keep]
-                        dst = dst[keep]
-                        edge_idx = edge_idx[keep]
-                    job["active_edges"] = int(dst.size)
-                    if dst.size == 0:
-                        continue
-                    src = f_s[slot]
-                    weights = out_csr.weights[edge_idx].astype(np.float64)
-                    updates = np.asarray(
-                        algorithm.compute_edges(
-                            metadata[src], weights, metadata[dst],
-                            src, dst, graph,
-                        ),
-                        dtype=np.float64,
-                    )
-                    valid = ~np.isnan(updates)
-                    if not valid.all():
-                        slot = slot[valid]
-                        dst = dst[valid]
-                        updates = updates[valid]
-                    job["recorded"] = dst
-                    job["producers"] = slot
-                    if dst.size == 0:
-                        continue
-                    owner = plan.owner_of(dst)
-                    remote = owner != s
-                    boundary_updates += int(remote.sum())
-                    for t in np.unique(owner):
-                        t = int(t)
-                        member = owner == t
-                        pending[t].append((updates[member], dst[member]))
-                        if t != s:
-                            received_boundary[t] += int(member.sum())
-
-            if any_pull:
-                in_csr = graph.in_csr
-                in_frontier = engine.kernel.membership_mask(frontier, n)
-                for t in range(num_shards):
-                    if directions[t] is not Direction.PULL:
-                        continue
-                    cand_t = shard_candidates[t]
-                    if cand_t.size == 0 and shard_frontiers[t].size == 0:
-                        continue
-                    dst_slot, edge_idx, total = engine._walk(
-                        in_csr, cand_t
-                    )
-                    job = {
-                        "edges_expanded": total,
-                        "active_edges": 0,
-                        "recorded": np.zeros(0, dtype=np.int64),
-                        "producers": np.zeros(0, dtype=np.int64),
-                        "num_workers": 0,
-                        "candidates": cand_t,
-                    }
-                    gather_jobs[t] = job
-                    if total == 0:
-                        continue
-                    dst = cand_t[dst_slot]
-                    src = in_csr.targets[edge_idx].astype(np.int64)
-                    keep = in_frontier[src]
-                    if not keep.all():
-                        dst_slot = dst_slot[keep]
-                        dst = dst[keep]
-                        src = src[keep]
-                        edge_idx = edge_idx[keep]
-                    job["active_edges"] = int(src.size)
-                    if src.size == 0:
-                        continue
-                    weights = in_csr.weights[edge_idx].astype(np.float64)
-                    updates = np.asarray(
-                        algorithm.gather_edges(
-                            metadata[src], weights, metadata[dst],
-                            src, dst, graph,
-                        ),
-                        dtype=np.float64,
-                    )
-                    valid = ~np.isnan(updates)
-                    if not valid.all():
-                        dst_slot = dst_slot[valid]
-                        dst = dst[valid]
-                        src = src[valid]
-                        updates = updates[valid]
-                    if dst.size == 0:
-                        continue
-                    pending[t].append((updates, dst))
-                    remote = int((plan.owner_of(src) != t).sum())
-                    boundary_updates += remote
-                    received_boundary[t] += remote
-                    receiver_slots = np.unique(dst_slot)
-                    receivers = cand_t[receiver_slots]
-                    job["recorded"] = receivers
-                    job["producers"] = np.arange(
-                        receivers.size, dtype=np.int64
-                    )
-                    job["num_workers"] = int(receivers.size)
-
-            # The frontier hook fires once per superstep, on the full
-            # frontier, under the single-device condition (the frontier
-            # had out-edges to consume) - after all Computes, before any
-            # apply, exactly as one device interleaves them.
-            if frontier_out_edges > 0:
-                algorithm.on_frontier_expanded(frontier, metadata)
-
-            # ---------------- phase 2: merge + apply --------------------
-            # Each owner drains its buffers in source-shard order: the
-            # concatenated stream is globally source-ascending per
-            # destination, so Combine sees the single-device order.
-            recorded_parts: List[np.ndarray] = []
-            for t in range(num_shards):
-                if not pending[t]:
-                    continue
-                updates = np.concatenate([u for u, _ in pending[t]])
-                dsts = np.concatenate([d for _, d in pending[t]])
-                engine._combine_and_apply(algorithm, metadata, updates, dsts)
-
-            active_mask = np.asarray(
-                algorithm.active_mask(metadata, prev_metadata), dtype=bool
-            )
-
-            # ---------------- records + cost accounting ------------------
-            def updatable_mean() -> float:
-                return engine._offer_success_rate(algorithm, prev_metadata)
-
-            direction_parts: List[str] = []
-            filter_parts: List[str] = []
-            for t in range(num_shards):
-                sh = shards[t]
-                job = scatter_jobs.get(t)
-                if job is not None:
-                    expansion = _ExpansionResult(
-                        touched=np.zeros(0, dtype=np.int64),
-                        update_destinations=job["recorded"],
-                        recorded_destinations=job["recorded"],
-                        recorded_producers=job["producers"],
-                        num_workers=job["num_workers"],
-                        edges_expanded=job["edges_expanded"],
-                        active_edges=job["active_edges"],
-                    )
-                    recorded_parts.append(job["recorded"])
-                    record = self._emit_record(
-                        sh,
-                        algorithm=algorithm,
-                        direction=Direction.PUSH,
-                        worklist=shard_frontiers[t],
-                        classifier=engine.classifier,
-                        expansion=expansion,
-                        active_mask=active_mask,
-                        frontier_vertices=int(shard_frontiers[t].size),
-                        iteration=iteration,
-                        success_rate=self._success_rate(sh, updatable_mean),
-                        shard_us=shard_us,
-                    )
-                    records.append(record)
-                    if sanitizer is not None:
-                        sanitizer.observe_record(record)
-                    direction_parts.append(Direction.PUSH.value)
-                    filter_parts.append(record.filter_used)
-                job = gather_jobs.get(t)
-                if job is not None:
-                    expansion = _ExpansionResult(
-                        touched=np.zeros(0, dtype=np.int64),
-                        update_destinations=job["recorded"],
-                        recorded_destinations=job["recorded"],
-                        recorded_producers=job["producers"],
-                        num_workers=job["num_workers"],
-                        edges_expanded=job["edges_expanded"],
-                        active_edges=job["active_edges"],
-                    )
-                    recorded_parts.append(job["recorded"])
-                    record = self._emit_record(
-                        sh,
-                        algorithm=algorithm,
-                        direction=Direction.PULL,
-                        worklist=job["candidates"],
-                        classifier=engine.pull_classifier,
-                        expansion=expansion,
-                        active_mask=active_mask,
-                        frontier_vertices=int(shard_frontiers[t].size),
-                        iteration=iteration,
-                        success_rate=1.0,
-                        shard_us=shard_us,
-                    )
-                    records.append(record)
-                    if sanitizer is not None:
-                        sanitizer.observe_record(record)
-                    direction_parts.append(Direction.PULL.value)
-                    filter_parts.append(record.filter_used)
-                self._charge_boundary_merge(
-                    sh, int(received_boundary[t]), shard_us
-                )
-
-            direction_trace.append("+".join(direction_parts))
-            filter_trace.append("+".join(filter_parts))
-            total_us += float(shard_us.max()) if num_shards else 0.0
-
-            # ---------------- next frontier (global) ---------------------
-            recorded = (
-                np.concatenate(recorded_parts) if recorded_parts
-                else np.zeros(0, dtype=np.int64)
-            )
-            worklist = recorded[active_mask[recorded]]
-            frontier = np.unique(worklist)
-            if frontier.size == 0 and not algorithm.converged(
-                metadata, prev_metadata, iteration
-            ):
-                frontier = np.nonzero(active_mask)[0].astype(np.int64)
-            if sanitizer is not None:
-                sanitizer.end_superstep(iteration, metadata)
-
-        extra = self._shared_extra(shards, boundary_updates)
-        if sanitizer is not None:
-            sanitizer.validate_extra(extra)
-            extra[extra_keys.SANITIZER] = sanitizer.report()
-        return RunResult(
-            system=engine.SYSTEM_NAME,
-            algorithm=algorithm.name,
-            graph=graph.name,
-            values=algorithm.vertex_value(metadata),
-            elapsed_us=total_us,
-            iterations=iteration,
-            device=self.device_name,
-            kernel_launches=sum(
-                sh.device.profiler.launch_count() for sh in shards
-            ),
-            filter_trace=filter_trace,
-            direction_trace=direction_trace,
-            iteration_records=records,
-            extra=extra,
-        )
-
-    # ------------------------------------------------------------------
-    # Batched multi-source run
-    # ------------------------------------------------------------------
-    def run_batch(
-        self, algorithm, sources: List[int], *, lane_params=None, **params
-    ) -> BatchRunResult:
-        engine = self.engine
-        graph = self.graph
-        sources = [int(s) for s in sources]
-
-        def failure(reason: str) -> BatchRunResult:
-            return BatchRunResult.failure(
-                engine.SYSTEM_NAME, algorithm.name, graph.name, sources,
-                reason, device=self.device_name,
-            )
-
-        start_direction = (
-            Direction.PULL if algorithm.starts_in_pull else Direction.PUSH
-        )
-        shards = self._make_shards(start_direction)
-        try:
-            self._allocate(shards, num_lanes=len(sources))
-        except DeviceOutOfMemory as exc:
-            return failure(f"OOM: {exc}")
-
-        sanitizer: Optional[RuntimeSanitizer] = None
-        if self.config.sanitize:
-            sanitizer = RuntimeSanitizer(
-                graph, raise_on_violation=self.config.sanitize_raise
-            )
-        try:
-            return self._run_batch_loop(
-                algorithm, sources, shards, sanitizer,
-                lane_params=lane_params, **params
-            )
-        except DeviceOutOfMemory as exc:
-            return failure(f"OOM: {exc}")
-        except FilterOverflowError as exc:
-            return failure(f"online filter overflow: {exc}")
-        finally:
-            if sanitizer is not None:
-                sanitizer.release()
-            for sh in shards:
-                sh.device.reset_memory()
-
-    def _run_batch_loop(
-        self,
-        algorithm,
-        sources: List[int],
-        shards: List[_Shard],
-        sanitizer: Optional[RuntimeSanitizer],
-        *,
-        lane_params=None,
-        **params,
-    ) -> BatchRunResult:
-        engine = self.engine
-        cfg = self.config
-        graph = self.graph
-        plan = self.plan
-        n = graph.num_vertices
-        num_shards = plan.num_shards
-        num_lanes = len(sources)
-        per_lane_compute = lane_params is not None
-
-        clones = []
-        metadata = np.zeros((num_lanes, n), dtype=np.float64)
-        lane_frontiers: List[np.ndarray] = []
-        for lane, source in enumerate(sources):
-            clone = copy.copy(algorithm)
-            if lane_params is not None:
-                for key, value in lane_params[lane].items():
-                    setattr(clone, key, value)
-            state = clone.init(graph, source=source, **params)
-            clones.append(clone)
-            metadata[lane] = np.asarray(state.metadata, dtype=np.float64)
-            lane_frontiers.append(
-                np.unique(np.asarray(state.frontier, dtype=np.int64))
-            )
-        if sanitizer is not None:
-            clones = [
-                sanitizer.wrap(clone, lane=k) for k, clone in enumerate(clones)
-            ]
-            algorithm = sanitizer.wrap(algorithm, lane=None)
-            sanitizer.freeze_graph()
-
-        max_iterations = (
-            cfg.max_iterations if cfg.max_iterations is not None
-            else algorithm.max_iterations
-        )
-        records: List[IterationRecord] = []
-        filter_trace: List[str] = []
-        direction_trace: List[str] = []
-        lane_iterations = [0] * num_lanes
-        boundary_updates = 0
-        total_us = 0.0
-        iteration = 0
-
-        while any(f.size for f in lane_frontiers) and iteration < max_iterations:
-            iteration += 1
-            live = [k for k in range(num_lanes) if lane_frontiers[k].size]
-            for lane in live:
-                lane_iterations[lane] = iteration
-            prev_metadata = metadata.copy()
-            if sanitizer is not None:
-                sanitizer.begin_superstep(iteration, metadata)
-            shard_us = np.zeros(num_shards, dtype=np.float64)
-
-            batched = BatchedFrontier.from_lanes(
-                lane_frontiers, backend=engine.kernel
-            )
-            union = batched.vertices
-            shard_rows = [
-                batched.vertex_range_rows(sh.start, sh.stop) for sh in shards
-            ]
-            shard_out_edges = [
-                engine.classifier.edge_count(union[lo:hi])
-                for lo, hi in shard_rows
-            ]
-            lane_out_edges = {
-                lane: engine.classifier.edge_count(lane_frontiers[lane])
-                for lane in live
-            }
-            directions = self._plan_directions(
-                shards, shard_out_edges, iteration
-            )
-            any_push = any(d is Direction.PUSH for d in directions)
-            any_pull = any(d is Direction.PULL for d in directions)
-            dst_is_push = (
-                self._push_owner_mask(directions) if any_push else None
-            )
-
-            lane_candidates: Dict[int, np.ndarray] = {}
-            if any_pull:
-                if engine._in_degrees is None:
-                    engine._in_degrees = graph.in_degrees()
-                for lane in live:
-                    mask = np.asarray(
-                        clones[lane].gather_mask(
-                            metadata[lane], graph, lane_frontiers[lane]
-                        ),
-                        dtype=bool,
-                    )
-                    lane_candidates[lane] = np.nonzero(
-                        mask & (engine._in_degrees > 0)
-                    )[0].astype(np.int64)
-
-            # ---------------- phase 1: compute --------------------------
-            pending: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]]
-            pending = {}
-            lane_recorded_parts: Dict[int, List[np.ndarray]] = {
-                lane: [] for lane in live
-            }
-            received_boundary = np.zeros(num_shards, dtype=np.int64)
-            scatter_jobs: Dict[int, dict] = {}
-            gather_jobs: Dict[int, dict] = {}
-
-            def route(
-                source_shard: int,
-                lane: int,
-                updates: np.ndarray,
-                dst: np.ndarray,
-            ) -> int:
-                """Split one lane's valid updates by destination owner."""
-                crossed = 0
-                owner = plan.owner_of(dst)
-                for t in np.unique(owner):
-                    t = int(t)
-                    member = owner == t
-                    pending.setdefault((t, lane), []).append(
-                        (updates[member], dst[member])
-                    )
-                    if t != source_shard:
-                        count = int(member.sum())
-                        crossed += count
-                        received_boundary[t] += count
-                return crossed
-
-            if any_push:
-                out_csr = graph.out_csr
-                for s in range(num_shards):
-                    lo, hi = shard_rows[s]
-                    union_s = union[lo:hi]
-                    if union_s.size == 0:
-                        continue
-                    slot, edge_idx, total = engine._walk(
-                        out_csr, union_s
-                    )
-                    job = {
-                        "edges_expanded": total,
-                        "active_edges": 0,
-                        "recorded": np.zeros(0, dtype=np.int64),
-                        "producers": np.zeros(0, dtype=np.int64),
-                        "num_workers": int(union_s.size),
-                        "lane_pairs": 0,
-                        "active_lanes": 0,
-                        "worklist": union_s,
-                    }
-                    scatter_jobs[s] = job
-                    if total == 0:
-                        continue
-                    dst = out_csr.targets[edge_idx].astype(np.int64)
-                    keep = dst_is_push[dst]
-                    if not keep.all():
-                        slot = slot[keep]
-                        dst = dst[keep]
-                        edge_idx = edge_idx[keep]
-                    kept = int(dst.size)
-                    job["active_edges"] = kept
-                    if kept == 0:
-                        continue
-                    src = union_s[slot]
-                    weights = out_csr.weights[edge_idx].astype(np.float64)
-                    pair_parts: List[Tuple[int, np.ndarray]] = []
-                    for lane in live:
-                        lane_rows = batched.lane_mask(lane)[lo:hi]
-                        lane_edges = np.nonzero(lane_rows[slot])[0]
-                        if lane_edges.size:
-                            pair_parts.append((lane, lane_edges))
-                    if not pair_parts:
-                        continue
-                    job["active_lanes"] = len(pair_parts)
-                    if per_lane_compute:
-                        updates = np.concatenate([
-                            np.asarray(
-                                clones[lane].scatter_edges(
-                                    metadata[lane, src[idx]], weights[idx],
-                                    metadata[lane, dst[idx]],
-                                    src[idx], dst[idx], graph,
-                                    lanes=np.full(
-                                        idx.size, lane, dtype=np.int64
-                                    ),
-                                ),
-                                dtype=np.float64,
-                            )
-                            for lane, idx in pair_parts
-                        ])
-                    else:
-                        pair_src = np.concatenate(
-                            [src[idx] for _, idx in pair_parts]
-                        )
-                        pair_dst = np.concatenate(
-                            [dst[idx] for _, idx in pair_parts]
-                        )
-                        pair_weights = np.concatenate(
-                            [weights[idx] for _, idx in pair_parts]
-                        )
-                        pair_lane = np.concatenate([
-                            np.full(idx.size, lane, dtype=np.int64)
-                            for lane, idx in pair_parts
-                        ])
-                        updates = np.asarray(
-                            algorithm.scatter_edges(
-                                metadata[pair_lane, pair_src], pair_weights,
-                                metadata[pair_lane, pair_dst],
-                                pair_src, pair_dst, graph,
-                                lanes=pair_lane,
-                            ),
-                            dtype=np.float64,
-                        )
-                    job["lane_pairs"] = int(updates.size)
-                    valid_any = np.zeros(kept, dtype=bool)
-                    offset = 0
-                    for lane, lane_edges in pair_parts:
-                        begin, offset = offset, offset + lane_edges.size
-                        lane_updates = updates[begin:offset]
-                        valid = ~np.isnan(lane_updates)
-                        valid_any[lane_edges[valid]] = True
-                        if valid.any():
-                            lane_dst = dst[lane_edges[valid]]
-                            lane_recorded_parts[lane].append(lane_dst)
-                            boundary_updates += route(
-                                s, lane, lane_updates[valid], lane_dst
-                            )
-                    union_recorded = np.nonzero(valid_any)[0]
-                    job["recorded"] = dst[union_recorded]
-                    job["producers"] = slot[union_recorded]
-
-            if any_pull:
-                in_csr = graph.in_csr
-                lane_bitmaps: Dict[int, np.ndarray] = {}
-                for t in range(num_shards):
-                    if directions[t] is not Direction.PULL:
-                        continue
-                    sh = shards[t]
-                    cand_slices = [
-                        lane_candidates[lane][
-                            np.searchsorted(lane_candidates[lane], sh.start):
-                            np.searchsorted(lane_candidates[lane], sh.stop)
-                        ]
-                        for lane in live
-                    ]
-                    non_empty = [c for c in cand_slices if c.size]
-                    union_candidates = (
-                        np.unique(np.concatenate(non_empty)) if non_empty
-                        else np.zeros(0, dtype=np.int64)
-                    )
-                    lo, hi = shard_rows[t]
-                    if union_candidates.size == 0 and lo == hi:
-                        continue
-                    dst_slot, edge_idx, total = engine._walk(
-                        in_csr, union_candidates
-                    )
-                    job = {
-                        "edges_expanded": total,
-                        "active_edges": 0,
-                        "recorded": np.zeros(0, dtype=np.int64),
-                        "producers": np.zeros(0, dtype=np.int64),
-                        "num_workers": 0,
-                        "lane_pairs": 0,
-                        "active_lanes": 0,
-                        "worklist": union_candidates,
-                    }
-                    gather_jobs[t] = job
-                    if total == 0:
-                        continue
-                    src = in_csr.targets[edge_idx].astype(np.int64)
-                    dst = union_candidates[dst_slot]
-
-                    kept_any = np.zeros(total, dtype=bool)
-                    pair_parts = []
-                    for lane_index, lane in enumerate(live):
-                        candidates = cand_slices[lane_index]
-                        if (
-                            candidates.size == 0
-                            or lane_frontiers[lane].size == 0
-                        ):
-                            continue
-                        candidate_rows = np.zeros(
-                            union_candidates.size, dtype=bool
-                        )
-                        candidate_rows[
-                            engine.kernel.rows_in_sorted(
-                                union_candidates, candidates
-                            )
-                        ] = True
-                        if lane not in lane_bitmaps:
-                            lane_bitmaps[lane] = engine.kernel.membership_mask(
-                                lane_frontiers[lane], n
-                            )
-                        keep = (
-                            candidate_rows[dst_slot]
-                            & lane_bitmaps[lane][src]
-                        )
-                        lane_edges = np.nonzero(keep)[0]
-                        if lane_edges.size:
-                            kept_any[lane_edges] = True
-                            pair_parts.append((lane, lane_edges))
-                    job["active_edges"] = int(np.count_nonzero(kept_any))
-                    if not pair_parts:
-                        continue
-                    job["active_lanes"] = len(pair_parts)
-                    if per_lane_compute:
-                        updates = np.concatenate([
-                            np.asarray(
-                                clones[lane].gather_edges(
-                                    metadata[lane, src[idx]],
-                                    in_csr.weights[edge_idx[idx]].astype(
-                                        np.float64
-                                    ),
-                                    metadata[lane, dst[idx]],
-                                    src[idx], dst[idx], graph,
-                                    lanes=np.full(
-                                        idx.size, lane, dtype=np.int64
-                                    ),
-                                ),
-                                dtype=np.float64,
-                            )
-                            for lane, idx in pair_parts
-                        ])
-                    else:
-                        pair_src = np.concatenate(
-                            [src[idx] for _, idx in pair_parts]
-                        )
-                        pair_dst = np.concatenate(
-                            [dst[idx] for _, idx in pair_parts]
-                        )
-                        pair_weights = np.concatenate([
-                            in_csr.weights[edge_idx[idx]].astype(np.float64)
-                            for _, idx in pair_parts
-                        ])
-                        pair_lane = np.concatenate([
-                            np.full(idx.size, lane, dtype=np.int64)
-                            for lane, idx in pair_parts
-                        ])
-                        updates = np.asarray(
-                            algorithm.gather_edges(
-                                metadata[pair_lane, pair_src], pair_weights,
-                                metadata[pair_lane, pair_dst],
-                                pair_src, pair_dst, graph,
-                                lanes=pair_lane,
-                            ),
-                            dtype=np.float64,
-                        )
-                    job["lane_pairs"] = int(updates.size)
-                    valid_any = np.zeros(total, dtype=bool)
-                    offset = 0
-                    for lane, lane_edges in pair_parts:
-                        begin, offset = offset, offset + lane_edges.size
-                        lane_updates = updates[begin:offset]
-                        valid = ~np.isnan(lane_updates)
-                        valid_any[lane_edges[valid]] = True
-                        if valid.any():
-                            lane_dst = dst[lane_edges[valid]]
-                            lane_src = src[lane_edges[valid]]
-                            lane_recorded_parts[lane].append(
-                                np.unique(lane_dst)
-                            )
-                            pending.setdefault((t, lane), []).append(
-                                (lane_updates[valid], lane_dst)
-                            )
-                            remote = int(
-                                (plan.owner_of(lane_src) != t).sum()
-                            )
-                            boundary_updates += remote
-                            received_boundary[t] += remote
-                    receivers = np.unique(dst[valid_any])
-                    job["recorded"] = receivers
-                    job["producers"] = np.arange(
-                        receivers.size, dtype=np.int64
-                    )
-                    job["num_workers"] = int(receivers.size)
-
-            # Frontier hooks: once per lane, full lane frontier, under the
-            # single-device condition - after all Computes, before applies.
-            for lane in live:
-                if lane_out_edges[lane] > 0:
-                    clones[lane].on_frontier_expanded(
-                        lane_frontiers[lane], metadata[lane]
-                    )
-
-            # ---------------- phase 2: merge + apply --------------------
-            for t in range(num_shards):
-                for lane in live:
-                    parts = pending.get((t, lane))
-                    if not parts:
-                        continue
-                    updates = np.concatenate([u for u, _ in parts])
-                    dsts = np.concatenate([d for _, d in parts])
-                    engine._combine_and_apply(
-                        clones[lane], metadata[lane], updates, dsts
-                    )
-
-            lane_active: Dict[int, np.ndarray] = {}
-            union_active = np.zeros(n, dtype=bool)
-            for lane in live:
-                active = np.asarray(
-                    clones[lane].active_mask(
-                        metadata[lane], prev_metadata[lane]
-                    ),
-                    dtype=bool,
-                )
-                lane_active[lane] = active
-                union_active |= active
-
-            # ---------------- records + cost accounting ------------------
-            def updatable_mean() -> float:
-                updatable = np.zeros(n, dtype=bool)
-                for lane in live:
-                    updatable |= np.asarray(
-                        clones[lane].gather_mask(
-                            prev_metadata[lane], graph, None
-                        ),
-                        dtype=bool,
-                    )
-                return float(updatable.mean()) if n else 1.0
-
-            direction_parts: List[str] = []
-            filter_parts: List[str] = []
-            for t in range(num_shards):
-                sh = shards[t]
-                for direction, jobs, classifier in (
-                    (Direction.PUSH, scatter_jobs, engine.classifier),
-                    (Direction.PULL, gather_jobs, engine.pull_classifier),
-                ):
-                    job = jobs.get(t)
-                    if job is None:
-                        continue
-                    expansion = _ExpansionResult(
-                        touched=np.zeros(0, dtype=np.int64),
-                        update_destinations=job["recorded"],
-                        recorded_destinations=job["recorded"],
-                        recorded_producers=job["producers"],
-                        num_workers=job["num_workers"],
-                        edges_expanded=job["edges_expanded"],
-                        active_edges=job["active_edges"],
-                    )
-                    record = self._emit_record(
-                        sh,
-                        algorithm=algorithm,
-                        direction=direction,
-                        worklist=job["worklist"],
-                        classifier=classifier,
-                        expansion=expansion,
-                        active_mask=union_active,
-                        frontier_vertices=int(job["worklist"].size),
-                        iteration=iteration,
-                        success_rate=(
-                            self._success_rate(sh, updatable_mean)
-                            if direction is Direction.PUSH else 1.0
-                        ),
-                        lane_pairs=job["lane_pairs"],
-                        active_lanes=job["active_lanes"],
-                        shard_us=shard_us,
-                    )
-                    records.append(record)
-                    if sanitizer is not None:
-                        sanitizer.observe_record(record)
-                    direction_parts.append(direction.value)
-                    filter_parts.append(record.filter_used)
-                self._charge_boundary_merge(
-                    sh, int(received_boundary[t]), shard_us
-                )
-
-            direction_trace.append("+".join(direction_parts))
-            filter_trace.append("+".join(filter_parts))
-            total_us += float(shard_us.max()) if num_shards else 0.0
-
-            # ---------------- next frontiers (per lane) ------------------
-            for lane in live:
-                parts = lane_recorded_parts[lane]
-                recorded = (
-                    np.concatenate(parts) if parts
-                    else np.zeros(0, dtype=np.int64)
-                )
-                active = lane_active[lane]
-                worklist = recorded[active[recorded]]
-                next_frontier = np.unique(worklist)
-                if next_frontier.size == 0 and not clones[lane].converged(
-                    metadata[lane], prev_metadata[lane], iteration
-                ):
-                    next_frontier = np.nonzero(active)[0].astype(np.int64)
-                lane_frontiers[lane] = next_frontier
-            if sanitizer is not None:
-                sanitizer.end_superstep(iteration, metadata)
-
-        values = np.stack(
-            [clones[k].vertex_value(metadata[k]) for k in range(num_lanes)]
-        )
-        extra = self._shared_extra(shards, boundary_updates)
-        extra.update({
-            extra_keys.UNION_EDGES_WALKED: sum(
-                r.frontier_edges for r in records
-            ),
-            extra_keys.LANE_EDGE_PAIRS: sum(
-                r.lane_edge_pairs for r in records
-            ),
-            extra_keys.PULL_EDGES_SCANNED: sum(
-                r.frontier_edges for r in records
-                if r.direction == Direction.PULL.value
-            ),
-            # Per-shard direction selection replaces lane-group splitting
-            # (EngineConfig.num_shards docs): the split knobs are inert.
-            extra_keys.SPLIT_ITERATIONS: [],
-            extra_keys.LANE_SPLITS: 0,
-        })
-        if sanitizer is not None:
-            sanitizer.validate_extra(extra)
-            extra[extra_keys.SANITIZER] = sanitizer.report()
-        return BatchRunResult(
-            system=engine.SYSTEM_NAME,
-            algorithm=algorithm.name,
-            graph=graph.name,
-            sources=sources,
-            metadata=metadata,
-            values=values,
-            elapsed_us=total_us,
-            iterations=iteration,
-            lane_iterations=lane_iterations,
-            device=self.device_name,
-            kernel_launches=sum(
-                sh.device.profiler.launch_count() for sh in shards
-            ),
-            filter_trace=filter_trace,
-            direction_trace=direction_trace,
-            iteration_records=records,
-            extra=extra,
-        )

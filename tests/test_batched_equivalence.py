@@ -12,11 +12,15 @@ walk per iteration (docs/batching.md); these tests pin its contract:
   filter-dependent, only value equality is guaranteed and asserted;
 * each iteration walks the CSR exactly once, over the union worklist -
   the amortization the batching exists for;
+* a one-lane batch is its single run record for record (elapsed time,
+  traces, every shared ``extra`` key), plain, sanitized and sharded;
 * the :class:`~repro.core.frontier.BatchedFrontier` lane bitmask
   round-trips per-lane frontiers through the union representation.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ import pytest
 from repro.algorithms import BFS, SSSP, PageRank
 from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
+from repro.core.filters import FilterMode
 from repro.core.frontier import BatchedFrontier
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -192,6 +197,80 @@ class TestBitIdenticalEquivalence:
                 SSSP(source=source, delta=10.0)
             )
             assert np.array_equal(batch.values[lane], single.values)
+
+
+class TestKEqualsOneIsRun:
+    """``run_batch(alg, [s])`` is ``run(alg(source=s))``, record for record.
+
+    Both go through the one superstep driver as a one-lane set, and the
+    next-frontier rule is the same for both (a lane whose filter pass
+    covered exactly that lane over the whole vertex range continues from
+    the pass's worklist), so everything observable matches - including
+    delta-stepping SSSP, whose trajectory depends on which worklist the
+    lane continues from. What legitimately differs is the lane axis: the
+    two lane-axis record fields, the batch-only ``extra`` keys, and the
+    modeled allocation (a batch carries the per-vertex lane-bitmask words,
+    which shows in the sharded per-device memory peaks).
+    """
+
+    ALGORITHMS = {
+        "bfs": lambda **kw: BFS(**kw),
+        "sssp": lambda **kw: SSSP(**kw),
+        "sssp_delta": lambda **kw: SSSP(delta=2.0, **kw),
+    }
+    LANE_AXIS_FIELDS = {"lane_edge_pairs", "active_lanes"}
+    ALLOCATION_KEYS = {"shard_peak_bytes"}
+
+    @pytest.fixture(scope="class")
+    def graphs(self, graph):
+        return {
+            "rmat": graph,
+            "road": gen.road_network_graph(20, 20, seed=5, name="road20"),
+        }
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("filter_mode", [FilterMode.JIT, FilterMode.BALLOT])
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("graph_name", ["rmat", "road"])
+    def test_one_lane_batch_equals_run(
+        self, graphs, graph_name, algorithm, config_name, filter_mode,
+        sanitize, num_shards,
+    ):
+        g = graphs[graph_name]
+        source = int(np.argmax(g.out_degrees()))
+        config = replace(
+            CONFIGS[config_name], filter_mode=filter_mode, sanitize=sanitize,
+            num_shards=num_shards,
+        )
+        make = self.ALGORITHMS[algorithm]
+        batch = SIMDXEngine(g, config=config).run_batch(make(), [source])
+        single = SIMDXEngine(g, config=config).run(make(source=source))
+        assert not batch.failed and not single.failed
+        assert np.array_equal(batch.values[0], single.values)
+        assert batch.elapsed_us == single.elapsed_us
+        assert batch.iterations == single.iterations
+        assert batch.lane_iterations == [single.iterations]
+        assert batch.direction_trace == single.direction_trace
+        assert batch.filter_trace == single.filter_trace
+        assert batch.kernel_launches == single.kernel_launches
+        shared = (set(batch.extra) & set(single.extra)) - self.ALLOCATION_KEYS
+        assert {"breakdown", "kernel_edges_walked"} <= shared
+        for key in shared - {"sanitizer"}:
+            assert batch.extra[key] == single.extra[key], key
+        if sanitize:
+            assert batch.extra["sanitizer"]["clean"]
+            assert single.extra["sanitizer"]["clean"]
+        assert len(batch.iteration_records) == len(single.iteration_records)
+        for ours, theirs in zip(
+            batch.iteration_records, single.iteration_records
+        ):
+            for field in fields(ours):
+                if field.name not in self.LANE_AXIS_FIELDS:
+                    assert getattr(ours, field.name) == getattr(
+                        theirs, field.name
+                    ), (ours.iteration, field.name)
 
 
 class TestEarlyFinishingLane:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import SSSP
+from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.graph import generators as gen
 
@@ -170,3 +171,37 @@ class TestShardedRunAccounting:
             "push", "push+pull", "push+pull", "push+pull",
         ]
         assert len(batch.iteration_records) == 83
+
+    def test_sssp_road_batch_two_shards_forced_pull_records(self, road):
+        # One record emitter for every path: a pull record's
+        # ``frontier_vertices`` is the unit's (push) frontier - here the
+        # union frontier's slice inside the shard's vertex range - never
+        # the gather-candidate count, and ``active_lanes`` counts the
+        # lanes with a non-empty frontier inside that range.
+        sources = list(TestBatchRunAccounting.SOURCES)
+        pull = dict(direction_auto=False, forced_direction=Direction.PULL)
+        sharded = SIMDXEngine(
+            road, config=EngineConfig(num_shards=2, **pull)
+        ).run_batch(SSSP(), sources)
+        single = SIMDXEngine(
+            road, config=EngineConfig(**pull)
+        ).run_batch(SSSP(), sources)
+        assert sharded.iterations == single.iterations == 40
+        records = sharded.iteration_records
+        assert len(records) == 72
+        assert [
+            (r.iteration, r.frontier_vertices, r.active_lanes, r.frontier_edges)
+            for r in records[:6]
+        ] == [
+            (1, 8, 8, 1074), (1, 0, 0, 1072), (2, 27, 8, 1074),
+            (2, 0, 0, 1072), (3, 51, 8, 1074), (3, 0, 0, 1072),
+        ]
+        assert sum(r.frontier_vertices for r in records) == 6125
+        assert sum(r.active_lanes for r in records) == 414
+        # The shards tile the vertex range, so per superstep their frontier
+        # slices add up to the single-device record's union frontier.
+        for single_record in single.iteration_records:
+            assert single_record.frontier_vertices == sum(
+                r.frontier_vertices for r in records
+                if r.iteration == single_record.iteration
+            )
