@@ -86,10 +86,6 @@ class PageRank(ACCAlgorithm):
             return metadata
         return metadata / total
 
-    def raw_ranks(self, metadata: np.ndarray) -> np.ndarray:
-        """Un-normalized accumulated ranks (fixed point of the recurrence)."""
-        return metadata
-
     def describe(self) -> dict:
         return {
             **super().describe(),

@@ -37,6 +37,7 @@ from repro.core.direction import DEFAULT_TRAFFIC_MODEL, Direction
 from repro.core.engine import EngineConfig
 from repro.core.filters import FilterMode
 from repro.core.fusion import FusionPlan, FusionStrategy, REGISTERS_TABLE
+from repro.core.jit import run_length_pattern
 from repro.core.metrics import RunResult, geometric_mean_speedup
 from repro.gpu.device import GPUDevice, KNOWN_DEVICES, get_device_spec
 from repro.graph.datasets import DATASETS
@@ -104,26 +105,11 @@ def figure8(
                     "iterations": result.iterations,
                     "ballot_iterations": ballot_iters,
                     "online_iterations": result.iterations - len(ballot_iters),
-                    "pattern": _segments(trace),
+                    "pattern": run_length_pattern(trace),
                     "uses_ballot": bool(ballot_iters),
                 }
             )
     return {"rows": rows}
-
-
-def _segments(trace: List[str]) -> str:
-    if not trace:
-        return ""
-    parts = []
-    current, count = trace[0], 0
-    for name in trace:
-        if name == current:
-            count += 1
-        else:
-            parts.append(f"{current}*{count}")
-            current, count = name, 1
-    parts.append(f"{current}*{count}")
-    return ", ".join(parts)
 
 
 # ----------------------------------------------------------------------
@@ -511,8 +497,8 @@ def worklist_separators(
 # ----------------------------------------------------------------------
 ALL_ALGORITHMS = ("bfs", "sssp", "pagerank", "wcc", "kcore", "spmv", "bp")
 
-_FORCED_PUSH = EngineConfig(direction_auto=False, forced_direction=Direction.PUSH)
-_FORCED_PULL = EngineConfig(direction_auto=False, forced_direction=Direction.PULL)
+_FORCED_PUSH = EngineConfig(forced_direction=Direction.PUSH)
+_FORCED_PULL = EngineConfig(forced_direction=Direction.PULL)
 
 
 def phase_timings(
@@ -620,8 +606,8 @@ def _direction_filter_row(result: RunResult, algorithm_name: str, abbrev: str) -
             1 for d, f in pairs if d == "pull" and f == "ballot"
         ),
         "pre_armed_ballots": pre_armed,
-        "pattern": _segments(result.filter_trace),
-        "direction_pattern": _segments(result.direction_trace),
+        "pattern": run_length_pattern(result.filter_trace),
+        "direction_pattern": run_length_pattern(result.direction_trace),
     }
 
 

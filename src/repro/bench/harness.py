@@ -24,8 +24,6 @@ from repro.baselines import CuShaLike, GaloisLike, GunrockLike, LigraLike
 from repro.baselines.common import ExecutionTrace, trace_execution
 from repro.core.acc import ACCAlgorithm
 from repro.core.engine import EngineConfig, SIMDXEngine
-from repro.core.filters import FilterMode
-from repro.core.fusion import FusionStrategy
 from repro.core.metrics import RunResult
 from repro.gpu.device import GPUDevice, GPUSpec, K40, get_device_spec
 from repro.graph.csr import CSRGraph
@@ -195,22 +193,6 @@ class BenchmarkContext:
     def wallclock_config(self, kernel_backend: str) -> EngineConfig:
         """Engine configuration for the wall-clock backend benchmark."""
         return EngineConfig(kernel_backend=kernel_backend)
-
-    def simdx_config(
-        self,
-        *,
-        filter_mode: FilterMode = FilterMode.JIT,
-        fusion: FusionStrategy = FusionStrategy.PUSH_PULL,
-        overflow_threshold: int = 64,
-        **kwargs,
-    ) -> EngineConfig:
-        """Convenience constructor for ablation configurations."""
-        return EngineConfig(
-            filter_mode=filter_mode,
-            fusion=fusion,
-            overflow_threshold=overflow_threshold,
-            **kwargs,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 
-def _fmt(value, width: int = 9, decimals: int = 2) -> str:
-    if value is None:
-        return " " * (width - 1) + "-"
-    if isinstance(value, float):
-        return f"{value:>{width}.{decimals}f}"
-    return f"{value:>{width}}"
-
-
 def render_table(headers: Sequence[str], rows: Iterable[Sequence], *, title: str = "") -> str:
     """Simple fixed-width table renderer."""
     rows = [list(r) for r in rows]

@@ -43,7 +43,7 @@ claim that programming (ACC) is decoupled from processing (JIT + fusion).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from repro.core.direction import (
     DEFAULT_TRAFFIC_MODEL,
     Direction,
     SubBatchPlan,
-    TrafficModel,
 )
 from repro.core.filters import (
     FilterContext,
@@ -76,12 +75,21 @@ from repro.gpu.warp import divergence_fraction, reduction_primitive_ops
 
 @dataclass
 class EngineConfig:
-    """Tunable knobs of the SIMD-X engine.
+    """The engine's options: the knobs the paper's evaluation sweeps plus
+    the deployment axes (shards, kernel backend, sanitizer).
 
-    The defaults correspond to the configuration the paper evaluates:
-    JIT task management with a 64-entry overflow threshold, push-pull based
-    kernel fusion, 128 threads per CTA and worklist separators at the warp
-    and CTA sizes.
+    The defaults are the configuration the paper evaluates: JIT task
+    management with a 64-entry overflow threshold, push-pull based kernel
+    fusion, worklist separators at the warp and CTA sizes, automatic
+    direction selection. ``docs/architecture.md`` ("Engine options") lists
+    every field with its paper anchor and the experiment that varies it;
+    ``tests/test_config_surface.py`` pins the field set. Constants no
+    caller varies live with the class that owns them (CTA size on
+    :class:`~repro.core.fusion.FusionPlan`, the Beamer thresholds on
+    :class:`~repro.core.direction.DirectionSelector`, the compute-op
+    constants in :data:`~repro.core.direction.DEFAULT_TRAFFIC_MODEL`), and
+    the iteration cap is an attribute of the algorithm
+    (:class:`~repro.core.acc.ACCAlgorithm`).
     """
 
     filter_mode: FilterMode = FilterMode.JIT
@@ -89,21 +97,10 @@ class EngineConfig:
     overflow_threshold: int = 64
     small_medium_separator: int = 32
     medium_large_separator: int = 256
-    threads_per_cta: int = 128
-    to_pull_threshold: float = 0.05
-    to_push_threshold: float = 0.01
-    direction_auto: bool = True
-    #: With ``direction_auto=False``, every iteration runs in this direction
-    #: (``None`` falls back to the algorithm's starting direction). Useful
-    #: for forcing a pure scatter or pure gather execution.
+    #: ``None`` (the default) selects the direction automatically every
+    #: iteration (Section 5); a direction runs every iteration as a pure
+    #: scatter or a pure gather, and turns lane-aware splitting off.
     forced_direction: Optional[Direction] = None
-    #: With ``direction_auto=False``: explicit per-iteration directions
-    #: (iteration i runs ``schedule[min(i - 1, len - 1)]``, i.e. the last
-    #: entry repeats). Used by the calibration sweep and the differential
-    #: fuzz harness to pin arbitrary push/pull schedules; mutually exclusive
-    #: with ``forced_direction``.
-    forced_direction_schedule: Optional[Sequence[Direction]] = None
-    max_iterations: Optional[int] = None
     #: Batched runs (``run_batch``) only: score every lane's own frontier
     #: with the traffic model each iteration and, when lane interests
     #: diverge from the union decision past ``split_margin``, split the
@@ -117,25 +114,12 @@ class EngineConfig:
     #: absorbs the per-sub-batch fixed costs (each sub-batch pays its own
     #: kernel launches, barriers and task-management pass).
     split_margin: float = 0.5
-    #: Test/harness hook: ``split_schedule(iteration, live_lanes)`` may
-    #: return an explicit list of ``(direction, lanes)`` sub-batches for
-    #: that iteration (a partition of ``live_lanes``), or ``None`` to fall
-    #: through to the automatic policy. Per-lane results are bit-identical
-    #: under *every* schedule - the differential fuzz harness drives random
-    #: schedules through this hook to prove it.
-    split_schedule: Optional[
-        Callable[[int, List[int]], Optional[List[Tuple[Direction, List[int]]]]]
-    ] = None
     shadow_online: bool = True
     #: When True, the Combine step is priced as Gunrock prices it - direct
     #: atomic updates to vertex state instead of the ACC model's shared-memory
     #: staging - which is the ablation behind Figure 5. Functional results are
     #: unchanged; only the cost differs.
     atomic_combine: bool = False
-    #: Per-direction compute-op constants of the cost model. The default is
-    #: the calibrated set recorded in EXPERIMENTS.md; the calibration
-    #: experiments override it to test fitted alternatives.
-    traffic_model: TrafficModel = DEFAULT_TRAFFIC_MODEL
     #: Shadow every superstep with the runtime sanitizer
     #: (:mod:`repro.analysis.sanitizer`): ACC hooks run on read-only views,
     #: the CSR arrays are frozen, and the Compute->Combine->apply stream is
@@ -148,9 +132,9 @@ class EngineConfig:
     #: and direction/JIT state; supersteps run as local push/pull
     #: expansion plus a boundary-update merge (docs/sharding.md). Results
     #: are bit-identical to ``num_shards=1``; only the memory ceiling and
-    #: the cost accounting change. With ``num_shards > 1`` the batched
-    #: lane-split knobs (``lane_aware_split``, ``split_schedule``) are
-    #: inert - per-shard direction selection replaces lane grouping.
+    #: the cost accounting change. With ``num_shards > 1``
+    #: ``lane_aware_split`` is inert - per-shard direction selection
+    #: replaces lane grouping.
     num_shards: int = 1
     #: Execution backend of the CSR-walk kernel primitives
     #: (:mod:`repro.core.kernels`): ``"numpy"`` (vectorized, the default)
@@ -169,26 +153,8 @@ class EngineConfig:
                 f"unknown kernel_backend {self.kernel_backend!r}; known: "
                 f"{kernel_backends.BACKEND_NAMES}"
             )
-        if self.direction_auto and self.forced_direction is not None:
-            raise ValueError(
-                "forced_direction requires direction_auto=False; with "
-                "direction_auto=True the selector would silently ignore it"
-            )
-        if self.forced_direction_schedule is not None:
-            if self.direction_auto:
-                raise ValueError(
-                    "forced_direction_schedule requires direction_auto=False"
-                )
-            if self.forced_direction is not None:
-                raise ValueError(
-                    "forced_direction and forced_direction_schedule are "
-                    "mutually exclusive"
-                )
-            if not self.forced_direction_schedule:
-                raise ValueError("forced_direction_schedule must be non-empty")
         if self.split_margin < 0:
             raise ValueError("split_margin must be non-negative")
-
 
 
 class SIMDXEngine:
@@ -215,9 +181,7 @@ class SIMDXEngine:
         # needs in-degrees, which force the lazy in-CSR transpose.
         self._pull_classifier: Optional[WorklistClassifier] = None
         self._in_degrees: Optional[np.ndarray] = None
-        self.fusion_plan = FusionPlan(
-            self.config.fusion, threads_per_cta=self.config.threads_per_cta
-        )
+        self.fusion_plan = FusionPlan(self.config.fusion)
         #: Kernel backend the CSR-walk primitives run on (docs/kernels.md).
         self.kernel = kernel_backends.get_kernel_backend(
             self.config.kernel_backend
@@ -261,14 +225,9 @@ class SIMDXEngine:
             )
         return self._pull_classifier
 
-    def _forced_direction(self, iteration: int, start: Direction) -> Direction:
-        """Direction of iteration ``iteration`` under a manual configuration."""
-        cfg = self.config
-        if cfg.forced_direction_schedule is not None:
-            schedule = cfg.forced_direction_schedule
-            return schedule[min(iteration - 1, len(schedule) - 1)]
-        return cfg.forced_direction or start
-
+    def _forced_direction(self, iteration: int) -> Optional[Direction]:
+        """Manual direction of superstep ``iteration``; ``None`` = automatic."""
+        return self.config.forced_direction
 
     @property
     def in_degrees(self) -> np.ndarray:
@@ -404,33 +363,10 @@ class SIMDXEngine:
     ) -> List[SubBatchPlan]:
         """Sub-batches for one batched iteration, in execution order.
 
-        A forced ``split_schedule`` wins; otherwise the lane-aware policy
-        plans (when enabled and the direction is automatic); otherwise the
-        whole batch runs as one sub-batch in ``union_direction``.
+        The lane-aware policy plans when there is one (lane-aware
+        splitting enabled and the direction automatic); otherwise the whole
+        batch runs as one sub-batch in ``union_direction``.
         """
-        cfg = self.config
-        if cfg.split_schedule is not None:
-            forced = cfg.split_schedule(iteration, list(live))
-            if forced is not None:
-                seen: List[int] = []
-                groups = []
-                for direction, lanes in forced:
-                    lanes = [int(l) for l in lanes]
-                    seen.extend(lanes)
-                    if lanes:  # an empty group has nothing to execute
-                        groups.append(SubBatchPlan(direction, tuple(lanes)))
-                if sorted(seen) != sorted(live):
-                    raise ValueError(
-                        f"split_schedule for iteration {iteration} must "
-                        f"partition the live lanes {sorted(live)}, got {sorted(seen)}"
-                    )
-                if policy is not None:
-                    # Keep the per-lane selectors (and split_history) in
-                    # step with what actually executes, so automatic
-                    # iterations interleaved with forced ones plan from
-                    # real hysteresis.
-                    policy.force(groups)
-                return groups
         if policy is not None:
             decision = policy.plan(
                 live,
@@ -641,7 +577,7 @@ class SIMDXEngine:
         if num_vertices == 0:
             return WorkEstimate()
 
-        model = self.config.traffic_model
+        model = DEFAULT_TRAFFIC_MODEL
         effective_edges = float(num_edges)
         if (
             direction is Direction.PULL
@@ -787,7 +723,7 @@ class SIMDXEngine:
             launch_us += result.launch_overhead_us
 
         if extra_lane_pairs > 0:
-            model = self.config.traffic_model
+            model = DEFAULT_TRAFFIC_MODEL
             per_pair_ops = (
                 model.push_edge_ops if direction is Direction.PUSH
                 else model.pull_active_edge_ops

@@ -102,9 +102,7 @@ class WorklistClassifier:
     ``direction`` selects which degree the classification (and the per-list
     edge totals) use: :attr:`Direction.PUSH` classifies by out-degree (the
     worklist is a scatter frontier), :attr:`Direction.PULL` by in-degree
-    (the worklist is a gather list of destinations). The legacy
-    ``use_out_degrees`` flag is kept as an alias; ``direction`` wins when
-    both are given.
+    (the worklist is a gather list of destinations).
     """
 
     def __init__(
@@ -113,15 +111,12 @@ class WorklistClassifier:
         *,
         small_medium_separator: int = DEFAULT_SMALL_MEDIUM_SEPARATOR,
         medium_large_separator: int = DEFAULT_MEDIUM_LARGE_SEPARATOR,
-        use_out_degrees: bool = True,
-        direction: Optional[Direction] = None,
+        direction: Direction = Direction.PUSH,
     ):
         if small_medium_separator <= 0:
             raise ValueError("small/medium separator must be positive")
         if medium_large_separator < small_medium_separator:
             raise ValueError("medium/large separator must be >= small/medium separator")
-        if direction is None:
-            direction = Direction.PUSH if use_out_degrees else Direction.PULL
         self.graph = graph
         self.direction = direction
         self.small_medium_separator = small_medium_separator

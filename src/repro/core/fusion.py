@@ -70,10 +70,6 @@ class PhaseKernels:
     continuation_kernels: Tuple[Kernel, ...]
     barrier_kernel: Optional[Kernel]
 
-    @property
-    def all_kernels(self) -> Tuple[Kernel, ...]:
-        return self.launch_kernels + self.continuation_kernels
-
 
 class FusionPlan:
     """Maps (strategy, direction, iteration state) to kernel launches."""

@@ -307,17 +307,21 @@ class JITTaskManager:
 
     def activation_pattern(self) -> str:
         """Compact pattern string, e.g. ``"online*3, ballot*4, online*2"``."""
-        trace = self.filter_trace()
-        if not trace:
-            return ""
-        segments: List[str] = []
-        current = trace[0]
-        count = 0
-        for name in trace:
-            if name == current:
-                count += 1
-            else:
-                segments.append(f"{current}*{count}")
-                current, count = name, 1
-        segments.append(f"{current}*{count}")
-        return ", ".join(segments)
+        return run_length_pattern(self.filter_trace())
+
+
+def run_length_pattern(trace: List[str]) -> str:
+    """Run-length encode a per-iteration trace: ``"online*3, ballot*4"``."""
+    if not trace:
+        return ""
+    segments: List[str] = []
+    current = trace[0]
+    count = 0
+    for name in trace:
+        if name == current:
+            count += 1
+        else:
+            segments.append(f"{current}*{count}")
+            current, count = name, 1
+    segments.append(f"{current}*{count}")
+    return ", ".join(segments)

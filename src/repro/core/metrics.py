@@ -207,12 +207,6 @@ class BatchRunResult:
             return float("nan")
         return self.num_lanes / (self.elapsed_us / 1e6)
 
-    def lane_values(self, lane: int) -> np.ndarray:
-        """User-facing result of one query lane."""
-        if self.values is None:
-            raise ValueError("failed batch run has no values")
-        return self.values[lane]
-
     @classmethod
     def failure(
         cls,
@@ -302,27 +296,6 @@ def phase_timings(records: List[IterationRecord]) -> List[PhaseTiming]:
         phase.barrier_us += r.barrier_us
         phase.launch_us += r.launch_us
     return phases
-
-
-def direction_summary(records: List[IterationRecord]) -> Dict[str, Dict[str, float]]:
-    """Per-direction totals and per-edge compute cost over a whole run."""
-    out: Dict[str, Dict[str, float]] = {}
-    for direction in ("push", "pull"):
-        rows = [r for r in records if r.direction == direction]
-        if not rows:
-            continue
-        edges = sum(r.frontier_edges for r in rows)
-        compute = sum(r.compute_us for r in rows)
-        out[direction] = {
-            "iterations": float(len(rows)),
-            "frontier_edges": float(edges),
-            "active_edges": float(sum(r.active_edges for r in rows)),
-            "compute_us": compute,
-            "filter_us": sum(r.filter_us for r in rows),
-            "total_us": sum(r.total_us for r in rows),
-            "compute_us_per_edge": compute / edges if edges else float("nan"),
-        }
-    return out
 
 
 #: Condition-number bound above which the two-parameter pull fit is treated

@@ -52,6 +52,7 @@ from repro.analysis import registry as extra_keys
 from repro.analysis.sanitizer import RuntimeSanitizer
 from repro.core.acc import ACCAlgorithm, CombineKind
 from repro.core.direction import (
+    DEFAULT_TRAFFIC_MODEL,
     BatchDirectionPolicy,
     Direction,
     DirectionSelector,
@@ -171,10 +172,7 @@ class Stream:
                 cfg.filter_mode, online_capacity=cfg.overflow_threshold
             )
         self.selector = DirectionSelector(
-            total_edges=total_edges,
-            to_pull_threshold=cfg.to_pull_threshold,
-            to_push_threshold=cfg.to_push_threshold,
-            start_direction=start_direction,
+            total_edges=total_edges, start_direction=start_direction
         )
         self.sortedness = 1.0
         self.scanned_edges = 0
@@ -503,21 +501,17 @@ class SuperstepDriver:
         sharded = self.sharding is not None
         self.lane_iterations = [0] * len(clones)
         policy: Optional[BatchDirectionPolicy] = None
-        if lanes.batched and not sharded and cfg.direction_auto and cfg.lane_aware_split:
-            selector = self.streams[0].selector
+        if (
+            lanes.batched and not sharded
+            and cfg.forced_direction is None and cfg.lane_aware_split
+        ):
             policy = BatchDirectionPolicy(
                 total_edges=self.graph.num_edges,
                 num_lanes=len(clones),
-                to_pull_threshold=cfg.to_pull_threshold,
-                to_push_threshold=cfg.to_push_threshold,
-                start_direction=selector.start_direction,
-                traffic_model=cfg.traffic_model,
+                start_direction=self.streams[0].selector.start_direction,
                 margin=cfg.split_margin,
             )
-        max_iterations = (
-            cfg.max_iterations if cfg.max_iterations is not None
-            else lanes.prototype.max_iterations
-        )
+        max_iterations = lanes.prototype.max_iterations
 
         while any(f.size for f in frontiers) and self.iteration < max_iterations:
             self.iteration = iteration = self.iteration + 1
@@ -620,7 +614,7 @@ class SuperstepDriver:
     # ------------------------------------------------------------------
     def _plan(self, step: _Step, policy) -> Tuple[List[_Unit], Dict[int, int]]:
         """Directions and work units of one superstep, in execution order."""
-        engine, cfg, lanes = self.engine, self.engine.config, self.lanes
+        engine, lanes = self.engine, self.lanes
         frontiers, live, streams = lanes.frontiers, step.live, self.streams
         sharded = self.sharding is not None
 
@@ -642,14 +636,12 @@ class SuperstepDriver:
         # reuses the classification, a pull unit reclassifies its gather
         # worklist by in-degree.
         classified = [engine.classifier.classify(s) for s in slices]
-        directions = []
-        for stream, sized in zip(streams, classified):
-            if cfg.direction_auto:
-                directions.append(stream.selector.decide(sized.total_edges))
-            else:
-                directions.append(stream.selector.force(engine._forced_direction(
-                    step.iteration, stream.selector.start_direction
-                )))
+        forced = engine._forced_direction(step.iteration)
+        directions = [
+            stream.selector.decide(sized.total_edges) if forced is None
+            else stream.selector.force(forced)
+            for stream, sized in zip(streams, classified)
+        ]
         if len(live) == 1:
             lane_out_edges = {live[0]: sum(c.total_edges for c in classified)}
         else:
@@ -744,7 +736,7 @@ class SuperstepDriver:
         groups = engine._plan_groups(
             step.iteration, step.live, lane_out_edges, lanes.frontiers,
             pull_estimate, union_direction, policy,
-            engine.config.traffic_model.voting_pull_scan_fraction
+            DEFAULT_TRAFFIC_MODEL.voting_pull_scan_fraction
             if lanes.prototype.combine_kind is CombineKind.VOTING else 1.0,
         )
         if self.sanitizer is not None:

@@ -344,10 +344,6 @@ class CSRGraph:
         per_direction = self.modeled_num_vertices * 8 + self.modeled_num_edges * (4 + 4)
         return directions * per_direction
 
-    def modeled_edge_list_bytes(self, bytes_per_edge: int = 12) -> int:
-        """Edge-list footprint at the modeled (paper) scale."""
-        return self.modeled_num_edges * bytes_per_edge
-
     def modeled_edge_scale(self) -> float:
         """Ratio of modeled to actual edge count (>= 1 for analogues)."""
         if self.num_edges == 0:

@@ -47,6 +47,10 @@ def _summarize(values: np.ndarray) -> dict:
     }
 
 
+def _bad_request(detail: str) -> dict:
+    return {"ok": False, "error": "bad_request", "detail": detail}
+
+
 async def _process(server: SIMDXServer, request: dict) -> dict:
     """One request -> one response payload (exceptions become errors)."""
     if request.get("cmd") == "stats":
@@ -71,8 +75,11 @@ async def _process(server: SIMDXServer, request: dict) -> dict:
         return {"ok": False, "error": "overloaded", "detail": str(exc)}
     except EngineFailure as exc:
         return {"ok": False, "error": "engine_failure", "detail": exc.reason}
-    except (KeyError, ValueError) as exc:
-        return {"ok": False, "error": "bad_request", "detail": str(exc)}
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        # Well-formed JSON of the wrong shape: a missing or unknown field,
+        # ``"source": null`` / ``1e999``, ``"params": 5``. ``submit``
+        # validates before the query is queued, so these all raise here.
+        return _bad_request(str(exc))
     payload = {
         "ok": True,
         "cache_outcome": result.extra.get("cache_outcome", "miss"),
@@ -98,6 +105,12 @@ async def _handle_client(
     # loop awaits them FIFO.
     responses: "asyncio.Queue[object]" = asyncio.Queue()
 
+    def reply(payload: dict) -> None:
+        """Queue an already-known response in this line's slot."""
+        ready = asyncio.get_event_loop().create_future()
+        ready.set_result(payload)
+        responses.put_nowait(ready)
+
     async def write_responses() -> None:
         while True:
             task = await responses.get()
@@ -109,19 +122,35 @@ async def _handle_client(
 
     writer_task = asyncio.ensure_future(write_responses())
     try:
+        oversized = False
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # EOF: what is left, as readline() does
+            except asyncio.LimitOverrunError as exc:
+                # A line over the StreamReader limit: drop it chunk by
+                # chunk (memory stays bounded by the limit) and answer
+                # once, in its slot, when its end arrives.
+                await reader.readexactly(exc.consumed)
+                oversized = True
+                continue
+            if oversized:
+                oversized = False
+                reply(_bad_request("line exceeds the stream reader limit"))
+                continue
             if not line:
                 break
             try:
                 request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                error = {"ok": False, "error": f"bad json: {exc}"}
-
-                async def _echo(payload=error) -> dict:
-                    return payload
-
-                responses.put_nowait(asyncio.ensure_future(_echo()))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                reply({"ok": False, "error": f"bad json: {exc}"})
+                continue
+            if not isinstance(request, dict):
+                reply(_bad_request(
+                    "a request is a JSON object, got "
+                    f"{type(request).__name__}"
+                ))
                 continue
             task = asyncio.ensure_future(_process(server, request))
             responses.put_nowait(task)

@@ -188,10 +188,6 @@ class SIMDXServer:
         #: lane_params) - the replay record the differential tests use to
         #: re-run each batch directly through a fresh engine.
         self.batch_log: List[Dict[str, object]] = []
-        #: Test seam: called with the popped batch after it leaves the
-        #: queue and before the engine runs - the only window in which a
-        #: caller counts as "cancelled after dispatch".
-        self._before_dispatch: Optional[Callable[[List[PendingQuery]], None]] = None
         #: Pending (EdgeUpdateBatch, future) pairs the dispatch loop
         #: applies between batches.
         self._updates: List[tuple] = []
@@ -440,8 +436,6 @@ class SIMDXServer:
 
     async def _dispatch(self, batch: List[PendingQuery]) -> None:
         loop = asyncio.get_event_loop()
-        if self._before_dispatch is not None:
-            self._before_dispatch(batch)
         sources = [query.source for query in batch]
         lane_params: Optional[List[Dict[str, object]]] = [
             query.params for query in batch

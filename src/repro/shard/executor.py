@@ -76,7 +76,6 @@ class ShardedExecutor:
     def _driver(self, algorithm) -> SuperstepDriver:
         """One stream per shard, each on its own simulated device."""
         engine, plan = self.engine, self.plan
-        cfg = engine.config
         start_direction = (
             Direction.PULL if algorithm.starts_in_pull else Direction.PUSH
         )
@@ -86,9 +85,7 @@ class ShardedExecutor:
                 device=GPUDevice(
                     engine.device.spec, memory_scale=engine.device.memory_scale
                 ),
-                fusion_plan=FusionPlan(
-                    cfg.fusion, threads_per_cta=cfg.threads_per_cta
-                ),
+                fusion_plan=FusionPlan(engine.config.fusion),
                 total_edges=int(plan.out_edge_counts[t]),
                 start_direction=start_direction,
                 modeled_vertices=int(plan.modeled_vertices[t]),

@@ -1,0 +1,127 @@
+"""Test seams: engines and servers that take orders from the harness.
+
+The production surface decides everything itself (``EngineConfig`` has no
+schedule fields, ``SIMDXServer`` no dispatch callback); the tests that
+prove "results are bit-identical under *every* direction schedule / lane
+grouping / cancellation window" impose theirs by subclassing, at the three
+points the superstep driver and the dispatch loop already ask a method:
+
+* :meth:`SIMDXEngine._forced_direction` - the manual direction of a
+  superstep (``None`` = automatic);
+* :meth:`SIMDXEngine._plan_groups` - the lane groups of a batched
+  superstep;
+* :meth:`SIMDXServer._dispatch` - every popped batch on its way to the
+  engine.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.direction import Direction, SubBatchPlan
+from repro.core.engine import SIMDXEngine
+from repro.serve import SIMDXServer
+
+#: ``split_schedule(iteration, live_lanes)`` returns the ``(direction,
+#: lanes)`` sub-batches of that iteration (a partition of ``live_lanes``),
+#: or ``None`` to fall through to the automatic policy.
+SplitSchedule = Callable[
+    [int, List[int]], Optional[List[Tuple[Direction, List[int]]]]
+]
+
+
+class ScheduledEngine(SIMDXEngine):
+    """A :class:`SIMDXEngine` driven by explicit schedules.
+
+    ``direction_schedule``: iteration ``i`` runs
+    ``schedule[min(i - 1, len - 1)]`` (the last entry repeats) on every
+    stream, and lane-aware splitting is off - as under
+    ``EngineConfig.forced_direction``. ``split_schedule`` (batched runs on
+    one device): see :data:`SplitSchedule`.
+    """
+
+    def __init__(
+        self,
+        graph,
+        device=None,
+        config=None,
+        *,
+        direction_schedule: Optional[Sequence[Direction]] = None,
+        split_schedule: Optional[SplitSchedule] = None,
+    ):
+        super().__init__(graph, device=device, config=config)
+        self.direction_schedule = direction_schedule
+        self.split_schedule = split_schedule
+
+    def _forced_direction(self, iteration: int) -> Optional[Direction]:
+        schedule = self.direction_schedule
+        if schedule is None:
+            return super()._forced_direction(iteration)
+        return schedule[min(iteration - 1, len(schedule) - 1)]
+
+    def _plan_groups(
+        self, iteration, live, lane_out_edges, lane_frontiers, pull_estimate,
+        union_direction, policy, pull_scan_fraction,
+    ) -> List[SubBatchPlan]:
+        if self.direction_schedule is not None:
+            policy = None  # a manual direction plans no lane groups
+        forced = None
+        if self.split_schedule is not None:
+            forced = self.split_schedule(iteration, list(live))
+        if forced is None:
+            return super()._plan_groups(
+                iteration, live, lane_out_edges, lane_frontiers,
+                pull_estimate, union_direction, policy, pull_scan_fraction,
+            )
+        seen: List[int] = []
+        groups = []
+        for direction, lanes in forced:
+            lanes = [int(lane) for lane in lanes]
+            seen.extend(lanes)
+            if lanes:  # an empty group has nothing to execute
+                groups.append(SubBatchPlan(direction, tuple(lanes)))
+        if sorted(seen) != sorted(live):
+            raise ValueError(
+                f"split_schedule for iteration {iteration} must partition "
+                f"the live lanes {sorted(live)}, got {sorted(seen)}"
+            )
+        if policy is not None:
+            # Keep the per-lane selectors (and split_history) in step with
+            # what actually executes, so automatic iterations interleaved
+            # with forced ones plan from real hysteresis.
+            policy.force(groups)
+        return groups
+
+
+def random_split_schedule(seed: int) -> SplitSchedule:
+    """Random per-iteration partition into a push and a pull group."""
+    rng = np.random.default_rng(seed)
+
+    def schedule(iteration, live):
+        if len(live) < 2 or rng.random() < 0.25:
+            return None  # fall through to the automatic policy
+        cut = int(rng.integers(1, len(live)))
+        order = list(rng.permutation(live))
+        return [
+            (Direction.PUSH, sorted(int(v) for v in order[:cut])),
+            (Direction.PULL, sorted(int(v) for v in order[cut:])),
+        ]
+
+    return schedule
+
+
+class InterceptingServer(SIMDXServer):
+    """A :class:`SIMDXServer` that hands every popped batch to
+    ``before_dispatch`` after it leaves the queue and before the engine
+    runs - the only window in which a caller counts as "cancelled after
+    dispatch"."""
+
+    def __init__(self, *args, before_dispatch, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.before_dispatch = before_dispatch
+
+    async def _dispatch(self, batch) -> None:
+        self.before_dispatch(batch)
+        await super()._dispatch(batch)

@@ -36,10 +36,10 @@ from repro.graph.csr import CSRGraph
 CONFIGS = {
     "auto": EngineConfig(),
     "forced_push": EngineConfig(
-        direction_auto=False, forced_direction=Direction.PUSH
+        forced_direction=Direction.PUSH
     ),
     "forced_pull": EngineConfig(
-        direction_auto=False, forced_direction=Direction.PULL
+        forced_direction=Direction.PULL
     ),
 }
 

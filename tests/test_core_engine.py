@@ -191,11 +191,17 @@ class TestFusionBehaviourInEngine:
         assert switches <= 3
 
 
+def _capped_bfs(max_iterations: int) -> BFS:
+    """BFS from vertex 0 capped through the algorithm's own attribute."""
+    bfs = BFS(source=0)
+    bfs.max_iterations = max_iterations
+    return bfs
+
+
 class TestConfigRegressions:
     def test_max_iterations_zero_is_respected(self, rmat_graph):
-        """``max_iterations=0`` means zero iterations, not "unset"."""
-        config = EngineConfig(max_iterations=0)
-        result = SIMDXEngine(rmat_graph, config=config).run(BFS(source=0))
+        """``max_iterations = 0`` means zero iterations, not "unset"."""
+        result = SIMDXEngine(rmat_graph).run(_capped_bfs(0))
         assert not result.failed
         assert result.iterations == 0
         assert result.iteration_records == []
@@ -204,8 +210,7 @@ class TestConfigRegressions:
         assert np.all(result.values[1:] == -1)
 
     def test_max_iterations_cap_applies(self, rmat_graph):
-        config = EngineConfig(max_iterations=2)
-        result = SIMDXEngine(rmat_graph, config=config).run(BFS(source=0))
+        result = SIMDXEngine(rmat_graph).run(_capped_bfs(2))
         assert result.iterations <= 2
 
     def test_engine_is_reentrant(self, rmat_graph):
@@ -221,21 +226,13 @@ class TestConfigRegressions:
         assert second.kernel_launches == fresh.kernel_launches
         assert second.filter_trace == fresh.filter_trace
 
-    def test_conflicting_direction_config_rejected(self):
-        from repro.core.direction import Direction
-
-        with pytest.raises(ValueError):
-            EngineConfig(direction_auto=True, forced_direction=Direction.PULL)
-
     def test_manual_direction_keeps_selector_consistent(self, rmat_graph):
         """Pinning the direction goes through the selector's state machine,
         so switch counts and phase lengths stay truthful."""
         from repro.core.direction import Direction
 
         for direction in Direction:
-            config = EngineConfig(
-                direction_auto=False, forced_direction=direction
-            )
+            config = EngineConfig(forced_direction=direction)
             result = SIMDXEngine(rmat_graph, config=config).run(BFS(source=0))
             assert set(result.direction_trace) == {direction.value}
             assert result.extra["direction_switches"] == 0
@@ -274,8 +271,7 @@ class TestMemoryFailureModes:
 
 class TestConfigKnobs:
     def test_max_iterations_caps_run(self, road_graph):
-        config = EngineConfig(max_iterations=3)
-        result = SIMDXEngine(road_graph, config=config).run(BFS(source=0))
+        result = SIMDXEngine(road_graph).run(_capped_bfs(3))
         assert result.iterations == 3
 
     def test_overflow_threshold_changes_filter_choice(self, rmat_graph):

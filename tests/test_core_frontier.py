@@ -99,9 +99,6 @@ class TestWorklistClassifier:
         assert pull.classify(everything).total_edges == int(
             directed_graph.in_degrees().sum()
         )
-        # The legacy flag still works and maps onto the direction modes.
-        legacy = WorklistClassifier(directed_graph, use_out_degrees=False)
-        assert legacy.direction is Direction.PULL
 
     def test_threads_for_frontier(self, star_graph):
         classifier = WorklistClassifier(star_graph)

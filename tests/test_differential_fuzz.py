@@ -52,6 +52,7 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from tests.conftest import assert_distances_equal
+from tests.engine_seams import ScheduledEngine, random_split_schedule
 
 #: ``REPRO_SANITIZE=1`` runs the whole matrix with the runtime sanitizer
 #: armed (``EngineConfig.sanitize``): any combine bypass, phase-order
@@ -221,22 +222,6 @@ def _random_direction_schedule(rng, length=64):
     ]
 
 
-def _random_split_schedule(seed: int):
-    rng = np.random.default_rng(seed)
-
-    def schedule(iteration, live):
-        if len(live) < 2 or rng.random() < 0.25:
-            return None
-        cut = int(rng.integers(1, len(live)))
-        order = list(rng.permutation(live))
-        return [
-            (Direction.PUSH, sorted(int(v) for v in order[:cut])),
-            (Direction.PULL, sorted(int(v) for v in order[cut:])),
-        ]
-
-    return schedule
-
-
 # ----------------------------------------------------------------------
 # The matrix
 # ----------------------------------------------------------------------
@@ -262,20 +247,18 @@ def _check_single_source_modes(
         if backend != "numpy":
             modes["auto"] = _config(kernel_backend=backend)
         modes["push"] = _config(
-            direction_auto=False, forced_direction=Direction.PUSH,
-            kernel_backend=backend,
+            forced_direction=Direction.PUSH, kernel_backend=backend
         )
         modes["pull"] = _config(
-            direction_auto=False, forced_direction=Direction.PULL,
-            kernel_backend=backend,
+            forced_direction=Direction.PULL, kernel_backend=backend
         )
         if schedule is not None:
-            modes["schedule"] = _config(
-                direction_auto=False, forced_direction_schedule=schedule,
-                kernel_backend=backend,
-            )
+            modes["schedule"] = _config(kernel_backend=backend)
         for mode, config in modes.items():
-            result = SIMDXEngine(graph, config=config).run(make_algo())
+            result = ScheduledEngine(
+                graph, config=config,
+                direction_schedule=schedule if mode == "schedule" else None,
+            ).run(make_algo())
             assert not result.failed, result.failure_reason
             assert np.array_equal(result.values, auto.values), (
                 f"{case_name} diverged in mode {mode} "
@@ -299,24 +282,24 @@ def _check_batched_modes(graph, case_name, seed, lane_counts,
             single_values[source] = SIMDXEngine(graph, config=_config()).run(algo).values
         return single_values[source]
 
-    batch_configs = {}
+    #: mode -> (config, forced split schedule or None)
+    batch_modes = {}
     for backend in backends:
-        batch_configs[f"split-on@{backend}"] = _config(
-            split_margin=0.0, kernel_backend=backend
+        batch_modes[f"split-on@{backend}"] = (
+            _config(split_margin=0.0, kernel_backend=backend), None
         )
-        batch_configs[f"split-off@{backend}"] = _config(
-            lane_aware_split=False, kernel_backend=backend
+        batch_modes[f"split-off@{backend}"] = (
+            _config(lane_aware_split=False, kernel_backend=backend), None
         )
-        batch_configs[f"split-forced@{backend}"] = _config(
-            split_schedule=_random_split_schedule(seed),
-            kernel_backend=backend,
+        batch_modes[f"split-forced@{backend}"] = (
+            _config(kernel_backend=backend), random_split_schedule(seed)
         )
     for k in lane_counts:
         sources = _sources(graph, rng, k)
-        for mode, config in batch_configs.items():
-            batch = SIMDXEngine(graph, config=config).run_batch(
-                make_algo(), sources
-            )
+        for mode, (config, split_schedule) in batch_modes.items():
+            batch = ScheduledEngine(
+                graph, config=config, split_schedule=split_schedule
+            ).run_batch(make_algo(), sources)
             assert not batch.failed, batch.failure_reason
             assert batch.extra["kernel_backend"] == config.kernel_backend
             for lane, source in enumerate(sources):
@@ -403,25 +386,24 @@ def _check_sharded_single_source(
     configs = {
         "auto": lambda ns, kb: _config(num_shards=ns, kernel_backend=kb),
         "push": lambda ns, kb: _config(
-            num_shards=ns, direction_auto=False,
-            forced_direction=Direction.PUSH, kernel_backend=kb,
+            num_shards=ns, forced_direction=Direction.PUSH, kernel_backend=kb,
         ),
         "pull": lambda ns, kb: _config(
-            num_shards=ns, direction_auto=False,
-            forced_direction=Direction.PULL, kernel_backend=kb,
+            num_shards=ns, forced_direction=Direction.PULL, kernel_backend=kb,
         ),
     }
+    schedule = None
     if with_schedules:
         schedule = _random_direction_schedule(rng)
-        configs["schedule"] = lambda ns, kb: _config(
-            num_shards=ns, direction_auto=False,
-            forced_direction_schedule=schedule, kernel_backend=kb,
-        )
+        configs["schedule"] = configs["auto"]
     for num_shards in SHARD_COUNTS:
         for backend in backends:
             for mode, make_config in configs.items():
-                sharded = SIMDXEngine(
-                    graph, config=make_config(num_shards, backend)
+                sharded = ScheduledEngine(
+                    graph, config=make_config(num_shards, backend),
+                    direction_schedule=(
+                        schedule if mode == "schedule" else None
+                    ),
                 ).run(make_algo())
                 assert not sharded.failed, sharded.failure_reason
                 assert np.array_equal(sharded.values, auto.values), (

@@ -179,7 +179,7 @@ class TestShardedRunAccounting:
         # the gather-candidate count, and ``active_lanes`` counts the
         # lanes with a non-empty frontier inside that range.
         sources = list(TestBatchRunAccounting.SOURCES)
-        pull = dict(direction_auto=False, forced_direction=Direction.PULL)
+        pull = dict(forced_direction=Direction.PULL)
         sharded = SIMDXEngine(
             road, config=EngineConfig(num_shards=2, **pull)
         ).run_batch(SSSP(), sources)

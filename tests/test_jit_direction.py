@@ -229,7 +229,7 @@ class TestEngineIntegration:
             result = SIMDXEngine(
                 graph,
                 config=EngineConfig(
-                    direction_auto=False, forced_direction=Direction.PULL
+                    forced_direction=Direction.PULL
                 ),
             ).run(algorithm)
             assert not result.failed
@@ -339,7 +339,7 @@ class TestGatherRefinement:
         result = SIMDXEngine(
             graph,
             config=EngineConfig(
-                direction_auto=False, forced_direction=Direction.PULL
+                forced_direction=Direction.PULL
             ),
         ).run(algorithm)
         assert not result.failed, result.failure_reason

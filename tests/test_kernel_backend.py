@@ -8,7 +8,8 @@ what a random matrix can miss:
   crafted inputs (empty worklists, zero-degree rows, 65-lane multi-word
   bitmasks, all three Combine operators);
 * engine edge cases per backend - empty frontier, self-loop vertices,
-  ``max_iterations=0``, forced per-iteration direction schedules;
+  an algorithm capped at ``max_iterations = 0``, forced per-iteration
+  direction schedules;
 * accounting parity - the *entire* ``RunResult.extra`` mapping must be
   equal across backends, with exact pins for the seed graphs of
   ``tests/test_extra_accounting.py`` (the new ``kernel_edges_walked``
@@ -31,6 +32,7 @@ from repro.core.kernels import (
 )
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
+from tests.engine_seams import ScheduledEngine
 
 NUMPY = get_kernel_backend("numpy")
 PYTHON = get_kernel_backend("python")
@@ -237,8 +239,10 @@ class TestEngineEdgeCases:
 
     def test_max_iterations_zero(self, backend, rmat):
         source = int(np.argmax(rmat.out_degrees()))
-        config = EngineConfig(kernel_backend=backend, max_iterations=0)
-        result = SIMDXEngine(rmat, config=config).run(SSSP(source=source))
+        config = EngineConfig(kernel_backend=backend)
+        algorithm = SSSP(source=source)
+        algorithm.max_iterations = 0
+        result = SIMDXEngine(rmat, config=config).run(algorithm)
         assert not result.failed
         assert result.iterations == 0
         assert result.extra["kernel_edges_walked"] == 0
@@ -248,11 +252,10 @@ class TestEngineEdgeCases:
         schedule = [
             Direction.PUSH, Direction.PULL, Direction.PULL, Direction.PUSH,
         ]
-        config = EngineConfig(
-            kernel_backend=backend, direction_auto=False,
-            forced_direction_schedule=schedule, sanitize=True,
-        )
-        result = SIMDXEngine(rmat, config=config).run(SSSP(source=source))
+        config = EngineConfig(kernel_backend=backend, sanitize=True)
+        result = ScheduledEngine(
+            rmat, config=config, direction_schedule=schedule
+        ).run(SSSP(source=source))
         assert not result.failed
         reference = SIMDXEngine(rmat).run(SSSP(source=source))
         assert np.array_equal(result.values, reference.values)

@@ -8,8 +8,9 @@ selection"). These tests pin the contract:
 
 * per-lane results are bit-identical to K independent runs under the
   automatic policy AND under *every* forced split schedule
-  (``EngineConfig.split_schedule``), including schedules that split the
-  batch into arbitrary direction-assigned lane groups every iteration;
+  (``tests/engine_seams.py:ScheduledEngine``), including schedules that
+  split the batch into arbitrary direction-assigned lane groups every
+  iteration;
 * on a road graph the lane-aware batch scans fewer in-edges than
   decide-once batching (the PR-3 known limit this feature closes);
 * the split policy itself: agreement never splits, divergence past the
@@ -18,9 +19,8 @@ selection"). These tests pin the contract:
 * sub-batch frontier views remap the packed lane bitmask correctly;
 * heterogeneous per-lane algorithm parameters (per-lane SSSP delta) ride
   in sub-batches and match the corresponding single runs;
-* forced per-iteration direction schedules
-  (``EngineConfig.forced_direction_schedule``) are honoured and preserve
-  values.
+* forced per-iteration direction schedules (``ScheduledEngine`` again)
+  are honoured and preserve values.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.frontier import BatchedFrontier
 from repro.core.jit import JITTaskManager
 from repro.graph import generators as gen
+from tests.engine_seams import ScheduledEngine, random_split_schedule
 
 
 @pytest.fixture(scope="module")
@@ -53,23 +54,6 @@ def road():
 def _top_sources(graph, k):
     degrees = graph.out_degrees()
     return [int(v) for v in np.argsort(-degrees, kind="stable")[:k]]
-
-
-def _random_split_schedule(seed):
-    """Random per-iteration partition into a push and a pull group."""
-    rng = np.random.default_rng(seed)
-
-    def schedule(iteration, live):
-        if len(live) < 2 or rng.random() < 0.25:
-            return None  # fall through to the automatic policy
-        cut = int(rng.integers(1, len(live)))
-        order = list(rng.permutation(live))
-        return [
-            (Direction.PUSH, sorted(int(v) for v in order[:cut])),
-            (Direction.PULL, sorted(int(v) for v in order[cut:])),
-        ]
-
-    return schedule
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +142,7 @@ class TestBatchDirectionPolicy:
             self._policy(margin=-0.1)
 
     def test_forced_groups_advance_lane_selectors(self):
-        # A forced schedule (EngineConfig.split_schedule) must keep the
+        # A forced schedule (ScheduledEngine.split_schedule) must keep the
         # per-lane hysteresis in step with what executed, exactly like
         # DirectionSelector.force does for a single run.
         policy = self._policy(margin=0.0, num_lanes=2)
@@ -237,8 +221,9 @@ class TestSplitScheduleEquivalence:
     ):
         graph = {"rmat": rmat, "road": road}[graph_name]
         sources = _top_sources(graph, 6)
-        cfg = EngineConfig(split_schedule=_random_split_schedule(seed))
-        batch = SIMDXEngine(graph, config=cfg).run_batch(BFS(), sources)
+        batch = ScheduledEngine(
+            graph, split_schedule=random_split_schedule(seed)
+        ).run_batch(BFS(), sources)
         assert not batch.failed, batch.failure_reason
         assert batch.extra["lane_splits"] > 0  # schedules actually split
         for lane, source in enumerate(sources):
@@ -250,8 +235,9 @@ class TestSplitScheduleEquivalence:
 
     def test_sssp_metadata_bit_identical_under_schedules(self, road):
         sources = _top_sources(road, 6)
-        cfg = EngineConfig(split_schedule=_random_split_schedule(7))
-        batch = SIMDXEngine(road, config=cfg).run_batch(SSSP(), sources)
+        batch = ScheduledEngine(
+            road, split_schedule=random_split_schedule(7)
+        ).run_batch(SSSP(), sources)
         assert not batch.failed
         for lane, source in enumerate(sources):
             single = SIMDXEngine(road).run(SSSP(source=source))
@@ -262,21 +248,20 @@ class TestSplitScheduleEquivalence:
         # path through split_schedule itself.
         sources = _top_sources(rmat, 4)
         for direction in (Direction.PUSH, Direction.PULL):
-            cfg = EngineConfig(
-                split_schedule=lambda it, live: [(direction, list(live))]
-            )
-            batch = SIMDXEngine(rmat, config=cfg).run_batch(BFS(), sources)
+            batch = ScheduledEngine(
+                rmat, split_schedule=lambda it, live: [(direction, list(live))]
+            ).run_batch(BFS(), sources)
             for lane, source in enumerate(sources):
                 single = SIMDXEngine(rmat).run(BFS(source=source))
                 assert np.array_equal(batch.values[lane], single.values)
 
     def test_invalid_schedule_partition_rejected(self, rmat):
         sources = _top_sources(rmat, 4)
-        cfg = EngineConfig(
-            split_schedule=lambda it, live: [(Direction.PUSH, live[:1])]
+        engine = ScheduledEngine(
+            rmat, split_schedule=lambda it, live: [(Direction.PUSH, live[:1])]
         )
         with pytest.raises(ValueError, match="partition"):
-            SIMDXEngine(rmat, config=cfg).run_batch(BFS(), sources)
+            engine.run_batch(BFS(), sources)
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +315,7 @@ class TestAutoLaneAwareSplit:
 
     def test_forced_direction_disables_the_policy(self, road):
         sources = _top_sources(road, 8)
-        cfg = EngineConfig(
-            direction_auto=False, forced_direction=Direction.PUSH
-        )
+        cfg = EngineConfig(forced_direction=Direction.PUSH)
         batch = SIMDXEngine(road, config=cfg).run_batch(BFS(), sources)
         assert batch.extra["lane_splits"] == 0
         assert set(batch.direction_trace) == {"push"}
@@ -358,8 +341,9 @@ class TestLaneParams:
     def test_per_lane_params_under_forced_split_schedule(self, road):
         sources = _top_sources(road, 4)
         deltas = [None, 8.0, 16.0, None]
-        cfg = EngineConfig(split_schedule=_random_split_schedule(3))
-        batch = SIMDXEngine(road, config=cfg).run_batch(
+        batch = ScheduledEngine(
+            road, split_schedule=random_split_schedule(3)
+        ).run_batch(
             SSSP(), sources, lane_params=[{"delta": d} for d in deltas]
         )
         for lane, (source, delta) in enumerate(zip(sources, deltas)):
@@ -383,32 +367,15 @@ class TestLaneParams:
 class TestForcedDirectionSchedule:
     def test_schedule_is_honoured_and_last_entry_repeats(self, rmat):
         schedule = [Direction.PUSH, Direction.PULL, Direction.PUSH]
-        cfg = EngineConfig(
-            direction_auto=False, forced_direction_schedule=schedule
+        result = ScheduledEngine(rmat, direction_schedule=schedule).run(
+            BFS(source=0)
         )
-        result = SIMDXEngine(rmat, config=cfg).run(BFS(source=0))
         expected = [d.value for d in schedule]
         got = result.direction_trace
         assert got[: len(expected)] == expected[: len(got)]
         assert all(d == "push" for d in got[len(expected):])
         auto = SIMDXEngine(rmat).run(BFS(source=0))
         assert np.array_equal(result.values, auto.values)
-
-    def test_schedule_requires_manual_mode(self):
-        with pytest.raises(ValueError, match="direction_auto"):
-            EngineConfig(forced_direction_schedule=[Direction.PUSH])
-
-    def test_schedule_excludes_forced_direction(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            EngineConfig(
-                direction_auto=False,
-                forced_direction=Direction.PUSH,
-                forced_direction_schedule=[Direction.PULL],
-            )
-
-    def test_empty_schedule_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            EngineConfig(direction_auto=False, forced_direction_schedule=[])
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,10 @@ must behave (ROADMAP "remaining ideas" - the WCC failure mode):
 
 The forced-schedule sweep (``TestForcedScheduleSweep``) closes the loop on
 real engine runs: WCC's organic pull phases are near-collinear, but a sweep
-of ``EngineConfig.forced_direction_schedule`` runs that place a pull
-iteration at staggered stages of convergence varies the active fraction
-enough to condition the WCC timing matrix at rank 2, recovering positive
-per-edge costs from measured timings.
+of forced direction schedules (``tests/engine_seams.py:ScheduledEngine``)
+that place a pull iteration at staggered stages of convergence varies the
+active fraction enough to condition the WCC timing matrix at rank 2,
+recovering positive per-edge costs from measured timings.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.core.metrics import (
     calibrate_pull_constants,
 )
 from repro.graph import generators as gen
+from tests.engine_seams import ScheduledEngine
 
 
 def _record(direction, scanned, active, compute_us, iteration=1):
@@ -160,10 +161,9 @@ class TestForcedScheduleSweep:
             schedule = [Direction.PUSH] * lead + [
                 Direction.PULL, Direction.PUSH,
             ]
-            config = EngineConfig(
-                direction_auto=False, forced_direction_schedule=schedule
-            )
-            result = SIMDXEngine(graph, config=config).run(WCC())
+            result = ScheduledEngine(
+                graph, direction_schedule=schedule
+            ).run(WCC())
             assert not result.failed
             for record in result.iteration_records:
                 if record.direction == Direction.PULL.value:
@@ -197,9 +197,7 @@ class TestForcedScheduleSweep:
         # road-shaped graph keeps ~every scanned edge active, so without
         # the sweep the same calibration degrades to the combined cost.
         graph = gen.road_network_graph(20, 20, seed=11, name="road")
-        config = EngineConfig(
-            direction_auto=False, forced_direction=Direction.PULL
-        )
+        config = EngineConfig(forced_direction=Direction.PULL)
         result = SIMDXEngine(graph, config=config).run(WCC())
         pull_records = list(result.iteration_records)
         fit = calibrate_pull_constants([], pull_records)

@@ -62,11 +62,11 @@ class TestBitIdenticalValues:
         graph = GRAPHS[graph_name]
         push = _run(
             graph, _make(algorithm_name, graph),
-            direction_auto=False, forced_direction=Direction.PUSH,
+            forced_direction=Direction.PUSH,
         )
         pull = _run(
             graph, _make(algorithm_name, graph),
-            direction_auto=False, forced_direction=Direction.PULL,
+            forced_direction=Direction.PULL,
         )
         assert np.array_equal(push.values, pull.values)
 
@@ -74,11 +74,11 @@ class TestBitIdenticalValues:
     @pytest.mark.parametrize("algorithm_name", ALGORITHM_NAMES)
     def test_auto_direction_matches_forced_runs(self, graph_name, algorithm_name):
         graph = GRAPHS[graph_name]
-        auto = _run(graph, _make(algorithm_name, graph), direction_auto=True)
+        auto = _run(graph, _make(algorithm_name, graph))
         for forced in (Direction.PUSH, Direction.PULL):
             forced_result = _run(
                 graph, _make(algorithm_name, graph),
-                direction_auto=False, forced_direction=forced,
+                forced_direction=forced,
             )
             assert np.array_equal(auto.values, forced_result.values)
 
@@ -89,7 +89,7 @@ class TestBitIdenticalValues:
         runs = {
             direction: _run(
                 graph, SSSP(source=src, delta=delta),
-                direction_auto=False, forced_direction=direction,
+                forced_direction=direction,
             )
             for direction in Direction
         }
@@ -106,7 +106,7 @@ class TestDirectionTraceFidelity:
         for direction in Direction:
             result = _run(
                 graph, _make("bfs", graph),
-                direction_auto=False, forced_direction=direction,
+                forced_direction=direction,
             )
             assert set(result.direction_trace) == {direction.value}
             assert all(
@@ -117,7 +117,7 @@ class TestDirectionTraceFidelity:
 
     def test_auto_bfs_runs_genuine_pull_phase(self):
         graph = GRAPHS["rmat"]
-        result = _run(graph, _make("bfs", graph), direction_auto=True)
+        result = _run(graph, _make("bfs", graph))
         assert "pull" in result.direction_trace
         assert result.direction_trace[0] == "push"
 
@@ -129,7 +129,7 @@ class TestDirectionTraceFidelity:
         engine = SIMDXEngine(
             graph,
             config=EngineConfig(
-                direction_auto=False, forced_direction=Direction.PULL
+                forced_direction=Direction.PULL
             ),
         )
         result = engine.run(_make("pagerank", graph))
@@ -163,12 +163,12 @@ class TestDirectionTraceFidelity:
         assert not graph.in_csr_built
         push = _run(
             graph, _make("bfs", graph),
-            direction_auto=False, forced_direction=Direction.PUSH,
+            forced_direction=Direction.PUSH,
         )
         assert not graph.in_csr_built  # pure push never pays the transpose
         pull = _run(
             graph, _make("bfs", graph),
-            direction_auto=False, forced_direction=Direction.PULL,
+            forced_direction=Direction.PULL,
         )
         assert graph.in_csr_built
         assert np.array_equal(push.values, pull.values)

@@ -74,7 +74,7 @@ def test_sanitized_run_clean_and_bit_identical(name, direction):
     kwargs = (
         {}
         if direction == "auto"
-        else {"direction_auto": False, "forced_direction": Direction(direction)}
+        else {"forced_direction": Direction(direction)}
     )
     make = CLEAN_CASES[name]
     plain = SIMDXEngine(graph, config=EngineConfig(**kwargs)).run(make())
@@ -150,7 +150,7 @@ def test_raw_scatter_flagged_as_write_write_conflict():
     engine = RawScatterEngine(
         _parallel_edge_graph(),
         config=_sanitize_config(
-            direction_auto=False, forced_direction=Direction.PUSH
+            forced_direction=Direction.PUSH
         ),
     )
     with pytest.raises(SanitizerError) as exc:
@@ -171,7 +171,7 @@ def test_stray_write_flagged_as_non_combined_write():
     engine = StrayWriteEngine(
         _diamond_graph(),
         config=_sanitize_config(
-            direction_auto=False, forced_direction=Direction.PUSH
+            forced_direction=Direction.PUSH
         ),
     )
     with pytest.raises(SanitizerError) as exc:
@@ -195,7 +195,7 @@ def test_impure_hook_flagged():
     engine = SIMDXEngine(
         graph,
         config=_sanitize_config(
-            direction_auto=False, forced_direction=Direction.PULL
+            forced_direction=Direction.PULL
         ),
     )
     with pytest.raises(SanitizerError) as exc:

@@ -10,6 +10,9 @@ Covers the contract of ``src/repro/serve/`` (docs/serving.md):
 * duplicate sources across callers;
 * engine failure propagating to exactly the affected batch's lanes;
 * shutdown draining everything still queued;
+* the TCP front door answering malformed lines (non-object JSON, wrongly
+  typed fields, an over-limit line) with one error line each, in request
+  order, without dropping or silencing the connection;
 * the differential check: every served answer is bit-identical to a
   direct ``SIMDXEngine.run_batch`` call with the same batch composition
   (``REPRO_SANITIZE=1`` re-runs it with the runtime sanitizer armed -
@@ -23,6 +26,7 @@ batch composition must be deterministic.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 
 import numpy as np
@@ -38,6 +42,8 @@ from repro.serve import (
     ServerOverloaded,
     SIMDXServer,
 )
+from repro.serve.__main__ import serve_tcp
+from tests.engine_seams import InterceptingServer
 
 SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
 
@@ -167,12 +173,14 @@ def test_cancellation_before_dispatch_is_pruned(graph):
 
 def test_cancellation_after_dispatch_discards_lane(graph):
     async def scenario():
-        server = make_server(
-            graph, AdmissionPolicy(max_batch=3, max_wait_ms=NEVER_MS)
-        )
         # Cancel lane 1's caller in the window between batch pop and
         # engine dispatch: the lane still runs with the batch.
-        server._before_dispatch = lambda batch: batch[1].future.cancel()
+        server = InterceptingServer(
+            graph,
+            policy=AdmissionPolicy(max_batch=3, max_wait_ms=NEVER_MS),
+            config=serve_config(),
+            before_dispatch=lambda batch: batch[1].future.cancel(),
+        )
         async with server:
             tasks = await submit_tasks(
                 server, [("bfs", 3, None), ("bfs", 5, None), ("bfs", 9, None)]
@@ -647,3 +655,69 @@ def test_served_differential_after_updates(graph):
         replay = replays[result.batch_index]
         assert not replay.failed
         assert np.array_equal(result.values, replay.values[result.lane])
+
+
+# ----------------------------------------------------------------------
+# TCP front door: well-formed-but-wrong input gets an error line, in
+# request order, and the connection keeps serving
+# ----------------------------------------------------------------------
+def _tcp_replies(graph, lines, count):
+    """Pipeline raw ``lines`` over one ``serve_tcp`` connection and return
+    the first ``count`` response objects (each read with a timeout - a
+    silent connection is the failure mode under test)."""
+
+    async def scenario():
+        server = make_server(
+            graph, AdmissionPolicy(max_batch=4, max_wait_ms=1.0)
+        )
+        tcp = await serve_tcp(server, "127.0.0.1", 0)
+        port = tcp.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            writer.write(b"".join(line + b"\n" for line in lines))
+            await writer.drain()
+            return [
+                json.loads(await asyncio.wait_for(reader.readline(), 20.0))
+                for _ in range(count)
+            ]
+        finally:
+            writer.close()
+            tcp.close()
+            await tcp.wait_closed()
+            await server.shutdown()
+
+    return asyncio.run(scenario())
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"[1]",
+        b'{"algorithm": "bfs", "source": null}',
+        b'{"algorithm": "bfs", "source": 3, "params": 5}',
+        b'{"algorithm": "bfs", "source": 1e999}',
+        b'{"algorithm": ["bfs"], "source": 3}',
+        b'{"pad": "' + b"x" * (80 * 1024) + b'"}',
+    ],
+    ids=[
+        "non-object", "null-source", "non-mapping-params", "infinite-source",
+        "unhashable-algorithm", "over-limit-line",
+    ],
+)
+def test_tcp_malformed_request_gets_one_error_and_connection_survives(
+    graph, line
+):
+    good = b'{"algorithm": "bfs", "source": 3}'
+    first, bad, stats, again = _tcp_replies(
+        graph, [good, line, b'{"cmd": "stats"}', good], 4
+    )
+    assert first["ok"] and again["ok"]
+    assert first["values_sum"] == again["values_sum"]
+    assert bad["ok"] is False and bad["error"] == "bad_request"
+    assert stats["ok"] and "submitted" in stats["stats"]
+
+
+def test_tcp_undecodable_line_gets_bad_json_reply(graph):
+    bad, stats = _tcp_replies(graph, [b"\xff\xfe", b'{"cmd": "stats"}'], 2)
+    assert bad["ok"] is False and bad["error"].startswith("bad json")
+    assert stats["ok"]
