@@ -483,28 +483,11 @@ class SIMDXEngine:
     # ------------------------------------------------------------------
     # Functional primitives shared by every expansion
     # ------------------------------------------------------------------
-    @staticmethod
-    def _walk_edges(csr, worklist: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Vectorized CSR walk shared by both directions.
-
-        For every vertex in ``worklist``, produces the global edge indices
-        of its adjacency row in ``csr`` plus the owning worklist slot per
-        edge; returns ``(slot, edge_idx, total_edges)``. Push walks the
-        out-CSR with the frontier, pull walks the in-CSR with the gather
-        candidates - one implementation so the two cannot drift apart.
-        """
-        # Row bounds of the worklist only - never an O(|V|) pass.
-        starts = csr.offsets[worklist].astype(np.int64)
-        counts = csr.offsets[worklist + 1].astype(np.int64) - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, 0
-        cum = np.zeros(worklist.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=cum[1:])
-        edge_idx = np.repeat(starts - cum, counts) + np.arange(total, dtype=np.int64)
-        slot = np.repeat(np.arange(worklist.size, dtype=np.int64), counts)
-        return slot, edge_idx, total
+    #: The numpy backend's CSR walk, shared by both directions: push walks
+    #: the out-CSR with the frontier, pull walks the in-CSR with the gather
+    #: candidates. A class-level alias of the one body in
+    #: :mod:`repro.core.kernels` - the seam tests patch to count walks.
+    _walk_edges = staticmethod(kernel_backends.NumpyKernelBackend.walk_edges)
 
     def _walk(self, csr, worklist: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
         """Backend-dispatched CSR walk; every expansion goes through here.

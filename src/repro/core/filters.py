@@ -179,7 +179,7 @@ class OnlineFilter(Filter):
             num_threads=max(1, ctx.num_worker_threads), capacity=self.capacity
         )
         bins.scatter(ctx.updated_destinations, ctx.producer_thread)
-        concat = concatenate_bins(bins.bins)
+        concat = concatenate_bins(bins.concatenated(), bins.occupancy())
         record_work = WorkEstimate(
             coalesced_bytes=gmem.sequential_bytes(
                 int(ctx.updated_destinations.size), gmem.VERTEX_ID_BYTES

@@ -180,20 +180,26 @@ class ThreadBins:
     and the surplus entries are dropped - exactly the situation in which the
     online filter's worklist would be incomplete and the JIT controller must
     fall back to the ballot filter to generate a *correct* list.
+
+    All bins share one flat layout: ``entries`` holds every kept entry
+    grouped by owning thread (thread order, arrival order within a thread)
+    and ``owners`` the owning thread of each, so no per-thread object exists
+    and the bins' concatenation *is* ``entries``.
     """
 
     num_threads: int
     capacity: int
     overflowed: bool = False
-    bins: List[np.ndarray] = field(default_factory=list)
+    entries: np.ndarray = field(init=False)
+    owners: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.num_threads <= 0:
             raise ValueError("num_threads must be positive")
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
-        if not self.bins:
-            self.bins = [np.zeros(0, dtype=np.int64) for _ in range(self.num_threads)]
+        self.entries = np.zeros(0, dtype=np.int64)
+        self.owners = np.zeros(0, dtype=np.int64)
 
     def scatter(self, recorded: np.ndarray, producer_thread: np.ndarray) -> None:
         """Append recorded vertex ids to the producing threads' bins."""
@@ -203,42 +209,34 @@ class ThreadBins:
             raise ValueError("recorded and producer_thread must align")
         if recorded.size == 0:
             return
-        if producer_thread.size and (
-            producer_thread.min() < 0 or producer_thread.max() >= self.num_threads
-        ):
+        if producer_thread.min() < 0 or producer_thread.max() >= self.num_threads:
             raise ValueError("producer thread id out of range")
-        order = np.argsort(producer_thread, kind="stable")
-        recorded = recorded[order]
-        producer_thread = producer_thread[order]
-        boundaries = np.searchsorted(
-            producer_thread, np.arange(self.num_threads + 1)
-        )
-        for t in range(self.num_threads):
-            chunk = recorded[boundaries[t]:boundaries[t + 1]]
-            if chunk.size == 0:
-                continue
-            existing = self.bins[t]
-            space = self.capacity - existing.size
-            if chunk.size > space:
-                self.overflowed = True
-                chunk = chunk[:max(space, 0)]
-            if chunk.size:
-                self.bins[t] = np.concatenate([existing, chunk])
+        # Kept entries go first and the sort is stable, so within a thread
+        # they keep their slots ahead of the new arrivals.
+        entries = np.concatenate([self.entries, recorded])
+        owners = np.concatenate([self.owners, producer_thread])
+        order = np.argsort(owners, kind="stable")
+        entries = entries[order]
+        owners = owners[order]
+        # An entry's rank is its slot in its own bin: position minus the
+        # start of its thread's group. Slots >= capacity do not exist.
+        counts = np.bincount(owners, minlength=self.num_threads)
+        rank = np.arange(owners.size) - (np.cumsum(counts) - counts)[owners]
+        kept = rank < self.capacity
+        if not kept.all():
+            self.overflowed = True
+            entries = entries[kept]
+            owners = owners[kept]
+        self.entries = entries
+        self.owners = owners
 
     def occupancy(self) -> np.ndarray:
         """Entries per bin."""
-        return np.array([b.size for b in self.bins], dtype=np.int64)
+        return np.bincount(self.owners, minlength=self.num_threads)
 
     def concatenated(self) -> np.ndarray:
         """All bin contents in thread order (the online filter's worklist)."""
-        non_empty = [b for b in self.bins if b.size]
-        if not non_empty:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(non_empty)
-
-    def reset(self) -> None:
-        self.overflowed = False
-        self.bins = [np.zeros(0, dtype=np.int64) for _ in range(self.num_threads)]
+        return self.entries
 
 
 def threads_for_frontier(classified: ClassifiedFrontier) -> int:

@@ -131,7 +131,9 @@ class NumpyKernelBackend(KernelBackend):
 
     name = "numpy"
 
-    def walk_edges(self, csr, worklist):
+    @staticmethod
+    def walk_edges(csr, worklist):
+        # Static so ``SIMDXEngine._walk_edges`` can alias this one body.
         # Row bounds of the worklist only - never an O(|V|) pass.
         starts = csr.offsets[worklist].astype(np.int64)
         counts = csr.offsets[worklist + 1].astype(np.int64) - starts

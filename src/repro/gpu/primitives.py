@@ -11,7 +11,6 @@ device can charge for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -45,24 +44,23 @@ def exclusive_scan(counts: np.ndarray) -> PrimitiveResult:
     return PrimitiveResult(values=offsets, work=work)
 
 
-def concatenate_bins(bins: Sequence[np.ndarray]) -> PrimitiveResult:
+def concatenate_bins(entries: np.ndarray, sizes: np.ndarray) -> PrimitiveResult:
     """Concatenate per-thread bins into one worklist via scan + scatter.
 
     This is how both the online filter and the batch filter assemble their
     next active list without atomics: scan the bin sizes to get each thread's
-    output offset, then copy each bin to its slice.
+    output offset, then copy each bin to its slice. The bins arrive flat -
+    ``entries`` already in bin order, ``sizes`` entries per bin - so the
+    worklist is ``entries`` itself and only the device's scan and copy are
+    priced here.
     """
-    sizes = np.array([b.size for b in bins], dtype=np.int64)
     scan = exclusive_scan(sizes)
     total = int(scan.values[-1])
-    out = np.empty(total, dtype=np.int64)
-    for b, start in zip(bins, scan.values[:-1]):
-        out[start:start + b.size] = b
     copy_bytes = sequential_bytes(total, VERTEX_ID_BYTES) * 2  # read + write
     work = scan.work.merged_with(
         WorkEstimate(coalesced_bytes=copy_bytes, compute_ops=float(total))
     )
-    return PrimitiveResult(values=out, work=work)
+    return PrimitiveResult(values=entries, work=work)
 
 
 def compact_flags(flags: np.ndarray) -> PrimitiveResult:

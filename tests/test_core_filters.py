@@ -16,6 +16,7 @@ from repro.core.filters import (
     make_filter,
 )
 from repro.core.jit import JITTaskManager
+from repro.gpu.kernel import WorkEstimate
 
 
 def make_ctx(
@@ -55,6 +56,50 @@ class TestOnlineFilter:
         ctx = make_ctx(updated=tuple(range(40)), num_threads=1)
         result = OnlineFilter(capacity=8).build(ctx)
         assert result.overflowed
+
+    def test_work_is_pinned_to_the_per_thread_list_implementation(self):
+        # Literals recorded from the commit before the bins went flat
+        # (one ndarray per simulated thread): the cost model must not move.
+        rng = np.random.default_rng(7)
+        updated = rng.integers(0, 100, size=300)
+        producers = rng.integers(0, 40, size=300)
+        ctx = FilterContext(
+            num_vertices=100,
+            updated_destinations=updated,
+            producer_thread=producers,
+            active_mask=np.zeros(100, dtype=bool),
+            frontier_edges=300,
+            num_worker_threads=40,
+        )
+        result = OnlineFilter(capacity=8).build(ctx)
+        assert result.work == WorkEstimate(
+            coalesced_bytes=3928.0,
+            scattered_transactions=0.0,
+            compute_ops=641.0,
+            atomic_ops=0.0,
+            atomic_contention=1.0,
+            warp_primitive_ops=6.0,
+            divergence_fraction=0.0,
+        )
+        assert result.overflowed
+        assert result.worklist.size == 261
+        assert result.worklist[:10].tolist() == [97, 0, 9, 39, 48, 20, 36, 50, 15, 64]
+
+        pull = FilterContext(
+            num_vertices=100,
+            updated_destinations=np.arange(50) * 2 % 100,
+            producer_thread=np.arange(50),
+            active_mask=np.zeros(100, dtype=bool),
+            frontier_edges=50,
+            num_worker_threads=50,
+        )
+        result = OnlineFilter(capacity=64).build(pull)
+        assert not result.overflowed and result.worklist.size == 50
+        assert (
+            result.work.coalesced_bytes,
+            result.work.compute_ops,
+            result.work.warp_primitive_ops,
+        ) == (1400.0, 200.0, 6.0)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

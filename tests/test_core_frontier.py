@@ -135,14 +135,6 @@ class TestThreadBins:
         bins.scatter(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert bins.concatenated().size == 0
 
-    def test_reset(self):
-        bins = ThreadBins(num_threads=1, capacity=2)
-        bins.scatter(np.array([1, 2, 3]), np.array([0, 0, 0]))
-        assert bins.overflowed
-        bins.reset()
-        assert not bins.overflowed
-        assert bins.concatenated().size == 0
-
     def test_mismatched_shapes_rejected(self):
         bins = ThreadBins(num_threads=2, capacity=4)
         with pytest.raises(ValueError):
@@ -158,3 +150,74 @@ class TestThreadBins:
             ThreadBins(num_threads=0, capacity=4)
         with pytest.raises(ValueError):
             ThreadBins(num_threads=2, capacity=0)
+
+
+def _reference_bins(num_threads, capacity, scatters):
+    """The per-thread-loop semantics the flat ``ThreadBins`` must keep."""
+    bins = [[] for _ in range(num_threads)]
+    overflowed = False
+    for recorded, producers in scatters:
+        for value, thread in zip(recorded.tolist(), producers.tolist()):
+            if len(bins[thread]) < capacity:
+                bins[thread].append(value)
+            else:
+                overflowed = True
+    flat = [value for b in bins for value in b]
+    return flat, [len(b) for b in bins], overflowed
+
+
+def _bins_case(seed):
+    """Seeded ``(num_threads, capacity, scatters)``.
+
+    Every fourth seed is pull-shaped (``producer_thread = arange(n)``), odd
+    seeds scatter twice; the rest draw producers from a subset of the
+    threads so some bins stay empty and, with a small capacity, others
+    overflow.
+    """
+    rng = np.random.default_rng(seed)
+    num_threads = int(rng.integers(1, 40))
+    capacity = int(rng.integers(1, 9))
+    scatters = []
+    for _ in range(1 + seed % 2):
+        if seed % 4 == 0:
+            producers = np.arange(int(rng.integers(0, num_threads + 1)))
+        else:
+            busy = rng.choice(num_threads, size=max(1, num_threads // 2))
+            producers = rng.choice(busy, size=int(rng.integers(0, 120)))
+        recorded = rng.integers(0, 1000, size=producers.size)
+        scatters.append((recorded, producers.astype(np.int64)))
+    return num_threads, capacity, scatters
+
+
+_BINS_SEEDS = range(240)
+
+
+class TestThreadBinsAgainstPerThreadReference:
+    @pytest.mark.parametrize("seed", _BINS_SEEDS)
+    def test_flat_bins_match_the_loop(self, seed):
+        num_threads, capacity, scatters = _bins_case(seed)
+        bins = ThreadBins(num_threads=num_threads, capacity=capacity)
+        for recorded, producers in scatters:
+            bins.scatter(recorded, producers)
+        flat, occupancy, overflowed = _reference_bins(
+            num_threads, capacity, scatters
+        )
+        assert bins.concatenated().dtype == np.int64
+        assert bins.concatenated().tolist() == flat
+        assert bins.occupancy().tolist() == occupancy
+        assert bins.overflowed == overflowed
+
+    def test_sweep_reaches_overflow_empty_bins_and_second_step_overflow(self):
+        # The sweep is only an oracle if it visits the shapes that matter.
+        cases = [_bins_case(seed) for seed in _BINS_SEEDS]
+        results = [_reference_bins(*case) for case in cases]
+        assert sum(overflowed for _, _, overflowed in results) >= 40
+        assert sum(not overflowed for _, _, overflowed in results) >= 40
+        assert sum(0 in occupancy for _, occupancy, _ in results) >= 40
+        # A second scatter that overflows a bin the first one only filled.
+        assert any(
+            len(case[2]) == 2
+            and not _reference_bins(case[0], case[1], case[2][:1])[2]
+            and overflowed
+            for case, (_, _, overflowed) in zip(cases, results)
+        )

@@ -205,9 +205,10 @@ class TestDevicePrimitives:
         assert np.array_equal(result.values, [0])
 
     def test_concatenate_bins_preserves_order_and_content(self):
-        bins = [np.array([5, 1]), np.array([], dtype=np.int64), np.array([7])]
-        result = concatenate_bins(bins)
+        # Three bins, flat: [5, 1], [] and [7].
+        result = concatenate_bins(np.array([5, 1, 7]), np.array([2, 0, 1]))
         assert np.array_equal(result.values, [5, 1, 7])
+        assert result.work.compute_ops > 0
 
     def test_compact_flags_sorted_indices(self):
         flags = np.array([False, True, True, False, True])
