@@ -27,17 +27,12 @@ checked here back the EXPERIMENTS.md §5 table and docs/batching.md:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import experiments
 from repro.graph.datasets import HIGH_DIAMETER_GRAPHS
 
 
-@pytest.mark.benchmark(group="batching")
-def test_batching_throughput(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.batching_throughput, args=(ctx,), rounds=1, iterations=1
-    )
+def test_batching_throughput(ctx):
+    result = experiments.batching_throughput(ctx)
     all_rows = result["rows"]
     assert all_rows
 

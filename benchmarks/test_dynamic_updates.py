@@ -23,20 +23,11 @@ docs/dynamic.md and docs/caching.md):
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import experiments
 
 
-@pytest.mark.benchmark(group="dynamic")
-def test_dynamic_updates(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.dynamic_updates,
-        args=(ctx,),
-        kwargs={"rounds": 3, "update_rounds": 3, "queries_per_round": 10},
-        rounds=1,
-        iterations=1,
-    )
+def test_dynamic_updates(ctx):
+    result = experiments.dynamic_updates(ctx)
 
     repair_rows = result["repair_rows"]
     cache_rows = result["cache_rows"]

@@ -8,18 +8,13 @@ average falls in the same band (clearly above 1.0, well below 2.0).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 
 
-@pytest.mark.benchmark(group="figure5")
-def test_figure5_acc_vs_atomic(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.figure5, args=(ctx,), rounds=1, iterations=1
-    )
+def test_figure5_acc_vs_atomic(ctx):
+    result = experiments.figure5(ctx)
     print()
-    print(reporting.render_figure5(result))
+    print(experiments.experiment("figure5").render(result))
 
     averages = result["average_speedup"]
     # Shape checks: the atomic-free combine wins on both operation classes,

@@ -8,19 +8,14 @@ its first iteration(s).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 from repro.graph.datasets import HIGH_DIAMETER_GRAPHS
 
 
-@pytest.mark.benchmark(group="figure8")
-def test_figure8_filter_activation_patterns(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.figure8, args=(ctx,), rounds=1, iterations=1
-    )
+def test_figure8_filter_activation_patterns(ctx):
+    result = experiments.figure8(ctx)
     print()
-    print(reporting.render_figure8(result))
+    print(experiments.experiment("figure8").render(result))
 
     rows = result["rows"]
 

@@ -8,19 +8,16 @@ high hurts); the shadow online filter adds ~0.02% overhead on average with a
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 
 
-@pytest.mark.benchmark(group="figure9")
-def test_figure9a_overflow_threshold_sweep(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.figure9a, args=(ctx,), rounds=1, iterations=1
-    )
+def test_figure9a_overflow_threshold_sweep(ctx):
+    result = experiments.figure9a(ctx)
     result_b = experiments.figure9b(ctx)
     print()
-    print(reporting.render_figure9(result, result_b))
+    print(experiments.experiment("figure9").render(
+        {"figure9a": result, "figure9b": result_b}
+    ))
 
     rows = {r["threshold"]: r["relative_performance"] for r in result["rows"]}
     # The paper's default of 64 sits within a few percent of the best

@@ -11,19 +11,14 @@ much worse than the better of the two pure filters.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 from repro.graph.datasets import HIGH_DIAMETER_GRAPHS
 
 
-@pytest.mark.benchmark(group="figure12")
-def test_figure12_jit_task_management(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.figure12, args=(ctx,), rounds=1, iterations=1
-    )
+def test_figure12_jit_task_management(ctx):
+    result = experiments.figure12(ctx)
     print()
-    print(reporting.render_figure12(result))
+    print(experiments.experiment("figure12").render(result))
 
     rows = result["rows"]
     averages = result["jit_speedup_over_ballot"]

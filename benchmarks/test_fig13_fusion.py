@@ -10,19 +10,15 @@ than no fusion for PageRank because its register pressure halves occupancy.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 from repro.core.metrics import geometric_mean_speedup
 
 
-@pytest.mark.benchmark(group="figure13")
-def test_figure13_push_pull_fusion(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.figure13, args=(ctx,), rounds=1, iterations=1
-    )
+def test_figure13_push_pull_fusion(ctx):
+    result = experiments.figure13(ctx)
     print()
-    print(reporting.render_figure13(result))
+    print(experiments.experiment("figure13").render(result))
 
     averages = result["average_speedups"]
 

@@ -10,18 +10,14 @@ in-range spread stays small.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 
 
-@pytest.mark.benchmark(group="section4")
-def test_worklist_separator_stability(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.worklist_separators, args=(ctx,), rounds=1, iterations=1
-    )
+def test_worklist_separator_stability(ctx):
+    result = experiments.worklist_separators(ctx)
     print()
-    print(reporting.render_worklist_separators(result))
+    print(experiments.experiment("separators").render(result))
 
     sm = {r["separator"]: r["mean_ms"] for r in result["small_medium"]}
     ml = {r["separator"]: r["mean_ms"] for r in result["medium_large"]}

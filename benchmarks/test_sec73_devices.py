@@ -8,18 +8,13 @@ register file and so convert the larger machines into more resident threads.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 
 
-@pytest.mark.benchmark(group="section7_3")
-def test_section73_device_scaling(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.section7_3, args=(ctx,), rounds=1, iterations=1
-    )
+def test_section73_device_scaling(ctx):
+    result = experiments.section7_3(ctx)
     print()
-    print(reporting.render_section7_3(result))
+    print(experiments.experiment("section7_3").render(result))
 
     rows = {r["system"]: r for r in result["rows"]}
 

@@ -17,16 +17,11 @@ checked (they back the §9 table):
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import experiments
 
 
-@pytest.mark.benchmark(group="serving")
-def test_serving_latency(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.serving_latency, args=(ctx,), rounds=1, iterations=1
-    )
+def test_serving_latency(ctx):
+    result = experiments.serving_latency(ctx)
     rows = result["rows"]
     assert len(rows) == (
         len(experiments.SERVING_WAIT_SWEEP_MS)

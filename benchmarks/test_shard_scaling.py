@@ -22,16 +22,11 @@ EXPERIMENTS.md §7 table and docs/sharding.md):
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import experiments
 
 
-@pytest.mark.benchmark(group="sharding")
-def test_shard_scaling(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.shard_scaling, args=(ctx,), rounds=1, iterations=1
-    )
+def test_shard_scaling(ctx):
+    result = experiments.shard_scaling(ctx)
     all_rows = result["rows"]
     assert all_rows
 

@@ -21,17 +21,12 @@ docs/batching.md):
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import experiments
 from repro.graph.datasets import HIGH_DIAMETER_GRAPHS
 
 
-@pytest.mark.benchmark(group="batching")
-def test_split_benefit(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.split_benefit, args=(ctx,), rounds=1, iterations=1
-    )
+def test_split_benefit(ctx):
+    result = experiments.split_benefit(ctx)
     all_rows = result["rows"]
     assert all_rows
 

@@ -7,20 +7,13 @@ from up to 40,688 (4 per iteration, no fusion) to 3 (push-pull) and 1 (all).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_registers_and_launches(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.table2, args=(ctx,),
-        kwargs={"reference_graph": ctx.datasets[0]},
-        rounds=1, iterations=1,
-    )
+def test_table2_registers_and_launches(ctx):
+    result = experiments.table2(ctx)
     print()
-    print(reporting.render_table2(result))
+    print(experiments.experiment("table2").render(result))
 
     registers = result["registers"]
     for group in ("push_no_fusion", "pull_no_fusion"):

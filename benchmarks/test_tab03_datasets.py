@@ -8,18 +8,13 @@ uniformity for the random graph).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 
 
-@pytest.mark.benchmark(group="table3")
-def test_table3_dataset_inventory(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.table3, args=(ctx,), rounds=1, iterations=1
-    )
+def test_table3_dataset_inventory(ctx):
+    result = experiments.table3(ctx)
     print()
-    print(reporting.render_table3(result))
+    print(experiments.experiment("table3").render(result))
 
     rows = {r["abbrev"]: r for r in result["rows"]}
     assert len(rows) == len(ctx.datasets)

@@ -10,19 +10,14 @@ algorithm where CuSha is competitive.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 from repro.core.metrics import geometric_mean_speedup
 
 
-@pytest.mark.benchmark(group="table4")
-def test_table4_system_comparison(ctx, benchmark):
-    result = benchmark.pedantic(
-        experiments.table4, args=(ctx,), rounds=1, iterations=1
-    )
+def test_table4_system_comparison(ctx):
+    result = experiments.table4(ctx)
     print()
-    print(reporting.render_table4(result))
+    print(experiments.experiment("table4").render(result))
 
     cells = result["cells"]
     speedups = result["simdx_speedup_over"]

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate every table and figure of the paper in one run.
 
-This is the human-friendly driver around :mod:`repro.bench.experiments`
-(the pytest benchmarks in ``benchmarks/`` wrap the same functions with shape
-assertions). It prints each artifact in roughly the layout the paper uses.
+This is the human-friendly driver around :mod:`repro.bench.experiments`: a
+loop over its ``EXPERIMENTS`` registry (the pytest benchmarks in
+``benchmarks/`` run the same sweep functions with shape assertions). It
+prints each paper artifact in roughly the layout the paper uses; the
+entries behind EXPERIMENTS.md print too when named with ``--only``.
 
 Run with:      python examples/reproduce_paper.py
 Quick subset:  python examples/reproduce_paper.py --datasets LJ,RC,TW --skip figure13
@@ -14,34 +16,9 @@ from __future__ import annotations
 import argparse
 import time
 
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 from repro.bench.harness import BenchmarkContext
 from repro.graph.datasets import DATASET_ORDER
-
-ARTIFACTS = [
-    ("table3", "Table 3 - graph datasets",
-     lambda ctx: reporting.render_table3(experiments.table3(ctx))),
-    ("figure5", "Figure 5 - ACC combine vs atomic updates",
-     lambda ctx: reporting.render_figure5(experiments.figure5(ctx))),
-    ("figure8", "Figure 8 - filter activation patterns",
-     lambda ctx: reporting.render_figure8(experiments.figure8(ctx))),
-    ("figure9", "Figure 9 - JIT threshold sweep and overhead",
-     lambda ctx: reporting.render_figure9(
-         experiments.figure9a(ctx), experiments.figure9b(ctx))),
-    ("table2", "Table 2 - registers and kernel launches",
-     lambda ctx: reporting.render_table2(experiments.table2(ctx))),
-    ("table4", "Table 4 - runtime vs CuSha/Gunrock/Galois/Ligra",
-     lambda ctx: reporting.render_table4(experiments.table4(ctx))),
-    ("figure12", "Figure 12 - JIT task management benefit",
-     lambda ctx: reporting.render_figure12(experiments.figure12(ctx))),
-    ("figure13", "Figure 13 - push-pull kernel fusion benefit",
-     lambda ctx: reporting.render_figure13(experiments.figure13(ctx))),
-    ("section7_3", "Section 7.3 - scaling across GPU generations",
-     lambda ctx: reporting.render_section7_3(experiments.section7_3(ctx))),
-    ("separators", "Section 4 - worklist separator sweep",
-     lambda ctx: reporting.render_worklist_separators(
-         experiments.worklist_separators(ctx))),
-]
 
 
 def main() -> None:
@@ -63,17 +40,17 @@ def main() -> None:
     print(f"Reproducing SIMD-X experiments on datasets {datasets} "
           f"(scale={args.scale}, device={args.device})")
 
-    for key, title, render in ARTIFACTS:
-        if only and key not in only:
-            continue
-        if key in skip:
+    for entry in experiments.EXPERIMENTS:
+        # Without --only: the paper's artifacts, not the EXPERIMENTS.md sections.
+        selected = entry.key in only if only else not entry.documented
+        if not selected or entry.key in skip:
             continue
         start = time.time()
         print("\n" + "=" * 78)
-        print(title)
+        print(entry.title)
         print("=" * 78)
-        print(render(ctx))
-        print(f"[{key} generated in {time.time() - start:.1f}s]")
+        print(entry.render(entry.run(ctx)))
+        print(f"[{entry.key} generated in {time.time() - start:.1f}s]")
 
 
 if __name__ == "__main__":

@@ -2,32 +2,15 @@
 
 * :mod:`repro.bench.harness` -- run-matrix utilities: build algorithms,
   pick deterministic sources, run any system on any dataset, share
-  functional traces across baselines.
-* :mod:`repro.bench.experiments` -- one entry point per paper artifact
-  (``figure5``, ``figure8``, ``figure9a``, ``figure9b``, ``table2``,
-  ``table3``, ``table4``, ``figure12``, ``figure13``, ``section7_3``,
-  ``worklist_separators``), each returning structured rows.
-* :mod:`repro.bench.reporting` -- text rendering of those rows in the same
-  layout the paper uses, used by the ``benchmarks/`` pytest files and the
-  ``examples/reproduce_paper.py`` driver.
+  functional traces across baselines; also the wall-clock kernel-backend
+  benchmark (``python -m repro.bench.harness``).
+* :mod:`repro.bench.experiments` -- one sweep function per experiment and
+  the ordered ``EXPERIMENTS`` registry that binds each to its key, title
+  and table specs (``python -m repro.bench.experiments`` regenerates
+  EXPERIMENTS.md from it).
+* :mod:`repro.bench.reporting` -- the one generic renderer: a table
+  formatter with a ``text`` and a ``markdown`` style.
+
+Nothing is imported here: both ``-m`` entry points above would otherwise
+find themselves in ``sys.modules`` before they run.
 """
-
-from repro.bench.harness import (
-    BenchmarkContext,
-    default_source,
-    make_algorithm,
-    run_simdx,
-    run_system,
-)
-from repro.bench import experiments
-from repro.bench import reporting
-
-__all__ = [
-    "BenchmarkContext",
-    "default_source",
-    "make_algorithm",
-    "run_simdx",
-    "run_system",
-    "experiments",
-    "reporting",
-]

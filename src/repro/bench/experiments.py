@@ -1,24 +1,23 @@
-"""One entry point per table / figure of the paper's evaluation (Section 7).
+"""The evaluation as data: a sweep function and a registry entry per experiment.
 
-Every function takes a :class:`~repro.bench.harness.BenchmarkContext` (which
-controls the dataset scale and selection) and returns plain dictionaries /
-lists of rows so that the pytest benchmarks, the reporting module and the
-examples can all consume them. EXPERIMENTS.md records the observed outputs
-next to the paper's numbers; running ``python -m repro.bench.experiments``
-regenerates it from :func:`phase_timings` (the per-algorithm, per-phase
-timing baseline plus the traffic-model calibration),
-:func:`gather_refinement`, :func:`batching_throughput` (the batched
-multi-source serving sweep, which is this repository's own experiment
-rather than a paper artifact), :func:`shard_scaling` (the sharded
-multi-device feasibility sweep, likewise beyond the paper) and
-:func:`dynamic_updates` (the dynamic-graph repair and cross-query reuse
-sweep - EXPERIMENTS.md §10).
+Every sweep function takes a :class:`~repro.bench.harness.BenchmarkContext`
+(which controls the dataset scale and selection) and returns plain
+dictionaries / lists of rows; its sweep axes are literals in its body. The
+ordered :data:`EXPERIMENTS` registry at the bottom of this module binds each
+function to a key, a title and the :class:`~repro.bench.reporting.Table`
+specs (columns, prose, EXPERIMENTS.md section numbers) that
+:func:`repro.bench.reporting.render` turns into text or markdown. The
+``benchmarks/`` tests, ``examples/reproduce_paper.py`` and
+:func:`generate_experiments_md` (``python -m repro.bench.experiments``) are
+loops or lookups over that registry, so adding an experiment is one function
+plus one entry here and its ``benchmarks/`` test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import json
+from pathlib import Path
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,10 +26,12 @@ from repro.analysis import registry as extra_keys
 from repro.bench.harness import (
     BenchmarkContext,
     TABLE4_ALGORITHMS,
+    default_source,
     default_sources,
     make_algorithm,
     run_simdx,
 )
+from repro.bench.reporting import Table, render
 from repro.core.engine import SIMDXEngine
 from repro.core import metrics as core_metrics
 from repro.core.direction import DEFAULT_TRAFFIC_MODEL, Direction
@@ -38,8 +39,8 @@ from repro.core.engine import EngineConfig
 from repro.core.filters import FilterMode
 from repro.core.fusion import FusionPlan, FusionStrategy, REGISTERS_TABLE
 from repro.core.jit import run_length_pattern
-from repro.core.metrics import RunResult, geometric_mean_speedup
-from repro.gpu.device import GPUDevice, KNOWN_DEVICES, get_device_spec
+from repro.core.metrics import BatchRunResult, RunResult, geometric_mean_speedup
+from repro.gpu.device import GPUDevice, get_device_spec
 from repro.graph.datasets import DATASETS
 from repro.graph.properties import summarize
 
@@ -47,7 +48,7 @@ from repro.graph.properties import summarize
 # ----------------------------------------------------------------------
 # Figure 5: ACC (atomic-free combine) versus atomic updates
 # ----------------------------------------------------------------------
-def figure5(ctx: BenchmarkContext, algorithms: Sequence[str] = ("bfs", "sssp")) -> Dict:
+def figure5(ctx: BenchmarkContext) -> Dict:
     """Speedup of the ACC combine over Gunrock-style atomic updates.
 
     The paper materializes the *vote* operation with BFS and *aggregation*
@@ -56,7 +57,7 @@ def figure5(ctx: BenchmarkContext, algorithms: Sequence[str] = ("bfs", "sssp")) 
     so the measured ratio isolates exactly that design decision.
     """
     rows = []
-    for algorithm_name in algorithms:
+    for algorithm_name in ("bfs", "sssp"):
         kind = "vote" if algorithm_name == "bfs" else "aggregation"
         for abbrev in ctx.datasets:
             acc = ctx.run(
@@ -88,12 +89,10 @@ def figure5(ctx: BenchmarkContext, algorithms: Sequence[str] = ("bfs", "sssp")) 
 # ----------------------------------------------------------------------
 # Figure 8: JIT filter activation patterns
 # ----------------------------------------------------------------------
-def figure8(
-    ctx: BenchmarkContext, algorithms: Sequence[str] = ("bfs", "kcore", "sssp")
-) -> Dict:
+def figure8(ctx: BenchmarkContext) -> Dict:
     """Which filter (online / ballot) each iteration used, per graph."""
     rows = []
-    for algorithm_name in algorithms:
+    for algorithm_name in ("bfs", "kcore", "sssp"):
         for abbrev in ctx.datasets:
             result = ctx.run("simdx", abbrev, algorithm_name)
             trace = result.filter_trace
@@ -115,18 +114,15 @@ def figure8(
 # ----------------------------------------------------------------------
 # Figure 9(a): overflow-threshold sweep, (b): shadow-online overhead
 # ----------------------------------------------------------------------
-def figure9a(
-    ctx: BenchmarkContext,
-    thresholds: Sequence[int] = (1, 4, 16, 64, 256, 1024, 4096, 16384),
-    algorithm_name: str = "bfs",
-) -> Dict:
-    """Relative JIT performance versus the online-filter overflow threshold."""
+def figure9a(ctx: BenchmarkContext) -> Dict:
+    """Relative JIT (BFS) performance versus the online-filter overflow threshold."""
+    thresholds = (1, 4, 16, 64, 256, 1024, 4096, 16384)
     per_threshold: Dict[int, List[float]] = {t: [] for t in thresholds}
     for abbrev in ctx.datasets:
         times = {}
         for threshold in thresholds:
             result = ctx.run(
-                "simdx", abbrev, algorithm_name,
+                "simdx", abbrev, "bfs",
                 config=EngineConfig(overflow_threshold=threshold),
             )
             times[threshold] = result.elapsed_us
@@ -144,16 +140,16 @@ def figure9a(
     return {"rows": rows, "best_threshold": best_row["threshold"]}
 
 
-def figure9b(ctx: BenchmarkContext, algorithm_name: str = "sssp") -> Dict:
-    """Overhead of keeping the online filter running in ballot mode."""
+def figure9b(ctx: BenchmarkContext) -> Dict:
+    """Overhead (SSSP) of keeping the online filter running in ballot mode."""
     rows = []
     for abbrev in ctx.datasets:
         with_shadow = ctx.run(
-            "simdx", abbrev, algorithm_name,
+            "simdx", abbrev, "sssp",
             config=EngineConfig(shadow_online=True),
         )
         without_shadow = ctx.run(
-            "simdx", abbrev, algorithm_name,
+            "simdx", abbrev, "sssp",
             config=EngineConfig(shadow_online=False),
         )
         if without_shadow.elapsed_us:
@@ -176,22 +172,21 @@ def figure9b(ctx: BenchmarkContext, algorithm_name: str = "sssp") -> Dict:
 # ----------------------------------------------------------------------
 # Table 2: register consumption and kernel-launch counts
 # ----------------------------------------------------------------------
-def table2(
-    ctx: Optional[BenchmarkContext] = None,
-    *,
-    reference_graph: str = "LJ",
-    algorithm_name: str = "bfs",
-) -> Dict:
-    """Register footprints per kernel and launch counts per fusion strategy."""
+def table2(ctx: BenchmarkContext) -> Dict:
+    """Register footprints per kernel and launch counts per fusion strategy.
+
+    The launches are measured with BFS on the first selected dataset.
+    ``listing`` is the paper-shaped rendering of both halves.
+    """
+    def unfused(prefix: str) -> Dict[str, int]:
+        return {
+            k.replace(prefix, ""): v for k, v in REGISTERS_TABLE.items()
+            if k.startswith(prefix)
+        }
+
     registers = {
-        "push_no_fusion": {
-            k.replace("push_", ""): v for k, v in REGISTERS_TABLE.items()
-            if k.startswith("push_")
-        },
-        "pull_no_fusion": {
-            k.replace("pull_", ""): v for k, v in REGISTERS_TABLE.items()
-            if k.startswith("pull_")
-        },
+        "push_no_fusion": unfused("push_"),
+        "pull_no_fusion": unfused("pull_"),
         "selective_fusion": {
             "push": REGISTERS_TABLE["fused_push"],
             "pull": REGISTERS_TABLE["fused_pull"],
@@ -200,18 +195,34 @@ def table2(
     }
 
     launches = {}
-    if ctx is not None:
-        for strategy in FusionStrategy:
-            result = ctx.run(
-                "simdx", reference_graph, algorithm_name,
-                config=EngineConfig(fusion=strategy),
-            )
-            launches[strategy.value] = {
-                "kernel_launches": result.kernel_launches,
-                "iterations": result.iterations,
-                "direction_switches": result.extra.get(extra_keys.DIRECTION_SWITCHES, 0),
-            }
-    return {"registers": registers, "launches": launches}
+    for strategy in FusionStrategy:
+        result = ctx.run(
+            "simdx", ctx.datasets[0], "bfs",
+            config=EngineConfig(fusion=strategy),
+        )
+        launches[strategy.value] = {
+            "kernel_launches": result.kernel_launches,
+            "iterations": result.iterations,
+            "direction_switches": result.extra.get(extra_keys.DIRECTION_SWITCHES, 0),
+        }
+
+    listing = [
+        f"  {group}: " + ", ".join(f"{k}={v}" for k, v in registers[group].items())
+        for group in ("push_no_fusion", "pull_no_fusion")
+    ]
+    selective = registers["selective_fusion"]
+    listing.append(
+        f"  selective_fusion: push={selective['push']}, pull={selective['pull']}"
+    )
+    listing.append(f"  all_fusion: {registers['all_fusion']}")
+    listing.append("  kernel launches (measured):")
+    for strategy, info in launches.items():
+        listing.append(
+            f"    {strategy:>10}: {info['kernel_launches']} launches over "
+            f"{info['iterations']} iterations "
+            f"({info['direction_switches']} direction switches)"
+        )
+    return {"registers": registers, "launches": launches, "listing": listing}
 
 
 # ----------------------------------------------------------------------
@@ -245,12 +256,14 @@ def table3(ctx: BenchmarkContext) -> Dict:
 # ----------------------------------------------------------------------
 # Table 4: runtime of every system on every graph
 # ----------------------------------------------------------------------
-def table4(
-    ctx: BenchmarkContext,
-    algorithms: Sequence[str] = TABLE4_ALGORITHMS,
-    systems: Sequence[str] = ("simdx", "cusha", "gunrock", "galois", "ligra"),
-) -> Dict:
-    """The headline comparison: SIMD-X versus CuSha / Gunrock / Galois / Ligra."""
+def table4(ctx: BenchmarkContext) -> Dict:
+    """The headline comparison: SIMD-X versus CuSha / Gunrock / Galois / Ligra.
+
+    ``tables`` holds one ready ``(title, headers, rows)`` block per algorithm
+    (system x graph, simulated ms) - the columns are the swept graphs.
+    """
+    algorithms = TABLE4_ALGORITHMS
+    systems = ("simdx", "cusha", "gunrock", "galois", "ligra")
     cells: List[Dict] = []
     for algorithm_name in algorithms:
         # The paper compares k-Core only against Ligra (other systems do not
@@ -292,30 +305,38 @@ def table4(
                 ratios.append(c["ms"] / base["ms"])
             if ratios:
                 speedups[algorithm_name][system] = geometric_mean_speedup(ratios)
-    return {"cells": cells, "simdx_speedup_over": speedups}
+
+    tables = []
+    for algorithm_name in sorted(algorithms):
+        by_system: Dict[str, List[Optional[float]]] = {}
+        for c in cells:
+            if c["algorithm"] == algorithm_name:
+                by_system.setdefault(c["system"], []).append(
+                    None if c["ms"] is None else round(c["ms"], 2)
+                )
+        tables.append((
+            f"Table 4 [{algorithm_name}]: runtime (simulated ms; '-' = failed/OOM)",
+            ["system", *ctx.datasets],
+            [[system, *ms] for system, ms in by_system.items()],
+        ))
+    return {"cells": cells, "simdx_speedup_over": speedups, "tables": tables}
 
 
 # ----------------------------------------------------------------------
 # Figure 12: JIT task management versus ballot-only and online-only
 # ----------------------------------------------------------------------
-def figure12(
-    ctx: BenchmarkContext, algorithms: Sequence[str] = ("bfs", "kcore", "sssp")
-) -> Dict:
+def figure12(ctx: BenchmarkContext) -> Dict:
     """Speedup of each filter configuration, normalized to the ballot filter."""
+    algorithms = ("bfs", "kcore", "sssp")
     rows = []
     for algorithm_name in algorithms:
         for abbrev in ctx.datasets:
-            ballot = ctx.run(
-                "simdx", abbrev, algorithm_name,
-                config=EngineConfig(filter_mode=FilterMode.BALLOT),
-            )
-            online = ctx.run(
-                "simdx", abbrev, algorithm_name,
-                config=EngineConfig(filter_mode=FilterMode.ONLINE),
-            )
-            jit = ctx.run(
-                "simdx", abbrev, algorithm_name,
-                config=EngineConfig(filter_mode=FilterMode.JIT),
+            ballot, online, jit = (
+                ctx.run(
+                    "simdx", abbrev, algorithm_name,
+                    config=EngineConfig(filter_mode=mode),
+                )
+                for mode in (FilterMode.BALLOT, FilterMode.ONLINE, FilterMode.JIT)
             )
             rows.append(
                 {
@@ -355,11 +376,9 @@ def _ratio(denominator: RunResult, numerator: RunResult) -> Optional[float]:
 # ----------------------------------------------------------------------
 # Figure 13: push-pull fusion versus non-fusion and all-fusion
 # ----------------------------------------------------------------------
-def figure13(
-    ctx: BenchmarkContext,
-    algorithms: Sequence[str] = ("bfs", "bp", "kcore", "pagerank", "sssp"),
-) -> Dict:
+def figure13(ctx: BenchmarkContext) -> Dict:
     """Speedup of each fusion strategy, normalized to no fusion."""
+    algorithms = ("bfs", "bp", "kcore", "pagerank", "sssp")
     rows = []
     for algorithm_name in algorithms:
         for abbrev in ctx.datasets:
@@ -411,21 +430,21 @@ def figure13(
 # ----------------------------------------------------------------------
 # Section 7.3: scaling across GPU generations
 # ----------------------------------------------------------------------
-def section7_3(
-    ctx: BenchmarkContext,
-    devices: Sequence[str] = ("K20", "K40", "P100"),
-    algorithm_name: str = "bfs",
-    systems: Sequence[str] = ("simdx", "gunrock", "cusha"),
-) -> Dict:
-    """Performance of each system across GPU models, normalized to K20."""
+def section7_3(ctx: BenchmarkContext) -> Dict:
+    """BFS performance of each system across GPU models, normalized to K20.
+
+    ``tables`` holds the ready ``(title, headers, rows)`` block - one ms and
+    one speedup column per swept device.
+    """
+    devices = ("K20", "K40", "P100")
     rows = []
-    for system in systems:
+    for system in ("simdx", "gunrock", "cusha"):
         per_device = {}
         for device in devices:
             times = []
             for abbrev in ctx.datasets:
                 result = ctx.run(
-                    system, abbrev, algorithm_name,
+                    system, abbrev, "bfs",
                     device_spec=get_device_spec(device),
                 )
                 if not result.failed:
@@ -449,63 +468,60 @@ def section7_3(
     thread_counts = {
         d: plan.configurable_threads(get_device_spec(d)) for d in devices
     }
-    return {"rows": rows, "simdx_configurable_threads": thread_counts}
+    table = (
+        "Section 7.3: scaling across GPU generations (BFS mean)",
+        ["system"] + [f"{d} ms" for d in devices] + [f"{d} speedup" for d in devices],
+        [
+            [r["system"]]
+            + [round(r["mean_ms"][d], 3) for d in devices]
+            + [round(r["speedup_vs_first"][d], 2) for d in devices]
+            for r in rows
+        ],
+    )
+    return {
+        "rows": rows,
+        "simdx_configurable_threads": thread_counts,
+        "tables": [table],
+    }
 
 
 # ----------------------------------------------------------------------
 # Section 4: worklist-separator stability
 # ----------------------------------------------------------------------
-def worklist_separators(
-    ctx: BenchmarkContext,
-    small_medium: Sequence[int] = (4, 16, 32, 64, 128, 512),
-    medium_large: Sequence[int] = (128, 256, 512, 2048, 4096),
-    algorithm_name: str = "bfs",
-    graphs: Optional[Sequence[str]] = None,
-) -> Dict:
-    """Sensitivity of performance to the small/medium/large separators."""
-    graphs = list(graphs) if graphs is not None else list(ctx.datasets)[:4]
-    sm_rows = []
-    for sep in small_medium:
-        times = []
-        for abbrev in graphs:
-            result = ctx.run(
-                "simdx", abbrev, algorithm_name,
-                config=EngineConfig(
-                    small_medium_separator=sep,
-                    medium_large_separator=max(2048, sep),
-                ),
-            )
-            times.append(result.elapsed_us)
-        sm_rows.append({"separator": sep, "mean_ms": float(np.mean(times)) / 1000.0})
-    ml_rows = []
-    for sep in medium_large:
-        times = []
-        for abbrev in graphs:
-            result = ctx.run(
-                "simdx", abbrev, algorithm_name,
-                config=EngineConfig(
-                    small_medium_separator=32, medium_large_separator=sep
-                ),
-            )
-            times.append(result.elapsed_us)
-        ml_rows.append({"separator": sep, "mean_ms": float(np.mean(times)) / 1000.0})
-    return {"small_medium": sm_rows, "medium_large": ml_rows}
+def worklist_separators(ctx: BenchmarkContext) -> Dict:
+    """Sensitivity of (BFS) performance to the small/medium/large separators."""
+
+    def mean_ms(small_medium: int, medium_large: int) -> float:
+        config = EngineConfig(
+            small_medium_separator=small_medium,
+            medium_large_separator=medium_large,
+        )
+        times = [
+            ctx.run("simdx", abbrev, "bfs", config=config).elapsed_us
+            for abbrev in ctx.datasets[:4]
+        ]
+        return float(np.mean(times)) / 1000.0
+
+    return {
+        "small_medium": [
+            {"separator": sep, "mean_ms": mean_ms(sep, max(2048, sep))}
+            for sep in (4, 16, 32, 64, 128, 512)
+        ],
+        "medium_large": [
+            {"separator": sep, "mean_ms": mean_ms(32, sep)}
+            for sep in (128, 256, 512, 2048, 4096)
+        ],
+    }
 
 
 # ----------------------------------------------------------------------
 # EXPERIMENTS.md baseline: per-phase timings + traffic-model calibration
 # ----------------------------------------------------------------------
-ALL_ALGORITHMS = ("bfs", "sssp", "pagerank", "wcc", "kcore", "spmv", "bp")
-
 _FORCED_PUSH = EngineConfig(forced_direction=Direction.PUSH)
 _FORCED_PULL = EngineConfig(forced_direction=Direction.PULL)
 
 
-def phase_timings(
-    ctx: BenchmarkContext,
-    algorithms: Sequence[str] = ALL_ALGORITHMS,
-    graphs: Optional[Sequence[str]] = None,
-) -> Dict:
+def phase_timings(ctx: BenchmarkContext) -> Dict:
     """Per-algorithm, per-phase timing baselines + traffic-model calibration.
 
     For each (algorithm, graph) cell this runs the default auto-direction
@@ -519,19 +535,18 @@ def phase_timings(
     gather terminates early, so their fitted scan cost also reflects
     ``voting_pull_scan_fraction``.
     """
-    graphs = list(graphs) if graphs is not None else list(ctx.datasets)
     phase_rows: List[Dict] = []
     trace_rows: List[Dict] = []
-    per_algorithm_fit: Dict[str, Dict[str, float]] = {}
+    fit_rows: List[Dict] = []
     pooled_records: Dict[str, Dict[str, List]] = {
         "aggregation": {"push": [], "pull": []},
         "voting": {"push": [], "pull": []},
     }
 
-    for algorithm_name in algorithms:
+    for algorithm_name in ("bfs", "sssp", "pagerank", "wcc", "kcore", "spmv", "bp"):
         push_records: List = []
         pull_records: List = []
-        for abbrev in graphs:
+        for abbrev in ctx.datasets:
             auto = ctx.run("simdx", abbrev, algorithm_name)
             if auto.failed:
                 continue
@@ -564,32 +579,35 @@ def phase_timings(
 
         if push_records and pull_records:
             fit = core_metrics.calibrate_pull_constants(push_records, pull_records)
-            per_algorithm_fit[algorithm_name] = fit
+            fit_rows.append({"algorithm": algorithm_name, **fit})
             kind = ALGORITHMS[algorithm_name].combine_kind.value
             pooled_records[kind]["push"].extend(push_records)
             pooled_records[kind]["pull"].extend(pull_records)
 
-    pooled_fit = {
-        kind: core_metrics.calibrate_pull_constants(pool["push"], pool["pull"])
+    pooled_rows = [
+        {
+            "kind": kind,
+            **core_metrics.calibrate_pull_constants(pool["push"], pool["pull"]),
+        }
         for kind, pool in pooled_records.items()
         if pool["push"] and pool["pull"]
-    }
+    ]
     model = DEFAULT_TRAFFIC_MODEL
+    shipped = {
+        "push_edge_ops": model.push_edge_ops,
+        "pull_scan_ops": model.pull_scan_ops,
+        "pull_active_edge_ops": model.pull_active_edge_ops,
+        "vertex_ops": model.vertex_ops,
+        "voting_pull_scan_fraction": model.voting_pull_scan_fraction,
+        "pull_scan_over_push_edge": model.pull_scan_ops / model.push_edge_ops,
+    }
     return {
         "phase_rows": phase_rows,
         "trace_rows": trace_rows,
-        "calibration": {
-            "per_algorithm": per_algorithm_fit,
-            "pooled": pooled_fit,
-            "shipped": {
-                "push_edge_ops": model.push_edge_ops,
-                "pull_scan_ops": model.pull_scan_ops,
-                "pull_active_edge_ops": model.pull_active_edge_ops,
-                "vertex_ops": model.vertex_ops,
-                "voting_pull_scan_fraction": model.voting_pull_scan_fraction,
-                "pull_scan_over_push_edge": model.pull_scan_ops / model.push_edge_ops,
-            },
-        },
+        "fit_rows": fit_rows,
+        "pooled_rows": pooled_rows,
+        "shipped": shipped,
+        "shipped_rows": [{"constant": k, "value": v} for k, v in shipped.items()],
     }
 
 
@@ -611,10 +629,7 @@ def _direction_filter_row(result: RunResult, algorithm_name: str, abbrev: str) -
     }
 
 
-def gather_refinement(
-    ctx: BenchmarkContext,
-    graphs: Optional[Sequence[str]] = None,
-) -> Dict:
+def gather_refinement(ctx: BenchmarkContext) -> Dict:
     """Effect of frontier-dependent gather-candidate pruning (SSSP / WCC).
 
     Runs each algorithm forced-pull twice - once as shipped, once with the
@@ -633,15 +648,12 @@ def gather_refinement(
         def gather_mask(self, metadata, graph, frontier=None):
             return super().gather_mask(metadata, graph, None)
 
-    from repro.bench.harness import default_source
-
-    graphs = list(graphs) if graphs is not None else list(ctx.datasets)
     rows = []
     for algorithm_name, pruned_cls, unpruned_cls in (
         ("sssp", SSSP, _UnprunedSSSP),
         ("wcc", WCC, _UnprunedWCC),
     ):
-        for abbrev in graphs:
+        for abbrev in ctx.datasets:
             graph = ctx.graph(abbrev)
             kwargs = (
                 {"source": default_source(graph)} if algorithm_name == "sssp" else {}
@@ -674,18 +686,74 @@ def gather_refinement(
 
 
 # ----------------------------------------------------------------------
-# Batched multi-source throughput (the serving story, docs/batching.md)
+# Batched sweeps (docs/batching.md, docs/sharding.md): the shared K-lane cell
 # ----------------------------------------------------------------------
-#: Lane counts the batching experiment sweeps (K concurrent queries).
-BATCH_LANE_COUNTS = (1, 4, 16, 64)
+class _LaneCell:
+    """One (algorithm, graph, K) cell of a batched sweep.
+
+    The K queries are the K highest-degree sources. ``serial()`` is the
+    cell's oracle - K independent single-source runs, which always fit
+    (single-run metadata is two arrays, not 2K) - grown lazily, because an
+    OOM'd cell never reads it, and shared by every K of one (algorithm,
+    graph): the source sets are nested prefixes.
+    """
+
+    def __init__(self, ctx: BenchmarkContext, algorithm: str, abbrev: str,
+                 lanes: int, serial: List[RunResult]) -> None:
+        self.ctx, self.algorithm, self.lanes, self._serial = ctx, algorithm, lanes, serial
+        self.graph = ctx.graph(abbrev)
+        self.sources = default_sources(self.graph, lanes)
+        #: The identity columns every row of this cell starts with.
+        self.key = {"algorithm": algorithm, "graph": abbrev, "lanes": lanes}
+
+    def run_batch(
+        self, config: Optional[EngineConfig] = None
+    ) -> Tuple[SIMDXEngine, BatchRunResult]:
+        """Answer the K sources as one batch on a fresh engine and device."""
+        engine = SIMDXEngine(
+            self.graph, device=GPUDevice(self.ctx.device_spec), config=config
+        )
+        algorithm = make_algorithm(self.algorithm, self.graph)
+        return engine, engine.run_batch(algorithm, self.sources)
+
+    def serial(self) -> List[RunResult]:
+        """The K independent single-source runs of this cell's sources."""
+        for source in self.sources[len(self._serial):]:
+            algorithm = make_algorithm(self.algorithm, self.graph, source=source)
+            self._serial.append(
+                run_simdx(self.graph, algorithm, device_spec=self.ctx.device_spec)
+            )
+        return self._serial[: self.lanes]
+
+    def identical(self, batch: BatchRunResult) -> bool:
+        """Whether every lane is bit-identical to its independent run."""
+        return all(
+            np.array_equal(batch.values[lane], single.values)
+            for lane, single in enumerate(self.serial())
+        )
 
 
-def batching_throughput(
+def _lane_cells(
     ctx: BenchmarkContext,
-    lane_counts: Sequence[int] = BATCH_LANE_COUNTS,
-    algorithms: Sequence[str] = ("bfs", "sssp"),
-    graphs: Optional[Sequence[str]] = None,
-) -> Dict:
+    algorithms: Tuple[str, ...],
+    graphs: Tuple[str, ...],
+    lane_counts: Tuple[int, ...],
+) -> Iterator[_LaneCell]:
+    """Every (algorithm, graph, K) cell whose K (ascending) fits the graph."""
+    for algorithm_name in algorithms:
+        for abbrev in graphs:
+            serial: List[RunResult] = []
+            for k in lane_counts:
+                if k <= ctx.graph(abbrev).num_vertices:
+                    yield _LaneCell(ctx, algorithm_name, abbrev, k, serial)
+
+
+def _shapes_or_all(ctx: BenchmarkContext, shapes: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The selected datasets among ``shapes``, or all of them if none is."""
+    return tuple(g for g in ctx.datasets if g in shapes) or tuple(ctx.datasets)
+
+
+def batching_throughput(ctx: BenchmarkContext) -> Dict:
     """Queries/sec of ``run_batch`` versus a serial loop over the same K.
 
     For each (algorithm, graph, K) cell this answers the K highest-degree
@@ -700,80 +768,38 @@ def batching_throughput(
     so paper-scale graphs whose single run fits the modeled K40 can OOM at
     higher lane counts.
     """
-    graphs = list(graphs) if graphs is not None else list(ctx.datasets)
     rows: List[Dict] = []
-    for algorithm_name in algorithms:
-        for abbrev in graphs:
-            graph = ctx.graph(abbrev)
-            counts = sorted(k for k in lane_counts if k <= graph.num_vertices)
-            if not counts:
-                continue
-            # The source sets are nested prefixes (top-K by degree), so one
-            # serial sweep serves every lane count - grown lazily, because
-            # the baselines of an OOM'd batch cell would never be read.
-            all_sources = default_sources(graph, max(counts))
-            singles: List[RunResult] = []
-            for k in counts:
-                sources = all_sources[:k]
-                engine = SIMDXEngine(graph, device=GPUDevice(ctx.device_spec))
-                batch = engine.run_batch(
-                    make_algorithm(algorithm_name, graph), sources
-                )
-                if batch.failed:
-                    rows.append(
-                        {
-                            "algorithm": algorithm_name,
-                            "graph": abbrev,
-                            "lanes": k,
-                            "failed": True,
-                            "failure_reason": batch.failure_reason,
-                        }
-                    )
-                    continue
-                while len(singles) < k:
-                    singles.append(
-                        run_simdx(
-                            graph,
-                            make_algorithm(
-                                algorithm_name, graph,
-                                source=all_sources[len(singles)],
-                            ),
-                            device_spec=ctx.device_spec,
-                        )
-                    )
-                serial_us = sum(s.elapsed_us for s in singles[:k])
-                identical = all(
-                    np.array_equal(batch.values[lane], singles[lane].values)
-                    for lane in range(k)
-                )
-                rows.append(
-                    {
-                        "algorithm": algorithm_name,
-                        "graph": abbrev,
-                        "lanes": k,
-                        "failed": False,
-                        "batch_ms": batch.elapsed_ms,
-                        "serial_ms": serial_us / 1000.0,
-                        "batch_qps": batch.queries_per_second,
-                        "serial_qps": (
-                            k / (serial_us / 1e6) if serial_us else float("nan")
-                        ),
-                        "speedup": (
-                            serial_us / batch.elapsed_us
-                            if batch.elapsed_us else float("nan")
-                        ),
-                        "iterations": batch.iterations,
-                        "union_edges": batch.extra[extra_keys.UNION_EDGES_WALKED],
-                        "lane_edge_pairs": batch.extra[extra_keys.LANE_EDGE_PAIRS],
-                        "values_identical": identical,
-                    }
-                )
+    for cell in _lane_cells(ctx, ("bfs", "sssp"), ctx.datasets, (1, 4, 16, 64)):
+        _, batch = cell.run_batch()
+        if batch.failed:
+            rows.append(
+                {**cell.key, "failed": True, "failure_reason": batch.failure_reason}
+            )
+            continue
+        serial_us = sum(single.elapsed_us for single in cell.serial())
+        rows.append(
+            {
+                **cell.key,
+                "failed": False,
+                "batch_ms": batch.elapsed_ms,
+                "serial_ms": serial_us / 1000.0,
+                "batch_qps": batch.queries_per_second,
+                "serial_qps": (
+                    cell.lanes / (serial_us / 1e6) if serial_us else float("nan")
+                ),
+                "speedup": (
+                    serial_us / batch.elapsed_us
+                    if batch.elapsed_us else float("nan")
+                ),
+                "iterations": batch.iterations,
+                "union_edges": batch.extra[extra_keys.UNION_EDGES_WALKED],
+                "lane_edge_pairs": batch.extra[extra_keys.LANE_EDGE_PAIRS],
+                "values_identical": cell.identical(batch),
+            }
+        )
     return {"rows": rows}
 
 
-# ----------------------------------------------------------------------
-# Lane-aware direction selection: split benefit vs decide-once batching
-# ----------------------------------------------------------------------
 #: Graph shapes where union and lane direction interests diverge: the road
 #: analogues (high diameter, frontiers that never individually cross the
 #: pull threshold) and the RMAT-family synthetics (skewed but with long
@@ -781,12 +807,7 @@ def batching_throughput(
 SPLIT_BENEFIT_SHAPES = ("ER", "RC", "KR", "RM")
 
 
-def split_benefit(
-    ctx: BenchmarkContext,
-    lane_counts: Sequence[int] = (4, 16),
-    algorithms: Sequence[str] = ("sssp", "bfs"),
-    graphs: Optional[Sequence[str]] = None,
-) -> Dict:
+def split_benefit(ctx: BenchmarkContext) -> Dict:
     """Lane-aware direction selection vs decide-once (union) batching.
 
     For each (algorithm, graph, K) cell this answers the same K queries
@@ -803,84 +824,39 @@ def split_benefit(
     union's shared gather scan is cheap per edge - which is exactly what
     ``EngineConfig.split_margin`` arbitrates.
     """
-    if graphs is None:
-        graphs = [g for g in ctx.datasets if g in SPLIT_BENEFIT_SHAPES]
-        if not graphs:
-            graphs = list(ctx.datasets)
+    graphs = _shapes_or_all(ctx, SPLIT_BENEFIT_SHAPES)
     rows: List[Dict] = []
-    for algorithm_name in algorithms:
-        for abbrev in graphs:
-            graph = ctx.graph(abbrev)
-            for k in lane_counts:
-                if k > graph.num_vertices:
-                    continue
-                sources = default_sources(graph, k)
-                results = {}
-                for mode, config in (
-                    ("lane_aware", EngineConfig()),
-                    ("decide_once", EngineConfig(lane_aware_split=False)),
-                ):
-                    engine = SIMDXEngine(
-                        graph, device=GPUDevice(ctx.device_spec), config=config
-                    )
-                    results[mode] = engine.run_batch(
-                        make_algorithm(algorithm_name, graph), sources
-                    )
-                on, off = results["lane_aware"], results["decide_once"]
-                if on.failed or off.failed:
-                    rows.append(
-                        {
-                            "algorithm": algorithm_name,
-                            "graph": abbrev,
-                            "lanes": k,
-                            "failed": True,
-                            "failure_reason": (
-                                on.failure_reason or off.failure_reason
-                            ),
-                        }
-                    )
-                    continue
-                rows.append(
-                    {
-                        "algorithm": algorithm_name,
-                        "graph": abbrev,
-                        "lanes": k,
-                        "failed": False,
-                        "scanned_lane_aware": on.extra[extra_keys.PULL_EDGES_SCANNED],
-                        "scanned_decide_once": off.extra[extra_keys.PULL_EDGES_SCANNED],
-                        "walked_lane_aware": on.extra[extra_keys.UNION_EDGES_WALKED],
-                        "walked_decide_once": off.extra[extra_keys.UNION_EDGES_WALKED],
-                        "ms_lane_aware": on.elapsed_ms,
-                        "ms_decide_once": off.elapsed_ms,
-                        "split_iterations": on.extra[extra_keys.LANE_SPLITS],
-                        "values_identical": bool(
-                            np.array_equal(on.values, off.values)
-                        ),
-                    }
-                )
+    for cell in _lane_cells(ctx, ("sssp", "bfs"), graphs, (4, 16)):
+        _, on = cell.run_batch(EngineConfig())
+        _, off = cell.run_batch(EngineConfig(lane_aware_split=False))
+        if on.failed or off.failed:
+            reason = on.failure_reason or off.failure_reason
+            rows.append({**cell.key, "failed": True, "failure_reason": reason})
+            continue
+        rows.append(
+            {
+                **cell.key,
+                "failed": False,
+                "scanned_lane_aware": on.extra[extra_keys.PULL_EDGES_SCANNED],
+                "scanned_decide_once": off.extra[extra_keys.PULL_EDGES_SCANNED],
+                "walked_lane_aware": on.extra[extra_keys.UNION_EDGES_WALKED],
+                "walked_decide_once": off.extra[extra_keys.UNION_EDGES_WALKED],
+                "ms_lane_aware": on.elapsed_ms,
+                "ms_decide_once": off.elapsed_ms,
+                "split_iterations": on.extra[extra_keys.LANE_SPLITS],
+                "values_identical": bool(np.array_equal(on.values, off.values)),
+            }
+        )
     return {"rows": rows}
 
 
-# ----------------------------------------------------------------------
-# Sharded multi-device execution: scaling past one device's memory
-# ----------------------------------------------------------------------
 #: Graph shapes whose K=16 batch OOMs one modeled K40 (the §5 blank
 #: cells): TW's lane metadata lands on top of a near-capacity CSR, ER's
 #: 50.9M modeled vertices make the lane arrays alone exceed the device.
 SHARD_SCALING_SHAPES = ("TW", "ER")
 
-#: The shard-count sweep: single device (the feasibility baseline the
-#: other counts are compared against), then 2 and 4 simulated devices.
-SHARD_COUNTS_SWEEP = (1, 2, 4)
 
-
-def shard_scaling(
-    ctx: BenchmarkContext,
-    lane_counts: Sequence[int] = (4, 16),
-    algorithms: Sequence[str] = ("bfs", "sssp"),
-    graphs: Optional[Sequence[str]] = None,
-    shard_counts: Sequence[int] = SHARD_COUNTS_SWEEP,
-) -> Dict:
+def shard_scaling(ctx: BenchmarkContext) -> Dict:
     """Batched feasibility and cost versus ``EngineConfig.num_shards``.
 
     For each (algorithm, graph, K) cell this answers the same K
@@ -893,82 +869,34 @@ def shard_scaling(
     independent single-source runs, and the boundary-update count
     records the exchange traffic the partition paid for the capacity.
     """
-    if graphs is None:
-        graphs = [g for g in ctx.datasets if g in SHARD_SCALING_SHAPES]
-        if not graphs:
-            graphs = list(ctx.datasets)
+    graphs = _shapes_or_all(ctx, SHARD_SCALING_SHAPES)
     rows: List[Dict] = []
-    for algorithm_name in algorithms:
-        for abbrev in graphs:
-            graph = ctx.graph(abbrev)
-            for k in lane_counts:
-                if k > graph.num_vertices:
-                    continue
-                sources = default_sources(graph, k)
-                reference: Optional[List[np.ndarray]] = None
-                for num_shards in shard_counts:
-                    engine = SIMDXEngine(
-                        graph,
-                        device=GPUDevice(ctx.device_spec),
-                        config=EngineConfig(num_shards=num_shards),
-                    )
-                    batch = engine.run_batch(
-                        make_algorithm(algorithm_name, graph), sources
-                    )
-                    if batch.failed:
-                        rows.append(
-                            {
-                                "algorithm": algorithm_name,
-                                "graph": abbrev,
-                                "lanes": k,
-                                "shards": num_shards,
-                                "failed": True,
-                                "failure_reason": batch.failure_reason,
-                                "device": batch.device,
-                            }
-                        )
-                        continue
-                    # The oracle is K independent single-source runs
-                    # (which always fit: single-run metadata is two
-                    # arrays, not 2K) - grown once per cell, lazily,
-                    # because an all-OOM cell never reads it.
-                    if reference is None:
-                        reference = [
-                            run_simdx(
-                                graph,
-                                make_algorithm(
-                                    algorithm_name, graph, source=source
-                                ),
-                                device_spec=ctx.device_spec,
-                            ).values
-                            for source in sources
-                        ]
-                    identical = all(
-                        np.array_equal(batch.values[lane], reference[lane])
-                        for lane in range(k)
-                    )
-                    if num_shards > 1:
-                        peak = max(batch.extra[extra_keys.SHARD_PEAK_BYTES])
-                        boundary = batch.extra[
-                            extra_keys.SHARD_BOUNDARY_UPDATES
-                        ]
-                    else:
-                        peak = engine.device.profiler.peak_allocated_bytes
-                        boundary = 0
-                    rows.append(
-                        {
-                            "algorithm": algorithm_name,
-                            "graph": abbrev,
-                            "lanes": k,
-                            "shards": num_shards,
-                            "failed": False,
-                            "batch_ms": batch.elapsed_ms,
-                            "device": batch.device,
-                            "boundary_updates": boundary,
-                            "max_peak_bytes": peak,
-                            "values_identical": identical,
-                        }
-                    )
+    for cell in _lane_cells(ctx, ("bfs", "sssp"), graphs, (4, 16)):
+        # One device (the feasibility baseline), then 2 and 4 shards.
+        for num_shards in (1, 2, 4):
+            engine, batch = cell.run_batch(EngineConfig(num_shards=num_shards))
+            row = {**cell.key, "shards": num_shards, "device": batch.device}
+            if batch.failed:
+                rows.append(
+                    {**row, "failed": True, "failure_reason": batch.failure_reason}
+                )
+                continue
+            if num_shards > 1:
+                peak = max(batch.extra[extra_keys.SHARD_PEAK_BYTES])
+                boundary = batch.extra[extra_keys.SHARD_BOUNDARY_UPDATES]
+            else:
+                peak = engine.device.profiler.peak_allocated_bytes
+                boundary = 0
+            rows.append(
+                {
+                    **row,
+                    "failed": False,
+                    "batch_ms": batch.elapsed_ms,
+                    "boundary_updates": boundary,
+                    "max_peak_bytes": peak,
+                    "values_identical": cell.identical(batch),
+                }
+            )
     return {"rows": rows}
 
 
@@ -984,20 +912,8 @@ SERVING_WAIT_SWEEP_MS = (0.5, 2.0, 8.0)
 SERVING_LOAD_SWEEP = (0.5, 2.0, 8.0)
 
 
-def serving_latency(
-    ctx: BenchmarkContext,
-    *,
-    algorithm_name: str = "bfs",
-    dataset: Optional[str] = None,
-    num_queries: int = 96,
-    source_pool: int = 24,
-    max_batch: int = 8,
-    max_queue: int = 32,
-    wait_sweep_ms: Sequence[float] = SERVING_WAIT_SWEEP_MS,
-    load_sweep: Sequence[float] = SERVING_LOAD_SWEEP,
-    seed: int = 7,
-) -> Dict:
-    """Simulated serving latency vs offered load per ``max_wait_ms``.
+def serving_latency(ctx: BenchmarkContext) -> Dict:
+    """Simulated BFS serving latency vs offered load per ``max_wait_ms``.
 
     A deterministic discrete-event simulation of the serving layer
     (``src/repro/serve/``): Poisson arrivals (seeded, precomputed once,
@@ -1023,9 +939,10 @@ def serving_latency(
     from repro.serve.batcher import BatchFormer, PendingQuery
     from repro.serve.policy import AdmissionPolicy, ServerOverloaded
 
-    abbrev = dataset if dataset is not None else ctx.datasets[0]
+    algorithm_name, num_queries, max_batch, max_queue = "bfs", 96, 8, 32
+    abbrev = ctx.datasets[0]
     graph = ctx.graph(abbrev)
-    pool = default_sources(graph, min(source_pool, graph.num_vertices))
+    pool = default_sources(graph, min(24, graph.num_vertices))
 
     engine = SIMDXEngine(graph, device=GPUDevice(ctx.device_spec))
     service_cache: Dict[Tuple[int, ...], float] = {}
@@ -1047,11 +964,11 @@ def serving_latency(
     base_qps = 1e6 / single_us
     # One arrival pattern for every cell: exponential(1) gaps, scaled by
     # the offered rate per cell. Seeded - repro-lint forbids unseeded RNG.
-    gaps = np.random.default_rng(seed).exponential(1.0, size=num_queries)
+    gaps = np.random.default_rng(7).exponential(1.0, size=num_queries)
 
     rows: List[Dict] = []
-    for wait_ms in wait_sweep_ms:
-        for load in load_sweep:
+    for wait_ms in SERVING_WAIT_SWEEP_MS:
+        for load in SERVING_LOAD_SWEEP:
             policy = AdmissionPolicy(
                 max_batch=max_batch, max_wait_ms=wait_ms, max_queue=max_queue
             )
@@ -1066,25 +983,16 @@ def serving_latency(
             fills: List[float] = []
             batches = 0
             while next_arrival < num_queries or pending_at:
-                if not pending_at:
-                    at = float(arrivals[next_arrival])
-                    query = PendingQuery(
-                        algorithm=algorithm_name,
-                        source=pool[next_arrival % len(pool)],
-                        enqueued_at=at,
-                    )
-                    former.add(query)
-                    pending_at.append(at)
-                    next_arrival += 1
-                    continue
                 # When would the live server dispatch the current queue?
                 # At the instant it filled to max_batch, at the oldest
                 # query's deadline, or when the engine frees up -
-                # whichever is latest-but-due.
+                # whichever is latest-but-due (never, while it is empty).
                 if len(pending_at) >= policy.max_batch:
                     due_at = pending_at[policy.max_batch - 1]
-                else:
+                elif pending_at:
                     due_at = former.next_deadline()
+                else:
+                    due_at = float("inf")
                 dispatch_at = max(due_at, engine_free)
                 if (
                     next_arrival < num_queries
@@ -1150,46 +1058,41 @@ def serving_latency(
 
 
 # ----------------------------------------------------------------------
-# Kernel-backend wall-clock comparison (BENCH_0009.json, docs/kernels.md)
+# Kernel-backend wall-clock comparison (BENCH_<pr>.json, docs/kernels.md)
 # ----------------------------------------------------------------------
-def kernel_backend_wallclock(bench_path: Optional[str] = "BENCH_0009.json") -> Dict:
-    """The wall-clock backend comparison rendered as EXPERIMENTS.md §8.
+#: The checkout root, where the ``BENCH_<pr>.json`` trajectory is committed
+#: and EXPERIMENTS.md is written by default - resolved from this file, so
+#: neither depends on the current directory.
+RECORDS_DIR = Path(__file__).resolve().parents[3]
+
+#: The committed wall-clock records; zero-padded ids sort by name, so the
+#: newest is the last (the rule CI's ``bench-regression`` job uses).
+BENCH_RECORD_GLOB = "BENCH_[0-9]*.json"
+
+
+def kernel_backend_wallclock(ctx: BenchmarkContext) -> Dict:
+    """The newest committed wall-clock record, rendered as EXPERIMENTS.md §8.
 
     Wall-clock seconds are host-dependent, so regenerating EXPERIMENTS.md
-    must not re-measure them (the document is diffed against the committed
-    baseline). When ``bench_path`` exists this loads the committed
-    BENCH_*.json record - the same file the CI ``bench-regression`` job
-    gates on; only when it is absent does it fall back to measuring via
-    :func:`repro.bench.harness.run_wallclock_benchmark`.
+    never measures them (the document is diffed against the committed
+    baseline): this loads the newest ``BENCH_<pr>.json`` in
+    :data:`RECORDS_DIR` - the file the CI ``bench-regression`` job gates
+    on - whatever ``ctx`` selects, and raises when there is none.
     """
-    import json
-    import os
-
-    from repro.bench.harness import run_wallclock_benchmark
-
-    if bench_path is not None and os.path.exists(bench_path):
-        with open(bench_path, "r", encoding="utf-8") as handle:
-            return {"record": json.load(handle), "source": bench_path}
-    return {"record": run_wallclock_benchmark(), "source": "measured"}
+    paths = sorted(RECORDS_DIR.glob(BENCH_RECORD_GLOB))
+    if not paths:
+        raise FileNotFoundError(
+            f"no committed benchmark record matches {RECORDS_DIR / BENCH_RECORD_GLOB}"
+        )
+    record = json.loads(paths[-1].read_text(encoding="utf-8"))
+    return {**record, "source": paths[-1].name}
 
 
 # ----------------------------------------------------------------------
 # Dynamic updates and cross-query reuse (beyond the paper)
 # ----------------------------------------------------------------------
-def dynamic_updates(
-    ctx: BenchmarkContext,
-    *,
-    algorithm_name: str = "bfs",
-    dataset: Optional[str] = None,
-    update_rates: Sequence[int] = (4, 16, 64),
-    rounds: int = 4,
-    zipf_exponents: Sequence[float] = (0.0, 0.8, 1.6),
-    queries_per_round: int = 12,
-    update_rounds: int = 3,
-    source_pool: int = 16,
-    seed: int = 11,
-) -> Dict:
-    """Update-rate × query-rate sweep over the dynamic-graph subsystem.
+def dynamic_updates(ctx: BenchmarkContext) -> Dict:
+    """Update-rate × query-rate sweep (BFS) over the dynamic-graph subsystem.
 
     Two sub-experiments against the same base graph (docs/dynamic.md,
     docs/caching.md):
@@ -1212,9 +1115,11 @@ def dynamic_updates(
     from repro.cache import CachedQueryEngine
     from repro.dyn import DynamicGraph, EdgeUpdateBatch, IncrementalRecompute
 
-    abbrev = dataset if dataset is not None else ctx.datasets[0]
+    algorithm_name, seed = "bfs", 11
+    rounds, update_rounds, queries_per_round = 4, 3, 12
+    abbrev = ctx.datasets[0]
     graph = ctx.graph(abbrev)
-    pool = default_sources(graph, min(source_pool, graph.num_vertices))
+    pool = default_sources(graph, min(16, graph.num_vertices))
     source = pool[0]
 
     def random_batch(dyn: DynamicGraph, rng, size: int) -> EdgeUpdateBatch:
@@ -1231,7 +1136,7 @@ def dynamic_updates(
         )
 
     repair_rows: List[Dict] = []
-    for batch_size in update_rates:
+    for batch_size in (4, 16, 64):
         rng = np.random.default_rng(seed * 31 + batch_size)
         dyn = DynamicGraph(graph)
         recompute = IncrementalRecompute()
@@ -1288,7 +1193,7 @@ def dynamic_updates(
         )
 
     cache_rows: List[Dict] = []
-    for exponent in zipf_exponents:
+    for exponent in (0.0, 0.8, 1.6):
         rng = np.random.default_rng(seed * 97 + int(exponent * 10))
         ranks = np.arange(1, len(pool) + 1, dtype=np.float64)
         probs = ranks ** -exponent
@@ -1334,34 +1239,479 @@ def dynamic_updates(
     }
 
 
+# ----------------------------------------------------------------------
+# The registry: every experiment as one entry, in presentation order
+# ----------------------------------------------------------------------
+class Experiment:
+    """One entry of :data:`EXPERIMENTS`: what to run and how to show it.
+
+    ``key`` is what ``reproduce_paper.py --only/--skip`` matches and
+    ``title`` the banner, leading with the paper anchor. ``sweep`` is the
+    sweep function - or a tuple of them for a multi-panel figure, whose
+    result is then ``{function name: its result}`` and whose ``tables``
+    each name one by ``of``.
+    """
+
+    def __init__(
+        self, key: str, title: str, sweep: Union[Callable, Tuple[Callable, ...]],
+        *tables: Table,
+    ) -> None:
+        self.key, self.title, self.sweep, self.tables = key, title, sweep, tables
+
+    def run(self, ctx: BenchmarkContext) -> Dict:
+        if callable(self.sweep):
+            return self.sweep(ctx)
+        return {sweep.__name__: sweep(ctx) for sweep in self.sweep}
+
+    def render(self, result: Dict, style: str = "text") -> str:
+        return render(self.tables, result, style)
+
+    @property
+    def documented(self) -> bool:
+        """Whether this entry is a section (or several) of EXPERIMENTS.md."""
+        return any(table.section for table in self.tables)
+
+
+EXPERIMENTS: Tuple[Experiment, ...] = (
+    Experiment("table3", "Table 3 - graph datasets", table3,
+        Table("Table 3: graph datasets (paper originals vs generated analogues)",
+            (("abbrev", "abbrev"), ("paper graph", "paper_name"), ("class", "category"),
+             ("paper |V|", "paper_vertices"), ("paper |E|", "paper_edges"),
+             ("analogue |V|", "analogue_vertices"), ("analogue |E|", "analogue_edges"),
+             ("diam class", "diameter_class"),
+             ("analogue diam>=", "analogue_diameter_lb")),
+        ),
+    ),
+    Experiment("figure5", "Figure 5 - ACC combine vs atomic updates", figure5,
+        Table("Figure 5: ACC combine vs atomic updates",
+            (("graph", "graph"), ("operation", "operation"), ("ACC ms", "acc_ms", 3),
+             ("atomic ms", "atomic_ms", 3), ("speedup", "speedup", 3)),
+            footer="Average speedup -- vote: {average_speedup[vote]:.3f}x, "
+                "aggregation: {average_speedup[aggregation]:.3f}x (paper: "
+                "~1.12x / ~1.09x)",
+        ),
+    ),
+    Experiment("figure8", "Figure 8 - filter activation patterns", figure8,
+        Table("Figure 8: ballot-filter activation patterns",
+            (("algorithm", "algorithm"), ("graph", "graph"),
+             ("iterations", "iterations"),
+             ("ballot iters", lambda r: len(r["ballot_iterations"])),
+             ("pattern", "pattern")),
+        ),
+    ),
+    Experiment(
+        "figure9", "Figure 9 - JIT threshold sweep and overhead", (figure9a, figure9b),
+        Table("Figure 9(a): JIT performance vs online-filter overflow threshold",
+            (("overflow threshold", "threshold"),
+             ("relative performance", "relative_performance", 3)),
+            of="figure9a",
+            footer="Best threshold: {best_threshold} (paper selects 64)",
+        ),
+        Table("Figure 9(b): overhead of the always-on online filter (SSSP)",
+            (("graph", "graph"), ("shadow-online overhead %", "overhead_percent", 3)),
+            of="figure9b",
+            footer="Average overhead: {average_overhead_percent:.3f}% (paper: "
+                "~0.02%, max 2.1%)",
+        ),
+    ),
+    Experiment("table2", "Table 2 - registers and kernel launches", table2,
+        Table("Table 2: register consumption and kernel launches",
+            rows="",
+            footer=lambda r: "\n".join(r["listing"]),
+        ),
+    ),
+    Experiment("table4", "Table 4 - runtime vs CuSha/Gunrock/Galois/Ligra", table4,
+        Table(
+            rows="tables",
+            footer=lambda r: "\n".join(
+                ["", "SIMD-X geometric-mean speedup over each system:"]
+                + [
+                    f"  {algorithm}: "
+                    + ", ".join(f"{s}: {v:.2f}x" for s, v in per_system.items())
+                    for algorithm, per_system in r["simdx_speedup_over"].items()
+                ]
+            ),
+        ),
+    ),
+    Experiment("figure12", "Figure 12 - JIT task management benefit", figure12,
+        Table("Figure 12: benefit of JIT task management (normalized to ballot)",
+            (("algorithm", "algorithm"), ("graph", "graph"),
+             ("ballot ms", "ballot_ms", 3),
+             ("online ms", lambda r: "FAIL" if r["online_failed"] else r["online_ms"], 3),
+             ("JIT ms", "jit_ms", 3), ("JIT/ballot", "jit_speedup_vs_ballot", 2)),
+            footer=lambda r: "Average JIT speedup over ballot -- " + ", ".join(
+                f"{alg}: {v:.1f}x" for alg, v in r["jit_speedup_over_ballot"].items()
+            ),
+        ),
+    ),
+    Experiment("figure13", "Figure 13 - push-pull kernel fusion benefit", figure13,
+        Table("Figure 13: benefit of push-pull based kernel fusion",
+            (("algorithm", "algorithm"), ("graph", "graph"),
+             ("no fusion ms", "non_fusion_ms", 3),
+             ("all fusion ms", "all_fusion_ms", 3), ("push-pull ms", "push_pull_ms", 3),
+             ("push-pull speedup", lambda r: r["push_pull_speedup"] or None, 2)),
+            footer=lambda r: "Average speedups:\n" + "\n".join(
+                f"  {alg}: push-pull {avg['push_pull_vs_none']:.2f}x, "
+                f"all-fusion {avg['all_vs_none']:.2f}x (vs no fusion)"
+                for alg, avg in r["average_speedups"].items()
+            ),
+        ),
+    ),
+    Experiment("section7_3", "Section 7.3 - scaling across GPU generations", section7_3,
+        Table(
+            rows="tables",
+            footer=lambda r: "SIMD-X fused-kernel configurable threads -- " + ", ".join(
+                f"{d}: {v}" for d, v in r["simdx_configurable_threads"].items()
+            ),
+        ),
+    ),
+    Experiment(
+        "separators", "Section 4 - worklist separator sweep", worklist_separators,
+        Table("Worklist separators: small/medium sweep",
+            (("small/medium separator", "separator"), ("mean ms", "mean_ms", 3)),
+            rows="small_medium",
+        ),
+        Table("Worklist separators: medium/large sweep",
+            (("medium/large separator", "separator"), ("mean ms", "mean_ms", 3)),
+            rows="medium_large",
+        ),
+    ),
+    Experiment(
+        "phase_timings", "EXPERIMENTS.md §1-3 - phase timings, JIT traces, traffic-model fit",
+        phase_timings,
+        Table("Per-algorithm, per-phase timing baseline",
+            (("algorithm", "algorithm"), ("graph", "graph"), ("phase", "phase"),
+             ("dir", "direction"), ("iters", "iterations"), ("edges", "edges"),
+             ("active", "active_edges"), ("compute µs", "compute_us", 1),
+             ("filter µs", "filter_us", 1), ("total µs", "total_us", 1)),
+            rows="phase_rows", section=1,
+            lead="Auto-direction runs folded into consecutive same-direction "
+                "phases (Section 5 clustering). `edges` counts the walked "
+                "worklist edges (out-edges in push, scanned in-edges in "
+                "pull); `active` is the frontier-sourced share that pays full "
+                "per-edge work in pull mode.",
+        ),
+        Table("Direction-aware JIT filter traces",
+            (("algorithm", "algorithm"), ("graph", "graph"), ("iters", "iterations"),
+             ("pull iters", "pull_iterations"),
+             ("pull ballots", "pull_ballot_iterations"),
+             ("pre-armed", "pre_armed_ballots"),
+             ("filter pattern", lambda r: f"`{r['pattern']}`" if r["pattern"] else None)),
+            rows="trace_rows", section=2,
+            lead="Per run: executed filter pattern, pull iterations (all must "
+                "be online — a gather worker records at most one destination, "
+                "so its bin cannot overflow), and pre-armed ballots (ballot "
+                "fired on the first push iteration after a pull phase because "
+                "the handed-over frontier's max out-degree, scaled by the "
+                "expected offer success rate, exceeded the overflow "
+                "threshold).",
+        ),
+        Table("Calibrated traffic-model constants",
+            (("algorithm", "algorithm"), ("push µs/edge", "push_us_per_edge", 6),
+             ("pull µs/scanned edge", "pull_us_per_scanned_edge", 6),
+             ("active fraction", "pull_active_edge_fraction", 3),
+             ("fitted scan µs", "fitted_scan_us_per_edge", 6),
+             ("fitted active µs", "fitted_active_us_per_edge", 6),
+             ("scan/push", "pull_scan_over_push_edge", 3),
+             ("active/push", "pull_active_over_push_edge", 3),
+             ("fit rank", lambda r: int(r["fit_rank"])),
+             ("fit cond", "fit_condition", 1)),
+            rows="fit_rows", section=3,
+            lead="The engine charges push compute at `push_edge_ops` per "
+                "expanded edge and pull compute at `pull_scan_ops` per "
+                "scanned in-edge plus `pull_active_edge_ops` per "
+                "frontier-sourced in-edge "
+                "(`repro.core.direction.TrafficModel`). The fit below "
+                "recovers both constants by least squares over the measured "
+                "forced-pull iterations (`compute_us ~ c_scan * scanned + "
+                "c_active * active`), with the forced-push runs pinning the "
+                "reference per-edge cost. The ratios compare against the "
+                "shipped `pull_scan_ops / push_edge_ops = "
+                "{shipped[pull_scan_over_push_edge]:.2f}` and "
+                "`pull_active_edge_ops / push_edge_ops = 1` - up to the "
+                "memory-traffic share of iteration time the ops constants do "
+                "not cover. `fit rank` 1 flags (near-)collinear regressors - "
+                "every pull iteration gathered (almost) all in-edges, e.g. "
+                "SpMV/BP exactly and WCC-style runs within the "
+                "condition-number bound (`fit cond`, capped at "
+                "`repro.core.metrics.COLLINEARITY_LIMIT`): there the scan "
+                "column holds the combined per-scanned-edge cost. Voting "
+                "combines terminate gathers early, so their measured scan "
+                "cost also folds in `voting_pull_scan_fraction = "
+                "{shipped[voting_pull_scan_fraction]}`.",
+        ),
+        Table(
+            columns=(
+                ("combine kind", "kind"), ("push µs/edge", "push_us_per_edge", 6),
+                ("fitted scan µs", "fitted_scan_us_per_edge", 6),
+                ("fitted active µs", "fitted_active_us_per_edge", 6),
+                ("scan/push", "pull_scan_over_push_edge", 3),
+                ("active/push", "pull_active_over_push_edge", 3)
+            ),
+            rows="pooled_rows",
+            lead="Pooled by combine kind:",
+        ),
+        Table(
+            columns=(("constant", "constant"), ("value", "value")),
+            rows="shipped_rows",
+            lead="Shipped constants (`DEFAULT_TRAFFIC_MODEL`):",
+        ),
+    ),
+    Experiment(
+        "gather_refinement", "EXPERIMENTS.md §4 - gather-candidate refinement",
+        gather_refinement,
+        Table("Gather-candidate refinement (SSSP / WCC)",
+            (("algorithm", "algorithm"), ("graph", "graph"),
+             ("scanned edges (pruned)", "scanned_edges_pruned"),
+             ("scanned edges (unpruned)", "scanned_edges_unpruned"),
+             ("shrink %", "shrink_percent", 1), ("pruned ms", "elapsed_ms_pruned", 3),
+             ("unpruned ms", "elapsed_ms_unpruned", 3),
+             ("values identical", "values_identical")),
+            section=4,
+            lead="Forced-pull runs with and without the frontier-dependent "
+                "settled-vertex bound in `gather_mask`. Values are "
+                "bit-identical by construction; the scanned-edge shrink is "
+                "the worklist reduction from pruning settled vertices. "
+                "Simulated time does not always follow the shrink: on "
+                "uniform-degree road graphs the pruned worklist is less "
+                "degree-homogeneous, so the thread-kernel divergence penalty "
+                "can outweigh the saved traffic — the paper's motivation for "
+                "pruning is the skewed graphs, where both move together.",
+        ),
+    ),
+    Experiment(
+        "batching_throughput", "EXPERIMENTS.md §5 - batched multi-source throughput",
+        batching_throughput,
+        Table("Batched multi-source throughput",
+            (("algorithm", "algorithm"), ("graph", "graph"), ("K", "lanes"),
+             ("batch ms", "batch_ms", 3), ("serial ms", "serial_ms", 3),
+             ("batch q/s", "batch_qps", 0), ("serial q/s", "serial_qps", 0),
+             ("speedup", "speedup", 2), ("union edges", "union_edges"),
+             ("lane pairs", "lane_edge_pairs"), ("identical", "values_identical")),
+            cell=3, section=5,
+            lead="`SIMDXEngine.run_batch` answers K queries (the K "
+                "highest-degree sources) in one execution: every iteration "
+                "walks the CSR once over the union of the K lane frontiers "
+                "and expands each union edge only into the lanes whose "
+                "frontier contains its source, against a serial baseline that "
+                "loops `run` over the same sources. Per-lane results are "
+                "verified bit-identical to the independent runs in every "
+                "cell. `union edges` vs `lane pairs` is the amortization: the "
+                "serial loop walks every pair as a full edge, the batch pays "
+                "the CSR walk once per union edge. On high-diameter graphs "
+                "the union frontier can cross the pull threshold earlier than "
+                "any single lane would, so the batch may scan more in-edges "
+                "than it answers pairs - the speedup there comes from "
+                "amortizing the per-iteration fixed costs (launches, "
+                "barriers, task management) instead. `OOM` cells are "
+                "Table-4-style memory failures: batching keeps K metadata "
+                "arrays resident, so a paper-scale graph whose single query "
+                "fits the modeled device can stop fitting at higher lane "
+                "counts. See docs/batching.md for the lane model and when "
+                "batching wins.",
+        ),
+    ),
+    Experiment(
+        "split_benefit", "EXPERIMENTS.md §6 - lane-aware split benefit", split_benefit,
+        Table("Lane-aware direction selection: split benefit",
+            (("algorithm", "algorithm"), ("graph", "graph"), ("K", "lanes"),
+             ("scanned (lane-aware)", "scanned_lane_aware"),
+             ("scanned (decide-once)", "scanned_decide_once"),
+             ("walked (lane-aware)", "walked_lane_aware"),
+             ("walked (decide-once)", "walked_decide_once"),
+             ("lane-aware ms", "ms_lane_aware", 3),
+             ("decide-once ms", "ms_decide_once", 3), ("splits", "split_iterations"),
+             ("identical", "values_identical")),
+            cell=3, section=6,
+            lead="The same K queries answered with lane-aware direction "
+                "selection (`EngineConfig.lane_aware_split`, the default - "
+                "every lane's own frontier is scored with the traffic model "
+                "and the batch splits into push-leaning and pull-leaning "
+                "sub-batches when lane interests diverge past `split_margin`) "
+                "versus the decide-once union approximation of PR 3. Values "
+                "are bit-identical in every cell. `scanned` counts gather "
+                "(in-CSR) edges - the quantity the union approximation "
+                "over-pays when it crosses the pull threshold before any "
+                "single lane would. The `ms` columns show the other side of "
+                "the trade: per-sub-batch fixed costs, and the cheap shared "
+                "scan of voting gathers, can make the decide-once batch "
+                "faster in simulated time even while it scans more - "
+                "`split_margin` is the knob that arbitrates (see "
+                "docs/batching.md, \"When splitting wins\").",
+        ),
+    ),
+    Experiment(
+        "shard_scaling", "EXPERIMENTS.md §7 - sharded multi-device scaling",
+        shard_scaling,
+        Table("Sharded multi-device scaling",
+            (("algorithm", "algorithm"), ("graph", "graph"), ("K", "lanes"),
+             ("shards", "shards"), ("device", "device"), ("batch ms", "batch_ms", 3),
+             ("boundary", "boundary_updates"),
+             ("peak GB", lambda r: r["max_peak_bytes"] / 1024 ** 3, 2),
+             ("identical", "values_identical")),
+            cell=5, section=7,
+            lead="The same K queries answered at `EngineConfig(num_shards=N)` "
+                "for N in {{1, 2, 4}}: the graph is partitioned into "
+                "contiguous vertex ranges balanced by out-edges, each range "
+                "owning its metadata (and lane-metadata) slice on its own "
+                "simulated device (see docs/sharding.md). `OOM` rows at N=1 "
+                "are the §5 blank cells - the K lane-metadata arrays exceed "
+                "one K40 - and the same batch completing at N=2/4 with `peak` "
+                "(the largest per-shard simulated high-water mark) under the "
+                "12 GiB single-device budget is the capacity claim. "
+                "`boundary` counts valid updates that crossed a shard "
+                "boundary - the exchange traffic the partition pays. Every "
+                "completed cell is verified bit-identical per lane against K "
+                "independent single-source runs.",
+        ),
+    ),
+    Experiment(
+        "kernel_backend_wallclock", "EXPERIMENTS.md §8 - kernel-backend wall-clock comparison",
+        kernel_backend_wallclock,
+        Table("Kernel-backend wall-clock comparison",
+            (("dataset", "dataset"), ("algorithm", "algorithm"),
+             ("iters", "iterations"),
+             ("simulated ms", lambda b: b["simulated_us"] / 1000.0, 3),
+             ("kernel edges walked", "kernel_edges_walked"),
+             ("python s", lambda b: b["backends"]["python"]["wall_clock_s"], 4),
+             ("numpy s", lambda b: b["backends"]["numpy"]["wall_clock_s"], 4),
+             ("speedup", lambda b: f"{b['speedup_numpy_over_python']:.2f}x")),
+            rows="benchmarks", section=8,
+            lead="The engine's CSR-walk primitives run on a selectable "
+                "backend (`EngineConfig.kernel_backend`): `numpy`, the "
+                "vectorized default, and `python`, a pure-loop reference. The "
+                "two are bit-identical on values, simulated time and every "
+                "accounting counter (the fuzz matrix and "
+                "`tests/test_kernel_backend.py` enforce it); what differs is "
+                "real wall-clock, measured here. Numbers are from the "
+                "committed `{source}` (scale={config[scale]}, min of "
+                "{config[repeats]} interleaved timeit-style samples, measured "
+                "on {host[platform]} / python {host[python]} / numpy "
+                "{host[numpy]}). Raw seconds are host-specific; the CI "
+                "`bench-regression` job gates only on the numpy-over-python "
+                "speedup ratio (15% tolerance) and on the deterministic "
+                "columns, which must match exactly. See docs/kernels.md.",
+        ),
+    ),
+    Experiment(
+        "serving_latency", "EXPERIMENTS.md §9 - serving latency under load",
+        serving_latency,
+        Table("Serving latency under load",
+            (("max_wait ms", "max_wait_ms"), ("load ×base", "load_multiplier"),
+             ("offered q/s", "offered_qps", 0), ("served", "served"), ("shed", "shed"),
+             ("batches", "batches"), ("mean fill", "mean_fill", 2),
+             ("p50 ms", "p50_ms", 2), ("p99 ms", "p99_ms", 2)),
+            section=9,
+            lead="A deterministic discrete-event simulation of the serving "
+                "layer (`src/repro/serve/`, docs/serving.md): seeded Poisson "
+                "arrivals ({num_queries} single `{algorithm}` queries over "
+                "the {source_pool} highest-degree sources of {dataset}) "
+                "stream into the real `AdmissionPolicy`/`BatchFormer` "
+                "(`max_batch={max_batch}`, `max_queue={max_queue}`), and "
+                "every dispatched composition is priced by running it through "
+                "one reused `SIMDXEngine.run_batch` - the serving contract. "
+                "Latency is admission to batch completion in simulated time; "
+                "offered load is a multiple of the base single-query rate "
+                "({base_qps:.0f} q/s, one query = {single_query_ms:.2f} "
+                "simulated ms). The sweep shows the admission trade: small "
+                "`max_wait_ms` minimizes p50 while under-loaded but "
+                "dispatches under-full batches; large `max_wait_ms` buys fill "
+                "- and survivable p99 at saturation - by taxing every lonely "
+                "query. Over-loaded cells shed arrivals that find `max_queue` "
+                "queries queued (`shed`), the serving layer's explicit "
+                "backpressure.",
+        ),
+    ),
+    Experiment(
+        "dynamic_updates", "EXPERIMENTS.md §10 - dynamic updates and reuse",
+        dynamic_updates,
+        Table("Dynamic updates and cross-query reuse",
+            (("updates/batch", "updates_per_batch"), ("repair µs", "mean_repair_us", 2),
+             ("scratch µs", "mean_scratch_us", 2),
+             ("speedup", lambda r: f"{r['speedup']:.2f}x" if r["speedup"] else None),
+             ("reset", "mean_reset_vertices", 1), ("seed", "mean_seed_vertices", 1),
+             ("identical", "values_identical")),
+            rows="repair_rows", section=10,
+            lead="The dynamic-graph subsystem (`src/repro/dyn/`, "
+                "`src/repro/cache/`; docs/dynamic.md, docs/caching.md) under "
+                "a seeded update-rate × query-rate sweep on {dataset}. "
+                "**Repair speedup:** each row applies "
+                "`{repair_rows[0][rounds]}` random insert+delete batches of "
+                "the given size and repairs the previous `{algorithm}` fixed "
+                "point incrementally (`IncrementalRecompute`) as well as "
+                "re-running it from scratch on the new snapshot; the two are "
+                "bit-identical by the exactness contract (`identical`, "
+                "asserted at generation time), and the simulated-time ratio "
+                "shows repair cost tracking the touched frontier (`seed` / "
+                "`reset` vertices), not the graph size.",
+        ),
+        Table(
+            columns=(
+                ("zipf s", "zipf_exponent"), ("queries", "queries"),
+                ("updates", "updates"), ("hits", "hits"), ("repairs", "repairs"),
+                ("misses", "misses"), ("hit rate", "hit_rate", 2),
+                ("reuse rate", "reuse_rate", 2), ("landmarks", "landmarks_refreshed")
+            ),
+            rows="cache_rows",
+            lead="**Cache hit-rate vs source skew:** a `{algorithm}` query "
+                "stream ({update_rounds} rounds × {queries_per_round} "
+                "queries, one 4-edge update batch between rounds) whose "
+                "sources are Zipf-drawn from the {source_pool} highest-degree "
+                "vertices, served through `CachedQueryEngine`. `hits` are "
+                "exact-version cache answers, `repairs` are stale entries "
+                "repaired forward through the retained update receipts, "
+                "`misses` fall back to a from-scratch run - every path "
+                "returning identical bits. Skewed sources (larger Zipf "
+                "exponent) turn reuse on.",
+        ),
+    ),
+)
+
+
+def experiment(key: str) -> Experiment:
+    """The :data:`EXPERIMENTS` entry registered under ``key``."""
+    for entry in EXPERIMENTS:
+        if entry.key == key:
+            return entry
+    raise KeyError(f"unknown experiment {key!r}; known: {[e.key for e in EXPERIMENTS]}")
+
+
+#: Where EXPERIMENTS.md is committed: next to the benchmark records.
+DOCUMENT_PATH = RECORDS_DIR / "EXPERIMENTS.md"
+
+#: Opening of EXPERIMENTS.md, a format string over (scale, datasets).
+DOCUMENT_HEAD = (
+    "# EXPERIMENTS — measured baselines\n\n"
+    "Generated by `PYTHONPATH=src python -m repro.bench.experiments` with "
+    "`scale={scale}`, `datasets={datasets}` on the simulated K40. All times "
+    "are simulated microseconds/milliseconds from the device cost model; the "
+    "document is deterministic for a fixed configuration, so regenerate and "
+    "diff it when touching the engine's cost accounting, the direction "
+    "machinery, the JIT controller or the batched multi-source path."
+)
+
+
 def generate_experiments_md(
-    path: str = "EXPERIMENTS.md",
+    path: Union[str, Path] = DOCUMENT_PATH,
     *,
     scale: float = 0.5,
-    datasets: Sequence[str] = ("LJ", "TW", "ER", "RC"),
+    datasets: Tuple[str, ...] = ("LJ", "TW", "ER", "RC"),
 ) -> str:
-    """Run the baseline experiments and write EXPERIMENTS.md.
+    """Run every documented experiment and write EXPERIMENTS.md.
 
     The default configuration keeps the run small (two skewed + two
     high-diameter graphs at half scale) so regeneration stays cheap; the
-    committed file is the baseline future PRs diff against.
+    committed file is the baseline future PRs diff against. The document
+    is deterministic for a fixed configuration: §8's wall-clock columns
+    come from the committed benchmark record, not a fresh measurement, and
+    the serving and dynamic sweeps are seeded.
     """
-    from repro.bench.reporting import render_experiments_md
-
     ctx = BenchmarkContext(scale=scale, datasets=tuple(datasets))
-    timings = phase_timings(ctx)
-    refinement = gather_refinement(ctx)
-    batching = batching_throughput(ctx)
-    split = split_benefit(ctx)
-    shard = shard_scaling(ctx)
-    kernel = kernel_backend_wallclock()
-    serving = serving_latency(ctx)
-    dynamic = dynamic_updates(ctx)
-    text = render_experiments_md(
-        timings, refinement, batching=batching, split=split, shard=shard,
-        kernel=kernel, serving=serving, dynamic=dynamic,
-        scale=scale, datasets=datasets,
-    )
+    pieces = [DOCUMENT_HEAD.format(scale=scale, datasets=",".join(datasets))]
+    for entry in EXPERIMENTS:
+        if entry.documented:
+            pieces.append(entry.render(entry.run(ctx), "markdown"))
+    text = "\n\n".join(pieces) + "\n"
     with open(path, "w") as handle:
         handle.write(text)
     return text
@@ -1370,6 +1720,6 @@ def generate_experiments_md(
 if __name__ == "__main__":  # pragma: no cover - CLI entry point
     import sys
 
-    target = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
+    target = sys.argv[1] if len(sys.argv) > 1 else DOCUMENT_PATH
     generate_experiments_md(target)
     print(f"wrote {target}")

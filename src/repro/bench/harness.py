@@ -190,10 +190,6 @@ class BenchmarkContext:
             trace=trace,
         )
 
-    def wallclock_config(self, kernel_backend: str) -> EngineConfig:
-        """Engine configuration for the wall-clock backend benchmark."""
-        return EngineConfig(kernel_backend=kernel_backend)
-
 
 # ----------------------------------------------------------------------
 # Wall-clock kernel-backend benchmark (``python -m repro.bench.harness``)
@@ -247,9 +243,8 @@ def _run_cell(context: BenchmarkContext, abbrev: str, algorithm_name: str,
               backend: str) -> RunResult:
     graph = context.graph(abbrev)  # cached: loading stays outside the clock
     algorithm = make_algorithm(algorithm_name, graph)
-    config = context.wallclock_config(backend)
     result = run_simdx(graph, algorithm, device_spec=context.device_spec,
-                       config=config)
+                       config=EngineConfig(kernel_backend=backend))
     if result.failed:
         raise RuntimeError(
             f"benchmark run failed: {abbrev}/{algorithm_name}/{backend}"

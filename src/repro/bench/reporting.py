@@ -1,706 +1,127 @@
-"""Render experiment results as text tables shaped like the paper's.
+"""Render experiment results as tables, in a text or a markdown style.
 
-The functions here take the dictionaries produced by
-:mod:`repro.bench.experiments` and return printable strings; the pytest
-benchmark files and ``examples/reproduce_paper.py`` use them so that running
-a bench shows the same rows/series the paper reports.
+This module names no experiment. :mod:`repro.bench.experiments` describes
+each one as data - an ``Experiment`` whose :class:`Table` specs say which
+result rows become which columns - and :func:`render` turns those specs plus
+a sweep result into a printable string: the fixed-width ``text`` layout the
+paper-artifact drivers print, or the ``markdown`` EXPERIMENTS.md is made of.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
+
+#: The output styles :func:`format_table` and :func:`render` understand.
+STYLES = ("text", "markdown")
 
 
-def render_table(headers: Sequence[str], rows: Iterable[Sequence], *, title: str = "") -> str:
-    """Simple fixed-width table renderer."""
-    rows = [list(r) for r in rows]
-    widths = [len(str(h)) for h in headers]
-    formatted_rows = []
-    for row in rows:
-        formatted = [
-            f"{cell:.3f}" if isinstance(cell, float) else ("-" if cell is None else str(cell))
-            for cell in row
-        ]
-        formatted_rows.append(formatted)
-        widths = [max(w, len(c)) for w, c in zip(widths, formatted)]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(str(h).ljust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for formatted in formatted_rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(formatted, widths)))
-    return "\n".join(lines)
+@dataclass(frozen=True)
+class Table:
+    """One rendered block of an experiment: heading, lead-in, table, footer.
 
-
-def render_figure5(result: Dict) -> str:
-    rows = [
-        (r["graph"], r["operation"], round(r["acc_ms"], 3), round(r["atomic_ms"], 3),
-         round(r["speedup"], 3))
-        for r in result["rows"]
-    ]
-    avg = result["average_speedup"]
-    footer = (
-        f"\nAverage speedup -- vote: {avg.get('vote', float('nan')):.3f}x, "
-        f"aggregation: {avg.get('aggregation', float('nan')):.3f}x "
-        "(paper: ~1.12x / ~1.09x)"
-    )
-    return render_table(
-        ["graph", "operation", "ACC ms", "atomic ms", "speedup"],
-        rows,
-        title="Figure 5: ACC combine vs atomic updates",
-    ) + footer
-
-
-def render_figure8(result: Dict) -> str:
-    rows = [
-        (r["algorithm"], r["graph"], r["iterations"],
-         len(r["ballot_iterations"]), r["pattern"])
-        for r in result["rows"]
-    ]
-    return render_table(
-        ["algorithm", "graph", "iterations", "ballot iters", "pattern"],
-        rows,
-        title="Figure 8: ballot-filter activation patterns",
-    )
-
-
-def render_figure9(result_a: Dict, result_b: Dict) -> str:
-    rows_a = [
-        (r["threshold"], round(r["relative_performance"], 3)) for r in result_a["rows"]
-    ]
-    part_a = render_table(
-        ["overflow threshold", "relative performance"],
-        rows_a,
-        title="Figure 9(a): JIT performance vs online-filter overflow threshold",
-    ) + f"\nBest threshold: {result_a['best_threshold']} (paper selects 64)"
-    rows_b = [
-        (r["graph"], round(r["overhead_percent"], 3)) for r in result_b["rows"]
-    ]
-    part_b = render_table(
-        ["graph", "shadow-online overhead %"],
-        rows_b,
-        title="Figure 9(b): overhead of the always-on online filter (SSSP)",
-    ) + (
-        f"\nAverage overhead: {result_b['average_overhead_percent']:.3f}% "
-        "(paper: ~0.02%, max 2.1%)"
-    )
-    return part_a + "\n\n" + part_b
-
-
-def render_table2(result: Dict) -> str:
-    lines = ["Table 2: register consumption and kernel launches"]
-    regs = result["registers"]
-    for group in ("push_no_fusion", "pull_no_fusion"):
-        entries = ", ".join(f"{k}={v}" for k, v in regs[group].items())
-        lines.append(f"  {group}: {entries}")
-    sel = regs["selective_fusion"]
-    lines.append(f"  selective_fusion: push={sel['push']}, pull={sel['pull']}")
-    lines.append(f"  all_fusion: {regs['all_fusion']}")
-    if result["launches"]:
-        lines.append("  kernel launches (measured):")
-        for strategy, info in result["launches"].items():
-            lines.append(
-                f"    {strategy:>10}: {info['kernel_launches']} launches over "
-                f"{info['iterations']} iterations "
-                f"({info['direction_switches']} direction switches)"
-            )
-    return "\n".join(lines)
-
-
-def render_table3(result: Dict) -> str:
-    rows = [
-        (r["abbrev"], r["paper_name"], r["category"], r["paper_vertices"],
-         r["paper_edges"], r["analogue_vertices"], r["analogue_edges"],
-         r["diameter_class"], r["analogue_diameter_lb"])
-        for r in result["rows"]
-    ]
-    return render_table(
-        ["abbrev", "paper graph", "class", "paper |V|", "paper |E|",
-         "analogue |V|", "analogue |E|", "diam class", "analogue diam>="],
-        rows,
-        title="Table 3: graph datasets (paper originals vs generated analogues)",
-    )
-
-
-def render_table4(result: Dict) -> str:
-    cells = result["cells"]
-    algorithms = sorted({c["algorithm"] for c in cells})
-    graphs: List[str] = []
-    for c in cells:
-        if c["graph"] not in graphs:
-            graphs.append(c["graph"])
-    blocks = []
-    for algorithm in algorithms:
-        systems: List[str] = []
-        for c in cells:
-            if c["algorithm"] == algorithm and c["system"] not in systems:
-                systems.append(c["system"])
-        rows = []
-        for system in systems:
-            row = [system]
-            for graph in graphs:
-                cell = next(
-                    (c for c in cells
-                     if c["algorithm"] == algorithm and c["system"] == system
-                     and c["graph"] == graph),
-                    None,
-                )
-                if cell is None or cell["ms"] is None:
-                    row.append(None)
-                else:
-                    row.append(round(cell["ms"], 2))
-            rows.append(row)
-        blocks.append(
-            render_table(
-                ["system"] + graphs, rows,
-                title=f"Table 4 [{algorithm}]: runtime (simulated ms; '-' = failed/OOM)",
-            )
-        )
-    speedups = result["simdx_speedup_over"]
-    lines = ["", "SIMD-X geometric-mean speedup over each system:"]
-    for algorithm, per_system in speedups.items():
-        entries = ", ".join(f"{s}: {v:.2f}x" for s, v in per_system.items())
-        lines.append(f"  {algorithm}: {entries}")
-    return "\n\n".join(blocks) + "\n" + "\n".join(lines)
-
-
-def render_figure12(result: Dict) -> str:
-    rows = [
-        (r["algorithm"], r["graph"],
-         round(r["ballot_ms"], 3) if r["ballot_ms"] is not None else None,
-         "FAIL" if r["online_failed"] else (
-             round(r["online_ms"], 3) if r["online_ms"] is not None else None),
-         round(r["jit_ms"], 3) if r["jit_ms"] is not None else None,
-         round(r["jit_speedup_vs_ballot"], 2)
-         if r["jit_speedup_vs_ballot"] is not None else None)
-        for r in result["rows"]
-    ]
-    footer_parts = [
-        f"{alg}: {v:.1f}x" for alg, v in result["jit_speedup_over_ballot"].items()
-    ]
-    return render_table(
-        ["algorithm", "graph", "ballot ms", "online ms", "JIT ms", "JIT/ballot"],
-        rows,
-        title="Figure 12: benefit of JIT task management (normalized to ballot)",
-    ) + "\nAverage JIT speedup over ballot -- " + ", ".join(footer_parts)
-
-
-def render_figure13(result: Dict) -> str:
-    rows = [
-        (r["algorithm"], r["graph"], round(r["non_fusion_ms"], 3),
-         round(r["all_fusion_ms"], 3), round(r["push_pull_ms"], 3),
-         round(r["push_pull_speedup"], 2) if r["push_pull_speedup"] else None)
-        for r in result["rows"]
-    ]
-    lines = []
-    for alg, avg in result["average_speedups"].items():
-        lines.append(
-            f"  {alg}: push-pull {avg['push_pull_vs_none']:.2f}x, "
-            f"all-fusion {avg['all_vs_none']:.2f}x (vs no fusion)"
-        )
-    return render_table(
-        ["algorithm", "graph", "no fusion ms", "all fusion ms", "push-pull ms",
-         "push-pull speedup"],
-        rows,
-        title="Figure 13: benefit of push-pull based kernel fusion",
-    ) + "\nAverage speedups:\n" + "\n".join(lines)
-
-
-def render_section7_3(result: Dict) -> str:
-    rows = []
-    for r in result["rows"]:
-        devices = list(r["mean_ms"].keys())
-        rows.append(
-            [r["system"]]
-            + [round(r["mean_ms"][d], 3) for d in devices]
-            + [round(r["speedup_vs_first"][d], 2) for d in devices]
-        )
-    devices = list(result["rows"][0]["mean_ms"].keys()) if result["rows"] else []
-    headers = (
-        ["system"] + [f"{d} ms" for d in devices] + [f"{d} speedup" for d in devices]
-    )
-    threads = ", ".join(
-        f"{d}: {v}" for d, v in result["simdx_configurable_threads"].items()
-    )
-    return render_table(
-        headers, rows, title="Section 7.3: scaling across GPU generations (BFS mean)"
-    ) + f"\nSIMD-X fused-kernel configurable threads -- {threads}"
-
-
-def _md_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """GitHub-flavoured markdown table."""
-    lines = [
-        "| " + " | ".join(str(h) for h in headers) + " |",
-        "| " + " | ".join("---" for _ in headers) + " |",
-    ]
-    for row in rows:
-        cells = [
-            f"{c:g}" if isinstance(c, float) else ("-" if c is None else str(c))
-            for c in row
-        ]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
-
-
-def render_experiments_md(
-    timings: Dict,
-    refinement: Dict,
-    *,
-    batching: Optional[Dict] = None,
-    split: Optional[Dict] = None,
-    shard: Optional[Dict] = None,
-    kernel: Optional[Dict] = None,
-    serving: Optional[Dict] = None,
-    dynamic: Optional[Dict] = None,
-    scale: float,
-    datasets: Sequence[str],
-) -> str:
-    """Render the EXPERIMENTS.md baseline document.
-
-    ``timings`` is :func:`repro.bench.experiments.phase_timings` output,
-    ``refinement`` is :func:`repro.bench.experiments.gather_refinement`
-    output, ``batching`` (optional) is
-    :func:`repro.bench.experiments.batching_throughput` output,
-    ``split`` (optional) is :func:`repro.bench.experiments.split_benefit`
-    output, ``shard`` (optional) is
-    :func:`repro.bench.experiments.shard_scaling` output and ``kernel``
-    (optional) is :func:`repro.bench.experiments.kernel_backend_wallclock`
-    output (the committed BENCH_*.json record) and ``serving``
-    (optional) is :func:`repro.bench.experiments.serving_latency` output
-    (the discrete-event serving sweep) and ``dynamic`` (optional) is
-    :func:`repro.bench.experiments.dynamic_updates` output (the dynamic
-    update-rate × query-rate sweep). The document is
-    deterministic for a fixed (scale, datasets)
-    configuration - §8's wall-clock columns come from the committed
-    benchmark record, not a fresh measurement, and §9's arrivals are
-    seeded - so future PRs can diff their regenerated copy against the
-    committed baseline.
+    Every part is optional. ``columns`` holds ``(header, source[, digits])``
+    tuples: ``source`` is a row key or a function of the row, ``digits``
+    rounds float cells. With ``columns``, ``rows`` names the result key of
+    the row dictionaries; without, it names ready ``(title, headers, rows)``
+    blocks the sweep built itself because its columns depend on the sweep
+    (an empty ``rows`` means there is no table body at all).
     """
-    parts: List[str] = []
-    parts.append("# EXPERIMENTS — measured baselines")
-    parts.append(
-        "\nGenerated by `PYTHONPATH=src python -m repro.bench.experiments` "
-        f"with `scale={scale}`, `datasets={','.join(datasets)}` on the "
-        "simulated K40. All times are simulated microseconds/milliseconds "
-        "from the device cost model; the document is deterministic for a "
-        "fixed configuration, so regenerate and diff it when touching the "
-        "engine's cost accounting, the direction machinery, the JIT "
-        "controller or the batched multi-source path.\n"
-    )
 
-    parts.append("## 1. Per-algorithm, per-phase timing baseline\n")
-    parts.append(
-        "Auto-direction runs folded into consecutive same-direction phases "
-        "(Section 5 clustering). `edges` counts the walked worklist edges "
-        "(out-edges in push, scanned in-edges in pull); `active` is the "
-        "frontier-sourced share that pays full per-edge work in pull mode.\n"
-    )
-    parts.append(
-        _md_table(
-            ["algorithm", "graph", "phase", "dir", "iters", "edges",
-             "active", "compute µs", "filter µs", "total µs"],
-            [
-                (r["algorithm"], r["graph"], r["phase"], r["direction"],
-                 r["iterations"], r["edges"], r["active_edges"],
-                 round(r["compute_us"], 1), round(r["filter_us"], 1),
-                 round(r["total_us"], 1))
-                for r in timings["phase_rows"]
-            ],
-        )
-    )
-
-    parts.append("\n## 2. Direction-aware JIT filter traces\n")
-    parts.append(
-        "Per run: executed filter pattern, pull iterations (all must be "
-        "online — a gather worker records at most one destination, so its "
-        "bin cannot overflow), and pre-armed ballots (ballot fired on the "
-        "first push iteration after a pull phase because the handed-over "
-        "frontier's max out-degree, scaled by the expected offer success "
-        "rate, exceeded the overflow threshold).\n"
-    )
-    parts.append(
-        _md_table(
-            ["algorithm", "graph", "iters", "pull iters",
-             "pull ballots", "pre-armed", "filter pattern"],
-            [
-                (r["algorithm"], r["graph"], r["iterations"],
-                 r["pull_iterations"], r["pull_ballot_iterations"],
-                 r["pre_armed_ballots"], f"`{r['pattern']}`" if r["pattern"] else "-")
-                for r in timings["trace_rows"]
-            ],
-        )
-    )
-
-    calibration = timings["calibration"]
-    shipped = calibration["shipped"]
-    parts.append("\n## 3. Calibrated traffic-model constants\n")
-    parts.append(
-        "The engine charges push compute at `push_edge_ops` per expanded "
-        "edge and pull compute at `pull_scan_ops` per scanned in-edge plus "
-        "`pull_active_edge_ops` per frontier-sourced in-edge "
-        "(`repro.core.direction.TrafficModel`). The fit below recovers both "
-        "constants by least squares over the measured forced-pull "
-        "iterations (`compute_us ~ c_scan * scanned + c_active * active`), "
-        "with the forced-push runs pinning the reference per-edge cost. The "
-        "ratios compare against the shipped "
-        f"`pull_scan_ops / push_edge_ops = "
-        f"{shipped['pull_scan_over_push_edge']:.2f}` and "
-        "`pull_active_edge_ops / push_edge_ops = 1` - up to the "
-        "memory-traffic share of iteration time the ops constants do not "
-        "cover. `fit rank` 1 flags (near-)collinear regressors - every "
-        "pull iteration gathered (almost) all in-edges, e.g. SpMV/BP "
-        "exactly and WCC-style runs within the condition-number bound "
-        "(`fit cond`, capped at "
-        "`repro.core.metrics.COLLINEARITY_LIMIT`): there the scan column "
-        "holds the combined per-scanned-edge cost. Voting combines "
-        "terminate gathers early, so their measured scan cost also folds in "
-        f"`voting_pull_scan_fraction = {shipped['voting_pull_scan_fraction']}`.\n"
-    )
-    parts.append(
-        _md_table(
-            ["algorithm", "push µs/edge", "pull µs/scanned edge",
-             "active fraction", "fitted scan µs", "fitted active µs",
-             "scan/push", "active/push", "fit rank", "fit cond"],
-            [
-                (name,
-                 round(fit["push_us_per_edge"], 6),
-                 round(fit["pull_us_per_scanned_edge"], 6),
-                 round(fit["pull_active_edge_fraction"], 3),
-                 round(fit["fitted_scan_us_per_edge"], 6),
-                 round(fit["fitted_active_us_per_edge"], 6),
-                 round(fit["pull_scan_over_push_edge"], 3),
-                 round(fit["pull_active_over_push_edge"], 3),
-                 int(fit["fit_rank"]),
-                 round(fit["fit_condition"], 1))
-                for name, fit in calibration["per_algorithm"].items()
-            ],
-        )
-    )
-    parts.append("\nPooled by combine kind:\n")
-    parts.append(
-        _md_table(
-            ["combine kind", "push µs/edge", "fitted scan µs",
-             "fitted active µs", "scan/push", "active/push"],
-            [
-                (kind,
-                 round(fit["push_us_per_edge"], 6),
-                 round(fit["fitted_scan_us_per_edge"], 6),
-                 round(fit["fitted_active_us_per_edge"], 6),
-                 round(fit["pull_scan_over_push_edge"], 3),
-                 round(fit["pull_active_over_push_edge"], 3))
-                for kind, fit in calibration["pooled"].items()
-            ],
-        )
-    )
-    parts.append("\nShipped constants (`DEFAULT_TRAFFIC_MODEL`):\n")
-    parts.append(
-        _md_table(
-            ["constant", "value"],
-            [(k, v) for k, v in shipped.items()],
-        )
-    )
-
-    parts.append("\n## 4. Gather-candidate refinement (SSSP / WCC)\n")
-    parts.append(
-        "Forced-pull runs with and without the frontier-dependent "
-        "settled-vertex bound in `gather_mask`. Values are bit-identical by "
-        "construction; the scanned-edge shrink is the worklist reduction "
-        "from pruning settled vertices. Simulated time does not always "
-        "follow the shrink: on uniform-degree road graphs the pruned "
-        "worklist is less degree-homogeneous, so the thread-kernel "
-        "divergence penalty can outweigh the saved traffic — the paper's "
-        "motivation for pruning is the skewed graphs, where both move "
-        "together.\n"
-    )
-    parts.append(
-        _md_table(
-            ["algorithm", "graph", "scanned edges (pruned)",
-             "scanned edges (unpruned)", "shrink %", "pruned ms",
-             "unpruned ms", "values identical"],
-            [
-                (r["algorithm"], r["graph"], r["scanned_edges_pruned"],
-                 r["scanned_edges_unpruned"], round(r["shrink_percent"], 1),
-                 round(r["elapsed_ms_pruned"], 3),
-                 round(r["elapsed_ms_unpruned"], 3),
-                 "yes" if r["values_identical"] else "NO")
-                for r in refinement["rows"]
-            ],
-        )
-    )
-
-    if batching is not None and batching["rows"]:
-        parts.append("\n## 5. Batched multi-source throughput\n")
-        parts.append(
-            "`SIMDXEngine.run_batch` answers K queries (the K highest-"
-            "degree sources) in one execution: every iteration walks the "
-            "CSR once over the union of the K lane frontiers and expands "
-            "each union edge only into the lanes whose frontier contains "
-            "its source, against a serial baseline that loops `run` over "
-            "the same sources. Per-lane results are verified bit-identical "
-            "to the independent runs in every cell. `union edges` vs "
-            "`lane pairs` is the amortization: the serial loop walks every "
-            "pair as a full edge, the batch pays the CSR walk once per "
-            "union edge. On high-diameter graphs the union frontier can "
-            "cross the pull threshold earlier than any single lane would, "
-            "so the batch may scan more in-edges than it answers pairs - "
-            "the speedup there comes from amortizing the per-iteration "
-            "fixed costs (launches, barriers, task management) instead. "
-            "`OOM` cells are Table-4-style memory failures: batching keeps "
-            "K metadata arrays resident, so a paper-scale graph whose "
-            "single query fits the modeled device can stop fitting at "
-            "higher lane counts. See docs/batching.md for the lane model "
-            "and when batching wins.\n"
-        )
-        parts.append(
-            _md_table(
-                ["algorithm", "graph", "K", "batch ms", "serial ms",
-                 "batch q/s", "serial q/s", "speedup", "union edges",
-                 "lane pairs", "identical"],
-                [
-                    (
-                        (r["algorithm"], r["graph"], r["lanes"], "OOM",
-                         None, None, None, None, None, None, None)
-                        if r["failed"] else
-                        (r["algorithm"], r["graph"], r["lanes"],
-                         round(r["batch_ms"], 3), round(r["serial_ms"], 3),
-                         round(r["batch_qps"], 0), round(r["serial_qps"], 0),
-                         round(r["speedup"], 2), r["union_edges"],
-                         r["lane_edge_pairs"],
-                         "yes" if r["values_identical"] else "NO")
-                    )
-                    for r in batching["rows"]
-                ],
-            )
-        )
-
-    if split is not None and split["rows"]:
-        parts.append("\n## 6. Lane-aware direction selection: split benefit\n")
-        parts.append(
-            "The same K queries answered with lane-aware direction "
-            "selection (`EngineConfig.lane_aware_split`, the default - "
-            "every lane's own frontier is scored with the traffic model "
-            "and the batch splits into push-leaning and pull-leaning "
-            "sub-batches when lane interests diverge past `split_margin`) "
-            "versus the decide-once union approximation of PR 3. Values "
-            "are bit-identical in every cell. `scanned` counts gather "
-            "(in-CSR) edges - the quantity the union approximation "
-            "over-pays when it crosses the pull threshold before any "
-            "single lane would. The `ms` columns show the other side of "
-            "the trade: per-sub-batch fixed costs, and the cheap shared "
-            "scan of voting gathers, can make the decide-once batch "
-            "faster in simulated time even while it scans more - "
-            "`split_margin` is the knob that arbitrates (see "
-            "docs/batching.md, \"When splitting wins\").\n"
-        )
-        parts.append(
-            _md_table(
-                ["algorithm", "graph", "K", "scanned (lane-aware)",
-                 "scanned (decide-once)", "walked (lane-aware)",
-                 "walked (decide-once)", "lane-aware ms", "decide-once ms",
-                 "splits", "identical"],
-                [
-                    (
-                        (r["algorithm"], r["graph"], r["lanes"], "OOM",
-                         None, None, None, None, None, None, None)
-                        if r["failed"] else
-                        (r["algorithm"], r["graph"], r["lanes"],
-                         r["scanned_lane_aware"], r["scanned_decide_once"],
-                         r["walked_lane_aware"], r["walked_decide_once"],
-                         round(r["ms_lane_aware"], 3),
-                         round(r["ms_decide_once"], 3),
-                         r["split_iterations"],
-                         "yes" if r["values_identical"] else "NO")
-                    )
-                    for r in split["rows"]
-                ],
-            )
-        )
-
-    if shard is not None and shard["rows"]:
-        parts.append("\n## 7. Sharded multi-device scaling\n")
-        parts.append(
-            "The same K queries answered at `EngineConfig(num_shards=N)` "
-            "for N in {1, 2, 4}: the graph is partitioned into contiguous "
-            "vertex ranges balanced by out-edges, each range owning its "
-            "metadata (and lane-metadata) slice on its own simulated "
-            "device (see docs/sharding.md). `OOM` rows at N=1 are the §5 "
-            "blank cells - the K lane-metadata arrays exceed one K40 - "
-            "and the same batch completing at N=2/4 with `peak` (the "
-            "largest per-shard simulated high-water mark) under the "
-            "12 GiB single-device budget is the capacity claim. "
-            "`boundary` counts valid updates that crossed a shard "
-            "boundary - the exchange traffic the partition pays. Every "
-            "completed cell is verified bit-identical per lane against "
-            "K independent single-source runs.\n"
-        )
-        parts.append(
-            _md_table(
-                ["algorithm", "graph", "K", "shards", "device", "batch ms",
-                 "boundary", "peak GB", "identical"],
-                [
-                    (
-                        (r["algorithm"], r["graph"], r["lanes"],
-                         r["shards"], r["device"], "OOM", None, None, None)
-                        if r["failed"] else
-                        (r["algorithm"], r["graph"], r["lanes"],
-                         r["shards"], r["device"],
-                         round(r["batch_ms"], 3), r["boundary_updates"],
-                         round(r["max_peak_bytes"] / 1024 ** 3, 2),
-                         "yes" if r["values_identical"] else "NO")
-                    )
-                    for r in shard["rows"]
-                ],
-            )
-        )
-    if kernel is not None and kernel["record"]["benchmarks"]:
-        record = kernel["record"]
-        host = record.get("host", {})
-        config = record.get("config", {})
-        parts.append("\n## 8. Kernel-backend wall-clock comparison\n")
-        parts.append(
-            "The engine's CSR-walk primitives run on a selectable backend "
-            "(`EngineConfig.kernel_backend`): `numpy`, the vectorized "
-            "default, and `python`, a pure-loop reference. The two are "
-            "bit-identical on values, simulated time and every accounting "
-            "counter (the fuzz matrix and `tests/test_kernel_backend.py` "
-            "enforce it); what differs is real wall-clock, measured here. "
-            f"Numbers are from the committed `{kernel['source']}` "
-            f"(scale={config.get('scale')}, min of "
-            f"{config.get('repeats')} interleaved timeit-style samples, "
-            f"measured on {host.get('platform', 'unknown')} / "
-            f"python {host.get('python', '?')} / "
-            f"numpy {host.get('numpy', '?')}). Raw seconds are "
-            "host-specific; the CI `bench-regression` job gates only on "
-            "the numpy-over-python speedup ratio (15% tolerance) and on "
-            "the deterministic columns, which must match exactly. See "
-            "docs/kernels.md.\n"
-        )
-        parts.append(
-            _md_table(
-                ["dataset", "algorithm", "iters", "simulated ms",
-                 "kernel edges walked", "python s", "numpy s", "speedup"],
-                [
-                    (b["dataset"], b["algorithm"], b["iterations"],
-                     round(b["simulated_us"] / 1000.0, 3),
-                     b["kernel_edges_walked"],
-                     round(b["backends"]["python"]["wall_clock_s"], 4),
-                     round(b["backends"]["numpy"]["wall_clock_s"], 4),
-                     f"{b['speedup_numpy_over_python']:.2f}x")
-                    for b in record["benchmarks"]
-                ],
-            )
-        )
-    if serving is not None and serving["rows"]:
-        parts.append("\n## 9. Serving latency under load\n")
-        parts.append(
-            "A deterministic discrete-event simulation of the serving "
-            "layer (`src/repro/serve/`, docs/serving.md): seeded Poisson "
-            f"arrivals ({serving['num_queries']} single "
-            f"`{serving['algorithm']}` queries over the "
-            f"{serving['source_pool']} highest-degree sources of "
-            f"{serving['dataset']}) stream into the real "
-            "`AdmissionPolicy`/`BatchFormer` "
-            f"(`max_batch={serving['max_batch']}`, "
-            f"`max_queue={serving['max_queue']}`), and every dispatched "
-            "composition is priced by running it through one reused "
-            "`SIMDXEngine.run_batch` - the serving contract. Latency is "
-            "admission to batch completion in simulated time; offered "
-            "load is a multiple of the base single-query rate "
-            f"({serving['base_qps']:.0f} q/s, one query = "
-            f"{serving['single_query_ms']:.2f} simulated ms). The sweep "
-            "shows the admission trade: small `max_wait_ms` minimizes "
-            "p50 while under-loaded but dispatches under-full batches; "
-            "large `max_wait_ms` buys fill - and survivable p99 at "
-            "saturation - by taxing every lonely query. Over-loaded "
-            "cells shed arrivals that find `max_queue` queries queued "
-            "(`shed`), the serving layer's explicit backpressure.\n"
-        )
-        parts.append(
-            _md_table(
-                ["max_wait ms", "load ×base", "offered q/s", "served",
-                 "shed", "batches", "mean fill", "p50 ms", "p99 ms"],
-                [
-                    (r["max_wait_ms"], r["load_multiplier"],
-                     round(r["offered_qps"], 0), r["served"], r["shed"],
-                     r["batches"], round(r["mean_fill"], 2),
-                     round(r["p50_ms"], 2), round(r["p99_ms"], 2))
-                    for r in serving["rows"]
-                ],
-            )
-        )
-    if dynamic is not None and dynamic["repair_rows"]:
-        parts.append("\n## 10. Dynamic updates and cross-query reuse\n")
-        parts.append(
-            "The dynamic-graph subsystem (`src/repro/dyn/`, "
-            "`src/repro/cache/`; docs/dynamic.md, docs/caching.md) under "
-            "a seeded update-rate × query-rate sweep on "
-            f"{dynamic['dataset']}. **Repair speedup:** each row applies "
-            f"`{dynamic['repair_rows'][0]['rounds']}` random "
-            "insert+delete batches of the given size and repairs the "
-            f"previous `{dynamic['algorithm']}` fixed point "
-            "incrementally (`IncrementalRecompute`) as well as re-running "
-            "it from scratch on the new snapshot; the two are "
-            "bit-identical by the exactness contract (`identical`, "
-            "asserted at generation time), and the simulated-time ratio "
-            "shows repair cost tracking the touched frontier (`seed` / "
-            "`reset` vertices), not the graph size.\n"
-        )
-        parts.append(
-            _md_table(
-                ["updates/batch", "repair µs", "scratch µs", "speedup",
-                 "reset", "seed", "identical"],
-                [
-                    (r["updates_per_batch"],
-                     round(r["mean_repair_us"], 2),
-                     round(r["mean_scratch_us"], 2),
-                     f"{r['speedup']:.2f}x" if r["speedup"] else None,
-                     round(r["mean_reset_vertices"], 1),
-                     round(r["mean_seed_vertices"], 1),
-                     "yes" if r["values_identical"] else "NO")
-                    for r in dynamic["repair_rows"]
-                ],
-            )
-        )
-        parts.append(
-            "\n**Cache hit-rate vs source skew:** a "
-            f"`{dynamic['algorithm']}` query stream "
-            f"({dynamic['update_rounds']} rounds × "
-            f"{dynamic['queries_per_round']} queries, one 4-edge update "
-            "batch between rounds) whose sources are Zipf-drawn from the "
-            f"{dynamic['source_pool']} highest-degree vertices, served "
-            "through `CachedQueryEngine`. `hits` are exact-version cache "
-            "answers, `repairs` are stale entries repaired forward "
-            "through the retained update receipts, `misses` fall back to "
-            "a from-scratch run - every path returning identical bits. "
-            "Skewed sources (larger Zipf exponent) turn reuse on.\n"
-        )
-        parts.append(
-            _md_table(
-                ["zipf s", "queries", "updates", "hits", "repairs",
-                 "misses", "hit rate", "reuse rate", "landmarks"],
-                [
-                    (r["zipf_exponent"], r["queries"], r["updates"],
-                     r["hits"], r["repairs"], r["misses"],
-                     round(r["hit_rate"], 2), round(r["reuse_rate"], 2),
-                     r["landmarks_refreshed"])
-                    for r in dynamic["cache_rows"]
-                ],
-            )
-        )
-    parts.append("")
-    return "\n".join(parts)
+    title: str = ""
+    columns: Tuple[tuple, ...] = ()
+    rows: str = "rows"
+    #: Leading columns that identify a cell: a ``failed`` row keeps them,
+    #: then reads ``OOM`` and ``-`` (0 = rows of this table cannot fail).
+    cell: int = 0
+    #: EXPERIMENTS.md section number of this block (0 = not a section).
+    section: int = 0
+    #: Lead-in paragraph, a format string over the result.
+    lead: str = ""
+    #: Closing lines: a format string over the result, or a function of it.
+    footer: Union[str, Callable[[Dict], str]] = ""
+    #: Result key to render against when one entry runs several sweeps.
+    of: str = ""
 
 
-def render_worklist_separators(result: Dict) -> str:
-    part_a = render_table(
-        ["small/medium separator", "mean ms"],
-        [(r["separator"], round(r["mean_ms"], 3)) for r in result["small_medium"]],
-        title="Worklist separators: small/medium sweep",
+def _format_cell(cell: object, style: str) -> str:
+    if cell is None:
+        return "-"
+    if isinstance(cell, bool):
+        return "yes" if cell else "NO"
+    if isinstance(cell, float):
+        return f"{cell:.3f}" if style == "text" else f"{cell:g}"
+    return str(cell)
+
+
+def format_table(
+    headers: Sequence[str], rows: Iterable[Sequence], style: str = "text"
+) -> str:
+    """Fixed-width (``text``) or GitHub-flavoured (``markdown``) table."""
+    if style not in STYLES:
+        raise ValueError(f"unknown table style {style!r}; known: {STYLES}")
+    headers = [str(h) for h in headers]
+    cells = [[_format_cell(c, style) for c in row] for row in rows]
+    if style == "markdown":
+        lines = [headers, ["---"] * len(headers)] + cells
+        return "\n".join("| " + " | ".join(line) + " |" for line in lines)
+    widths = [len(h) for h in headers]
+    for row in cells:
+        widths = [max(w, len(c)) for w, c in zip(widths, row)]
+    lines = [headers, ["-" * w for w in widths]] + cells
+    return "\n".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)) for line in lines
     )
-    part_b = render_table(
-        ["medium/large separator", "mean ms"],
-        [(r["separator"], round(r["mean_ms"], 3)) for r in result["medium_large"]],
-        title="Worklist separators: medium/large sweep",
-    )
-    return part_a + "\n\n" + part_b
+
+
+def _cells(columns: Sequence[tuple], row: Dict) -> List[object]:
+    """The cells of one row dictionary under ``(header, source[, digits])``."""
+    cells = []
+    for _, source, *digits in columns:
+        value = source(row) if callable(source) else row[source]
+        if digits and isinstance(value, float):
+            value = round(value, digits[0])
+        cells.append(value)
+    return cells
+
+
+def _row(table: Table, row: Dict) -> List[object]:
+    if table.cell and row.get("failed"):
+        blanks = [None] * (len(table.columns) - table.cell - 1)
+        return _cells(table.columns[: table.cell], row) + ["OOM"] + blanks
+    return _cells(table.columns, row)
+
+
+def _block(table: Table, result: Dict, style: str) -> str:
+    """One :class:`Table` spec rendered against a sweep result."""
+    data = result[table.of] if table.of else result
+    sep = "\n" if style == "text" else "\n\n"
+
+    def heading(title: str) -> str:
+        if style == "text":
+            return title
+        return f"## {table.section}. {title}" if table.section else f"### {title}"
+
+    pieces = [heading(table.title)] if table.title else []
+    if table.lead:
+        pieces.append(table.lead.format(**data))
+    if table.columns:
+        pieces.append(format_table(
+            [column[0] for column in table.columns],
+            [_row(table, row) for row in data[table.rows]],
+            style,
+        ))
+    elif table.rows:
+        pieces.append("\n\n".join(
+            sep.join([heading(title), format_table(headers, rows, style)])
+            for title, headers, rows in data[table.rows]
+        ))
+    if table.footer:
+        footer = table.footer
+        pieces.append(footer(data) if callable(footer) else footer.format(**data))
+    return sep.join(pieces)
+
+
+def render(tables: Iterable[Table], result: Dict, style: str = "text") -> str:
+    """Render all of one experiment's tables for one sweep result."""
+    return "\n\n".join(_block(table, result, style) for table in tables)
