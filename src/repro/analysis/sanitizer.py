@@ -64,6 +64,7 @@ class ViolationKind(enum.Enum):
     CSR_MUTATION = "csr-mutation"
     ACCOUNTING = "accounting"
     EXTRA_KEY = "extra-key"
+    FRONTIER_ORDER = "frontier-order"
 
 
 @dataclass(frozen=True)
@@ -288,9 +289,24 @@ class RuntimeSanitizer:
         self._apply_records = {}
         self._checks["supersteps"] += 1
 
-    def end_superstep(self, iteration: int, metadata: np.ndarray) -> None:
+    def end_superstep(
+        self, iteration: int, metadata: np.ndarray, frontiers=()
+    ) -> None:
         if self._snapshot is None:
             return
+        # The driver never re-sorts an id set: every lane's next frontier
+        # must already be canonical (int64, strictly increasing).
+        for lane, frontier in enumerate(frontiers):
+            self._checks["frontier_order"] += 1
+            if frontier.dtype != np.int64 or frontier.ndim != 1 or not bool(
+                (frontier[1:] > frontier[:-1]).all()
+            ):
+                self._violation(
+                    ViolationKind.FRONTIER_ORDER,
+                    f"next frontier is not a strictly increasing int64 "
+                    f"array (dtype {frontier.dtype}, {frontier.size} ids)",
+                    lane=lane,
+                )
         expected = self._snapshot.copy()
         for lane, recs in self._apply_records.items():
             for touched, new_values in recs:
@@ -658,16 +674,19 @@ class _SanitizedCombineOp:
         self._san = sanitizer
         self._lane_key = lane_key
 
-    def segment_reduce(self, values, segment_ids, num_segments, *, backend=None):
-        out = self._op.segment_reduce(
-            values, segment_ids, num_segments, backend=backend
+    def compact_reduce(
+        self, values, segment_ids, num_segments, *, ids_sorted=False, backend=None
+    ):
+        touched, combined = self._op.compact_reduce(
+            values, segment_ids, num_segments,
+            ids_sorted=ids_sorted, backend=backend,
         )
         if self._san._snapshot is not None:
-            self._san._combined_full[self._lane_key] = np.asarray(
-                out, dtype=np.float64
-            ).copy()
+            full = np.full(num_segments, self._op.identity, dtype=np.float64)
+            full[touched] = combined
+            self._san._combined_full[self._lane_key] = full
             self._san._checks["combines"] += 1
-        return out
+        return touched, combined
 
     def __getattr__(self, name):
         return getattr(self._op, name)

@@ -46,10 +46,11 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro.core.kernels import get_kernel_backend
 from repro.graph.csr import CSRGraph
 
 
@@ -89,50 +90,42 @@ class CombineOp(enum.Enum):
             return self.identity
         return float(self.ufunc.reduce(values))
 
-    def segment_reduce(
-        self,
-        values: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-        *,
-        backend=None,
-    ) -> np.ndarray:
-        """Reduce ``values`` grouped by ``segment_ids`` (destination vertex).
+    def compact_reduce(
+        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int,
+        *, ids_sorted: bool = False, backend=None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-destination Combine in compact form: ``(touched, combined)``.
 
-        This is the functional equivalent of the per-destination Combine: it
-        produces, for every destination, the operator applied over all
-        updates that target it, without any atomic read-modify-write.
+        ``touched`` is the canonical (``int64``, strictly increasing) set of
+        destinations that received any update, ``combined[i]`` the operator
+        over all updates that target ``touched[i]`` - no atomic
+        read-modify-write. Membership comes from the ids, never the values:
+        a destination whose combined value equals the identity (a SUM of
+        ``+x, -x``) is still touched. ``ids_sorted`` promises non-decreasing
+        ``segment_ids`` (every pull unit's stream), so MIN/MAX skip the sort.
 
-        ``backend`` (a :class:`repro.core.kernels.KernelBackend`) routes the
-        reduction through an engine-selected kernel backend; ``None`` (and
-        the numpy backend itself) runs the vectorized implementation below.
-        Both produce bit-identical results: SUM accumulates in input order
-        either way, MIN/MAX are order-independent for the non-NaN floats
-        the engine feeds Combine.
-
-        Implementation note: ``ufunc.at`` would be the one-liner but is far
-        too slow for hot loops, so SUM uses ``bincount`` and MIN/MAX use a
-        sort + ``reduceat`` (both vectorized).
+        ``backend`` is the :class:`repro.core.kernels.KernelBackend` whose
+        ``segment_reduce`` does the work (``None``: the numpy one). Both are
+        bit-identical: SUM accumulates in input order either way, MIN/MAX
+        are order-independent for the non-NaN floats Combine is fed
+        (``docs/kernels.md`` has the argument).
         """
-        if backend is not None and backend.name != "numpy":
-            return backend.segment_reduce(self, values, segment_ids, num_segments)
+        backend = backend or get_kernel_backend("numpy")
+        return backend.segment_reduce(
+            self, values, segment_ids, num_segments, ids_sorted
+        )
+
+    def segment_reduce(
+        self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int,
+        *, backend=None,
+    ) -> np.ndarray:
+        """Dense form of :meth:`compact_reduce`: one slot per destination,
+        the operator's identity where no update arrived."""
         out = np.full(num_segments, self.identity, dtype=np.float64)
-        if not values.size:
-            return out
-        values = values.astype(np.float64, copy=False)
-        segment_ids = np.asarray(segment_ids)
-        if self is CombineOp.SUM:
-            counted = np.bincount(segment_ids, weights=values, minlength=num_segments)
-            out[: counted.shape[0]] = counted
-            return out
-        order = np.argsort(segment_ids, kind="stable")
-        sorted_ids = segment_ids[order]
-        sorted_values = values[order]
-        boundaries = np.ones(sorted_ids.shape[0], dtype=bool)
-        boundaries[1:] = sorted_ids[1:] != sorted_ids[:-1]
-        starts = np.nonzero(boundaries)[0]
-        reduced = self.ufunc.reduceat(sorted_values, starts)
-        out[sorted_ids[starts]] = reduced
+        touched, combined = self.compact_reduce(
+            values, segment_ids, num_segments, backend=backend
+        )
+        out[touched] = combined
         return out
 
 

@@ -511,18 +511,18 @@ class SIMDXEngine:
         metadata: np.ndarray,
         updates: np.ndarray,
         dst: np.ndarray,
+        ids_sorted: bool = False,
     ) -> np.ndarray:
-        """Shared Combine + apply tail; returns the changed vertices."""
-        combined = algorithm.combine_op.segment_reduce(
-            updates, dst, self.graph.num_vertices, backend=self.kernel
+        """Shared Combine + apply tail; returns the canonical receiver set."""
+        touched, combined = algorithm.combine_op.compact_reduce(
+            updates, dst, self.graph.num_vertices,
+            ids_sorted=ids_sorted, backend=self.kernel,
         )
-        touched = np.unique(dst)
         old_values = metadata[touched]
-        new_values = algorithm.apply(old_values, combined[touched], touched)
+        new_values = algorithm.apply(old_values, combined, touched)
         changed = new_values != old_values
-        changed_vertices = touched[changed]
-        metadata[changed_vertices] = new_values[changed]
-        return changed_vertices
+        metadata[touched[changed]] = new_values[changed]
+        return touched
 
     # ------------------------------------------------------------------
     # Cost accounting helpers

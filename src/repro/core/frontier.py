@@ -295,21 +295,19 @@ class BatchedFrontier:
         """Build the union + bitmask pair from per-lane frontiers.
 
         Each per-lane frontier is a 1-D array of vertex ids (duplicates
-        tolerated); an empty array is a lane that has finished or is
-        momentarily inactive. ``backend`` selects the kernel backend the
-        union/bitmask primitives (and later :meth:`lane_mask` calls) run
+        and any order tolerated - the build is one vertex-indexed pass, so
+        neither costs anything); an empty array is a lane that has finished
+        or is momentarily inactive. ``backend`` selects the kernel backend
+        the union/bitmask primitive (and later :meth:`lane_mask` calls) runs
         on; both backends produce bit-identical structures.
         """
         num_lanes = len(lane_frontiers)
         if num_lanes == 0:
             raise ValueError("at least one lane is required")
         kernel = backend or get_kernel_backend("numpy")
-        lanes = [
-            kernel.sorted_unique(np.asarray(f, dtype=np.int64))
-            for f in lane_frontiers
-        ]
-        vertices = kernel.union_sorted(lanes)
-        lane_bits = kernel.build_lane_bits(vertices, lanes, num_lanes)
+        lanes = [np.asarray(f, dtype=np.int64) for f in lane_frontiers]
+        size = 1 + max((int(f.max()) for f in lanes if f.size), default=-1)
+        vertices, lane_bits = kernel.build_lane_bits(lanes, size)
         return cls(
             vertices=vertices,
             lane_bits=lane_bits,

@@ -1,14 +1,16 @@
 """Pluggable execution backends for the shared CSR-walk kernel primitives.
 
 The engine's hot loops — edge expansion over CSR rows, frontier-membership
-masks, lane-bitmask construction/extraction for batched runs, and the
-per-destination Combine reduction — are expressed against a small backend
-interface so the same superstep logic can run two ways:
+masks, canonical id-set unions, lane-bitmask construction/extraction for
+batched runs, and the per-destination Combine reduction — are expressed
+against a small backend interface so the same superstep logic can run two
+ways:
 
 * :class:`NumpyKernelBackend` (``kernel_backend="numpy"``, the default) -
   fully vectorized: ``np.repeat``/``np.cumsum`` edge expansion, boolean
-  scatter membership, packed ``uint64`` lane-bit rows built with bulk OR,
-  and ``np.bincount`` / sort + ``ufunc.reduceat`` segment reductions.
+  scatter membership and unions (vertex-indexed flag passes; nothing sorts
+  or hashes), packed ``uint64`` lane-bit rows built with bulk OR, and
+  ``np.bincount`` / sort + ``ufunc.reduceat`` segment reductions.
 * :class:`PythonKernelBackend` (``kernel_backend="python"``) - the same
   primitives as explicit Python loops.  It exists as the *reference
   semantics* the vectorized backend is checked against: every primitive is
@@ -21,12 +23,15 @@ Bit-identity notes (the contract both backends implement):
 * ``walk_edges`` emits (slot, edge index) pairs in worklist order with
   edge indices ascending within each slot - the order ``np.repeat`` +
   ``np.arange`` produces and the Python double loop reproduces.
-* ``segment_reduce`` for SUM accumulates in *input order* (``np.bincount``
-  adds weights sequentially, exactly like the Python ``out[s] += v``
-  loop); MIN/MAX are order-independent for non-NaN floats.  The engine
-  filters NaN updates before Combine, so NaN never reaches a reduction.
-* Every empty result uses ``dtype=np.int64`` so downstream concatenation
-  and indexing behave identically.
+* ``segment_reduce`` returns the compact pair ``(touched, combined)`` of
+  :meth:`repro.core.acc.CombineOp.compact_reduce`. SUM accumulates in
+  *input order* (``np.bincount`` adds weights sequentially, exactly like
+  the Python ``out[s] += v`` loop); MIN/MAX are order-independent for
+  non-NaN floats.  The engine filters NaN updates before Combine, so NaN
+  never reaches a reduction.
+* Every id set a primitive returns is *canonical* (``int64``, strictly
+  increasing, empty ones included) whatever order or multiplicity its
+  input had, so downstream concatenation and indexing behave identically.
 """
 
 from __future__ import annotations
@@ -89,25 +94,25 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def sorted_unique(self, values: np.ndarray) -> np.ndarray:
-        """Sorted duplicate-free copy of ``values`` (int64)."""
+    def sorted_unique(self, values: np.ndarray, size: int) -> np.ndarray:
+        """Canonical set of the ids in ``values``, all in ``[0, size)``."""
         raise NotImplementedError
 
-    def union_sorted(self, arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Sorted duplicate-free union of int64 arrays (int64)."""
+    def union_sorted(self, arrays: Sequence[np.ndarray], size: int) -> np.ndarray:
+        """Canonical union of id arrays over ``[0, size)``; the inputs may
+        be unsorted and carry duplicates."""
         raise NotImplementedError
 
     def build_lane_bits(
-        self,
-        vertices: np.ndarray,
-        lanes: Sequence[np.ndarray],
-        num_lanes: int,
-    ) -> np.ndarray:
-        """Packed ``(vertices.size, ceil(num_lanes/64))`` uint64 lane bits.
+        self, lanes: Sequence[np.ndarray], size: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Union of the lane frontiers plus its packed lane bits.
 
-        ``lanes[k]`` is lane ``k``'s sorted unique frontier, a subset of
-        ``vertices``; bit ``k`` of a row is set iff the row's vertex is in
-        lane ``k``'s frontier.
+        ``lanes[k]`` holds lane ``k``'s frontier ids in ``[0, size)``, in
+        any order, duplicates tolerated. One vertex-indexed pass returns
+        ``(vertices, lane_bits)``: the canonical union and a
+        ``(vertices.size, ceil(len(lanes)/64))`` uint64 array whose bit
+        ``k`` of a row is set iff lane ``k``'s frontier holds the row's vertex.
         """
         raise NotImplementedError
 
@@ -116,14 +121,22 @@ class KernelBackend:
         raise NotImplementedError
 
     def segment_reduce(
-        self,
-        op,
-        values: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-    ) -> np.ndarray:
-        """Per-destination Combine: ``op`` over ``values`` grouped by id."""
+        self, op, values: np.ndarray, segment_ids: np.ndarray,
+        num_segments: int, ids_sorted: bool = False,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-destination Combine: ``(touched, combined)`` - the canonical
+        ids present and ``op`` over each one's ``values``. ``ids_sorted``
+        promises non-decreasing ``segment_ids`` (nothing left to sort)."""
         raise NotImplementedError
+
+
+def _flag_pass(arrays: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """Canonical union of id arrays over ``[0, size)``: scatter a flag per
+    id, read the set back in vertex order. Nothing sorts or hashes."""
+    seen = np.zeros(size, dtype=bool)
+    for array in arrays:
+        seen[np.asarray(array, dtype=np.int64)] = True
+    return np.flatnonzero(seen)
 
 
 class NumpyKernelBackend(KernelBackend):
@@ -157,34 +170,44 @@ class NumpyKernelBackend(KernelBackend):
     def rows_in_sorted(self, universe, members):
         return np.searchsorted(universe, members).astype(np.int64, copy=False)
 
-    def sorted_unique(self, values):
-        return np.unique(np.asarray(values, dtype=np.int64))
+    def sorted_unique(self, values, size):
+        return _flag_pass([values], size)
 
-    def union_sorted(self, arrays):
-        non_empty = [a for a in arrays if a.size]
-        if not non_empty:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(non_empty))
+    def union_sorted(self, arrays, size):
+        return _flag_pass(arrays, size)
 
-    def build_lane_bits(self, vertices, lanes, num_lanes):
-        num_words = -(-num_lanes // _LANES_PER_WORD)
-        lane_bits = np.zeros((vertices.size, num_words), dtype=np.uint64)
+    def build_lane_bits(self, lanes, size):
+        num_words = -(-len(lanes) // _LANES_PER_WORD)
+        words = np.zeros((size, num_words), dtype=np.uint64)
         for lane, frontier in enumerate(lanes):
-            if frontier.size == 0:
-                continue
-            rows = self.rows_in_sorted(vertices, frontier)
-            word, bit = divmod(lane, _LANES_PER_WORD)
-            lane_bits[rows, word] |= np.uint64(1 << bit)
-        return lane_bits
+            if frontier.size:
+                word, bit = divmod(lane, _LANES_PER_WORD)
+                words[frontier, word] |= np.uint64(1 << bit)
+        vertices = np.flatnonzero(words.any(axis=1))
+        return vertices, words[vertices]
 
     def lane_mask(self, lane_bits, lane):
         word, bit = divmod(lane, _LANES_PER_WORD)
         return (lane_bits[:, word] >> np.uint64(bit)) & np.uint64(1) == 1
 
-    def segment_reduce(self, op, values, segment_ids, num_segments):
-        # The numpy path lives on CombineOp itself (it predates the backend
-        # split); delegating keeps one copy of the vectorized reduction.
-        return op.segment_reduce(values, segment_ids, num_segments)
+    def segment_reduce(self, op, values, segment_ids, num_segments, ids_sorted=False):
+        values = np.asarray(values, dtype=np.float64)
+        segment_ids = np.asarray(segment_ids, dtype=np.int64)
+        if not values.size:
+            return segment_ids, values
+        if op.value == "sum":
+            # ``bincount`` adds in input order (``ufunc.at`` would too, far
+            # too slowly; a ``reduceat`` over re-sorted segments need not).
+            counted = np.bincount(segment_ids, weights=values, minlength=num_segments)
+            touched = _flag_pass([segment_ids], num_segments)
+            return touched, counted[touched]
+        if not ids_sorted:
+            order = np.argsort(segment_ids, kind="stable")
+            segment_ids, values = segment_ids[order], values[order]
+        boundaries = np.ones(segment_ids.size, dtype=bool)
+        np.not_equal(segment_ids[1:], segment_ids[:-1], out=boundaries[1:])
+        starts = np.flatnonzero(boundaries)
+        return segment_ids[starts], op.ufunc.reduceat(values, starts)
 
 
 class PythonKernelBackend(KernelBackend):
@@ -223,30 +246,27 @@ class PythonKernelBackend(KernelBackend):
         rows = [bisect_left(universe, int(m)) for m in members]
         return np.asarray(rows, dtype=np.int64)
 
-    def sorted_unique(self, values):
-        unique = sorted({int(v) for v in np.asarray(values).ravel()})
-        return np.asarray(unique, dtype=np.int64)
+    def sorted_unique(self, values, size):
+        return self.union_sorted([values], size)
 
-    def union_sorted(self, arrays):
-        seen = set()
-        for arr in arrays:
-            for v in arr:
-                seen.add(int(v))
-        return np.asarray(sorted(seen), dtype=np.int64)
+    def union_sorted(self, arrays, size):
+        seen = [False] * size
+        for array in arrays:
+            for v in array:
+                seen[int(v)] = True
+        return np.asarray([v for v in range(size) if seen[v]], dtype=np.int64)
 
-    def build_lane_bits(self, vertices, lanes, num_lanes):
-        num_words = -(-num_lanes // _LANES_PER_WORD)
-        lane_bits = np.zeros((len(vertices), num_words), dtype=np.uint64)
-        position: Dict[int, int] = {
-            int(v): row for row, v in enumerate(vertices)
-        }
+    def build_lane_bits(self, lanes, size):
+        num_words = -(-len(lanes) // _LANES_PER_WORD)
+        words = [[0] * num_words for _ in range(size)]
         for lane, frontier in enumerate(lanes):
             word, bit = divmod(lane, _LANES_PER_WORD)
-            flag = np.uint64(1 << bit)
             for v in frontier:
-                row = position[int(v)]
-                lane_bits[row, word] |= flag
-        return lane_bits
+                words[int(v)][word] |= 1 << bit
+        vertices = [v for v in range(size) if any(words[v])]
+        lane_bits = np.array([words[v] for v in vertices], dtype=np.uint64)
+        lane_bits = lane_bits.reshape(len(vertices), num_words)
+        return np.asarray(vertices, dtype=np.int64), lane_bits
 
     def lane_mask(self, lane_bits, lane):
         word, bit = divmod(lane, _LANES_PER_WORD)
@@ -255,21 +275,22 @@ class PythonKernelBackend(KernelBackend):
             mask[row] = bool((int(lane_bits[row, word]) >> bit) & 1)
         return mask
 
-    def segment_reduce(self, op, values, segment_ids, num_segments):
-        kind = op.value  # "min" / "max" / "sum" - avoids importing acc
-        out = np.full(num_segments, op.identity, dtype=np.float64)
+    def segment_reduce(self, op, values, segment_ids, num_segments, ids_sorted=False):
+        kind, identity = op.value, op.identity  # "min" / "max" / "sum"
+        out: Dict[int, float] = {}
         for i in range(len(values)):
             seg = int(segment_ids[i])
             v = float(values[i])
+            acc = out.get(seg, identity)
             if kind == "sum":
-                out[seg] = out[seg] + v
+                out[seg] = acc + v
             elif kind == "min":
-                if v < out[seg]:
-                    out[seg] = v
+                out[seg] = v if v < acc else acc
             else:  # max
-                if v > out[seg]:
-                    out[seg] = v
-        return out
+                out[seg] = v if v > acc else acc
+        touched = sorted(out)
+        combined = np.asarray([out[seg] for seg in touched], dtype=np.float64)
+        return np.asarray(touched, dtype=np.int64), combined
 
 
 _BACKENDS: Dict[str, KernelBackend] = {

@@ -33,11 +33,24 @@ destination is in global source-ascending order on every path: a push unit
 walks its sorted frontier slice in order, scatter units run in ascending
 stream (= ascending vertex range) order and an owner drains them in that
 order, and an in-CSR row is sorted by source - so push, pull, lane groups
-and shards all hand ``segment_reduce`` the operands of the lane's
-independent single-device run in the same order (``docs/sharding.md``
-spells the argument out). Lanes never share a metadata row, so unit order
-across lanes is irrelevant to values; it only fixes the order of cost
-charges and records.
+and shards all hand Combine the operands of the lane's independent
+single-device run in the same order (``docs/sharding.md`` spells the
+argument out). Lanes never share a metadata row, so unit order across
+lanes is irrelevant to values; it only fixes the order of cost charges and
+records.
+
+**Canonical id sets.** Every vertex-id *set* the driver passes around - lane
+frontier, gather candidates, union worklist, Combine's receiver set - is
+``int64`` and strictly increasing. :class:`LaneSet` construction establishes
+that once; afterwards it holds by construction, never by re-sorting:
+``np.flatnonzero`` of a mask, a boolean selection or a contiguous slice of a
+canonical array, and per-owner receiver sets concatenated in ascending range
+order are all canonical, and a union (or the set of an unordered worklist)
+is one vertex-indexed flag pass of the kernel backend - the host-side twin
+of the ballot scan, whose O(n) ``_Step``'s metadata copy already pays.
+Combine computes a lane's receiver set once per owner; the unit's filter
+context and the next-frontier rule both read that array. Update *streams*
+(one entry per valid update, in walk order) are not sets and stay as walked.
 """
 
 from __future__ import annotations
@@ -58,7 +71,9 @@ from repro.core.direction import (
     DirectionSelector,
     SubBatchPlan,
 )
-from repro.core.filters import FilterMode, FilterOverflowError, make_filter
+from repro.core.filters import (
+    FilterMode, FilterOverflowError, FilterResult, make_filter,
+)
 from repro.core.frontier import (
     LANES_PER_WORD,
     BatchedFrontier,
@@ -78,24 +93,6 @@ def _take(array: np.ndarray, index) -> np.ndarray:
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _union(parts: List[np.ndarray]) -> np.ndarray:
-    """Sorted union of sorted duplicate-free arrays; one part is itself."""
-    parts = [p for p in parts if p.size]
-    if len(parts) <= 1:
-        return parts[0] if parts else _EMPTY
-    return np.unique(np.concatenate(parts))
-
-
-def _dedupe_sorted(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an already non-decreasing array, without the sort."""
-    if values.size < 2:
-        return values
-    keep = np.empty(values.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 def _range_rows(vertices: np.ndarray, start: int, stop: int) -> Tuple[int, int]:
@@ -122,7 +119,8 @@ class _ExpansionResult:
     #: What the task-management filter observes: in push mode one entry per
     #: valid update (the scatter thread saw each one happen); in pull mode
     #: one entry per destination that received any update (the gather thread
-    #: learns about its own vertex once, post-combine).
+    #: learns about its own vertex once, post-combine - ``_finish_unit``
+    #: fills a gather's three fields from Combine's receiver sets).
     recorded_destinations: np.ndarray
     recorded_producers: np.ndarray    # worker slot owning each recorded entry
     num_workers: int                  # worker threads (frontier / receivers)
@@ -185,7 +183,7 @@ class LaneSet:
     """K algorithm instances over a ``(K, n)`` metadata block.
 
     ``clones[k]`` owns lane k's stateful hooks (SSSP's pending set, k-Core's
-    bookkeeping) and ``frontiers[k]`` its sorted duplicate-free frontier.
+    bookkeeping) and ``frontiers[k]`` its canonical frontier (sorted here).
     ``batched`` lane sets (``run_batch``) route Compute through the lane-axis
     hooks ``scatter_edges`` / ``gather_edges`` of the shared ``prototype`` -
     or of each lane's own copy when heterogeneous ``lane_params`` make
@@ -284,14 +282,15 @@ class _Step:
         self.dst_is_push: Optional[np.ndarray] = None
         self.candidates: Dict[int, np.ndarray] = {}
         self.bitmaps: Dict[int, np.ndarray] = {}
-        #: ``(owner stream, lane) -> [(updates, destinations), ...]``
-        self.pending: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
-        self.recorded: Dict[int, List[np.ndarray]] = {k: [] for k in live}
+        #: ``(owner stream, lane) -> [(updates, dst, dst non-decreasing), ...]``
+        self.pending: Dict[Tuple[int, int], List[tuple]] = {}
+        #: ``(owner stream, lane) ->`` the receiver set Combine returned.
+        self.touched: Dict[Tuple[int, int], np.ndarray] = {}
         self.received = [0] * len(driver.streams)
         self.active: Dict[int, np.ndarray] = {}
         self.active_unions: Dict[Tuple[int, ...], np.ndarray] = {}
         #: Lanes whose next frontier is a filter pass's own worklist.
-        self.solo: Dict[int, np.ndarray] = {}
+        self.solo: Dict[int, FilterResult] = {}
 
 
 class SuperstepDriver:
@@ -550,10 +549,11 @@ class SuperstepDriver:
                 for lane in live:
                     queue = step.pending.get((owner, lane))
                     if queue:
-                        engine._combine_and_apply(
+                        step.touched[owner, lane] = engine._combine_and_apply(
                             clones[lane], metadata[lane],
-                            _concat([u for u, _ in queue]),
-                            _concat([d for _, d in queue]),
+                            _concat([u for u, _, _ in queue]),
+                            _concat([d for _, d, _ in queue]),
+                            len(queue) == 1 and queue[0][2],
                         )
             for lane in live:
                 step.active[lane] = np.asarray(
@@ -587,27 +587,35 @@ class SuperstepDriver:
             # exactly that lane over the whole vertex range continues from
             # the pass's own worklist (what a single run has always done -
             # a ballot scan may carry active vertices that received no
-            # update this superstep, e.g. delta-stepping's pending set);
-            # every other lane derives its own ``recorded ∩ active``.
+            # update this superstep, e.g. delta-stepping's pending set) -
+            # as is after a ballot scan, through one flag pass when it is
+            # concatenated thread bins; every other lane derives its own
+            # ``received ∩ active`` from Combine's receiver sets (canonical
+            # per owner, owners in ascending range order).
             for lane in live:
                 active = step.active[lane]
-                worklist = step.solo.get(lane)
-                if worklist is None:
-                    recorded = (
-                        np.concatenate(step.recorded[lane])
-                        if step.recorded[lane] else _EMPTY
+                result = step.solo.get(lane)
+                if result is None:
+                    received = _concat([
+                        step.touched.get((owner, lane), _EMPTY)
+                        for owner in range(len(self.streams))
+                    ])
+                    frontier = received[active[received]]
+                elif result.is_sorted and result.is_unique:
+                    frontier = result.worklist
+                else:
+                    frontier = engine.kernel.sorted_unique(
+                        result.worklist, self.graph.num_vertices
                     )
-                    worklist = recorded[active[recorded]]
-                frontier = np.unique(worklist)
                 if frontier.size == 0 and not clones[lane].converged(
                     metadata[lane], step.prev[lane], iteration
                 ):
                     # The algorithm wants more iterations despite an empty
                     # worklist (delta-stepping advancing its bucket).
-                    frontier = np.nonzero(active)[0].astype(np.int64)
+                    frontier = np.flatnonzero(active)
                 frontiers[lane] = frontier
             if sanitizer is not None:
-                sanitizer.end_superstep(iteration, metadata)
+                sanitizer.end_superstep(iteration, metadata, frontiers)
 
     # ------------------------------------------------------------------
     # Planning
@@ -709,7 +717,7 @@ class SuperstepDriver:
                 unit = _Unit(
                     Direction.PULL, group.lanes, stream,
                     union if len(groups) == 1
-                    else _union([frontiers[lane] for lane in group.lanes]),
+                    else self._union([frontiers[lane] for lane in group.lanes]),
                 )
                 self._gather_worklist(unit, step)
                 units.append(unit)
@@ -775,9 +783,9 @@ class SuperstepDriver:
                 ),
                 dtype=bool,
             )
-            step.candidates[lane] = np.nonzero(
+            step.candidates[lane] = np.flatnonzero(
                 mask & (self.engine.in_degrees > 0)
-            )[0].astype(np.int64)
+            )
         return step.candidates[lane]
 
     def _gather_worklist(self, unit: _Unit, step: _Step) -> None:
@@ -790,7 +798,14 @@ class SuperstepDriver:
                 lo, hi = _range_rows(candidates, stream.start, stream.stop)
                 candidates = candidates[lo:hi]
             unit.lane_candidates.append(candidates)
-        unit.worklist = _union(unit.lane_candidates)
+        unit.worklist = self._union(unit.lane_candidates)
+
+    def _union(self, parts: List[np.ndarray]) -> np.ndarray:
+        """Canonical union of canonical id sets; one part is itself."""
+        parts = [p for p in parts if p.size]
+        if len(parts) <= 1:
+            return parts[0] if parts else _EMPTY
+        return self.engine.kernel.union_sorted(parts, self.graph.num_vertices)
 
     # ------------------------------------------------------------------
     # Expansion: one scatter, one gather
@@ -861,7 +876,7 @@ class SuperstepDriver:
         worklist = unit.worklist
         dst_slot, edge_idx, total = self.engine._walk(csr, worklist)
         active = 0
-        updated = receivers = _EMPTY
+        updated = None
         if total:
             src = csr.targets[edge_idx].astype(np.int64)
             dst = worklist[dst_slot]
@@ -907,24 +922,15 @@ class SuperstepDriver:
                 active = int(np.count_nonzero(kept_any))
             if parts:
                 del dst_slot  # done with; release it before Compute allocates
-                updated = _take(dst, self._compute_and_route(
+                valid = self._compute_and_route(
                     unit, step, parts, src, dst, csr, edge_idx
-                ))
-                # A gather worker learns only about its own vertex: it
-                # records the destination once, post-combine, not once per
-                # incoming edge. Workers whose gather produced nothing own
-                # empty bins, so the filter context only sees the receivers
-                # (with compacted worker slots).
-                receivers = _dedupe_sorted(updated)
+                )
+                if self.engine.config.atomic_combine:
+                    updated = _take(dst, valid)
         unit.expansion = _ExpansionResult(
-            update_destinations=(
-                updated if self.engine.config.atomic_combine else None
-            ),
-            recorded_destinations=receivers,
-            recorded_producers=np.arange(receivers.size, dtype=np.int64),
-            num_workers=int(receivers.size),
-            edges_expanded=total,
-            active_edges=active,
+            update_destinations=updated,
+            recorded_destinations=_EMPTY, recorded_producers=_EMPTY, num_workers=0,
+            edges_expanded=total, active_edges=active,
         )
 
     def _compute_and_route(
@@ -1015,38 +1021,35 @@ class SuperstepDriver:
                 else:
                     any_valid[at] = True
             if lane_updates.size:
-                step.recorded[lane].append(
-                    lane_dst if push else _dedupe_sorted(lane_dst)
-                )
                 self._route(unit, step, lane, lane_updates, lane_dst, lane_src)
         return None if any_valid.all() else any_valid
 
     def _route(self, unit, step, lane, updates, dst, src) -> None:
         """Queue one lane's valid updates at their destination owners."""
         here = unit.stream.index
+        pull = unit.direction is Direction.PULL
         if self.sharding is None:
-            step.pending.setdefault((0, lane), []).append((updates, dst))
+            step.pending.setdefault((0, lane), []).append((updates, dst, pull))
             return
         plan = self.sharding.plan
-        if unit.direction is Direction.PULL:
-            # A gather's destinations are its own shard's; its sources may
-            # live on a remote shard - a boundary read.
-            step.pending.setdefault((here, lane), []).append((updates, dst))
+        if pull:
+            # A gather's destinations are its own shard's, non-decreasing;
+            # its sources may live on a remote shard - a boundary read.
+            step.pending.setdefault((here, lane), []).append((updates, dst, True))
             remote = int((plan.owner_of(src) != here).sum())
             self.boundary_updates += remote
             step.received[here] += remote
             return
         owner = plan.owner_of(dst)
-        for t in np.unique(owner):
-            t = int(t)
+        counts = np.bincount(owner, minlength=len(self.streams))
+        for t in np.flatnonzero(counts).tolist():
             member = owner == t
             step.pending.setdefault((t, lane), []).append(
-                (updates[member], dst[member])
+                (updates[member], dst[member], False)
             )
             if t != here:
-                count = int(member.sum())
-                self.boundary_updates += count
-                step.received[t] += count
+                self.boundary_updates += int(counts[t])
+                step.received[t] += int(counts[t])
 
     # ------------------------------------------------------------------
     # Per-unit tail: task management, cost accounting, the record
@@ -1092,6 +1095,19 @@ class SuperstepDriver:
         if classified is None:
             classified = classifier.classify(unit.worklist)
         expansion = unit.expansion
+        if not push:
+            # A gather worker learns only about its own vertex: it records
+            # the destination once, post-combine, not once per incoming
+            # edge. Workers whose gather produced nothing own empty bins,
+            # so the filter context only sees the receivers (with compacted
+            # worker slots).
+            receivers = self._union([
+                step.touched.get((stream.index, lane), _EMPTY)
+                for lane in unit.lanes
+            ])
+            expansion.recorded_destinations = receivers
+            expansion.recorded_producers = np.arange(receivers.size, dtype=np.int64)
+            expansion.num_workers = int(receivers.size)
         unit_active = step.active_unions.get(unit.lanes)
         if unit_active is None:
             masks = [step.active[lane] for lane in unit.lanes]
@@ -1125,7 +1141,7 @@ class SuperstepDriver:
             filter_result.sortedness if filter_result.worklist.size else 1.0
         )
         if len(unit.lanes) == 1 and self.sharding is None:
-            step.solo[unit.lanes[0]] = filter_result.worklist
+            step.solo[unit.lanes[0]] = filter_result
         record = IterationRecord(
             iteration=step.iteration,
             direction=unit.direction.value,

@@ -3,10 +3,11 @@
 GPUs have no device-wide barrier a kernel can call, so fusing kernels across
 iterations requires a *software* global barrier: worker CTAs flip a flag in a
 ``lock`` array on arrival and spin until a monitor CTA flips every flag to
-"depart". The paper's observation is that this deadlocks whenever more CTAs
-are launched than can be simultaneously resident - non-resident CTAs can
-never arrive because the resident (spinning) ones never release their SMX
-resources.
+"depart" (simulated here as one arrival counter - the flags of a round are
+only ever all set, then all cleared). The paper's observation is that this
+deadlocks whenever more CTAs are launched than can be simultaneously
+resident - non-resident CTAs can never arrive because the resident
+(spinning) ones never release their SMX resources.
 
 SIMD-X sidesteps the problem by computing the resident-CTA bound from the
 kernel's register footprint at compile time (Eq. 1, implemented in
@@ -21,8 +22,7 @@ demonstrate the failure mode the paper describes for prior work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernel import Kernel
@@ -84,7 +84,8 @@ class SoftwareGlobalBarrier:
         self.num_ctas = num_ctas if num_ctas is not None else self.max_resident_ctas
         if self.num_ctas <= 0:
             raise ValueError("a barrier needs at least one CTA")
-        self._lock: List[int] = [0] * self.num_ctas
+        #: CTAs currently waiting at the barrier (0 once a round released).
+        self.arrived = 0
         self.stats = BarrierStats()
 
         if check_deadlock and not self.is_deadlock_free:
@@ -112,13 +113,11 @@ class SoftwareGlobalBarrier:
                 f"{self.kernel.name}: barrier hang - "
                 f"{self.num_ctas - self.max_resident_ctas} CTAs can never arrive"
             )
-        # Arrival: every worker CTA sets its slot; monitor observes them all.
-        for cta in range(self.num_ctas):
-            self._lock[cta] = 1
-        self.stats.total_cta_arrivals += self.num_ctas
-        # Departure: the monitor flips all slots back, releasing the workers.
-        for cta in range(self.num_ctas):
-            self._lock[cta] = 0
+        # Arrival: every worker CTA checks in; the monitor observes them all.
+        self.arrived = self.num_ctas
+        self.stats.total_cta_arrivals += self.arrived
+        # Departure: the monitor resets the count, releasing the workers.
+        self.arrived = 0
         self.stats.synchronizations += 1
         return self.SYNC_BASE_COST_US + self.SYNC_COST_PER_CTA_US * self.num_ctas
 

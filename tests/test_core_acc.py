@@ -50,6 +50,74 @@ class TestCombineOp:
         assert out[2] == 6.0
         assert out[0] == 0.0
 
+    @staticmethod
+    def _loop_reference(op, values, ids):
+        """Sequential per-destination Combine, in input order."""
+        out = {}
+        for v, seg in zip(values.tolist(), ids.tolist()):
+            out[seg] = float(op.ufunc(out.get(seg, op.identity), v))
+        touched = sorted(out)
+        return np.array(touched, dtype=np.int64), np.array(
+            [out[seg] for seg in touched], dtype=np.float64
+        )
+
+    @pytest.mark.parametrize("op", list(CombineOp))
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [5, 0, 9, 5, 0, 5, 3],      # unsorted, hits 0 and n - 1
+            [0, 0, 3, 3, 3, 9],         # non-decreasing
+            [4, 4, 4],                  # one segment
+            [],                         # no update at all
+        ],
+        ids=["unsorted", "sorted", "one-segment", "empty"],
+    )
+    def test_compact_reduce_equals_dense_reference(self, op, ids):
+        n = 10
+        ids = np.array(ids, dtype=np.int64)
+        values = np.random.default_rng(12).normal(size=ids.size)
+        expected_touched, expected = self._loop_reference(op, values, ids)
+        is_sorted = bool((ids[1:] >= ids[:-1]).all())
+        for ids_sorted in {False, is_sorted}:
+            touched, combined = op.compact_reduce(
+                values, ids, n, ids_sorted=ids_sorted
+            )
+            assert touched.dtype == np.int64 and combined.dtype == np.float64
+            assert np.array_equal(touched, expected_touched)
+            assert np.array_equal(combined, expected)
+        dense = op.segment_reduce(values, ids, n)
+        assert np.array_equal(dense[touched], combined)
+        untouched = np.setdiff1d(np.arange(n), touched)
+        assert np.all(dense[untouched] == op.identity)
+
+    def test_identity_valued_destination_is_still_touched(self):
+        """``touched`` comes from the ids, never from ``combined != identity``."""
+        touched, combined = CombineOp.SUM.compact_reduce(
+            np.array([2.5, 1.0, -2.5]), np.array([3, 1, 3]), 5
+        )
+        assert np.array_equal(touched, [1, 3])
+        assert np.array_equal(combined, [1.0, 0.0])
+        for ids_sorted in (False, True):
+            touched, combined = CombineOp.MIN.compact_reduce(
+                np.array([np.inf, 4.0]), np.array([0, 2]), 3,
+                ids_sorted=ids_sorted,
+            )
+            assert np.array_equal(touched, [0, 2])
+            assert np.array_equal(combined, [np.inf, 4.0])
+
+    def test_compact_sum_is_a_sequential_accumulation(self):
+        """Bit-for-bit a ``+=`` loop, on a stream where order matters."""
+        rng = np.random.default_rng(13)
+        values = rng.normal(size=600) * 10.0 ** rng.integers(-8, 9, size=600)
+        values[1::2] = -values[::2] * (1.0 + 1e-9)   # cancellation-prone
+        ids = rng.integers(0, 4, size=600)
+        expected = np.zeros(4)
+        for v, seg in zip(values, ids):
+            expected[seg] += v
+        touched, combined = CombineOp.SUM.compact_reduce(values, ids, 4)
+        assert np.array_equal(touched, [0, 1, 2, 3])
+        assert np.array_equal(combined, expected)
+
     def test_ufunc_mapping(self):
         assert CombineOp.MIN.ufunc is np.minimum
         assert CombineOp.SUM.ufunc is np.add

@@ -77,7 +77,9 @@ class TestSynchronization:
         assert barrier.stats.synchronizations == 5
         assert barrier.stats.total_cta_arrivals == 5 * 16
 
-    def test_lock_array_returns_to_zero(self):
+    def test_arrival_counter_returns_to_zero(self):
         barrier = SoftwareGlobalBarrier(K40, Kernel("k", 48), num_ctas=8)
+        assert barrier.arrived == 0
         barrier.synchronize()
-        assert all(slot == 0 for slot in barrier._lock)
+        assert barrier.arrived == 0
+        assert barrier.stats.total_cta_arrivals == 8

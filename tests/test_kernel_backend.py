@@ -18,10 +18,12 @@ what a random matrix can miss:
 
 from __future__ import annotations
 
+import traceback
+
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, SSSP
+from repro.algorithms import BFS, SSSP, PageRank
 from repro.core.acc import CombineOp
 from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
@@ -30,6 +32,7 @@ from repro.core.kernels import (
     BACKEND_NAMES,
     get_kernel_backend,
 )
+from repro.core.superstep import SuperstepDriver
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from tests.engine_seams import ScheduledEngine
@@ -125,36 +128,50 @@ class TestPrimitiveParity:
             for n in (0, 1, 9, 40)
         ]
         for arr in arrays:
-            assert np.array_equal(
-                NUMPY.sorted_unique(arr), PYTHON.sorted_unique(arr)
-            )
-        union_np = NUMPY.union_sorted(arrays)
-        union_py = PYTHON.union_sorted(arrays)
+            # Unsorted input with duplicates -> the canonical set, from the
+            # vertex-indexed pass of either backend.
+            for backend in (NUMPY, PYTHON):
+                unique = backend.sorted_unique(arr, 64)
+                assert unique.dtype == np.int64
+                assert np.array_equal(unique, np.unique(arr))
+        union_np = NUMPY.union_sorted(arrays, 64)
+        union_py = PYTHON.union_sorted(arrays, 64)
         assert union_np.dtype == union_py.dtype == np.int64
         assert np.array_equal(union_np, union_py)
-        assert np.array_equal(
-            NUMPY.union_sorted([np.zeros(0, dtype=np.int64)]),
-            PYTHON.union_sorted([np.zeros(0, dtype=np.int64)]),
-        )
+        assert np.array_equal(union_np, np.unique(np.concatenate(arrays)))
+        for backend in (NUMPY, PYTHON):
+            for size in (0, 5):
+                empty = backend.union_sorted([np.zeros(0, dtype=np.int64)], size)
+                assert empty.size == 0 and empty.dtype == np.int64
 
     def test_lane_bits_65_lanes_multi_word(self):
         """K=65 forces two uint64 words; both backends build them equal."""
         rng = np.random.default_rng(7)
+        # Raw lane input: unsorted, with duplicates, some lanes empty.
         lanes = [
-            np.unique(rng.integers(0, 300, size=rng.integers(0, 12)))
-            .astype(np.int64)
+            rng.integers(0, 300, size=rng.integers(0, 12)).astype(np.int64)
             for _ in range(65)
         ]
-        vertices = NUMPY.union_sorted(lanes)
-        bits_np = NUMPY.build_lane_bits(vertices, lanes, 65)
-        bits_py = PYTHON.build_lane_bits(vertices, lanes, 65)
+        lanes[0] = np.array([299, 0, 299, 7], dtype=np.int64)
+        lanes[64] = np.array([7, 7], dtype=np.int64)
+        lanes[13] = np.zeros(0, dtype=np.int64)
+        vertices, bits_np = NUMPY.build_lane_bits(lanes, 300)
+        vertices_py, bits_py = PYTHON.build_lane_bits(lanes, 300)
+        assert vertices.dtype == vertices_py.dtype == np.int64
+        assert np.array_equal(vertices, vertices_py)
+        assert np.array_equal(vertices, np.unique(np.concatenate(lanes)))
         assert bits_np.shape == bits_py.shape == (vertices.size, 2)
+        assert bits_np.dtype == bits_py.dtype == np.uint64
         assert np.array_equal(bits_np, bits_py)
         for lane in range(65):
             mask_np = NUMPY.lane_mask(bits_np, lane)
             mask_py = PYTHON.lane_mask(bits_np, lane)
             assert np.array_equal(mask_np, mask_py)
-            assert np.array_equal(vertices[mask_np], lanes[lane])
+            assert np.array_equal(vertices[mask_np], np.unique(lanes[lane]))
+        for backend in (NUMPY, PYTHON):
+            none, no_bits = backend.build_lane_bits([lanes[13]] * 65, 0)
+            assert none.size == 0 and none.dtype == np.int64
+            assert no_bits.shape == (0, 2) and no_bits.dtype == np.uint64
 
     def test_batched_frontier_parity_and_sub_batch(self):
         rng = np.random.default_rng(8)
@@ -186,6 +203,21 @@ class TestPrimitiveParity:
         via_py = op.segment_reduce(values, segment_ids, 40, backend=PYTHON)
         assert np.array_equal(plain, via_np)
         assert np.array_equal(plain, via_py)
+        # The primitive itself is the compact pair, equal across backends
+        # (and with or without the no-argsort path on sorted ids).
+        touched_np, combined_np = NUMPY.segment_reduce(op, values, segment_ids, 40)
+        touched_py, combined_py = PYTHON.segment_reduce(op, values, segment_ids, 40)
+        assert touched_np.dtype == touched_py.dtype == np.int64
+        assert np.array_equal(touched_np, touched_py)
+        assert np.array_equal(touched_np, np.unique(segment_ids))
+        assert np.array_equal(combined_np, combined_py)
+        assert np.array_equal(combined_np, plain[touched_np])
+        order = np.argsort(segment_ids, kind="stable")
+        touched, combined = op.compact_reduce(
+            values[order], segment_ids[order], 40, ids_sorted=True
+        )
+        assert np.array_equal(touched, touched_py)
+        assert np.array_equal(combined, combined_py)
         empty = op.segment_reduce(
             np.zeros(0), np.zeros(0, dtype=np.int64), 5, backend=PYTHON
         )
@@ -199,9 +231,15 @@ class TestPrimitiveParity:
         # Magnitudes spread over 12 orders so accumulation *order* matters.
         values = rng.normal(size=300) * 10.0 ** rng.integers(-6, 7, size=300)
         segment_ids = rng.integers(0, 3, size=300)
+        touched, combined = PYTHON.segment_reduce(
+            CombineOp.SUM, values, segment_ids, 3
+        )
+        assert np.array_equal(touched, [0, 1, 2])
         assert np.array_equal(
-            CombineOp.SUM.segment_reduce(values, segment_ids, 3),
-            PYTHON.segment_reduce(CombineOp.SUM, values, segment_ids, 3),
+            CombineOp.SUM.segment_reduce(values, segment_ids, 3), combined
+        )
+        assert np.array_equal(
+            CombineOp.SUM.compact_reduce(values, segment_ids, 3)[1], combined
         )
 
     def test_unknown_backend_rejected(self):
@@ -275,6 +313,61 @@ class TestEngineEdgeCases:
         assert batch.extra["kernel_edges_walked"] == (
             reference.extra["kernel_edges_walked"]
         )
+
+
+# ----------------------------------------------------------------------
+# Structural guard: no sort/hash dedupe once the lane set exists
+# ----------------------------------------------------------------------
+class TestSortFreeSupersteps:
+    """Id sets stay canonical by construction (``core/superstep.py``), so on
+    the numpy backend ``np.unique`` runs only at ``LaneSet`` construction."""
+
+    @pytest.fixture
+    def unique_calls(self, monkeypatch):
+        """Call sites of ``np.unique`` since the superstep loop started."""
+        calls = []
+        real_unique, real_loop = np.unique, SuperstepDriver._loop
+
+        def counted_unique(*args, **kwargs):
+            caller = traceback.extract_stack(limit=2)[0]
+            calls.append(f"{caller.filename}:{caller.lineno}")
+            return real_unique(*args, **kwargs)
+
+        def loop(driver, lanes):
+            assert calls, "LaneSet construction canonicalizes with np.unique"
+            calls.clear()
+            return real_loop(driver, lanes)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        monkeypatch.setattr(SuperstepDriver, "_loop", loop)
+        return calls
+
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_single_runs(self, unique_calls, rmat, road, num_shards):
+        config = EngineConfig(num_shards=num_shards)
+        for graph, algorithm in (
+            (rmat, PageRank()),
+            (rmat, BFS(source=int(np.argmax(rmat.out_degrees())))),
+            (road, BFS(source=0)),
+        ):
+            result = SIMDXEngine(graph, config=config).run(algorithm)
+            assert not result.failed
+            # Both directions and (on rmat) both filters ran unguarded.
+            assert {"push", "pull"} <= set("+".join(result.direction_trace).split("+"))
+            assert unique_calls == []
+
+    @pytest.mark.parametrize("lane_aware_split", [True, False])
+    @pytest.mark.parametrize("num_shards", [1, 4])
+    def test_batched_runs(self, unique_calls, rmat, lane_aware_split, num_shards):
+        sources = [int(v) for v in np.argsort(-rmat.out_degrees(), kind="stable")[:16]]
+        config = EngineConfig(
+            lane_aware_split=lane_aware_split, num_shards=num_shards
+        )
+        batch = SIMDXEngine(rmat, config=config).run_batch(SSSP(), sources)
+        assert not batch.failed
+        if lane_aware_split and num_shards == 1:
+            assert batch.extra["lane_splits"] > 0  # sub_batch views were built
+        assert unique_calls == []
 
 
 # ----------------------------------------------------------------------

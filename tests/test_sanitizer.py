@@ -140,10 +140,9 @@ class RawScatterEngine(SIMDXEngine):
     """Applies updates with a raw last-write-wins scatter - the data race
     the CombineOp reduction exists to prevent."""
 
-    def _combine_and_apply(self, algorithm, metadata, updates, dst):
-        before = metadata[dst].copy()
+    def _combine_and_apply(self, algorithm, metadata, updates, dst, ids_sorted=False):
         metadata[dst] = updates
-        return np.unique(dst[metadata[dst] != before])
+        return np.unique(dst)
 
 
 def test_raw_scatter_flagged_as_write_write_conflict():
@@ -161,10 +160,12 @@ def test_raw_scatter_flagged_as_write_write_conflict():
 class StrayWriteEngine(SIMDXEngine):
     """Combines correctly, then pokes a vertex no update touched."""
 
-    def _combine_and_apply(self, algorithm, metadata, updates, dst):
-        changed = super()._combine_and_apply(algorithm, metadata, updates, dst)
+    def _combine_and_apply(self, algorithm, metadata, updates, dst, ids_sorted=False):
+        touched = super()._combine_and_apply(
+            algorithm, metadata, updates, dst, ids_sorted
+        )
         metadata[metadata.shape[0] - 1] = -7.0  # vertex 5 has no in-edges
-        return changed
+        return touched
 
 
 def test_stray_write_flagged_as_non_combined_write():
@@ -247,6 +248,54 @@ def test_overlapping_lane_groups_flagged_as_lane_remap():
     with pytest.raises(SanitizerError) as exc:
         engine.run_batch(SSSP(), sources)
     assert ViolationKind.LANE_REMAP in _kinds(exc.value)
+
+
+class ReversedReceiversEngine(SIMDXEngine):
+    """Combines correctly but hands the driver its receiver set backwards -
+    the unsorted id set the driver's deleted re-sorts used to paper over."""
+
+    def _combine_and_apply(self, algorithm, metadata, updates, dst, ids_sorted=False):
+        touched = super()._combine_and_apply(
+            algorithm, metadata, updates, dst, ids_sorted
+        )
+        return touched[::-1]
+
+
+def test_non_canonical_frontier_flagged_as_frontier_order():
+    graph = gen.random_uniform_graph(220, 1500, seed=41, name="san-order")
+    candidates = np.nonzero(graph.out_degrees() > 1)[0]
+    sources = [int(v) for v in candidates[:2]]
+    engine = ReversedReceiversEngine(graph, config=_sanitize_config())
+    with pytest.raises(SanitizerError) as exc:
+        engine.run_batch(BFS(), sources)
+    assert _kinds(exc.value) == {ViolationKind.FRONTIER_ORDER}
+    assert exc.value.violations[0].lane in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "frontier",
+    [
+        np.array([1, 2, 2], dtype=np.int64),     # duplicate
+        np.array([3, 1], dtype=np.int64),        # unsorted
+        np.array([1, 2], dtype=np.int32),        # not int64
+    ],
+    ids=["duplicate", "unsorted", "int32"],
+)
+def test_end_superstep_checks_every_next_frontier(frontier):
+    graph = _diamond_graph()
+    sanitizer = RuntimeSanitizer(graph, raise_on_violation=False)
+    metadata = np.zeros(graph.num_vertices)
+    canonical = np.array([0, 4], dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    try:
+        sanitizer.freeze_graph()
+        sanitizer.begin_superstep(1, metadata)
+        sanitizer.end_superstep(1, metadata, [canonical, frontier, empty])
+    finally:
+        sanitizer.release()
+    (violation,) = sanitizer.violations
+    assert violation.kind is ViolationKind.FRONTIER_ORDER
+    assert violation.lane == 1 and violation.iteration == 1
 
 
 # ----------------------------------------------------------------------
