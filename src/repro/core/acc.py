@@ -34,10 +34,11 @@ gather without changing its results).
 
 They also serve the *batched* multi-source path
 (``SIMDXEngine.run_batch``): because ``compute`` is a pure per-edge map, a
-K-lane batch flattens its ``(edge, lane)`` pairs into one vectorized call.
-The :meth:`ACCAlgorithm.scatter_edges` / :meth:`ACCAlgorithm.gather_edges`
-hooks receive the flattened lane axis (``lanes`` - the owning query lane of
-every pair) and by default delegate to the lane-oblivious per-edge forms,
+K-lane batch evaluates its ``(edge, lane)`` pairs in vectorized calls, one
+lane at a time. The :meth:`ACCAlgorithm.scatter_edges` /
+:meth:`ACCAlgorithm.gather_edges` hooks receive the lane axis (``lanes`` -
+the owning query lane of every pair) and by default delegate to the
+lane-oblivious per-edge forms,
 which keeps a batched run bit-identical to K independent runs.
 """
 

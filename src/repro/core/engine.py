@@ -287,9 +287,8 @@ class SIMDXEngine:
 
         ``lane_params`` optionally overrides per-lane algorithm parameters:
         entry k is a mapping of attribute overrides applied to lane k's
-        private copy before ``init`` (e.g. a per-lane SSSP ``delta``). With
-        heterogeneous parameters the per-edge Compute is evaluated through
-        each lane's own copy rather than the shared flattened call, so
+        private copy before ``init`` (e.g. a per-lane SSSP ``delta``). The
+        per-edge Compute of a lane is evaluated through that copy, so
         parameter-dependent computes stay correct per lane.
         """
         sources = [int(s) for s in sources]

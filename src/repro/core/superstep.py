@@ -37,7 +37,9 @@ and shards all hand Combine the operands of the lane's independent
 single-device run in the same order (``docs/sharding.md`` spells the
 argument out). Lanes never share a metadata row, so unit order across
 lanes is irrelevant to values; it only fixes the order of cost charges and
-records.
+records. For the same reason a unit's Compute streams lane-major, one lane
+per call - each lane computed and queued before the next lane's edge
+positions exist - instead of over a flattened all-lane pair space.
 
 **Canonical id sets.** Every vertex-id *set* the driver passes around - lane
 frontier, gather candidates, union worklist, Combine's receiver set - is
@@ -185,11 +187,11 @@ class LaneSet:
     ``clones[k]`` owns lane k's stateful hooks (SSSP's pending set, k-Core's
     bookkeeping) and ``frontiers[k]`` its canonical frontier (sorted here).
     ``batched`` lane sets (``run_batch``) route Compute through the lane-axis
-    hooks ``scatter_edges`` / ``gather_edges`` of the shared ``prototype`` -
-    or of each lane's own copy when heterogeneous ``lane_params`` make
-    Compute parameter-dependent; the ``run`` lane set is the caller's own
-    instance and keeps the lane-free ``compute_edges`` / ``gather_edges``
-    signatures.
+    hooks ``scatter_edges`` / ``gather_edges`` of each lane's own copy (so
+    heterogeneous ``lane_params`` need no second route); the ``run`` lane set
+    is the caller's own instance and keeps the lane-free ``compute_edges`` /
+    ``gather_edges`` signatures. ``prototype`` answers what every lane
+    shares (iteration cap, combine kind, cost traits).
     """
 
     prototype: ACCAlgorithm
@@ -197,7 +199,6 @@ class LaneSet:
     metadata: np.ndarray
     frontiers: List[np.ndarray]
     batched: bool
-    per_lane_compute: bool = False
 
     @classmethod
     def single(cls, algorithm, graph, params, sanitizer) -> "LaneSet":
@@ -231,14 +232,12 @@ class LaneSet:
             )
         if sanitizer is not None:
             # Each clone's hooks are checked on its own lane row; the
-            # prototype's flattened calls carry the lane axis explicitly.
+            # prototype computes nothing, but stays wrapped so that no hook
+            # call can bypass the checks.
             clones = [sanitizer.wrap(c, lane=k) for k, c in enumerate(clones)]
             algorithm = sanitizer.wrap(algorithm, lane=None)
             sanitizer.freeze_graph()
-        return cls(
-            algorithm, clones, metadata, frontiers, batched=True,
-            per_lane_compute=lane_params is not None,
-        )
+        return cls(algorithm, clones, metadata, frontiers, batched=True)
 
 
 @dataclass(eq=False)
@@ -831,24 +830,27 @@ class SuperstepDriver:
                 if not keep.all():
                     slot, dst, edge_idx = slot[keep], dst[keep], edge_idx[keep]
             kept = int(dst.size)
-        if kept:
+
+        def lane_parts():
             if len(unit.range_lanes) == 1:
                 # Every frontier row belongs to the one lane: no bitmask.
-                parts = [(unit.range_lanes[0], None)]
-            else:
-                lo, hi = unit.rows
-                view = unit.view
-                parts = []
-                for lane in unit.range_lanes:
-                    local = (
-                        lane if view.lane_ids is None
-                        else view.lane_ids.index(lane)
-                    )
-                    lane_edges = np.nonzero(view.lane_mask(local)[lo:hi][slot])[0]
-                    if lane_edges.size:
-                        parts.append((lane, lane_edges))
+                yield unit.range_lanes[0], None
+                return
+            lo, hi = unit.rows
+            view = unit.view
+            for lane in unit.range_lanes:
+                local = (
+                    lane if view.lane_ids is None
+                    else view.lane_ids.index(lane)
+                )
+                lane_edges = np.nonzero(view.lane_mask(local)[lo:hi][slot])[0]
+                if lane_edges.size:
+                    yield lane, lane_edges
+
+        if kept:
             valid = self._compute_and_route(
-                unit, step, parts, worklist[slot], dst, csr, edge_idx
+                unit, step, lane_parts(), worklist[slot], dst, csr, edge_idx,
+                want_valid=True,
             )
             recorded, producers = _take(dst, valid), _take(slot, valid)
         unit.expansion = _ExpansionResult(
@@ -880,10 +882,13 @@ class SuperstepDriver:
         if total:
             src = csr.targets[edge_idx].astype(np.int64)
             dst = worklist[dst_slot]
-            parts = []
-            for lane, candidates in zip(unit.lanes, unit.lane_candidates):
-                if candidates.size == 0:
-                    continue
+            present = [
+                (lane, candidates)
+                for lane, candidates in zip(unit.lanes, unit.lane_candidates)
+                if candidates.size
+            ]
+
+            def kept_edges(lane, candidates):
                 if lane not in step.bitmaps:
                     step.bitmaps[lane] = kernel.membership_mask(
                         self.lanes.frontiers[lane], self.graph.num_vertices
@@ -897,36 +902,45 @@ class SuperstepDriver:
                         kernel.rows_in_sorted(worklist, candidates)
                     ] = True
                     keep &= candidate_rows[dst_slot]
-                if keep.all():
-                    parts.append((lane, None))
-                    continue
-                lane_edges = np.nonzero(keep)[0]
-                if lane_edges.size:
-                    parts.append((lane, lane_edges))
-            if len(parts) == 1:
-                lane, lane_edges = parts[0]
-                if lane_edges is not None:
-                    # One lane: narrow the walked arrays in place (the
-                    # scanned-but-inactive edges are done with) instead of
-                    # carrying positions into them.
-                    src, dst = src[lane_edges], dst[lane_edges]
-                    edge_idx = edge_idx[lane_edges]
-                    parts = [(lane, None)]
+                return keep
+
+            kept_any = None
+            if len(present) == 1:
+                # One lane: narrow the walked arrays in place (the
+                # scanned-but-inactive edges are done with) instead of
+                # carrying positions into them.
+                keep = kept_edges(*present[0])
+                if not keep.all():
+                    at = np.nonzero(keep)[0]
+                    src, dst, edge_idx = src[at], dst[at], edge_idx[at]
+                del dst_slot, keep  # released before Compute allocates
                 active = int(src.size)
-            elif any(lane_edges is None for _, lane_edges in parts):
-                active = total
-            elif parts:
-                kept_any = np.zeros(total, dtype=bool)
-                for _, lane_edges in parts:
-                    kept_any[lane_edges] = True
+                parts = [(present[0][0], None)] if active else []
+            else:
+                kept_any = np.zeros(total, dtype=bool)  # edges some lane kept
+
+                def lane_parts():
+                    for lane, candidates in present:
+                        keep = kept_edges(lane, candidates)
+                        np.logical_or(kept_any, keep, out=kept_any)
+                        if keep.all():
+                            yield lane, None
+                            continue
+                        lane_edges = np.nonzero(keep)[0]
+                        if lane_edges.size:
+                            yield lane, lane_edges
+
+                parts = lane_parts()
+            # Only the atomic-combine ablation prices a gather's update
+            # destinations, so only it asks for the any-valid edge mask.
+            atomic = self.engine.config.atomic_combine
+            valid = self._compute_and_route(
+                unit, step, parts, src, dst, csr, edge_idx, want_valid=atomic
+            )
+            if kept_any is not None:
                 active = int(np.count_nonzero(kept_any))
-            if parts:
-                del dst_slot  # done with; release it before Compute allocates
-                valid = self._compute_and_route(
-                    unit, step, parts, src, dst, csr, edge_idx
-                )
-                if self.engine.config.atomic_combine:
-                    updated = _take(dst, valid)
+            if atomic and active:
+                updated = _take(dst, valid)
         unit.expansion = _ExpansionResult(
             update_destinations=updated,
             recorded_destinations=_EMPTY, recorded_producers=_EMPTY, num_workers=0,
@@ -934,95 +948,61 @@ class SuperstepDriver:
         )
 
     def _compute_and_route(
-        self, unit: _Unit, step: _Step, parts, src, dst, csr, edge_idx
+        self, unit: _Unit, step: _Step, parts, src, dst, csr, edge_idx, want_valid
     ):
-        """Compute over every ``(edge, lane)`` pair of ``parts`` and queue
-        each lane's valid updates at their owners.
+        """Compute every ``(edge, lane)`` pair of ``parts``, one lane at a
+        time, and queue each lane's valid updates at their owners.
 
-        ``parts`` lists ``(lane, edge positions)`` with ``None`` for "every
-        edge"; pairs are laid out lane-major (a single part is the walked
-        arrays themselves - no assembly). Returns a boolean mask over the
-        edges that produced a valid update in any lane (``None`` for all) -
-        what the unit's task-management pass records.
+        ``parts`` yields ``(lane, edge positions)`` lazily, ``None`` meaning
+        "every edge" (the walked arrays themselves - no gather). A lane is
+        computed, filtered and routed before the next lane's edge positions
+        exist, so a unit's Compute temporaries are one lane's pairs, whatever
+        K is. With ``want_valid``, returns a boolean mask over the edges that
+        produced a valid update in any lane (``None`` for all) - what a push
+        unit's task-management pass records.
         """
         lanes, graph = self.lanes, self.graph
-        meta = lanes.metadata
         push = unit.direction is Direction.PUSH
-        ids = [lane for lane, _ in parts]
-        if len(parts) == 1:
-            at = parts[0][1]
+        # Only a sharded gather needs the sources again after Compute, to
+        # count its boundary reads.
+        remote_reads = self.sharding is not None and not push
+        any_valid = None
+        for lane, at in parts:
+            alg, row = lanes.clones[lane], lanes.metadata[lane]
             s, d = _take(src, at), _take(dst, at)
             w = csr.weights[_take(edge_idx, at)].astype(np.float64)
-            spans = [(0, int(d.size))]
-        else:
-            s = np.concatenate([_take(src, at) for _, at in parts])
-            d = np.concatenate([_take(dst, at) for _, at in parts])
-            w = np.concatenate([
-                csr.weights[_take(edge_idx, at)].astype(np.float64)
-                for _, at in parts
-            ])
-            ends = np.cumsum([
-                dst.size if at is None else at.size for _, at in parts
-            ]).tolist()
-            spans = list(zip([0] + ends[:-1], ends))
-        if not lanes.batched:
-            # ``run``: the caller's own instance, lane-free signatures.
-            alg, row = lanes.prototype, meta[ids[0]]
-            compute = alg.compute_edges if push else alg.gather_edges
-            updates = compute(row[s], w, row[d], s, d, graph)
-        elif lanes.per_lane_compute:
-            # Heterogeneous lane parameters: evaluate Compute through each
-            # lane's own copy (lane-major, like the flattened call, so
-            # homogeneous parameters give bit-identical updates either way).
-            outputs = []
-            for lane, (lo, hi) in zip(ids, spans):
-                alg, row = lanes.clones[lane], meta[lane]
+            if lanes.batched:
                 compute = alg.scatter_edges if push else alg.gather_edges
-                outputs.append(np.asarray(compute(
-                    row[s[lo:hi]], w[lo:hi], row[d[lo:hi]],
-                    s[lo:hi], d[lo:hi], graph,
-                    lanes=np.full(hi - lo, lane, dtype=np.int64),
-                ), dtype=np.float64))
-            updates = _concat(outputs)
-        else:
-            alg = lanes.prototype
-            compute = alg.scatter_edges if push else alg.gather_edges
-            pair_lane = np.repeat(
-                np.asarray(ids, dtype=np.int64), [hi - lo for lo, hi in spans]
-            )
-            updates = compute(
-                meta[pair_lane, s], w, meta[pair_lane, d], s, d, graph,
-                lanes=pair_lane,
-            )
-        updates = np.asarray(updates, dtype=np.float64)
-        unit.lane_pairs += int(updates.size)
-
-        # Per-lane tail: NaN filter, then queue the lane's valid updates at
-        # their owners (only a sharded gather needs the sources again, to
-        # count its boundary reads).
-        valid = ~np.isnan(updates)
-        remote_reads = self.sharding is not None and not push
-        any_valid = valid if len(parts) == 1 and parts[0][1] is None else (
-            np.zeros(dst.size, dtype=bool)
-        )
-        for (lane, at), (lo, hi) in zip(parts, spans):
-            lane_updates, lane_dst = updates[lo:hi], d[lo:hi]
-            lane_src = s[lo:hi] if remote_reads else None
-            lane_valid = valid[lo:hi]
-            if not lane_valid.all():
-                lane_updates, lane_dst = lane_updates[lane_valid], lane_dst[lane_valid]
-                if remote_reads:
-                    lane_src = lane_src[lane_valid]
+                updates = compute(
+                    row[s], w, row[d], s, d, graph,
+                    lanes=np.full(d.size, lane, dtype=np.int64),
+                )
+            else:
+                # ``run``: the caller's own instance, lane-free signatures.
+                compute = alg.compute_edges if push else alg.gather_edges
+                updates = compute(row[s], w, row[d], s, d, graph)
+            updates = np.asarray(updates, dtype=np.float64)
+            unit.lane_pairs += int(updates.size)
+            valid = ~np.isnan(updates)
+            if want_valid:
+                if any_valid is None:
+                    # A lane over every edge lends its own mask: no copy.
+                    any_valid = (
+                        valid if at is None else np.zeros(dst.size, dtype=bool)
+                    )
                 if at is not None:
-                    at = at[lane_valid]
-            if any_valid is not valid:
-                if at is None:
-                    any_valid |= lane_valid
-                else:
-                    any_valid[at] = True
-            if lane_updates.size:
-                self._route(unit, step, lane, lane_updates, lane_dst, lane_src)
-        return None if any_valid.all() else any_valid
+                    any_valid[at[valid]] = True
+                elif any_valid is not valid:
+                    any_valid |= valid
+            if not valid.all():
+                updates, d = updates[valid], d[valid]
+                if remote_reads:
+                    s = s[valid]
+            if updates.size:
+                self._route(
+                    unit, step, lane, updates, d, s if remote_reads else None
+                )
+        return None if any_valid is None or any_valid.all() else any_valid
 
     def _route(self, unit, step, lane, updates, dst, src) -> None:
         """Queue one lane's valid updates at their destination owners."""

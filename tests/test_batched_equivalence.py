@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BFS, SSSP, PageRank
+from repro.core import superstep
 from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.filters import FilterMode
@@ -345,7 +346,9 @@ class TestBatchAPI:
         with pytest.raises(ValueError, match="at least one source"):
             SIMDXEngine(graph).run_batch(BFS(), [])
 
-    def test_atomic_combine_ablation_is_priced(self, graph, sources):
+    def test_atomic_combine_ablation_is_priced(
+        self, graph, sources, monkeypatch
+    ):
         # The Figure-5 ablation must affect batched runs too: identical
         # values, higher simulated cost under atomic pricing.
         acc = SIMDXEngine(graph).run_batch(BFS(), sources)
@@ -354,6 +357,34 @@ class TestBatchAPI:
         ).run_batch(BFS(), sources)
         assert np.array_equal(acc.values, atomic.values)
         assert atomic.elapsed_us > acc.elapsed_us
+
+        # Only the ablation reads a gather's update destinations (one entry
+        # per in-edge with a valid update in any lane), so only it has them
+        # built - and what it prices is pinned: SSSP's forced-pull atomic
+        # charge as measured before the edge mask became conditional.
+        gathers = []
+        finish_unit = superstep.SuperstepDriver._finish_unit
+
+        def recording(self, unit, step):
+            if unit.direction is Direction.PULL:
+                gathers.append(unit.expansion)
+            return finish_unit(self, unit, step)
+
+        monkeypatch.setattr(superstep.SuperstepDriver, "_finish_unit", recording)
+        for atomic_combine in (False, True):
+            del gathers[:]
+            pulled = SIMDXEngine(graph, config=EngineConfig(
+                forced_direction=Direction.PULL, atomic_combine=atomic_combine,
+            )).run_batch(SSSP(), sources)
+            assert gathers
+            for expansion in gathers:
+                built = expansion.update_destinations is not None
+                assert built == (atomic_combine and expansion.active_edges > 0)
+                if built:
+                    assert expansion.update_destinations.size <= expansion.active_edges
+        assert pulled.extra["breakdown"]["atomic_us"] == pytest.approx(
+            16.255921788527143, rel=1e-12
+        )
 
     def test_queries_per_second_reported(self, graph, sources):
         batch = SIMDXEngine(graph).run_batch(BFS(), sources)
