@@ -60,7 +60,13 @@ from repro.core.filters import (
     FilterOverflowError,
     FilterResult,
 )
-from repro.core.frontier import ClassifiedFrontier, WorklistClassifier
+from repro.core.frontier import (
+    THREADS_PER_LARGE_TASK,
+    THREADS_PER_MEDIUM_TASK,
+    THREADS_PER_SMALL_TASK,
+    ClassifiedFrontier,
+    WorklistClassifier,
+)
 from repro.core import kernels as kernel_backends
 from repro.core.fusion import FusionPlan, FusionStrategy
 from repro.core.metrics import BatchRunResult, RunResult
@@ -71,6 +77,17 @@ from repro.gpu.barrier import SoftwareGlobalBarrier
 from repro.gpu.device import GPUDevice, K40
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.gpu.warp import divergence_fraction, reduction_primitive_ops
+
+
+#: The three compute stages in kernel order, with the threads one task of
+#: each takes (Figure 7); an empty one is launched with :data:`_NO_WORK`
+#: (shared, so never mutated: nothing writes to a launched estimate).
+_COMPUTE_STAGES = (
+    ("thread", THREADS_PER_SMALL_TASK),
+    ("warp", THREADS_PER_MEDIUM_TASK),
+    ("cta", THREADS_PER_LARGE_TASK),
+)
+_NO_WORK = WorkEstimate()
 
 
 @dataclass
@@ -386,11 +403,9 @@ class SIMDXEngine:
         *,
         algorithm: ACCAlgorithm,
         classified: ClassifiedFrontier,
-        classifier: WorklistClassifier,
         direction: Direction,
         expansion: _ExpansionResult,
         active_mask: np.ndarray,
-        frontier: np.ndarray,
         stream: Stream,
         iteration: int,
         success_rate: float = 1.0,
@@ -398,11 +413,12 @@ class SIMDXEngine:
     ) -> Tuple[FilterResult, str, float, float, float, float]:
         """Task management + cost accounting of one work unit.
 
-        ``frontier`` is the executed push worklist (the active frontier in
-        a single run, the lane union in a batch, a shard's slice of either)
-        whose out-degrees bound a scatter worker's recordings;
-        ``active_mask``/``expansion`` describe what the unit updated and
-        ``stream`` carries the filter state and the device to charge.
+        ``classified`` is the executed worklist (in push mode the active
+        frontier in a single run, the lane union in a batch, a shard's slice
+        of either - its largest out-degree bounds a scatter worker's
+        recordings); ``active_mask``/``expansion`` describe what the unit
+        updated and ``stream`` carries the filter state and the device to
+        charge.
         Returns ``(filter_result, filter_name, compute_us, launch_us,
         filter_us, barrier_us)``. Keeping this tail in one place guarantees
         batched and sharded units are charged and traced exactly like
@@ -416,16 +432,13 @@ class SIMDXEngine:
         # The online/batch/atomic filters record destinations that just
         # became active, as observed by the worker that updated them.
         recorded = active_mask[expansion.recorded_destinations]
-        # Only the JIT controller reads the static overflow bound; keep
-        # the standalone-filter ablations free of the extra degree scan.
-        max_producer_records = 0
-        if jit is not None:
-            if direction is Direction.PULL:
-                # A gather worker records only its own destination.
-                max_producer_records = 1 if expansion.num_workers else 0
-            else:
-                degrees = self.classifier.degrees_of(frontier)
-                max_producer_records = int(degrees.max()) if degrees.size else 0
+        # The static overflow bound (only the JIT controller reads it): a
+        # gather worker records only its own destination, a scatter worker
+        # at most one entry per out-edge.
+        if direction is Direction.PULL:
+            max_producer_records = 1 if expansion.num_workers else 0
+        else:
+            max_producer_records = classified.max_degree
         ctx = FilterContext(
             num_vertices=graph.num_vertices,
             updated_destinations=expansion.recorded_destinations[recorded],
@@ -461,7 +474,7 @@ class SIMDXEngine:
         if cfg.atomic_combine:
             atomic_profile = profile_atomic_updates(expansion.update_destinations)
         compute_us, launch_us, task_kernel = self._charge_compute(
-            classified, classifier, direction, stream, algorithm,
+            classified, direction, stream, algorithm,
             atomic_profile=atomic_profile,
             active_edge_fraction=(
                 expansion.active_edges / expansion.edges_expanded
@@ -556,9 +569,6 @@ class SIMDXEngine:
         paying the scattered source-metadata read and the Compute evaluation,
         so only the active share costs the full per-edge work.
         """
-        if num_vertices == 0:
-            return WorkEstimate()
-
         model = DEFAULT_TRAFFIC_MODEL
         effective_edges = float(num_edges)
         if (
@@ -571,7 +581,7 @@ class SIMDXEngine:
             effective_edges *= model.voting_pull_scan_fraction
 
         if direction is Direction.PUSH:
-            traffic = gmem.frontier_expansion_traffic(
+            coalesced, scattered = gmem.frontier_expansion_traffic(
                 num_vertices,
                 int(effective_edges),
                 sortedness=sortedness,
@@ -583,7 +593,7 @@ class SIMDXEngine:
             )
         else:
             active_edges = effective_edges * min(1.0, max(0.0, active_fraction))
-            traffic = gmem.pull_expansion_traffic(
+            coalesced, scattered = gmem.pull_expansion_traffic(
                 num_vertices,
                 int(effective_edges),
                 weighted=algorithm.uses_weights,
@@ -608,8 +618,8 @@ class SIMDXEngine:
             primitives = num_vertices * reduction_primitive_ops(256) + effective_edges / 32.0
 
         return WorkEstimate(
-            coalesced_bytes=traffic.coalesced_bytes,
-            scattered_transactions=traffic.scattered_transactions,
+            coalesced_bytes=coalesced,
+            scattered_transactions=scattered,
             compute_ops=compute_ops,
             warp_primitive_ops=primitives,
             divergence_fraction=min(1.0, divergence),
@@ -618,7 +628,6 @@ class SIMDXEngine:
     def _charge_compute(
         self,
         classified: ClassifiedFrontier,
-        classifier: WorklistClassifier,
         direction: Direction,
         stream: Stream,
         algorithm: ACCAlgorithm,
@@ -646,61 +655,47 @@ class SIMDXEngine:
         is what ``run_batch`` amortizes across lanes.
         """
         device = stream.device
-        phase = stream.fusion_plan.phase_kernels(direction)
-        kernels = list(phase.launch_kernels) + list(phase.continuation_kernels)
-        fused_flags = [False] * len(phase.launch_kernels) + [True] * len(
-            phase.continuation_kernels
-        )
-
-        deg = classifier.degrees_of
-        stage_specs = [
-            ("thread", classified.small, classified.sizes.small_edges),
-            ("warp", classified.medium, classified.sizes.medium_edges),
-            ("cta", classified.large, classified.sizes.large_edges),
-        ]
+        stages = stream.fusion_plan.phase_kernels(direction).stages
+        sizes = classified.sizes
         total_edges = max(1, classified.total_edges)
 
         busy_us = 0.0
         launch_us = 0.0
-        for i, (stage, vertices, edges) in enumerate(stage_specs):
-            kernel = kernels[i]
-            work = self._stage_work(
-                int(vertices.size),
-                int(edges),
-                deg(vertices) if vertices.size else np.zeros(0),
-                stage,
-                direction,
-                stream.sortedness,
-                algorithm,
-                active_fraction=active_edge_fraction,
-            )
-            if atomic_profile is not None and atomic_profile.num_ops:
-                # Gunrock-style pricing: updates are applied with atomics on
-                # the destination (attributed proportionally to this stage's
-                # edge share) and the shared-memory staging reductions of the
-                # ACC combine are dropped.
-                share = edges / total_edges
-                work = WorkEstimate(
-                    coalesced_bytes=work.coalesced_bytes,
-                    scattered_transactions=work.scattered_transactions,
-                    compute_ops=work.compute_ops,
-                    atomic_ops=atomic_profile.num_ops * share,
-                    atomic_contention=atomic_profile.contention,
-                    warp_primitive_ops=0.0,
-                    divergence_fraction=work.divergence_fraction,
+        for (kernel, fused), (stage, threads), vertices, edges in zip(
+            stages, _COMPUTE_STAGES,
+            (sizes.small_vertices, sizes.medium_vertices, sizes.large_vertices),
+            (sizes.small_edges, sizes.medium_edges, sizes.large_edges),
+        ):
+            # An empty stage launches with no work on one CTA, which the
+            # device charges from its idle table.
+            work, num_ctas = _NO_WORK, 1
+            if vertices:
+                work = self._stage_work(
+                    vertices,
+                    edges,
+                    classified.small_degrees,
+                    stage,
+                    direction,
+                    stream.sortedness,
+                    algorithm,
+                    active_fraction=active_edge_fraction,
                 )
-            threads_needed = max(1, int(vertices.size)) * {
-                "thread": 1, "warp": 32, "cta": 256
-            }[stage]
-            num_ctas = -(-threads_needed // kernel.threads_per_cta)
-            result = device.launch(
-                KernelLaunch(
-                    kernel=kernel,
-                    work=work,
-                    num_ctas=num_ctas if vertices.size else 1,
-                    fused_continuation=fused_flags[i],
-                )
-            )
+                if atomic_profile is not None and atomic_profile.num_ops:
+                    # Gunrock-style pricing: updates are applied with atomics
+                    # on the destination (attributed proportionally to this
+                    # stage's edge share) and the shared-memory staging
+                    # reductions of the ACC combine are dropped.
+                    work = WorkEstimate(
+                        coalesced_bytes=work.coalesced_bytes,
+                        scattered_transactions=work.scattered_transactions,
+                        compute_ops=work.compute_ops,
+                        atomic_ops=atomic_profile.num_ops * (edges / total_edges),
+                        atomic_contention=atomic_profile.contention,
+                        warp_primitive_ops=0.0,
+                        divergence_fraction=work.divergence_fraction,
+                    )
+                num_ctas = -(-vertices * threads // kernel.threads_per_cta)
+            result = device.launch(KernelLaunch(kernel, work, num_ctas, fused))
             busy_us += result.busy_us
             launch_us += result.launch_overhead_us
 
@@ -710,7 +705,7 @@ class SIMDXEngine:
                 model.push_edge_ops if direction is Direction.PUSH
                 else model.pull_active_edge_ops
             )
-            lane_kernel = kernels[2]
+            lane_kernel = stages[2][0]
             extra_work = WorkEstimate(
                 scattered_transactions=gmem.metadata_scatter_transactions(
                     extra_lane_pairs
@@ -732,7 +727,7 @@ class SIMDXEngine:
             )
             busy_us += result.busy_us
             launch_us += result.launch_overhead_us
-        return busy_us, launch_us, (kernels[3], fused_flags[3])
+        return busy_us, launch_us, stages[3]
 
     def _charge_filter(
         self,
@@ -741,14 +736,9 @@ class SIMDXEngine:
         device: GPUDevice,
     ) -> float:
         kernel, fused = task_kernel
-        result = device.launch(
-            KernelLaunch(
-                kernel=kernel,
-                work=filter_result.work,
-                fused_continuation=fused,
-            )
-        )
-        return result.total_us
+        return device.launch(
+            KernelLaunch(kernel, filter_result.work, None, fused)
+        ).total_us
 
     def _charge_barrier(self, barrier: Optional[SoftwareGlobalBarrier]) -> float:
         if barrier is None:

@@ -129,7 +129,7 @@ class FilterContext:
     success_rate: float = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class FilterResult:
     """Worklist plus the cost and quality attributes of producing it."""
 
@@ -142,6 +142,8 @@ class FilterResult:
 
     @property
     def sortedness(self) -> float:
+        if self.is_sorted:
+            return 1.0  # by construction (a metadata scan emits ids in order)
         return gmem.worklist_sortedness(self.worklist)
 
     @property
@@ -180,15 +182,15 @@ class OnlineFilter(Filter):
         )
         bins.scatter(ctx.updated_destinations, ctx.producer_thread)
         concat = concatenate_bins(bins.concatenated(), bins.occupancy())
-        record_work = WorkEstimate(
-            coalesced_bytes=gmem.sequential_bytes(
-                int(ctx.updated_destinations.size), gmem.VERTEX_ID_BYTES
-            ),
-            compute_ops=float(ctx.updated_destinations.size),
-        )
+        # Recording rides in the concatenation's estimate: one write per
+        # recorded entry on top of the scan and the copy.
+        recorded = int(ctx.updated_destinations.size)
+        work = concat.work
+        work.coalesced_bytes += gmem.sequential_bytes(recorded, gmem.VERTEX_ID_BYTES)
+        work.compute_ops += float(recorded)
         return FilterResult(
             worklist=concat.values,
-            work=record_work.merged_with(concat.work),
+            work=work,
             overflowed=bins.overflowed,
             is_sorted=False,
             is_unique=False,

@@ -48,6 +48,8 @@ from repro.graph.csr import CSRGraph
 DEFAULT_SMALL_MEDIUM_SEPARATOR = 32
 DEFAULT_MEDIUM_LARGE_SEPARATOR = 256
 
+_EMPTY = np.zeros(0, dtype=np.int64)
+
 #: Threads used per task at each granularity (Figure 7).
 THREADS_PER_SMALL_TASK = 1
 THREADS_PER_MEDIUM_TASK = 32
@@ -82,6 +84,11 @@ class ClassifiedFrontier:
     medium: np.ndarray
     large: np.ndarray
     sizes: WorklistSizes
+    #: What the cost model reads of the degrees ``classify`` gathered: the
+    #: per-thread work of the Thread kernel (degree of each ``small``
+    #: vertex) and the largest degree in the whole worklist.
+    small_degrees: np.ndarray
+    max_degree: int
 
     @property
     def total_vertices(self) -> int:
@@ -131,9 +138,8 @@ class WorklistClassifier:
         """Split ``frontier`` (vertex ids) into the three worklists."""
         frontier = np.asarray(frontier, dtype=np.int64)
         if frontier.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
             return ClassifiedFrontier(
-                empty, empty, empty, WorklistSizes(0, 0, 0, 0, 0, 0)
+                _EMPTY, _EMPTY, _EMPTY, WorklistSizes(0, 0, 0, 0, 0, 0), _EMPTY, 0
             )
         degs = self._degrees[frontier]
         small_mask = degs < self.small_medium_separator
@@ -142,15 +148,18 @@ class WorklistClassifier:
         small = frontier[small_mask]
         medium = frontier[medium_mask]
         large = frontier[large_mask]
+        small_degrees = degs[small_mask]
         sizes = WorklistSizes(
             small_vertices=int(small.size),
             medium_vertices=int(medium.size),
             large_vertices=int(large.size),
-            small_edges=int(degs[small_mask].sum()),
+            small_edges=int(small_degrees.sum()),
             medium_edges=int(degs[medium_mask].sum()),
             large_edges=int(degs[large_mask].sum()),
         )
-        return ClassifiedFrontier(small=small, medium=medium, large=large, sizes=sizes)
+        return ClassifiedFrontier(
+            small, medium, large, sizes, small_degrees, int(degs.max())
+        )
 
     def degrees_of(self, frontier: np.ndarray) -> np.ndarray:
         """Directional degree of each worklist vertex (divergence modelling)."""
@@ -192,17 +201,21 @@ class ThreadBins:
     overflowed: bool = False
     entries: np.ndarray = field(init=False)
     owners: np.ndarray = field(init=False)
+    #: Entries per bin, as of the last :meth:`scatter` (``None`` before one).
+    _counts: Optional[np.ndarray] = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_threads <= 0:
             raise ValueError("num_threads must be positive")
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
-        self.entries = np.zeros(0, dtype=np.int64)
-        self.owners = np.zeros(0, dtype=np.int64)
+        self.entries = self.owners = _EMPTY
 
     def scatter(self, recorded: np.ndarray, producer_thread: np.ndarray) -> None:
-        """Append recorded vertex ids to the producing threads' bins."""
+        """Append recorded vertex ids to the producing threads' bins.
+
+        Arrays that need no regrouping are kept as they are, not copied.
+        """
         recorded = np.asarray(recorded, dtype=np.int64)
         producer_thread = np.asarray(producer_thread, dtype=np.int64)
         if recorded.shape != producer_thread.shape:
@@ -211,28 +224,39 @@ class ThreadBins:
             return
         if producer_thread.min() < 0 or producer_thread.max() >= self.num_threads:
             raise ValueError("producer thread id out of range")
-        # Kept entries go first and the sort is stable, so within a thread
-        # they keep their slots ahead of the new arrivals.
-        entries = np.concatenate([self.entries, recorded])
-        owners = np.concatenate([self.owners, producer_thread])
-        order = np.argsort(owners, kind="stable")
-        entries = entries[order]
-        owners = owners[order]
-        # An entry's rank is its slot in its own bin: position minus the
-        # start of its thread's group. Slots >= capacity do not exist.
+        entries, owners = recorded, producer_thread
+        if self.entries.size:
+            # Kept entries go first and the sort is stable, so within a
+            # thread they keep their slots ahead of the new arrivals.
+            entries = np.concatenate([self.entries, entries])
+            owners = np.concatenate([self.owners, owners])
+        # Group by owning thread - unless the producers already arrive
+        # grouped (a scatter walks its frontier slots in order, a gather
+        # records one entry per worker), which one comparison pass shows.
+        if not (owners[1:] >= owners[:-1]).all():
+            order = np.argsort(owners, kind="stable")
+            entries = entries[order]
+            owners = owners[order]
         counts = np.bincount(owners, minlength=self.num_threads)
-        rank = np.arange(owners.size) - (np.cumsum(counts) - counts)[owners]
-        kept = rank < self.capacity
-        if not kept.all():
+        if counts.max() > self.capacity:
+            # An entry's rank is its slot in its own bin: position minus
+            # the start of its thread's group. Slots >= capacity do not
+            # exist.
+            rank = np.arange(owners.size) - (np.cumsum(counts) - counts)[owners]
+            kept = rank < self.capacity
             self.overflowed = True
             entries = entries[kept]
             owners = owners[kept]
+            counts = np.minimum(counts, self.capacity)
         self.entries = entries
         self.owners = owners
+        self._counts = counts
 
     def occupancy(self) -> np.ndarray:
         """Entries per bin."""
-        return np.bincount(self.owners, minlength=self.num_threads)
+        if self._counts is None:
+            return np.zeros(self.num_threads, dtype=np.int64)
+        return self._counts
 
     def concatenated(self) -> np.ndarray:
         """All bin contents in thread order (the online filter's worklist)."""

@@ -24,8 +24,9 @@ footprint via :mod:`repro.gpu.registers`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernel import Kernel, DEFAULT_THREADS_PER_CTA
@@ -70,6 +71,15 @@ class PhaseKernels:
     continuation_kernels: Tuple[Kernel, ...]
     barrier_kernel: Optional[Kernel]
 
+    @cached_property
+    def stages(self) -> Tuple[Tuple[Kernel, bool], ...]:
+        """The four ``(kernel, fused)`` slots in stage order: Thread, Warp,
+        CTA compute, then task management."""
+        return tuple(
+            [(k, False) for k in self.launch_kernels]
+            + [(k, True) for k in self.continuation_kernels]
+        )
+
 
 class FusionPlan:
     """Maps (strategy, direction, iteration state) to kernel launches."""
@@ -87,6 +97,9 @@ class FusionPlan:
         if registers:
             self.registers.update(registers)
         self._kernels: Dict[str, Kernel] = {}
+        #: ``(direction prefix, fused kernel already resident) ->`` the phase;
+        #: at most four, so an iteration looks its kernels up, not builds them.
+        self._phases: Dict[Tuple[str, bool], PhaseKernels] = {}
         self._active_fused_kernel: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -115,46 +128,36 @@ class FusionPlan:
         launches versus phases of a resident fused kernel.
         """
         prefix = "push" if direction is Direction.PUSH else "pull"
-        stage_keys = [f"{prefix}_thread", f"{prefix}_warp", f"{prefix}_cta",
-                      f"{prefix}_task_mgt"]
-
+        # NONE: no fused kernel; ALL: one for the whole run; PUSH_PULL: one
+        # per direction, relaunched on a switch.
         if self.strategy == FusionStrategy.NONE:
-            return PhaseKernels(
-                launch_kernels=tuple(self.kernel(k) for k in stage_keys),
-                continuation_kernels=(),
-                barrier_kernel=None,
-            )
-
-        if self.strategy == FusionStrategy.ALL:
-            fused = self.kernel("fused_all")
-            if self._active_fused_kernel == "fused_all":
-                return PhaseKernels(
-                    launch_kernels=(),
-                    continuation_kernels=(fused,) * len(stage_keys),
+            fused_key = None
+        elif self.strategy == FusionStrategy.ALL:
+            fused_key = "fused_all"
+        else:
+            fused_key = f"fused_{prefix}"
+        resident = fused_key is not None and self._active_fused_kernel == fused_key
+        self._active_fused_kernel = fused_key
+        phase = self._phases.get((prefix, resident))
+        if phase is None:
+            if fused_key is None:
+                phase = PhaseKernels(
+                    launch_kernels=tuple(
+                        self.kernel(f"{prefix}_{stage}")
+                        for stage in ("thread", "warp", "cta", "task_mgt")
+                    ),
+                    continuation_kernels=(),
+                    barrier_kernel=None,
+                )
+            else:
+                fused = self.kernel(fused_key)
+                phase = PhaseKernels(
+                    launch_kernels=() if resident else (fused,),
+                    continuation_kernels=(fused,) * (4 if resident else 3),
                     barrier_kernel=fused,
                 )
-            self._active_fused_kernel = "fused_all"
-            return PhaseKernels(
-                launch_kernels=(fused,),
-                continuation_kernels=(fused,) * (len(stage_keys) - 1),
-                barrier_kernel=fused,
-            )
-
-        # PUSH_PULL: one fused kernel per direction; relaunch on switch.
-        fused_key = f"fused_{prefix}"
-        fused = self.kernel(fused_key)
-        if self._active_fused_kernel == fused_key:
-            return PhaseKernels(
-                launch_kernels=(),
-                continuation_kernels=(fused,) * len(stage_keys),
-                barrier_kernel=fused,
-            )
-        self._active_fused_kernel = fused_key
-        return PhaseKernels(
-            launch_kernels=(fused,),
-            continuation_kernels=(fused,) * (len(stage_keys) - 1),
-            barrier_kernel=fused,
-        )
+            self._phases[prefix, resident] = phase
+        return phase
 
     # ------------------------------------------------------------------
     # Static properties used by the Table 2 bench and Section 7.3

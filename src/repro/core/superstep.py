@@ -1070,9 +1070,9 @@ class SuperstepDriver:
         the unit's simulated microseconds."""
         engine, lanes, stream = self.engine, self.lanes, unit.stream
         push = unit.direction is Direction.PUSH
-        classifier = engine.classifier if push else engine.pull_classifier
         classified = unit.classified
         if classified is None:
+            classifier = engine.classifier if push else engine.pull_classifier
             classified = classifier.classify(unit.worklist)
         expansion = unit.expansion
         if not push:
@@ -1107,19 +1107,15 @@ class SuperstepDriver:
         ) = engine._finish_iteration(
             algorithm=lanes.prototype,
             classified=classified,
-            classifier=classifier,
             direction=unit.direction,
             expansion=expansion,
             active_mask=unit_active,
-            frontier=unit.frontier,
             stream=stream,
             iteration=step.iteration,
             success_rate=success_rate,
             extra_lane_pairs=max(0, unit.lane_pairs - expansion.active_edges),
         )
-        stream.sortedness = (
-            filter_result.sortedness if filter_result.worklist.size else 1.0
-        )
+        stream.sortedness = filter_result.sortedness
         if len(unit.lanes) == 1 and self.sharding is None:
             step.solo[unit.lanes[0]] = filter_result
         record = IterationRecord(

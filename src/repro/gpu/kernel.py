@@ -13,8 +13,8 @@ paper and are defined in :mod:`repro.core.fusion`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 DEFAULT_THREADS_PER_CTA = 128
 
@@ -46,7 +46,7 @@ class Kernel:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkEstimate:
     """Dynamic work performed by one kernel invocation.
 
@@ -81,6 +81,16 @@ class WorkEstimate:
     divergence_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        # The passing case is one comparison chain (an estimate is built per
+        # charged kernel phase); a failing one goes on to name the offender.
+        if (
+            0 <= self.divergence_fraction <= 1
+            and self.atomic_contention >= 1.0
+            and min(self.coalesced_bytes, self.scattered_transactions,
+                    self.compute_ops, self.atomic_ops,
+                    self.warp_primitive_ops) >= 0
+        ):
+            return
         if self.divergence_fraction < 0 or self.divergence_fraction > 1:
             raise ValueError("divergence_fraction must be within [0, 1]")
         for name in ("coalesced_bytes", "scattered_transactions", "compute_ops",
@@ -128,8 +138,7 @@ class WorkEstimate:
         )
 
 
-@dataclass(frozen=True)
-class KernelLaunch:
+class KernelLaunch(NamedTuple):
     """One invocation of a kernel.
 
     ``fused_continuation`` marks a phase that runs inside an already-resident
@@ -143,9 +152,12 @@ class KernelLaunch:
     fused_continuation: bool = False
 
 
-@dataclass(frozen=True)
-class LaunchResult:
-    """Timing breakdown for one (possibly fused) kernel phase."""
+class LaunchResult(NamedTuple):
+    """Timing breakdown for one (possibly fused) kernel phase.
+
+    Immutable: the device hands the same instance to every idle launch of
+    a kernel, and the profiler keeps it as that launch's record.
+    """
 
     kernel_name: str
     total_us: float
@@ -156,6 +168,8 @@ class LaunchResult:
     primitive_us: float
     latency_us: float
     occupancy: "OccupancyInfo"
+    #: The phase ran inside an already-resident kernel (no launch of its own).
+    fused: bool
 
     @property
     def busy_us(self) -> float:

@@ -16,8 +16,7 @@ worklist contents produced by the functional execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,7 +62,7 @@ def offset_read_transactions(num_vertices: int, sortedness: float) -> float:
     transaction per 8 offsets of 8 bytes each); a random worklist needs one
     transaction per vertex.
     """
-    sortedness = float(np.clip(sortedness, 0.0, 1.0))
+    sortedness = min(1.0, max(0.0, float(sortedness)))
     sequential_txn = num_vertices * OFFSET_BYTES / TRANSACTION_BYTES
     random_txn = float(num_vertices)
     return sortedness * sequential_txn + (1.0 - sortedness) * random_txn
@@ -77,7 +76,7 @@ def metadata_scatter_transactions(num_accesses: int, locality: float = 0.0) -> f
     for destination reuse within a warp (e.g. pull-mode accumulation where
     one warp owns one destination).
     """
-    locality = float(np.clip(locality, 0.0, 1.0))
+    locality = min(1.0, max(0.0, float(locality)))
     return scattered_accesses(num_accesses) * (1.0 - locality)
 
 
@@ -113,8 +112,7 @@ def redundancy_factor(worklist: np.ndarray) -> float:
     return float(worklist.size / unique)
 
 
-@dataclass(frozen=True)
-class FrontierTraffic:
+class FrontierTraffic(NamedTuple):
     """Memory traffic of expanding one frontier, split by coalescing."""
 
     coalesced_bytes: float

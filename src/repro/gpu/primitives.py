@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.kernel import WorkEstimate
-from repro.gpu.memory import TRANSACTION_BYTES, VERTEX_ID_BYTES, sequential_bytes
+from repro.gpu.memory import VERTEX_ID_BYTES, sequential_bytes
 
 
 @dataclass(frozen=True)
@@ -26,22 +26,23 @@ class PrimitiveResult:
     work: WorkEstimate
 
 
-def exclusive_scan(counts: np.ndarray) -> PrimitiveResult:
-    """Exclusive prefix sum over per-thread (or per-bin) counts.
+def _scan_work(n: int) -> WorkEstimate:
+    """Cost of a work-efficient scan over ``n`` elements: each is read and
+    written once, ~2 ops per element across the up-sweep and down-sweep
+    phases, ``ceil(log2(n))`` warp-primitive steps."""
+    return WorkEstimate(
+        coalesced_bytes=sequential_bytes(2 * n, 8),
+        compute_ops=float(2 * n),
+        warp_primitive_ops=float(n and (max(n, 2) - 1).bit_length()),
+    )
 
-    Cost model: a work-efficient scan reads and writes each element once and
-    performs ~2 ops per element across the up-sweep and down-sweep phases.
-    """
+
+def exclusive_scan(counts: np.ndarray) -> PrimitiveResult:
+    """Exclusive prefix sum over per-thread (or per-bin) counts."""
     counts = np.asarray(counts, dtype=np.int64)
     offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    n = counts.size
-    work = WorkEstimate(
-        coalesced_bytes=sequential_bytes(2 * n, 8),
-        compute_ops=float(2 * n),
-        warp_primitive_ops=float(max(0, n) and int(np.ceil(np.log2(max(n, 2))))),
-    )
-    return PrimitiveResult(values=offsets, work=work)
+    return PrimitiveResult(values=offsets, work=_scan_work(counts.size))
 
 
 def concatenate_bins(entries: np.ndarray, sizes: np.ndarray) -> PrimitiveResult:
@@ -51,15 +52,14 @@ def concatenate_bins(entries: np.ndarray, sizes: np.ndarray) -> PrimitiveResult:
     next active list without atomics: scan the bin sizes to get each thread's
     output offset, then copy each bin to its slice. The bins arrive flat -
     ``entries`` already in bin order, ``sizes`` entries per bin - so the
-    worklist is ``entries`` itself and only the device's scan and copy are
-    priced here.
+    worklist is ``entries`` itself, the scan's last offset is its length,
+    and only the device's scan and copy are priced here, as one estimate
+    the caller owns.
     """
-    scan = exclusive_scan(sizes)
-    total = int(scan.values[-1])
-    copy_bytes = sequential_bytes(total, VERTEX_ID_BYTES) * 2  # read + write
-    work = scan.work.merged_with(
-        WorkEstimate(coalesced_bytes=copy_bytes, compute_ops=float(total))
-    )
+    total = int(entries.size)
+    work = _scan_work(int(sizes.size))
+    work.coalesced_bytes += sequential_bytes(total, VERTEX_ID_BYTES) * 2  # read + write
+    work.compute_ops += float(total)
     return PrimitiveResult(values=entries, work=work)
 
 

@@ -3,8 +3,10 @@
 The profiler is what the benchmark harness reads to produce the rows of
 Table 2 (kernel launch counts) and the per-phase breakdowns quoted in the
 text (e.g. "99.23% of time spent scanning metadata in the ballot filter on
-ER"). It is intentionally append-only and cheap: recording a launch is a
-couple of attribute updates plus a list append.
+ER"). It is intentionally append-only and cheap: recording a launch is one
+list append of the :class:`~repro.gpu.kernel.LaunchResult` the device just
+computed (or, for an idle phase, looked up) - there is no second record
+type - and every query walks ``records`` when asked.
 """
 
 from __future__ import annotations
@@ -14,20 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.gpu.kernel import KernelLaunch, LaunchResult
-
-
-@dataclass
-class LaunchRecord:
-    """One recorded kernel phase."""
-
-    kernel_name: str
-    total_us: float
-    launch_overhead_us: float
-    memory_us: float
-    compute_us: float
-    atomic_us: float
-    fused: bool
+    from repro.gpu.kernel import LaunchResult
 
 
 @dataclass
@@ -35,25 +24,16 @@ class DeviceProfiler:
     """Accumulates statistics for every launch on one simulated device."""
 
     device_name: str = ""
-    records: List[LaunchRecord] = field(default_factory=list)
+    #: One entry per kernel phase, in launch order.
+    records: List["LaunchResult"] = field(default_factory=list)
     peak_allocated_bytes: int = 0
     allocation_log: List[tuple] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_launch(self, launch: "KernelLaunch", result: "LaunchResult") -> None:
-        self.records.append(
-            LaunchRecord(
-                kernel_name=result.kernel_name,
-                total_us=result.total_us,
-                launch_overhead_us=result.launch_overhead_us,
-                memory_us=result.memory_us,
-                compute_us=result.compute_us,
-                atomic_us=result.atomic_us,
-                fused=launch.fused_continuation,
-            )
-        )
+    def record_launch(self, result: "LaunchResult") -> None:
+        self.records.append(result)
 
     def record_allocation(self, label: str, nbytes: int, total_allocated: int) -> None:
         self.allocation_log.append((label, nbytes))

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.gpu.device import GPUSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OccupancyInfo:
     """Occupancy achieved by a kernel configuration on one device."""
 

@@ -95,9 +95,10 @@ def reduction_primitive_ops(num_values: int, warp_size: int = WARP_SIZE) -> floa
     if num_values <= 0:
         return 0.0
     warps = num_warps(num_values, warp_size)
-    # log2(warp_size) shuffle steps per warp plus a final cross-warp pass.
-    per_warp = int(np.ceil(np.log2(warp_size)))
-    cross = int(np.ceil(np.log2(max(warps, 1)))) if warps > 1 else 0
+    # log2(warp_size) shuffle steps per warp plus a final cross-warp pass;
+    # ceil(log2(k)) of a positive integer is (k - 1).bit_length().
+    per_warp = (warp_size - 1).bit_length()
+    cross = (warps - 1).bit_length()
     return float(warps * per_warp + cross)
 
 
@@ -113,17 +114,18 @@ def divergence_fraction(per_lane_work: np.ndarray, warp_size: int = WARP_SIZE) -
     work = np.asarray(per_lane_work, dtype=np.float64)
     if work.size == 0:
         return 0.0
-    pad = num_warps(work.size, warp_size) * warp_size - work.size
-    if pad:
-        work = np.concatenate([work, np.zeros(pad)])
-    chunks = work.reshape(-1, warp_size)
-    maxes = chunks.max(axis=1)
-    means = chunks.mean(axis=1)
+    # One segment per warp; the last warp's missing lanes are idle, so its
+    # mean still divides by the full warp size.
+    starts = np.arange(0, work.size, warp_size)
+    maxes = np.maximum.reduceat(work, starts)
+    means = np.add.reduceat(work, starts) / warp_size
     busy = maxes > 0
-    if not busy.any():
-        return 0.0
-    waste = 1.0 - means[busy] / maxes[busy]
-    return float(np.clip(waste.mean(), 0.0, 1.0))
+    if not busy.all():
+        maxes, means = maxes[busy], means[busy]
+        if maxes.size == 0:
+            return 0.0
+    waste = 1.0 - means / maxes
+    return min(1.0, max(0.0, float(np.add.reduce(waste)) / waste.size))
 
 
 @dataclass(frozen=True)

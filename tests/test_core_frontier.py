@@ -163,7 +163,8 @@ def _reference_bins(num_threads, capacity, scatters):
             else:
                 overflowed = True
     flat = [value for b in bins for value in b]
-    return flat, [len(b) for b in bins], overflowed
+    owners = [thread for thread, b in enumerate(bins) for _ in b]
+    return flat, owners, [len(b) for b in bins], overflowed
 
 
 def _bins_case(seed):
@@ -172,7 +173,8 @@ def _bins_case(seed):
     Every fourth seed is pull-shaped (``producer_thread = arange(n)``), odd
     seeds scatter twice; the rest draw producers from a subset of the
     threads so some bins stay empty and, with a small capacity, others
-    overflow.
+    overflow - shuffled, already grouped (what a push walk emits: the sort
+    is skipped) or reversed, by ``seed % 3``.
     """
     rng = np.random.default_rng(seed)
     num_threads = int(rng.integers(1, 40))
@@ -184,6 +186,8 @@ def _bins_case(seed):
         else:
             busy = rng.choice(num_threads, size=max(1, num_threads // 2))
             producers = rng.choice(busy, size=int(rng.integers(0, 120)))
+            if seed % 3:
+                producers = np.sort(producers)[::1 if seed % 3 == 1 else -1]
         recorded = rng.integers(0, 1000, size=producers.size)
         scatters.append((recorded, producers.astype(np.int64)))
     return num_threads, capacity, scatters
@@ -199,11 +203,12 @@ class TestThreadBinsAgainstPerThreadReference:
         bins = ThreadBins(num_threads=num_threads, capacity=capacity)
         for recorded, producers in scatters:
             bins.scatter(recorded, producers)
-        flat, occupancy, overflowed = _reference_bins(
+        flat, owners, occupancy, overflowed = _reference_bins(
             num_threads, capacity, scatters
         )
         assert bins.concatenated().dtype == np.int64
-        assert bins.concatenated().tolist() == flat
+        assert bins.concatenated().tolist() == bins.entries.tolist() == flat
+        assert bins.owners.tolist() == owners
         assert bins.occupancy().tolist() == occupancy
         assert bins.overflowed == overflowed
 
@@ -211,13 +216,21 @@ class TestThreadBinsAgainstPerThreadReference:
         # The sweep is only an oracle if it visits the shapes that matter.
         cases = [_bins_case(seed) for seed in _BINS_SEEDS]
         results = [_reference_bins(*case) for case in cases]
-        assert sum(overflowed for _, _, overflowed in results) >= 40
-        assert sum(not overflowed for _, _, overflowed in results) >= 40
-        assert sum(0 in occupancy for _, occupancy, _ in results) >= 40
+        assert sum(overflowed for *_, overflowed in results) >= 40
+        assert sum(not overflowed for *_, overflowed in results) >= 40
+        assert sum(0 in occupancy for _, _, occupancy, _ in results) >= 40
+        # First scatters that arrive grouped (no sort), with and without a
+        # full bin (no rank pass), and ones that need the sort.
+        first = [case[2][0][1] for case in cases]
+        grouped = [bool((p[1:] >= p[:-1]).all()) and p.size > 1 for p in first]
+        full = [overflowed for *_, overflowed in results]
+        assert sum(g and f for g, f in zip(grouped, full)) >= 10
+        assert sum(g and not f for g, f in zip(grouped, full)) >= 10
+        assert sum(not g and p.size > 1 for g, p in zip(grouped, first)) >= 40
         # A second scatter that overflows a bin the first one only filled.
         assert any(
             len(case[2]) == 2
-            and not _reference_bins(case[0], case[1], case[2][:1])[2]
+            and not _reference_bins(case[0], case[1], case[2][:1])[3]
             and overflowed
-            for case, (_, _, overflowed) in zip(cases, results)
+            for case, (*_, overflowed) in zip(cases, results)
         )

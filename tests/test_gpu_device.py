@@ -283,3 +283,118 @@ class TestCostModel:
     def test_cta_count_for_kernel(self):
         dev = GPUDevice(K40)
         assert dev.cta_count_for(Kernel("k", 110)) == 60
+
+
+class _CountingDevice(GPUDevice):
+    """Records every launch that reaches the cost formula."""
+
+    def __init__(self, spec=K40):
+        super().__init__(spec)
+        self.estimated = []
+
+    def estimate(self, launch):
+        self.estimated.append(launch)
+        return super().estimate(launch)
+
+
+def _is_idle(launch: KernelLaunch) -> bool:
+    return launch.num_ctas == 1 and not launch.work.nonzero()
+
+
+class TestFixedCostTail:
+    """A superstep's charges cost what its non-empty stages cost: an empty
+    stage is a table lookup, occupancy is computed once per distinct
+    configuration, and none of the tables grows with the number of runs."""
+
+    @pytest.fixture
+    def occupancy_keys(self, monkeypatch):
+        """Arguments of every call that reached ``compute_occupancy``'s body."""
+        keys = []
+
+        def counted(spec, *, registers_per_thread, threads_per_cta, num_ctas=None):
+            keys.append((registers_per_thread, threads_per_cta, num_ctas))
+            return compute_occupancy(
+                spec, registers_per_thread=registers_per_thread,
+                threads_per_cta=threads_per_cta, num_ctas=num_ctas,
+            )
+
+        monkeypatch.setattr("repro.gpu.device.compute_occupancy", counted)
+        return keys
+
+    def test_road_bfs_pays_only_for_non_empty_stages(self, road_graph, occupancy_keys):
+        from repro.algorithms import BFS
+        from repro.core.engine import SIMDXEngine
+
+        stage_vertices = []
+
+        class CountingEngine(SIMDXEngine):
+            def _stage_work(self, num_vertices, *args, **kwargs):
+                stage_vertices.append(num_vertices)
+                return super()._stage_work(num_vertices, *args, **kwargs)
+
+        device = _CountingDevice()
+        engine = CountingEngine(road_graph, device=device)
+        result = engine.run(BFS(source=0))
+        assert not result.failed
+
+        records = device.profiler.records
+        idle_records = [r for r in records if r.busy_us == 0.0]
+        # Max out-degree is far below the warp separator: the Warp and CTA
+        # stages are empty on every superstep, half of all launches.
+        assert len(idle_records) == 2 * len(result.iteration_records)
+        assert len(records) == 4 * len(result.iteration_records)
+
+        idle_keys = {
+            (launch.kernel, launch.fused_continuation)
+            for launch in device.estimated if _is_idle(launch)
+        }
+        assert sum(_is_idle(launch) for launch in device.estimated) == len(idle_keys)
+        assert len(device.estimated) == len(records) - len(idle_records) + len(idle_keys)
+
+        assert len(occupancy_keys) == len(set(occupancy_keys)) == len(device._occupancy)
+
+        # One Thread stage per superstep did work; no empty stage was priced.
+        assert all(n > 0 for n in stage_vertices)
+        assert len(stage_vertices) == len(result.iteration_records)
+
+        # Bounded state: fifteen more runs on the same engine add nothing.
+        sizes = (len(device._occupancy), len(device._idle))
+        for _ in range(15):
+            engine.run(BFS(source=0))
+        assert (len(device._occupancy), len(device._idle)) == sizes
+        per_shape = K40.max_ctas_per_smx * K40.num_smx + 1
+        shapes = {key[:2] for key in device._occupancy}
+        assert len(device._occupancy) <= per_shape * len(shapes)
+
+    @pytest.mark.parametrize("spec", [K20, K40, P100], ids=lambda s: s.name)
+    def test_cached_and_memoised_launch_equals_a_fresh_estimate(self, spec):
+        rng = np.random.default_rng(18)
+        slots = spec.max_ctas_per_smx * spec.num_smx
+        kernels = [Kernel("lean", 24), Kernel("fused_push", 48),
+                   Kernel("fused_all", 110), Kernel("wide", 64, threads_per_cta=256)]
+        device = GPUDevice(spec)
+        for _ in range(200):
+            kernel = kernels[int(rng.integers(len(kernels)))]
+            if rng.random() < 0.3:
+                work, num_ctas = WorkEstimate(), 1          # an idle stage
+            else:
+                work = WorkEstimate(
+                    coalesced_bytes=float(rng.integers(0, 10**7)),
+                    scattered_transactions=float(rng.integers(0, 10**5)),
+                    compute_ops=float(rng.integers(0, 10**7)),
+                    atomic_ops=float(rng.integers(0, 10**4)) * (rng.random() < 0.5),
+                    atomic_contention=float(rng.choice([1.0, 7.5, 100.0])),
+                    warp_primitive_ops=float(rng.integers(0, 10**4)),
+                    divergence_fraction=float(rng.choice([0.0, 0.3, 1.0])),
+                )
+                num_ctas = [None, 0, 1, 2, slots - 1, slots, slots + 1, 10 * slots][
+                    int(rng.integers(8))
+                ]
+            launch = KernelLaunch(kernel, work, num_ctas, bool(rng.random() < 0.5))
+            charged = device.launch(launch)
+            assert charged == GPUDevice(spec).estimate(launch)   # exact floats
+            assert charged.occupancy == compute_occupancy(
+                spec, registers_per_thread=kernel.registers_per_thread,
+                threads_per_cta=kernel.threads_per_cta, num_ctas=num_ctas,
+            )
+            assert device.profiler.records[-1] is charged

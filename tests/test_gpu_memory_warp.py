@@ -131,6 +131,46 @@ class TestWarpPrimitives:
         skewed = rng.pareto(1.2, size=256) * 10
         assert warp.divergence_fraction(skewed) > warp.divergence_fraction(uniform)
 
+    @staticmethod
+    def _padded_divergence(per_lane_work, warp_size=32):
+        """The pad-and-reshape formulation ``divergence_fraction`` replaced."""
+        work = np.asarray(per_lane_work, dtype=np.float64)
+        pad = -work.size % warp_size
+        chunks = np.concatenate([work, np.zeros(pad)]).reshape(-1, warp_size)
+        maxes, means = chunks.max(axis=1), chunks.mean(axis=1)
+        busy = maxes > 0
+        if not busy.any():
+            return 0.0
+        return float(np.clip((1.0 - means[busy] / maxes[busy]).mean(), 0.0, 1.0))
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 64, 1000])
+    @pytest.mark.parametrize("shape", ["uniform", "degrees", "skewed", "zeros", "idle_warps"])
+    def test_divergence_equals_the_padded_formulation(self, size, shape):
+        # Work counts are integers (edges per thread), so the two
+        # formulations' sums are exact and must agree to the last bit.
+        rng = np.random.default_rng(size)
+        work = {
+            "uniform": np.full(size, 7),
+            "degrees": rng.integers(0, 8, size=size),
+            "skewed": (rng.pareto(1.2, size=size) * 10).astype(np.int64),
+            "zeros": np.zeros(size, dtype=np.int64),
+            "idle_warps": rng.integers(1, 30, size=size) * (np.arange(size) // 32 % 2),
+        }[shape]
+        expected = self._padded_divergence(work)
+        assert warp.divergence_fraction(work) == expected
+        assert warp.divergence_fraction(work.astype(np.float64)) == expected
+        assert warp.divergence_fraction(work, warp_size=8) == self._padded_divergence(work, 8)
+
+    def test_reduction_primitive_ops_equal_the_log2_formulation(self):
+        for warp_size in (1, 2, 8, 32):
+            for count in [*range(1, 70), 255, 256, 257, 1024, 10**6]:
+                warps = warp.num_warps(count, warp_size)
+                expected = float(
+                    warps * int(np.ceil(np.log2(warp_size)))
+                    + (int(np.ceil(np.log2(warps))) if warps > 1 else 0)
+                )
+                assert warp.reduction_primitive_ops(count, warp_size) == expected
+
     def test_warp_combine_matches_numpy_reduction(self):
         rng = np.random.default_rng(6)
         updates = rng.random(100)
@@ -203,6 +243,11 @@ class TestDevicePrimitives:
     def test_exclusive_scan_empty(self):
         result = exclusive_scan(np.array([], dtype=np.int64))
         assert np.array_equal(result.values, [0])
+
+    def test_scan_primitive_steps_are_ceil_log2(self):
+        for n in [*range(0, 70), 255, 256, 257, 4096, 4097]:
+            steps = exclusive_scan(np.ones(n, dtype=np.int64)).work.warp_primitive_ops
+            assert steps == (int(np.ceil(np.log2(max(n, 2)))) if n else 0.0)
 
     def test_concatenate_bins_preserves_order_and_content(self):
         # Three bins, flat: [5, 1], [] and [7].
