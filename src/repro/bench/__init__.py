@@ -2,8 +2,7 @@
 
 * :mod:`repro.bench.harness` -- run-matrix utilities: build algorithms,
   pick deterministic sources, run any system on any dataset, share
-  functional traces across baselines; also the wall-clock kernel-backend
-  benchmark (``python -m repro.bench.harness``).
+  functional traces across baselines.
 * :mod:`repro.bench.experiments` -- one sweep function per experiment and
   the ordered ``EXPERIMENTS`` registry that binds each to its key, title
   and table specs (``python -m repro.bench.experiments`` regenerates
@@ -11,6 +10,6 @@
 * :mod:`repro.bench.reporting` -- the one generic renderer: a table
   formatter with a ``text`` and a ``markdown`` style.
 
-Nothing is imported here: both ``-m`` entry points above would otherwise
-find themselves in ``sys.modules`` before they run.
+Nothing is imported here: the ``-m`` entry point above would otherwise find
+itself in ``sys.modules`` before it runs.
 """

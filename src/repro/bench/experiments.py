@@ -1058,7 +1058,7 @@ def serving_latency(ctx: BenchmarkContext) -> Dict:
 
 
 # ----------------------------------------------------------------------
-# Kernel-backend wall-clock comparison (BENCH_<pr>.json, docs/kernels.md)
+# Host wall-clock per workload (BENCH_<pr>.json, perfbench/README.md)
 # ----------------------------------------------------------------------
 #: The checkout root, where the ``BENCH_<pr>.json`` trajectory is committed
 #: and EXPERIMENTS.md is written by default - resolved from this file, so
@@ -1066,18 +1066,18 @@ def serving_latency(ctx: BenchmarkContext) -> Dict:
 RECORDS_DIR = Path(__file__).resolve().parents[3]
 
 #: The committed wall-clock records; zero-padded ids sort by name, so the
-#: newest is the last (the rule CI's ``bench-regression`` job uses).
+#: newest is the last.
 BENCH_RECORD_GLOB = "BENCH_[0-9]*.json"
 
 
-def kernel_backend_wallclock(ctx: BenchmarkContext) -> Dict:
-    """The newest committed wall-clock record, rendered as EXPERIMENTS.md §8.
+def host_wallclock(ctx: BenchmarkContext) -> Dict:
+    """The newest committed ``perfbench --out`` record, as EXPERIMENTS.md §8.
 
     Wall-clock seconds are host-dependent, so regenerating EXPERIMENTS.md
     never measures them (the document is diffed against the committed
-    baseline): this loads the newest ``BENCH_<pr>.json`` in
-    :data:`RECORDS_DIR` - the file the CI ``bench-regression`` job gates
-    on - whatever ``ctx`` selects, and raises when there is none.
+    copy): this loads the newest ``BENCH_<pr>.json`` in :data:`RECORDS_DIR`
+    whatever ``ctx`` selects, and raises when there is none. One row per
+    workload: the end-to-end metrics of its untraced pass.
     """
     paths = sorted(RECORDS_DIR.glob(BENCH_RECORD_GLOB))
     if not paths:
@@ -1085,7 +1085,14 @@ def kernel_backend_wallclock(ctx: BenchmarkContext) -> Dict:
             f"no committed benchmark record matches {RECORDS_DIR / BENCH_RECORD_GLOB}"
         )
     record = json.loads(paths[-1].read_text(encoding="utf-8"))
-    return {**record, "source": paths[-1].name}
+    rows = []
+    for name, passes in record["results"].items():
+        untraced = passes["end_to_end"]
+        rows.append({
+            "workload": name, "ops_attempted": untraced["ops_attempted"],
+            "ops_failed": untraced["ops_failed"], **untraced["metrics"],
+        })
+    return {"rows": rows, "meta": record["meta"], "source": paths[-1].name}
 
 
 # ----------------------------------------------------------------------
@@ -1566,31 +1573,33 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         ),
     ),
     Experiment(
-        "kernel_backend_wallclock", "EXPERIMENTS.md §8 - kernel-backend wall-clock comparison",
-        kernel_backend_wallclock,
-        Table("Kernel-backend wall-clock comparison",
-            (("dataset", "dataset"), ("algorithm", "algorithm"),
-             ("iters", "iterations"),
-             ("simulated ms", lambda b: b["simulated_us"] / 1000.0, 3),
-             ("kernel edges walked", "kernel_edges_walked"),
-             ("python s", lambda b: b["backends"]["python"]["wall_clock_s"], 4),
-             ("numpy s", lambda b: b["backends"]["numpy"]["wall_clock_s"], 4),
-             ("speedup", lambda b: f"{b['speedup_numpy_over_python']:.2f}x")),
-            rows="benchmarks", section=8,
-            lead="The engine's CSR-walk primitives run on a selectable "
-                "backend (`EngineConfig.kernel_backend`): `numpy`, the "
-                "vectorized default, and `python`, a pure-loop reference. The "
-                "two are bit-identical on values, simulated time and every "
-                "accounting counter (the fuzz matrix and "
-                "`tests/test_kernel_backend.py` enforce it); what differs is "
-                "real wall-clock, measured here. Numbers are from the "
-                "committed `{source}` (scale={config[scale]}, min of "
-                "{config[repeats]} interleaved timeit-style samples, measured "
-                "on {host[platform]} / python {host[python]} / numpy "
-                "{host[numpy]}). Raw seconds are host-specific; the CI "
-                "`bench-regression` job gates only on the numpy-over-python "
-                "speedup ratio (15% tolerance) and on the deterministic "
-                "columns, which must match exactly. See docs/kernels.md.",
+        "host_wallclock", "EXPERIMENTS.md §8 - host wall-clock per workload",
+        host_wallclock,
+        Table("Host wall-clock per workload",
+            (("workload", "workload"), ("ops", "ops_attempted"),
+             ("failed", "ops_failed"),
+             ("setup_s", "setup_s", 3), ("run_s", "run_s", 3), ("qps", "qps", 1),
+             ("latency_p50_ms", "latency_p50_ms", 1),
+             ("peak_rss_mb", "peak_rss_mb", 1)),
+            section=8,
+            lead="Every other section is simulated device time; this one is "
+                "real seconds on the host that ran the engine, per workload "
+                "of `BENCHMARK.json`: the end-to-end metrics of the untraced "
+                "pass. `run_s` is the median round (on `served-zipf`, seconds "
+                "per 100 completed requests), `qps` the queries answered per "
+                "measured second, `latency_p50_ms` a client's median wait - "
+                "on the five offline workloads, the round. Numbers are from "
+                "the committed `{source}`, the unmodified output of `python "
+                "-m perfbench "
+                "--seed {meta[seed]} --seconds {meta[seconds]:g} --out`, "
+                "measured on {meta[host][cpu]} x{meta[host][nproc]} / "
+                "{meta[host][platform]} / python {meta[host][python]} / numpy "
+                "{meta[host][numpy]}. Seconds are host-specific: the record "
+                "is one point of the per-PR trajectory, not a threshold - the "
+                "CI `bench-regression` job measures base and head on one "
+                "runner and gates on `python -m perfbench --compare`. The "
+                "per-layer metrics of the traced pass are in the record; see "
+                "perfbench/README.md.",
         ),
     ),
     Experiment(

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -112,8 +113,8 @@ class ServedResult:
     queue_wait_s: float
     #: The batch's ``extra`` counters plus the ``serve_*`` keys
     #: (:data:`repro.analysis.registry.SERVE_BATCH_FILL`,
-    #: :data:`~repro.analysis.registry.SERVE_QUEUE_WAIT_US`). Shared
-    #: (read-only by convention) between the batch's lanes.
+    #: :data:`~repro.analysis.registry.SERVE_QUEUE_WAIT_US`). A read-only
+    #: view shared between the batch's lanes: a write raises ``TypeError``.
     extra: Mapping[str, object] = field(default_factory=dict)
 
 
@@ -294,10 +295,10 @@ class SIMDXServer:
                     iterations=0,
                     elapsed_us=0.0,
                     queue_wait_s=0.0,
-                    extra={
+                    extra=MappingProxyType({
                         extra_keys.CACHE_OUTCOME: "hit",
                         extra_keys.DYN_GRAPH_VERSION: self.dyn.version,
-                    },
+                    }),
                 )
         if self._dispatch_task is None:
             await self.start()
@@ -479,12 +480,12 @@ class SIMDXServer:
         if result.failed:
             self._fail_batch(batch, result.failure_reason)
             return
-        extra = dict(result.extra)
-        extra[extra_keys.SERVE_BATCH_FILL] = len(batch) / self.policy.max_batch
-        extra[extra_keys.SERVE_QUEUE_WAIT_US] = float(
-            1e6 * sum(waits) / len(waits)
-        )
-        extra[extra_keys.DYN_GRAPH_VERSION] = self.dyn.version
+        extra = MappingProxyType({
+            **result.extra,
+            extra_keys.SERVE_BATCH_FILL: len(batch) / self.policy.max_batch,
+            extra_keys.SERVE_QUEUE_WAIT_US: float(1e6 * sum(waits) / len(waits)),
+            extra_keys.DYN_GRAPH_VERSION: self.dyn.version,
+        })
         if self.cache is not None:
             # Updates only apply between dispatches on this same loop, so
             # the current version is the version the batch ran against.

@@ -8,8 +8,6 @@ filters, worklists and algorithms.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -17,23 +15,6 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.gpu.device import GPUDevice, K40
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
-
-
-def pytest_collection_modifyitems(config, items):
-    """Skip ``slow``-marked matrices unless REPRO_RUN_SLOW is set.
-
-    Tier-1 (`pytest -x -q`) runs the small matrices; the nightly
-    bench-smoke CI job exports ``REPRO_RUN_SLOW=1`` to run the large
-    differential-fuzz sweeps as well (see .github/workflows/ci.yml).
-    """
-    if os.environ.get("REPRO_RUN_SLOW"):
-        return
-    skip_slow = pytest.mark.skip(
-        reason="slow matrix: set REPRO_RUN_SLOW=1 to run"
-    )
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip_slow)
 
 
 @pytest.fixture

@@ -11,7 +11,9 @@ other consumer relies on:
 * keys are unique, every public sweep function is registered, and one new
   entry is enough to reach the renderer and ``examples/reproduce_paper.py``;
 * EXPERIMENTS.md numbers its sections 1..10 in order, and its §8 reads the
-  newest committed ``BENCH_<pr>.json`` or fails - it never measures;
+  newest committed ``BENCH_<pr>.json`` or fails - it never measures - and
+  that record is a full ``python -m perfbench --out`` run: every workload
+  and end-to-end metric ``BENCHMARK.json`` names, no failed operation;
 * the claims EXPERIMENTS.md §2 and §4 state in prose hold on every row (the
   ``benchmarks/`` suite has no test for §1-4).
 """
@@ -32,6 +34,8 @@ from repro.bench import experiments, reporting
 from repro.bench.harness import BenchmarkContext
 
 REPO = Path(__file__).resolve().parent.parent
+#: The benchmark's contract: workload and end-to-end metric names.
+SPEC = json.loads((REPO / "BENCHMARK.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -141,19 +145,39 @@ def test_document_numbers_its_sections_in_order(results, tmp_path, monkeypatch):
     assert "\n\n\n" not in text
 
 
+def test_newest_record_is_a_full_perfbench_run():
+    newest = sorted(REPO.glob(experiments.BENCH_RECORD_GLOB))[-1]
+    record = json.loads(newest.read_text())
+    assert record["meta"]["quick"] is False
+    assert list(record["results"]) == [w["name"] for w in SPEC["workloads"]]
+    for name, passes in record["results"].items():
+        assert set(passes) == {"end_to_end", "per_layer"}, name
+        for side in passes.values():
+            assert side["ops_failed"] == 0 < side["ops_attempted"], name
+        for metric in SPEC["end_to_end"]:
+            assert passes["end_to_end"]["metrics"][metric["name"]] > 0, (name, metric)
+
+
 def test_section8_reads_the_newest_record_and_never_measures(
     ctx, tmp_path, monkeypatch
 ):
     newest = sorted(REPO.glob(experiments.BENCH_RECORD_GLOB))[-1]
-    assert experiments.kernel_backend_wallclock(ctx)["source"] == newest.name
+    entry = experiments.experiment("host_wallclock")
+    result = entry.run(ctx)
+    assert result["source"] == newest.name
+    (table,) = _markdown_tables(entry.render(result, "markdown"))
+    assert {m["name"] for m in SPEC["end_to_end"]} <= set(table[0])
+    assert [row[0] for row in table[2:]] == [w["name"] for w in SPEC["workloads"]]
 
     monkeypatch.setattr(experiments, "RECORDS_DIR", tmp_path)
     with pytest.raises(FileNotFoundError, match=r"BENCH_\[0-9\]\*\.json"):
-        experiments.kernel_backend_wallclock(ctx)
-    for bench_id in ("BENCH_0002", "BENCH_0010"):
-        (tmp_path / f"{bench_id}.json").write_text(json.dumps({"bench_id": bench_id}))
-    record = experiments.kernel_backend_wallclock(ctx)
-    assert (record["bench_id"], record["source"]) == ("BENCH_0010", "BENCH_0010.json")
+        entry.run(ctx)
+    for seed, bench_id in enumerate(("BENCH_0002", "BENCH_0010", "BENCH_0009")):
+        (tmp_path / f"{bench_id}.json").write_text(
+            json.dumps({"meta": {"seed": seed}, "results": {}})
+        )
+    result = entry.run(ctx)
+    assert (result["meta"], result["source"]) == ({"seed": 1}, "BENCH_0010.json")
 
 
 def test_one_entry_is_enough_to_add_an_experiment(ctx, monkeypatch, capsys):

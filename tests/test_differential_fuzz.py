@@ -20,13 +20,13 @@ offers must agree:
 * the **kernel-backend axis** (``EngineConfig.kernel_backend``): the
   loop-reference ``python`` backend must be bit-identical to the
   vectorized ``numpy`` backend in every mode above. The small matrix
-  crosses it with auto/push/pull and the batched split modes; the slow
+  crosses it with auto/push/pull and the batched split modes; the large
   matrix also crosses it with random schedules, K=16 and the sharded
   num_shards ∈ {1, 2, 4} axis.
 
-A small matrix runs in tier-1 on every push; the large matrix (more
-seeds, more graph shapes, K=16, random schedules) carries the ``slow``
-marker and runs in the nightly bench-smoke job (REPRO_RUN_SLOW=1).
+Both matrices run in tier-1 on every push: the small one (two graphs) and
+the large one (more seeds, more graph shapes, K=16, random schedules) -
+~47 s together; CI's static-analysis job re-runs the file sanitizer-armed.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from tests.engine_seams import ScheduledEngine, random_split_schedule
 #: armed (``EngineConfig.sanitize``): any combine bypass, phase-order
 #: violation, lane remap, CSR mutation or accounting inconsistency raises
 #: instead of silently passing the differential checks. CI sets it on the
-#: static-analysis job and on the nightly slow matrix.
+#: static-analysis job.
 SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
 
 
@@ -96,10 +96,10 @@ GRAPH_SHAPES: Dict[str, Callable[[int], CSRGraph]] = {
     "road": _road,
 }
 
-#: (shape, seed) cells of the tier-1 matrix - one skewed, one uniform.
+#: (shape, seed) cells of the small matrix - one skewed, one uniform.
 SMALL_MATRIX = [("uniform", 101), ("rmat", 202)]
-#: The nightly matrix adds the road shape and more seeds per shape.
-SLOW_MATRIX = [
+#: The large matrix adds the road shape and more seeds per shape.
+LARGE_MATRIX = [
     (shape, seed)
     for shape in ("uniform", "rmat", "road")
     for seed in (11, 23, 47)
@@ -328,20 +328,18 @@ def test_small_matrix_batched(shape, seed, case_name):
     )
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("shape,seed", SLOW_MATRIX)
+@pytest.mark.parametrize("shape,seed", LARGE_MATRIX)
 @pytest.mark.parametrize("case_name", sorted(ALGORITHM_CASES))
-def test_slow_matrix_single_source(shape, seed, case_name):
+def test_large_matrix_single_source(shape, seed, case_name):
     graph = GRAPH_SHAPES[shape](seed)
     _check_single_source_modes(
         graph, case_name, seed, with_schedules=True, backends=KERNEL_BACKENDS
     )
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("shape,seed", SLOW_MATRIX)
+@pytest.mark.parametrize("shape,seed", LARGE_MATRIX)
 @pytest.mark.parametrize("case_name", BATCHED_CASES)
-def test_slow_matrix_batched(shape, seed, case_name):
+def test_large_matrix_batched(shape, seed, case_name):
     graph = GRAPH_SHAPES[shape](seed)
     _check_batched_modes(
         graph, case_name, seed, lane_counts=(1, 4, 16),
@@ -469,20 +467,18 @@ def test_small_matrix_sharded_batched(shape, seed, case_name):
     _check_sharded_batched(graph, case_name, seed, lane_counts=(1, 4))
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("shape,seed", SLOW_MATRIX)
+@pytest.mark.parametrize("shape,seed", LARGE_MATRIX)
 @pytest.mark.parametrize("case_name", sorted(ALGORITHM_CASES))
-def test_slow_matrix_sharded_single_source(shape, seed, case_name):
+def test_large_matrix_sharded_single_source(shape, seed, case_name):
     graph = GRAPH_SHAPES[shape](seed)
     _check_sharded_single_source(
         graph, case_name, seed, with_schedules=True, backends=KERNEL_BACKENDS
     )
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("shape,seed", SLOW_MATRIX)
+@pytest.mark.parametrize("shape,seed", LARGE_MATRIX)
 @pytest.mark.parametrize("case_name", BATCHED_CASES)
-def test_slow_matrix_sharded_batched(shape, seed, case_name):
+def test_large_matrix_sharded_batched(shape, seed, case_name):
     graph = GRAPH_SHAPES[shape](seed)
     _check_sharded_batched(
         graph, case_name, seed, lane_counts=(1, 4, 16),
@@ -617,23 +613,20 @@ def test_small_matrix_dyn_sharded(shape, seed):
     _check_dyn_axis(graph, seed, rounds=2, num_shards=2)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("shape,seed", SLOW_MATRIX)
-def test_slow_matrix_dyn(shape, seed):
+@pytest.mark.parametrize("shape,seed", LARGE_MATRIX)
+def test_large_matrix_dyn(shape, seed):
     graph = GRAPH_SHAPES[shape](seed)
     _check_dyn_axis(graph, seed, rounds=6)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("shape,seed", SLOW_MATRIX)
-def test_slow_matrix_dyn_cached(shape, seed):
+@pytest.mark.parametrize("shape,seed", LARGE_MATRIX)
+def test_large_matrix_dyn_cached(shape, seed):
     graph = GRAPH_SHAPES[shape](seed)
     _check_dyn_cached_axis(graph, seed, rounds=4)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("shape,seed", SLOW_MATRIX)
+@pytest.mark.parametrize("shape,seed", LARGE_MATRIX)
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-def test_slow_matrix_dyn_sharded(shape, seed, num_shards):
+def test_large_matrix_dyn_sharded(shape, seed, num_shards):
     graph = GRAPH_SHAPES[shape](seed)
     _check_dyn_axis(graph, seed, rounds=4, num_shards=num_shards)

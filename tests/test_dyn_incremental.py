@@ -135,14 +135,12 @@ def test_repair_bit_identical_directed():
     _check_rounds(graph, rounds=3, config=_config(sanitize=True), seed=505)
 
 
-@pytest.mark.slow
-def test_repair_bit_identical_road_slow():
+def test_repair_bit_identical_road_long():
     graph = gen.road_network_graph(14, 14, seed=51, name="inc-road")
     _check_rounds(graph, rounds=6, config=_config(), seed=606)
 
 
-@pytest.mark.slow
-def test_repair_bit_identical_sharded_sanitized_slow():
+def test_repair_bit_identical_sharded_sanitized_long():
     graph = gen.random_uniform_graph(220, 1500, seed=61, name="inc-ss")
     _check_rounds(
         graph, rounds=5, config=_config(num_shards=2, sanitize=True), seed=707

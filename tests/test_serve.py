@@ -119,6 +119,29 @@ def test_batch_forms_at_max_wait_with_fewer_lanes(graph):
     assert results[0].queue_wait_s >= 0.020
 
 
+def test_result_extra_is_read_only(graph):
+    """One caller annotating its result must not edit a sibling's."""
+    async def scenario():
+        server = make_server(
+            graph, AdmissionPolicy(max_batch=2, max_wait_ms=NEVER_MS),
+            cache=True,
+        )
+        async with server:
+            batch = await asyncio.gather(
+                server.submit("bfs", 3), server.submit("bfs", 5)
+            )
+            hit = await server.submit("bfs", 3)
+        return batch, hit
+
+    (first, sibling), hit = asyncio.run(scenario())
+    assert hit.lane == -1
+    before = dict(sibling.extra)
+    for result in (first, hit):
+        with pytest.raises(TypeError):
+            result.extra["cache_outcome"] = "mine"
+    assert dict(sibling.extra) == before and hit.extra["cache_outcome"] == "hit"
+
+
 def test_algorithms_batch_separately(graph):
     async def scenario():
         server = make_server(
