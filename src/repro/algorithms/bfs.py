@@ -13,10 +13,9 @@ in-edges (``gather_mask``), the classic bottom-up optimization of Beamer et
 al. that SIMD-X's direction selector exists to exploit.
 
 BFS is the canonical *batched* traversal (``SIMDXEngine.run_batch``): K
-sources become K lanes whose per-edge computes flatten into one call, and
-because ``compute_edges`` is a pure per-edge map the inherited
-``scatter_edges`` / ``gather_edges`` lane-axis hooks need no override -
-``supports_multi_source`` is all it takes to opt in.
+sources become K lanes, each computed on its own copy of the algorithm,
+and because ``compute_edges`` is a pure per-edge map no hook needs a lane
+argument - ``supports_multi_source`` is all it takes to opt in.
 """
 
 from __future__ import annotations

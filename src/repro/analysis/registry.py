@@ -236,8 +236,10 @@ CACHE_OUTCOME = register(ExtraKey(
     "cache_outcome",
     "How the result cache answered a query: 'hit' (stored values at the "
     "current graph version), 'repair' (stale entry repaired forward "
-    "through the update receipts), or 'miss' (normal engine run).",
-    producers=("cache", "serve"),
+    "through the update receipts), or 'miss' (normal engine run). Only "
+    "the reuse front-end (CachedQueryEngine) writes it; the server "
+    "relays its hits and repairs, and its batch lanes carry no key.",
+    producers=("cache",),
 ))
 
 # ----------------------------------------------------------------------

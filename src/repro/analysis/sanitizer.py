@@ -248,8 +248,7 @@ class RuntimeSanitizer:
 
         ``lane`` is the metadata row the instance serves: ``0`` for a
         single-source run, the lane index for a batch clone, ``None`` for
-        the batch prototype whose flattened calls carry their own
-        ``lanes`` axis.
+        the batch prototype, which computes nothing.
         """
         return _SanitizedAlgorithm(algorithm, self, lane)
 
@@ -647,23 +646,14 @@ class RuntimeSanitizer:
         lane_key: int,
         updates: np.ndarray,
         dst_ids: np.ndarray,
-        lanes: Optional[np.ndarray],
     ) -> None:
         """Record the destination of every valid (non-NaN) update offered."""
         if self._snapshot is None:
             return
-        updates = np.asarray(updates, dtype=np.float64)
-        dst_ids = np.asarray(dst_ids, dtype=np.int64)
-        valid = ~np.isnan(updates)
-        dst_valid = dst_ids[valid]
-        if lanes is None:
-            self._update_dsts.setdefault(lane_key, []).append(dst_valid)
-            return
-        lane_valid = np.asarray(lanes, dtype=np.int64)[valid]
-        for lane in np.unique(lane_valid):
-            self._update_dsts.setdefault(int(lane), []).append(
-                dst_valid[lane_valid == lane]
-            )
+        valid = ~np.isnan(np.asarray(updates, dtype=np.float64))
+        self._update_dsts.setdefault(lane_key, []).append(
+            np.asarray(dst_ids, dtype=np.int64)[valid]
+        )
 
 
 class _SanitizedCombineOp:
@@ -748,7 +738,7 @@ class _SanitizedAlgorithm:
             return fn(*copies, **copy_kwargs)
 
     def _check_operands(
-        self, hook: str, src_meta, dst_meta, src_ids, dst_ids, lanes
+        self, hook: str, src_meta, dst_meta, src_ids, dst_ids
     ) -> None:
         """Compute operands must be iteration-start metadata, bit-for-bit."""
         snap = self._san._snapshot
@@ -761,10 +751,6 @@ class _SanitizedAlgorithm:
         elif self._lane is not None:
             exp_src = snap[self._lane, src_ids]
             exp_dst = snap[self._lane, dst_ids]
-        elif lanes is not None:
-            lane_arr = np.asarray(lanes, dtype=np.int64)
-            exp_src = snap[lane_arr, src_ids]
-            exp_dst = snap[lane_arr, dst_ids]
         else:
             return
         self._san._checks["phase_order"] += 1
@@ -790,42 +776,24 @@ class _SanitizedAlgorithm:
             self._inner.combine_op, self._san, self._lane_key
         )
 
-    def compute_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
-        self._check_operands(
-            "compute_edges", src_meta, dst_meta, src_ids, dst_ids, None
-        )
+    def _compute(self, hook: str, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
+        self._check_operands(hook, src_meta, dst_meta, src_ids, dst_ids)
         updates = self._pure(
-            "compute_edges", self._inner.compute_edges,
+            hook, getattr(self._inner, hook),
             src_meta, weights, dst_meta, src_ids, dst_ids, graph,
         )
-        self._san._record_updates(self._lane_key, updates, dst_ids, None)
+        self._san._record_updates(self._lane_key, updates, dst_ids)
         return updates
 
-    def scatter_edges(
-        self, src_meta, weights, dst_meta, src_ids, dst_ids, graph, lanes=None
-    ):
-        self._check_operands(
-            "scatter_edges", src_meta, dst_meta, src_ids, dst_ids, lanes
+    def compute_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
+        return self._compute(
+            "compute_edges", src_meta, weights, dst_meta, src_ids, dst_ids, graph
         )
-        updates = self._pure(
-            "scatter_edges", self._inner.scatter_edges,
-            src_meta, weights, dst_meta, src_ids, dst_ids, graph, lanes=lanes,
-        )
-        self._san._record_updates(self._lane_key, updates, dst_ids, lanes)
-        return updates
 
-    def gather_edges(
-        self, src_meta, weights, dst_meta, src_ids, dst_ids, graph, lanes=None
-    ):
-        self._check_operands(
-            "gather_edges", src_meta, dst_meta, src_ids, dst_ids, lanes
+    def gather_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
+        return self._compute(
+            "gather_edges", src_meta, weights, dst_meta, src_ids, dst_ids, graph
         )
-        updates = self._pure(
-            "gather_edges", self._inner.gather_edges,
-            src_meta, weights, dst_meta, src_ids, dst_ids, graph, lanes=lanes,
-        )
-        self._san._record_updates(self._lane_key, updates, dst_ids, lanes)
-        return updates
 
     def apply(self, old, combined, touched):
         san = self._san

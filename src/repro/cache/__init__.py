@@ -4,11 +4,12 @@
 ``(algorithm, source, params)`` and tagged with the
 :class:`repro.dyn.overlay.DynamicGraph` version they were computed at;
 hot sources are promoted to pinned *landmarks*. :mod:`repro.cache.reuse`
-wraps a dynamic graph, a cache and the engine into one query front-end
-that serves repeated queries from the cache, repairs near-repeated ones
-(stale entries) forward through the exact update receipts, and falls
-back to a normal engine run otherwise - every path returning the same
-bits a from-scratch run would (the exactness contract).
+wraps a dynamic graph, a cache and the engine into the one reuse
+front-end (``query`` and the server both go through it) that serves
+repeated queries from the cache, repairs near-repeated ones (stale
+entries) forward through the exact update receipts, and falls back to a
+normal engine run otherwise - every path returning the same bits a
+from-scratch run would (the exactness contract).
 """
 
 from repro.cache.results import CacheEntry, ResultCache

@@ -11,7 +11,8 @@ as a miss; the cache itself never serves stale values.
 
 Sources queried at least ``landmark_threshold`` times are promoted to
 **landmarks**: pinned entries exempt from LRU eviction (bounded by
-``landmark_capacity``), which the serving layer refreshes eagerly after
+``landmark_capacity``), which the reuse front-end
+(:class:`repro.cache.reuse.CachedQueryEngine`) refreshes eagerly after
 each graph update so the hot sources keep answering at the current
 version. This is the repository's take on landmark-based distance
 serving: rather than approximating d(s, t) through a landmark's
@@ -47,10 +48,6 @@ class CacheEntry:
     version: int
     hits: int = 0
     pinned: bool = False
-
-    @property
-    def key(self) -> Tuple:
-        return (self.algorithm, self.source, params_key(self.params))
 
 
 class ResultCache:
@@ -183,33 +180,22 @@ class ResultCache:
         """Repair pinned entries forward through one update receipt.
 
         Only entries that were current before the update (``version ==
-        receipt.version - 1``) and whose algorithm supports incremental
-        repair are refreshed; the repaired values are bit-identical to a
-        from-scratch run on the new snapshot. Returns the refresh count.
+        receipt.version - 1``) are refreshed, through the one-receipt
+        routine the reuse front-end repairs with
+        (:func:`repro.cache.reuse.repair_entry`); the repaired values are
+        bit-identical to a from-scratch run on the new snapshot. Returns
+        the refresh count.
         """
-        from repro.dyn.incremental import (
-            REPAIRABLE_ALGORITHMS,
-            IncrementalRecompute,
-        )
+        from repro.cache.reuse import repair_entry
+        from repro.dyn.incremental import IncrementalRecompute
 
         recompute = IncrementalRecompute(config=config, device=device)
         refreshed = 0
         for entry in self.entries():
-            if not entry.pinned:
+            if not entry.pinned or entry.version != receipt.version - 1:
                 continue
-            if entry.version != receipt.version - 1:
-                continue
-            if entry.algorithm not in REPAIRABLE_ALGORITHMS:
-                continue
-            factory = algorithms.get(entry.algorithm)
-            if factory is None:
-                continue
-            if entry.source is None:
-                algorithm = factory(**entry.params)
-            else:
-                algorithm = factory(source=entry.source, **entry.params)
-            result = recompute.run(receipt, algorithm, entry.values)
-            if result.failed:
+            result = repair_entry(entry, [receipt], recompute, algorithms)
+            if result is None:
                 continue
             entry.values = result.values
             entry.version = receipt.version

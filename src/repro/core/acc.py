@@ -34,12 +34,10 @@ gather without changing its results).
 
 They also serve the *batched* multi-source path
 (``SIMDXEngine.run_batch``): because ``compute`` is a pure per-edge map, a
-K-lane batch evaluates its ``(edge, lane)`` pairs in vectorized calls, one
-lane at a time. The :meth:`ACCAlgorithm.scatter_edges` /
-:meth:`ACCAlgorithm.gather_edges` hooks receive the lane axis (``lanes`` -
-the owning query lane of every pair) and by default delegate to the
-lane-oblivious per-edge forms,
-which keeps a batched run bit-identical to K independent runs.
+K-lane batch evaluates its ``(edge, lane)`` pairs one lane per call, on
+that lane's own algorithm copy and metadata row, through the same
+``compute_edges`` / ``gather_edges`` hooks - which keeps a batched run
+bit-identical to K independent runs.
 """
 
 from __future__ import annotations
@@ -237,31 +235,6 @@ class ACCAlgorithm(abc.ABC):
         one out-edge to expand.
         """
 
-    def scatter_edges(
-        self,
-        src_meta: np.ndarray,
-        weights: np.ndarray,
-        dst_meta: np.ndarray,
-        src_ids: np.ndarray,
-        dst_ids: np.ndarray,
-        graph: CSRGraph,
-        lanes: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Push-mode ``Compute`` with an optional lane axis (batched runs).
-
-        ``SIMDXEngine.run_batch`` walks the union frontier's out-edges once
-        and expands every edge into the lanes whose frontier contains its
-        source; the resulting ``(edge, lane)`` pairs arrive here flattened,
-        with per-pair metadata operands (``src_meta[i]`` is lane
-        ``lanes[i]``'s metadata of the pair's source) and ``lanes`` naming
-        the owning query lane of each pair. Because ACC ``compute`` is a
-        pure per-edge map, the default delegates to :meth:`compute_edges`
-        and ignores the lane axis - which is exactly what makes a batched
-        run bit-identical to K independent runs. Override only for
-        algorithms whose batched scatter genuinely differs per lane.
-        """
-        return self.compute_edges(src_meta, weights, dst_meta, src_ids, dst_ids, graph)
-
     def gather_edges(
         self,
         src_meta: np.ndarray,
@@ -270,7 +243,6 @@ class ACCAlgorithm(abc.ABC):
         src_ids: np.ndarray,
         dst_ids: np.ndarray,
         graph: CSRGraph,
-        lanes: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Pull-mode ``Compute``: the update an in-edge (v, u) contributes
         while destination ``u`` gathers over its in-neighbours.
@@ -282,12 +254,6 @@ class ACCAlgorithm(abc.ABC):
         Algorithms override this only when the gather formulation itself
         differs; savings like voting early-termination are modelled in the
         engine's cost layer instead.
-
-        ``lanes`` is the flattened lane axis of a batched gather
-        (``SIMDXEngine.run_batch``): the owning query lane of every
-        ``(in-edge, lane)`` pair, ``None`` in single-query runs. The
-        default is lane-oblivious for the same reason as
-        :meth:`scatter_edges`.
         """
         return self.compute_edges(src_meta, weights, dst_meta, src_ids, dst_ids, graph)
 

@@ -186,12 +186,12 @@ class LaneSet:
 
     ``clones[k]`` owns lane k's stateful hooks (SSSP's pending set, k-Core's
     bookkeeping) and ``frontiers[k]`` its canonical frontier (sorted here).
-    ``batched`` lane sets (``run_batch``) route Compute through the lane-axis
-    hooks ``scatter_edges`` / ``gather_edges`` of each lane's own copy (so
-    heterogeneous ``lane_params`` need no second route); the ``run`` lane set
-    is the caller's own instance and keeps the lane-free ``compute_edges`` /
-    ``gather_edges`` signatures. ``prototype`` answers what every lane
-    shares (iteration cap, combine kind, cost traits).
+    Compute calls ``compute_edges`` (push) or ``gather_edges`` (pull) on
+    lane k's own instance, so heterogeneous ``lane_params`` need no second
+    route; the ``run`` lane set's one instance is the caller's own.
+    ``batched`` marks a ``run_batch`` lane set for planning and for the
+    record fields. ``prototype`` answers what every lane shares (iteration
+    cap, combine kind, cost traits).
     """
 
     prototype: ACCAlgorithm
@@ -971,17 +971,10 @@ class SuperstepDriver:
             alg, row = lanes.clones[lane], lanes.metadata[lane]
             s, d = _take(src, at), _take(dst, at)
             w = csr.weights[_take(edge_idx, at)].astype(np.float64)
-            if lanes.batched:
-                compute = alg.scatter_edges if push else alg.gather_edges
-                updates = compute(
-                    row[s], w, row[d], s, d, graph,
-                    lanes=np.full(d.size, lane, dtype=np.int64),
-                )
-            else:
-                # ``run``: the caller's own instance, lane-free signatures.
-                compute = alg.compute_edges if push else alg.gather_edges
-                updates = compute(row[s], w, row[d], s, d, graph)
-            updates = np.asarray(updates, dtype=np.float64)
+            compute = alg.compute_edges if push else alg.gather_edges
+            updates = np.asarray(
+                compute(row[s], w, row[d], s, d, graph), dtype=np.float64
+            )
             unit.lane_pairs += int(updates.size)
             valid = ~np.isnan(updates)
             if want_valid:

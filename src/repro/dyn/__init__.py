@@ -15,18 +15,12 @@ Two pieces:
 """
 
 from repro.dyn.overlay import DynamicGraph, EdgeUpdateBatch, UpdateReceipt
-from repro.dyn.incremental import (
-    REPAIRABLE_ALGORITHMS,
-    IncrementalRecompute,
-    RepairPlan,
-    plan_repair,
-)
+from repro.dyn.incremental import IncrementalRecompute, RepairPlan, plan_repair
 
 __all__ = [
     "DynamicGraph",
     "EdgeUpdateBatch",
     "UpdateReceipt",
-    "REPAIRABLE_ALGORITHMS",
     "IncrementalRecompute",
     "RepairPlan",
     "plan_repair",

@@ -306,18 +306,9 @@ class WarmStartAlgorithm(ACCAlgorithm):
     def on_frontier_expanded(self, frontier, metadata):
         self._inner.on_frontier_expanded(frontier, metadata)
 
-    def scatter_edges(
-        self, src_meta, weights, dst_meta, src_ids, dst_ids, graph, lanes=None
-    ):
-        return self._inner.scatter_edges(
-            src_meta, weights, dst_meta, src_ids, dst_ids, graph, lanes
-        )
-
-    def gather_edges(
-        self, src_meta, weights, dst_meta, src_ids, dst_ids, graph, lanes=None
-    ):
+    def gather_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
         return self._inner.gather_edges(
-            src_meta, weights, dst_meta, src_ids, dst_ids, graph, lanes
+            src_meta, weights, dst_meta, src_ids, dst_ids, graph
         )
 
     def gather_mask(self, metadata, graph, frontier=None):

@@ -20,8 +20,10 @@ finite-value checksum, enough to cross-check against a direct
 
 Run ``python -m repro.serve --demo 12`` for a self-contained demo: it
 starts the server on an ephemeral port, fires 12 concurrent BFS/SSSP
-queries through a TCP client, prints the responses and shuts down - the
-mode the docs job executes.
+queries through a TCP client, applies an edge update, repeats the first
+query twice, prints the responses and shuts down - the mode the docs job
+executes. It exits 1 unless the repeats are answered ``repair`` then
+``hit``, each equal to a direct run on the updated snapshot.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.engine import EngineConfig
+from repro.algorithms import BFS
+from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.graph.datasets import load_dataset
 from repro.serve.policy import AdmissionPolicy, ServerOverloaded
 from repro.serve.server import EngineFailure, SIMDXServer
@@ -208,7 +211,7 @@ async def _demo(server: SIMDXServer, host: str, port: int, count: int) -> int:
               f"wait={response.get('queue_wait_ms', 0):.2f}ms")
     # Exercise the dynamic-update path: insert two hub-to-hub edges, then
     # repeat the first query - the cache entry is stale after the update,
-    # so the server re-runs it on the new snapshot.
+    # so the server repairs it through the update receipt.
     update = {"cmd": "update",
               "inserts": [[int(hubs[0]), int(hubs[-1])],
                           [int(hubs[-1]), int(hubs[1 % len(hubs)])]]}
@@ -218,7 +221,8 @@ async def _demo(server: SIMDXServer, host: str, port: int, count: int) -> int:
     print(f"update -> ok={applied.get('ok')}, "
           f"version={applied.get('version')}, "
           f"inserted={applied.get('inserted')}")
-    for _ in range(2):  # first re-runs at the new version, second hits
+    replies = []
+    for _ in range(2):  # first is repaired at the new version, second hits
         writer.write((json.dumps(requests[0]) + "\n").encode())
         await writer.drain()
         response = json.loads(await reader.readline())
@@ -226,6 +230,7 @@ async def _demo(server: SIMDXServer, host: str, port: int, count: int) -> int:
               f"src={requests[0]['source']:<8} "
               f"-> {response.get('cache_outcome')}, "
               f"reached={response.get('reached')}")
+        replies.append(response)
     writer.write((json.dumps({"cmd": "stats"}) + "\n").encode())
     await writer.drain()
     stats = json.loads(await reader.readline())["stats"]
@@ -234,7 +239,16 @@ async def _demo(server: SIMDXServer, host: str, port: int, count: int) -> int:
     tcp.close()
     await tcp.wait_closed()
     await server.shutdown()
-    return 0
+    # End-to-end check of the reuse path (requests[0] is a plain bfs): a
+    # repair then a hit, each the bits of a direct run on the new snapshot.
+    direct = _summarize(SIMDXEngine(server.dyn.snapshot(), config=server.front.config)
+                        .run(BFS(source=requests[0]["source"])).values)
+    got = [(r.get("cache_outcome"), r.get("reached"), r.get("values_sum"))
+           for r in replies]
+    want = [(o, direct["reached"], direct["values_sum"]) for o in ("repair", "hit")]
+    if got != want:
+        print(f"demo check failed: expected {want}, got {got}")
+    return int(got != want)
 
 
 async def _serve_forever(server: SIMDXServer, host: str, port: int) -> int:

@@ -5,11 +5,13 @@ story needs: callers ``await submit(algorithm, source, params)`` single
 BFS/SSSP queries; the server accumulates them under an
 :class:`~repro.serve.policy.AdmissionPolicy` (dispatch at ``max_batch``
 lanes or when the oldest query has waited ``max_wait_ms``), answers each
-formed batch with **one** union-frontier ``run_batch`` call on **one
-reused engine**, and demultiplexes the per-lane results back to their
-awaiting callers. Served answers are bit-identical to a direct
-``run_batch`` call with the same batch composition
-(``tests/test_serve.py`` enforces it, sanitized in CI).
+formed batch with **one** union-frontier ``run_batch`` call, and
+demultiplexes the per-lane results back to their awaiting callers.
+Served answers are bit-identical to a direct ``run_batch`` call with the
+same batch composition (``tests/test_serve.py``, sanitized in CI).
+Graph versions, the engine, the result cache and updates belong to one
+reuse front-end, :class:`~repro.cache.reuse.CachedQueryEngine`
+(``server.front``); the server only schedules around it.
 
 The unhappy paths are part of the contract:
 
@@ -19,52 +21,49 @@ The unhappy paths are part of the contract:
 * **backpressure** - a query arriving with ``max_queue`` live queries
   already queued is shed synchronously with
   :class:`~repro.serve.policy.ServerOverloaded`;
-* **engine failure** - an OOM/overflow (or a raising algorithm hook)
-  resolves exactly the affected batch's lanes with
-  :class:`EngineFailure`; queued and future batches are untouched;
+* **faults** - an OOM/overflow, a raising hook, or a raise anywhere after
+  the engine returned resolves exactly the batch's unresolved lanes with
+  :class:`EngineFailure`; a raise in an update fails that update only.
+  The dispatch loop keeps serving;
 * **shutdown** - ``shutdown(drain=True)`` stops admission, dispatches
   every queued query (ignoring ``max_wait_ms``) and resolves all
   in-flight futures before returning.
 
 Two request types beyond plain queries (docs/dynamic.md, docs/caching.md):
 
-* **updates** - ``await update(inserts=..., deletes=...)`` enqueues an
-  edge-update batch against the server's
-  :class:`~repro.dyn.overlay.DynamicGraph`. Updates apply *between*
-  batches on the dispatch loop (a dispatched batch always runs against
-  one consistent snapshot); the awaited future resolves once the update
-  is live, so a caller that awaits it sees every later query answered on
-  the new graph version. Applying an update swaps in an engine on the new
-  snapshot and eagerly repairs the cache's landmark entries.
-* **cache** - constructed with ``cache=True`` (or a
-  :class:`~repro.cache.results.ResultCache`), ``submit`` consults the
-  cache *before* batch admission: a hit at the current graph version
-  resolves immediately with the stored values - bit-identical to what a
-  batch lane would return - and never occupies queue or batch capacity
-  (``tests/test_serve.py`` pins that). Cache-served results carry
-  ``lane=-1, batch_index=-1, batch_size=0``.
+* **updates** - ``await update(inserts=..., deletes=...)`` applies an
+  edge batch *between* batches on the dispatch loop (a batch always runs
+  against one snapshot) and resolves once it is live; the front-end
+  repairs the cache's landmarks and its engine follows the new version.
+* **reuse** - with ``cache=True`` (or a
+  :class:`~repro.cache.results.ResultCache`), ``submit`` asks the
+  front-end to ``reuse`` the query *before* admission: a hit, or a stale
+  entry repaired through the update receipts, resolves at once with the
+  bits a lane would return and never occupies queue or batch capacity.
 
-The engine's ``run_batch`` is synchronous and CPU-bound (the GPU is
-simulated), so by default it runs inline on the event loop - dispatches
-serialize, which is also what one physical device would do. Pass
-``use_executor=True`` to run batches on the default thread pool instead
-(the TCP demo does, so slow batches do not stall accepts).
+``run_batch`` is synchronous and CPU-bound (the GPU is simulated), so by
+default it runs inline on the event loop - dispatches serialize, which is
+also what one physical device would do. ``use_executor=True`` runs
+batches on the default thread pool instead (the TCP demo does, so slow
+batches do not stall accepts); repairs run on the event loop, on a
+device of their own.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.algorithms import ALGORITHMS
 from repro.analysis import registry as extra_keys
 from repro.cache.results import ResultCache
-from repro.core.engine import EngineConfig, SIMDXEngine
-from repro.core.metrics import BatchRunResult
+from repro.cache.reuse import CachedAnswer, CachedQueryEngine
+from repro.core.engine import EngineConfig
 from repro.dyn.overlay import DynamicGraph, EdgeUpdateBatch
 from repro.gpu.device import GPUDevice, K40
 from repro.serve.batcher import BatchFormer, PendingQuery
@@ -79,7 +78,7 @@ __all__ = [
 
 
 class EngineFailure(RuntimeError):
-    """The engine failed the batch this query was dispatched in.
+    """The engine failed the batch (or repair) this query was answered in.
 
     Carries the engine's failure reason (OOM, filter overflow, a raising
     algorithm hook). Only the lanes of the failed batch see it.
@@ -96,24 +95,26 @@ class ServedResult:
 
     #: This query's metadata values (lane slice of the batch result).
     values: np.ndarray
-    #: Lane index the query occupied in its batch; -1 for a result served
-    #: from the cache (which never occupied a lane).
+    #: Lane index the query occupied in its batch; -1 for a hit or a
+    #: repair, which never occupy a lane.
     lane: int
     #: Index of the batch in :attr:`SIMDXServer.batch_log` - with
     #: ``lane``, the exact coordinates to replay this query's answer
-    #: through a direct ``run_batch`` call.
+    #: through a direct ``run_batch`` call; -1 for a hit or a repair.
     batch_index: int
-    #: Number of lanes the batch dispatched with.
+    #: Number of lanes the batch dispatched with; 0 for a hit, 1 for a
+    #: repair (the one single-source run it is).
     batch_size: int
-    #: Iterations the batch ran (union convergence).
+    #: Iterations the batch (or the repair) ran.
     iterations: int
-    #: Simulated device time of the whole batch, microseconds.
+    #: Simulated device time of the whole batch (or the repair), us.
     elapsed_us: float
     #: Seconds this query waited between admission and dispatch.
     queue_wait_s: float
     #: The batch's ``extra`` counters plus the ``serve_*`` keys
     #: (:data:`repro.analysis.registry.SERVE_BATCH_FILL`,
-    #: :data:`~repro.analysis.registry.SERVE_QUEUE_WAIT_US`). A read-only
+    #: :data:`~repro.analysis.registry.SERVE_QUEUE_WAIT_US`); a hit's or
+    #: repair's ``cache_outcome`` and ``dyn_graph_version``. A read-only
     #: view shared between the batch's lanes: a write raises ``TypeError``.
     extra: Mapping[str, object] = field(default_factory=dict)
 
@@ -129,7 +130,7 @@ SERVABLE_ALGORITHMS: Dict[str, Callable] = {
 
 
 class SIMDXServer:
-    """Admission queue + batch former + one reused engine per device."""
+    """Admission queue + batch former over one reuse front-end."""
 
     def __init__(
         self,
@@ -142,37 +143,20 @@ class SIMDXServer:
         use_executor: bool = False,
         cache: Optional[object] = None,
     ):
-        #: The dynamic-graph overlay behind ``update``. A plain CSRGraph
-        #: is wrapped (its snapshot is the graph itself until the first
-        #: update); pass a DynamicGraph to control rebuild_threshold.
-        self.dyn = (
-            graph if isinstance(graph, DynamicGraph) else DynamicGraph(graph)
-        )
-        self.graph = self.dyn.snapshot()
         self.policy = policy if policy is not None else AdmissionPolicy()
-        #: One engine, reused across every dispatched batch - the
-        #: engine-reuse contract ``tests/test_engine_reuse.py`` pins
-        #: (consecutive runs bit-identical to fresh-engine runs). An
-        #: applied update swaps in a fresh engine on the new snapshot
-        #: (graph-derived caches - classifiers, in-degrees, transpose -
-        #: belong to one immutable graph).
-        self.engine = SIMDXEngine(
-            self.graph,
-            device=device if device is not None else GPUDevice(K40),
-            config=config,
-        )
-        #: Result cache consulted by ``submit`` before batch admission;
-        #: None disables reuse. ``cache=True`` builds a default
-        #: ResultCache.
-        # Not ``cache or None``: an *empty* ResultCache is falsy (len 0).
-        if cache is True:
-            self.cache: Optional[ResultCache] = ResultCache()
-        elif cache is False or cache is None:
-            self.cache = None
-        else:
-            self.cache = cache
         self._algorithms = dict(
             algorithms if algorithms is not None else SERVABLE_ALGORITHMS
+        )
+        #: The reuse front-end: the DynamicGraph behind ``update`` (a plain
+        #: CSRGraph is wrapped), one engine per graph version reused across
+        #: its batches (``tests/test_engine_reuse.py``), and the cache -
+        #: ``cache=True`` builds a default ResultCache, None disables reuse.
+        self.front = CachedQueryEngine(
+            graph,
+            config=config,
+            device=device if device is not None else GPUDevice(K40),
+            cache=False if cache is None else cache,
+            algorithms=self._algorithms,
         )
         # Template instances, built once per algorithm: parameter names in
         # ``submit(params=...)`` are validated against these attributes so
@@ -191,17 +175,26 @@ class SIMDXServer:
         self.batch_log: List[Dict[str, object]] = []
         #: Pending (EdgeUpdateBatch, future) pairs the dispatch loop
         #: applies between batches.
-        self._updates: List[tuple] = []
-        self._stats: Dict[str, float] = {
-            "submitted": 0,
-            "served": 0,
-            "shed": 0,
-            "cancelled_after_dispatch": 0,
-            "failed": 0,
-            "batches": 0,
-            "cache_hits": 0,
-            "updates": 0,
-        }
+        self._updates: Deque[tuple] = deque()
+        self._stats: Dict[str, float] = dict.fromkeys((
+            "submitted", "served", "shed", "cancelled_after_dispatch",
+            "failed", "batches", "cache_hits", "cache_repairs", "updates",
+        ), 0)
+
+    @property
+    def dyn(self) -> DynamicGraph:
+        """The front-end's dynamic graph (read-only view)."""
+        return self.front.dyn
+
+    @property
+    def graph(self):
+        """The current snapshot."""
+        return self.front.dyn.snapshot()
+
+    @property
+    def cache(self) -> Optional[ResultCache]:
+        """The front-end's result cache; None when reuse is off."""
+        return self.front.cache
 
     @property
     def stats(self) -> Dict[str, float]:
@@ -259,16 +252,16 @@ class SIMDXServer:
         admission queue is full, ``KeyError``/``ValueError`` on an unknown
         algorithm / parameter / source (synchronously - before the query
         occupies queue capacity), :class:`EngineFailure` when the engine
-        fails the batch this query was dispatched in.
+        fails the batch or repair that answers this query.
         """
         if self._closed:
             raise RuntimeError("server is shut down")
         template = self._template(algorithm)
         source = int(source)
-        if not 0 <= source < self.graph.num_vertices:
+        if not 0 <= source < self.dyn.num_vertices:
             raise ValueError(
                 f"source {source} out of range for "
-                f"{self.graph.num_vertices}-vertex graph"
+                f"{self.dyn.num_vertices}-vertex graph"
             )
         params = dict(params or {})
         for key in params:
@@ -276,30 +269,15 @@ class SIMDXServer:
                 raise ValueError(
                     f"unknown {algorithm} parameter {key!r} in params"
                 )
-        # Cache consult happens *before* batch admission: a hit at the
-        # current graph version is served from the stored values (which
-        # came out of an engine run or an exact repair, so they are the
-        # bits a batch lane would return) and never consumes queue or
-        # batch capacity.
-        if self.cache is not None:
-            entry = self.cache.lookup(
-                algorithm, source, params, version=self.dyn.version
-            )
-            if entry is not None and entry.version == self.dyn.version:
-                self._stats["cache_hits"] += 1
-                return ServedResult(
-                    values=np.array(entry.values, copy=True),
-                    lane=-1,
-                    batch_index=-1,
-                    batch_size=0,
-                    iterations=0,
-                    elapsed_us=0.0,
-                    queue_wait_s=0.0,
-                    extra=MappingProxyType({
-                        extra_keys.CACHE_OUTCOME: "hit",
-                        extra_keys.DYN_GRAPH_VERSION: self.dyn.version,
-                    }),
-                )
+        # Reuse is decided *before* batch admission: a hit or a repair
+        # answers here and never consumes queue or batch capacity.
+        try:
+            answer = self.front.reuse(algorithm, source, params)
+        except Exception as exc:  # noqa: BLE001 - a repair fails its caller only
+            self._stats["failed"] += 1
+            raise EngineFailure(f"{type(exc).__name__}: {exc}") from exc
+        if answer is not None:
+            return self._reused(answer)
         if self._dispatch_task is None:
             await self.start()
         loop = asyncio.get_event_loop()
@@ -318,6 +296,21 @@ class SIMDXServer:
         self._stats["submitted"] += 1
         self._wake.set()
         return await query.future
+
+    def _reused(self, answer: CachedAnswer) -> ServedResult:
+        """A hit, or a repair reported as the one single-source run it is."""
+        run = answer.result
+        self._stats["cache_hits" if run is None else "cache_repairs"] += 1
+        return ServedResult(
+            values=answer.values,
+            lane=-1,
+            batch_index=-1,
+            batch_size=0 if run is None else 1,
+            iterations=0 if run is None else run.iterations,
+            elapsed_us=0.0 if run is None else run.elapsed_us,
+            queue_wait_s=0.0,
+            extra=MappingProxyType(answer.extra),
+        )
 
     # ------------------------------------------------------------------
     # Updates
@@ -343,7 +336,7 @@ class SIMDXServer:
         batch = EdgeUpdateBatch.of(
             inserts=inserts, insert_weights=insert_weights, deletes=deletes
         )
-        n = self.graph.num_vertices
+        n = self.dyn.num_vertices
         for pairs in (batch.inserts, batch.deletes):
             if pairs.size:
                 if pairs.min() < 0 or pairs.max() >= n:
@@ -354,36 +347,34 @@ class SIMDXServer:
                     raise ValueError("self-loop updates are not supported")
         if self._dispatch_task is None:
             await self.start()
-        loop = asyncio.get_event_loop()
-        future = loop.create_future()
+        future = asyncio.get_event_loop().create_future()
         self._updates.append((batch, future))
         self._wake.set()
         return await future
 
     def _apply_pending_updates(self) -> None:
-        """Apply queued updates; runs on the dispatch loop between batches."""
+        """Apply queued updates; runs on the dispatch loop between batches.
+
+        Each update is one ``front.update`` call and one fault boundary: a
+        raise anywhere in it fails that update's future and the loop keeps
+        serving. The engine follows the front-end's version, so no swap
+        can be skipped.
+        """
         while self._updates:
-            batch, future = self._updates.pop(0)
+            batch, future = self._updates.popleft()
+            refreshed = self.front.stats.get("landmarks_refreshed", 0)
             try:
-                receipt = self.dyn.apply(batch)
+                receipt = self.front.update(
+                    inserts=batch.inserts,
+                    insert_weights=batch.insert_weights,
+                    deletes=batch.deletes,
+                )
             except Exception as exc:  # noqa: BLE001 - caller's batch, caller's error
                 if not future.done():
                     future.set_exception(exc)
                 continue
-            self.graph = self.dyn.snapshot()
-            self.engine = SIMDXEngine(
-                self.graph,
-                device=self.engine.device,
-                config=self.engine.config,
-            )
             self._stats["updates"] += 1
-            refreshed = 0
-            if self.cache is not None:
-                refreshed = self.cache.refresh_landmarks(
-                    receipt,
-                    algorithms=self._algorithms,
-                    config=self.engine.config,
-                )
+            refreshed = self.front.stats.get("landmarks_refreshed", 0) - refreshed
             if not future.done():
                 future.set_result(
                     {
@@ -444,7 +435,6 @@ class SIMDXServer:
         if not any(lane_params):
             lane_params = None
         algorithm_name = batch[0].algorithm
-        algorithm = self._algorithms[algorithm_name](source=sources[0])
         self.batch_log.append(
             {
                 "algorithm": algorithm_name,
@@ -462,65 +452,67 @@ class SIMDXServer:
         batch_index = len(self.batch_log) - 1
         dispatched_at = loop.time()
         waits = [dispatched_at - query.enqueued_at for query in batch]
+        resolved = 0  # lanes stored and demultiplexed so far
         try:
+            algorithm = self._algorithms[algorithm_name](source=sources[0])
+            engine = self.front.engine
             if self._use_executor:
-                result: BatchRunResult = await loop.run_in_executor(
+                result = await loop.run_in_executor(
                     None,
-                    lambda: self.engine.run_batch(
+                    lambda: engine.run_batch(
                         algorithm, sources, lane_params=lane_params
                     ),
                 )
             else:
-                result = self.engine.run_batch(
+                result = engine.run_batch(
                     algorithm, sources, lane_params=lane_params
                 )
-        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-            self._fail_batch(batch, f"{type(exc).__name__}: {exc}")
-            return
-        if result.failed:
-            self._fail_batch(batch, result.failure_reason)
-            return
-        extra = MappingProxyType({
-            **result.extra,
-            extra_keys.SERVE_BATCH_FILL: len(batch) / self.policy.max_batch,
-            extra_keys.SERVE_QUEUE_WAIT_US: float(1e6 * sum(waits) / len(waits)),
-            extra_keys.DYN_GRAPH_VERSION: self.dyn.version,
-        })
-        if self.cache is not None:
-            # Updates only apply between dispatches on this same loop, so
-            # the current version is the version the batch ran against.
-            version = self.dyn.version
+            if result.failed:
+                raise EngineFailure(result.failure_reason)
+            extra = MappingProxyType({
+                **result.extra,
+                extra_keys.SERVE_BATCH_FILL: len(batch) / self.policy.max_batch,
+                extra_keys.SERVE_QUEUE_WAIT_US: float(1e6 * sum(waits) / len(waits)),
+                extra_keys.DYN_GRAPH_VERSION: self.dyn.version,
+            })
             for lane, query in enumerate(batch):
-                self.cache.store(
-                    query.algorithm,
-                    query.source,
-                    query.params,
+                # Updates only apply between dispatches on this same loop,
+                # so the front-end stores at the version the batch ran at.
+                self.front.store(
+                    query.algorithm, query.source, query.params,
                     result.values[lane],
-                    version=version,
                 )
-        for lane, query in enumerate(batch):
-            if query.future.done():
-                # Cancelled between dispatch and demultiplex: the lane ran
-                # with the batch; its result is discarded here.
-                self._stats["cancelled_after_dispatch"] += 1
-                continue
-            query.future.set_result(
-                ServedResult(
-                    values=result.values[lane],
-                    lane=lane,
-                    batch_index=batch_index,
-                    batch_size=len(batch),
-                    iterations=result.iterations,
-                    elapsed_us=result.elapsed_us,
-                    queue_wait_s=waits[lane],
-                    extra=extra,
-                )
+                if query.future.done():
+                    # Cancelled between dispatch and demultiplex: the lane
+                    # ran with the batch; its result is discarded here.
+                    self._stats["cancelled_after_dispatch"] += 1
+                else:
+                    query.future.set_result(
+                        ServedResult(
+                            values=result.values[lane],
+                            lane=lane,
+                            batch_index=batch_index,
+                            batch_size=len(batch),
+                            iterations=result.iterations,
+                            elapsed_us=result.elapsed_us,
+                            queue_wait_s=waits[lane],
+                            extra=extra,
+                        )
+                    )
+                    self._stats["served"] += 1
+                resolved += 1
+        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
+            reason = (
+                exc.reason if isinstance(exc, EngineFailure)
+                else f"{type(exc).__name__}: {exc}"
             )
-            self._stats["served"] += 1
+            self._fail_batch(batch[resolved:], reason)
 
     def _fail_batch(self, batch: List[PendingQuery], reason: str) -> None:
-        """Engine failure propagates to exactly this batch's lanes."""
-        self._stats["failed"] += len(batch)
+        """A batch fault resolves exactly these unresolved lanes."""
         for query in batch:
-            if not query.future.done():
+            if query.future.cancelled():
+                self._stats["cancelled_after_dispatch"] += 1
+            elif not query.future.done():
                 query.future.set_exception(EngineFailure(reason))
+                self._stats["failed"] += 1

@@ -11,7 +11,9 @@ Covers the cross-query reuse contract from docs/caching.md:
   receipt, bit-identically to a from-scratch run;
 * :class:`CachedQueryEngine` end-to-end: hit / repair / miss outcomes
   all return from-scratch bits; pruned receipt chains and over-long
-  chains fall back to the exact miss path.
+  chains fall back to the exact miss path; ``reuse`` never runs a miss,
+  and a landmark refresh and a ``reuse`` repair are one routine, run off
+  the front-end engine's device.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.algorithms import ALGORITHMS, BFS
 from repro.cache import CachedQueryEngine, ResultCache
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.dyn import DynamicGraph, EdgeUpdateBatch
+from repro.gpu.device import GPUDevice, K40
 from repro.graph import generators as gen
 
 SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
@@ -211,6 +214,66 @@ def test_update_refreshes_landmarks_eagerly(graph):
     scratch = SIMDXEngine(qe.dyn.snapshot()).run(BFS(source=5))
     np.testing.assert_array_equal(answer.values, scratch.values)
     assert cache.stats["landmarks_refreshed"] == 1
+
+
+def test_reuse_on_a_miss_runs_nothing(graph, monkeypatch):
+    qe = CachedQueryEngine(graph, config=_config())
+    runs = []
+    run = SIMDXEngine.run
+    monkeypatch.setattr(
+        SIMDXEngine, "run",
+        lambda self, *a, **k: runs.append(self) or run(self, *a, **k),
+    )
+    assert qe.reuse("bfs", 5) is None
+    assert runs == []
+    assert qe.query("bfs", 5).outcome == "miss"
+    assert runs == [qe.engine]  # the miss ran on the front-end's engine
+
+
+def test_landmark_refresh_and_reuse_repair_are_one_routine(graph, monkeypatch):
+    """The same stale entry repaired eagerly (landmark refresh) and lazily
+    (``reuse``) gives the same bits, on a device that is not the one the
+    front-end's engine runs batches on."""
+    warm = SIMDXEngine(graph, config=_config()).run(BFS(source=5)).values
+    batch = {
+        "inserts": [(5, 150), (7, 90)], "deletes": [graph.to_edge_array()[0]]
+    }
+    eager = CachedQueryEngine(
+        graph, config=_config(), device=GPUDevice(K40),
+        cache=ResultCache(landmark_threshold=1),
+    )
+    lazy = CachedQueryEngine(graph, config=_config(), device=GPUDevice(K40))
+    for qe in (eager, lazy):
+        qe.cache.store("bfs", 5, {}, warm, version=0)
+    eager.cache.lookup("bfs", 5, {}, version=0)  # promote to landmark
+    devices = []
+    run = SIMDXEngine.run
+    monkeypatch.setattr(
+        SIMDXEngine, "run",
+        lambda self, *a, **k: devices.append(self.device) or run(self, *a, **k),
+    )
+    for qe in (eager, lazy):
+        qe.update(**batch)
+    refreshed, repaired = eager.reuse("bfs", 5), lazy.reuse("bfs", 5)
+    assert (refreshed.outcome, repaired.outcome) == ("hit", "repair")
+    np.testing.assert_array_equal(refreshed.values, repaired.values)
+    scratch = run(SIMDXEngine(lazy.dyn.snapshot(), config=_config()), BFS(source=5))
+    np.testing.assert_array_equal(repaired.values, scratch.values)
+    assert len(devices) == 2
+    for device in devices:
+        assert device is not eager.engine.device
+        assert device is not lazy.engine.device
+        assert device.spec is K40
+
+
+def test_no_reuse_front_end_still_runs_and_updates(graph):
+    qe = CachedQueryEngine(graph, config=_config(), cache=False)
+    assert qe.cache is None
+    assert qe.query("bfs", 5).outcome == "miss"
+    assert qe.reuse("bfs", 5) is None
+    qe.update(inserts=[(5, 150)])
+    scratch = SIMDXEngine(qe.dyn.snapshot(), config=_config()).run(BFS(source=5))
+    np.testing.assert_array_equal(qe.query("bfs", 5).values, scratch.values)
 
 
 def test_stats_merge_cache_and_dyn(graph):

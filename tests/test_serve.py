@@ -13,8 +13,11 @@ Covers the contract of ``src/repro/serve/`` (docs/serving.md):
 * the TCP front door answering malformed lines (non-object JSON, wrongly
   typed fields, an over-limit line) with one error line each, in request
   order, without dropping or silencing the connection;
+* a raising landmark refresh or cache store failing only its own future
+  while the dispatch loop keeps serving;
 * the differential check: every served answer is bit-identical to a
-  direct ``SIMDXEngine.run_batch`` call with the same batch composition
+  direct ``SIMDXEngine.run_batch`` call with the same batch composition,
+  and every hit or repair to a direct run at its graph version
   (``REPRO_SANITIZE=1`` re-runs it with the runtime sanitizer armed -
   CI's static-analysis job does).
 
@@ -33,7 +36,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BFS, SSSP
+from repro.cache import ResultCache
 from repro.core.engine import EngineConfig, SIMDXEngine
+from repro.dyn import DynamicGraph, EdgeUpdateBatch
 from repro.gpu.device import GPUDevice, K40
 from repro.graph import generators as gen
 from repro.serve import (
@@ -558,8 +563,9 @@ def test_cache_hit_does_not_consume_batch_capacity(graph):
 
 
 def test_update_bumps_version_and_serves_new_graph(graph):
-    """An update applies between batches; later queries run on the new
-    snapshot and match a direct engine run on it, bit for bit."""
+    """An update applies between batches; a stale cached query is repaired
+    onto the new snapshot and matches a direct engine run on it, bit for
+    bit."""
 
     async def scenario():
         server = make_server(
@@ -578,16 +584,21 @@ def test_update_bumps_version_and_serves_new_graph(graph):
     server, before, receipt, after, hit, snapshot = asyncio.run(scenario())
     assert receipt["version"] == 1 and server.dyn.version == 1
     assert server.stats["updates"] == 1
-    # The stale entry was not served: the post-update answer re-ran.
-    assert after.lane >= 0
+    # The stale entry was not served as stored: the post-update answer was
+    # repaired through the receipt, without taking a lane.
+    assert after.lane == -1 and after.batch_index == -1
+    assert after.batch_size == 1
+    assert after.extra["cache_outcome"] == "repair"
     assert after.extra["dyn_graph_version"] == 1
+    assert server.stats["cache_repairs"] == 1
     direct = SIMDXEngine(snapshot, config=serve_config()).run(BFS(source=3))
     np.testing.assert_array_equal(after.values, direct.values)
-    # And the re-run repopulated the cache at the new version.
-    assert hit.lane == -1 and hit.extra["dyn_graph_version"] == 1
+    # And the repair repopulated the cache at the new version.
+    assert hit.lane == -1 and hit.extra["cache_outcome"] == "hit"
+    assert hit.extra["dyn_graph_version"] == 1
     np.testing.assert_array_equal(hit.values, direct.values)
-    # Both dispatched batches logged the version they ran at.
-    assert [e["graph_version"] for e in server.batch_log] == [0, 1]
+    # Only the first query took a batch, at the version it ran at.
+    assert [e["graph_version"] for e in server.batch_log] == [0]
 
 
 def test_update_validation_rejects_bad_edges(graph):
@@ -634,6 +645,156 @@ def test_update_refreshes_landmarks(graph):
     assert answer.extra["dyn_graph_version"] == 1
     direct = SIMDXEngine(snapshot, config=serve_config()).run(BFS(source=3))
     np.testing.assert_array_equal(answer.values, direct.values)
+
+
+def test_served_differential_with_repairs(graph):
+    """The served differential over every way a cache-on server answers:
+    a bfs/sssp stream of repeated sources around two updates (inserts,
+    then a delete on the hub's tree). Batch lanes replay through
+    ``run_batch`` at their ``graph_version``; hits and repairs match a
+    direct run on a graph replayed to their ``dyn_graph_version``; repairs
+    never take a lane."""
+    hub = int(np.argmax(graph.out_degrees()))
+    out = graph.out_csr
+    updates = [
+        {"inserts": [(3, 180), (hub, 90)]},
+        {"deletes": [(hub, int(out.targets[out.offsets[hub]]))]},
+    ]
+    stream = [
+        ("bfs", hub, None),
+        ("sssp", 5, {"delta": 2.0}),
+        ("bfs", 3, None),
+        ("sssp", hub, None),
+        ("bfs", hub, None),
+    ]
+
+    async def scenario():
+        server = make_server(
+            graph, AdmissionPolicy(max_batch=3, max_wait_ms=1.0), cache=True
+        )
+        results = []
+        async with server:
+            for phase in range(3):
+                results += await asyncio.gather(
+                    *(server.submit(*query) for query in stream)
+                )
+                if phase < len(updates):
+                    await server.update(**updates[phase])
+        return server, results
+
+    server, results = asyncio.run(scenario())
+    classes = {"bfs": BFS, "sssp": SSSP}
+    snapshots = [graph]
+    replay = DynamicGraph(graph)
+    for update in updates:
+        replay.apply(EdgeUpdateBatch.of(**update))
+        snapshots.append(replay.snapshot())
+    replays = [
+        SIMDXEngine(
+            snapshots[log["graph_version"]], config=serve_config()
+        ).run_batch(
+            classes[log["algorithm"]](source=log["sources"][0]),
+            log["sources"], lane_params=log["lane_params"],
+        )
+        for log in server.batch_log
+    ]
+    outcomes = []
+    for (name, source, params), result in zip(stream * 3, results):
+        outcome = result.extra.get("cache_outcome", "lane")
+        outcomes.append(outcome)
+        if outcome == "lane":
+            expected = replays[result.batch_index].values[result.lane]
+        else:
+            assert result.lane == -1 and result.batch_index == -1
+            assert result.batch_size == (1 if outcome == "repair" else 0)
+            snapshot = snapshots[result.extra["dyn_graph_version"]]
+            expected = SIMDXEngine(snapshot, config=serve_config()).run(
+                classes[name](source=source, **(params or {}))
+            ).values
+        assert np.array_equal(result.values, expected), (name, source, outcome)
+    assert "repair" in outcomes
+    assert server.stats["cache_repairs"] == outcomes.count("repair")
+    # Every logged lane is a lane result: no repair took one.
+    assert sum(len(log["sources"]) for log in server.batch_log) == (
+        outcomes.count("lane")
+    )
+
+
+class _FaultyCache(ResultCache):
+    """A ResultCache whose first call of method ``faulty`` raises."""
+
+    def __init__(self, faulty: str):
+        super().__init__()
+        self.faulty = faulty
+
+    def _call(self, name, *args, **kwargs):
+        if name == self.faulty:
+            self.faulty = None
+            raise RuntimeError(f"injected {name} fault")
+        return getattr(super(), name)(*args, **kwargs)
+
+    def lookup(self, *args, **kwargs):
+        return self._call("lookup", *args, **kwargs)
+
+    def store(self, *args, **kwargs):
+        return self._call("store", *args, **kwargs)
+
+    def refresh_landmarks(self, *args, **kwargs):
+        return self._call("refresh_landmarks", *args, **kwargs)
+
+
+def _survives(graph, faulty, fault, expect, source):
+    """Run ``fault`` against a server whose cache's ``faulty`` method
+    raises once, bounded: the faulted future raises ``expect``, the next
+    query answers bit-identical to a direct run, shutdown returns."""
+
+    async def scenario():
+        server = make_server(
+            graph, AdmissionPolicy(max_batch=2, max_wait_ms=1.0),
+            cache=_FaultyCache(faulty),
+        )
+        await server.start()
+        with pytest.raises(expect, match="injected"):
+            await asyncio.wait_for(fault(server), 20.0)
+        after = await asyncio.wait_for(server.submit("bfs", source), 20.0)
+        await asyncio.wait_for(server.shutdown(), 20.0)
+        return server, after
+
+    server, after = asyncio.run(scenario())
+    direct = SIMDXEngine(server.dyn.snapshot(), config=serve_config()).run(
+        BFS(source=source)
+    )
+    np.testing.assert_array_equal(after.values, direct.values)
+    return server, after
+
+
+def test_dispatch_loop_survives_a_raising_landmark_refresh(graph):
+    async def fault(server):
+        await server.submit("bfs", 3)
+        await server.update(inserts=[(3, 200)])
+
+    server, after = _survives(
+        graph, "refresh_landmarks", fault, RuntimeError, 3
+    )
+    # The update itself applied; the stale entry is repaired at its version.
+    assert server.dyn.version == 1
+    assert after.extra["cache_outcome"] == "repair"
+
+
+def test_dispatch_loop_survives_a_raising_store(graph):
+    async def fault(server):
+        await server.submit("bfs", 3)
+
+    server, after = _survives(graph, "store", fault, EngineFailure, 3)
+    assert server.stats["failed"] == 1 and after.lane == 0
+
+
+def test_a_raising_reuse_fails_only_its_caller(graph):
+    async def fault(server):
+        await server.submit("bfs", 3)
+
+    server, after = _survives(graph, "lookup", fault, EngineFailure, 3)
+    assert server.stats["failed"] == 1 and server.stats["batches"] == 1
 
 
 def test_served_differential_after_updates(graph):
@@ -684,25 +845,31 @@ def test_served_differential_after_updates(graph):
 # TCP front door: well-formed-but-wrong input gets an error line, in
 # request order, and the connection keeps serving
 # ----------------------------------------------------------------------
-def _tcp_replies(graph, lines, count):
+def _tcp_replies(graph, lines, count, *rounds, **server_kwargs):
     """Pipeline raw ``lines`` over one ``serve_tcp`` connection and return
     the first ``count`` response objects (each read with a timeout - a
-    silent connection is the failure mode under test)."""
+    silent connection is the failure mode under test); each further
+    ``(lines, count)`` round is sent once the previous one's replies are
+    read."""
 
     async def scenario():
         server = make_server(
-            graph, AdmissionPolicy(max_batch=4, max_wait_ms=1.0)
+            graph, AdmissionPolicy(max_batch=4, max_wait_ms=1.0),
+            **server_kwargs,
         )
         tcp = await serve_tcp(server, "127.0.0.1", 0)
         port = tcp.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        replies = []
         try:
-            writer.write(b"".join(line + b"\n" for line in lines))
-            await writer.drain()
-            return [
-                json.loads(await asyncio.wait_for(reader.readline(), 20.0))
-                for _ in range(count)
-            ]
+            for batch, expect in ((lines, count),) + rounds:
+                writer.write(b"".join(line + b"\n" for line in batch))
+                await writer.drain()
+                replies += [
+                    json.loads(await asyncio.wait_for(reader.readline(), 20.0))
+                    for _ in range(expect)
+                ]
+            return replies
         finally:
             writer.close()
             tcp.close()
@@ -744,3 +911,21 @@ def test_tcp_undecodable_line_gets_bad_json_reply(graph):
     bad, stats = _tcp_replies(graph, [b"\xff\xfe", b'{"cmd": "stats"}'], 2)
     assert bad["ok"] is False and bad["error"].startswith("bad json")
     assert stats["ok"]
+
+
+def test_tcp_every_non_hit_reply_has_a_batch_size(graph):
+    """Lane answers and repairs both report ``batch_size >= 1`` - a
+    client that divides ``elapsed_us`` by it never divides by zero."""
+    queries = [b'{"algorithm": "bfs", "source": 3}',
+               b'{"algorithm": "sssp", "source": 5}']
+    update = b'{"cmd": "update", "inserts": [[3, 200], [5, 150]]}'
+    replies = _tcp_replies(
+        graph, queries, 2, ([update] + queries * 2, 5), cache=True
+    )
+    answers = [r for r in replies if "cache_outcome" in r]
+    assert [r["cache_outcome"] for r in answers] == [
+        "miss", "miss", "repair", "repair", "hit", "hit"
+    ]
+    assert all(
+        r["batch_size"] >= 1 for r in answers if r["cache_outcome"] != "hit"
+    )
