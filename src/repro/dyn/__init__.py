@@ -3,10 +3,11 @@
 Two pieces:
 
 * :mod:`repro.dyn.overlay` - a delta overlay over the immutable
-  :class:`repro.graph.csr.CSRGraph`: edge insert/delete batches accumulate
-  in a small dictionary, every query runs against a materialized CSR
-  snapshot, and a periodic rebuild folds the overlay back into the base
-  CSR (invalidating the lazily-cached in-CSR transpose along the way).
+  :class:`repro.graph.csr.CSRGraph`: each edge insert/delete batch splices
+  a new CSR snapshot from the last one at the cost of the rows it touches,
+  every query runs against a snapshot, and a periodic rebuild promotes the
+  snapshot to the base (invalidating the lazily-cached in-CSR transpose
+  along the way).
 * :mod:`repro.dyn.incremental` - incremental recompute for the monotone
   min-combine algorithms (BFS/SSSP/WCC): repair a previous result from
   the affected frontier instead of rerunning from scratch, with results

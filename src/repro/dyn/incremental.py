@@ -201,16 +201,14 @@ def _mark_boundary(
     reset: np.ndarray,
     metadata: np.ndarray,
 ) -> None:
-    """Mark vertices with a finite value and an out-edge into the reset set."""
-    if not reset.any():
+    """Mark vertices with a finite value and an out-edge into the reset set:
+    the reset rows of the in-CSR (the out-CSR itself when undirected)."""
+    rows = np.flatnonzero(reset)
+    if not rows.size:
         return
-    out = graph.out_csr
-    srcs = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), out.degrees())
-    targets = out.targets.astype(np.int64)
-    cand = srcs[reset[targets]]
-    if cand.size:
-        cand = np.unique(cand)
-        frontier_mask[cand[np.isfinite(metadata[cand])]] = True
+    into = graph.in_csr
+    cand = into.targets[into.row_slots(rows)[0]]
+    frontier_mask[cand[np.isfinite(metadata[cand])]] = True
 
 
 def _support_closure(
@@ -226,25 +224,15 @@ def _support_closure(
     chain crossed a seed.
     """
     out = graph.out_csr
-    offsets = out.offsets.astype(np.int64)
-    targets = out.targets.astype(np.int64)
-    weights = out.weights.astype(np.float64)
     reset = seeds.copy()
     wave = np.flatnonzero(seeds)
     while wave.size:
-        degs = offsets[wave + 1] - offsets[wave]
-        total = int(degs.sum())
-        if total == 0:
-            break
-        starts = offsets[wave]
-        pos = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(np.cumsum(degs) - degs, degs)
-            + np.repeat(starts, degs)
-        )
+        # Only the wave's edge slots are read and widened (float32 ->
+        # float64 is exact, so the identity below is unchanged).
+        pos, degs = out.row_slots(wave)
         src_rep = np.repeat(wave, degs)
-        tg = targets[pos]
-        w = weights[pos] if weighted else 1.0
+        tg = out.targets[pos].astype(np.int64)
+        w = out.weights[pos].astype(np.float64) if weighted else 1.0
         support = np.isfinite(old_meta[src_rep]) & (
             old_meta[tg] == old_meta[src_rep] + w
         )

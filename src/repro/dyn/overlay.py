@@ -3,22 +3,28 @@
 :class:`repro.graph.csr.CSRGraph` is read-only shared state by contract -
 every engine, shard and cache in the repository relies on that. Dynamic
 workloads are therefore layered *on top*: a :class:`DynamicGraph` holds an
-immutable base CSR plus a small dictionary of pending per-edge overrides
-(insert with weight / delete), and materializes a fresh ``CSRGraph``
-snapshot whenever the edge set changed. Queries always run against a
-snapshot, so everything downstream - push/pull direction selection,
-kernel backends, ``num_shards > 1`` sharding - composes unchanged: a
-snapshot is just another immutable CSR graph.
+immutable base CSR plus the set of stored edges updated since (the
+overlay), and every batch that changes the edge set produces a fresh
+``CSRGraph`` snapshot. Queries always run against a snapshot, so
+everything downstream - push/pull direction selection, kernel backends,
+``num_shards > 1`` sharding - composes unchanged: a snapshot is just
+another immutable CSR graph.
+
+A snapshot is *spliced* from the previous one, so an update costs what it
+changes: rows the batch does not touch are slices of the previous arrays,
+joined by one concatenation; each touched row is rebuilt from its old row
+plus the batch's changes, sorted by target; the offsets are the old
+degrees plus the per-row delta, summed. Nothing sorts the whole edge set.
 
 Two consequences the rest of the subsystem depends on:
 
 * **Snapshot equivalence.** A snapshot is bit-identical (offsets, targets,
-  weights) to ``CSRGraph.from_edges`` on the merged logical edge list:
-  the overlay reuses the same lexsort ordering and min-weight dedup
-  semantics, so "dynamic" and "rebuilt from scratch" graphs are
-  indistinguishable to the engine.
+  weights, dtypes) to ``CSRGraph.from_edges`` on the merged logical edge
+  list: every row stays sorted by target with one entry per stored edge,
+  which is the order ``from_edges`` produces, so "dynamic" and "rebuilt
+  from scratch" graphs are indistinguishable to the engine.
 * **Transpose invalidation.** The in-CSR transpose of a directed graph is
-  built lazily and cached *per CSRGraph object*. Because every apply
+  built lazily and cached *per CSRGraph object*. Because every change
   produces a new snapshot object (and the periodic rebuild promotes a
   freshly-constructed base), a stale transpose can never be observed: the
   cache is invalidated by construction, which
@@ -33,16 +39,16 @@ update to both stored directions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.graph.csr import (
-    CSRGraph,
-    GraphFormatError,
-    WEIGHT_DTYPE,
-    _build_csr,
+    CSRGraph, CSRView, GraphFormatError, INDEX_DTYPE, VERTEX_DTYPE, WEIGHT_DTYPE,
 )
+
+#: A batch's net stored-edge changes: (src, dst) -> new weight, or None.
+Changes = Dict[Tuple[int, int], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -106,13 +112,14 @@ class UpdateReceipt:
 class DynamicGraph:
     """An immutable base CSR plus pending edge updates.
 
-    ``apply`` merges a batch into the overlay and bumps ``version``;
-    ``snapshot`` materializes (and caches) the current edge set as a fresh
-    :class:`CSRGraph`. When the overlay grows past ``rebuild_threshold``
-    distinct stored edges, ``apply`` folds it into a rebuilt base CSR -
-    the periodic rebuild that bounds overlay size and, for directed
-    graphs, leaves the new base with no cached in-CSR transpose (it is
-    re-derived lazily on the next pull access).
+    ``apply`` splices a batch into the current snapshot (see the module
+    docstring), records the stored edges it changed in the overlay and
+    bumps ``version``; ``snapshot`` returns the current edge set as an
+    immutable :class:`CSRGraph`. When the overlay grows past
+    ``rebuild_threshold`` distinct stored edges, ``apply`` rebuilds: the
+    current snapshot's arrays become the new base, wrapped in a fresh
+    ``CSRGraph`` - no sort - so a directed base has no cached in-CSR
+    transpose (it is re-derived lazily on the next pull access).
 
     Receipts of the last ``keep_receipts`` batches are retained so the
     result cache can repair stale entries forward through the exact
@@ -131,10 +138,10 @@ class DynamicGraph:
         self._base = base
         self.rebuild_threshold = rebuild_threshold
         self.keep_receipts = keep_receipts
-        #: (src, dst) -> weight (present, overriding the base) or None
-        #: (deleted from the base).
-        self._overlay: Dict[Tuple[int, int], Optional[float]] = {}
-        self._snapshot: Optional[CSRGraph] = base
+        #: Stored (src, dst) edges inserted, re-weighted or deleted since
+        #: the base.
+        self._overlay: Set[Tuple[int, int]] = set()
+        self._snapshot = base
         self._receipts: List[UpdateReceipt] = []
         self._version = 0
         self.rebuilds = 0
@@ -211,6 +218,7 @@ class DynamicGraph:
             raise GraphFormatError("edge weights must be non-negative")
 
         old_graph = self.snapshot()
+        changes: Changes = {}
 
         # Deletes first (see EdgeUpdateBatch): record only edges that were
         # actually present, with the weights they had.
@@ -220,28 +228,30 @@ class DynamicGraph:
             if (u, v) in seen_del:
                 continue
             seen_del.add((u, v))
-            current = self._edge_weight(u, v)
+            current = self._edge_weight(changes, u, v)
             if current is None:
                 self.noop_deletes += 1
                 continue
             del_records.append((u, v, current))
-            self._set_overlay(u, v, None)
+            changes[(u, v)] = None
             self.applied_deletes += 1
 
         ins_records: List[Tuple[int, int, float]] = []
         for (u, v), w in self._stored_pairs_weighted(ins, ins_w):
-            current = self._edge_weight(u, v)
+            current = self._edge_weight(changes, u, v)
             if current is not None and current != w:
                 # Weight change = delete old + insert new, so repair sees
                 # a possible value *increase* on this edge.
                 del_records.append((u, v, current))
                 self.applied_deletes += 1
             ins_records.append((u, v, w))
-            self._set_overlay(u, v, w)
+            changes[(u, v)] = w
             self.applied_inserts += 1
 
         self._version += 1
-        self._snapshot = None
+        if changes:
+            self._snapshot = _splice(old_graph, changes)
+            self._overlay.update(changes)
         if len(self._overlay) >= self.rebuild_threshold:
             self.rebuild()
         new_graph = self.snapshot()
@@ -265,50 +275,21 @@ class DynamicGraph:
         return receipt
 
     def snapshot(self) -> CSRGraph:
-        """The current edge set as an immutable CSR graph (cached)."""
-        if self._snapshot is not None:
-            return self._snapshot
-        base = self._base
-        if not self._overlay:
-            self._snapshot = base
-            return base
-        n = base.num_vertices
-        base_edges = base.to_edge_array()
-        base_w = base.out_csr.weights
-        overlay_pairs = np.asarray(sorted(self._overlay), dtype=np.int64)
-        overlay_keys = overlay_pairs[:, 0] * n + overlay_pairs[:, 1]
-        base_keys = base_edges[:, 0] * n + base_edges[:, 1]
-        keep = ~np.isin(base_keys, overlay_keys)
-        add = [
-            (u, v, w) for (u, v), w in self._overlay.items() if w is not None
-        ]
-        add_pairs = _pairs_array([(u, v) for u, v, _ in add])
-        add_w = np.asarray([w for _, _, w in add], dtype=WEIGHT_DTYPE)
-        src = np.concatenate([base_edges[keep, 0], add_pairs[:, 0]])
-        dst = np.concatenate([base_edges[keep, 1], add_pairs[:, 1]])
-        w = np.concatenate([base_w[keep], add_w])
-        view = _build_csr(n, src, dst, w)
-        self._snapshot = CSRGraph(
-            out_csr=view,
-            in_csr=None if base.directed else view,
-            directed=base.directed,
-            name=base.name,
-            meta=dict(base.meta),
-        )
+        """The current edge set as an immutable CSR graph."""
         return self._snapshot
 
     def rebuild(self) -> CSRGraph:
-        """Fold the overlay into a rebuilt base CSR.
+        """Fold the overlay into a new base CSR.
 
-        The promoted base is the freshly-materialized snapshot: a new
-        ``CSRGraph`` object whose in-CSR transpose (directed graphs) is
-        unset and will be re-derived lazily - the cached transpose of any
-        earlier snapshot is left behind with that snapshot.
+        The promoted base holds the current snapshot's arrays (nothing is
+        re-sorted) in a new ``CSRGraph`` object whose in-CSR transpose
+        (directed graphs) is unset and will be re-derived lazily - the
+        cached transpose of any earlier snapshot is left behind with that
+        snapshot.
         """
         if not self._overlay:
             return self._base
-        self._snapshot = None
-        self._base = self.snapshot()
+        self._base = self._snapshot = _with_view(self._snapshot, self._snapshot.out_csr)
         self._overlay.clear()
         self.rebuilds += 1
         return self._base
@@ -331,14 +312,11 @@ class DynamicGraph:
             if not self.directed:
                 yield (v, u), w
 
-    def _set_overlay(self, u: int, v: int, value: Optional[float]) -> None:
-        self._overlay[(u, v)] = value
-
-    def _edge_weight(self, u: int, v: int) -> Optional[float]:
-        """Weight of stored edge (u, v) in the current edge set, or None."""
-        if (u, v) in self._overlay:
-            return self._overlay[(u, v)]
-        out = self._base.out_csr
+    def _edge_weight(self, changes: Changes, u: int, v: int) -> Optional[float]:
+        """Weight of stored edge (u, v) once ``changes`` apply, or None."""
+        if (u, v) in changes:
+            return changes[(u, v)]
+        out = self._snapshot.out_csr
         lo = int(out.offsets[u])
         hi = int(out.offsets[u + 1])
         row = out.targets[lo:hi]
@@ -352,6 +330,54 @@ class DynamicGraph:
             f"DynamicGraph(v{self._version}, base={self._base!r}, "
             f"pending={self.pending_edges})"
         )
+
+
+def _with_view(graph: CSRGraph, view: CSRView) -> CSRGraph:
+    """A new ``CSRGraph`` like ``graph`` over ``view``, transpose unbuilt."""
+    return CSRGraph(out_csr=view, in_csr=None if graph.directed else view,
+                    directed=graph.directed, name=graph.name, meta=dict(graph.meta))
+
+
+def _splice(graph: CSRGraph, changes: Changes) -> CSRGraph:
+    """``graph`` with ``changes`` applied, at the cost of the rows they touch.
+
+    Untouched rows are slices of ``graph``'s arrays. A touched row keeps
+    the old entries no change names, gains every change with a weight and
+    is sorted by target (stably, so a row's duplicate edges keep their
+    order, as ``_build_csr``'s lexsort keeps it).
+    """
+    out, n = graph.out_csr, graph.num_vertices
+    pairs = np.array(list(changes), dtype=np.int64)
+    present = np.array([w is not None for w in changes.values()])
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    rows = np.unique(pairs[:, 0])
+    slots, degrees = out.row_slots(rows)
+    old_keys = np.repeat(rows * n, degrees) + out.targets[slots]
+    keep = ~np.isin(old_keys, keys)
+    new_weights = np.array([w for w in changes.values() if w is not None], WEIGHT_DTYPE)
+    row_keys = np.concatenate([old_keys[keep], keys[present]])
+    row_weights = np.concatenate([out.weights[slots][keep], new_weights])
+    order = np.argsort(row_keys, kind="stable")
+    row_keys = row_keys[order]
+    counts = np.bincount(np.searchsorted(rows, row_keys // n), minlength=rows.size)
+    starts = out.offsets[rows].astype(np.int64)
+    cuts = np.stack([starts, starts + degrees], axis=1).reshape(-1)
+    bounds = np.cumsum(counts)[:-1]
+
+    def join(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+        parts = np.split(old, cuts)  # untouched, touched, untouched, ...
+        parts[1::2] = np.split(new, bounds)
+        return np.concatenate(parts)
+
+    row_degrees = np.diff(out.offsets)
+    row_degrees[rows] = counts
+    offsets = np.zeros(n + 1, dtype=INDEX_DTYPE)
+    np.cumsum(row_degrees, out=offsets[1:])
+    return _with_view(graph, CSRView(
+        offsets=offsets,
+        targets=join(out.targets, (row_keys % n).astype(VERTEX_DTYPE)),
+        weights=join(out.weights, row_weights[order]),
+    ))
 
 
 def _pairs_array(pairs: List[Tuple[int, int]]) -> np.ndarray:

@@ -65,6 +65,13 @@ class CSRView:
         """Degree of every vertex as an int64 array."""
         return np.diff(self.offsets).astype(np.int64)
 
+    def row_slots(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Edge slots of ``rows``, row after row (int64), and their degrees."""
+        starts = self.offsets[rows].astype(np.int64)
+        degrees = self.offsets[rows + 1].astype(np.int64) - starts
+        shift = np.repeat(np.cumsum(degrees) - degrees - starts, degrees)
+        return np.arange(shift.shape[0], dtype=np.int64) - shift, degrees
+
     def neighbors(self, v: int) -> np.ndarray:
         return self.targets[self.offsets[v]:self.offsets[v + 1]]
 

@@ -360,9 +360,10 @@ class SIMDXServer:
         serving. The engine follows the front-end's version, so no swap
         can be skipped.
         """
+        cache = self.front.cache
         while self._updates:
             batch, future = self._updates.popleft()
-            refreshed = self.front.stats.get("landmarks_refreshed", 0)
+            refreshed = 0 if cache is None else cache.stats["landmarks_refreshed"]
             try:
                 receipt = self.front.update(
                     inserts=batch.inserts,
@@ -374,7 +375,8 @@ class SIMDXServer:
                     future.set_exception(exc)
                 continue
             self._stats["updates"] += 1
-            refreshed = self.front.stats.get("landmarks_refreshed", 0) - refreshed
+            if cache is not None:
+                refreshed = cache.stats["landmarks_refreshed"] - refreshed
             if not future.done():
                 future.set_result(
                     {

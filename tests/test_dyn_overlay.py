@@ -43,9 +43,10 @@ def directed_graph():
 
 
 def assert_csr_equal(a: CSRGraph, b: CSRGraph):
-    assert np.array_equal(a.out_csr.offsets, b.out_csr.offsets)
-    assert np.array_equal(a.out_csr.targets, b.out_csr.targets)
-    assert np.array_equal(a.out_csr.weights, b.out_csr.weights)
+    for field in ("offsets", "targets", "weights"):
+        x, y = getattr(a.out_csr, field), getattr(b.out_csr, field)
+        assert x.dtype == y.dtype, field
+        assert np.array_equal(x, y), field
 
 
 def rebuilt_from_scratch(dyn: DynamicGraph) -> CSRGraph:
@@ -85,6 +86,141 @@ def test_snapshot_matches_from_edges_after_updates(graph):
             inserts=inserts, insert_weights=weights, deletes=edges[picks]
         ))
     assert_csr_equal(dyn.snapshot(), rebuilt_from_scratch(dyn))
+
+
+def _row_pairs(graph: CSRGraph, u: int):
+    return [(u, int(v)) for v in graph.out_neighbors(u)]
+
+
+def _with_isolated_vertex(graph: CSRGraph) -> CSRGraph:
+    """``graph`` plus one more vertex, which has no edges."""
+    edges = graph.to_edge_array()
+    keep = edges[:, 0] < edges[:, 1]
+    return CSRGraph.from_edges(
+        graph.num_vertices + 1, edges[keep], weights=graph.out_csr.weights[keep]
+    )
+
+
+def _chained_batches(graph: CSRGraph, count: int):
+    rng = np.random.default_rng(13)
+    edges = graph.to_edge_array()
+    batches = []
+    for _ in range(count):
+        inserts = rng.integers(0, graph.num_vertices, size=(6, 2))
+        inserts = inserts[inserts[:, 0] != inserts[:, 1]]
+        batches.append(dict(
+            inserts=inserts,
+            insert_weights=rng.integers(1, 5, size=len(inserts)) + 0.25,
+            deletes=edges[rng.choice(len(edges), size=6, replace=False)],
+        ))
+    return batches
+
+
+def _first_edge(graph: CSRGraph):
+    u, v = (int(x) for x in graph.to_edge_array()[0])
+    return u, v, float(graph.out_csr.weights[0])
+
+
+#: Each case: (undirected graph, directed graph) -> (base, steps, options);
+#: a step is an ``EdgeUpdateBatch.of`` keyword dict or "rebuild".
+SPLICE_CASES = {
+    "insert": lambda g, d: (g, [dict(inserts=[(3, 117), (9, 41)],
+                                     insert_weights=[2.0, 0.5])], {}),
+    "delete": lambda g, d: (g, [dict(deletes=g.to_edge_array()[[0, 50, 300]])], {}),
+    "reweight": lambda g, d: (g, [dict(inserts=[_first_edge(g)[:2]],
+                                       insert_weights=[_first_edge(g)[2] + 1.0])], {}),
+    "delete-then-insert": lambda g, d: (g, [dict(
+        inserts=[_first_edge(g)[:2]], insert_weights=[9.0],
+        deletes=[_first_edge(g)[:2]])], {}),
+    "row-emptied": lambda g, d: (g, [dict(deletes=_row_pairs(g, 7))], {}),
+    "row-created": lambda g, d: (_with_isolated_vertex(g), [dict(
+        inserts=[(g.num_vertices, 5), (g.num_vertices, 17)])], {}),
+    "undirected-mirroring": lambda g, d: (g, [dict(
+        inserts=[(117, 3)], deletes=[_first_edge(g)[1::-1]])], {}),
+    "directed": lambda g, d: (d, [dict(
+        inserts=[(0, 42), (42, 7)], insert_weights=[1.5, 2.5],
+        deletes=d.to_edge_array()[[0, 10]])], {}),
+    "across-rebuild": lambda g, d: (d, [
+        dict(inserts=[(0, 42)]), "rebuild",
+        dict(inserts=[(42, 7)], deletes=[(0, 42)])], {}),
+    "auto-rebuild": lambda g, d: (g, [
+        dict(inserts=[(0, 50)]), dict(inserts=[(1, 60)], deletes=[(0, 50)]),
+        dict(inserts=[(2, 70)])], {"rebuild_threshold": 4}),
+    "chained-20": lambda g, d: (g, _chained_batches(g, 20), {}),
+}
+
+
+def _model_apply(model: dict, step: dict, directed: bool) -> None:
+    """Deletes-before-inserts on a {(src, dst): weight} model."""
+    def stored(u, v):
+        return [(int(u), int(v))] if directed else [(int(u), int(v)), (int(v), int(u))]
+
+    for u, v in step.get("deletes", ()):
+        for key in stored(u, v):
+            model.pop(key, None)
+    inserts = step.get("inserts", ())
+    weights = step.get("insert_weights")
+    if weights is None:
+        weights = [1.0] * len(inserts)
+    for (u, v), w in zip(inserts, weights):
+        for key in stored(u, v):
+            model[key] = float(np.float32(w))
+
+
+@pytest.mark.parametrize("case", list(SPLICE_CASES))
+def test_snapshot_matches_from_edges_oracle(graph, directed_graph, case):
+    """After every step the snapshot equals ``from_edges`` on a dict model
+    of the edge set: offsets, targets and weights, values and dtypes."""
+    base, steps, options = SPLICE_CASES[case](graph, directed_graph)
+    dyn = DynamicGraph(base, **options)
+    model = {(u, v): w for u, v, w in base.edges()}
+    for step in steps:
+        if step == "rebuild":
+            dyn.rebuild()
+        else:
+            dyn.apply(EdgeUpdateBatch.of(**step))
+            _model_apply(model, step, base.directed)
+        oracle = CSRGraph.from_edges(
+            base.num_vertices, list(model), weights=list(model.values()),
+            directed=True,
+        )
+        assert_csr_equal(dyn.snapshot(), oracle)
+    if case == "auto-rebuild":
+        assert dyn.rebuilds == 1
+    if case == "row-emptied":
+        assert dyn.snapshot().out_degree(7) == 0 < graph.out_degree(7)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_batch_then_inverse_restores_snapshot(graph, seed):
+    """Update algebra: a batch, then its inverse built from the receipt
+    (delete what it inserted, re-insert what it deleted at the receipt's
+    weights), gives back the starting snapshot. Insert weights end in .5
+    and base weights are integers, so every insert of an existing edge is
+    a re-weight the receipt records."""
+    rng = np.random.default_rng(seed)
+    dyn = DynamicGraph(graph)
+    dyn.apply(EdgeUpdateBatch.of(inserts=[(seed % 120, (seed + 1) % 120)]))
+    start = dyn.snapshot()
+    edges = start.to_edge_array()
+    pairs = np.concatenate([
+        rng.integers(0, graph.num_vertices, size=(8, 2)),
+        edges[rng.choice(len(edges), size=4, replace=False)],
+    ])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    # One insert per logical edge: a second would overwrite the first.
+    pairs = pairs[np.unique(np.sort(pairs, axis=1), axis=0, return_index=True)[1]]
+    receipt = dyn.apply(EdgeUpdateBatch.of(
+        inserts=pairs,
+        insert_weights=rng.integers(1, 9, size=len(pairs)) + 0.5,
+        deletes=edges[rng.choice(len(edges), size=8, replace=False)],
+    ))
+    dyn.apply(EdgeUpdateBatch.of(
+        inserts=receipt.delete_edges,
+        insert_weights=receipt.delete_weights,
+        deletes=receipt.insert_edges,
+    ))
+    assert_csr_equal(dyn.snapshot(), start)
 
 
 def test_snapshot_cached_until_next_apply(graph):
@@ -230,10 +366,24 @@ def test_receipt_old_and_new_graphs_are_consistent(graph):
 ])
 def test_invalid_updates_raise_and_do_not_mutate(graph, bad):
     dyn = DynamicGraph(graph)
+    dyn.apply(EdgeUpdateBatch.of(inserts=[(1, 5)], deletes=[_first_edge(graph)[:2]]))
+    snapshot, chain, pending = dyn.snapshot(), dyn.receipts_since(0), dyn.pending_edges
     with pytest.raises(GraphFormatError):
         dyn.apply(EdgeUpdateBatch.of(**bad))
-    assert dyn.version == 0
-    assert dyn.stats()["pending_edges"] == 0
+    assert dyn.version == 1
+    assert dyn.snapshot() is snapshot
+    assert [id(r) for r in dyn.receipts_since(0)] == [id(r) for r in chain]
+    assert dyn.pending_edges == pending > 0
+
+
+def test_batch_without_net_change_keeps_snapshot(graph):
+    dyn = DynamicGraph(graph)
+    dyn.apply(EdgeUpdateBatch.of(inserts=[(1, 5)]))
+    before = dyn.snapshot()
+    receipt = dyn.apply(EdgeUpdateBatch.of(deletes=[(0, 119), (2, 118)]))
+    assert receipt.delete_edges.shape[0] == 0
+    assert dyn.version == 2
+    assert receipt.old_graph is receipt.new_graph is dyn.snapshot() is before
 
 
 def test_empty_batch_is_a_versioned_noop(graph):
