@@ -67,9 +67,11 @@ class PageRank(ACCAlgorithm):
         return pending > self.tolerance
 
     def compute_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
-        pending = self._pending[src_ids]
-        share = self.damping * pending / self._out_degrees[src_ids]
-        return np.where(share > 0.0, share, np.nan)
+        # Priced once per vertex, then gathered per edge: the same IEEE
+        # operations on the same operands as a per-edge evaluation.
+        share = self.damping * self._pending / self._out_degrees
+        share[~(share > 0.0)] = np.nan
+        return share[src_ids]
 
     def on_frontier_expanded(self, frontier: np.ndarray, metadata: np.ndarray) -> None:
         # The frontier has propagated its accumulated delta; reset it.

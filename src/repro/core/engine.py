@@ -495,14 +495,19 @@ class SIMDXEngine:
     # ------------------------------------------------------------------
     # Functional primitives shared by every expansion
     # ------------------------------------------------------------------
-    #: The numpy backend's CSR walk, shared by both directions: push walks
-    #: the out-CSR with the frontier, pull walks the in-CSR with the gather
-    #: candidates. A class-level alias of the one body in
+    #: The numpy backend's scatter walk over the out-CSR rows of a push
+    #: frontier. A class-level alias of the one body in
     #: :mod:`repro.core.kernels` - the seam tests patch to count walks.
     _walk_edges = staticmethod(kernel_backends.NumpyKernelBackend.walk_edges)
 
+    def _walk_kept(self, csr, worklist: np.ndarray, source_mask: np.ndarray):
+        """Backend-dispatched gather walk; counts every edge it scanned."""
+        src, dst, edge_idx, walked = self.kernel.walk_kept(csr, worklist, source_mask)
+        self._kernel_edges_walked += int(walked)
+        return src, dst, edge_idx, walked
+
     def _walk(self, csr, worklist: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Backend-dispatched CSR walk; every expansion goes through here.
+        """Backend-dispatched scatter walk; every push expansion goes through here.
 
         The numpy backend routes through the class-level :meth:`_walk_edges`
         staticmethod (the historical entry point tests may patch); the

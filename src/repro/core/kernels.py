@@ -23,6 +23,8 @@ Bit-identity notes (the contract both backends implement):
 * ``walk_edges`` emits (slot, edge index) pairs in worklist order with
   edge indices ascending within each slot - the order ``np.repeat`` +
   ``np.arange`` produces and the Python double loop reproduces.
+* ``walk_kept`` emits the walk's edges whose source passes a vertex mask,
+  in the same order, whether the numpy body scans the span or the rows.
 * ``segment_reduce`` returns the compact pair ``(touched, combined)`` of
   :meth:`repro.core.acc.CombineOp.compact_reduce`. SUM accumulates in
   *input order* (``np.bincount`` adds weights sequentially, exactly like
@@ -78,6 +80,12 @@ class KernelBackend:
         that produced it and the flat CSR edge index, in worklist order
         with edge indices ascending per slot.
         """
+        raise NotImplementedError
+
+    def walk_kept(self, csr, worklist: np.ndarray, source_mask: np.ndarray):
+        """The gather walk: int64 ``(src, dst, edge_idx)`` of the in-edges of
+        the canonical ``worklist``'s rows whose source has ``source_mask``
+        set, in CSR order, and ``walked``, the number of edges scanned."""
         raise NotImplementedError
 
     def membership_mask(self, vertices: np.ndarray, size: int) -> np.ndarray:
@@ -162,6 +170,34 @@ class NumpyKernelBackend(KernelBackend):
         slot = np.repeat(np.arange(worklist.size, dtype=np.int64), counts)
         return slot, edge_idx, total
 
+    def walk_kept(self, csr, worklist, source_mask):
+        offsets = csr.offsets
+        walked = int((offsets[worklist + 1] - offsets[worklist]).sum())
+        if walked == 0:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty, 0
+        first, last = int(worklist[0]), int(worklist[-1]) + 1
+        lo, hi = int(offsets[first]), int(offsets[last])
+        if 2 * walked < hi - lo:
+            # Sparse rows: walk them, then test each walked source.
+            slot, edge_idx, _ = self.walk_edges(csr, worklist)
+            src = csr.targets[edge_idx].astype(np.int64)
+            e = np.flatnonzero(source_mask[src])
+            return src[e], worklist[slot[e]], edge_idx[e], walked
+        # Dense rows: scan the span, masking out skipped rows that own edges.
+        sources = csr.targets[lo:hi].astype(np.int64)  # int64 indexes faster
+        keep = source_mask[sources]
+        degrees = np.diff(offsets[first:last + 1].astype(np.int64))
+        if walked != hi - lo:
+            rows = np.zeros(last - first, dtype=bool)
+            rows[worklist - first] = True
+            keep &= np.repeat(rows, degrees)
+        dst = np.repeat(np.arange(first, last, dtype=np.int64), degrees)
+        if keep.all():  # the whole span is kept: nothing to narrow
+            return sources, dst, np.arange(lo, hi, dtype=np.int64), walked
+        e = np.flatnonzero(keep)
+        return sources[e], dst[e], e + lo, walked
+
     def membership_mask(self, vertices, size):
         mask = np.zeros(size, dtype=bool)
         mask[np.asarray(vertices, dtype=np.int64)] = True
@@ -235,6 +271,19 @@ class PythonKernelBackend(KernelBackend):
             np.asarray(edges, dtype=np.int64),
             total,
         )
+
+    def walk_kept(self, csr, worklist, source_mask):
+        kept: List[Tuple[int, int, int]] = []  # (src, dst, edge index)
+        walked = 0
+        for v in worklist.tolist():
+            start, stop = int(csr.offsets[v]), int(csr.offsets[v + 1])
+            walked += stop - start
+            for e in range(start, stop):
+                u = int(csr.targets[e])
+                if source_mask[u]:
+                    kept.append((u, v, e))
+        src, dst, edge_idx = np.array(kept, dtype=np.int64).reshape(-1, 3).T
+        return src, dst, edge_idx, walked
 
     def membership_mask(self, vertices, size):
         mask = np.zeros(size, dtype=bool)

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -863,9 +864,10 @@ class SuperstepDriver:
         )
 
     def _expand_pull(self, unit: _Unit, step: _Step) -> None:
-        """Gather: walk the in-edges of the unit's gather worklist once; a
-        lane keeps an in-edge when the destination is in its own gather
-        worklist *and* the source is in its own frontier.
+        """Gather: walk the in-edges of the unit's gather worklist once,
+        testing the frontier bitmap before any edge array exists; a lane
+        keeps a walked in-edge when the source is in its own frontier *and*
+        the destination is in its own gather worklist.
 
         Per lane the kept edge set is the frontier's out-edge set (minus
         edges ``gather_mask`` proved updateless), the per-edge operands
@@ -873,55 +875,37 @@ class SuperstepDriver:
         order reproduces the push path's per-destination combine order -
         so push and pull produce bit-identical vertex values.
         """
-        kernel = self.engine.kernel
+        kernel, n = self.engine.kernel, self.graph.num_vertices
         csr = self.graph.in_csr
-        worklist = unit.worklist
-        dst_slot, edge_idx, total = self.engine._walk(csr, worklist)
-        active = 0
+        per_lane = zip(unit.lanes, unit.lane_candidates)
+        present = [(lane, c) for lane, c in per_lane if c.size]  # lanes that gather
+        for lane, _ in present:
+            if lane not in step.bitmaps:
+                step.bitmaps[lane] = kernel.membership_mask(
+                    self.lanes.frontiers[lane], n
+                )
+        bitmaps = [step.bitmaps[lane] for lane, _ in present]
+        # The walk keeps the in-edges whose source some lane's frontier holds.
+        sources = bitmaps[0] if len(bitmaps) == 1 else reduce(
+            np.logical_or, bitmaps, np.zeros(n, dtype=bool)
+        )
+        src, dst, edge_idx, total = self.engine._walk_kept(
+            csr, unit.worklist, sources
+        )
+        active = int(src.size)
         updated = None
-        if total:
-            src = csr.targets[edge_idx].astype(np.int64)
-            dst = worklist[dst_slot]
-            present = [
-                (lane, candidates)
-                for lane, candidates in zip(unit.lanes, unit.lane_candidates)
-                if candidates.size
-            ]
-
-            def kept_edges(lane, candidates):
-                if lane not in step.bitmaps:
-                    step.bitmaps[lane] = kernel.membership_mask(
-                        self.lanes.frontiers[lane], self.graph.num_vertices
-                    )
-                # Each gather consults the frontier bitmap: only in-edges
-                # whose source is active contribute this iteration.
-                keep = step.bitmaps[lane][src]
-                if candidates.size != worklist.size:
-                    candidate_rows = np.zeros(worklist.size, dtype=bool)
-                    candidate_rows[
-                        kernel.rows_in_sorted(worklist, candidates)
-                    ] = True
-                    keep &= candidate_rows[dst_slot]
-                return keep
-
+        if active:
             kept_any = None
             if len(present) == 1:
-                # One lane: narrow the walked arrays in place (the
-                # scanned-but-inactive edges are done with) instead of
-                # carrying positions into them.
-                keep = kept_edges(*present[0])
-                if not keep.all():
-                    at = np.nonzero(keep)[0]
-                    src, dst, edge_idx = src[at], dst[at], edge_idx[at]
-                del dst_slot, keep  # released before Compute allocates
-                active = int(src.size)
-                parts = [(present[0][0], None)] if active else []
+                parts = [(present[0][0], None)]
             else:
-                kept_any = np.zeros(total, dtype=bool)  # edges some lane kept
+                kept_any = np.zeros(active, dtype=bool)  # edges some lane kept
 
                 def lane_parts():
-                    for lane, candidates in present:
-                        keep = kept_edges(lane, candidates)
+                    for (lane, candidates), bitmap in zip(present, bitmaps):
+                        keep = bitmap[src]
+                        if candidates.size != unit.worklist.size:
+                            keep &= kernel.membership_mask(candidates, n)[dst]
                         np.logical_or(kept_any, keep, out=kept_any)
                         if keep.all():
                             yield lane, None
@@ -1004,16 +988,16 @@ class SuperstepDriver:
         if self.sharding is None:
             step.pending.setdefault((0, lane), []).append((updates, dst, pull))
             return
-        plan = self.sharding.plan
         if pull:
             # A gather's destinations are its own shard's, non-decreasing;
             # its sources may live on a remote shard - a boundary read.
             step.pending.setdefault((here, lane), []).append((updates, dst, True))
-            remote = int((plan.owner_of(src) != here).sum())
+            local = (src >= unit.stream.start) & (src < unit.stream.stop)
+            remote = src.size - int(np.count_nonzero(local))
             self.boundary_updates += remote
             step.received[here] += remote
             return
-        owner = plan.owner_of(dst)
+        owner = self.sharding.plan.owner_of(dst)
         counts = np.bincount(owner, minlength=len(self.streams))
         for t in np.flatnonzero(counts).tolist():
             member = owner == t

@@ -31,6 +31,7 @@ from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.filters import FilterMode
 from repro.core.frontier import BatchedFrontier
+from repro.core.kernels import NumpyKernelBackend
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 
@@ -302,6 +303,7 @@ class TestUnionWalkAmortization:
     def test_one_csr_walk_per_iteration_over_the_union(
         self, graph, sources, monkeypatch
     ):
+        # A scatter walks through the ``_walk_edges`` alias; a gather never does.
         calls = []
         original = SIMDXEngine._walk_edges
 
@@ -320,6 +322,30 @@ class TestUnionWalkAmortization:
         assert sum(calls) == batch.extra["union_edges_walked"]
         # The union walk is the amortization: K overlapping frontiers
         # produce far more (edge, lane) pairs than union edges.
+        assert batch.extra["lane_edge_pairs"] > batch.extra["union_edges_walked"]
+        calls.clear()
+        SIMDXEngine(graph, config=CONFIGS["forced_pull"]).run_batch(BFS(), sources)
+        assert calls == []
+
+    def test_one_gather_walk_per_pull_unit(self, graph, sources, monkeypatch):
+        calls = []
+        original = NumpyKernelBackend.walk_kept
+
+        def counting_walk_kept(backend, csr, worklist, source_mask):
+            result = original(backend, csr, worklist, source_mask)
+            calls.append(result[3])
+            return result
+
+        monkeypatch.setattr(NumpyKernelBackend, "walk_kept", counting_walk_kept)
+        config = CONFIGS["forced_pull"]
+        batch = SIMDXEngine(graph, config=config).run_batch(BFS(), sources)
+        pull_units = [
+            r for r in batch.iteration_records if r.direction == "pull"
+        ]
+        assert pull_units and len(pull_units) == len(batch.iteration_records)
+        # One bitmap-first walk per pull unit, over the union worklist.
+        assert len(calls) == len(pull_units)
+        assert sum(calls) == batch.extra["union_edges_walked"]
         assert batch.extra["lane_edge_pairs"] > batch.extra["union_edges_walked"]
 
     def test_union_walk_cheaper_than_serial_walks(self, graph, sources):

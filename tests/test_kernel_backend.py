@@ -30,6 +30,7 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.frontier import BatchedFrontier
 from repro.core.kernels import (
     BACKEND_NAMES,
+    NumpyKernelBackend,
     get_kernel_backend,
 )
 from repro.core.superstep import SuperstepDriver
@@ -105,6 +106,69 @@ class TestPrimitiveParity:
             assert total == 0
             assert slot.size == 0 and slot.dtype == np.int64
             assert edge_idx.size == 0 and edge_idx.dtype == np.int64
+
+    @staticmethod
+    def _walk_kept_cases(rmat, loop_graph):
+        """``(name, csr, worklist, expected numpy branch)``: ``span`` scans
+        a filled span, ``span+rows`` a span with holes (the row mask),
+        ``rows`` walks the worklist rows, ``empty`` walks nothing."""
+        degrees = np.diff(rmat.in_csr.offsets.astype(np.int64))
+        filled = np.arange(10, 300, dtype=np.int64)
+        holes = filled[(filled % 7 != 0) | (degrees[filled] == 0)]
+        sparse = np.array([0, 101, rmat.num_vertices - 1], dtype=np.int64)
+        # Vertex 2's in-row holds its self-loop; 5 has no in-edges.
+        loops = np.array([2, 5], dtype=np.int64)
+        return [
+            ("filled", rmat.in_csr, filled, "span"),
+            ("holes", rmat.in_csr, holes, "span+rows"),
+            ("sparse", rmat.in_csr, sparse, "rows"),
+            ("loops", loop_graph.in_csr, loops, "span+rows"),
+            ("loops-all", loop_graph.in_csr, np.arange(6, dtype=np.int64), "span"),
+            ("empty", rmat.in_csr, np.zeros(0, dtype=np.int64), "empty"),
+        ]
+
+    def test_walk_kept_matches(self, rmat, loop_graph, monkeypatch):
+        # The sparse branch walks the rows with ``walk_edges``; the dense
+        # branch scans the span and never calls it.
+        row_walks = []
+        real_walk_edges = NumpyKernelBackend.walk_edges
+
+        def counted_walk_edges(csr, worklist):
+            row_walks.append(1)
+            return real_walk_edges(csr, worklist)
+
+        monkeypatch.setattr(
+            NumpyKernelBackend, "walk_edges", staticmethod(counted_walk_edges)
+        )
+        rng = np.random.default_rng(12)
+        for name, csr, worklist, branch in self._walk_kept_cases(rmat, loop_graph):
+            n = csr.num_vertices
+            offsets = csr.offsets.astype(np.int64)
+            walked = int((offsets[worklist + 1] - offsets[worklist]).sum())
+            if worklist.size:
+                span = int(offsets[worklist[-1] + 1] - offsets[worklist[0]])
+                # The density rule and the row-mask rule, as the case claims.
+                dense = 2 * walked >= span
+                assert dense == branch.startswith("span"), name
+                assert (dense and walked < span) == (branch == "span+rows"), name
+            for source_mask in (
+                np.zeros(n, dtype=bool), np.ones(n, dtype=bool), rng.random(n) < 0.4,
+            ):
+                row_walks.clear()
+                got = NUMPY.walk_kept(csr, worklist, source_mask)
+                assert len(row_walks) == (branch == "rows"), name
+                want = PYTHON.walk_kept(csr, worklist, source_mask)
+                assert got[3] == want[3] == walked, name
+                for ours, theirs in zip(got[:3], want[:3]):
+                    assert ours.dtype == theirs.dtype == np.int64, name
+                    assert np.array_equal(ours, theirs), name
+                src, dst, edge_idx, _ = got
+                # Exactly the walk's edges whose source passes the mask.
+                slot, every_edge, _ = PYTHON.walk_edges(csr, worklist)
+                kept = source_mask[csr.targets[every_edge]]
+                assert np.array_equal(edge_idx, every_edge[kept]), name
+                assert np.array_equal(dst, worklist[slot[kept]]), name
+                assert np.array_equal(src, csr.targets[edge_idx]), name
 
     def test_membership_and_rows(self):
         rng = np.random.default_rng(5)

@@ -110,6 +110,25 @@ class TestPlanProperties:
         assert (plan.modeled_edges >= 0).all()
 
 
+def test_range_compare_counts_remote_reads_like_owner_of():
+    """A gather counts its boundary reads as the sources outside its own
+    ``[start, stop)``; that must equal the ``owner_of`` comparison, empty
+    ranges included, for any shard count and any source array."""
+    rng = np.random.default_rng(2027)
+    for trial in range(12):
+        n = int(rng.integers(1, 300))
+        graph = gen.random_uniform_graph(
+            n, int(rng.integers(0, 4 * n)), seed=trial, name="random"
+        )
+        for num_shards in range(1, 7):
+            plan = ShardPlan.build(graph, num_shards)
+            src = rng.integers(0, n, size=int(rng.integers(0, 200)))
+            for here in range(num_shards):
+                start, stop = plan.starts[here], plan.stops[here]
+                by_range = src.size - np.count_nonzero((src >= start) & (src < stop))
+                assert by_range == np.count_nonzero(plan.owner_of(src) != here)
+
+
 class TestDegenerateShapes:
     def test_empty_graph(self):
         graph = CSRGraph.empty(6, name="empty")
