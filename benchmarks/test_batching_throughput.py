@@ -22,13 +22,39 @@ checked here back the EXPERIMENTS.md §5 table and docs/batching.md:
   from the edge-count claim: their union frontier crosses the pull
   threshold earlier than any single lane would, so the batch may scan
   more in-edges while still winning on time through the amortized
-  per-iteration fixed costs.
+  per-iteration fixed costs;
+* the host working set tracks the lanes' per-vertex rows, not their
+  edges: a lane is combined right after its Compute, so the peak RSS of
+  ``run_batch(SSSP, 64 hubs)`` on LJ stays within 1.5x that of 16 hubs.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from repro.bench import experiments
 from repro.graph.datasets import HIGH_DIAMETER_GRAPHS
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: One ``run_batch(SSSP, K hubs)`` on LJ at a scale; prints its peak RSS (KB).
+_RSS_PROBE = """
+import resource, sys
+import numpy as np
+from repro.algorithms import SSSP
+from repro.core.engine import SIMDXEngine
+from repro.graph.datasets import load_dataset
+graph = load_dataset("LJ", float(sys.argv[1]))
+hubs = np.argsort(-graph.out_degrees(), kind="stable")[:int(sys.argv[2])]
+result = SIMDXEngine(graph).run_batch(SSSP(), [int(v) for v in hubs])
+assert not result.failed, result.failure_reason
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
 
 
 def test_batching_throughput(ctx):
@@ -73,3 +99,27 @@ def test_batching_throughput(ctx):
                     assert r["speedup"] > 1.0, r
                     if r["graph"] not in HIGH_DIAMETER_GRAPHS:
                         assert r["union_edges"] < r["lane_edge_pairs"], r
+
+
+def _batch_peak_rss_kb(scale: float, num_lanes: int) -> int:
+    """Peak RSS of a fresh interpreter running one batch, under the
+    default allocator (no ``MALLOC_*`` tuning inherited)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_SRC), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE, str(scale), str(num_lanes)],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return int(out.stdout.split()[-1])
+
+
+def test_batch_peak_rss_grows_with_rows_not_edges(ctx):
+    if "LJ" not in ctx.datasets:
+        pytest.skip("LJ is not in REPRO_BENCH_DATASETS")
+    k16 = _batch_peak_rss_kb(ctx.scale, 16)
+    k64 = _batch_peak_rss_kb(ctx.scale, 64)
+    # Measured on full LJ: ~66 -> ~90 MB (1.37x); queuing every lane's
+    # updates until all lanes computed read ~76 -> ~139 MB (1.83x).
+    assert k64 <= 1.5 * k16, (k16, k64)

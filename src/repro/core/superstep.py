@@ -16,17 +16,19 @@ Combine loop (Figure 4(b)) over two axes:
 Per superstep a planner yields work units ``(direction, lanes, stream)``
 - on one stream the lane groups ``SIMDXEngine._plan_groups`` returns, on N
 streams one scatter and/or gather unit per shard with the shard's own
-selector decision - and the two-phase schedule runs them:
+selector decision - and the schedule runs them:
 
 1. **Compute** - every unit expands against *iteration-start* metadata
    through :meth:`SuperstepDriver._expand_push` or
    :meth:`~SuperstepDriver._expand_pull`; valid updates are queued at
-   their destination's owner stream, per lane, in unit order. Then every
-   lane's frontier hook fires exactly once.
-2. **Combine + apply** - each owner drains its queues through
-   ``SIMDXEngine._combine_and_apply``, then every unit goes through the
-   shared task-management / cost tail (``SIMDXEngine._finish_iteration``)
-   and emits one :class:`~repro.core.metrics.IterationRecord`.
+   their destination's owner stream, per lane, in unit order. Once the
+   last unit carrying a lane has computed it, :meth:`~SuperstepDriver._drain`
+   fires its frontier hook and combines its queues through
+   ``SIMDXEngine._combine_and_apply`` - on one device right after its one
+   Compute call, sharded in the superstep's last unit.
+2. **Tail** - every unit goes through the shared task-management / cost
+   tail (``SIMDXEngine._finish_iteration``) and emits one
+   :class:`~repro.core.metrics.IterationRecord`.
 
 **Why every path is bit-identical.** A lane's Combine stream at any
 destination is in global source-ascending order on every path: a push unit
@@ -35,11 +37,12 @@ stream (= ascending vertex range) order and an owner drains them in that
 order, and an in-CSR row is sorted by source - so push, pull, lane groups
 and shards all hand Combine the operands of the lane's independent
 single-device run in the same order (``docs/sharding.md`` spells the
-argument out). Lanes never share a metadata row, so unit order across
-lanes is irrelevant to values; it only fixes the order of cost charges and
-records. For the same reason a unit's Compute streams lane-major, one lane
-per call - each lane computed and queued before the next lane's edge
-positions exist - instead of over a flattened all-lane pair space.
+argument out). Lanes never share a metadata row or an algorithm copy, so
+unit order across lanes - even a lane combining before another computes -
+only fixes the order of cost charges and records. For the same reason a
+unit's Compute streams lane-major, one lane per call - each lane computed
+and queued before the next lane's edge positions exist - instead of over
+a flattened all-lane pair space.
 
 **Canonical id sets.** Every vertex-id *set* the driver passes around - lane
 frontier, gather candidates, union worklist, Combine's receiver set - is
@@ -282,7 +285,10 @@ class _Step:
         self.dst_is_push: Optional[np.ndarray] = None
         self.candidates: Dict[int, np.ndarray] = {}
         self.bitmaps: Dict[int, np.ndarray] = {}
+        self.lane_out_edges: Dict[int, int] = {}
+        self.last_unit: Dict[int, _Unit] = {}  # lane -> where it drains
         #: ``(owner stream, lane) -> [(updates, dst, dst non-decreasing), ...]``
+        #: until the lane drains - on one device, one lane's at a time.
         self.pending: Dict[Tuple[int, int], List[tuple]] = {}
         #: ``(owner stream, lane) ->`` the receiver set Combine returned.
         self.touched: Dict[Tuple[int, int], np.ndarray] = {}
@@ -521,45 +527,21 @@ class SuperstepDriver:
             if sanitizer is not None:
                 sanitizer.begin_superstep(iteration, metadata)
 
-            # ---------------- phase 1: plan + compute -------------------
-            # All Compute evaluations read iteration-start metadata; valid
-            # (non-NaN) updates queue at their destination's owner.
-            units, lane_out_edges = self._plan(step, policy)
+            # ---------------- compute + per-lane drain ------------------
+            # A lane drains once its last unit computed it: in the lane
+            # loop, else at the end of that unit, else here.
+            units = self._plan(step, policy)
+            step.last_unit = {lane: u for u in units for lane in u.lanes}
             for unit in units:
                 if unit.direction is Direction.PUSH:
                     self._expand_push(unit, step)
                 else:
                     self._expand_pull(unit, step)
-            # The frontier hook fires once per lane, on the lane's whole
-            # frontier, whenever it had out-edges to consume (scattered or
-            # gathered, however far gather_mask shrank the worklist) -
-            # after all Computes, before any apply.
+                for lane in unit.lanes:
+                    if step.last_unit[lane] is unit:
+                        self._drain(step, lane)
             for lane in live:
-                if lane_out_edges[lane] > 0:
-                    clones[lane].on_frontier_expanded(
-                        frontiers[lane], metadata[lane]
-                    )
-
-            # ---------------- phase 2: combine + apply ------------------
-            # Owners drain in ascending stream order, each lane's queue in
-            # arrival (= source-stream-ascending) order: the concatenated
-            # stream is source-ascending per destination, so Combine sees
-            # the single-device order (module docstring).
-            for owner in range(len(self.streams)):
-                for lane in live:
-                    queue = step.pending.get((owner, lane))
-                    if queue:
-                        step.touched[owner, lane] = engine._combine_and_apply(
-                            clones[lane], metadata[lane],
-                            _concat([u for u, _, _ in queue]),
-                            _concat([d for _, d, _ in queue]),
-                            len(queue) == 1 and queue[0][2],
-                        )
-            for lane in live:
-                step.active[lane] = np.asarray(
-                    clones[lane].active_mask(metadata[lane], step.prev[lane]),
-                    dtype=bool,
-                )
+                self._drain(step, lane)
 
             # ---------------- task management, cost, records ------------
             shard_us = [0.0] * len(self.streams)
@@ -617,10 +599,32 @@ class SuperstepDriver:
             if sanitizer is not None:
                 sanitizer.end_superstep(iteration, metadata, frontiers)
 
+    def _drain(self, step: _Step, lane: int) -> None:
+        """Frontier hook (if the lane had out-edges to consume), Combine +
+        apply per owner in ascending stream order - each queue in arrival
+        (= source-ascending) order - and the lane's active mask; once."""
+        if lane in step.active:
+            return
+        clone, row = self.lanes.clones[lane], self.lanes.metadata[lane]
+        if step.lane_out_edges[lane] > 0:
+            clone.on_frontier_expanded(self.lanes.frontiers[lane], row)
+        for owner in range(len(self.streams)):
+            queue = step.pending.pop((owner, lane), None)
+            if queue:
+                step.touched[owner, lane] = self.engine._combine_and_apply(
+                    clone, row,
+                    _concat([u for u, _, _ in queue]),
+                    _concat([d for _, d, _ in queue]),
+                    len(queue) == 1 and queue[0][2],
+                )
+        step.active[lane] = np.asarray(
+            clone.active_mask(row, step.prev[lane]), dtype=bool
+        )
+
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _plan(self, step: _Step, policy) -> Tuple[List[_Unit], Dict[int, int]]:
+    def _plan(self, step: _Step, policy) -> List[_Unit]:
         """Directions and work units of one superstep, in execution order."""
         engine, lanes = self.engine, self.lanes
         frontiers, live, streams = lanes.frontiers, step.live, self.streams
@@ -651,9 +655,9 @@ class SuperstepDriver:
             for stream, sized in zip(streams, classified)
         ]
         if len(live) == 1:
-            lane_out_edges = {live[0]: sum(c.total_edges for c in classified)}
+            step.lane_out_edges = {live[0]: sum(c.total_edges for c in classified)}
         else:
-            lane_out_edges = {
+            step.lane_out_edges = {
                 lane: engine.classifier.edge_count(frontiers[lane])
                 for lane in live
             }
@@ -688,13 +692,11 @@ class SuperstepDriver:
                     self._gather_worklist(unit, step)
                     if unit.worklist.size or unit.frontier.size:
                         units.append(unit)
-            return units, lane_out_edges
+            return units
 
         main = streams[0]
         if lanes.batched:
-            groups = self._lane_groups(
-                step, policy, lane_out_edges, directions[0]
-            )
+            groups = self._lane_groups(step, policy, directions[0])
         else:
             groups = [SubBatchPlan(directions[0], (live[0],))]
         for index, group in enumerate(groups):
@@ -721,11 +723,9 @@ class SuperstepDriver:
                 )
                 self._gather_worklist(unit, step)
                 units.append(unit)
-        return units, lane_out_edges
+        return units
 
-    def _lane_groups(
-        self, step: _Step, policy, lane_out_edges, union_direction
-    ) -> List[SubBatchPlan]:
+    def _lane_groups(self, step: _Step, policy, union_direction) -> List[SubBatchPlan]:
         """Lane groups of a single-device batched superstep + their streams.
 
         The main stream serves single-group supersteps and the first group
@@ -742,7 +742,7 @@ class SuperstepDriver:
             return int(in_degrees[candidates].sum()), int(candidates.size)
 
         groups = engine._plan_groups(
-            step.iteration, step.live, lane_out_edges, lanes.frontiers,
+            step.iteration, step.live, step.lane_out_edges, lanes.frontiers,
             pull_estimate, union_direction, policy,
             DEFAULT_TRAFFIC_MODEL.voting_pull_scan_fraction
             if lanes.prototype.combine_kind is CombineKind.VOTING else 1.0,
@@ -979,6 +979,8 @@ class SuperstepDriver:
                 self._route(
                     unit, step, lane, updates, d, s if remote_reads else None
                 )
+            if step.last_unit[lane] is unit:
+                self._drain(step, lane)
         return None if any_valid is None or any_valid.all() else any_valid
 
     def _route(self, unit, step, lane, updates, dst, src) -> None:

@@ -11,22 +11,19 @@ same :class:`~repro.core.superstep.SuperstepDriver` a single device runs
 on one stream. Direction is decided per shard on the shard's own frontier
 slice, so one superstep may mix push and pull shards.
 
-What sharding adds to the driver's two-phase superstep:
-
-1. **Compute** - push-mode destinations are produced by scatter units
-   (each shard with frontier vertices walks its local out-edges, keeps the
-   edges whose destination owner is push-mode, and routes the valid
-   updates to the owner's queue - local or boundary); pull-mode
-   destinations are produced by the owning shard's gather unit over its
-   slice of the gather candidates (in-edges whose source may live on a
-   remote shard - a boundary read).
-2. **Merge + apply** - each shard drains its queues in source-shard
-   order. Because shards are contiguous ranges of a sorted frontier and
-   in-CSR rows are sorted by source, every destination's combine stream
-   is in global source-ascending order - exactly the order the
-   single-device push *and* pull paths produce, which is what makes the
-   ACC ordering invariants (and bit-identity) hold across shards
-   (``docs/sharding.md``).
+What sharding adds to the driver's superstep: push-mode destinations are
+produced by scatter units (each shard with frontier vertices walks its
+local out-edges, keeps the edges whose destination owner is push-mode and
+routes the valid updates to the owner's queue - local or boundary);
+pull-mode destinations by the owning shard's gather unit over its slice of
+the gather candidates (a remote source is a boundary read). Every shard's
+unit carries every lane, so a lane drains in the superstep's last unit,
+after all its Computes: each owner's queue in source-shard order. Shards
+are contiguous ranges of a sorted frontier and in-CSR rows are sorted by
+source, so every destination's combine stream is in global
+source-ascending order - the single-device order that makes the ACC
+ordering invariants (and bit-identity) hold across shards
+(``docs/sharding.md``).
 
 Costs are charged per shard through the engine's shared iteration tail; a
 superstep's elapsed time is the *max* over shards (devices run

@@ -12,10 +12,14 @@ points the superstep driver and the dispatch loop already ask a method:
   superstep;
 * :meth:`SIMDXServer._dispatch` - every popped batch on its way to the
   engine.
+
+:class:`RecordingEngine` only watches: it logs the order in which a
+batched superstep computes, hooks and combines its lanes.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,6 +97,60 @@ class ScheduledEngine(SIMDXEngine):
             # with forced ones plan from real hysteresis.
             policy.force(groups)
         return groups
+
+
+#: The per-lane ACC hooks :class:`RecordingEngine` logs.
+RECORDED_HOOKS = (
+    "compute_edges", "gather_edges", "on_frontier_expanded", "active_mask",
+)
+
+
+class RecordingEngine(ScheduledEngine):
+    """A :class:`ScheduledEngine` that logs a batched run's schedule.
+
+    ``events`` receives ``("superstep", iteration)`` as each superstep plans
+    (the driver asks :meth:`_forced_direction` once per superstep), then
+    ``(hook, lane)`` for every call of a :data:`RECORDED_HOOKS` hook and
+    ``("combine", lane)`` for every :meth:`SIMDXEngine._combine_and_apply`,
+    in call order. ``run_batch`` runs a recording subclass of the caller's
+    algorithm whose per-lane copies carry their lane index, so the driver's
+    own clones log themselves. The default ``gather_edges`` delegates to
+    ``compute_edges``, so a gather logs both.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.events: List[Tuple[str, int]] = []
+
+    def _forced_direction(self, iteration: int) -> Optional[Direction]:
+        self.events.append(("superstep", iteration))
+        return super()._forced_direction(iteration)
+
+    def _combine_and_apply(self, algorithm, *args, **kwargs):
+        self.events.append(("combine", algorithm.recorded_lane))
+        return super()._combine_and_apply(algorithm, *args, **kwargs)
+
+    def run_batch(self, algorithm, sources, lane_params=None, **params):
+        events = self.events
+
+        def logged(hook):
+            def call(alg, *args):
+                events.append((hook, alg.recorded_lane))
+                return getattr(super(recording, alg), hook)(*args)
+            return call
+
+        base = type(algorithm)
+        recording = type(f"Recording{base.__name__}", (base,), {
+            "recorded_lane": None,
+            **{hook: logged(hook) for hook in RECORDED_HOOKS},
+        })
+        algorithm = copy.copy(algorithm)
+        algorithm.__class__ = recording
+        lane_params = [
+            {**(lane_params[lane] if lane_params else {}), "recorded_lane": lane}
+            for lane in range(len(sources))
+        ]
+        return super().run_batch(algorithm, sources, lane_params, **params)
 
 
 def random_split_schedule(seed: int) -> SplitSchedule:
