@@ -1,8 +1,8 @@
 """Comparator systems (Section 7.1) and correctness oracles.
 
 * :mod:`repro.baselines.reference` -- straightforward single-threaded
-  implementations of every algorithm, used as correctness oracles by the
-  test suite (never timed).
+  BFS, SSSP and PageRank, used as correctness oracles by the examples and
+  the test suite (never timed).
 * :mod:`repro.baselines.gunrock` -- Gunrock-like GPU system: AFC
   (advance / filter / compute) model with a batch filter and atomic updates.
 * :mod:`repro.baselines.cusha` -- CuSha-like GPU system: edge-list (shard)

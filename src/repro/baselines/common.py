@@ -59,10 +59,6 @@ class ExecutionTrace:
     def total_updates(self) -> int:
         return sum(t.updates_valid for t in self.iterations)
 
-    @property
-    def peak_frontier_edges(self) -> int:
-        return max((t.frontier_edges for t in self.iterations), default=0)
-
 
 def trace_execution(
     algorithm: ACCAlgorithm,

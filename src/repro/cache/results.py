@@ -23,7 +23,7 @@ source whose full result is kept warm.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
@@ -202,15 +202,3 @@ class ResultCache:
             refreshed += 1
             self.stats["landmarks_refreshed"] += 1
         return refreshed
-
-    def drop_stale(self, version: int) -> int:
-        """Evict unpinned entries older than ``version``; returns count."""
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if entry.version != version and not entry.pinned
-        ]
-        for key in stale:
-            del self._entries[key]
-            self.stats["evictions"] += 1
-        return len(stale)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -292,38 +292,6 @@ class ACCAlgorithm(abc.ABC):
     def vertex_value(self, metadata: np.ndarray) -> np.ndarray:
         """Translate metadata into the user-facing result (default identity)."""
         return metadata
-
-    # ------------------------------------------------------------------
-    # Scalar forms (paper semantics, used for cross-validation in tests)
-    # ------------------------------------------------------------------
-    def active(self, v: int, curr: np.ndarray, prev: np.ndarray) -> bool:
-        """Scalar ``Active``: is vertex ``v`` active?"""
-        return bool(self.active_mask(curr, prev)[v])
-
-    def compute(
-        self,
-        src: int,
-        dst: int,
-        weight: float,
-        metadata: np.ndarray,
-        graph: CSRGraph,
-    ) -> float:
-        """Scalar ``Compute`` for a single edge (derived from the vector form)."""
-        result = self.compute_edges(
-            np.asarray([metadata[src]], dtype=np.float64),
-            np.asarray([weight], dtype=np.float64),
-            np.asarray([metadata[dst]], dtype=np.float64),
-            np.asarray([src], dtype=np.int64),
-            np.asarray([dst], dtype=np.int64),
-            graph,
-        )
-        return float(result[0])
-
-    def combine(self, updates: np.ndarray) -> float:
-        """Scalar ``Combine``: reduce the updates arriving at one vertex."""
-        updates = np.asarray(updates, dtype=np.float64)
-        valid = updates[~np.isnan(updates)]
-        return self.combine_op.reduce(valid)
 
     # ------------------------------------------------------------------
     # Introspection helpers

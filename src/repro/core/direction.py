@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 class Direction(enum.Enum):
@@ -149,10 +149,6 @@ class DirectionSelector:
             )
         self._current = self.start_direction
 
-    @property
-    def current(self) -> Direction:
-        return self._current
-
     def decide(self, frontier_edges: int) -> Direction:
         """Direction for the iteration about to run, given the frontier size."""
         if self.total_edges > 0:
@@ -169,9 +165,9 @@ class DirectionSelector:
 
         Manual (non-auto) engine configurations pin the direction instead of
         calling :meth:`decide`; going through ``force`` keeps the selector's
-        state machine - ``current``, ``history`` and therefore
-        :meth:`switches` / :meth:`phase_lengths` - consistent with what the
-        engine actually executed.
+        state machine - the current direction, ``history`` and therefore
+        :meth:`switches` - consistent with what the engine actually
+        executed.
         """
         self._current = direction
         self.history.append(direction)
@@ -182,18 +178,6 @@ class DirectionSelector:
         return sum(
             1 for a, b in zip(self.history, self.history[1:]) if a is not b
         )
-
-    def phase_lengths(self) -> List[int]:
-        """Lengths of the consecutive same-direction runs (push/pull phases)."""
-        if not self.history:
-            return []
-        lengths = [1]
-        for a, b in zip(self.history, self.history[1:]):
-            if a is b:
-                lengths[-1] += 1
-            else:
-                lengths.append(1)
-        return lengths
 
 
 # ----------------------------------------------------------------------

@@ -471,7 +471,8 @@ class SIMDXEngine:
             )
 
         atomic_profile = None
-        if cfg.atomic_combine:
+        if cfg.atomic_combine and expansion.update_destinations is not None:
+            # A gather that kept no edge built no destinations: no atomics.
             atomic_profile = profile_atomic_updates(expansion.update_destinations)
         compute_us, launch_us, task_kernel = self._charge_compute(
             classified, direction, stream, algorithm,

@@ -45,8 +45,7 @@ charge the device cost model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,10 +144,6 @@ class FilterResult:
         if self.is_sorted:
             return 1.0  # by construction (a metadata scan emits ids in order)
         return gmem.worklist_sortedness(self.worklist)
-
-    @property
-    def redundancy(self) -> float:
-        return gmem.redundancy_factor(self.worklist)
 
 
 class Filter:

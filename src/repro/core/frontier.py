@@ -35,7 +35,7 @@ bitmask recovers each lane's exact edge subset. See ``docs/batching.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class WorklistSizes:
     large_edges: int
 
     @property
-    def total_vertices(self) -> int:
-        return self.small_vertices + self.medium_vertices + self.large_vertices
-
-    @property
     def total_edges(self) -> int:
         return self.small_edges + self.medium_edges + self.large_edges
 
@@ -91,16 +87,8 @@ class ClassifiedFrontier:
     max_degree: int
 
     @property
-    def total_vertices(self) -> int:
-        return self.sizes.total_vertices
-
-    @property
     def total_edges(self) -> int:
         return self.sizes.total_edges
-
-    def all_vertices(self) -> np.ndarray:
-        """Concatenated worklists (order: small, medium, large)."""
-        return np.concatenate([self.small, self.medium, self.large])
 
 
 class WorklistClassifier:
@@ -160,10 +148,6 @@ class WorklistClassifier:
         return ClassifiedFrontier(
             small, medium, large, sizes, small_degrees, int(degs.max())
         )
-
-    def degrees_of(self, frontier: np.ndarray) -> np.ndarray:
-        """Directional degree of each worklist vertex (divergence modelling)."""
-        return self._degrees[np.asarray(frontier, dtype=np.int64)]
 
     def edge_count(self, frontier: np.ndarray) -> int:
         """Total directional degree of ``frontier`` without classifying it.
@@ -263,15 +247,6 @@ class ThreadBins:
         return self.entries
 
 
-def threads_for_frontier(classified: ClassifiedFrontier) -> int:
-    """Simulated threads participating in one iteration's compute kernels."""
-    return (
-        classified.sizes.small_vertices * THREADS_PER_SMALL_TASK
-        + classified.sizes.medium_vertices * THREADS_PER_MEDIUM_TASK
-        + classified.sizes.large_vertices * THREADS_PER_LARGE_TASK
-    )
-
-
 #: Lanes packed per bitmask word (uint64).
 LANES_PER_WORD = 64
 
@@ -339,10 +314,6 @@ class BatchedFrontier:
             backend=backend,
         )
 
-    @property
-    def is_empty(self) -> bool:
-        return self.vertices.size == 0
-
     def lane_mask(self, lane: int) -> np.ndarray:
         """Boolean mask over ``vertices``: which union slots lane holds."""
         if not (0 <= lane < self.num_lanes):
@@ -352,19 +323,6 @@ class BatchedFrontier:
     def lane_vertices(self, lane: int) -> np.ndarray:
         """The lane's frontier (sorted, unique) recovered from the bitmask."""
         return self.vertices[self.lane_mask(lane)]
-
-    def lane_sizes(self) -> np.ndarray:
-        """Frontier size per lane."""
-        return np.array(
-            [int(self.lane_mask(k).sum()) for k in range(self.num_lanes)],
-            dtype=np.int64,
-        )
-
-    def global_lane(self, lane: int) -> int:
-        """Global lane id of local ``lane`` (identity for a full batch)."""
-        if self.lane_ids is None:
-            return lane
-        return self.lane_ids[lane]
 
     def sub_batch(self, lanes: Sequence[int]) -> "BatchedFrontier":
         """View of this batch restricted to ``lanes`` (global lane ids).

@@ -17,8 +17,8 @@ Three strategies are modelled:
 
 Within a fused phase, iterations are separated by the deadlock-free software
 global barrier instead of kernel relaunches; the barrier requires the CTA
-count to respect Eq. 1, which :class:`FusionPlan` computes from the register
-footprint via :mod:`repro.gpu.registers`.
+count to respect Eq. 1, which :mod:`repro.gpu.barrier` computes from the
+fused kernel's register footprint (:class:`FusionPlan` supplies it).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernel import Kernel, DEFAULT_THREADS_PER_CTA
-from repro.gpu.registers import compute_cta_count, configurable_thread_count
+from repro.gpu.registers import configurable_thread_count
 from repro.core.direction import Direction
 
 
@@ -186,27 +186,3 @@ class FusionPlan:
             registers_per_thread=self.max_registers_per_thread(),
             threads_per_cta=self.threads_per_cta,
         )
-
-    def persistent_cta_count(self, spec: GPUSpec) -> int:
-        """Deadlock-free CTA count (Eq. 1) for the strategy's fused kernel."""
-        return compute_cta_count(
-            spec,
-            registers_per_thread=self.max_registers_per_thread(),
-            threads_per_cta=self.threads_per_cta,
-        )
-
-    def expected_launches(self, iterations: int, direction_switches: int) -> int:
-        """Kernel launches a run of this shape needs (Table 2, last row).
-
-        * no fusion: 4 kernels per iteration (3 compute + task management);
-        * all fusion: a single launch for the whole run;
-        * push-pull fusion: one launch per direction phase, i.e. the number
-          of direction switches plus one.
-        """
-        if iterations <= 0:
-            return 0
-        if self.strategy == FusionStrategy.NONE:
-            return 4 * iterations
-        if self.strategy == FusionStrategy.ALL:
-            return 1
-        return direction_switches + 1

@@ -58,10 +58,8 @@ the ballot was pre-armed), so the Figure 8 traces can be read per phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
-
-import numpy as np
 
 from repro.core.direction import Direction
 from repro.core.filters import (
@@ -110,10 +108,6 @@ class JITTaskManager:
         self.decisions: List[JITDecision] = []
 
     # ------------------------------------------------------------------
-    @property
-    def current_filter_name(self) -> str:
-        return "ballot" if self._use_ballot else "online"
-
     @property
     def last_direction(self) -> Optional[Direction]:
         """Direction of the most recent :meth:`build` call (None before any).
@@ -304,10 +298,6 @@ class JITTaskManager:
     def pre_armed_iterations(self) -> List[int]:
         """Iterations whose ballot ran because of a pull->push switch."""
         return [d.iteration for d in self.decisions if d.pre_armed]
-
-    def activation_pattern(self) -> str:
-        """Compact pattern string, e.g. ``"online*3, ballot*4, online*2"``."""
-        return run_length_pattern(self.filter_trace())
 
 
 def run_length_pattern(trace: List[str]) -> str:

@@ -99,27 +99,6 @@ class RunResult:
     def elapsed_ms(self) -> float:
         return self.elapsed_us / 1000.0
 
-    def speedup_over(self, other: "RunResult") -> float:
-        """How many times faster this run is than ``other``."""
-        if self.failed or other.failed:
-            return float("nan")
-        if self.elapsed_us == 0:
-            return float("inf")
-        return other.elapsed_us / self.elapsed_us
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "system": self.system,
-            "algorithm": self.algorithm,
-            "graph": self.graph,
-            "device": self.device,
-            "elapsed_ms": round(self.elapsed_ms, 4),
-            "iterations": self.iterations,
-            "kernel_launches": self.kernel_launches,
-            "failed": self.failed,
-            "failure_reason": self.failure_reason,
-        }
-
     @classmethod
     def failure(
         cls,
@@ -231,16 +210,6 @@ class BatchRunResult:
             failed=True,
             failure_reason=reason,
         )
-
-
-def aggregate_time_us(records: List[IterationRecord]) -> Dict[str, float]:
-    """Total simulated time split by component across iterations."""
-    return {
-        "compute_us": sum(r.compute_us for r in records),
-        "filter_us": sum(r.filter_us for r in records),
-        "barrier_us": sum(r.barrier_us for r in records),
-        "launch_us": sum(r.launch_us for r in records),
-    }
 
 
 @dataclass

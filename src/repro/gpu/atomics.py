@@ -27,22 +27,6 @@ class AtomicProfile:
     contention: float       # average concurrent ops per distinct address (>= 1)
     max_contention: int     # updates hitting the single hottest address
 
-    def scaled(self, factor: float) -> "AtomicProfile":
-        """Scale the op count (e.g. when only a fraction issues atomics).
-
-        Rounds to nearest rather than truncating, and never scales a
-        non-empty profile down to zero ops: any positive fraction of a
-        non-empty batch still issues at least one atomic.
-        """
-        num_ops = int(round(self.num_ops * factor))
-        if num_ops == 0 and self.num_ops > 0 and factor > 0:
-            num_ops = 1
-        return AtomicProfile(
-            num_ops=num_ops,
-            contention=self.contention,
-            max_contention=self.max_contention,
-        )
-
 
 def profile_atomic_updates(destinations: np.ndarray) -> AtomicProfile:
     """Profile atomics from the destination vertex of every update.
@@ -63,17 +47,4 @@ def profile_atomic_updates(destinations: np.ndarray) -> AtomicProfile:
         num_ops=n,
         contention=max(1.0, weighted),
         max_contention=int(counts.max()),
-    )
-
-
-def combined_profile(profiles: list[AtomicProfile]) -> AtomicProfile:
-    """Merge per-iteration profiles into one (update-weighted contention)."""
-    total_ops = sum(p.num_ops for p in profiles)
-    if total_ops == 0:
-        return AtomicProfile(num_ops=0, contention=1.0, max_contention=0)
-    contention = sum(p.num_ops * p.contention for p in profiles) / total_ops
-    return AtomicProfile(
-        num_ops=total_ops,
-        contention=max(1.0, contention),
-        max_contention=max(p.max_contention for p in profiles),
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.gpu.kernel import Kernel, KernelLaunch, LaunchResult
-from repro.gpu.registers import OccupancyInfo, compute_cta_count, compute_occupancy
+from repro.gpu.registers import OccupancyInfo, compute_occupancy
 from repro.gpu.profiler import DeviceProfiler
 
 
@@ -176,10 +176,6 @@ class GPUDevice:
     # Memory management
     # ------------------------------------------------------------------
     @property
-    def allocated_bytes(self) -> int:
-        return self._allocated
-
-    @property
     def free_bytes(self) -> int:
         return self.memory_capacity - self._allocated
 
@@ -307,17 +303,6 @@ class GPUDevice:
             latency_us=latency_us,
             occupancy=occupancy,
             fused=fused,
-        )
-
-    # ------------------------------------------------------------------
-    # Helpers used by fusion / barrier logic
-    # ------------------------------------------------------------------
-    def cta_count_for(self, kernel: Kernel) -> int:
-        """Deadlock-free CTA count for a persistent kernel (Eq. 1)."""
-        return compute_cta_count(
-            self.spec,
-            registers_per_thread=kernel.registers_per_thread,
-            threads_per_cta=kernel.threads_per_cta,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -36,15 +36,6 @@ class Kernel:
         if self.shared_mem_per_cta < 0:
             raise ValueError("shared_mem_per_cta must be non-negative")
 
-    def with_registers(self, registers_per_thread: int) -> "Kernel":
-        """Copy of this kernel with a different register footprint."""
-        return Kernel(
-            name=self.name,
-            registers_per_thread=registers_per_thread,
-            threads_per_cta=self.threads_per_cta,
-            shared_mem_per_cta=self.shared_mem_per_cta,
-        )
-
 
 @dataclass(slots=True)
 class WorkEstimate:

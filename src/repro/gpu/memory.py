@@ -100,18 +100,6 @@ def worklist_sortedness(worklist: np.ndarray) -> float:
     return float(nondecreasing / (arr.size - 1))
 
 
-def redundancy_factor(worklist: np.ndarray) -> float:
-    """worklist length divided by number of unique entries (>= 1).
-
-    The batch filter and online filter may enqueue the same destination
-    several times; every duplicate costs a full recomputation next iteration.
-    """
-    if worklist.size == 0:
-        return 1.0
-    unique = np.unique(np.asarray(worklist)).size
-    return float(worklist.size / unique)
-
-
 class FrontierTraffic(NamedTuple):
     """Memory traffic of expanding one frontier, split by coalescing."""
 

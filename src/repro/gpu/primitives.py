@@ -37,14 +37,6 @@ def _scan_work(n: int) -> WorkEstimate:
     )
 
 
-def exclusive_scan(counts: np.ndarray) -> PrimitiveResult:
-    """Exclusive prefix sum over per-thread (or per-bin) counts."""
-    counts = np.asarray(counts, dtype=np.int64)
-    offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return PrimitiveResult(values=offsets, work=_scan_work(counts.size))
-
-
 def concatenate_bins(entries: np.ndarray, sizes: np.ndarray) -> PrimitiveResult:
     """Concatenate per-thread bins into one worklist via scan + scatter.
 
@@ -83,13 +75,3 @@ def compact_flags(flags: np.ndarray) -> PrimitiveResult:
         warp_primitive_ops=float(num_warps),
     )
     return PrimitiveResult(values=indices, work=work)
-
-
-def fill(value: float, count: int, element_bytes: int = 4) -> WorkEstimate:
-    """Cost of a device-wide memset/fill of ``count`` elements."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return WorkEstimate(
-        coalesced_bytes=sequential_bytes(count, element_bytes),
-        compute_ops=float(count) * 0.25,
-    )

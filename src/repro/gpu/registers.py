@@ -33,10 +33,6 @@ class OccupancyInfo:
     occupancy: float          # resident threads / max resident threads
     limited_by: str           # "registers", "threads", "cta_slots" or "launch"
 
-    @property
-    def resident_warps(self) -> int:
-        return self.resident_threads // 32
-
 
 def compute_cta_count(
     spec: "GPUSpec",

@@ -3,49 +3,38 @@
 This subpackage provides everything SIMD-X and the baseline systems need to
 represent and produce graph workloads:
 
-* :mod:`repro.graph.csr` -- the compressed-sparse-row graph used by SIMD-X,
-  Gunrock-like and CPU baselines (out-CSR always, in-CSR for directed graphs
-  so that both push and pull traversal are possible).
-* :mod:`repro.graph.edge_list` -- the COO / edge-list representation required
-  by the CuSha-like baseline (and used to demonstrate its 2x memory cost).
+* :mod:`repro.graph.csr` -- the compressed-sparse-row graph used by SIMD-X
+  and every baseline (out-CSR always, in-CSR for directed graphs so that
+  both push and pull traversal are possible). The CuSha-like baseline keeps
+  no edge-list copy: it prices its G-Shards from the modeled edge count.
 * :mod:`repro.graph.generators` -- synthetic generators (R-MAT, Kronecker,
-  uniform random, road lattice, small-world, and simple fixtures).
+  uniform random, road lattice, small-world, power-law, web).
 * :mod:`repro.graph.datasets` -- the Table-3 analogue registry, scaled down
   to laptop size but preserving the structural class of each paper graph.
-* :mod:`repro.graph.properties` -- degree statistics, diameter estimation and
-  connectivity helpers used to validate the generators.
-* :mod:`repro.graph.io` -- save/load in .npz and a simple text format.
+* :mod:`repro.graph.properties` -- degree statistics and diameter
+  estimation for the Table-3 summary.
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.edge_list import EdgeListGraph
 from repro.graph.generators import (
-    chain_graph,
-    complete_graph,
     grid_graph,
     kronecker_graph,
     random_uniform_graph,
     rmat_graph,
     road_network_graph,
     small_world_graph,
-    star_graph,
 )
-from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset, list_datasets
+from repro.graph.datasets import DATASETS, DatasetSpec, load_dataset
 
 __all__ = [
     "CSRGraph",
-    "EdgeListGraph",
-    "chain_graph",
-    "complete_graph",
     "grid_graph",
     "kronecker_graph",
     "random_uniform_graph",
     "rmat_graph",
     "road_network_graph",
     "small_world_graph",
-    "star_graph",
     "DATASETS",
     "DatasetSpec",
     "load_dataset",
-    "list_datasets",
 ]

@@ -24,7 +24,7 @@ graph data resident in GPU global memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class CSRView:
     def num_edges(self) -> int:
         return int(self.targets.shape[0])
 
-    def degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def degrees(self) -> np.ndarray:
         """Degree of every vertex as an int64 array."""
         return np.diff(self.offsets).astype(np.int64)
@@ -77,13 +74,6 @@ class CSRView:
 
     def neighbor_weights(self, v: int) -> np.ndarray:
         return self.weights[self.offsets[v]:self.offsets[v + 1]]
-
-    def edges(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate ``(src, dst, weight)`` triples (slow; intended for tests)."""
-        for v in range(self.num_vertices):
-            lo, hi = int(self.offsets[v]), int(self.offsets[v + 1])
-            for i in range(lo, hi):
-                yield v, int(self.targets[i]), float(self.weights[i])
 
 
 def _build_csr(
@@ -242,13 +232,6 @@ class CSRGraph:
         in_csr = None if directed else out_csr
         return cls(out_csr=out_csr, in_csr=in_csr, directed=directed, name=name)
 
-    @classmethod
-    def empty(cls, num_vertices: int, *, directed: bool = False, name: str = "") -> "CSRGraph":
-        """A graph with vertices but no edges."""
-        return cls.from_edges(num_vertices, np.zeros((0, 2), dtype=np.int64),
-                              weights=np.zeros(0, dtype=WEIGHT_DTYPE),
-                              directed=directed, name=name)
-
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -261,12 +244,6 @@ class CSRGraph:
         """Number of stored (directed) edges, i.e. 2x the undirected count."""
         return self.out_csr.num_edges
 
-    def out_degree(self, v: int) -> int:
-        return self.out_csr.degree(v)
-
-    def in_degree(self, v: int) -> int:
-        return self.in_csr.degree(v)
-
     def out_degrees(self) -> np.ndarray:
         return self.out_csr.degrees()
 
@@ -276,17 +253,8 @@ class CSRGraph:
     def out_neighbors(self, v: int) -> np.ndarray:
         return self.out_csr.neighbors(v)
 
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_csr.neighbors(v)
-
     def out_weights(self, v: int) -> np.ndarray:
         return self.out_csr.neighbor_weights(v)
-
-    def in_weights(self, v: int) -> np.ndarray:
-        return self.in_csr.neighbor_weights(v)
-
-    def edges(self) -> Iterator[Tuple[int, int, float]]:
-        return self.out_csr.edges()
 
     def max_degree(self) -> int:
         degs = self.out_degrees()
@@ -345,12 +313,6 @@ class CSRGraph:
         """Edge count used for memory-feasibility modelling (see above)."""
         return int(self.meta.get("paper_edges", self.num_edges))
 
-    def modeled_csr_bytes(self) -> int:
-        """CSR footprint at the modeled (paper) scale."""
-        directions = 2 if self.directed else 1
-        per_direction = self.modeled_num_vertices * 8 + self.modeled_num_edges * (4 + 4)
-        return directions * per_direction
-
     def modeled_edge_scale(self) -> float:
         """Ratio of modeled to actual edge count (>= 1 for analogues)."""
         if self.num_edges == 0:
@@ -366,34 +328,6 @@ class CSRGraph:
             np.arange(self.num_vertices, dtype=np.int64), self.out_degrees()
         )
         return np.stack([srcs, self.out_csr.targets.astype(np.int64)], axis=1)
-
-    def reversed(self) -> "CSRGraph":
-        """Return a graph with edge directions flipped (no-op if undirected)."""
-        if not self.directed:
-            return self
-        return CSRGraph(
-            out_csr=self.in_csr,
-            in_csr=self.out_csr,
-            directed=True,
-            name=self.name + "_rev" if self.name else "",
-            meta=dict(self.meta),
-        )
-
-    def validate(self) -> None:
-        """Raise :class:`GraphFormatError` if internal invariants are broken."""
-        for label, view in (("out", self.out_csr), ("in", self.in_csr)):
-            if view.offsets[0] != 0:
-                raise GraphFormatError(f"{label} offsets must start at 0")
-            if int(view.offsets[-1]) != view.targets.shape[0]:
-                raise GraphFormatError(f"{label} offsets end must equal edge count")
-            if np.any(np.diff(view.offsets.astype(np.int64)) < 0):
-                raise GraphFormatError(f"{label} offsets must be non-decreasing")
-            if view.targets.size and view.targets.max() >= self.num_vertices:
-                raise GraphFormatError(f"{label} neighbour id out of range")
-            if view.targets.shape[0] != view.weights.shape[0]:
-                raise GraphFormatError(f"{label} weights length mismatch")
-        if self.out_csr.num_edges != self.in_csr.num_edges:
-            raise GraphFormatError("out and in edge counts differ")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "directed" if self.directed else "undirected"
@@ -420,23 +354,3 @@ def _dedup_edges(
     keep.sort()
     return src[keep], dst[keep], w[keep]
 
-
-def union_graph(graphs: Iterable[CSRGraph], name: str = "union") -> CSRGraph:
-    """Union several graphs over the same vertex set (used in tests)."""
-    graphs = list(graphs)
-    if not graphs:
-        raise GraphFormatError("union_graph requires at least one graph")
-    n = graphs[0].num_vertices
-    if any(g.num_vertices != n for g in graphs):
-        raise GraphFormatError("all graphs must share the vertex count")
-    directed = any(g.directed for g in graphs)
-    edge_arrays = []
-    weight_arrays = []
-    for g in graphs:
-        edge_arrays.append(g.to_edge_array())
-        weight_arrays.append(g.out_csr.weights)
-    edges = np.concatenate(edge_arrays, axis=0)
-    weights = np.concatenate(weight_arrays, axis=0)
-    return CSRGraph.from_edges(
-        n, edges, weights, directed=True if directed else False, name=name
-    )

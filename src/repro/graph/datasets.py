@@ -27,7 +27,7 @@ TW         Twitter                largest, most skewed power-law graph
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.graph.csr import CSRGraph
 from repro.graph import generators as gen
@@ -187,11 +187,6 @@ HIGH_DIAMETER_GRAPHS: List[str] = ["ER", "RC"]
 _CACHE: Dict[tuple, CSRGraph] = {}
 
 
-def list_datasets() -> List[str]:
-    """Return the dataset abbreviations in the paper's canonical order."""
-    return list(DATASET_ORDER)
-
-
 def load_dataset(abbrev: str, scale: float = 1.0, *, cache: bool = True) -> CSRGraph:
     """Build (or fetch from cache) the analogue for one Table-3 graph.
 
@@ -215,8 +210,3 @@ def load_dataset(abbrev: str, scale: float = 1.0, *, cache: bool = True) -> CSRG
     if cache:
         _CACHE[cache_key] = graph
     return graph
-
-
-def clear_dataset_cache() -> None:
-    """Drop all cached graphs (used by tests that measure generation)."""
-    _CACHE.clear()

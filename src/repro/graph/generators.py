@@ -13,7 +13,7 @@ All generators are deterministic given a ``seed`` argument.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -35,38 +35,6 @@ def _finalize(
         name=name,
         weight_seed=seed,
     )
-
-
-# ----------------------------------------------------------------------
-# Simple fixtures (mostly for tests and examples)
-# ----------------------------------------------------------------------
-def chain_graph(num_vertices: int, *, name: str = "chain", seed: int = 0) -> CSRGraph:
-    """A path graph ``0 - 1 - ... - (n-1)``: the highest possible diameter."""
-    if num_vertices < 1:
-        raise ValueError("num_vertices must be >= 1")
-    src = np.arange(num_vertices - 1, dtype=np.int64)
-    edges = np.stack([src, src + 1], axis=1)
-    return _finalize(num_vertices, edges, directed=False, name=name, seed=seed)
-
-
-def star_graph(num_leaves: int, *, name: str = "star", seed: int = 0) -> CSRGraph:
-    """A hub with ``num_leaves`` spokes: the most skewed degree distribution."""
-    if num_leaves < 1:
-        raise ValueError("num_leaves must be >= 1")
-    leaves = np.arange(1, num_leaves + 1, dtype=np.int64)
-    edges = np.stack([np.zeros_like(leaves), leaves], axis=1)
-    return _finalize(num_leaves + 1, edges, directed=False, name=name, seed=seed)
-
-
-def complete_graph(num_vertices: int, *, name: str = "complete", seed: int = 0) -> CSRGraph:
-    """Every pair connected: uniform maximal degree, diameter one."""
-    if num_vertices < 1:
-        raise ValueError("num_vertices must be >= 1")
-    idx = np.arange(num_vertices, dtype=np.int64)
-    src, dst = np.meshgrid(idx, idx, indexing="ij")
-    mask = src < dst
-    edges = np.stack([src[mask], dst[mask]], axis=1)
-    return _finalize(num_vertices, edges, directed=False, name=name, seed=seed)
 
 
 def grid_graph(rows: int, cols: int, *, name: str = "grid", seed: int = 0) -> CSRGraph:
@@ -320,34 +288,3 @@ def web_graph(
     edges = np.concatenate([backbone.to_edge_array(), overlay.to_edge_array()], axis=0)
     return _finalize(num_vertices, edges, directed=False, name=name, seed=seed)
 
-
-def two_level_graph(
-    num_clusters: int,
-    cluster_size: int,
-    inter_cluster_edges: int,
-    *,
-    seed: int = 8,
-    name: str = "clustered",
-) -> CSRGraph:
-    """Clusters of dense subgraphs joined by sparse bridges.
-
-    Useful for k-Core and WCC tests where the expected result is known by
-    construction (each cluster survives k-core pruning; bridges do not).
-    """
-    if num_clusters < 1 or cluster_size < 2:
-        raise ValueError("need at least one cluster of size >= 2")
-    rng = np.random.default_rng(seed)
-    n = num_clusters * cluster_size
-    blocks = []
-    idx = np.arange(cluster_size, dtype=np.int64)
-    src_local, dst_local = np.meshgrid(idx, idx, indexing="ij")
-    mask = src_local < dst_local
-    local_edges = np.stack([src_local[mask], dst_local[mask]], axis=1)
-    for c in range(num_clusters):
-        blocks.append(local_edges + c * cluster_size)
-    edges = np.concatenate(blocks, axis=0)
-    if num_clusters > 1 and inter_cluster_edges > 0:
-        a = rng.integers(0, n, size=inter_cluster_edges, dtype=np.int64)
-        b = rng.integers(0, n, size=inter_cluster_edges, dtype=np.int64)
-        edges = np.concatenate([edges, np.stack([a, b], axis=1)], axis=0)
-    return _finalize(n, edges, directed=False, name=name, seed=seed)

@@ -1,16 +1,14 @@
 """Graph property measurements.
 
-These helpers validate that the synthetic dataset analogues really exhibit
-the structural class their paper counterparts have (skew for the social
-graphs, high diameter for the road graphs, uniformity for RD) and provide the
-statistics used by the Table-3 reproduction bench.
+These helpers measure the structural class a dataset analogue shares with
+its paper counterpart (degree skew for the social graphs, high diameter for
+the road graphs) for the Table-3 reproduction bench.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -27,11 +25,6 @@ class DegreeStats:
     median: float
     p99: float
     gini: float
-
-    @property
-    def skew_ratio(self) -> float:
-        """max / mean degree: > ~50 indicates a power-law-like tail."""
-        return self.max / self.mean if self.mean else 0.0
 
 
 def degree_stats(graph: CSRGraph) -> DegreeStats:
@@ -87,13 +80,6 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
     return levels
 
 
-def eccentricity_estimate(graph: CSRGraph, source: int = 0) -> int:
-    """Max BFS level from ``source`` (a lower bound on the diameter)."""
-    levels = bfs_levels(graph, source)
-    reachable = levels[levels >= 0]
-    return int(reachable.max()) if reachable.size else 0
-
-
 def diameter_estimate(graph: CSRGraph, num_sweeps: int = 4, seed: int = 0) -> int:
     """Double-sweep diameter lower bound.
 
@@ -116,42 +102,6 @@ def diameter_estimate(graph: CSRGraph, num_sweeps: int = 4, seed: int = 0) -> in
         best = max(best, ecc)
         current = int(reachable[np.argmax(levels[reachable])])
     return best
-
-
-def connected_components(graph: CSRGraph) -> np.ndarray:
-    """Weakly-connected component label per vertex (treats edges undirected)."""
-    n = graph.num_vertices
-    labels = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        labels[start] = current
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in graph.out_neighbors(v):
-                u = int(u)
-                if labels[u] < 0:
-                    labels[u] = current
-                    queue.append(u)
-            if graph.directed:
-                for u in graph.in_neighbors(v):
-                    u = int(u)
-                    if labels[u] < 0:
-                        labels[u] = current
-                        queue.append(u)
-        current += 1
-    return labels
-
-
-def largest_component_fraction(graph: CSRGraph) -> float:
-    """Fraction of vertices in the largest weakly-connected component."""
-    if graph.num_vertices == 0:
-        return 0.0
-    labels = connected_components(graph)
-    counts = np.bincount(labels)
-    return float(counts.max() / graph.num_vertices)
 
 
 def summarize(graph: CSRGraph) -> Dict[str, object]:

@@ -65,8 +65,7 @@ class BatchFormer:
 
     def add(self, query: PendingQuery) -> None:
         """Admit ``query`` or shed it with :class:`ServerOverloaded`."""
-        self._prune()
-        if not self.policy.admits(sum(len(q) for q in self._queues.values())):
+        if not self.policy.admits(self.depth):
             raise ServerOverloaded(
                 f"admission queue full (max_queue={self.policy.max_queue})"
             )

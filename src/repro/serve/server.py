@@ -179,6 +179,7 @@ class SIMDXServer:
         self._stats: Dict[str, float] = dict.fromkeys((
             "submitted", "served", "shed", "cancelled_after_dispatch",
             "failed", "batches", "cache_hits", "cache_repairs", "updates",
+            "updates_failed",
         ), 0)
 
     @property
@@ -371,6 +372,7 @@ class SIMDXServer:
                     deletes=batch.deletes,
                 )
             except Exception as exc:  # noqa: BLE001 - caller's batch, caller's error
+                self._stats["updates_failed"] += 1
                 if not future.done():
                     future.set_exception(exc)
                 continue

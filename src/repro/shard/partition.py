@@ -29,7 +29,6 @@ behaviour at 1/num_shards scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -153,19 +152,3 @@ class ShardPlan:
     def owner_of(self, vertices: np.ndarray) -> np.ndarray:
         """Shard index owning each vertex id."""
         return np.searchsorted(self.stops, vertices, side="right")
-
-    def split_sorted(self, vertices: np.ndarray) -> List[np.ndarray]:
-        """Per-shard slices of a *sorted* vertex array.
-
-        Because ranges are contiguous and tile ``[0, N)``, the slices are
-        contiguous views in shard order - concatenating them back yields
-        the input array.
-        """
-        bounds = np.searchsorted(vertices, self.starts)
-        ends = np.concatenate((bounds[1:], [len(vertices)]))
-        return [
-            vertices[bounds[t]:ends[t]] for t in range(self.num_shards)
-        ]
-
-    def vertex_counts(self) -> np.ndarray:
-        return self.stops - self.starts

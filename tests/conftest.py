@@ -15,6 +15,7 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.gpu.device import GPUDevice, K40
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
+from tests import graphs
 
 
 @pytest.fixture
@@ -39,12 +40,12 @@ def tiny_graph() -> CSRGraph:
 
 @pytest.fixture
 def chain_graph() -> CSRGraph:
-    return gen.chain_graph(64, seed=1)
+    return graphs.chain_graph(64, seed=1)
 
 
 @pytest.fixture
 def star_graph() -> CSRGraph:
-    return gen.star_graph(200, seed=2)
+    return graphs.star_graph(200, seed=2)
 
 
 @pytest.fixture
@@ -64,7 +65,7 @@ def road_graph() -> CSRGraph:
 
 @pytest.fixture
 def clustered_graph() -> CSRGraph:
-    return gen.two_level_graph(4, 12, 10, seed=13)
+    return graphs.two_level_graph(4, 12, 10, seed=13)
 
 
 @pytest.fixture

@@ -11,13 +11,14 @@ from repro.baselines import reference as ref
 from repro.core.engine import SIMDXEngine
 from repro.graph import generators as gen
 from tests.conftest import assert_distances_equal
+from tests import graphs, oracles
 
 GRAPH_BUILDERS = {
-    "chain": lambda: gen.chain_graph(50, seed=1),
-    "star": lambda: gen.star_graph(100, seed=2),
+    "chain": lambda: graphs.chain_graph(50, seed=1),
+    "star": lambda: graphs.star_graph(100, seed=2),
     "grid": lambda: gen.grid_graph(10, 10, seed=3),
     "rmat": lambda: gen.rmat_graph(9, 8, seed=7),
-    "clusters": lambda: gen.two_level_graph(3, 12, 8, seed=9),
+    "clusters": lambda: graphs.two_level_graph(3, 12, 8, seed=9),
     "road": lambda: gen.road_network_graph(16, 16, seed=11),
 }
 
@@ -41,7 +42,7 @@ class TestBFS:
     def test_levels_monotone_along_edges(self, rmat_graph):
         src = int(np.argmax(rmat_graph.out_degrees()))
         levels = run(rmat_graph, BFS(source=src)).values
-        for u, v, _ in rmat_graph.edges():
+        for u, v, _ in graphs.edge_triples(rmat_graph):
             if levels[u] >= 0 and levels[v] >= 0:
                 assert abs(levels[u] - levels[v]) <= 1
 
@@ -50,18 +51,18 @@ class TestBFS:
         assert levels[5] == 0
 
     def test_chain_levels_are_positions(self):
-        g = gen.chain_graph(30, seed=1)
+        g = graphs.chain_graph(30, seed=1)
         levels = run(g, BFS(source=0)).values
         assert np.array_equal(levels, np.arange(30))
 
     def test_star_two_hops(self):
-        g = gen.star_graph(50, seed=1)
+        g = graphs.star_graph(50, seed=1)
         levels = run(g, BFS(source=1)).values
         assert levels[1] == 0 and levels[0] == 1
         assert np.all(levels[2:] == 2)
 
     def test_iteration_count_equals_eccentricity_plus_one(self):
-        g = gen.chain_graph(20, seed=1)
+        g = graphs.chain_graph(20, seed=1)
         result = run(g, BFS(source=0))
         # 19 levels to fill, plus the final iteration that discovers nothing.
         assert result.iterations in (19, 20)
@@ -95,7 +96,7 @@ class TestSSSP:
     def test_triangle_inequality_along_edges(self, rmat_graph):
         src = int(np.argmax(rmat_graph.out_degrees()))
         dist = run(rmat_graph, SSSP(source=src)).values
-        for u, v, w in rmat_graph.edges():
+        for u, v, w in graphs.edge_triples(rmat_graph):
             if np.isfinite(dist[u]):
                 assert dist[v] <= dist[u] + w + 1e-6
 
@@ -119,7 +120,7 @@ class TestPageRank:
         assert np.all(ranks >= 0)
 
     def test_hub_ranks_highest_in_star(self):
-        g = gen.star_graph(100, seed=1)
+        g = graphs.star_graph(100, seed=1)
         ranks = run(g, PageRank(tolerance=1e-8)).values
         assert np.argmax(ranks) == 0
 
@@ -140,18 +141,18 @@ class TestKCore:
         algo = KCore(k=k)
         result = run(rmat_graph, algo)
         assert np.array_equal(
-            algo.core_membership(result.values), ref.kcore_membership(rmat_graph, k)
+            algo.core_membership(result.values), oracles.kcore_membership(rmat_graph, k)
         )
 
     def test_clustered_graph_core_by_construction(self):
         # Each cluster is a K12, so every vertex survives k=11 peeling.
-        g = gen.two_level_graph(3, 12, 0, seed=5)
+        g = graphs.two_level_graph(3, 12, 0, seed=5)
         algo = KCore(k=11)
         result = run(g, algo)
         assert algo.core_membership(result.values).all()
 
     def test_chain_has_no_2core(self):
-        g = gen.chain_graph(30, seed=1)
+        g = graphs.chain_graph(30, seed=1)
         algo = KCore(k=2)
         result = run(g, algo)
         assert not algo.core_membership(result.values).any()
@@ -170,15 +171,15 @@ class TestKCore:
         result = SIMDXEngine(rmat_graph).run(algo, k=8)
         assert algo.k == 8
         assert np.array_equal(
-            algo.core_membership(result.values), ref.kcore_membership(rmat_graph, 8)
+            algo.core_membership(result.values), oracles.kcore_membership(rmat_graph, 8)
         )
 
 
 class TestWCC:
     def test_matches_reference_on_clusters(self):
-        g = gen.two_level_graph(4, 8, 0, seed=3)
+        g = graphs.two_level_graph(4, 8, 0, seed=3)
         result = run(g, WCC())
-        assert np.array_equal(result.values, ref.wcc_labels(g))
+        assert np.array_equal(result.values, oracles.wcc_labels(g))
         assert np.unique(result.values).size == 4
 
     def test_connected_graph_single_label(self, grid_graph):
@@ -188,7 +189,7 @@ class TestWCC:
 
     def test_labels_are_component_minima(self, clustered_graph):
         labels = run(clustered_graph, WCC()).values
-        expected = ref.wcc_labels(clustered_graph)
+        expected = oracles.wcc_labels(clustered_graph)
         assert np.array_equal(labels, expected)
 
 
@@ -196,7 +197,7 @@ class TestSpMVAndBP:
     def test_spmv_matches_reference(self, rmat_graph):
         x = np.random.default_rng(8).random(rmat_graph.num_vertices)
         result = run(rmat_graph, SpMV(x=x))
-        assert np.allclose(result.values, ref.spmv_product(rmat_graph, x))
+        assert np.allclose(result.values, oracles.spmv_product(rmat_graph, x))
         assert result.iterations == 1
 
     def test_spmv_zero_vector(self, grid_graph):
@@ -211,7 +212,7 @@ class TestSpMVAndBP:
     def test_bp_matches_reference(self, rmat_graph):
         algo = BeliefPropagation(num_iterations=8, damping=0.5)
         result = run(rmat_graph, algo)
-        expected = ref.bp_beliefs(
+        expected = oracles.bp_beliefs(
             rmat_graph, algo._prior, damping=0.5, num_iterations=8
         )
         assert np.allclose(result.values, expected)
@@ -221,7 +222,7 @@ class TestSpMVAndBP:
         priors = np.ones(grid_graph.num_vertices)
         algo = BeliefPropagation(num_iterations=5)
         result = SIMDXEngine(grid_graph).run(algo, priors=priors)
-        expected = ref.bp_beliefs(grid_graph, priors, damping=0.5, num_iterations=5)
+        expected = oracles.bp_beliefs(grid_graph, priors, damping=0.5, num_iterations=5)
         assert np.allclose(result.values, expected)
 
     def test_bp_beliefs_normalized(self, rmat_graph):

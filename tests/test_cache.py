@@ -95,19 +95,6 @@ def test_landmark_capacity_bounds_promotion():
     assert cache.landmarks == 2
 
 
-def test_drop_stale_keeps_pinned_and_current():
-    cache = ResultCache(landmark_threshold=1)
-    cache.store("bfs", 0, None, np.zeros(2), version=0)
-    cache.lookup("bfs", 0, None, version=0)  # pinned
-    cache.store("bfs", 1, None, np.zeros(2), version=0)
-    cache.store("bfs", 2, None, np.zeros(2), version=1)
-    dropped = cache.drop_stale(1)
-    assert dropped == 1
-    assert cache.lookup("bfs", 0, None, version=1) is not None  # pinned
-    assert cache.lookup("bfs", 1, None, version=1) is None      # dropped
-    assert cache.lookup("bfs", 2, None, version=1) is not None  # current
-
-
 def test_refresh_landmarks_matches_scratch(graph):
     cache = ResultCache(landmark_threshold=1)
     config = _config()

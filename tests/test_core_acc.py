@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import BFS, SSSP, PageRank, KCore, WCC
-from repro.core.acc import ACCAlgorithm, CombineKind, CombineOp, InitialState
+from repro.core.acc import CombineKind, CombineOp, InitialState
 
 
 class TestCombineOp:
@@ -155,23 +155,43 @@ class TestAlgorithmClassification:
 
 
 class TestScalarVectorAgreement:
-    """The scalar paper semantics must agree with the vectorized forms."""
+    """The paper's per-edge ``active`` / ``compute`` / ``combine`` semantics
+    hold for the vectorized forms the engine runs."""
+
+    @staticmethod
+    def _compute_one(algo, graph, metadata, src, dst, weight):
+        return algo.compute_edges(
+            metadata[[src]], np.array([weight]), metadata[[dst]],
+            np.array([src]), np.array([dst]), graph,
+        )[0]
 
     def test_sssp_compute_scalar_matches_vector(self, tiny_graph):
         algo = SSSP(source=0)
-        state = algo.init(tiny_graph)
-        metadata = state.metadata
-        metadata[0] = 0.0
+        metadata = algo.init(tiny_graph).metadata
         # Edge a->b with weight 5 offers distance 5 to b.
-        assert algo.compute(0, 1, 5.0, metadata, tiny_graph) == pytest.approx(5.0)
+        assert self._compute_one(algo, tiny_graph, metadata, 0, 1, 5.0) == pytest.approx(5.0)
         # An edge into an already-closer vertex produces no update (NaN).
         metadata[1] = 1.0
-        assert np.isnan(algo.compute(0, 1, 5.0, metadata, tiny_graph))
+        assert np.isnan(self._compute_one(algo, tiny_graph, metadata, 0, 1, 5.0))
+        # One call over every edge equals the edge-at-a-time calls.
+        edges = tiny_graph.to_edge_array()
+        weights = tiny_graph.out_csr.weights
+        whole = algo.compute_edges(
+            metadata[edges[:, 0]], weights, metadata[edges[:, 1]],
+            edges[:, 0], edges[:, 1], tiny_graph,
+        )
+        one_by_one = [
+            self._compute_one(algo, tiny_graph, metadata, s, d, w)
+            for (s, d), w in zip(edges.tolist(), weights.tolist())
+        ]
+        np.testing.assert_array_equal(whole, one_by_one)
 
     def test_bfs_compute_offers_level_plus_one(self, tiny_graph):
         algo = BFS(source=0)
         metadata = algo.init(tiny_graph).metadata
-        assert algo.compute(0, 1, 1.0, metadata, tiny_graph) == pytest.approx(1.0)
+        assert self._compute_one(algo, tiny_graph, metadata, 0, 1, 1.0) == pytest.approx(1.0)
+        # A visited destination gets no offer, whatever the edge weight.
+        assert np.isnan(self._compute_one(algo, tiny_graph, metadata, 1, 0, 5.0))
 
     def test_active_scalar_matches_mask(self, tiny_graph):
         algo = SSSP(source=0)
@@ -180,13 +200,15 @@ class TestScalarVectorAgreement:
         metadata[3] = 1.0
         mask = algo.active_mask(metadata, prev)
         for v in range(tiny_graph.num_vertices):
-            assert algo.active(v, metadata, prev) == bool(mask[v])
+            assert bool(mask[v]) == (metadata[v] != prev[v])
+        assert np.flatnonzero(mask).tolist() == [3]
 
     def test_combine_scalar_uses_operator(self):
-        algo = SSSP()
-        assert algo.combine(np.array([4.0, 2.0, np.nan])) == pytest.approx(2.0)
-        algo2 = PageRank()
-        assert algo2.combine(np.array([1.0, 2.0])) == pytest.approx(3.0)
+        # The engine drops the NaN "no update" offers, then combines.
+        updates = np.array([4.0, 2.0, np.nan])
+        valid = updates[~np.isnan(updates)]
+        assert SSSP().combine_op.reduce(valid) == pytest.approx(2.0)
+        assert PageRank().combine_op.reduce(np.array([1.0, 2.0])) == pytest.approx(3.0)
 
 
 class TestInitialState:

@@ -8,13 +8,14 @@ import pytest
 
 from repro.algorithms import BFS, SSSP, KCore, PageRank
 from repro.baselines import reference as ref
+from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.filters import FilterMode
 from repro.core.fusion import FusionStrategy
-from repro.core.metrics import aggregate_time_us
 from repro.gpu.device import GPUDevice, K40
-from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from tests.conftest import assert_distances_equal
+from tests import graphs
 
 
 class TestFunctionalCorrectness:
@@ -63,8 +64,28 @@ class TestFunctionalCorrectness:
         assert np.array_equal(a.values, b.values)
         assert a.elapsed_us > b.elapsed_us
 
+    def test_atomic_combine_gather_that_keeps_no_edge_charges_no_atomics(self):
+        # The chain 0-1-2 beside the pair 3-4: the third pull superstep's
+        # frontier {2} has no edge into the gather worklist {3, 4}.
+        graph = CSRGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)], weights=[1, 1, 1])
+
+        class AtomicCountingDevice(GPUDevice):
+            atomic_ops = 0.0
+
+            def estimate(self, launch):
+                self.atomic_ops += launch.work.atomic_ops
+                return super().estimate(launch)
+
+        device = AtomicCountingDevice(K40)
+        result = SIMDXEngine(graph, device=device, config=EngineConfig(
+            forced_direction=Direction.PULL, atomic_combine=True,
+        )).run(BFS(source=0))
+        assert [r.active_edges for r in result.iteration_records] == [1, 1, 0]
+        # One atomic per kept edge (0->1, 1->2); the empty gather adds none.
+        assert device.atomic_ops == pytest.approx(2.0)
+
     def test_unreachable_vertices_stay_unreached(self):
-        g = gen.two_level_graph(2, 10, 0, seed=3)  # two disconnected clusters
+        g = graphs.two_level_graph(2, 10, 0, seed=3)  # two disconnected clusters
         result = SIMDXEngine(g).run(BFS(source=0))
         assert np.all(result.values[10:] == -1)
         assert np.all(result.values[:10] >= 0)
@@ -94,8 +115,10 @@ class TestRunResultContents:
     def test_iteration_records_consistent(self, rmat_graph):
         src = int(np.argmax(rmat_graph.out_degrees()))
         result = SIMDXEngine(rmat_graph).run(SSSP(source=src))
-        totals = aggregate_time_us(result.iteration_records)
-        component_sum = sum(totals.values())
+        component_sum = sum(
+            r.compute_us + r.filter_us + r.barrier_us + r.launch_us
+            for r in result.iteration_records
+        )
         assert component_sum == pytest.approx(result.elapsed_us, rel=1e-6)
         for record in result.iteration_records:
             assert record.frontier_vertices > 0
@@ -253,7 +276,7 @@ class TestMemoryFailureModes:
     def test_memory_released_after_run(self, rmat_graph):
         engine = SIMDXEngine(rmat_graph)
         engine.run(BFS(source=0))
-        assert engine.device.allocated_bytes == 0
+        assert engine.device._allocated == 0
 
     def test_batch_filter_oom_on_modeled_large_graph(self, rmat_graph):
         rmat_graph.meta["paper_edges"] = 2 * 10**9

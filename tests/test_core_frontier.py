@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.frontier import (
-    ClassifiedFrontier,
     ThreadBins,
     WorklistClassifier,
-    threads_for_frontier,
 )
 from repro.graph import generators as gen
 
@@ -27,9 +25,10 @@ class TestWorklistClassifier:
         classifier = WorklistClassifier(rmat_graph)
         frontier = np.arange(0, rmat_graph.num_vertices, 3)
         classified = classifier.classify(frontier)
-        merged = np.sort(classified.all_vertices())
+        merged = np.sort(
+            np.concatenate([classified.small, classified.medium, classified.large])
+        )
         assert np.array_equal(merged, np.sort(frontier))
-        assert classified.total_vertices == frontier.size
 
     def test_edges_match_degree_sums(self, rmat_graph):
         classifier = WorklistClassifier(rmat_graph)
@@ -60,7 +59,7 @@ class TestWorklistClassifier:
     def test_empty_frontier(self, rmat_graph):
         classifier = WorklistClassifier(rmat_graph)
         classified = classifier.classify(np.array([], dtype=np.int64))
-        assert classified.total_vertices == 0
+        assert classified.small.size == classified.medium.size == classified.large.size == 0
         assert classified.total_edges == 0
 
     def test_invalid_separators_rejected(self, rmat_graph):
@@ -70,11 +69,6 @@ class TestWorklistClassifier:
             WorklistClassifier(
                 rmat_graph, small_medium_separator=64, medium_large_separator=32
             )
-
-    def test_degrees_of(self, star_graph):
-        classifier = WorklistClassifier(star_graph)
-        degs = classifier.degrees_of(np.array([0, 1]))
-        assert degs[0] == 200 and degs[1] == 1
 
     def test_edge_count_matches_degree_sum(self, rmat_graph):
         classifier = WorklistClassifier(rmat_graph)
@@ -91,21 +85,14 @@ class TestWorklistClassifier:
         pull = WorklistClassifier(directed_graph, direction=Direction.PULL)
         everything = np.arange(directed_graph.num_vertices)
         assert np.array_equal(
-            push.degrees_of(everything), directed_graph.out_degrees()
+            push._degrees, directed_graph.out_degrees()
         )
         assert np.array_equal(
-            pull.degrees_of(everything), directed_graph.in_degrees()
+            pull._degrees, directed_graph.in_degrees()
         )
         assert pull.classify(everything).total_edges == int(
             directed_graph.in_degrees().sum()
         )
-
-    def test_threads_for_frontier(self, star_graph):
-        classifier = WorklistClassifier(star_graph)
-        classified = classifier.classify(np.arange(star_graph.num_vertices))
-        threads = threads_for_frontier(classified)
-        # 200 leaves * 1 thread + the hub (degree 200 < 256) * 1 warp.
-        assert threads == 200 * 1 + 1 * 32
 
 
 class TestThreadBins:

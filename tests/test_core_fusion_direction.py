@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.direction import Direction, DirectionSelector
 from repro.core.fusion import FusionPlan, FusionStrategy, REGISTERS_TABLE
+from repro.gpu.barrier import SoftwareGlobalBarrier
 from repro.gpu.device import K20, K40, P100
 
 
@@ -91,15 +92,6 @@ class TestFusionPlan:
         p100 = plan.configurable_threads(P100)
         assert k20 < k40 < p100
 
-    def test_expected_launch_counts(self):
-        none = FusionPlan(FusionStrategy.NONE)
-        all_fused = FusionPlan(FusionStrategy.ALL)
-        push_pull = FusionPlan(FusionStrategy.PUSH_PULL)
-        assert none.expected_launches(100, 2) == 400
-        assert all_fused.expected_launches(100, 2) == 1
-        assert push_pull.expected_launches(100, 2) == 3
-        assert push_pull.expected_launches(0, 0) == 0
-
     def test_unknown_kernel_key_rejected(self):
         with pytest.raises(KeyError):
             FusionPlan(FusionStrategy.NONE).kernel("nonexistent")
@@ -109,8 +101,13 @@ class TestFusionPlan:
         assert plan.kernel("fused_push").registers_per_thread == 64
 
     def test_persistent_cta_count_positive(self):
-        for strategy in FusionStrategy:
-            assert FusionPlan(strategy).persistent_cta_count(K40) > 0
+        # The persistent kernel a fused strategy's software barrier spans
+        # hosts at least one CTA on every device.
+        for strategy, key in ((FusionStrategy.PUSH_PULL, "fused_push"),
+                              (FusionStrategy.ALL, "fused_all")):
+            kernel = FusionPlan(strategy).kernel(key)
+            for spec in (K20, K40, P100):
+                assert SoftwareGlobalBarrier(spec, kernel).max_resident_ctas > 0
 
 
 class TestDirectionSelector:
@@ -127,7 +124,7 @@ class TestDirectionSelector:
     def test_switches_back_to_push_on_small_frontier(self):
         sel = DirectionSelector(total_edges=1000)
         sel.decide(500)
-        assert sel.current is Direction.PULL
+        assert sel._current is Direction.PULL
         assert sel.decide(5) is Direction.PUSH
 
     def test_hysteresis_between_thresholds(self):
@@ -146,7 +143,12 @@ class TestDirectionSelector:
         assert Direction.PULL in directions
         assert directions[-1] is Direction.PUSH
         assert sel.switches() == 2
-        assert sum(sel.phase_lengths()) == len(frontier_edges)
+        assert len(sel.history) == len(frontier_edges)
+
+    def test_phase_lengths_empty_history(self):
+        sel = DirectionSelector(total_edges=10)
+        assert sel.history == []
+        assert sel.switches() == 0
 
     def test_empty_graph_never_switches(self):
         sel = DirectionSelector(total_edges=0)
@@ -160,19 +162,14 @@ class TestDirectionSelector:
         with pytest.raises(ValueError):
             DirectionSelector(total_edges=10, to_pull_threshold=2.0)
 
-    def test_phase_lengths_empty_history(self):
-        sel = DirectionSelector(total_edges=10)
-        assert sel.phase_lengths() == []
-
     def test_force_records_history_and_current(self):
         sel = DirectionSelector(total_edges=1000)
         assert sel.force(Direction.PULL) is Direction.PULL
-        assert sel.current is Direction.PULL
+        assert sel._current is Direction.PULL
         assert sel.force(Direction.PULL) is Direction.PULL
         assert sel.force(Direction.PUSH) is Direction.PUSH
         assert sel.history == [Direction.PULL, Direction.PULL, Direction.PUSH]
         assert sel.switches() == 1
-        assert sel.phase_lengths() == [2, 1]
 
     def test_force_then_decide_uses_forced_state(self):
         sel = DirectionSelector(total_edges=1000)

@@ -53,6 +53,7 @@ from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from tests.conftest import assert_distances_equal
 from tests.engine_seams import ScheduledEngine, random_split_schedule
+from tests import oracles
 
 #: ``REPRO_SANITIZE=1`` runs the whole matrix with the runtime sanitizer
 #: armed (``EngineConfig.sanitize``): any combine bypass, phase-order
@@ -167,7 +168,7 @@ def _kcore_case(graph, rng):
 
     def oracle(values, algo):
         assert np.array_equal(
-            algo.core_membership(values), ref.kcore_membership(graph, k)
+            algo.core_membership(values), oracles.kcore_membership(graph, k)
         )
 
     return (lambda: KCore(k=k)), oracle
@@ -175,7 +176,7 @@ def _kcore_case(graph, rng):
 
 def _wcc_case(graph, rng):
     def oracle(values, algo):
-        assert np.array_equal(values, ref.wcc_labels(graph))
+        assert np.array_equal(values, oracles.wcc_labels(graph))
 
     return (lambda: WCC()), oracle
 
@@ -184,14 +185,14 @@ def _spmv_case(graph, rng):
     x = rng.random(graph.num_vertices)
 
     def oracle(values, algo):
-        assert np.allclose(values, ref.spmv_product(graph, x))
+        assert np.allclose(values, oracles.spmv_product(graph, x))
 
     return (lambda: SpMV(x=x.copy())), oracle
 
 
 def _bp_case(graph, rng):
     def oracle(values, algo):
-        expected = ref.bp_beliefs(
+        expected = oracles.bp_beliefs(
             graph, algo._prior, damping=0.5, num_iterations=6
         )
         assert np.allclose(values, expected)

@@ -8,8 +8,8 @@ import pytest
 
 from repro.gpu import memory as gmem
 from repro.gpu import warp
-from repro.gpu.atomics import combined_profile, profile_atomic_updates
-from repro.gpu.primitives import compact_flags, concatenate_bins, exclusive_scan, fill
+from repro.gpu.atomics import profile_atomic_updates
+from repro.gpu.primitives import compact_flags, concatenate_bins
 
 
 class TestMemoryHelpers:
@@ -46,11 +46,6 @@ class TestMemoryHelpers:
         assert gmem.worklist_sortedness(np.array([], dtype=np.int64)) == 1.0
         assert 0.0 < gmem.worklist_sortedness(np.array([1, 3, 2, 4])) < 1.0
 
-    def test_redundancy_factor(self):
-        assert gmem.redundancy_factor(np.array([1, 2, 3])) == 1.0
-        assert gmem.redundancy_factor(np.array([1, 1, 2, 2])) == 2.0
-        assert gmem.redundancy_factor(np.array([], dtype=np.int64)) == 1.0
-
     def test_frontier_expansion_traffic_components(self):
         t = gmem.frontier_expansion_traffic(10, 100, sortedness=1.0, weighted=True)
         assert t.coalesced_bytes == pytest.approx(10 * 4 + 100 * 8)
@@ -76,38 +71,6 @@ class TestWarpPrimitives:
         assert warp.num_warps(1) == 1
         assert warp.num_warps(32) == 1
         assert warp.num_warps(33) == 2
-
-    def test_ballot_bitmask(self):
-        assert warp.ballot([True, False, True]) == 0b101
-        assert warp.ballot([False] * 32) == 0
-        assert warp.ballot([True] * 32) == (1 << 32) - 1
-
-    def test_ballot_rejects_oversized_warp(self):
-        with pytest.raises(ValueError):
-            warp.ballot([True] * 33)
-
-    def test_ballot_array_matches_scalar_ballot(self):
-        rng = np.random.default_rng(3)
-        flags = rng.random(100) < 0.3
-        masks = warp.ballot_array(flags)
-        assert masks.shape[0] == warp.num_warps(100)
-        for w in range(masks.shape[0]):
-            chunk = flags[w * 32:(w + 1) * 32]
-            assert int(masks[w]) == warp.ballot(chunk)
-
-    def test_popcount_matches_flag_count(self):
-        rng = np.random.default_rng(4)
-        flags = rng.random(256) < 0.5
-        masks = warp.ballot_array(flags)
-        assert int(warp.popcount(masks).sum()) == int(flags.sum())
-
-    def test_warp_reduce(self):
-        assert warp.warp_reduce(np.array([3.0, 1.0, 2.0]), np.min) == 1.0
-        assert warp.warp_reduce(np.array([3.0, 1.0, 2.0]), np.sum) == 6.0
-        with pytest.raises(ValueError):
-            warp.warp_reduce(np.array([]), np.min)
-        with pytest.raises(ValueError):
-            warp.warp_reduce(np.zeros(40), np.min)
 
     def test_reduction_primitive_ops_scaling(self):
         assert warp.reduction_primitive_ops(0) == 0.0
@@ -171,19 +134,6 @@ class TestWarpPrimitives:
                 )
                 assert warp.reduction_primitive_ops(count, warp_size) == expected
 
-    def test_warp_combine_matches_numpy_reduction(self):
-        rng = np.random.default_rng(6)
-        updates = rng.random(100)
-        result = warp.warp_combine(updates, np.min)
-        assert result.value == pytest.approx(updates.min())
-        assert result.primitive_ops > 0
-        result_sum = warp.warp_combine(updates, np.sum)
-        assert result_sum.value == pytest.approx(updates.sum())
-
-    def test_warp_combine_requires_updates(self):
-        with pytest.raises(ValueError):
-            warp.warp_combine(np.array([]), np.min)
-
 
 class TestAtomicsProfiling:
     def test_empty_profile(self):
@@ -206,47 +156,27 @@ class TestAtomicsProfiling:
         p = profile_atomic_updates(dests)
         assert 1.0 < p.contention < 100.0
 
-    def test_scaled(self):
-        p = profile_atomic_updates(np.zeros(100, dtype=np.int64)).scaled(0.5)
-        assert p.num_ops == 50
-        assert p.max_contention == 100
-
-    def test_scaled_rounds_to_nearest(self):
-        p = profile_atomic_updates(np.zeros(101, dtype=np.int64)).scaled(0.99)
-        assert p.num_ops == 100  # int() truncation would give 99
-
-    def test_scaled_floors_nonempty_at_one_op(self):
-        p = profile_atomic_updates(np.zeros(100, dtype=np.int64)).scaled(0.001)
-        assert p.num_ops == 1
-
-    def test_scaled_empty_and_zero_factor_stay_zero(self):
-        empty = profile_atomic_updates(np.array([], dtype=np.int64)).scaled(0.5)
-        assert empty.num_ops == 0
-        zeroed = profile_atomic_updates(np.zeros(100, dtype=np.int64)).scaled(0.0)
-        assert zeroed.num_ops == 0
-
-    def test_combined_profile_weighted(self):
-        a = profile_atomic_updates(np.zeros(100, dtype=np.int64))
-        b = profile_atomic_updates(np.arange(100))
-        combined = combined_profile([a, b])
-        assert combined.num_ops == 200
-        assert 1.0 < combined.contention < 100.0
-        assert combined_profile([]).num_ops == 0
+    @pytest.mark.parametrize("seed", range(6))
+    def test_profile_matches_per_address_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        # A Zipf-like spread: a few hot addresses and a long cold tail.
+        dests = rng.zipf(1.5 + seed / 4, size=int(rng.integers(1, 2000))) % 500
+        p = profile_atomic_updates(dests)
+        counts = np.bincount(dests)
+        counts = counts[counts > 0]
+        assert p.num_ops == dests.size
+        assert p.max_contention == counts.max()
+        assert p.contention == pytest.approx(max(1.0, (counts ** 2).sum() / dests.size))
+        assert 1.0 <= p.contention <= p.max_contention
+        # Contention depends on the multiset of addresses, not their order.
+        assert profile_atomic_updates(rng.permutation(dests)) == p
 
 
 class TestDevicePrimitives:
-    def test_exclusive_scan_values(self):
-        result = exclusive_scan(np.array([3, 0, 2, 5]))
-        assert np.array_equal(result.values, [0, 3, 3, 5, 10])
-        assert result.work.compute_ops > 0
-
-    def test_exclusive_scan_empty(self):
-        result = exclusive_scan(np.array([], dtype=np.int64))
-        assert np.array_equal(result.values, [0])
-
     def test_scan_primitive_steps_are_ceil_log2(self):
         for n in [*range(0, 70), 255, 256, 257, 4096, 4097]:
-            steps = exclusive_scan(np.ones(n, dtype=np.int64)).work.warp_primitive_ops
+            sizes = np.zeros(n, dtype=np.int64)
+            steps = concatenate_bins(sizes[:0], sizes).work.warp_primitive_ops
             assert steps == (int(np.ceil(np.log2(max(n, 2)))) if n else 0.0)
 
     def test_concatenate_bins_preserves_order_and_content(self):
@@ -265,8 +195,25 @@ class TestDevicePrimitives:
         result = compact_flags(np.zeros(10, dtype=bool))
         assert result.values.size == 0
 
-    def test_fill_cost(self):
-        work = fill(0.0, 1000)
-        assert work.coalesced_bytes == 4000.0
-        with pytest.raises(ValueError):
-            fill(0.0, -1)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compact_flags_matches_flatnonzero(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(0, 3000))
+        flags = rng.random(n) < rng.random()
+        result = compact_flags(flags)
+        assert np.array_equal(result.values, np.flatnonzero(flags))
+        assert result.values.dtype == np.int64
+        # One ballot per warp, one 4-byte id written per set flag.
+        assert result.work.warp_primitive_ops == -(-n // 32)
+        assert result.work.coalesced_bytes == 4.0 * np.count_nonzero(flags)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_concatenate_bins_prices_scan_and_copy(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        sizes = rng.integers(0, 6, size=int(rng.integers(1, 400)))
+        entries = rng.integers(0, 10_000, size=int(sizes.sum()))
+        result = concatenate_bins(entries, sizes)
+        assert np.array_equal(result.values, entries)
+        # Scan: two ops per bin; scatter: one per entry.
+        assert result.work.compute_ops == 2 * sizes.size + entries.size
+        assert result.work.warp_primitive_ops == (max(sizes.size, 2) - 1).bit_length()

@@ -1,18 +1,12 @@
-"""Tests for the CSR graph structure, the edge-list view and graph I/O."""
+"""Tests for the CSR graph structure and its memory accounting."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.graph.csr import CSRGraph, GraphFormatError, union_graph
-from repro.graph.edge_list import EdgeListGraph
-from repro.graph.io import (
-    load_edge_list_text,
-    load_npz,
-    save_edge_list_text,
-    save_npz,
-)
+from repro.graph.csr import CSRGraph, GraphFormatError, transpose_csr
+from tests import graphs
 
 
 class TestConstruction:
@@ -24,9 +18,9 @@ class TestConstruction:
     def test_directed_keeps_one_direction(self):
         g = CSRGraph.from_edges(4, [(0, 1), (1, 2)], weights=[1, 1], directed=True)
         assert g.num_edges == 2
-        assert g.out_degree(0) == 1
-        assert g.in_degree(0) == 0
-        assert g.in_degree(1) == 1
+        assert g.out_degrees()[0] == 1
+        assert g.in_degrees()[0] == 0
+        assert g.in_degrees()[1] == 1
 
     def test_undirected_in_equals_out(self):
         g = CSRGraph.from_edges(4, [(0, 1), (1, 2)], weights=[1, 1])
@@ -93,7 +87,7 @@ class TestConstruction:
         assert np.all(g.out_csr.weights >= 1)
 
     def test_empty_graph(self):
-        g = CSRGraph.empty(5)
+        g = graphs.empty_graph(5)
         assert g.num_vertices == 5
         assert g.num_edges == 0
         assert g.max_degree() == 0
@@ -131,14 +125,8 @@ class TestAccessors:
 
     def test_figure1_degrees(self, tiny_graph):
         # Vertex e (index 4) has 6 neighbours in Figure 1.
-        assert tiny_graph.out_degree(4) == 6
-        assert tiny_graph.out_degree(8) == 1
-
-    def test_edges_iterator_matches_counts(self, tiny_graph):
-        edges = list(tiny_graph.edges())
-        assert len(edges) == tiny_graph.num_edges
-        for s, d, w in edges:
-            assert 0 <= s < 9 and 0 <= d < 9 and w > 0
+        assert tiny_graph.out_degrees()[4] == 6
+        assert tiny_graph.out_degrees()[8] == 1
 
     def test_max_and_average_degree(self, star_graph):
         assert star_graph.max_degree() == 200
@@ -162,17 +150,33 @@ class TestAccessors:
         )
         assert rebuilt.num_edges == rmat_graph.num_edges
 
+    def test_edges_iterator_matches_counts(self, tiny_graph):
+        triples = list(graphs.edge_triples(tiny_graph))
+        assert len(triples) == tiny_graph.num_edges
+        assert [[s, d] for s, d, _ in triples] == tiny_graph.to_edge_array().tolist()
+        for s, d, w in triples:
+            assert 0 <= s < 9 and 0 <= d < 9 and w > 0
+
     def test_reversed_directed_graph(self, directed_graph):
-        rev = directed_graph.reversed()
+        rev = transpose_csr(directed_graph.out_csr)
         assert rev.num_edges == directed_graph.num_edges
-        assert np.array_equal(rev.out_degrees(), directed_graph.in_degrees())
+        assert np.array_equal(rev.degrees(), directed_graph.in_degrees())
+        # Every stored edge s->d appears as d->s in the transpose.
+        forward = {tuple(e) for e in directed_graph.to_edge_array().tolist()}
+        sources = np.repeat(np.arange(rev.num_vertices), rev.degrees())
+        backward = {(int(d), int(s)) for s, d in zip(sources, rev.targets)}
+        assert backward == forward
 
     def test_reversed_undirected_is_identity(self, tiny_graph):
-        assert tiny_graph.reversed() is tiny_graph
+        assert tiny_graph.in_csr is tiny_graph.out_csr
+        rev = transpose_csr(tiny_graph.out_csr)
+        assert np.array_equal(rev.offsets, tiny_graph.out_csr.offsets)
+        assert np.array_equal(rev.targets, tiny_graph.out_csr.targets)
+        assert np.array_equal(rev.weights, tiny_graph.out_csr.weights)
 
     def test_validate_passes_on_generated_graphs(self, rmat_graph, directed_graph):
-        rmat_graph.validate()
-        directed_graph.validate()
+        graphs.assert_valid_csr(rmat_graph)
+        graphs.assert_valid_csr(directed_graph)
 
 
 class TestMemoryAccounting:
@@ -199,112 +203,4 @@ class TestMemoryAccounting:
         tiny_graph.meta["paper_edges"] = 50_000_000
         assert tiny_graph.modeled_num_vertices == 1_000_000
         assert tiny_graph.modeled_num_edges == 50_000_000
-        assert tiny_graph.modeled_csr_bytes() > tiny_graph.csr_bytes()
         assert tiny_graph.modeled_edge_scale() > 1.0
-
-
-class TestUnionGraph:
-    def test_union_combines_edges(self):
-        a = CSRGraph.from_edges(4, [(0, 1)], weights=[1])
-        b = CSRGraph.from_edges(4, [(2, 3)], weights=[1])
-        u = union_graph([a, b])
-        assert u.num_edges == 4
-
-    def test_union_requires_matching_vertex_count(self):
-        a = CSRGraph.from_edges(4, [(0, 1)], weights=[1])
-        b = CSRGraph.from_edges(5, [(2, 3)], weights=[1])
-        with pytest.raises(GraphFormatError):
-            union_graph([a, b])
-
-    def test_union_of_nothing_rejected(self):
-        with pytest.raises(GraphFormatError):
-            union_graph([])
-
-
-class TestEdgeListGraph:
-    def test_from_csr_preserves_counts(self, rmat_graph):
-        el = EdgeListGraph.from_csr(rmat_graph)
-        assert el.num_edges == rmat_graph.num_edges
-        assert el.num_vertices == rmat_graph.num_vertices
-
-    def test_nbytes_is_twelve_per_edge(self, rmat_graph):
-        el = EdgeListGraph.from_csr(rmat_graph)
-        assert el.nbytes() == 12 * el.num_edges
-
-    def test_edges_iterator(self, tiny_graph):
-        el = EdgeListGraph.from_csr(tiny_graph)
-        edges = list(el.edges())
-        assert len(edges) == tiny_graph.num_edges
-
-    def test_shards_partition_all_edges(self, rmat_graph):
-        el = EdgeListGraph.from_csr(rmat_graph)
-        shards = el.shards(8)
-        assert sum(s.size for s in shards) == el.num_edges
-        # Shards are disjoint.
-        all_ids = np.concatenate(shards)
-        assert np.unique(all_ids).size == el.num_edges
-
-    def test_shards_respect_destination_ranges(self, rmat_graph):
-        el = EdgeListGraph.from_csr(rmat_graph)
-        shards = el.shards(4)
-        bounds = np.linspace(0, el.num_vertices, 5).astype(np.int64)
-        for i, shard in enumerate(shards):
-            if shard.size == 0:
-                continue
-            dsts = el.targets[shard]
-            assert dsts.min() >= bounds[i]
-            assert dsts.max() <= bounds[i + 1]
-
-    def test_invalid_shard_count_rejected(self, tiny_graph):
-        el = EdgeListGraph.from_csr(tiny_graph)
-        with pytest.raises(ValueError):
-            el.shards(0)
-
-
-class TestGraphIO:
-    def test_npz_roundtrip_undirected(self, tiny_graph, tmp_path):
-        path = tmp_path / "g.npz"
-        save_npz(tiny_graph, path)
-        loaded = load_npz(path)
-        assert loaded.num_vertices == tiny_graph.num_vertices
-        assert loaded.num_edges == tiny_graph.num_edges
-        assert np.array_equal(loaded.out_csr.targets, tiny_graph.out_csr.targets)
-        assert np.allclose(loaded.out_csr.weights, tiny_graph.out_csr.weights)
-        assert not loaded.directed
-
-    def test_npz_roundtrip_directed(self, directed_graph, tmp_path):
-        path = tmp_path / "d.npz"
-        save_npz(directed_graph, path)
-        loaded = load_npz(path)
-        assert loaded.directed
-        assert np.array_equal(loaded.in_csr.offsets, directed_graph.in_csr.offsets)
-
-    def test_text_roundtrip(self, tiny_graph, tmp_path):
-        path = tmp_path / "g.txt"
-        save_edge_list_text(tiny_graph, path)
-        loaded = load_edge_list_text(path, directed=True,
-                                     num_vertices=tiny_graph.num_vertices)
-        assert loaded.num_edges == tiny_graph.num_edges
-
-    def test_text_parses_comments_and_defaults(self, tmp_path):
-        path = tmp_path / "simple.txt"
-        path.write_text("# comment\n0 1\n1 2 7.5\n\n")
-        g = load_edge_list_text(path, directed=True)
-        assert g.num_vertices == 3
-        assert g.num_edges == 2
-        assert g.out_weights(1)[0] == pytest.approx(7.5)
-
-    def test_text_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0\n")
-        from repro.graph.csr import GraphFormatError
-
-        with pytest.raises(GraphFormatError):
-            load_edge_list_text(path)
-
-    def test_text_empty_file_gives_empty_graph(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("# nothing\n")
-        g = load_edge_list_text(path, num_vertices=4)
-        assert g.num_vertices == 4
-        assert g.num_edges == 0

@@ -77,11 +77,11 @@ class TestControllerUnit:
             make_ctx(updated=tuple(range(50)), num_threads=1), 1,
             direction=Direction.PUSH,
         )
-        assert jit.current_filter_name == "ballot"
+        assert jit._use_ballot
         # ...but the first pull iteration forces online regardless.
         jit.build(pull_ctx(), 2, direction=Direction.PULL)
         assert jit.decisions[-1].filter_used == "online"
-        assert jit.current_filter_name == "online"
+        assert not jit._use_ballot
 
     def test_never_ballot_during_pull_phase(self):
         jit = JITTaskManager(overflow_threshold=4)

@@ -150,8 +150,8 @@ class TestBatchDirectionPolicy:
             SubBatchPlan(Direction.PUSH, (0,)),
             SubBatchPlan(Direction.PULL, (1,)),
         ])
-        assert policy.lane_selectors[0].current is Direction.PUSH
-        assert policy.lane_selectors[1].current is Direction.PULL
+        assert policy.lane_selectors[0]._current is Direction.PUSH
+        assert policy.lane_selectors[1]._current is Direction.PULL
         assert policy.split_history == [True]
         # Lane 1 now plans from pull-side hysteresis: a mid-threshold
         # share (between to_push and to_pull) keeps it pulling, so with a
@@ -164,7 +164,7 @@ class TestBatchDirectionPolicy:
             lambda lane: (10, 3),  # a cheap pruned gather worklist
             Direction.PUSH,
         )
-        assert policy.lane_selectors[1].current is Direction.PULL
+        assert policy.lane_selectors[1]._current is Direction.PULL
         assert decision.split
         assert decision.groups[1] == SubBatchPlan(Direction.PULL, (1,))
 
@@ -186,10 +186,8 @@ class TestSubBatchView:
         assert sub.lane_ids == (2, 0)
         assert np.array_equal(sub.lane_vertices(0), [7, 9])   # global lane 2
         assert np.array_equal(sub.lane_vertices(1), [1, 3, 7])  # global lane 0
-        assert sub.global_lane(0) == 2
-        assert sub.global_lane(1) == 0
-        # The full batch maps local to global as the identity.
-        assert bf.global_lane(1) == 1
+        # The full batch keeps no map: local and global ids coincide.
+        assert bf.lane_ids is None
 
     def test_sub_batch_drops_other_lanes_vertices(self):
         bf = BatchedFrontier.from_lanes(
@@ -387,7 +385,7 @@ class TestJITFork:
         jit._use_ballot = True
         jit._last_direction = Direction.PULL
         fork = jit.fork()
-        assert fork.current_filter_name == "ballot"
+        assert fork._use_ballot
         assert fork.last_direction is Direction.PULL
         assert fork.overflow_threshold == jit.overflow_threshold
         assert fork.decisions == [] and fork.decisions is not jit.decisions

@@ -36,6 +36,7 @@ from repro.core.metrics import (
 )
 from repro.graph import generators as gen
 from tests.engine_seams import ScheduledEngine
+from tests import graphs
 
 
 def _record(direction, scanned, active, compute_us, iteration=1):
@@ -155,7 +156,7 @@ class TestForcedScheduleSweep:
 
     @pytest.fixture(scope="class")
     def sweep_records(self):
-        graph = gen.two_level_graph(8, 14, 3, seed=13)
+        graph = graphs.two_level_graph(8, 14, 3, seed=13)
         push_records, pull_records = [], []
         for lead in self.LEADS:
             schedule = [Direction.PUSH] * lead + [

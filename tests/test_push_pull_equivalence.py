@@ -141,7 +141,7 @@ class TestDirectionTraceFidelity:
         assert first.frontier_edges == in_total
         assert engine.pull_classifier.direction is Direction.PULL
         assert np.array_equal(
-            engine.pull_classifier.degrees_of(np.arange(graph.num_vertices)),
+            engine.pull_classifier._degrees,
             graph.in_degrees(),
         )
 

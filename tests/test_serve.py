@@ -83,6 +83,39 @@ async def submit_tasks(server, queries):
 
 
 # ----------------------------------------------------------------------
+# Admission policy: seeded properties
+# ----------------------------------------------------------------------
+def test_admission_policy_properties_on_seeded_policies():
+    """200 seeded policies: ``admits`` never re-opens as the queue grows,
+    ``should_dispatch`` never turns off as depth or wait grows and is never
+    true on an empty queue, and ``deadline`` is ``max_wait_s`` after the
+    head query's arrival."""
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        policy = AdmissionPolicy(
+            max_batch=int(rng.integers(1, 65)),
+            max_wait_ms=float(rng.choice([0.0, rng.uniform(0.0, 50.0)])),
+            max_queue=int(rng.integers(1, 257)),
+        )
+        admitted = [policy.admits(d) for d in range(policy.max_queue + 8)]
+        assert admitted == sorted(admitted, reverse=True)
+        depths = np.arange(0, 2 * policy.max_batch + 2)
+        waits = np.concatenate(
+            ([0.0, policy.max_wait_s], rng.uniform(0.0, 3 * policy.max_wait_s + 1e-3, 6))
+        )
+        waits.sort()
+        grid = np.array([
+            [policy.should_dispatch(int(d), float(w)) for w in waits]
+            for d in depths
+        ])
+        assert not grid[0].any()
+        assert (np.diff(grid.astype(int), axis=0) >= 0).all()  # in depth
+        assert (np.diff(grid.astype(int), axis=1) >= 0).all()  # in wait
+        for t in rng.uniform(0.0, 1e4, 4):
+            assert policy.deadline(t) - t == pytest.approx(policy.max_wait_s, abs=1e-9)
+
+
+# ----------------------------------------------------------------------
 # Batch formation
 # ----------------------------------------------------------------------
 def test_batch_forms_at_max_k(graph):
@@ -616,6 +649,49 @@ def test_update_validation_rejects_bad_edges(graph):
     server = asyncio.run(scenario())
     assert server.dyn.version == 0
     assert server.stats["updates"] == 0
+
+
+def test_failed_update_is_counted_and_leaves_the_graph_coherent(graph):
+    """An update the front-end raises on fails its own future, is counted
+    in ``updates_failed``, leaves the graph version alone, and the server
+    keeps answering exactly what a server that never saw it answers."""
+
+    def raising_once(update):
+        calls = []
+
+        def wrapped(**kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                raise RuntimeError("injected update failure")
+            return update(**kwargs)
+
+        return wrapped
+
+    async def scenario(inject):
+        server = make_server(
+            graph, AdmissionPolicy(max_batch=4, max_wait_ms=1.0), cache=True
+        )
+        async with server:
+            await server.submit("bfs", 3)  # cached at version 0
+            if inject:
+                server.front.update = raising_once(server.front.update)
+                with pytest.raises(RuntimeError, match="injected"):
+                    await server.update(inserts=[(3, 150)])
+                assert server.dyn.version == 0
+            at_version_0 = await server.submit("bfs", 3)
+            await server.update(inserts=[(3, 200)], deletes=[(5, 9)])
+            at_version_1 = await server.submit("bfs", 3)
+        return server, at_version_0, at_version_1
+
+    server, failed_v0, failed_v1 = asyncio.run(scenario(inject=True))
+    fresh, fresh_v0, fresh_v1 = asyncio.run(scenario(inject=False))
+    assert server.stats["updates_failed"] == 1
+    assert server.stats["updates"] == 1
+    assert fresh.stats["updates_failed"] == 0
+    assert server.dyn.version == fresh.dyn.version == 1
+    for failed, clean in ((failed_v0, fresh_v0), (failed_v1, fresh_v1)):
+        assert failed.extra["dyn_graph_version"] == clean.extra["dyn_graph_version"]
+        np.testing.assert_array_equal(failed.values, clean.values)
 
 
 def test_update_refreshes_landmarks(graph):

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.graph import generators as gen
-from repro.graph.csr import CSRGraph
 from repro.shard.partition import ShardPlan
+from tests import graphs
 
 #: Skewed and uniform shapes; rmat is the adversarial case for balance
 #: (a few hub rows hold a large share of the edges).
@@ -43,7 +43,7 @@ class TestPlanProperties:
         # previous one stopped (empty ranges are allowed).
         assert np.array_equal(plan.starts[1:], plan.stops[:-1])
         assert (plan.stops >= plan.starts).all()
-        assert plan.vertex_counts().sum() == graph.num_vertices
+        assert (plan.stops - plan.starts).sum() == graph.num_vertices
 
     def test_every_edge_classified_exactly_once(self, name, num_shards):
         graph = GRAPHS[name]
@@ -79,13 +79,15 @@ class TestPlanProperties:
             assert (members < plan.stops[t]).all()
 
     def test_split_sorted_partitions_worklist(self, name, num_shards):
+        """A sorted worklist splits into one contiguous run per shard at
+        ``searchsorted(worklist, starts)``: the cut ``owner_of`` makes."""
         graph = GRAPHS[name]
         plan = ShardPlan.build(graph, num_shards)
         rng = np.random.default_rng(13)
         worklist = np.unique(
             rng.integers(0, graph.num_vertices, size=graph.num_vertices // 2)
         )
-        parts = plan.split_sorted(worklist)
+        parts = np.split(worklist, np.searchsorted(worklist, plan.starts[1:]))
         assert len(parts) == num_shards
         assert np.array_equal(np.concatenate(parts), worklist)
         for t, part in enumerate(parts):
@@ -131,9 +133,9 @@ def test_range_compare_counts_remote_reads_like_owner_of():
 
 class TestDegenerateShapes:
     def test_empty_graph(self):
-        graph = CSRGraph.empty(6, name="empty")
+        graph = graphs.empty_graph(6, name="empty")
         plan = ShardPlan.build(graph, 4)
-        assert plan.vertex_counts().sum() == 6
+        assert (plan.stops - plan.starts).sum() == 6
         assert plan.out_edge_counts.sum() == 0
         assert plan.modeled_edges.sum() == 0
 
@@ -141,16 +143,16 @@ class TestDegenerateShapes:
         graph = gen.random_uniform_graph(3, 4, seed=1, name="tiny")
         plan = ShardPlan.build(graph, 8)
         assert plan.num_shards == 8
-        assert plan.vertex_counts().sum() == 3
+        assert (plan.stops - plan.starts).sum() == 3
         assert plan.out_edge_counts.sum() == graph.num_edges
         # Every vertex still has exactly one owner.
         owner = plan.owner_of(np.arange(3))
         assert ((owner >= 0) & (owner < 8)).all()
 
     def test_single_vertex(self):
-        graph = CSRGraph.empty(1, name="one")
+        graph = graphs.empty_graph(1, name="one")
         plan = ShardPlan.build(graph, 2)
-        assert plan.vertex_counts().sum() == 1
+        assert (plan.stops - plan.starts).sum() == 1
         assert plan.out_edge_counts.sum() == 0
 
     def test_invalid_shard_count_rejected(self):
