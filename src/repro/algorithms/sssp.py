@@ -99,7 +99,7 @@ class SSSP(ACCAlgorithm):
     def apply(self, old, combined, touched):
         new = np.minimum(old, combined)
         if self._pending is not None:
-            improved = touched[new < old]
+            improved = touched.take((new < old).nonzero()[0])
             self._pending[improved] = True
         return new
 

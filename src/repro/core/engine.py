@@ -538,8 +538,8 @@ class SIMDXEngine:
         )
         old_values = metadata[touched]
         new_values = algorithm.apply(old_values, combined, touched)
-        changed = new_values != old_values
-        metadata[touched[changed]] = new_values[changed]
+        changed = (new_values != old_values).nonzero()[0]
+        metadata[touched.take(changed)] = new_values.take(changed)
         return touched
 
     # ------------------------------------------------------------------

@@ -132,18 +132,20 @@ class WorklistClassifier:
         degs = self._degrees[frontier]
         small_mask = degs < self.small_medium_separator
         large_mask = degs >= self.medium_large_separator
-        medium_mask = ~small_mask & ~large_mask
-        small = frontier[small_mask]
-        medium = frontier[medium_mask]
-        large = frontier[large_mask]
-        small_degrees = degs[small_mask]
+        small_at = small_mask.nonzero()[0]
+        medium_at = (~(small_mask | large_mask)).nonzero()[0]
+        large_at = large_mask.nonzero()[0]
+        small = frontier.take(small_at)
+        medium = frontier.take(medium_at)
+        large = frontier.take(large_at)
+        small_degrees = degs.take(small_at)
         sizes = WorklistSizes(
             small_vertices=int(small.size),
             medium_vertices=int(medium.size),
             large_vertices=int(large.size),
             small_edges=int(small_degrees.sum()),
-            medium_edges=int(degs[medium_mask].sum()),
-            large_edges=int(degs[large_mask].sum()),
+            medium_edges=int(degs.take(medium_at).sum()),
+            large_edges=int(degs.take(large_at).sum()),
         )
         return ClassifiedFrontier(
             small, medium, large, sizes, small_degrees, int(degs.max())

@@ -48,11 +48,12 @@ a flattened all-lane pair space.
 frontier, gather candidates, union worklist, Combine's receiver set - is
 ``int64`` and strictly increasing. :class:`LaneSet` construction establishes
 that once; afterwards it holds by construction, never by re-sorting:
-``np.flatnonzero`` of a mask, a boolean selection or a contiguous slice of a
-canonical array, and per-owner receiver sets concatenated in ascending range
-order are all canonical, and a union (or the set of an unordered worklist)
-is one vertex-indexed flag pass of the kernel backend - the host-side twin
-of the ballot scan, whose O(n) ``_Step``'s metadata copy already pays.
+``np.flatnonzero`` of a mask, an ascending index selection or a contiguous
+slice of a canonical array, and per-owner receiver sets concatenated in
+ascending range order are all canonical, and a union (or the set of an
+unordered worklist) is one vertex-indexed flag pass of the kernel backend -
+the host-side twin of the ballot scan, whose O(n) ``_Step``'s metadata copy
+already pays.
 Combine computes a lane's receiver set once per owner; the unit's filter
 context and the next-frontier rule both read that array. Update *streams*
 (one entry per valid update, in walk order) are not sets and stay as walked.
@@ -93,8 +94,16 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def _take(array: np.ndarray, index) -> np.ndarray:
-    """``array[index]``, with ``None`` meaning every element (no copy)."""
-    return array if index is None else array[index]
+    """``array[index]`` for integer positions, with ``None`` meaning every
+    element (no copy).
+
+    The driver selects by index, never by boolean compress: positions are
+    ``mask.nonzero()[0]`` and the arrays are read with ``ndarray.take``,
+    which skips the fancy-index machinery (``np.flatnonzero``'s Python
+    wrapper alone costs ~2 us a call, which a high-diameter run's
+    per-superstep sites pay thousands of times).
+    """
+    return array if index is None else array.take(index)
 
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:
@@ -284,6 +293,8 @@ class _Step:
         self.prev = lanes.metadata.copy()
         self.dst_is_push: Optional[np.ndarray] = None
         self.candidates: Dict[int, np.ndarray] = {}
+        #: ``candidates[lane]`` as an n-sized membership mask (built with it).
+        self.candidate_masks: Dict[int, np.ndarray] = {}
         self.bitmaps: Dict[int, np.ndarray] = {}
         self.lane_out_edges: Dict[int, int] = {}
         self.last_unit: Dict[int, _Unit] = {}  # lane -> where it drains
@@ -582,7 +593,8 @@ class SuperstepDriver:
                         step.touched.get((owner, lane), _EMPTY)
                         for owner in range(len(self.streams))
                     ])
-                    frontier = received[active[received]]
+                    still = active.take(received).nonzero()[0]
+                    frontier = received.take(still)
                 elif result.is_sorted and result.is_unique:
                     frontier = result.worklist
                 else:
@@ -773,7 +785,8 @@ class SuperstepDriver:
         already at or below the frontier's best distance); vertices without
         in-edges have nothing to gather either way. Cached per superstep so
         the planner's pull scoring and the pull expansion price the same
-        worklist, computed from iteration-start metadata.
+        worklist, computed from iteration-start metadata. The membership
+        mask it is selected from stays beside it for the pull lane loop.
         """
         if lane not in step.candidates:
             lanes = self.lanes
@@ -782,10 +795,9 @@ class SuperstepDriver:
                     lanes.metadata[lane], self.graph, lanes.frontiers[lane]
                 ),
                 dtype=bool,
-            )
-            step.candidates[lane] = np.flatnonzero(
-                mask & (self.engine.in_degrees > 0)
-            )
+            ) & (self.engine.in_degrees > 0)  # a new array: the hook's stays
+            step.candidate_masks[lane] = mask
+            step.candidates[lane] = np.flatnonzero(mask)
         return step.candidates[lane]
 
     def _gather_worklist(self, unit: _Unit, step: _Step) -> None:
@@ -827,9 +839,11 @@ class SuperstepDriver:
         if total:
             dst = csr.targets[edge_idx].astype(np.int64)
             if step.dst_is_push is not None:
-                keep = step.dst_is_push[dst]
-                if not keep.all():
-                    slot, dst, edge_idx = slot[keep], dst[keep], edge_idx[keep]
+                keep = step.dst_is_push.take(dst).nonzero()[0]
+                if keep.size != dst.size:
+                    slot, dst, edge_idx = (
+                        slot.take(keep), dst.take(keep), edge_idx.take(keep)
+                    )
             kept = int(dst.size)
 
         def lane_parts():
@@ -844,13 +858,15 @@ class SuperstepDriver:
                     lane if view.lane_ids is None
                     else view.lane_ids.index(lane)
                 )
-                lane_edges = np.nonzero(view.lane_mask(local)[lo:hi][slot])[0]
+                rows = view.lane_mask(local)[lo:hi]
+                lane_edges = rows.take(slot).nonzero()[0]
                 if lane_edges.size:
                     yield lane, lane_edges
 
         if kept:
+            weights = csr.weights.take(edge_idx).astype(np.float64)
             valid = self._compute_and_route(
-                unit, step, lane_parts(), worklist[slot], dst, csr, edge_idx,
+                unit, step, lane_parts(), worklist[slot], dst, weights,
                 want_valid=True,
             )
             recorded, producers = _take(dst, valid), _take(slot, valid)
@@ -895,6 +911,7 @@ class SuperstepDriver:
         active = int(src.size)
         updated = None
         if active:
+            weights = csr.weights.take(edge_idx).astype(np.float64)
             kept_any = None
             if len(present) == 1:
                 parts = [(present[0][0], None)]
@@ -903,23 +920,22 @@ class SuperstepDriver:
 
                 def lane_parts():
                     for (lane, candidates), bitmap in zip(present, bitmaps):
-                        keep = bitmap[src]
+                        keep = bitmap.take(src)
                         if candidates.size != unit.worklist.size:
-                            keep &= kernel.membership_mask(candidates, n)[dst]
+                            keep &= step.candidate_masks[lane].take(dst)
                         np.logical_or(kept_any, keep, out=kept_any)
-                        if keep.all():
+                        lane_edges = keep.nonzero()[0]
+                        if lane_edges.size == active:
                             yield lane, None
-                            continue
-                        lane_edges = np.nonzero(keep)[0]
-                        if lane_edges.size:
+                        elif lane_edges.size:
                             yield lane, lane_edges
 
                 parts = lane_parts()
             # Only the atomic-combine ablation prices a gather's update
-            # destinations, so only it asks for the any-valid edge mask.
+            # destinations, so only it asks for the valid edge positions.
             atomic = self.engine.config.atomic_combine
             valid = self._compute_and_route(
-                unit, step, parts, src, dst, csr, edge_idx, want_valid=atomic
+                unit, step, parts, src, dst, weights, want_valid=atomic
             )
             if kept_any is not None:
                 active = int(np.count_nonzero(kept_any))
@@ -932,56 +948,66 @@ class SuperstepDriver:
         )
 
     def _compute_and_route(
-        self, unit: _Unit, step: _Step, parts, src, dst, csr, edge_idx, want_valid
+        self, unit: _Unit, step: _Step, parts, src, dst, weights, want_valid
     ):
         """Compute every ``(edge, lane)`` pair of ``parts``, one lane at a
         time, and queue each lane's valid updates at their owners.
 
-        ``parts`` yields ``(lane, edge positions)`` lazily, ``None`` meaning
-        "every edge" (the walked arrays themselves - no gather). A lane is
-        computed, filtered and routed before the next lane's edge positions
-        exist, so a unit's Compute temporaries are one lane's pairs, whatever
-        K is. With ``want_valid``, returns a boolean mask over the edges that
-        produced a valid update in any lane (``None`` for all) - what a push
-        unit's task-management pass records.
+        ``src``, ``dst`` and the float64 ``weights`` are the unit's walked
+        edges, gathered once for all its lanes. ``parts`` yields ``(lane,
+        edge positions)`` lazily, ``None`` meaning "every edge" (the walked
+        arrays themselves - no gather). A lane is computed, filtered and
+        routed before the next lane's edge positions exist, so a unit's
+        Compute temporaries are one lane's pairs, whatever K is. Every
+        selection is by index (``nonzero`` positions + ``take``): an SSSP
+        gather lane's valid updates are sparse (a median 6.5 % of its pairs
+        on LJ), where numpy's boolean compress costs several times as much
+        (``docs/batching.md``, "What a lane pays"). With ``want_valid``,
+        returns the ascending positions of the edges that produced a valid
+        update in any lane (``None`` for all) - what a push unit's
+        task-management pass records.
         """
         lanes, graph = self.lanes, self.graph
         push = unit.direction is Direction.PUSH
         # Only a sharded gather needs the sources again after Compute, to
         # count its boundary reads.
         remote_reads = self.sharding is not None and not push
-        any_valid = None
+        hit = None  # edge positions with a valid update: one lane's, or a mask
         for lane, at in parts:
             alg, row = lanes.clones[lane], lanes.metadata[lane]
-            s, d = _take(src, at), _take(dst, at)
-            w = csr.weights[_take(edge_idx, at)].astype(np.float64)
+            s, d, w = _take(src, at), _take(dst, at), _take(weights, at)
             compute = alg.compute_edges if push else alg.gather_edges
             updates = np.asarray(
-                compute(row[s], w, row[d], s, d, graph), dtype=np.float64
+                compute(row.take(s), w, row.take(d), s, d, graph),
+                dtype=np.float64,
             )
             unit.lane_pairs += int(updates.size)
-            valid = ~np.isnan(updates)
+            valid = (~np.isnan(updates)).nonzero()[0]
             if want_valid:
-                if any_valid is None:
-                    # A lane over every edge lends its own mask: no copy.
-                    any_valid = (
-                        valid if at is None else np.zeros(dst.size, dtype=bool)
-                    )
-                if at is not None:
-                    any_valid[at[valid]] = True
-                elif any_valid is not valid:
-                    any_valid |= valid
-            if not valid.all():
-                updates, d = updates[valid], d[valid]
+                lane_hit = valid if at is None else at.take(valid)
+                if hit is None:
+                    hit = lane_hit  # one lane's positions: no mask yet
+                else:
+                    if hit.dtype != bool:
+                        mask = np.zeros(dst.size, dtype=bool)
+                        mask[hit] = True
+                        hit = mask
+                    hit[lane_hit] = True
+            if valid.size != updates.size:
+                updates, d = updates.take(valid), d.take(valid)
                 if remote_reads:
-                    s = s[valid]
+                    s = s.take(valid)
             if updates.size:
                 self._route(
                     unit, step, lane, updates, d, s if remote_reads else None
                 )
             if step.last_unit[lane] is unit:
                 self._drain(step, lane)
-        return None if any_valid is None or any_valid.all() else any_valid
+        if hit is None:
+            return None
+        if hit.dtype == bool:
+            hit = hit.nonzero()[0]
+        return None if hit.size == dst.size else hit
 
     def _route(self, unit, step, lane, updates, dst, src) -> None:
         """Queue one lane's valid updates at their destination owners."""

@@ -65,6 +65,8 @@ async def _process(server: SIMDXServer, request: dict) -> dict:
                 insert_weights=request.get("insert_weights"),
                 deletes=request.get("deletes"),
             )
+        except ServerOverloaded as exc:
+            return {"ok": False, "error": "overloaded", "detail": str(exc)}
         except (ValueError, TypeError) as exc:
             return {"ok": False, "error": "bad_update", "detail": str(exc)}
         return {"ok": True, **receipt}
@@ -105,14 +107,19 @@ async def _handle_client(
     # Requests on one connection process *concurrently* (so a pipelined
     # client's queries can share a batch) while responses are written back
     # in request order: the reader enqueues one task per line, the writer
-    # loop awaits them FIFO.
-    responses: "asyncio.Queue[object]" = asyncio.Queue()
+    # loop awaits them FIFO. The queue holds at most ``max_queue`` lines:
+    # a client that pipelines without reading stalls the writer on
+    # drain(), then the reader on put() - it stops reading, and TCP flow
+    # control pushes back on the client. No line is dropped.
+    responses: "asyncio.Queue[object]" = asyncio.Queue(
+        maxsize=server.policy.max_queue
+    )
 
-    def reply(payload: dict) -> None:
+    async def reply(payload: dict) -> None:
         """Queue an already-known response in this line's slot."""
         ready = asyncio.get_event_loop().create_future()
         ready.set_result(payload)
-        responses.put_nowait(ready)
+        await responses.put(ready)
 
     async def write_responses() -> None:
         while True:
@@ -124,6 +131,15 @@ async def _handle_client(
             await writer.drain()
 
     writer_task = asyncio.ensure_future(write_responses())
+    reading = asyncio.current_task()
+
+    def writer_done(task: asyncio.Task) -> None:
+        # A writer that died (client gone) frees no more slots: stop the
+        # reader too, which may be waiting on a full queue.
+        if not task.cancelled() and task.exception() is not None:
+            reading.cancel()
+
+    writer_task.add_done_callback(writer_done)
     try:
         oversized = False
         while True:
@@ -140,29 +156,29 @@ async def _handle_client(
                 continue
             if oversized:
                 oversized = False
-                reply(_bad_request("line exceeds the stream reader limit"))
+                await reply(_bad_request("line exceeds the stream reader limit"))
                 continue
             if not line:
                 break
             try:
                 request = json.loads(line)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                reply({"ok": False, "error": f"bad json: {exc}"})
+                await reply({"ok": False, "error": f"bad json: {exc}"})
                 continue
             if not isinstance(request, dict):
-                reply(_bad_request(
+                await reply(_bad_request(
                     "a request is a JSON object, got "
                     f"{type(request).__name__}"
                 ))
                 continue
             task = asyncio.ensure_future(_process(server, request))
-            responses.put_nowait(task)
+            await responses.put(task)
             if request.get("cmd") == "update":
                 # Barrier: later lines on this connection must observe the
                 # new graph version (no stale cache hits after the client
                 # could have seen the update's acknowledgement).
                 await task
-        responses.put_nowait(None)
+        await responses.put(None)
         await writer_task
     except (asyncio.CancelledError, ConnectionResetError):
         # Server closing underneath us (demo teardown) or client gone.

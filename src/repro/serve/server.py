@@ -20,7 +20,9 @@ The unhappy paths are part of the contract:
   after dispatch, its lane still runs and the result is discarded;
 * **backpressure** - a query arriving with ``max_queue`` live queries
   already queued is shed synchronously with
-  :class:`~repro.serve.policy.ServerOverloaded`;
+  :class:`~repro.serve.policy.ServerOverloaded`, and so is an update
+  arriving with ``max_queue`` updates pending (counted in
+  ``updates_shed``);
 * **faults** - an OOM/overflow, a raising hook, or a raise anywhere after
   the engine returned resolves exactly the batch's unresolved lanes with
   :class:`EngineFailure`; a raise in an update fails that update only.
@@ -179,7 +181,7 @@ class SIMDXServer:
         self._stats: Dict[str, float] = dict.fromkeys((
             "submitted", "served", "shed", "cancelled_after_dispatch",
             "failed", "batches", "cache_hits", "cache_repairs", "updates",
-            "updates_failed",
+            "updates_failed", "updates_shed",
         ), 0)
 
     @property
@@ -330,7 +332,9 @@ class SIMDXServer:
         dispatch loop between batches, so every dispatched batch runs
         against one consistent snapshot. The resolved dict reports the
         new graph version, what the batch changed and how many landmark
-        cache entries were repaired forward.
+        cache entries were repaired forward. Raises
+        :class:`~repro.serve.policy.ServerOverloaded` when ``max_queue``
+        updates are already pending - the bound queries shed at.
         """
         if self._closed:
             raise RuntimeError("server is shut down")
@@ -348,6 +352,11 @@ class SIMDXServer:
                     raise ValueError("self-loop updates are not supported")
         if self._dispatch_task is None:
             await self.start()
+        if len(self._updates) >= self.policy.max_queue:
+            self._stats["updates_shed"] += 1
+            raise ServerOverloaded(
+                f"update queue full (max_queue={self.policy.max_queue})"
+            )
         future = asyncio.get_event_loop().create_future()
         self._updates.append((batch, future))
         self._wake.set()

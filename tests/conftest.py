@@ -8,6 +8,9 @@ filters, worklists and algorithms.
 
 from __future__ import annotations
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,23 @@ from repro.gpu.device import GPUDevice, K40
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from tests import graphs
+
+
+@pytest.fixture
+def armed_by_env(monkeypatch):
+    """``REPRO_SANITIZE=1`` (CI's static-analysis job) arms the runtime
+    sanitizer in every engine the test builds; otherwise nothing changes.
+    A suite whose assertions hold for plain and armed engines alike opts
+    in with ``pytestmark = pytest.mark.usefixtures("armed_by_env")``."""
+    if os.environ.get("REPRO_SANITIZE", "") != "1":
+        return
+    plain_init = SIMDXEngine.__init__
+
+    def armed_init(self, graph, device=None, config=None):
+        config = dataclasses.replace(config or EngineConfig(), sanitize=True)
+        plain_init(self, graph, device=device, config=config)
+
+    monkeypatch.setattr(SIMDXEngine, "__init__", armed_init)
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ batched superstep computes, hooks and combines its lanes.
 from __future__ import annotations
 
 import copy
+import inspect
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -174,12 +175,16 @@ class InterceptingServer(SIMDXServer):
     """A :class:`SIMDXServer` that hands every popped batch to
     ``before_dispatch`` after it leaves the queue and before the engine
     runs - the only window in which a caller counts as "cancelled after
-    dispatch"."""
+    dispatch". An awaitable it returns is awaited first, which holds the
+    dispatch loop inside the batch (nothing else dispatches or applies
+    updates) until it resolves."""
 
     def __init__(self, *args, before_dispatch, **kwargs):
         super().__init__(*args, **kwargs)
         self.before_dispatch = before_dispatch
 
     async def _dispatch(self, batch) -> None:
-        self.before_dispatch(batch)
+        held = self.before_dispatch(batch)
+        if inspect.isawaitable(held):
+            await held
         await super()._dispatch(batch)

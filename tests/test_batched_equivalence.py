@@ -35,6 +35,9 @@ from repro.core.kernels import NumpyKernelBackend
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 
+#: ``REPRO_SANITIZE=1`` runs every engine here armed (conftest.py).
+pytestmark = pytest.mark.usefixtures("armed_by_env")
+
 CONFIGS = {
     "auto": EngineConfig(),
     "forced_push": EngineConfig(

@@ -40,6 +40,9 @@ from repro.core.jit import JITTaskManager
 from repro.graph import generators as gen
 from tests.engine_seams import ScheduledEngine, random_split_schedule
 
+#: ``REPRO_SANITIZE=1`` runs every engine here armed (conftest.py).
+pytestmark = pytest.mark.usefixtures("armed_by_env")
+
 
 @pytest.fixture(scope="module")
 def rmat():

@@ -31,6 +31,8 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import socket
+import struct
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from repro.serve import (
     ServerOverloaded,
     SIMDXServer,
 )
+from repro.serve import __main__ as front_door
 from repro.serve.__main__ import serve_tcp
 from tests.engine_seams import InterceptingServer
 
@@ -284,6 +287,55 @@ def test_queue_sheds_at_max_queue(graph):
     assert server.stats["shed"] == 1
     assert server.stats["served"] == 3
     assert [r.batch_size for r in results] == [3, 3, 3]
+
+
+def test_updates_shed_at_max_queue(graph):
+    """Pending updates are bounded like queued queries: with the dispatch
+    loop held inside a batch, a third update over ``max_queue=2`` pending
+    is shed synchronously and counted; the first two apply once the loop
+    is released."""
+
+    async def scenario():
+        entered, release = asyncio.Event(), asyncio.Event()
+
+        async def hold(batch):
+            entered.set()
+            await release.wait()
+
+        server = InterceptingServer(
+            graph,
+            policy=AdmissionPolicy(max_batch=1, max_wait_ms=NEVER_MS, max_queue=2),
+            config=serve_config(),
+            before_dispatch=hold,
+        )
+        async with server:
+            query = asyncio.ensure_future(server.submit("bfs", 3))
+            await asyncio.wait_for(entered.wait(), 10.0)
+            version = server.dyn.version
+            updates = [
+                asyncio.ensure_future(server.update(inserts=[(3, 100 + i)]))
+                for i in range(2)
+            ]
+            try:
+                for _ in range(4):  # each update needs a turn to enqueue
+                    await asyncio.sleep(0)
+                assert not any(u.done() for u in updates)
+                with pytest.raises(ServerOverloaded):
+                    await asyncio.wait_for(
+                        server.update(inserts=[(3, 200)]), 5.0
+                    )
+                shed_while_held = server.stats["updates_shed"]
+            finally:
+                release.set()  # a failed check must not hang the shutdown
+            receipts = await asyncio.wait_for(asyncio.gather(*updates), 10.0)
+            await query
+        return server, version, shed_while_held, receipts
+
+    server, version, shed, receipts = asyncio.run(scenario())
+    assert shed == server.stats["updates_shed"] == 1
+    assert server.stats["updates"] == 2
+    assert server.dyn.version == version + 2
+    assert [r["version"] for r in receipts] == [version + 1, version + 2]
 
 
 def test_submit_after_shutdown_raises(graph):
@@ -953,6 +1005,152 @@ def _tcp_replies(graph, lines, count, *rounds, **server_kwargs):
             await server.shutdown()
 
     return asyncio.run(scenario())
+
+
+def _watch_drains(monkeypatch):
+    """Count the ``StreamWriter.drain`` calls now in progress (the server's
+    writer is the only caller): ``[n]``, read while the loop runs."""
+    draining = [0]
+    real_drain = asyncio.StreamWriter.drain
+
+    async def drain(self):
+        draining[0] += 1
+        try:
+            await real_drain(self)
+        finally:
+            draining[0] -= 1
+
+    monkeypatch.setattr(asyncio.StreamWriter, "drain", drain)
+    return draining
+
+
+async def _stall(port, total, draining):
+    """Connect with a tiny receive buffer, pipeline ``total`` lines without
+    reading, and return ``(reader, writer)`` once the server's writer is
+    blocked in ``drain()``. Each line is answered synchronously with a
+    ~1 KB error naming its index - no engine work - so the replies (3 MB
+    for 3,000 lines) overflow every socket buffer between the two ends."""
+    pad = "x" * 1000
+    lines = b"".join(
+        json.dumps({"algorithm": "bfs", "source": 3,
+                    "params": {f"p{i:05d}{pad}": 1}}).encode() + b"\n"
+        for i in range(total)
+    )
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.connect(("127.0.0.1", port))
+    reader, writer = await asyncio.open_connection(sock=sock, limit=4096)
+    writer.write(lines)  # never drained: the client pipelines
+    loop = asyncio.get_event_loop()
+    deadline = loop.time() + 30.0
+    while not draining[0]:
+        assert loop.time() < deadline, "the server's writer never blocked"
+        await asyncio.sleep(0.01)
+    return reader, writer
+
+
+def test_tcp_connection_backpressure_bounds_its_queue(graph, monkeypatch):
+    """A client that pipelines far more lines than ``max_queue`` and does
+    not read: once the server's writer is stuck in ``drain()`` (the
+    replies fill the socket buffers), the connection's response queue
+    never holds more than ``max_queue`` entries - the handler stops
+    reading instead - and once the client reads, every reply arrives, in
+    request order."""
+    max_queue, total = 4, 3000
+    queues = []
+
+    class RecordingQueue(asyncio.Queue):
+        """Notes the deepest it ever got (``put`` ends in ``put_nowait``)."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.peak = 0
+            queues.append(self)
+
+        def put_nowait(self, item):
+            super().put_nowait(item)
+            self.peak = max(self.peak, self.qsize())
+
+    monkeypatch.setattr(asyncio, "Queue", RecordingQueue)
+    draining = _watch_drains(monkeypatch)
+
+    async def scenario():
+        server = make_server(
+            graph, AdmissionPolicy(max_batch=4, max_wait_ms=1.0,
+                                   max_queue=max_queue),
+        )
+        tcp = await serve_tcp(server, "127.0.0.1", 0)
+        writer = None
+        try:
+            reader, writer = await _stall(
+                tcp.sockets[0].getsockname()[1], total, draining
+            )
+            await asyncio.sleep(0.2)  # writer stuck: the reader must stop too
+            stuck_peak = queues[0].peak
+            replies = [
+                json.loads(await asyncio.wait_for(reader.readline(), 20.0))
+                for _ in range(total)
+            ]
+            return stuck_peak, replies
+        finally:
+            if writer is not None:
+                writer.close()
+            tcp.close()
+            await tcp.wait_closed()
+            await server.shutdown()
+
+    stuck_peak, replies = asyncio.run(scenario())
+    assert len(queues) == 1 and queues[0].maxsize == max_queue
+    assert stuck_peak <= max_queue
+    assert queues[0].peak <= max_queue
+    assert [r["error"] for r in replies] == ["bad_request"] * total
+    order = [int(r["detail"].split("'p")[1][:5]) for r in replies]
+    assert order == list(range(total))
+
+
+def test_tcp_client_gone_while_its_reader_waits(graph, monkeypatch):
+    """The client pipelines, never reads, then resets the connection while
+    the handler's reader waits on a full response queue: the writer's
+    failed ``drain()`` stops the reader too, and the handler ends instead
+    of waiting forever for a slot."""
+    draining = _watch_drains(monkeypatch)
+    ended = []
+    handle = front_door._handle_client
+
+    async def watched(server, reader, writer):
+        try:
+            await handle(server, reader, writer)
+        finally:
+            ended.append(True)
+
+    monkeypatch.setattr(front_door, "_handle_client", watched)
+
+    async def scenario():
+        server = make_server(
+            graph, AdmissionPolicy(max_batch=4, max_wait_ms=1.0, max_queue=4),
+        )
+        tcp = await serve_tcp(server, "127.0.0.1", 0)
+        try:
+            _, writer = await _stall(
+                tcp.sockets[0].getsockname()[1], 3000, draining
+            )
+            sock = writer.get_extra_info("socket")
+            sock.setsockopt(  # close = reset, not an orderly shutdown
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            writer.transport.abort()
+            loop = asyncio.get_event_loop()
+            deadline = loop.time() + 20.0
+            while not ended:
+                assert loop.time() < deadline, "the handler never ended"
+                await asyncio.sleep(0.01)
+        finally:
+            tcp.close()
+            await tcp.wait_closed()
+            await server.shutdown()
+
+    asyncio.run(scenario())
+    assert ended == [True]
 
 
 @pytest.mark.parametrize(
