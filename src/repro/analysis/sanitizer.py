@@ -26,9 +26,10 @@ contracts into checked invariants:
   violation. The graph's CSR arrays are additionally frozen
   (``writeable=False``) and checksummed before/after every superstep, so
   mutation through a stale writable alias is caught too.
-* **accounting** - iteration records and result counters must be
-  non-negative, consistent and (for registered counters) monotone; every
-  ``RunResult.extra`` key must come from :mod:`repro.analysis.registry`.
+* **accounting** - iteration records must be non-negative and
+  consistent, and every ``RunResult.extra`` key must be registered in
+  :mod:`repro.analysis.registry` and keep the value contract declared
+  there.
 
 The sanitizer *records, never re-executes*: ACC hooks may have internal
 side effects (delta-SSSP's bucket advance, PageRank's pending reset), so
@@ -105,82 +106,6 @@ class SanitizerError(RuntimeError):
             f"sanitizer detected {len(self.violations)} ACC-contract "
             f"violation(s):\n{lines}"
         )
-
-
-#: Legal values of ``extra["dyn_repair_mode"]``.
-DYN_REPAIR_MODES = ("incremental", "from_scratch")
-#: Legal values of ``extra["cache_outcome"]``.
-CACHE_OUTCOMES = ("hit", "repair", "miss")
-
-
-def validate_dyn_extra(
-    extra: Dict[str, object], *, raise_on_violation: bool = False
-) -> List[str]:
-    """Check the dynamic-update / cache annotations of an extra mapping.
-
-    Returns the list of problems (empty when clean). These keys are
-    written after the engine returns, so the dyn/cache layers call this
-    directly on sanitized runs; the in-engine sanitizer routes through it
-    too for runs that already carry the keys.
-    """
-    problems: List[str] = []
-    version = extra.get(registry.DYN_GRAPH_VERSION)
-    if version is not None:
-        if (
-            not isinstance(version, (int, np.integer))
-            or isinstance(version, bool)
-            or version < 0
-        ):
-            problems.append(
-                f"extra[{registry.DYN_GRAPH_VERSION!r}] must be a "
-                f"non-negative integer, got {version!r}"
-            )
-    mode = extra.get(registry.DYN_REPAIR_MODE)
-    if mode is not None:
-        if mode not in DYN_REPAIR_MODES:
-            problems.append(
-                f"extra[{registry.DYN_REPAIR_MODE!r}] = {mode!r} is not "
-                f"one of {DYN_REPAIR_MODES}"
-            )
-        for key in (
-            registry.DYN_REPAIR_RESET_VERTICES,
-            registry.DYN_REPAIR_SEED_VERTICES,
-        ):
-            value = extra.get(key)
-            if (
-                not isinstance(value, (int, np.integer))
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                problems.append(
-                    f"repair run must carry a non-negative integer "
-                    f"extra[{key!r}], got {value!r}"
-                )
-        if mode == "from_scratch":
-            for key in (
-                registry.DYN_REPAIR_RESET_VERTICES,
-                registry.DYN_REPAIR_SEED_VERTICES,
-            ):
-                value = extra.get(key)
-                if isinstance(value, (int, np.integer)) and int(value) != 0:
-                    problems.append(
-                        f"from-scratch fallback must report "
-                        f"extra[{key!r}] = 0, got {value!r}"
-                    )
-    outcome = extra.get(registry.CACHE_OUTCOME)
-    if outcome is not None and outcome not in CACHE_OUTCOMES:
-        problems.append(
-            f"extra[{registry.CACHE_OUTCOME!r}] = {outcome!r} is not one "
-            f"of {CACHE_OUTCOMES}"
-        )
-    if problems and raise_on_violation:
-        raise SanitizerError(
-            [
-                SanitizerViolation(kind=ViolationKind.ACCOUNTING, detail=p)
-                for p in problems
-            ]
-        )
-    return problems
 
 
 def _equal_nan(a: np.ndarray, b: np.ndarray) -> bool:
@@ -459,149 +384,21 @@ class RuntimeSanitizer:
         )
         self._record_frontier_edges += max(0, int(record.frontier_edges))
 
-    def validate_extra(self, extra: Dict[str, object]) -> None:
-        """Registry + counter checks on a finished run's extra mapping."""
+    def validate_extra(
+        self, extra: Dict[str, object], record_edges: Optional[int] = None
+    ) -> None:
+        """Walk a finished ``extra`` mapping against the registry
+        (:func:`~repro.analysis.registry.check_extra`); ``record_edges``
+        defaults to the frontier_edges total of the observed records."""
         self._checks["extra_keys"] += 1
-        for key in registry.unknown_keys(extra):
+        if record_edges is None:
+            record_edges = self._record_frontier_edges
+        for key, detail in registry.check_extra(extra, record_edges):
             self._violation(
-                ViolationKind.EXTRA_KEY,
-                f"RunResult.extra key {key!r} is not registered in "
-                f"repro.analysis.registry",
+                ViolationKind.ACCOUNTING if registry.is_registered(key)
+                else ViolationKind.EXTRA_KEY,
+                detail,
             )
-        for key in registry.monotone_counter_keys():
-            if key not in extra:
-                continue
-            value = extra[key]
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                self._violation(
-                    ViolationKind.ACCOUNTING,
-                    f"counter extra[{key!r}] must be an integer, got "
-                    f"{type(value).__name__}",
-                )
-            elif value < 0:
-                self._violation(
-                    ViolationKind.ACCOUNTING,
-                    f"counter extra[{key!r}] is negative ({value!r})",
-                )
-        self._validate_kernel_extra(extra)
-        self._validate_shard_extra(extra)
-        self._validate_dyn_extra(extra)
-
-    def _validate_kernel_extra(self, extra: Dict[str, object]) -> None:
-        """Kernel-backend invariants of a finished run's extra keys.
-
-        A run that reports its backend must report a walk counter, the
-        backend name must be a registered backend, and the walked-edge
-        total must equal the iteration records' frontier_edges total -
-        both backends expand exactly the edges the records charge for.
-        """
-        # Imported here, not at module top: repro.analysis loads before
-        # repro.core when the lint CLI starts from the analysis package,
-        # and a top-level import of repro.core.kernels would cycle back
-        # through repro.core.engine -> this module.
-        from repro.core import kernels
-
-        if registry.KERNEL_BACKEND not in extra:
-            return
-        self._checks["kernel_extra"] += 1
-        backend = extra[registry.KERNEL_BACKEND]
-        if backend not in kernels.BACKEND_NAMES:
-            self._violation(
-                ViolationKind.ACCOUNTING,
-                f"extra[{registry.KERNEL_BACKEND!r}] = {backend!r} is not a "
-                f"known kernel backend {kernels.BACKEND_NAMES}",
-            )
-        walked = extra.get(registry.KERNEL_EDGES_WALKED)
-        if walked is None:
-            self._violation(
-                ViolationKind.ACCOUNTING,
-                f"run reports extra[{registry.KERNEL_BACKEND!r}] but is "
-                f"missing extra[{registry.KERNEL_EDGES_WALKED!r}]",
-            )
-            return
-        if (
-            isinstance(walked, (int, np.integer))
-            and not isinstance(walked, bool)
-            and int(walked) != self._record_frontier_edges
-        ):
-            self._violation(
-                ViolationKind.ACCOUNTING,
-                f"extra[{registry.KERNEL_EDGES_WALKED!r}] = {int(walked)} "
-                f"disagrees with the iteration records' frontier_edges "
-                f"total {self._record_frontier_edges}",
-            )
-
-    def _validate_shard_extra(self, extra: Dict[str, object]) -> None:
-        """Per-shard counter invariants of a sharded run's extra keys."""
-        if registry.SHARDS not in extra:
-            return
-        self._checks["shard_extra"] += 1
-        shards = extra[registry.SHARDS]
-        if not isinstance(shards, (int, np.integer)) or shards < 1:
-            self._violation(
-                ViolationKind.ACCOUNTING,
-                f"extra[{registry.SHARDS!r}] must be a positive integer, "
-                f"got {shards!r}",
-            )
-            return
-        for key in (registry.SHARD_SCANNED_EDGES, registry.SHARD_PEAK_BYTES):
-            value = extra.get(key)
-            if value is None:
-                self._violation(
-                    ViolationKind.ACCOUNTING,
-                    f"sharded run is missing extra[{key!r}]",
-                )
-                continue
-            values = list(value)
-            if len(values) != int(shards):
-                self._violation(
-                    ViolationKind.ACCOUNTING,
-                    f"extra[{key!r}] has {len(values)} entries for "
-                    f"{int(shards)} shards",
-                )
-                continue
-            if any(
-                not isinstance(v, (int, np.integer)) or v < 0 for v in values
-            ):
-                self._violation(
-                    ViolationKind.ACCOUNTING,
-                    f"extra[{key!r}] entries must be non-negative integers, "
-                    f"got {values!r}",
-                )
-                continue
-            if (
-                key == registry.SHARD_SCANNED_EDGES
-                and sum(int(v) for v in values) != self._record_frontier_edges
-            ):
-                self._violation(
-                    ViolationKind.ACCOUNTING,
-                    f"sum(extra[{key!r}]) = {sum(int(v) for v in values)} "
-                    f"disagrees with the iteration records' frontier_edges "
-                    f"total {self._record_frontier_edges}",
-                )
-
-    def _validate_dyn_extra(self, extra: Dict[str, object]) -> None:
-        """Dynamic-update / repair invariants of a run's extra keys.
-
-        The repair annotations are written *after* the engine returns
-        (by :class:`repro.dyn.incremental.IncrementalRecompute` and the
-        result cache), so besides this in-engine hook the same checks are
-        exposed as the module-level :func:`validate_dyn_extra`, which the
-        dyn/cache layers call on their annotated results when the run is
-        sanitized.
-        """
-        if not any(
-            key in extra
-            for key in (
-                registry.DYN_GRAPH_VERSION,
-                registry.DYN_REPAIR_MODE,
-                registry.CACHE_OUTCOME,
-            )
-        ):
-            return
-        self._checks["dyn_extra"] += 1
-        for detail in validate_dyn_extra(extra):
-            self._violation(ViolationKind.ACCOUNTING, detail)
 
     # ------------------------------------------------------------------
     # Reporting

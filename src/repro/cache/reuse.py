@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.algorithms import ALGORITHMS
 from repro.analysis import registry as extra_keys
+from repro.analysis.sanitizer import RuntimeSanitizer
 from repro.cache.results import CacheEntry, ResultCache
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import RunResult
@@ -223,9 +224,7 @@ class CachedQueryEngine:
             extra_keys.DYN_GRAPH_VERSION: version,
         }
         if self.config is not None and self.config.sanitize:
-            from repro.analysis.sanitizer import validate_dyn_extra
-
-            validate_dyn_extra(extra, raise_on_violation=True)
+            RuntimeSanitizer(self.dyn.snapshot()).validate_extra(extra)
         return CachedAnswer(
             values=np.array(values, copy=True),
             outcome=outcome,

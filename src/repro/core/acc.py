@@ -230,9 +230,7 @@ class ACCAlgorithm(abc.ABC):
         frontier's pending contributions as pushed; the default is a no-op.
         On the GPU this bookkeeping happens inside the compute kernel itself.
         The engine fires the hook in pull iterations too (the frontier's
-        contributions are consumed whether they are scattered or gathered),
-        under the same condition as in push mode: the frontier had at least
-        one out-edge to expand.
+        contributions are consumed whether they are scattered or gathered).
         """
 
     def gather_edges(

@@ -338,6 +338,7 @@ class SuperstepDriver:
         self.boundary_updates = 0
         self.total_us = 0.0
         self.iteration = 0
+        self.stopped_at_cap = False
 
     # ------------------------------------------------------------------
     # Entry points: two result constructors over the same driver state
@@ -495,6 +496,7 @@ class SuperstepDriver:
             extra_keys.JIT_PRE_ARMED_ITERATIONS: sorted(pre_armed),
             extra_keys.KERNEL_BACKEND: cfg.kernel_backend,
             extra_keys.KERNEL_EDGES_WALKED: int(self.engine._kernel_edges_walked),
+            extra_keys.STOPPED_AT_CAP: self.stopped_at_cap,
         }
         if batch_keys:
             extra.update(batch_keys)
@@ -528,6 +530,7 @@ class SuperstepDriver:
                 margin=cfg.split_margin,
             )
         max_iterations = lanes.prototype.max_iterations
+        unconverged = False
 
         while any(f.size for f in frontiers) and self.iteration < max_iterations:
             self.iteration = iteration = self.iteration + 1
@@ -585,6 +588,7 @@ class SuperstepDriver:
             # concatenated thread bins; every other lane derives its own
             # ``received ∩ active`` from Combine's receiver sets (canonical
             # per owner, owners in ascending range order).
+            unconverged = False
             for lane in live:
                 active = step.active[lane]
                 result = step.solo.get(lane)
@@ -606,20 +610,24 @@ class SuperstepDriver:
                 ):
                     # The algorithm wants more iterations despite an empty
                     # worklist (delta-stepping advancing its bucket).
+                    unconverged = True
                     frontier = np.flatnonzero(active)
                 frontiers[lane] = frontier
             if sanitizer is not None:
                 sanitizer.end_superstep(iteration, metadata, frontiers)
+        # Reported, not failed: the capped values are still the answer.
+        self.stopped_at_cap = self.iteration >= max_iterations and (
+            unconverged or any(f.size for f in frontiers)
+        )
 
     def _drain(self, step: _Step, lane: int) -> None:
-        """Frontier hook (if the lane had out-edges to consume), Combine +
-        apply per owner in ascending stream order - each queue in arrival
-        (= source-ascending) order - and the lane's active mask; once."""
+        """Frontier hook, Combine + apply per owner in ascending stream
+        order - each queue in arrival (= source-ascending) order - and the
+        lane's active mask; once."""
         if lane in step.active:
             return
         clone, row = self.lanes.clones[lane], self.lanes.metadata[lane]
-        if step.lane_out_edges[lane] > 0:
-            clone.on_frontier_expanded(self.lanes.frontiers[lane], row)
+        clone.on_frontier_expanded(self.lanes.frontiers[lane], row)
         for owner in range(len(self.streams)):
             queue = step.pending.pop((owner, lane), None)
             if queue:

@@ -51,6 +51,7 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis import registry
+from repro.analysis.sanitizer import RuntimeSanitizer
 from repro.core.acc import ACCAlgorithm, InitialState
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import RunResult
@@ -376,7 +377,7 @@ class IncrementalRecompute:
         result.extra[registry.DYN_REPAIR_SEED_VERTICES] = seeds
         result.extra[registry.DYN_GRAPH_VERSION] = int(receipt.version)
         if self.config is not None and self.config.sanitize:
-            from repro.analysis.sanitizer import validate_dyn_extra
-
-            validate_dyn_extra(result.extra, raise_on_violation=True)
+            RuntimeSanitizer(receipt.new_graph).validate_extra(
+                result.extra, sum(r.frontier_edges for r in result.iteration_records)
+            )
         return result

@@ -100,6 +100,17 @@ class TestSSSP:
             if np.isfinite(dist[u]):
                 assert dist[v] <= dist[u] + w + 1e-6
 
+    def test_delta_stepping_from_a_source_without_out_edges_stops(self):
+        """The frontier hook fires for a frontier with no out-edges too, so
+        the source's pending mark clears and the run converges at once
+        (it used to re-seed the source until ``max_iterations``)."""
+        graph = gen.rmat_graph(9, 8, seed=7)
+        assert graph.out_degrees()[9] == 0
+        result = run(graph, SSSP(source=9, delta=2.0))
+        assert result.iterations <= 2
+        assert not result.extra["stopped_at_cap"]
+        assert_distances_equal(result.values, ref.sssp_distances(graph, 9))
+
     def test_sssp_revisits_vertices_unlike_bfs(self, tiny_graph):
         # Figure 1: SSSP updates vertex b in iterations 1 and 3.
         result = run(tiny_graph, SSSP(source=0))

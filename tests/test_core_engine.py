@@ -226,6 +226,7 @@ class TestConfigRegressions:
         """``max_iterations = 0`` means zero iterations, not "unset"."""
         result = SIMDXEngine(rmat_graph).run(_capped_bfs(0))
         assert not result.failed
+        assert result.extra["stopped_at_cap"]
         assert result.iterations == 0
         assert result.iteration_records == []
         # Only the source was initialized; nothing was expanded.
@@ -235,6 +236,20 @@ class TestConfigRegressions:
     def test_max_iterations_cap_applies(self, rmat_graph):
         result = SIMDXEngine(rmat_graph).run(_capped_bfs(2))
         assert result.iterations <= 2
+
+    def test_stopping_at_the_cap_is_reported_not_failed(self, rmat_graph):
+        """``stopped_at_cap`` is True only when the loop ends at
+        ``max_iterations`` with work left, on runs and batches alike."""
+        engine = SIMDXEngine(rmat_graph)
+        capped = engine.run(_capped_bfs(1))
+        assert capped.extra["stopped_at_cap"] and not capped.failed
+        full = engine.run(BFS(source=0))
+        assert not full.extra["stopped_at_cap"]
+        roomy = engine.run(_capped_bfs(full.iterations))
+        assert not roomy.extra["stopped_at_cap"]
+        batch = engine.run_batch(_capped_bfs(1), [0, 1])
+        assert batch.extra["stopped_at_cap"] and not batch.failed
+        assert not engine.run_batch(BFS(source=0), [0, 1]).extra["stopped_at_cap"]
 
     def test_engine_is_reentrant(self, rmat_graph):
         """Two runs on one engine match a fresh engine's run exactly (no

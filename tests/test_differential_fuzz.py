@@ -22,7 +22,14 @@ offers must agree:
   vectorized ``numpy`` backend in every mode above. The small matrix
   crosses it with auto/push/pull and the batched split modes; the large
   matrix also crosses it with random schedules, K=16 and the sharded
-  num_shards ∈ {1, 2, 4} axis.
+  num_shards ∈ {1, 2, 4} axis;
+* **degenerate sources** (a sink, an isolated vertex, a self-loop-only
+  vertex) × SSSP ``delta`` ∈ {None, small, large} × push / pull /
+  ``run_batch`` / two shards must match the oracle within two supersteps.
+
+Every run in the file must also finish on its own: not failed, and
+``extra["stopped_at_cap"]`` False (the loop did not end at
+``max_iterations`` with work left).
 
 Both matrices run in tier-1 on every push: the small one (two graphs) and
 the large one (more seeds, more graph shapes, K=16, random schedules) -
@@ -66,6 +73,14 @@ SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
 def _config(**kwargs) -> EngineConfig:
     kwargs.setdefault("sanitize", SANITIZE)
     return EngineConfig(**kwargs)
+
+
+def _finished(result):
+    """``result`` after checking it ran to its end: not failed, and not
+    stopped by the algorithm's ``max_iterations`` cap."""
+    assert not result.failed, result.failure_reason
+    assert not result.extra["stopped_at_cap"], "run stopped at max_iterations"
+    return result
 
 
 #: The kernel-backend axis: every differential cell that crosses it must
@@ -238,8 +253,7 @@ def _check_single_source_modes(
     make_algo, oracle = ALGORITHM_CASES[case_name](graph, rng)
 
     auto_algo = make_algo()
-    auto = SIMDXEngine(graph, config=_config()).run(auto_algo)
-    assert not auto.failed, auto.failure_reason
+    auto = _finished(SIMDXEngine(graph, config=_config()).run(auto_algo))
     oracle(auto.values, auto_algo)
 
     schedule = _random_direction_schedule(rng) if with_schedules else None
@@ -256,11 +270,10 @@ def _check_single_source_modes(
         if schedule is not None:
             modes["schedule"] = _config(kernel_backend=backend)
         for mode, config in modes.items():
-            result = ScheduledEngine(
+            result = _finished(ScheduledEngine(
                 graph, config=config,
                 direction_schedule=schedule if mode == "schedule" else None,
-            ).run(make_algo())
-            assert not result.failed, result.failure_reason
+            ).run(make_algo()))
             assert np.array_equal(result.values, auto.values), (
                 f"{case_name} diverged in mode {mode} "
                 f"(kernel_backend={backend}) on {graph.name}"
@@ -280,7 +293,9 @@ def _check_batched_modes(graph, case_name, seed, lane_counts,
         if source not in single_values:
             algo = make_algo()
             algo.source = source
-            single_values[source] = SIMDXEngine(graph, config=_config()).run(algo).values
+            single_values[source] = _finished(
+                SIMDXEngine(graph, config=_config()).run(algo)
+            ).values
         return single_values[source]
 
     #: mode -> (config, forced split schedule or None)
@@ -298,10 +313,9 @@ def _check_batched_modes(graph, case_name, seed, lane_counts,
     for k in lane_counts:
         sources = _sources(graph, rng, k)
         for mode, (config, split_schedule) in batch_modes.items():
-            batch = ScheduledEngine(
+            batch = _finished(ScheduledEngine(
                 graph, config=config, split_schedule=split_schedule
-            ).run_batch(make_algo(), sources)
-            assert not batch.failed, batch.failure_reason
+            ).run_batch(make_algo(), sources))
             assert batch.extra["kernel_backend"] == config.kernel_backend
             for lane, source in enumerate(sources):
                 assert np.array_equal(batch.values[lane], serial(source)), (
@@ -378,8 +392,7 @@ def _check_sharded_single_source(
     make_algo, oracle = ALGORITHM_CASES[case_name](graph, rng)
 
     auto_algo = make_algo()
-    auto = SIMDXEngine(graph, config=_config()).run(auto_algo)
-    assert not auto.failed, auto.failure_reason
+    auto = _finished(SIMDXEngine(graph, config=_config()).run(auto_algo))
     oracle(auto.values, auto_algo)
 
     configs = {
@@ -398,13 +411,12 @@ def _check_sharded_single_source(
     for num_shards in SHARD_COUNTS:
         for backend in backends:
             for mode, make_config in configs.items():
-                sharded = ScheduledEngine(
+                sharded = _finished(ScheduledEngine(
                     graph, config=make_config(num_shards, backend),
                     direction_schedule=(
                         schedule if mode == "schedule" else None
                     ),
-                ).run(make_algo())
-                assert not sharded.failed, sharded.failure_reason
+                ).run(make_algo()))
                 assert np.array_equal(sharded.values, auto.values), (
                     f"{case_name} diverged on {num_shards} shards ({mode}, "
                     f"kernel_backend={backend}) on {graph.name}"
@@ -423,9 +435,9 @@ def _check_sharded_batched(graph, case_name, seed, lane_counts,
         if source not in single_values:
             algo = make_algo()
             algo.source = source
-            single_values[source] = (
-                SIMDXEngine(graph, config=_config()).run(algo).values
-            )
+            single_values[source] = _finished(
+                SIMDXEngine(graph, config=_config()).run(algo)
+            ).values
         return single_values[source]
 
     for k in lane_counts:
@@ -435,13 +447,12 @@ def _check_sharded_batched(graph, case_name, seed, lane_counts,
                 # Per-shard direction selection replaces lane-group
                 # splitting, so the split knobs are inert on the sharded
                 # path; the default config exercises exactly what ships.
-                batch = SIMDXEngine(
+                batch = _finished(SIMDXEngine(
                     graph,
                     config=_config(
                         num_shards=num_shards, kernel_backend=backend
                     ),
-                ).run_batch(make_algo(), sources)
-                assert not batch.failed, batch.failure_reason
+                ).run_batch(make_algo(), sources))
                 _assert_shard_extra(batch, num_shards)
                 for lane, source in enumerate(sources):
                     assert np.array_equal(
@@ -488,6 +499,63 @@ def test_large_matrix_sharded_batched(shape, seed, case_name):
 
 
 # ----------------------------------------------------------------------
+# Degenerate sources: a sink, an isolated vertex, a self-loop-only vertex
+# ----------------------------------------------------------------------
+#: SSSP's ``delta`` axis: Bellman-Ford, a bucket narrower than every edge
+#: weight, and one wider than every path.
+DEGENERATE_DELTAS = {"none": None, "small": 0.5, "large": 1e4}
+
+
+@pytest.fixture(scope="module")
+def degenerate_graph():
+    """A directed rmat graph whose three highest in-degree vertices become
+    a sink (out-edges dropped), an isolated vertex and a vertex whose only
+    edge is a self-loop; returns the graph and those sources by kind."""
+    base = gen.rmat_graph(8, 8, seed=303, directed=True)
+    edges, weights = base.to_edge_array(), base.out_csr.weights
+    sink, isolated, loop = (
+        int(v) for v in np.argsort(-base.in_degrees(), kind="stable")[:3]
+    )
+    keep = (edges[:, 0] != sink) & ~np.isin(edges, [isolated, loop]).any(axis=1)
+    graph = CSRGraph.from_edges(
+        base.num_vertices,
+        np.vstack([edges[keep], [[loop, loop]]]),
+        np.append(weights[keep], 1.0),
+        directed=True, name="fuzz-degenerate", allow_self_loops=True,
+    )
+    assert graph.out_degrees()[[sink, isolated]].tolist() == [0, 0]
+    assert graph.in_degrees()[sink] > 0 and graph.in_degrees()[isolated] == 0
+    return graph, {"sink": sink, "isolated": isolated, "self-loop": loop}
+
+
+@pytest.mark.parametrize("mode", ("push", "pull", "batch", "shards2"))
+@pytest.mark.parametrize("delta", sorted(DEGENERATE_DELTAS))
+@pytest.mark.parametrize("kind", ("sink", "isolated", "self-loop"))
+def test_degenerate_sssp_sources(degenerate_graph, kind, delta, mode):
+    """SSSP from a source with nothing to relax stops after one superstep
+    with the oracle's distances, alone and as one lane of a batch."""
+    graph, sources = degenerate_graph
+    source = sources[kind]
+    algo = SSSP(source=source, delta=DEGENERATE_DELTAS[delta])
+    if mode == "batch":
+        hub = int(np.argmax(graph.out_degrees()))
+        batch = _finished(
+            SIMDXEngine(graph, config=_config()).run_batch(algo, [source, hub])
+        )
+        for lane, s in enumerate((source, hub)):
+            assert_distances_equal(batch.values[lane], ref.sssp_distances(graph, s))
+        return
+    config = {
+        "push": _config(forced_direction=Direction.PUSH),
+        "pull": _config(forced_direction=Direction.PULL),
+        "shards2": _config(num_shards=2),
+    }[mode]
+    result = _finished(SIMDXEngine(graph, config=config).run(algo))
+    assert result.iterations <= 2
+    assert_distances_equal(result.values, ref.sssp_distances(graph, source))
+
+
+# ----------------------------------------------------------------------
 # Dynamic-graph axis (src/repro/dyn/ + src/repro/cache/)
 # ----------------------------------------------------------------------
 #: Algorithms queried through the dynamic axis: the repairable monotone
@@ -524,9 +592,8 @@ def _dyn_random_batch(dyn, rng):
 
 
 def _hub_source(graph, rng):
-    """A seeded pick among the top-degree vertices: a source that random
-    deletes could isolate makes delta-stepping spin through empty
-    buckets (slow, not wrong) - hubs keep the axis fast."""
+    """A seeded pick among the top-degree vertices, so that repairs reach
+    a large part of the graph (degenerate sources have their own axis)."""
     order = np.argsort(-graph.out_degrees(), kind="stable")
     return int(order[rng.integers(0, max(1, graph.num_vertices // 8))])
 
@@ -543,21 +610,19 @@ def _check_dyn_axis(graph, seed, *, rounds, num_shards=1):
     recompute = IncrementalRecompute(config=config)
     source = _hub_source(graph, rng)
     warm = {
-        case: SIMDXEngine(dyn.snapshot(), config=config)
-        .run(_dyn_make(case, source))
-        .values
+        case: _finished(
+            SIMDXEngine(dyn.snapshot(), config=config).run(_dyn_make(case, source))
+        ).values
         for case in DYN_CASES
     }
     for _ in range(rounds):
         receipt = dyn.apply(EdgeUpdateBatch.of(**_dyn_random_batch(dyn, rng)))
         scratch_engine = SIMDXEngine(receipt.new_graph, config=config)
         for case in DYN_CASES:
-            repaired = recompute.run(
+            repaired = _finished(recompute.run(
                 receipt, _dyn_make(case, source), warm[case]
-            )
-            assert not repaired.failed, repaired.failure_reason
-            scratch = scratch_engine.run(_dyn_make(case, source))
-            assert not scratch.failed, scratch.failure_reason
+            ))
+            scratch = _finished(scratch_engine.run(_dyn_make(case, source)))
             assert np.array_equal(repaired.values, scratch.values), (
                 f"{case} incremental repair diverged from scratch at "
                 f"version {receipt.version} on {graph.name} "
@@ -587,7 +652,11 @@ def _check_dyn_cached_axis(graph, seed, *, rounds):
                               **params)
             seen_outcomes.add(answer.outcome)
             algo = _dyn_make(case, source)
-            scratch = SIMDXEngine(qe.dyn.snapshot(), config=config).run(algo)
+            scratch = _finished(
+                SIMDXEngine(qe.dyn.snapshot(), config=config).run(algo)
+            )
+            if answer.result is not None:
+                _finished(answer.result)
             assert np.array_equal(answer.values, scratch.values), (
                 f"{case} cached answer ({answer.outcome}) diverged from "
                 f"scratch at version {qe.dyn.version} on {graph.name}"

@@ -2,7 +2,7 @@
 """Run the repo-specific AST lint pass (repro.analysis.lint).
 
 Usage:  PYTHONPATH=src python tools/repro_lint.py src tests benchmarks
-        python tools/repro_lint.py --list-keys      # dump the extra-key registry
+        python tools/repro_lint.py --list-keys      # dump the extra keys + contracts
         python tools/repro_lint.py --list-rules     # dump the rule table
 
 Exit status 0 when every linted file is clean, 1 otherwise. Rules scoped
@@ -34,7 +34,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--list-keys", action="store_true",
-        help="print the registered RunResult.extra keys and exit",
+        help="print the registered RunResult.extra keys with their contracts and exit",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -44,9 +44,8 @@ def main(argv=None) -> int:
 
     if args.list_keys:
         for name, key in sorted(registry.registered_keys().items()):
-            flag = " [counter]" if key.monotone_counter else ""
             producers = ", ".join(key.producers) or "-"
-            print(f"{name}{flag}  ({producers}): {key.description}")
+            print(f"{name} [{key.contract()}]  ({producers}): {key.description}")
         return 0
     if args.list_rules:
         for rule_id, name in sorted(RULE_NAMES.items()):
