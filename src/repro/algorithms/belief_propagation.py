@@ -105,11 +105,3 @@ class BeliefPropagation(ACCAlgorithm):
         if total <= 0:
             return metadata
         return metadata / total
-
-    def describe(self) -> dict:
-        return {
-            **super().describe(),
-            "damping": self.damping,
-            "num_iterations": self.num_iterations,
-            "prior_seed": self.prior_seed,
-        }

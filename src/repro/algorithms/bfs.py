@@ -70,6 +70,3 @@ class BFS(ACCAlgorithm):
         """BFS levels as int64, with -1 for unreachable vertices."""
         out = np.where(np.isfinite(metadata), metadata, -1.0)
         return out.astype(np.int64)
-
-    def describe(self) -> dict:
-        return {**super().describe(), "source": self.source}

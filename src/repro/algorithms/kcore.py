@@ -81,6 +81,3 @@ class KCore(ACCAlgorithm):
     def core_membership(self, metadata: np.ndarray) -> np.ndarray:
         """Boolean mask of vertices in the k-core."""
         return metadata >= self.k
-
-    def describe(self) -> dict:
-        return {**super().describe(), "k": self.k}

@@ -87,10 +87,3 @@ class PageRank(ACCAlgorithm):
         if total <= 0:
             return metadata
         return metadata / total
-
-    def describe(self) -> dict:
-        return {
-            **super().describe(),
-            "damping": self.damping,
-            "tolerance": self.tolerance,
-        }

@@ -71,9 +71,3 @@ class SpMV(ACCAlgorithm):
     def vertex_value(self, metadata: np.ndarray) -> np.ndarray:
         """The product vector y (zero for vertices with no in-edges)."""
         return metadata
-
-    def describe(self) -> dict:
-        return {
-            **super().describe(),
-            "x_seed": None if self.x is not None else self.x_seed,
-        }

@@ -127,10 +127,3 @@ class SSSP(ACCAlgorithm):
     def vertex_value(self, metadata: np.ndarray) -> np.ndarray:
         """Tentative distances; infinity marks unreachable vertices."""
         return metadata
-
-    def describe(self) -> dict:
-        return {
-            **super().describe(),
-            "source": self.source,
-            "delta": self.delta,
-        }

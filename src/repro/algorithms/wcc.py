@@ -67,6 +67,3 @@ class WCC(ACCAlgorithm):
     def vertex_value(self, metadata: np.ndarray) -> np.ndarray:
         """Component labels as int64 (the smallest vertex id reached)."""
         return metadata.astype(np.int64)
-
-    def describe(self) -> dict:
-        return super().describe()

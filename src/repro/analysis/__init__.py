@@ -17,7 +17,7 @@ trip over.
 * :mod:`repro.analysis.lint` -- the repo-specific AST lint pass behind
   ``tools/repro_lint.py`` (extra-key registry enforcement, seeded-RNG
   discipline, increment-only accounting counters, no float equality in
-  ``converged()``, mandatory ``describe()`` on ACC algorithms).
+  ``converged()``).
 
 See ``docs/static-analysis.md`` for the rule table and how to run both.
 """

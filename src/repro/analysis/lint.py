@@ -1,6 +1,6 @@
 """Repo-specific AST lint rules behind ``tools/repro_lint.py``.
 
-Five rules, each encoding a convention the test suite cannot check
+Four rules, each encoding a convention the test suite cannot check
 structurally:
 
 ======== ================== ====================================================
@@ -18,8 +18,6 @@ REPRO003 counter-decrement  ``-=`` on an accounting counter (``*_us``,
 REPRO004 float-eq-converged ``==`` / ``!=`` against a float constant or the
                             metadata arrays inside a ``converged()``
                             implementation (use tolerances or integer state)
-REPRO005 acc-describe       a direct ``ACCAlgorithm`` subclass that does not
-                            implement ``describe()`` (``src/`` only)
 ======== ================== ====================================================
 
 Suppressions:
@@ -46,19 +44,17 @@ EXTRA_KEY = "REPRO001"
 UNSEEDED_RNG = "REPRO002"
 COUNTER_DECREMENT = "REPRO003"
 FLOAT_EQ_CONVERGED = "REPRO004"
-ACC_DESCRIBE = "REPRO005"
 
 RULE_NAMES: Dict[str, str] = {
     EXTRA_KEY: "extra-key",
     UNSEEDED_RNG: "unseeded-rng",
     COUNTER_DECREMENT: "counter-decrement",
     FLOAT_EQ_CONVERGED: "float-eq-converged",
-    ACC_DESCRIBE: "acc-describe",
 }
 _NAME_TO_ID = {name: rule_id for rule_id, name in RULE_NAMES.items()}
 
 #: Rules that only apply to shipped code under ``src/``.
-SRC_ONLY_RULES = {UNSEEDED_RNG, ACC_DESCRIBE}
+SRC_ONLY_RULES = {UNSEEDED_RNG}
 
 #: Accounting-counter naming convention: increment-only by contract.
 _COUNTER_SUFFIXES = (
@@ -349,27 +345,6 @@ class _Checker(ast.NodeVisitor):
                     "tolerance or track integer state instead",
                 )
                 return
-
-    # --------------------- REPRO005: describe() -----------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        is_acc_subclass = any(
-            (isinstance(base, ast.Name) and base.id == "ACCAlgorithm")
-            or (isinstance(base, ast.Attribute) and base.attr == "ACCAlgorithm")
-            for base in node.bases
-        )
-        if is_acc_subclass:
-            has_describe = any(
-                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and item.name == "describe"
-                for item in node.body
-            )
-            if not has_describe:
-                self._add(
-                    node, ACC_DESCRIBE,
-                    f"ACC algorithm {node.name!r} does not implement "
-                    f"describe(); shipped algorithms must be introspectable",
-                )
-        self.generic_visit(node)
 
 
 def lint_source(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 #: Value forms of :attr:`ExtraKey.value`.
 COUNTER = "counter"      # a cumulative total: an integer >= 0 a run only grows
@@ -50,9 +50,8 @@ class ExtraKey:
     #: COUNTER, INT or PER_SHARD; None leaves the value's type free.
     value: Optional[str] = None
     minimum: int = 0
-    #: Legal values: a tuple, or a zero-argument callable returning the
-    #: tuple when another module owns the vocabulary.
-    choices: Union[Tuple[object, ...], Callable[[], Tuple[object, ...]], None] = None
+    #: Legal values.
+    choices: Optional[Tuple[object, ...]] = None
     #: Keys a mapping that carries this key must carry too.
     requires: Tuple[str, ...] = ()
     #: The value (a PER_SHARD list: its sum) is the records' frontier_edges total.
@@ -60,14 +59,11 @@ class ExtraKey:
     #: ``(value, keys)``: while this key holds ``value``, ``keys`` must be 0.
     zero_when: Optional[Tuple[object, Tuple[str, ...]]] = None
 
-    def vocabulary(self) -> Optional[Tuple[object, ...]]:
-        return self.choices() if callable(self.choices) else self.choices
-
     def contract(self) -> str:
         """The declared contract in one line (``repro_lint --list-keys``)."""
         parts = [f"int >= {self.minimum}" if self.value == INT else self.value]
         if self.choices is not None:
-            parts.append(f"one of {self.vocabulary()}")
+            parts.append(f"one of {self.choices}")
         if self.requires:
             parts.append("requires " + ", ".join(self.requires))
         if self.equals_record_edges:
@@ -93,9 +89,8 @@ class ExtraKey:
         elif self.value is not None and not _is_int(value, self.minimum):
             yield f"must be an integer >= {self.minimum}, got {value!r}"
             return
-        vocabulary = self.vocabulary()
-        if vocabulary is not None and value not in vocabulary:
-            yield f"= {value!r} is not one of {vocabulary}"
+        if self.choices is not None and value not in self.choices:
+            yield f"= {value!r} is not one of {self.choices}"
         for other in self.requires:
             if other not in extra:
                 yield f"requires extra[{other!r}] beside it"
@@ -109,14 +104,6 @@ class ExtraKey:
 
 def _is_int(value: object, minimum: int = 0) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum
-
-
-def _backend_names() -> Tuple[str, ...]:
-    # Read at check time: repro.core imports this module (through the
-    # sanitizer), so a top-level import of repro.core.kernels would cycle.
-    from repro.core.kernels import BACKEND_NAMES
-
-    return BACKEND_NAMES
 
 
 _REGISTRY: Dict[str, ExtraKey] = {}
@@ -195,21 +182,12 @@ STOPPED_AT_CAP = register(ExtraKey(
 ))
 KERNEL_EDGES_WALKED = register(ExtraKey(
     "kernel_edges_walked",
-    "Edges expanded by the backend's CSR walks across the whole run; "
+    "Edges expanded by the engine's CSR walks across the whole run; "
     "equals the iteration records' frontier_edges total on every path "
     "(single, batched, sharded) - the sanitizer enforces the identity.",
     producers=("engine", "batch", "shard"),
     value=COUNTER,
     equals_record_edges=True,
-))
-KERNEL_BACKEND = register(ExtraKey(
-    "kernel_backend",
-    "Execution backend of the CSR-walk kernel primitives "
-    "(EngineConfig.kernel_backend: 'numpy' vectorized or 'python' "
-    "loop reference - bit-identical results, different wall-clock).",
-    producers=("engine", "batch", "shard"),
-    choices=_backend_names,
-    requires=(KERNEL_EDGES_WALKED,),
 ))
 
 # ----------------------------------------------------------------------

@@ -573,24 +573,14 @@ class _SanitizedAlgorithm:
             self._inner.combine_op, self._san, self._lane_key
         )
 
-    def _compute(self, hook: str, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
-        self._check_operands(hook, src_meta, dst_meta, src_ids, dst_ids)
+    def compute_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
+        self._check_operands("compute_edges", src_meta, dst_meta, src_ids, dst_ids)
         updates = self._pure(
-            hook, getattr(self._inner, hook),
+            "compute_edges", self._inner.compute_edges,
             src_meta, weights, dst_meta, src_ids, dst_ids, graph,
         )
         self._san._record_updates(self._lane_key, updates, dst_ids)
         return updates
-
-    def compute_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
-        return self._compute(
-            "compute_edges", src_meta, weights, dst_meta, src_ids, dst_ids, graph
-        )
-
-    def gather_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
-        return self._compute(
-            "gather_edges", src_meta, weights, dst_meta, src_ids, dst_ids, graph
-        )
 
     def apply(self, old, combined, touched):
         san = self._san

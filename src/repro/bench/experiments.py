@@ -822,7 +822,7 @@ def split_benefit(ctx: BenchmarkContext) -> Dict:
     other side of the trade: each extra sub-batch pays its own launches,
     barriers and task-management pass, and on voting combines (BFS) the
     union's shared gather scan is cheap per edge - which is exactly what
-    ``EngineConfig.split_margin`` arbitrates.
+    ``BatchDirectionPolicy.margin`` arbitrates.
     """
     graphs = _shapes_or_all(ctx, SPLIT_BENEFIT_SHAPES)
     rows: List[Dict] = []
@@ -1534,7 +1534,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                 "selection (`EngineConfig.lane_aware_split`, the default - "
                 "every lane's own frontier is scored with the traffic model "
                 "and the batch splits into push-leaning and pull-leaning "
-                "sub-batches when lane interests diverge past `split_margin`) "
+                "sub-batches when lane interests diverge past the policy's split "
+                "margin, `BatchDirectionPolicy.margin` = 0.5) "
                 "versus the decide-once union approximation of PR 3. Values "
                 "are bit-identical in every cell. `scanned` counts gather "
                 "(in-CSR) edges - the quantity the union approximation "
@@ -1543,7 +1544,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                 "the trade: per-sub-batch fixed costs, and the cheap shared "
                 "scan of voting gathers, can make the decide-once batch "
                 "faster in simulated time even while it scans more - "
-                "`split_margin` is the knob that arbitrates (see "
+                "that margin, a constant of the policy, is what arbitrates (see "
                 "docs/batching.md, \"When splitting wins\").",
         ),
     ),

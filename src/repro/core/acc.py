@@ -15,9 +15,7 @@ providing three data-parallel functions plus an initializer:
 The engine calls the vectorized variants (`active_mask`, `compute_edges`),
 which operate on NumPy arrays covering many edges at once: that is the
 functional analogue of thousands of CUDA threads each evaluating the scalar
-function on one edge. Scalar versions are derived automatically and are used
-by the tests to check the vectorized forms agree with the paper's
-one-edge-at-a-time semantics.
+function on one edge.
 
 Two combine classes exist (Section 3.2):
 
@@ -27,17 +25,17 @@ Two combine classes exist (Section 3.2):
   enough (BFS, WCC); this enables collaborative early termination.
 
 The same three functions serve both execution directions: a push iteration
-scatters ``compute`` over the frontier's out-edges, a pull iteration gathers
-the identical per-edge updates over destinations' in-edges (the optional
-``gather_edges`` / ``gather_mask`` hooks let an algorithm specialize the
-gather without changing its results).
+scatters ``compute_edges`` over the frontier's out-edges, a pull iteration
+gathers the identical per-edge updates over destinations' in-edges through
+the same hook (the optional ``gather_mask`` hook lets an algorithm shrink
+the gather without changing its results).
 
 They also serve the *batched* multi-source path
 (``SIMDXEngine.run_batch``): because ``compute`` is a pure per-edge map, a
 K-lane batch evaluates its ``(edge, lane)`` pairs one lane per call, on
 that lane's own algorithm copy and metadata row, through the same
-``compute_edges`` / ``gather_edges`` hooks - which keeps a batched run
-bit-identical to K independent runs.
+``compute_edges`` hook - which keeps a batched run bit-identical to K
+independent runs.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import get_kernel_backend
+from repro.core.kernels import DEFAULT_KERNEL
 from repro.graph.csr import CSRGraph
 
 
@@ -83,12 +81,6 @@ class CombineOp(enum.Enum):
             CombineOp.SUM: 0.0,
         }[self]
 
-    def reduce(self, values: np.ndarray) -> float:
-        """Reduce an array to a scalar with this operator."""
-        if values.size == 0:
-            return self.identity
-        return float(self.ufunc.reduce(values))
-
     def compact_reduce(
         self, values: np.ndarray, segment_ids: np.ndarray, num_segments: int,
         *, ids_sorted: bool = False, backend=None,
@@ -103,13 +95,11 @@ class CombineOp(enum.Enum):
         ``+x, -x``) is still touched. ``ids_sorted`` promises non-decreasing
         ``segment_ids`` (every pull unit's stream), so MIN/MAX skip the sort.
 
-        ``backend`` is the :class:`repro.core.kernels.KernelBackend` whose
-        ``segment_reduce`` does the work (``None``: the numpy one). Both are
-        bit-identical: SUM accumulates in input order either way, MIN/MAX
-        are order-independent for the non-NaN floats Combine is fed
-        (``docs/kernels.md`` has the argument).
+        ``backend`` is the kernel whose ``segment_reduce`` does the work
+        (``None``: :data:`repro.core.kernels.DEFAULT_KERNEL`); the engine
+        passes its own ``SIMDXEngine.kernel``.
         """
-        backend = backend or get_kernel_backend("numpy")
+        backend = backend or DEFAULT_KERNEL
         return backend.segment_reduce(
             self, values, segment_ids, num_segments, ids_sorted
         )
@@ -164,10 +154,6 @@ class ACCAlgorithm(abc.ABC):
     #: this; BFS/SSSP start in push mode from a single source.
     starts_in_pull: bool = False
 
-    #: Value meaning "no update produced" for this algorithm; compute may
-    #: return it to signal that an edge contributes nothing.
-    no_update: float = np.inf
-
     #: Whether ``init(graph, source=...)`` accepts a per-query source so the
     #: engine can batch K queries into one ``run_batch`` execution (BFS,
     #: SSSP, landmark-distance style traversals). Algorithms without a
@@ -196,7 +182,15 @@ class ACCAlgorithm(abc.ABC):
         dst_ids: np.ndarray,
         graph: CSRGraph,
     ) -> np.ndarray:
-        """Per-edge updates (vectorized ``compute``).
+        """Per-edge updates (vectorized ``compute``), one per edge (v, u).
+
+        Both directions call this hook with the same operands: a push
+        iteration over the frontier's out-edges, a pull iteration over the
+        gathered in-edges, arguments in push orientation (``src`` is the
+        producing endpoint ``v``) - so the two directions evaluate
+        bit-identical per-edge arithmetic. An edge contributes nothing when
+        its update is NaN: the engine drops NaN updates before Combine and
+        passes every other value (``inf`` included) to the reduction.
 
         The extra ``src_ids`` / ``dst_ids`` / ``graph`` arguments let
         degree-normalized algorithms (PageRank, BP) look up degrees without
@@ -233,28 +227,6 @@ class ACCAlgorithm(abc.ABC):
         contributions are consumed whether they are scattered or gathered).
         """
 
-    def gather_edges(
-        self,
-        src_meta: np.ndarray,
-        weights: np.ndarray,
-        dst_meta: np.ndarray,
-        src_ids: np.ndarray,
-        dst_ids: np.ndarray,
-        graph: CSRGraph,
-    ) -> np.ndarray:
-        """Pull-mode ``Compute``: the update an in-edge (v, u) contributes
-        while destination ``u`` gathers over its in-neighbours.
-
-        Arguments keep the push orientation (``src`` is the producing
-        endpoint ``v``), so the default delegates to :meth:`compute_edges`
-        and both directions evaluate bit-identical per-edge arithmetic -
-        the invariant the engine's push/pull equivalence tests enforce.
-        Algorithms override this only when the gather formulation itself
-        differs; savings like voting early-termination are modelled in the
-        engine's cost layer instead.
-        """
-        return self.compute_edges(src_meta, weights, dst_meta, src_ids, dst_ids, graph)
-
     def gather_mask(
         self,
         metadata: np.ndarray,
@@ -279,30 +251,16 @@ class ACCAlgorithm(abc.ABC):
         a frontier-independent mask.
 
         An override must never exclude a destination that could still
-        receive a valid (non-``no_update``) offer from a frontier source.
-        Overriding this together with :meth:`on_frontier_expanded` is safe:
-        the engine fires the hook whenever the frontier had out-edges to
-        consume, regardless of how far the mask shrank the gather worklist,
-        so the hook's firing condition stays identical in both directions.
+        receive a valid (non-NaN) offer from a frontier source. Overriding
+        this together with :meth:`on_frontier_expanded` is safe: the engine
+        fires that hook after every superstep's Compute, in both directions
+        and however far the mask shrank the gather worklist.
         """
         return np.ones(metadata.shape[0], dtype=bool)
 
     def vertex_value(self, metadata: np.ndarray) -> np.ndarray:
         """Translate metadata into the user-facing result (default identity)."""
         return metadata
-
-    # ------------------------------------------------------------------
-    # Introspection helpers
-    # ------------------------------------------------------------------
-    def describe(self) -> dict:
-        """Summary used by the examples and by DESIGN/EXPERIMENTS docs."""
-        return {
-            "name": self.name,
-            "combine_kind": self.combine_kind.value,
-            "combine_op": self.combine_op.value,
-            "uses_weights": self.uses_weights,
-            "starts_in_pull": self.starts_in_pull,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, combine={self.combine_op.value})"

@@ -259,6 +259,12 @@ class BatchDirectionPolicy:
     worklist), only for iterations where some lane actually leans pull.
     """
 
+    #: Minimum modelled compute-op saving, as a fraction of the decide-once
+    #: cost, before a diverging batch splits. A constant of the policy, as
+    #: the Beamer thresholds are of :class:`DirectionSelector`: ``0.0``
+    #: splits whenever lanes disagree.
+    margin: float = 0.5
+
     def __init__(
         self,
         *,
@@ -268,12 +274,8 @@ class BatchDirectionPolicy:
         to_push_threshold: float = 0.01,
         start_direction: Direction = Direction.PUSH,
         traffic_model: TrafficModel = DEFAULT_TRAFFIC_MODEL,
-        margin: float = 0.5,
     ):
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
         self.traffic_model = traffic_model
-        self.margin = margin
         self.lane_selectors = [
             DirectionSelector(
                 total_edges=total_edges,

@@ -24,7 +24,7 @@ Each iteration:
    identical operands in the identical per-destination order, so the two
    directions produce bit-identical vertex values;
 4. applies the combined updates, derives the new active mask, and asks the
-   configured filter (JIT / online / ballot / batch / strided / atomic) for
+   configured filter (JIT / online / ballot / batch) for
    the next worklist. In push mode the recording workers are the frontier
    slots (one per scatter source); in pull mode each gather worker records
    its own destination once, post-combine;
@@ -67,7 +67,7 @@ from repro.core.frontier import (
     ClassifiedFrontier,
     WorklistClassifier,
 )
-from repro.core import kernels as kernel_backends
+from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
 from repro.core.fusion import FusionPlan, FusionStrategy
 from repro.core.metrics import BatchRunResult, RunResult
 from repro.core.superstep import Stream, SuperstepDriver, _ExpansionResult
@@ -93,7 +93,7 @@ _NO_WORK = WorkEstimate()
 @dataclass
 class EngineConfig:
     """The engine's options: the knobs the paper's evaluation sweeps plus
-    the deployment axes (shards, kernel backend, sanitizer).
+    the deployment axes (shards, sanitizer).
 
     The defaults are the configuration the paper evaluates: JIT task
     management with a 64-entry overflow threshold, push-pull based kernel
@@ -103,7 +103,8 @@ class EngineConfig:
     ``tests/test_config_surface.py`` pins the field set. Constants no
     caller varies live with the class that owns them (CTA size on
     :class:`~repro.core.fusion.FusionPlan`, the Beamer thresholds on
-    :class:`~repro.core.direction.DirectionSelector`, the compute-op
+    :class:`~repro.core.direction.DirectionSelector`, the split margin on
+    :class:`~repro.core.direction.BatchDirectionPolicy`, the compute-op
     constants in :data:`~repro.core.direction.DEFAULT_TRAFFIC_MODEL`), and
     the iteration cap is an attribute of the algorithm
     (:class:`~repro.core.acc.ACCAlgorithm`).
@@ -120,17 +121,13 @@ class EngineConfig:
     forced_direction: Optional[Direction] = None
     #: Batched runs (``run_batch``) only: score every lane's own frontier
     #: with the traffic model each iteration and, when lane interests
-    #: diverge from the union decision past ``split_margin``, split the
-    #: batch into a push-leaning and a pull-leaning sub-batch that each
-    #: walk the CSR (or in-CSR) with their own frontier view, JIT filter
-    #: state and pre-arm bound (docs/batching.md, "Lane-aware direction
-    #: selection"). Off = PR-3 behaviour: one union decision per iteration.
+    #: diverge from the union decision past ``BatchDirectionPolicy.margin``,
+    #: split the batch into a push-leaning and a pull-leaning sub-batch
+    #: that each walk the CSR (or in-CSR) with their own frontier view, JIT
+    #: filter state and pre-arm bound (docs/batching.md, "Lane-aware
+    #: direction selection"). Off = PR-3 behaviour: one union decision per
+    #: iteration.
     lane_aware_split: bool = True
-    #: Minimum modelled compute-op saving, as a fraction of the decide-once
-    #: cost, before a diverging batch actually splits - the knob that
-    #: absorbs the per-sub-batch fixed costs (each sub-batch pays its own
-    #: kernel launches, barriers and task-management pass).
-    split_margin: float = 0.5
     shadow_online: bool = True
     #: When True, the Combine step is priced as Gunrock prices it - direct
     #: atomic updates to vertex state instead of the ACC model's shared-memory
@@ -153,25 +150,12 @@ class EngineConfig:
     #: ``lane_aware_split`` is inert - per-shard direction selection
     #: replaces lane grouping.
     num_shards: int = 1
-    #: Execution backend of the CSR-walk kernel primitives
-    #: (:mod:`repro.core.kernels`): ``"numpy"`` (vectorized, the default)
-    #: or ``"python"`` (loop-based reference). Results are bit-identical;
-    #: only wall-clock differs. Threaded through single, batched and
-    #: sharded runs; ``RunResult.extra["kernel_backend"]`` records it.
-    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError(
                 f"num_shards must be >= 1, got {self.num_shards}"
             )
-        if self.kernel_backend not in kernel_backends.BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel_backend {self.kernel_backend!r}; known: "
-                f"{kernel_backends.BACKEND_NAMES}"
-            )
-        if self.split_margin < 0:
-            raise ValueError("split_margin must be non-negative")
 
 
 class SIMDXEngine:
@@ -199,10 +183,9 @@ class SIMDXEngine:
         self._pull_classifier: Optional[WorklistClassifier] = None
         self._in_degrees: Optional[np.ndarray] = None
         self.fusion_plan = FusionPlan(self.config.fusion)
-        #: Kernel backend the CSR-walk primitives run on (docs/kernels.md).
-        self.kernel = kernel_backends.get_kernel_backend(
-            self.config.kernel_backend
-        )
+        #: The kernel primitives every path runs on; the scatter walk goes
+        #: through :meth:`_walk_edges` (docs/kernels.md).
+        self.kernel = DEFAULT_KERNEL
         #: Edges expanded by this run's CSR walks (reset per run; equals
         #: the iteration records' frontier_edges total).
         self._kernel_edges_walked = 0
@@ -290,9 +273,10 @@ class SIMDXEngine:
         (``EngineConfig.lane_aware_split``): each iteration every lane's
         own frontier is scored with the traffic model and the batch splits
         into a push-leaning and a pull-leaning sub-batch when lane
-        interests diverge past ``split_margin`` - each sub-batch walks the
-        CSR (or in-CSR) with its own frontier view, JIT filter state and
-        pre-arm bound, and lanes re-merge when their decisions reconverge.
+        interests diverge past ``BatchDirectionPolicy.margin`` - each
+        sub-batch walks the CSR (or in-CSR) with its own frontier view, JIT
+        filter state and pre-arm bound, and lanes re-merge when their
+        decisions reconverge.
         With ``lane_aware_split=False`` direction and the task-management
         filter are decided once on the union (the PR-3 cost-only
         approximation); ``docs/batching.md`` documents both regimes.
@@ -429,7 +413,7 @@ class SIMDXEngine:
         device = stream.device
         jit = stream.jit
 
-        # The online/batch/atomic filters record destinations that just
+        # The online/batch filters record destinations that just
         # became active, as observed by the worker that updated them.
         recorded = active_mask[expansion.recorded_destinations]
         # The static overflow bound (only the JIT controller reads it): a
@@ -496,30 +480,22 @@ class SIMDXEngine:
     # ------------------------------------------------------------------
     # Functional primitives shared by every expansion
     # ------------------------------------------------------------------
-    #: The numpy backend's scatter walk over the out-CSR rows of a push
-    #: frontier. A class-level alias of the one body in
-    #: :mod:`repro.core.kernels` - the seam tests patch to count walks.
-    _walk_edges = staticmethod(kernel_backends.NumpyKernelBackend.walk_edges)
+    #: The scatter walk over the out-CSR rows of a push frontier. A
+    #: class-level alias of the one body in :mod:`repro.core.kernels` - the
+    #: seam tests patch or override to count or substitute walks.
+    _walk_edges = staticmethod(NumpyKernelBackend.walk_edges)
 
     def _walk_kept(self, csr, worklist: np.ndarray, source_mask: np.ndarray):
-        """Backend-dispatched gather walk; counts every edge it scanned."""
+        """The gather walk on :attr:`kernel`; counts every edge it scanned."""
         src, dst, edge_idx, walked = self.kernel.walk_kept(csr, worklist, source_mask)
         self._kernel_edges_walked += int(walked)
         return src, dst, edge_idx, walked
 
     def _walk(self, csr, worklist: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Backend-dispatched scatter walk; every push expansion goes through here.
-
-        The numpy backend routes through the class-level :meth:`_walk_edges`
-        staticmethod (the historical entry point tests may patch); the
-        python backend runs the loop reference from
-        :mod:`repro.core.kernels`. Either way the per-run
-        ``kernel_edges_walked`` counter advances by the edges expanded.
-        """
-        if self.kernel.name == "numpy":
-            slot, edge_idx, total = self._walk_edges(csr, worklist)
-        else:
-            slot, edge_idx, total = self.kernel.walk_edges(csr, worklist)
+        """The scatter walk every push expansion runs, through
+        :meth:`_walk_edges`; advances the per-run ``kernel_edges_walked``
+        counter by the edges expanded."""
+        slot, edge_idx, total = self._walk_edges(csr, worklist)
         self._kernel_edges_walked += int(total)
         return slot, edge_idx, total
 

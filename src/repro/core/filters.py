@@ -1,10 +1,9 @@
 """Task-management filters (Section 4).
 
 A *filter* turns the updates of one iteration into the next iteration's
-active worklist. The paper contributes two filters and compares them to three
-prior-work designs, all of which are implemented here so the ablation
-experiments (Figure 12, and the related-work comparisons in Section 8) can be
-reproduced:
+active worklist. The paper contributes two filters and compares them to
+Gunrock's batch filter, all of which are implemented here so the ablation
+experiments (Figure 12) can be reproduced:
 
 * :class:`OnlineFilter`  -- record updated destinations into bounded
   per-thread bins *while computing*; extremely cheap when the frontier is
@@ -15,10 +14,6 @@ reproduced:
 * :class:`BatchFilter`   -- Gunrock/B40C style: materialize the full active
   *edge* list (up to 2|E| memory), then compact the updated destinations;
   unsorted, redundant, memory hungry.
-* :class:`StridedFilter` -- Enterprise/iBFS style metadata scan with strided
-  (non-coalesced) accesses; correct but slow.
-* :class:`AtomicFilter`  -- append active vertices to a global list with
-  atomics (Luo et al.); correct but serializes on the list tail.
 
 The paper's Section 4 pipeline has two more pieces that live elsewhere but
 are parameterized here-ish for reference:
@@ -62,8 +57,6 @@ class FilterMode(enum.Enum):
     ONLINE = "online"
     BALLOT = "ballot"
     BATCH = "batch"
-    STRIDED = "strided"
-    ATOMIC = "atomic"
 
 
 class FilterOverflowError(RuntimeError):
@@ -83,19 +76,19 @@ class FilterContext:
     Attributes
     ----------
     num_vertices:
-        Total vertex count (ballot/strided filters scan all of them).
+        Total vertex count (the ballot filter scans all of them).
     updated_destinations:
         Destination vertex of every update that *changed* metadata this
-        iteration, duplicates included (online/batch/atomic filters record
-        these as they happen).
+        iteration, duplicates included (online/batch filters record these
+        as they happen).
     producer_thread:
         For each entry of ``updated_destinations``, the index of the
         simulated thread (frontier slot) that produced it; used to assign
         bin ownership for the online filter.
     active_mask:
         Boolean mask over all vertices, true where the algorithm's ``Active``
-        function holds after this iteration's updates (ballot/strided filters
-        recompute the worklist from this).
+        function holds after this iteration's updates (the ballot filter
+        recomputes the worklist from this).
     frontier_edges:
         Edges expanded this iteration (batch filter materializes them).
     num_worker_threads:
@@ -260,61 +253,6 @@ class BatchFilter(Filter):
         )
 
 
-class StridedFilter(Filter):
-    """Metadata scan with strided thread-to-vertex assignment.
-
-    Functionally identical to the ballot filter, but each thread strides
-    through the metadata array (thread t reads vertices t, t + T, t + 2T...),
-    so no read coalesces: the scan costs one transaction per vertex instead
-    of one per eight, the 16x slowdown the paper attributes to Enterprise's
-    strided filter.
-    """
-
-    name = "strided"
-
-    def build(self, ctx: FilterContext) -> FilterResult:
-        compacted = compact_flags(ctx.active_mask)
-        scan_work = WorkEstimate(
-            scattered_transactions=gmem.scattered_accesses(2 * ctx.num_vertices),
-            compute_ops=float(ctx.num_vertices),
-        )
-        return FilterResult(
-            worklist=compacted.values,
-            work=scan_work.merged_with(compacted.work),
-            overflowed=False,
-            is_sorted=True,
-            is_unique=True,
-        )
-
-
-class AtomicFilter(Filter):
-    """Append updated destinations to a global worklist with atomics.
-
-    Every recorded vertex performs an ``atomicAdd`` on the shared tail
-    pointer, so all appends serialize on one address; the produced worklist
-    is unsorted and redundant.
-    """
-
-    name = "atomic"
-
-    def build(self, ctx: FilterContext) -> FilterResult:
-        dests = np.asarray(ctx.updated_destinations, dtype=np.int64)
-        work = WorkEstimate(
-            coalesced_bytes=gmem.sequential_bytes(int(dests.size), gmem.VERTEX_ID_BYTES),
-            compute_ops=float(dests.size),
-            atomic_ops=float(dests.size),
-            # All appends contend on the single tail counter.
-            atomic_contention=float(max(1, dests.size)),
-        )
-        return FilterResult(
-            worklist=dests.copy(),
-            work=work,
-            overflowed=False,
-            is_sorted=False,
-            is_unique=False,
-        )
-
-
 def make_filter(mode: FilterMode, *, online_capacity: int = 64) -> Filter:
     """Instantiate the filter for a non-JIT mode."""
     if mode == FilterMode.ONLINE:
@@ -323,8 +261,4 @@ def make_filter(mode: FilterMode, *, online_capacity: int = 64) -> Filter:
         return BallotFilter()
     if mode == FilterMode.BATCH:
         return BatchFilter()
-    if mode == FilterMode.STRIDED:
-        return StridedFilter()
-    if mode == FilterMode.ATOMIC:
-        return AtomicFilter()
     raise ValueError(f"{mode} is not a standalone filter (use JITTaskManager)")

@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.direction import Direction
-from repro.core.kernels import KernelBackend, get_kernel_backend
+from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
 from repro.graph.csr import CSRGraph
 
 #: Default worklist separators (paper Section 4, "Classification of small,
@@ -278,34 +278,35 @@ class BatchedFrontier:
     #: the full batch's per-lane state. ``None`` for a full batch, where
     #: local and global ids coincide.
     lane_ids: Optional[Tuple[int, ...]] = None
-    #: Kernel backend the bitmask primitives run on (``docs/kernels.md``);
-    #: defaults to the vectorized backend and is excluded from equality.
-    backend: Optional[KernelBackend] = field(
+    #: Kernel the bitmask primitives run on (``docs/kernels.md``);
+    #: ``None`` is :data:`~repro.core.kernels.DEFAULT_KERNEL`. Excluded
+    #: from equality.
+    backend: Optional[NumpyKernelBackend] = field(
         default=None, compare=False, repr=False
     )
 
-    def _kernel(self) -> KernelBackend:
-        return self.backend or get_kernel_backend("numpy")
+    def _kernel(self) -> NumpyKernelBackend:
+        return self.backend or DEFAULT_KERNEL
 
     @classmethod
     def from_lanes(
         cls,
         lane_frontiers: List[np.ndarray],
-        backend: Optional[KernelBackend] = None,
+        backend: Optional[NumpyKernelBackend] = None,
     ) -> "BatchedFrontier":
         """Build the union + bitmask pair from per-lane frontiers.
 
         Each per-lane frontier is a 1-D array of vertex ids (duplicates
         and any order tolerated - the build is one vertex-indexed pass, so
         neither costs anything); an empty array is a lane that has finished
-        or is momentarily inactive. ``backend`` selects the kernel backend
-        the union/bitmask primitive (and later :meth:`lane_mask` calls) runs
-        on; both backends produce bit-identical structures.
+        or is momentarily inactive. ``backend`` is the kernel the
+        union/bitmask primitive (and later :meth:`lane_mask` calls) runs
+        on - the engine passes its own ``SIMDXEngine.kernel``.
         """
         num_lanes = len(lane_frontiers)
         if num_lanes == 0:
             raise ValueError("at least one lane is required")
-        kernel = backend or get_kernel_backend("numpy")
+        kernel = backend or DEFAULT_KERNEL
         lanes = [np.asarray(f, dtype=np.int64) for f in lane_frontiers]
         size = 1 + max((int(f.max()) for f in lanes if f.size), default=-1)
         vertices, lane_bits = kernel.build_lane_bits(lanes, size)

@@ -199,9 +199,9 @@ class LaneSet:
 
     ``clones[k]`` owns lane k's stateful hooks (SSSP's pending set, k-Core's
     bookkeeping) and ``frontiers[k]`` its canonical frontier (sorted here).
-    Compute calls ``compute_edges`` (push) or ``gather_edges`` (pull) on
-    lane k's own instance, so heterogeneous ``lane_params`` need no second
-    route; the ``run`` lane set's one instance is the caller's own.
+    Compute calls ``compute_edges`` (push and pull) on lane k's own
+    instance, so heterogeneous ``lane_params`` need no second route; the
+    ``run`` lane set's one instance is the caller's own.
     ``batched`` marks a ``run_batch`` lane set for planning and for the
     record fields. ``prototype`` answers what every lane shares (iteration
     cap, combine kind, cost traits).
@@ -494,7 +494,6 @@ class SuperstepDriver:
             ),
             extra_keys.BREAKDOWN: breakdown,
             extra_keys.JIT_PRE_ARMED_ITERATIONS: sorted(pre_armed),
-            extra_keys.KERNEL_BACKEND: cfg.kernel_backend,
             extra_keys.KERNEL_EDGES_WALKED: int(self.engine._kernel_edges_walked),
             extra_keys.STOPPED_AT_CAP: self.stopped_at_cap,
         }
@@ -527,7 +526,6 @@ class SuperstepDriver:
                 total_edges=self.graph.num_edges,
                 num_lanes=len(clones),
                 start_direction=self.streams[0].selector.start_direction,
-                margin=cfg.split_margin,
             )
         max_iterations = lanes.prototype.max_iterations
         unconverged = False
@@ -984,9 +982,8 @@ class SuperstepDriver:
         for lane, at in parts:
             alg, row = lanes.clones[lane], lanes.metadata[lane]
             s, d, w = _take(src, at), _take(dst, at), _take(weights, at)
-            compute = alg.compute_edges if push else alg.gather_edges
             updates = np.asarray(
-                compute(row.take(s), w, row.take(d), s, d, graph),
+                alg.compute_edges(row.take(s), w, row.take(d), s, d, graph),
                 dtype=np.float64,
             )
             unit.lane_pairs += int(updates.size)

@@ -264,7 +264,6 @@ class WarmStartAlgorithm(ACCAlgorithm):
         self.max_iterations = inner.max_iterations
         self.uses_weights = inner.uses_weights
         self.starts_in_pull = inner.starts_in_pull
-        self.no_update = inner.no_update
         # Warm runs repair one query; the batched path is not used.
         self.supports_multi_source = False
 
@@ -295,11 +294,6 @@ class WarmStartAlgorithm(ACCAlgorithm):
     def on_frontier_expanded(self, frontier, metadata):
         self._inner.on_frontier_expanded(frontier, metadata)
 
-    def gather_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
-        return self._inner.gather_edges(
-            src_meta, weights, dst_meta, src_ids, dst_ids, graph
-        )
-
     def gather_mask(self, metadata, graph, frontier=None):
         bound = self._plan.gather_bound
         if bound is None:
@@ -313,14 +307,6 @@ class WarmStartAlgorithm(ACCAlgorithm):
 
     def vertex_value(self, metadata):
         return self._inner.vertex_value(metadata)
-
-    def describe(self) -> dict:
-        return {
-            **self._inner.describe(),
-            "warm_start": True,
-            "reset_vertices": self._plan.reset_vertices,
-            "seed_vertices": self._plan.seed_vertices,
-        }
 
 
 class IncrementalRecompute:

@@ -100,7 +100,8 @@ class ServedResult:
     #: Lane index the query occupied in its batch; -1 for a hit or a
     #: repair, which never occupy a lane.
     lane: int
-    #: Index of the batch in :attr:`SIMDXServer.batch_log` - with
+    #: The batch's ``batch_index`` (its dispatch count, from 0), which
+    #: its :attr:`SIMDXServer.batch_log` entry carries too - with
     #: ``lane``, the exact coordinates to replay this query's answer
     #: through a direct ``run_batch`` call; -1 for a hit or a repair.
     batch_index: int
@@ -120,6 +121,12 @@ class ServedResult:
     #: view shared between the batch's lanes: a write raises ``TypeError``.
     extra: Mapping[str, object] = field(default_factory=dict)
 
+
+#: Dispatched batches :attr:`SIMDXServer.batch_log` keeps, newest last:
+#: a long-lived server's log stays bounded, and the bound sits far above
+#: the few hundred batches a benchmark run dispatches, so the log still
+#: reads every batch there.
+BATCH_LOG_SIZE = 4096
 
 #: Algorithms the server accepts: the multi-source traversals
 #: ``run_batch`` can lane-parallelize. Constructors must accept
@@ -171,10 +178,11 @@ class SIMDXServer:
         self._dispatch_task: Optional[asyncio.Task] = None
         self._closed = False
         self._drain_on_close = True
-        #: Composition of every dispatched batch (algorithm, sources,
-        #: lane_params) - the replay record the differential tests use to
+        #: Composition of the last :data:`BATCH_LOG_SIZE` dispatched
+        #: batches (batch_index, algorithm, sources, lane_params, graph
+        #: version) - the replay record the differential tests use to
         #: re-run each batch directly through a fresh engine.
-        self.batch_log: List[Dict[str, object]] = []
+        self.batch_log: Deque[Dict[str, object]] = deque(maxlen=BATCH_LOG_SIZE)
         #: Pending (EdgeUpdateBatch, future) pairs the dispatch loop
         #: applies between batches.
         self._updates: Deque[tuple] = deque()
@@ -448,8 +456,11 @@ class SIMDXServer:
         if not any(lane_params):
             lane_params = None
         algorithm_name = batch[0].algorithm
+        batch_index = self._stats["batches"]
+        self._stats["batches"] += 1
         self.batch_log.append(
             {
+                "batch_index": batch_index,
                 "algorithm": algorithm_name,
                 "sources": list(sources),
                 "lane_params": (
@@ -461,8 +472,6 @@ class SIMDXServer:
                 "graph_version": self.dyn.version,
             }
         )
-        self._stats["batches"] += 1
-        batch_index = len(self.batch_log) - 1
         dispatched_at = loop.time()
         waits = [dispatched_at - query.enqueued_at for query in batch]
         resolved = 0  # lanes stored and demultiplexed so far

@@ -1,15 +1,18 @@
 """Test seams: engines and servers that take orders from the harness.
 
 The production surface decides everything itself (``EngineConfig`` has no
-schedule fields, ``SIMDXServer`` no dispatch callback); the tests that
-prove "results are bit-identical under *every* direction schedule / lane
-grouping / cancellation window" impose theirs by subclassing, at the three
-points the superstep driver and the dispatch loop already ask a method:
+schedule or backend fields, ``SIMDXServer`` no dispatch callback); the
+tests that prove "results are bit-identical under *every* direction
+schedule / lane grouping / kernel / cancellation window" impose theirs by
+subclassing, at the points the superstep driver and the dispatch loop
+already ask a method or an attribute:
 
 * :meth:`SIMDXEngine._forced_direction` - the manual direction of a
   superstep (``None`` = automatic);
 * :meth:`SIMDXEngine._plan_groups` - the lane groups of a batched
   superstep;
+* ``SIMDXEngine.kernel`` and :meth:`SIMDXEngine._walk_edges` - the kernel
+  primitives every path runs, and the scatter walk;
 * :meth:`SIMDXServer._dispatch` - every popped batch on its way to the
   engine.
 
@@ -28,6 +31,7 @@ import numpy as np
 from repro.core.direction import Direction, SubBatchPlan
 from repro.core.engine import SIMDXEngine
 from repro.serve import SIMDXServer
+from tests.oracles import PythonKernelBackend
 
 #: ``split_schedule(iteration, live_lanes)`` returns the ``(direction,
 #: lanes)`` sub-batches of that iteration (a partition of ``live_lanes``),
@@ -100,10 +104,32 @@ class ScheduledEngine(SIMDXEngine):
         return groups
 
 
+class ReferenceKernelEngine(ScheduledEngine):
+    """A :class:`ScheduledEngine` on the loop reference primitives.
+
+    ``kernel`` (default: a :class:`~tests.oracles.PythonKernelBackend`)
+    replaces ``SIMDXEngine.kernel``, and :meth:`_walk_edges` calls its
+    ``walk_edges``, so single runs, batches and every shard of a sharded
+    run execute no vectorized primitive. Results must be bit-identical to
+    the plain engine's (``docs/kernels.md``).
+    """
+
+    def __init__(self, *args, kernel=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kernel = kernel if kernel is not None else PythonKernelBackend()
+
+    def _walk_edges(self, csr, worklist):
+        return self.kernel.walk_edges(csr, worklist)
+
+
+#: The reference-kernel axis: the engine class that runs each kernel, the
+#: shipped vectorized one and the loop reference (both take the
+#: :class:`ScheduledEngine` schedules).
+KERNEL_ENGINES = {"numpy": ScheduledEngine, "python": ReferenceKernelEngine}
+
+
 #: The per-lane ACC hooks :class:`RecordingEngine` logs.
-RECORDED_HOOKS = (
-    "compute_edges", "gather_edges", "on_frontier_expanded", "active_mask",
-)
+RECORDED_HOOKS = ("compute_edges", "on_frontier_expanded", "active_mask")
 
 
 class RecordingEngine(ScheduledEngine):
@@ -115,8 +141,7 @@ class RecordingEngine(ScheduledEngine):
     ``("combine", lane)`` for every :meth:`SIMDXEngine._combine_and_apply`,
     in call order. ``run_batch`` runs a recording subclass of the caller's
     algorithm whose per-lane copies carry their lane index, so the driver's
-    own clones log themselves. The default ``gather_edges`` delegates to
-    ``compute_edges``, so a gather logs both.
+    own clones log themselves.
     """
 
     def __init__(self, *args, **kwargs):

@@ -19,14 +19,13 @@ from repro.core.engine import EngineConfig
 FIELDS = {
     "filter_mode", "fusion", "overflow_threshold", "small_medium_separator",
     "medium_large_separator", "forced_direction", "lane_aware_split",
-    "split_margin", "shadow_online", "atomic_combine", "sanitize",
-    "num_shards", "kernel_backend",
+    "shadow_online", "atomic_combine", "sanitize", "num_shards",
 }
 
 ARCHITECTURE = Path(__file__).resolve().parent.parent / "docs" / "architecture.md"
 
 
-def test_fields_are_exactly_the_documented_thirteen():
+def test_fields_are_exactly_the_documented_eleven():
     assert {f.name for f in dataclasses.fields(EngineConfig)} == FIELDS
 
 
@@ -39,7 +38,9 @@ def test_every_field_has_a_row_in_the_options_table():
 
 
 @pytest.mark.parametrize(
-    "removed", ["direction_auto", "max_iterations", "split_schedule", "nope"]
+    "removed",
+    ["direction_auto", "max_iterations", "split_schedule", "split_margin",
+     "kernel_backend", "nope"],
 )
 def test_unknown_keyword_rejected(removed):
     with pytest.raises(TypeError):

@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, SSSP, PageRank, KCore, WCC
-from repro.core.acc import CombineKind, CombineOp, InitialState
+import inspect
+
+from repro.algorithms import ALGORITHMS, BFS, SSSP, PageRank, KCore, SpMV, WCC
+from repro.core.acc import ACCAlgorithm, CombineKind, CombineOp, InitialState
+from repro.core.direction import Direction
+from repro.dyn.incremental import WarmStartAlgorithm
+from repro.graph import generators as gen
+from tests.engine_seams import KERNEL_ENGINES
 
 
 class TestCombineOp:
@@ -14,17 +20,6 @@ class TestCombineOp:
         assert CombineOp.MIN.identity == np.inf
         assert CombineOp.MAX.identity == -np.inf
         assert CombineOp.SUM.identity == 0.0
-
-    def test_reduce_scalar(self):
-        values = np.array([3.0, 1.0, 2.0])
-        assert CombineOp.MIN.reduce(values) == 1.0
-        assert CombineOp.MAX.reduce(values) == 3.0
-        assert CombineOp.SUM.reduce(values) == 6.0
-
-    def test_reduce_empty_returns_identity(self):
-        empty = np.array([])
-        for op in CombineOp:
-            assert op.reduce(empty) == op.identity
 
     @pytest.mark.parametrize("op", list(CombineOp))
     def test_segment_reduce_matches_loop(self, op):
@@ -35,7 +30,7 @@ class TestCombineOp:
         for s in range(40):
             mask = segments == s
             if mask.any():
-                assert result[s] == pytest.approx(op.reduce(values[mask]))
+                assert result[s] == pytest.approx(op.ufunc.reduce(values[mask]))
             else:
                 assert result[s] == op.identity
 
@@ -147,12 +142,6 @@ class TestAlgorithmClassification:
         assert not BFS().starts_in_pull
         assert not SSSP().starts_in_pull
 
-    def test_describe(self):
-        d = SSSP().describe()
-        assert d["name"] == "sssp"
-        assert d["combine_kind"] == "aggregation"
-        assert d["uses_weights"] is True
-
 
 class TestScalarVectorAgreement:
     """The paper's per-edge ``active`` / ``compute`` / ``combine`` semantics
@@ -207,8 +196,11 @@ class TestScalarVectorAgreement:
         # The engine drops the NaN "no update" offers, then combines.
         updates = np.array([4.0, 2.0, np.nan])
         valid = updates[~np.isnan(updates)]
-        assert SSSP().combine_op.reduce(valid) == pytest.approx(2.0)
-        assert PageRank().combine_op.reduce(np.array([1.0, 2.0])) == pytest.approx(3.0)
+        ids = np.zeros(valid.size, dtype=np.int64)
+        assert SSSP().combine_op.segment_reduce(valid, ids, 1)[0] == pytest.approx(2.0)
+        assert PageRank().combine_op.segment_reduce(
+            np.array([1.0, 2.0]), np.zeros(2, dtype=np.int64), 1
+        )[0] == pytest.approx(3.0)
 
 
 class TestInitialState:
@@ -265,3 +257,103 @@ class TestInitialState:
         assert algo.converged(state.metadata, state.metadata, 1)
         algo.on_frontier_expanded(state.frontier, state.metadata)
         assert algo.vertex_value(state.metadata).dtype == np.int64
+
+
+class TestUpdateDropRule:
+    """``compute_edges`` contract: the engine drops exactly the NaN
+    updates before Combine and passes every other value, ``inf`` included,
+    to the reduction - in both directions and on both kernels."""
+
+    class _Probe(SpMV):
+        """SpMV whose ``compute`` yields ``special`` on odd sources, over a
+        ``-1`` sentinel that only an applied Combine overwrites."""
+
+        def __init__(self, special):
+            super().__init__(x_seed=5)
+            self.special = special
+
+        def init(self, graph, **params):
+            state = super().init(graph, **params)
+            state.metadata[:] = -1.0
+            return state
+
+        def compute_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
+            updates = super().compute_edges(
+                src_meta, weights, dst_meta, src_ids, dst_ids, graph
+            )
+            return np.where(src_ids % 2 == 1, self.special, updates)
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return gen.rmat_graph(6, 4, seed=3, name="rmat6")
+
+    def _run(self, graph, special, direction, kernel):
+        engine = KERNEL_ENGINES[kernel](graph, direction_schedule=[direction])
+        result = engine.run(self._Probe(special))
+        assert not result.failed, result.failure_reason
+        return result.values
+
+    @staticmethod
+    def _expected(graph, special):
+        """Sequential loop over every edge, applying the rule by hand."""
+        x = np.random.default_rng(5).random(graph.num_vertices)
+        y = np.full(graph.num_vertices, -1.0)
+        edges = graph.to_edge_array()
+        for (s, d), w in zip(edges.tolist(), graph.out_csr.weights.tolist()):
+            update = special if s % 2 == 1 else w * x[s]
+            if np.isnan(update):
+                continue
+            y[d] = update if y[d] == -1.0 else y[d] + update
+        return y
+
+    @pytest.mark.parametrize("kernel", tuple(KERNEL_ENGINES))
+    @pytest.mark.parametrize("direction", [Direction.PUSH, Direction.PULL])
+    def test_nan_update_contributes_nothing(self, graph, direction, kernel):
+        got = self._run(graph, np.nan, direction, kernel)
+        expected = self._expected(graph, np.nan)
+        # A destination only odd sources reach is never touched.
+        assert np.array_equal(got == -1.0, expected == -1.0)
+        assert (expected == -1.0).any() and (expected != -1.0).any()
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("kernel", tuple(KERNEL_ENGINES))
+    @pytest.mark.parametrize("direction", [Direction.PUSH, Direction.PULL])
+    def test_inf_update_reaches_combine(self, graph, direction, kernel):
+        got = self._run(graph, np.inf, direction, kernel)
+        expected = self._expected(graph, np.inf)
+        # Under SUM one infinite offer makes the destination infinite.
+        assert np.isinf(expected).any() and np.isfinite(expected).any()
+        assert np.array_equal(np.isinf(got), np.isinf(expected))
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+#: The hooks of :class:`ACCAlgorithm` - every method the engine calls.
+ACC_HOOKS = {
+    name for name, member in vars(ACCAlgorithm).items()
+    if callable(member) and not name.startswith("_")
+}
+
+#: Public methods an algorithm adds for its callers, not for the engine.
+RESULT_HELPERS = {KCore: {"core_membership"}}
+
+
+@pytest.mark.parametrize(
+    "cls", [*ALGORITHMS.values(), WarmStartAlgorithm],
+    ids=lambda cls: cls.__name__,
+)
+def test_algorithm_defines_only_engine_hooks(cls):
+    """An algorithm's public methods are the ACC hooks the engine calls
+    (plus a documented result helper), each with the base signature the
+    engine calls it by - a hook nothing calls does not creep back."""
+    own = {
+        name for name, member in vars(cls).items()
+        if callable(member) and not name.startswith("_")
+    }
+    assert own - ACC_HOOKS == RESULT_HELPERS.get(cls, set())
+    for name in own & ACC_HOOKS:
+        params = list(inspect.signature(getattr(cls, name)).parameters)
+        base = list(inspect.signature(getattr(ACCAlgorithm, name)).parameters)
+        if name == "init":  # per-algorithm keyword parameters follow graph
+            assert params[:2] == base[:2], name
+        else:
+            assert params == base, name

@@ -30,8 +30,7 @@ class TestFunctionalCorrectness:
         assert_distances_equal(result.values, ref.sssp_distances(rmat_graph, src))
 
     @pytest.mark.parametrize("filter_mode", [FilterMode.JIT, FilterMode.BALLOT,
-                                             FilterMode.BATCH, FilterMode.STRIDED,
-                                             FilterMode.ATOMIC])
+                                             FilterMode.BATCH])
     def test_results_invariant_across_filters(self, rmat_graph, filter_mode):
         src = int(np.argmax(rmat_graph.out_degrees()))
         config = EngineConfig(filter_mode=filter_mode)

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.filters import (
-    AtomicFilter,
     BallotFilter,
     BatchFilter,
     FilterContext,
     FilterMode,
     OnlineFilter,
-    StridedFilter,
     make_filter,
 )
 from repro.core.jit import JITTaskManager, run_length_pattern
@@ -145,31 +143,6 @@ class TestBatchFilter:
         assert large.extra_memory_bytes > 100 * small.extra_memory_bytes
 
 
-class TestStridedAndAtomicFilters:
-    def test_strided_output_matches_ballot(self):
-        ctx = make_ctx()
-        assert np.array_equal(
-            StridedFilter().build(ctx).worklist, BallotFilter().build(ctx).worklist
-        )
-
-    def test_strided_scan_is_uncoalesced(self):
-        ctx = make_ctx(num_vertices=10_000)
-        strided = StridedFilter().build(ctx)
-        ballot = BallotFilter().build(ctx)
-        # Strided scan: one transaction per vertex read; ballot: coalesced.
-        assert strided.work.scattered_transactions > ballot.work.scattered_transactions
-
-    def test_atomic_filter_contends_on_tail_pointer(self):
-        ctx = make_ctx(updated=tuple(range(64)))
-        result = AtomicFilter().build(ctx)
-        assert result.work.atomic_ops == 64
-        assert result.work.atomic_contention == 64
-
-    def test_atomic_filter_worklist_content(self):
-        result = AtomicFilter().build(make_ctx())
-        assert np.array_equal(np.sort(result.worklist), [3, 5, 7, 7])
-
-
 class TestMakeFilter:
     @pytest.mark.parametrize(
         "mode,cls",
@@ -177,8 +150,6 @@ class TestMakeFilter:
             (FilterMode.ONLINE, OnlineFilter),
             (FilterMode.BALLOT, BallotFilter),
             (FilterMode.BATCH, BatchFilter),
-            (FilterMode.STRIDED, StridedFilter),
-            (FilterMode.ATOMIC, AtomicFilter),
         ],
     )
     def test_factory(self, mode, cls):

@@ -13,13 +13,14 @@ offers must agree:
   push/pull equivalence, fuzzed across graph shapes;
 * for the multi-source algorithms (BFS, SSSP), **batched** runs at
   K ∈ {1, 4, 16} with lane-aware splitting forced eagerly on
-  (``split_margin=0``), forced off (``lane_aware_split=False``) and under
+  (``BatchDirectionPolicy.margin`` patched to 0), forced off (``lane_aware_split=False``) and under
   random forced split schedules must be bit-identical per lane to the K
   serial single-source engine runs (which the auto check ties back to the
   oracle);
-* the **kernel-backend axis** (``EngineConfig.kernel_backend``): the
-  loop-reference ``python`` backend must be bit-identical to the
-  vectorized ``numpy`` backend in every mode above. The small matrix
+* the **reference-kernel axis** (``tests/engine_seams.py``'s
+  ``ReferenceKernelEngine``): an engine on the loop-reference ``python``
+  primitives must be bit-identical to one on the shipped vectorized
+  ``numpy`` primitives in every mode above. The small matrix
   crosses it with auto/push/pull and the batched split modes; the large
   matrix also crosses it with random schedules, K=16 and the sharded
   num_shards ∈ {1, 2, 4} axis;
@@ -54,12 +55,12 @@ from repro.algorithms import (
     WCC,
 )
 from repro.baselines import reference as ref
-from repro.core.direction import Direction
+from repro.core.direction import BatchDirectionPolicy, Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from tests.conftest import assert_distances_equal
-from tests.engine_seams import ScheduledEngine, random_split_schedule
+from tests.engine_seams import KERNEL_ENGINES, random_split_schedule
 from tests import oracles
 
 #: ``REPRO_SANITIZE=1`` runs the whole matrix with the runtime sanitizer
@@ -83,9 +84,9 @@ def _finished(result):
     return result
 
 
-#: The kernel-backend axis: every differential cell that crosses it must
-#: produce bit-identical values under the loop reference and the
-#: vectorized backend (docs/kernels.md).
+#: The reference-kernel axis: every differential cell that crosses it must
+#: produce bit-identical values on the loop reference primitives and the
+#: vectorized ones (docs/kernels.md).
 KERNEL_BACKENDS = ("python", "numpy")
 
 
@@ -260,25 +261,20 @@ def _check_single_source_modes(
     for backend in backends:
         modes = {}
         if backend != "numpy":
-            modes["auto"] = _config(kernel_backend=backend)
-        modes["push"] = _config(
-            forced_direction=Direction.PUSH, kernel_backend=backend
-        )
-        modes["pull"] = _config(
-            forced_direction=Direction.PULL, kernel_backend=backend
-        )
+            modes["auto"] = _config()
+        modes["push"] = _config(forced_direction=Direction.PUSH)
+        modes["pull"] = _config(forced_direction=Direction.PULL)
         if schedule is not None:
-            modes["schedule"] = _config(kernel_backend=backend)
+            modes["schedule"] = _config()
         for mode, config in modes.items():
-            result = _finished(ScheduledEngine(
+            result = _finished(KERNEL_ENGINES[backend](
                 graph, config=config,
                 direction_schedule=schedule if mode == "schedule" else None,
             ).run(make_algo()))
             assert np.array_equal(result.values, auto.values), (
                 f"{case_name} diverged in mode {mode} "
-                f"(kernel_backend={backend}) on {graph.name}"
+                f"(kernel {backend}) on {graph.name}"
             )
-            assert result.extra["kernel_backend"] == backend
     return make_algo
 
 
@@ -298,25 +294,26 @@ def _check_batched_modes(graph, case_name, seed, lane_counts,
             ).values
         return single_values[source]
 
-    #: mode -> (config, forced split schedule or None)
+    #: mode -> (kernel, config, forced split schedule or None, split margin
+    #: or None for the policy's own)
     batch_modes = {}
     for backend in backends:
-        batch_modes[f"split-on@{backend}"] = (
-            _config(split_margin=0.0, kernel_backend=backend), None
-        )
+        batch_modes[f"split-on@{backend}"] = (backend, _config(), None, 0.0)
         batch_modes[f"split-off@{backend}"] = (
-            _config(lane_aware_split=False, kernel_backend=backend), None
+            backend, _config(lane_aware_split=False), None, None
         )
         batch_modes[f"split-forced@{backend}"] = (
-            _config(kernel_backend=backend), random_split_schedule(seed)
+            backend, _config(), random_split_schedule(seed), None
         )
     for k in lane_counts:
         sources = _sources(graph, rng, k)
-        for mode, (config, split_schedule) in batch_modes.items():
-            batch = _finished(ScheduledEngine(
-                graph, config=config, split_schedule=split_schedule
-            ).run_batch(make_algo(), sources))
-            assert batch.extra["kernel_backend"] == config.kernel_backend
+        for mode, (backend, config, split_schedule, margin) in batch_modes.items():
+            with pytest.MonkeyPatch.context() as patch:
+                if margin is not None:
+                    patch.setattr(BatchDirectionPolicy, "margin", margin)
+                batch = _finished(KERNEL_ENGINES[backend](
+                    graph, config=config, split_schedule=split_schedule
+                ).run_batch(make_algo(), sources))
             for lane, source in enumerate(sources):
                 assert np.array_equal(batch.values[lane], serial(source)), (
                     f"{case_name} lane {lane} (source {source}) diverged "
@@ -396,12 +393,12 @@ def _check_sharded_single_source(
     oracle(auto.values, auto_algo)
 
     configs = {
-        "auto": lambda ns, kb: _config(num_shards=ns, kernel_backend=kb),
-        "push": lambda ns, kb: _config(
-            num_shards=ns, forced_direction=Direction.PUSH, kernel_backend=kb,
+        "auto": lambda ns: _config(num_shards=ns),
+        "push": lambda ns: _config(
+            num_shards=ns, forced_direction=Direction.PUSH
         ),
-        "pull": lambda ns, kb: _config(
-            num_shards=ns, forced_direction=Direction.PULL, kernel_backend=kb,
+        "pull": lambda ns: _config(
+            num_shards=ns, forced_direction=Direction.PULL
         ),
     }
     schedule = None
@@ -411,15 +408,15 @@ def _check_sharded_single_source(
     for num_shards in SHARD_COUNTS:
         for backend in backends:
             for mode, make_config in configs.items():
-                sharded = _finished(ScheduledEngine(
-                    graph, config=make_config(num_shards, backend),
+                sharded = _finished(KERNEL_ENGINES[backend](
+                    graph, config=make_config(num_shards),
                     direction_schedule=(
                         schedule if mode == "schedule" else None
                     ),
                 ).run(make_algo()))
                 assert np.array_equal(sharded.values, auto.values), (
                     f"{case_name} diverged on {num_shards} shards ({mode}, "
-                    f"kernel_backend={backend}) on {graph.name}"
+                    f"kernel {backend}) on {graph.name}"
                 )
                 _assert_shard_extra(sharded, num_shards)
 
@@ -447,11 +444,8 @@ def _check_sharded_batched(graph, case_name, seed, lane_counts,
                 # Per-shard direction selection replaces lane-group
                 # splitting, so the split knobs are inert on the sharded
                 # path; the default config exercises exactly what ships.
-                batch = _finished(SIMDXEngine(
-                    graph,
-                    config=_config(
-                        num_shards=num_shards, kernel_backend=backend
-                    ),
+                batch = _finished(KERNEL_ENGINES[backend](
+                    graph, config=_config(num_shards=num_shards),
                 ).run_batch(make_algo(), sources))
                 _assert_shard_extra(batch, num_shards)
                 for lane, source in enumerate(sources):
@@ -460,7 +454,7 @@ def _check_sharded_batched(graph, case_name, seed, lane_counts,
                     ), (
                         f"{case_name} lane {lane} (source {source}) "
                         f"diverged on {num_shards} shards at "
-                        f"K={len(sources)} (kernel_backend={backend}) "
+                        f"K={len(sources)} (kernel {backend}) "
                         f"on {graph.name}"
                     )
 

@@ -24,7 +24,7 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 
-COMPUTE = ("compute_edges", "gather_edges")
+COMPUTE = ("compute_edges",)
 SANITIZE = pytest.mark.parametrize(
     "sanitize",
     [True] if os.environ.get("REPRO_SANITIZE", "") == "1" else [False, True],

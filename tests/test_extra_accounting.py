@@ -47,7 +47,6 @@ class TestSingleRunAccounting:
         ]
         assert result.extra["direction_switches"] == 2
         assert result.extra["jit_pre_armed_iterations"] == []
-        assert result.extra["kernel_backend"] == "numpy"  # the default
         assert result.extra["kernel_edges_walked"] == 15524
         assert sum(r.frontier_edges for r in result.iteration_records) == 15524
         assert sum(r.active_edges for r in result.iteration_records) == 8037
@@ -81,8 +80,7 @@ class TestBatchRunAccounting:
         assert batch.extra["union_edges_walked"] == 49305
         assert batch.extra["lane_edge_pairs"] == 51960
         assert batch.extra["pull_edges_scanned"] == 48263
-        # The backend counter counts the same union walks.
-        assert batch.extra["kernel_backend"] == "numpy"
+        # The kernel counter counts the same union walks.
         assert batch.extra["kernel_edges_walked"] == 49305
         # The per-record sums are the extras' ground truth.
         assert batch.extra["union_edges_walked"] == sum(

@@ -29,9 +29,7 @@ ENGINE_RULES = {
     "unregistered-key": {"definitely_not_registered": 1},
     "counter-negative": {keys.UNION_EDGES_WALKED: -3},
     "counter-not-integer": {keys.UNION_EDGES_WALKED: 2.5},
-    "backend-unknown": {keys.KERNEL_BACKEND: "cuda", keys.KERNEL_EDGES_WALKED: 0},
-    "backend-without-walk": {keys.KERNEL_BACKEND: "numpy"},
-    "walk-vs-records": {keys.KERNEL_BACKEND: "numpy", keys.KERNEL_EDGES_WALKED: 5},
+    "walk-vs-records": {keys.KERNEL_EDGES_WALKED: 5},
     "shards-below-one": {
         keys.SHARDS: 0, keys.SHARD_SCANNED_EDGES: [], keys.SHARD_PEAK_BYTES: [],
     },

@@ -1,45 +1,53 @@
-"""Property and edge-case tests for the kernel-backend axis.
+"""Property and edge-case tests for the kernel seam.
 
-The differential fuzz harness crosses ``EngineConfig.kernel_backend`` with
-the direction/batching/sharding matrix on random graphs; this module covers
-what a random matrix can miss:
+The engine runs the vectorized primitives of :mod:`repro.core.kernels`;
+``tests/engine_seams.py:ReferenceKernelEngine`` substitutes the loop
+reference of ``tests/oracles.py`` through ``SIMDXEngine.kernel`` and
+``SIMDXEngine._walk_edges``. The differential fuzz harness crosses that
+reference axis with the direction/batching/sharding matrix on random
+graphs; this module covers what a random matrix can miss:
 
-* primitive-level parity - every :mod:`repro.core.kernels` primitive on
-  crafted inputs (empty worklists, zero-degree rows, 65-lane multi-word
-  bitmasks, all three Combine operators);
-* engine edge cases per backend - empty frontier, self-loop vertices,
+* primitive-level parity - every primitive on crafted inputs (empty
+  worklists, zero-degree rows, 65-lane multi-word bitmasks, all three
+  Combine operators);
+* the seam's reach - on forced push, forced pull, a split batch and two
+  shards, every primitive the engine calls is called on the substitute,
+  and no vectorized primitive runs;
+* engine edge cases per kernel - empty frontier, self-loop vertices,
   an algorithm capped at ``max_iterations = 0``, forced per-iteration
   direction schedules;
 * accounting parity - the *entire* ``RunResult.extra`` mapping must be
-  equal across backends, with exact pins for the seed graphs of
-  ``tests/test_extra_accounting.py`` (the new ``kernel_edges_walked``
-  counter equals the pinned ``frontier_edges`` totals there).
+  equal across kernels, with exact pins for the seed graphs of
+  ``tests/test_extra_accounting.py`` (the ``kernel_edges_walked`` counter
+  equals the pinned ``frontier_edges`` totals there).
 """
 
 from __future__ import annotations
 
 import traceback
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.algorithms import BFS, SSSP, PageRank
 from repro.core.acc import CombineOp
-from repro.core.direction import Direction
+from repro.core.direction import BatchDirectionPolicy, Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.frontier import BatchedFrontier
-from repro.core.kernels import (
-    BACKEND_NAMES,
-    NumpyKernelBackend,
-    get_kernel_backend,
-)
+from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
 from repro.core.superstep import SuperstepDriver
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
-from tests.engine_seams import ScheduledEngine
+from tests.engine_seams import KERNEL_ENGINES, ReferenceKernelEngine
+from tests.oracles import PythonKernelBackend
 
-NUMPY = get_kernel_backend("numpy")
-PYTHON = get_kernel_backend("python")
+NUMPY = DEFAULT_KERNEL
+PYTHON = PythonKernelBackend()
+
+#: The two kernels an engine runs on: the shipped one, and the loop
+#: reference substituted through the seam.
+KERNELS = tuple(KERNEL_ENGINES)
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +263,7 @@ class TestPrimitiveParity:
         sub_py = via_py.sub_batch([64, 3])
         assert np.array_equal(sub_np.vertices, sub_py.vertices)
         assert np.array_equal(sub_np.lane_bits, sub_py.lane_bits)
-        assert sub_py.backend is PYTHON  # views keep their backend
+        assert sub_py.backend is PYTHON  # views keep their kernel
 
     @pytest.mark.parametrize("op", list(CombineOp))
     def test_segment_reduce_parity(self, op):
@@ -306,34 +314,136 @@ class TestPrimitiveParity:
             CombineOp.SUM.compact_reduce(values, segment_ids, 3)[1], combined
         )
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_kernel_backend("fortran")
-        with pytest.raises(ValueError, match="kernel_backend"):
-            EngineConfig(kernel_backend="fortran")
-        assert set(BACKEND_NAMES) == {"python", "numpy"}
 
 
 # ----------------------------------------------------------------------
-# Engine edge cases, per backend
+# The seam reaches every primitive
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
+#: The primitives of the kernel interface.
+PRIMITIVES = (
+    "walk_edges", "walk_kept", "membership_mask", "rows_in_sorted",
+    "sorted_unique", "union_sorted", "build_lane_bits", "lane_mask",
+    "segment_reduce",
+)
+
+
+class CountingKernel:
+    """Forwards every primitive to ``inner`` and counts the calls by name."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.fixture
+def vectorized_calls(monkeypatch):
+    """Counts, by name, the primitives run on the vectorized kernel class
+    and through the base ``SIMDXEngine._walk_edges`` - outermost calls
+    only (a sparse ``walk_kept`` walks its rows with ``walk_edges``)."""
+    calls, depth = Counter(), [0]
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            if not depth[0]:
+                calls[name] += 1
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    for name in PRIMITIVES:
+        raw = vars(NumpyKernelBackend)[name]
+        if isinstance(raw, staticmethod):
+            wrapped = staticmethod(counting(name, raw.__func__))
+        else:
+            wrapped = counting(name, raw)
+        monkeypatch.setattr(NumpyKernelBackend, name, wrapped)
+    monkeypatch.setattr(
+        SIMDXEngine, "_walk_edges",
+        staticmethod(counting("walk_edges", SIMDXEngine._walk_edges)),
+    )
+    return calls
+
+
+class TestReferenceSeam:
+    """Every path the engine has runs the substitute's primitives - the
+    same ones the vectorized engine runs there - and no vectorized one."""
+
+    PATHS = {
+        "push": (EngineConfig(forced_direction=Direction.PUSH), "run"),
+        "pull": (EngineConfig(forced_direction=Direction.PULL), "run"),
+        "split-batch": (EngineConfig(), "run_batch"),
+        "shards=2": (EngineConfig(num_shards=2), "run"),
+        "shards=2-batch": (EngineConfig(num_shards=2), "run_batch"),
+    }
+
+    @staticmethod
+    def _run(engine, entry, rmat):
+        order = np.argsort(-rmat.out_degrees(), kind="stable")
+        if entry == "run":
+            return engine.run(SSSP(source=int(order[0])))
+        return engine.run_batch(SSSP(), [int(v) for v in order[:8]])
+
+    def test_every_primitive_goes_through_the_seam(
+        self, rmat, vectorized_calls, monkeypatch
+    ):
+        # A zero margin splits every diverging batched superstep.
+        monkeypatch.setattr(BatchDirectionPolicy, "margin", 0.0)
+        reached = set()
+        for path, (config, entry) in self.PATHS.items():
+            vectorized_calls.clear()
+            expected = self._run(SIMDXEngine(rmat, config=config), entry, rmat)
+            used = set(vectorized_calls)
+            vectorized_calls.clear()
+            kernel = CountingKernel(PythonKernelBackend())
+            got = self._run(
+                ReferenceKernelEngine(rmat, config=config, kernel=kernel),
+                entry, rmat,
+            )
+            assert not vectorized_calls, (path, dict(vectorized_calls))
+            assert set(kernel.calls) == used, path
+            assert np.array_equal(got.values, expected.values), path
+            if path == "split-batch":
+                assert got.extra["lane_splits"] > 0
+            reached |= used
+        # Both walks, the lane bitmask and Combine all crossed the seam.
+        assert reached >= {
+            "walk_edges", "walk_kept", "membership_mask", "sorted_unique",
+            "union_sorted", "build_lane_bits", "lane_mask", "segment_reduce",
+        }, reached
+
+
+# ----------------------------------------------------------------------
+# Engine edge cases, per kernel
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", KERNELS)
 class TestEngineEdgeCases:
     def test_empty_frontier_terminates(self, backend):
         """A source with no out-edges converges without walking anything."""
         graph = CSRGraph.from_edges(
             5, [(1, 2), (2, 3)], directed=True, name="iso", weight_seed=1
         )
-        config = EngineConfig(kernel_backend=backend, sanitize=True)
-        result = SIMDXEngine(graph, config=config).run(BFS(source=0))
+        config = EngineConfig(sanitize=True)
+        result = KERNEL_ENGINES[backend](graph, config=config).run(BFS(source=0))
         assert not result.failed
         assert result.values[0] == 0
         assert np.all(result.values[1:] == -1)
         assert result.extra["kernel_edges_walked"] == 0
 
     def test_self_loop_and_zero_degree(self, backend, loop_graph):
-        config = EngineConfig(kernel_backend=backend, sanitize=True)
-        result = SIMDXEngine(loop_graph, config=config).run(SSSP(source=0))
+        config = EngineConfig(sanitize=True)
+        result = KERNEL_ENGINES[backend](loop_graph, config=config).run(SSSP(source=0))
         assert not result.failed
         reference = SIMDXEngine(loop_graph).run(SSSP(source=0))
         assert np.array_equal(result.values, reference.values)
@@ -341,10 +451,9 @@ class TestEngineEdgeCases:
 
     def test_max_iterations_zero(self, backend, rmat):
         source = int(np.argmax(rmat.out_degrees()))
-        config = EngineConfig(kernel_backend=backend)
         algorithm = SSSP(source=source)
         algorithm.max_iterations = 0
-        result = SIMDXEngine(rmat, config=config).run(algorithm)
+        result = KERNEL_ENGINES[backend](rmat).run(algorithm)
         assert not result.failed
         assert result.iterations == 0
         assert result.extra["kernel_edges_walked"] == 0
@@ -354,8 +463,8 @@ class TestEngineEdgeCases:
         schedule = [
             Direction.PUSH, Direction.PULL, Direction.PULL, Direction.PUSH,
         ]
-        config = EngineConfig(kernel_backend=backend, sanitize=True)
-        result = ScheduledEngine(
+        config = EngineConfig(sanitize=True)
+        result = KERNEL_ENGINES[backend](
             rmat, config=config, direction_schedule=schedule
         ).run(SSSP(source=source))
         assert not result.failed
@@ -369,8 +478,7 @@ class TestEngineEdgeCases:
         order = np.argsort(-degrees, kind="stable")
         sources = [int(v) for v in order[:65]]
         assert degrees[sources[-1]] > 0
-        config = EngineConfig(kernel_backend=backend)
-        batch = SIMDXEngine(rmat, config=config).run_batch(BFS(), sources)
+        batch = KERNEL_ENGINES[backend](rmat).run_batch(BFS(), sources)
         assert not batch.failed
         reference = SIMDXEngine(rmat).run_batch(BFS(), sources)
         assert np.array_equal(batch.values, reference.values)
@@ -437,29 +545,21 @@ class TestSortFreeSupersteps:
 # ----------------------------------------------------------------------
 # Accounting parity + exact pins (alongside tests/test_extra_accounting.py)
 # ----------------------------------------------------------------------
-def _comparable_extra(extra):
-    """The extra mapping minus the backend-identity key itself."""
-    return {k: v for k, v in extra.items() if k != "kernel_backend"}
-
-
 class TestExtraParityPins:
     def test_single_run_extra_parity_and_pin(self, rmat):
         source = int(np.argmax(rmat.out_degrees()))
         results = {
-            backend: SIMDXEngine(
-                rmat, config=EngineConfig(kernel_backend=backend)
-            ).run(SSSP(source=source))
-            for backend in BACKEND_NAMES
+            backend: KERNEL_ENGINES[backend](rmat).run(SSSP(source=source))
+            for backend in KERNELS
         }
-        for backend, result in results.items():
-            assert result.extra["kernel_backend"] == backend
+        for result in results.values():
             # The pinned frontier_edges total of test_extra_accounting.
             assert result.extra["kernel_edges_walked"] == 15524
             assert result.extra["kernel_edges_walked"] == sum(
                 r.frontier_edges for r in result.iteration_records
             )
-        a, b = (results[backend] for backend in BACKEND_NAMES)
-        assert _comparable_extra(a.extra) == _comparable_extra(b.extra)
+        a, b = (results[backend] for backend in KERNELS)
+        assert a.extra == b.extra
         assert a.elapsed_us == b.elapsed_us  # simulated time is shared
         assert a.kernel_launches == b.kernel_launches
         assert a.direction_trace == b.direction_trace
@@ -470,36 +570,31 @@ class TestExtraParityPins:
             int(v) for v in np.argsort(-road.out_degrees(), kind="stable")[:8]
         ]
         results = {
-            backend: SIMDXEngine(
-                road, config=EngineConfig(kernel_backend=backend)
-            ).run_batch(SSSP(), sources)
-            for backend in BACKEND_NAMES
+            backend: KERNEL_ENGINES[backend](road).run_batch(SSSP(), sources)
+            for backend in KERNELS
         }
-        for backend, batch in results.items():
-            assert batch.extra["kernel_backend"] == backend
+        for batch in results.values():
             # kernel_edges_walked == union_edges_walked == the PR-4 pin.
             assert batch.extra["kernel_edges_walked"] == 49305
             assert batch.extra["kernel_edges_walked"] == (
                 batch.extra["union_edges_walked"]
             )
-        a, b = (results[backend] for backend in BACKEND_NAMES)
-        assert _comparable_extra(a.extra) == _comparable_extra(b.extra)
+        a, b = (results[backend] for backend in KERNELS)
+        assert a.extra == b.extra
         assert a.elapsed_us == b.elapsed_us
         assert a.lane_iterations == b.lane_iterations
 
     def test_sharded_extra_parity_and_pin(self, rmat):
         source = int(np.argmax(rmat.out_degrees()))
         results = {
-            backend: SIMDXEngine(
-                rmat,
-                config=EngineConfig(kernel_backend=backend, num_shards=2),
+            backend: KERNEL_ENGINES[backend](
+                rmat, config=EngineConfig(num_shards=2)
             ).run(SSSP(source=source))
-            for backend in BACKEND_NAMES
+            for backend in KERNELS
         }
-        for backend, result in results.items():
-            assert result.extra["kernel_backend"] == backend
+        for result in results.values():
             assert result.extra["shard_scanned_edges"] == [7722, 10431]
             assert result.extra["kernel_edges_walked"] == 7722 + 10431
-        a, b = (results[backend] for backend in BACKEND_NAMES)
-        assert _comparable_extra(a.extra) == _comparable_extra(b.extra)
+        a, b = (results[backend] for backend in KERNELS)
+        assert a.extra == b.extra
         assert np.array_equal(a.values, b.values)

@@ -43,29 +43,18 @@ class _LoggingEngine(ScheduledEngine):
 
 
 def _recording(algorithm_cls, engine, log):
-    """A subclass of ``algorithm_cls`` whose instances log every outermost
-    Compute call as ``log[(superstep, lane)] -> [operands, ...]`` (the
-    default ``gather_edges`` calls ``compute_edges``; that inner call is
-    the same pair set and is not logged twice)."""
+    """A subclass of ``algorithm_cls`` whose instances log every Compute
+    call (push or pull) as ``log[(superstep, lane)] -> [operands, ...]``."""
 
-    def logged(hook):
-        def call(self, *args):
-            if self.contract_depth == 0:
-                log[engine.iteration, self.contract_lane].append(
-                    tuple(np.array(a, copy=True) for a in args[:5])
-                )
-            self.contract_depth += 1
-            try:
-                return getattr(super(recording, self), hook)(*args)
-            finally:
-                self.contract_depth -= 1
-        return call
+    def compute_edges(self, *args):
+        log[engine.iteration, self.contract_lane].append(
+            tuple(np.array(a, copy=True) for a in args[:5])
+        )
+        return super(recording, self).compute_edges(*args)
 
     recording = type(f"Contract{algorithm_cls.__name__}", (algorithm_cls,), {
         "contract_lane": None,
-        "contract_depth": 0,
-        "compute_edges": logged("compute_edges"),
-        "gather_edges": logged("gather_edges"),
+        "compute_edges": compute_edges,
     })
     return recording
 

@@ -64,9 +64,11 @@ def _top_sources(graph, k):
 # ----------------------------------------------------------------------
 class TestBatchDirectionPolicy:
     def _policy(self, margin=0.5, num_lanes=4, total_edges=1000):
-        return BatchDirectionPolicy(
-            total_edges=total_edges, num_lanes=num_lanes, margin=margin
+        policy = BatchDirectionPolicy(
+            total_edges=total_edges, num_lanes=num_lanes
         )
+        policy.margin = margin  # the class constant, overridden per case
+        return policy
 
     def test_agreement_never_splits(self):
         policy = self._policy()
@@ -139,10 +141,6 @@ class TestBatchDirectionPolicy:
         assert not merged.split
         assert merged.groups == (SubBatchPlan(Direction.PUSH, (0, 1)),)
         assert policy.split_history == [True, False]
-
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError, match="margin"):
-            self._policy(margin=-0.1)
 
     def test_forced_groups_advance_lane_selectors(self):
         # A forced schedule (ScheduledEngine.split_schedule) must keep the
@@ -290,11 +288,10 @@ class TestAutoLaneAwareSplit:
         assert on.extra["pull_edges_scanned"] < off.extra["pull_edges_scanned"]
         assert on.extra["union_edges_walked"] < off.extra["union_edges_walked"]
 
-    def test_split_iterations_recorded_and_traced(self, road):
+    def test_split_iterations_recorded_and_traced(self, road, monkeypatch):
         sources = _top_sources(road, 16)
-        batch = SIMDXEngine(
-            road, config=EngineConfig(split_margin=0.1)
-        ).run_batch(SSSP(), sources)
+        monkeypatch.setattr(BatchDirectionPolicy, "margin", 0.1)
+        batch = SIMDXEngine(road).run_batch(SSSP(), sources)
         splits = batch.extra["split_iterations"]
         assert batch.extra["lane_splits"] == len(splits)
         assert splits, "expected at least one split iteration on road SSSP"
@@ -320,6 +317,38 @@ class TestAutoLaneAwareSplit:
         batch = SIMDXEngine(road, config=cfg).run_batch(BFS(), sources)
         assert batch.extra["lane_splits"] == 0
         assert set(batch.direction_trace) == {"push"}
+
+
+class TestSplitMarginConstant:
+    """``BatchDirectionPolicy.margin`` is a class constant, not an engine
+    option; tests reach other values by patching it. Any margin changes
+    how often a batch splits, never what a lane computes."""
+
+    MARGINS = (0.0, 0.1, 1e12)
+
+    @staticmethod
+    def _run(road, monkeypatch, margin):
+        monkeypatch.setattr(BatchDirectionPolicy, "margin", margin)
+        batch = SIMDXEngine(road).run_batch(SSSP(), _top_sources(road, 16))
+        assert not batch.failed
+        return batch
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_values_identical_under_patched_margin(self, road, monkeypatch, margin):
+        default = SIMDXEngine(road).run_batch(SSSP(), _top_sources(road, 16))
+        batch = self._run(road, monkeypatch, margin)
+        assert np.array_equal(batch.values, default.values)
+        if margin == 1e12:
+            assert batch.extra["lane_splits"] == 0
+        else:
+            assert batch.extra["lane_splits"] > 0
+
+    def test_smaller_margin_never_splits_less(self, road, monkeypatch):
+        splits = [
+            self._run(road, monkeypatch, margin).extra["lane_splits"]
+            for margin in self.MARGINS
+        ]
+        assert splits == sorted(splits, reverse=True), splits
 
 
 # ----------------------------------------------------------------------

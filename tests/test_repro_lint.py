@@ -12,7 +12,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis.lint import (
-    ACC_DESCRIBE,
     COUNTER_DECREMENT,
     EXTRA_KEY,
     FLOAT_EQ_CONVERGED,
@@ -136,37 +135,6 @@ def test_tolerance_compare_in_converged_clean():
 def test_float_eq_outside_converged_clean():
     source = "def check(x):\n    return x == 0.0\n"
     assert _rules(source) == []
-
-
-# ----------------------------------------------------------------------
-# REPRO005: ACC subclasses must implement describe()
-# ----------------------------------------------------------------------
-def test_acc_subclass_without_describe_flagged():
-    source = (
-        "from repro.core.acc import ACCAlgorithm\n"
-        "class MyAlgo(ACCAlgorithm):\n"
-        "    name = 'mine'\n"
-    )
-    assert _rules(source) == [ACC_DESCRIBE]
-
-
-def test_acc_subclass_with_describe_clean():
-    source = (
-        "from repro.core.acc import ACCAlgorithm\n"
-        "class MyAlgo(ACCAlgorithm):\n"
-        "    def describe(self):\n"
-        "        return {}\n"
-    )
-    assert _rules(source) == []
-
-
-def test_describe_rule_skipped_outside_src():
-    source = (
-        "from repro.core.acc import ACCAlgorithm\n"
-        "class TestFixtureAlgo(ACCAlgorithm):\n"
-        "    pass\n"
-    )
-    assert _rules(source, src_scope=False) == []
 
 
 # ----------------------------------------------------------------------

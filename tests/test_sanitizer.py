@@ -37,7 +37,7 @@ from repro.analysis.sanitizer import (
     SanitizerViolation,
     ViolationKind,
 )
-from repro.core.direction import Direction, SubBatchPlan
+from repro.core.direction import BatchDirectionPolicy, Direction, SubBatchPlan
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import IterationRecord
 from repro.graph import generators as gen
@@ -89,12 +89,13 @@ def test_sanitized_run_clean_and_bit_identical(name, direction):
 
 
 @pytest.mark.parametrize("k", [1, 4, 16])
-@pytest.mark.parametrize(
-    "mode_kwargs",
-    [{"split_margin": 0.0}, {"lane_aware_split": False}],
-    ids=["split-on", "split-off"],
-)
-def test_sanitized_batch_clean_and_bit_identical(k, mode_kwargs):
+@pytest.mark.parametrize("mode", ["split-on", "split-off"])
+def test_sanitized_batch_clean_and_bit_identical(k, mode, monkeypatch):
+    mode_kwargs = {}
+    if mode == "split-on":  # split whenever lanes disagree
+        monkeypatch.setattr(BatchDirectionPolicy, "margin", 0.0)
+    else:
+        mode_kwargs = {"lane_aware_split": False}
     graph = gen.random_uniform_graph(220, 1500, seed=77, name="san-uniform")
     candidates = np.nonzero(graph.out_degrees() > 0)[0]
     sources = [int(v) for v in candidates[:k]]

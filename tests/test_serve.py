@@ -50,6 +50,7 @@ from repro.serve import (
     SIMDXServer,
 )
 from repro.serve import __main__ as front_door
+from repro.serve import server as server_module
 from repro.serve.__main__ import serve_tcp
 from tests.engine_seams import InterceptingServer
 
@@ -138,6 +139,28 @@ def test_batch_forms_at_max_k(graph):
     assert [r.lane for r in results] == [0, 1, 2, 3]
     assert results[0].extra["serve_batch_fill"] == 1.0
     assert server.batch_log[0]["sources"] == [3, 5, 9, 11]
+
+
+def test_batch_log_is_a_bounded_ring_indexed_by_a_counter(graph, monkeypatch):
+    """A long-lived server keeps only the newest ``BATCH_LOG_SIZE`` batches
+    in its log, while ``batch_index`` keeps counting every dispatch and
+    each entry carries its own."""
+    monkeypatch.setattr(server_module, "BATCH_LOG_SIZE", 3)
+
+    async def scenario():
+        server = make_server(
+            graph, AdmissionPolicy(max_batch=1, max_wait_ms=NEVER_MS)
+        )
+        async with server:
+            results = [await server.submit("bfs", source) for source in range(3, 10)]
+        return server, results
+
+    server, results = asyncio.run(scenario())
+    assert [result.batch_index for result in results] == list(range(7))
+    assert server.stats["batches"] == 7
+    assert len(server.batch_log) == 3
+    assert [entry["batch_index"] for entry in server.batch_log] == [4, 5, 6]
+    assert [entry["sources"] for entry in server.batch_log] == [[7], [8], [9]]
 
 
 def test_batch_forms_at_max_wait_with_fewer_lanes(graph):
@@ -544,17 +567,15 @@ def test_served_differential_vs_direct_run_batch(graph):
 
     server, results = asyncio.run(scenario())
     classes = {"bfs": BFS, "sssp": SSSP}
-    replays = []
+    replays = {}
     for log in server.batch_log:
         engine = SIMDXEngine(
             graph, device=GPUDevice(K40), config=serve_config()
         )
-        replays.append(
-            engine.run_batch(
-                classes[log["algorithm"]](source=log["sources"][0]),
-                log["sources"],
-                lane_params=log["lane_params"],
-            )
+        replays[log["batch_index"]] = engine.run_batch(
+            classes[log["algorithm"]](source=log["sources"][0]),
+            log["sources"],
+            lane_params=log["lane_params"],
         )
     checked = 0
     for result in results:
@@ -817,15 +838,15 @@ def test_served_differential_with_repairs(graph):
     for update in updates:
         replay.apply(EdgeUpdateBatch.of(**update))
         snapshots.append(replay.snapshot())
-    replays = [
-        SIMDXEngine(
+    replays = {
+        log["batch_index"]: SIMDXEngine(
             snapshots[log["graph_version"]], config=serve_config()
         ).run_batch(
             classes[log["algorithm"]](source=log["sources"][0]),
             log["sources"], lane_params=log["lane_params"],
         )
         for log in server.batch_log
-    ]
+    }
     outcomes = []
     for (name, source, params), result in zip(stream * 3, results):
         outcome = result.extra.get("cache_outcome", "lane")
@@ -951,17 +972,15 @@ def test_served_differential_after_updates(graph):
 
     server, snapshots, results = asyncio.run(scenario())
     classes = {"bfs": BFS, "sssp": SSSP}
-    replays = []
+    replays = {}
     for log in server.batch_log:
         engine = SIMDXEngine(
             snapshots[log["graph_version"]], config=serve_config()
         )
-        replays.append(
-            engine.run_batch(
-                classes[log["algorithm"]](source=log["sources"][0]),
-                log["sources"],
-                lane_params=log["lane_params"],
-            )
+        replays[log["batch_index"]] = engine.run_batch(
+            classes[log["algorithm"]](source=log["sources"][0]),
+            log["sources"],
+            lane_params=log["lane_params"],
         )
     for result in results:
         replay = replays[result.batch_index]

@@ -33,6 +33,7 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.filters import FilterMode
 from repro.core.fusion import FusionStrategy
 from repro.graph.datasets import load_dataset
+from tests.engine_seams import ReferenceKernelEngine
 
 GOLDEN = Path(__file__).parent / "data" / "sim_golden.json"
 SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
@@ -48,18 +49,21 @@ ALGORITHMS: Dict[str, Callable[[int], object]] = {
 FILTER_MODES = (
     FilterMode.JIT, FilterMode.ONLINE, FilterMode.BALLOT, FilterMode.BATCH,
 )
-#: One-axis variations of the default configuration.
+#: One-axis variations of the default configuration; ``engine`` names the
+#: engine class (``backend=python``: the loop reference primitives, through
+#: the kernel seam), every other key is an ``EngineConfig`` field.
 VARIANTS: Dict[str, Dict[str, object]] = {
     "forced=push": {"forced_direction": Direction.PUSH},
     "forced=pull": {"forced_direction": Direction.PULL},
     "atomic_combine": {"atomic_combine": True},
     "shards=2": {"num_shards": 2},
-    "backend=python": {"kernel_backend": "python"},
+    "backend=python": {"engine": ReferenceKernelEngine},
 }
 
 
 def _cases() -> Iterator[Tuple[str, str, str, Dict[str, object]]]:
-    """``(case id, dataset, algorithm | "batch", EngineConfig kwargs)``."""
+    """``(case id, dataset, algorithm | "batch", kwargs)``: EngineConfig
+    fields plus an optional ``engine`` class."""
     for dataset in DATASETS:
         for algo in ALGORITHMS:
             for fusion in FusionStrategy:
@@ -81,7 +85,9 @@ def _observe(dataset: str, algo: str, kwargs: Dict[str, object]) -> Dict[str, ob
     """Run one case and keep everything the cost model decided."""
     graph = load_dataset(dataset, SCALE)
     hubs = [int(v) for v in np.argsort(-graph.out_degrees(), kind="stable")[:4]]
-    engine = SIMDXEngine(graph, config=EngineConfig(sanitize=SANITIZE, **kwargs))
+    kwargs = dict(kwargs)
+    engine_cls = kwargs.pop("engine", SIMDXEngine)
+    engine = engine_cls(graph, config=EngineConfig(sanitize=SANITIZE, **kwargs))
     if algo == "batch":
         result = engine.run_batch(SSSP(), hubs)
     else:

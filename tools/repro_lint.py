@@ -6,7 +6,7 @@ Usage:  PYTHONPATH=src python tools/repro_lint.py src tests benchmarks
         python tools/repro_lint.py --list-rules     # dump the rule table
 
 Exit status 0 when every linted file is clean, 1 otherwise. Rules scoped
-to shipped code (unseeded-rng, acc-describe) apply only to files under a
+to shipped code (unseeded-rng) apply only to files under a
 directory named ``src``; see docs/static-analysis.md for the rule table
 and the suppression syntax.
 """
