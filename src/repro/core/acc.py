@@ -67,11 +67,9 @@ class CombineOp(enum.Enum):
 
     @property
     def ufunc(self) -> np.ufunc:
-        return {
-            CombineOp.MIN: np.minimum,
-            CombineOp.MAX: np.maximum,
-            CombineOp.SUM: np.add,
-        }[self]
+        if self is CombineOp.MIN:
+            return np.minimum
+        return np.maximum if self is CombineOp.MAX else np.add
 
     @property
     def identity(self) -> float:

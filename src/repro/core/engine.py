@@ -70,7 +70,7 @@ from repro.core.frontier import (
 from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
 from repro.core.fusion import FusionPlan, FusionStrategy
 from repro.core.metrics import BatchRunResult, RunResult
-from repro.core.superstep import Stream, SuperstepDriver, _ExpansionResult
+from repro.core.superstep import Stream, SuperstepDriver, _ExpansionResult, _take
 from repro.gpu import memory as gmem
 from repro.gpu.atomics import profile_atomic_updates
 from repro.gpu.barrier import SoftwareGlobalBarrier
@@ -80,14 +80,12 @@ from repro.gpu.warp import divergence_fraction, reduction_primitive_ops
 
 
 #: The three compute stages in kernel order, with the threads one task of
-#: each takes (Figure 7); an empty one is launched with :data:`_NO_WORK`
-#: (shared, so never mutated: nothing writes to a launched estimate).
+#: each takes (Figure 7).
 _COMPUTE_STAGES = (
     ("thread", THREADS_PER_SMALL_TASK),
     ("warp", THREADS_PER_MEDIUM_TASK),
     ("cta", THREADS_PER_LARGE_TASK),
 )
-_NO_WORK = WorkEstimate()
 
 
 @dataclass
@@ -415,7 +413,8 @@ class SIMDXEngine:
 
         # The online/batch filters record destinations that just
         # became active, as observed by the worker that updated them.
-        recorded = active_mask[expansion.recorded_destinations]
+        destinations = expansion.recorded_destinations
+        recorded = active_mask.take(destinations).nonzero()[0]
         # The static overflow bound (only the JIT controller reads it): a
         # gather worker records only its own destination, a scatter worker
         # at most one entry per out-edge.
@@ -425,8 +424,8 @@ class SIMDXEngine:
             max_producer_records = classified.max_degree
         ctx = FilterContext(
             num_vertices=graph.num_vertices,
-            updated_destinations=expansion.recorded_destinations[recorded],
-            producer_thread=expansion.recorded_producers[recorded],
+            updated_destinations=_take(destinations, recorded),
+            producer_thread=_take(expansion.recorded_producers, recorded),
             active_mask=active_mask,
             frontier_edges=expansion.edges_expanded,
             num_worker_threads=max(1, expansion.num_workers),
@@ -512,10 +511,10 @@ class SIMDXEngine:
             updates, dst, self.graph.num_vertices,
             ids_sorted=ids_sorted, backend=self.kernel,
         )
-        old_values = metadata[touched]
+        old_values = metadata.take(touched)
         new_values = algorithm.apply(old_values, combined, touched)
         changed = (new_values != old_values).nonzero()[0]
-        metadata[touched.take(changed)] = new_values.take(changed)
+        metadata[_take(touched, changed)] = _take(new_values, changed)
         return touched
 
     # ------------------------------------------------------------------
@@ -648,10 +647,11 @@ class SIMDXEngine:
             (sizes.small_vertices, sizes.medium_vertices, sizes.large_vertices),
             (sizes.small_edges, sizes.medium_edges, sizes.large_edges),
         ):
-            # An empty stage launches with no work on one CTA, which the
-            # device charges from its idle table.
-            work, num_ctas = _NO_WORK, 1
-            if vertices:
+            if not vertices:
+                # An empty stage launches with no work on one CTA, which the
+                # device charges straight from its idle table.
+                result = device.launch_idle(kernel, fused)
+            else:
                 work = self._stage_work(
                     vertices,
                     edges,
@@ -677,7 +677,7 @@ class SIMDXEngine:
                         divergence_fraction=work.divergence_fraction,
                     )
                 num_ctas = -(-vertices * threads // kernel.threads_per_cta)
-            result = device.launch(KernelLaunch(kernel, work, num_ctas, fused))
+                result = device.launch(KernelLaunch(kernel, work, num_ctas, fused))
             busy_us += result.busy_us
             launch_us += result.launch_overhead_us
 

@@ -128,8 +128,9 @@ class FilterResult:
     worklist: np.ndarray
     work: WorkEstimate
     overflowed: bool = False
+    #: A ballot scan's worklist: sorted and duplicate-free, the only one
+    #: the driver continues from as is (thread bins are neither).
     is_sorted: bool = False
-    is_unique: bool = False
     extra_memory_bytes: int = 0
 
     @property
@@ -176,13 +177,7 @@ class OnlineFilter(Filter):
         work = concat.work
         work.coalesced_bytes += gmem.sequential_bytes(recorded, gmem.VERTEX_ID_BYTES)
         work.compute_ops += float(recorded)
-        return FilterResult(
-            worklist=concat.values,
-            work=work,
-            overflowed=bins.overflowed,
-            is_sorted=False,
-            is_unique=False,
-        )
+        return FilterResult(concat.values, work, overflowed=bins.overflowed)
 
 
 class BallotFilter(Filter):
@@ -207,11 +202,7 @@ class BallotFilter(Filter):
             warp_primitive_ops=float(-(-ctx.num_vertices // 32)),
         )
         return FilterResult(
-            worklist=compacted.values,
-            work=scan_work.merged_with(compacted.work),
-            overflowed=False,
-            is_sorted=True,
-            is_unique=True,
+            compacted.values, scan_work.merged_with(compacted.work), is_sorted=True
         )
 
 
@@ -244,11 +235,8 @@ class BatchFilter(Filter):
         )
         worklist = np.asarray(dests, dtype=np.int64).copy()
         return FilterResult(
-            worklist=worklist,
-            work=materialize_work.merged_with(record_work),
-            overflowed=False,
-            is_sorted=False,
-            is_unique=False,
+            worklist,
+            materialize_work.merged_with(record_work),
             extra_memory_bytes=edge_list_bytes,
         )
 

@@ -123,32 +123,36 @@ class WorklistClassifier:
         self._degrees = degrees
 
     def classify(self, frontier: np.ndarray) -> ClassifiedFrontier:
-        """Split ``frontier`` (vertex ids) into the three worklists."""
+        """Split ``frontier`` (vertex ids) into the three worklists; one
+        below the small/medium separator throughout (every road-graph
+        superstep) is its own small list, with one sum and no masks."""
         frontier = np.asarray(frontier, dtype=np.int64)
         if frontier.size == 0:
             return ClassifiedFrontier(
                 _EMPTY, _EMPTY, _EMPTY, WorklistSizes(0, 0, 0, 0, 0, 0), _EMPTY, 0
             )
-        degs = self._degrees[frontier]
+        degs = self._degrees.take(frontier)
+        max_degree = int(degs.max())
+        if max_degree < self.small_medium_separator:
+            sizes = WorklistSizes(int(frontier.size), 0, 0, int(degs.sum()), 0, 0)
+            return ClassifiedFrontier(frontier, _EMPTY, _EMPTY, sizes, degs, max_degree)
         small_mask = degs < self.small_medium_separator
         large_mask = degs >= self.medium_large_separator
         small_at = small_mask.nonzero()[0]
         medium_at = (~(small_mask | large_mask)).nonzero()[0]
         large_at = large_mask.nonzero()[0]
-        small = frontier.take(small_at)
-        medium = frontier.take(medium_at)
-        large = frontier.take(large_at)
         small_degrees = degs.take(small_at)
         sizes = WorklistSizes(
-            small_vertices=int(small.size),
-            medium_vertices=int(medium.size),
-            large_vertices=int(large.size),
+            small_vertices=int(small_at.size),
+            medium_vertices=int(medium_at.size),
+            large_vertices=int(large_at.size),
             small_edges=int(small_degrees.sum()),
             medium_edges=int(degs.take(medium_at).sum()),
             large_edges=int(degs.take(large_at).sum()),
         )
         return ClassifiedFrontier(
-            small, medium, large, sizes, small_degrees, int(degs.max())
+            frontier.take(small_at), frontier.take(medium_at),
+            frontier.take(large_at), sizes, small_degrees, max_degree,
         )
 
     def edge_count(self, frontier: np.ndarray) -> int:
@@ -208,8 +212,6 @@ class ThreadBins:
             raise ValueError("recorded and producer_thread must align")
         if recorded.size == 0:
             return
-        if producer_thread.min() < 0 or producer_thread.max() >= self.num_threads:
-            raise ValueError("producer thread id out of range")
         entries, owners = recorded, producer_thread
         if self.entries.size:
             # Kept entries go first and the sort is stable, so within a
@@ -219,12 +221,15 @@ class ThreadBins:
         # Group by owning thread - unless the producers already arrive
         # grouped (a scatter walks its frontier slots in order, a gather
         # records one entry per worker), which one comparison pass shows.
-        if not (owners[1:] >= owners[:-1]).all():
+        if np.count_nonzero(owners[1:] < owners[:-1]):
             order = np.argsort(owners, kind="stable")
-            entries = entries[order]
-            owners = owners[order]
+            entries = entries.take(order)
+            owners = owners.take(order)
+        # Grouped owners are bounded by their first and last entries.
+        if owners[0] < 0 or owners[-1] >= self.num_threads:
+            raise ValueError("producer thread id out of range")
         counts = np.bincount(owners, minlength=self.num_threads)
-        if counts.max() > self.capacity:
+        if np.count_nonzero(counts > self.capacity):
             # An entry's rank is its slot in its own bin: position minus
             # the start of its thread's group. Slots >= capacity do not
             # exist.

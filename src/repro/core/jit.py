@@ -197,17 +197,7 @@ class JITTaskManager:
             if online_result.overflowed:
                 # Online bins are incomplete: fall back to the ballot filter
                 # for a correct list and stay in ballot mode.
-                self._use_ballot = True
-                ballot_result = self.ballot.build(ctx)
-                result = FilterResult(
-                    worklist=ballot_result.worklist,
-                    work=online_result.work.merged_with(ballot_result.work),
-                    overflowed=True,
-                    is_sorted=True,
-                    is_unique=True,
-                )
-                self._record(iteration, "ballot", True, result, direction)
-                return result
+                return self._fall_back(ctx, iteration, online_result, direction)
             self._record(iteration, "online", False, online_result, direction)
             return online_result
 
@@ -221,11 +211,8 @@ class JITTaskManager:
             if not online_result.overflowed:
                 self._use_ballot = False
         result = FilterResult(
-            worklist=ballot_result.worklist,
-            work=work,
-            overflowed=online_result.overflowed,
-            is_sorted=True,
-            is_unique=True,
+            ballot_result.worklist, work,
+            overflowed=online_result.overflowed, is_sorted=True,
         )
         self._record(
             iteration, "ballot", online_result.overflowed, result, direction,
@@ -241,20 +228,26 @@ class JITTaskManager:
             # Only reachable if the caller violated the one-record-per-gather-
             # worker invariant; forcing online would silently truncate the
             # worklist, so fall back to the ballot filter for correctness.
-            self._use_ballot = True
-            ballot_result = self.ballot.build(ctx)
-            result = FilterResult(
-                worklist=ballot_result.worklist,
-                work=online_result.work.merged_with(ballot_result.work),
-                overflowed=True,
-                is_sorted=True,
-                is_unique=True,
-            )
-            self._record(iteration, "ballot", True, result, Direction.PULL)
-            return result
+            return self._fall_back(ctx, iteration, online_result, Direction.PULL)
         self._use_ballot = False
         self._record(iteration, "online", False, online_result, Direction.PULL)
         return online_result
+
+    def _fall_back(
+        self, ctx: FilterContext, iteration: int, online_result: FilterResult,
+        direction: Direction,
+    ) -> FilterResult:
+        """Overflowed bins: the ballot filter builds the (correct, sorted)
+        list this iteration, and ballot mode stays on."""
+        self._use_ballot = True
+        ballot_result = self.ballot.build(ctx)
+        result = FilterResult(
+            ballot_result.worklist,
+            online_result.work.merged_with(ballot_result.work),
+            overflowed=True, is_sorted=True,
+        )
+        self._record(iteration, "ballot", True, result, direction)
+        return result
 
     # ------------------------------------------------------------------
     def _record(

@@ -61,18 +61,19 @@ class NumpyKernelBackend:
         index, in worklist order with edge indices ascending per slot."""
         # Static so ``SIMDXEngine._walk_edges`` can alias this one body.
         # Row bounds of the worklist only - never an O(|V|) pass.
-        starts = csr.offsets[worklist].astype(np.int64)
-        counts = csr.offsets[worklist + 1].astype(np.int64) - starts
-        total = int(counts.sum())
+        offsets = csr.offsets
+        starts = offsets.take(worklist).astype(np.int64)
+        ends = offsets.take(worklist + 1).astype(np.int64)
+        counts = ends - starts
+        cum = counts.cumsum()
+        total = int(cum[-1]) if cum.size else 0
         if total == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty, 0
-        cum = np.zeros(worklist.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=cum[1:])
-        edge_idx = np.repeat(starts - cum, counts) + np.arange(
-            total, dtype=np.int64
-        )
-        slot = np.repeat(np.arange(worklist.size, dtype=np.int64), counts)
+        # Walk position k of slot s is edge ``ends[s] - cum[s] + k``: its
+        # row start plus its offset past the slot's first walk position.
+        edge_idx = (ends - cum).repeat(counts) + np.arange(total, dtype=np.int64)
+        slot = np.arange(worklist.size, dtype=np.int64).repeat(counts)
         return slot, edge_idx, total
 
     def walk_kept(self, csr, worklist, source_mask):
@@ -152,19 +153,21 @@ class NumpyKernelBackend:
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
         if not values.size:
             return segment_ids, values
-        if op.value == "sum":
+        ufunc = op.ufunc
+        if ufunc is np.add:
             # ``bincount`` adds in input order (``ufunc.at`` would too, far
             # too slowly; a ``reduceat`` over re-sorted segments need not).
             counted = np.bincount(segment_ids, weights=values, minlength=num_segments)
             touched = _flag_pass([segment_ids], num_segments)
-            return touched, counted[touched]
+            return touched, counted.take(touched)
         if not ids_sorted:
-            order = np.argsort(segment_ids, kind="stable")
-            segment_ids, values = segment_ids[order], values[order]
-        boundaries = np.ones(segment_ids.size, dtype=bool)
+            order = segment_ids.argsort(kind="stable")
+            segment_ids, values = segment_ids.take(order), values.take(order)
+        boundaries = np.empty(segment_ids.size, dtype=bool)
+        boundaries[0] = True
         np.not_equal(segment_ids[1:], segment_ids[:-1], out=boundaries[1:])
-        starts = np.flatnonzero(boundaries)
-        return segment_ids[starts], op.ufunc.reduceat(values, starts)
+        starts = boundaries.nonzero()[0]
+        return segment_ids.take(starts), ufunc.reduceat(values, starts)
 
 
 #: The instance the engine, ``CombineOp`` and ``BatchedFrontier`` use unless

@@ -50,13 +50,14 @@ frontier, gather candidates, union worklist, Combine's receiver set - is
 that once; afterwards it holds by construction, never by re-sorting:
 ``np.flatnonzero`` of a mask, an ascending index selection or a contiguous
 slice of a canonical array, and per-owner receiver sets concatenated in
-ascending range order are all canonical, and a union (or the set of an
-unordered worklist) is one vertex-indexed flag pass of the kernel backend -
-the host-side twin of the ballot scan, whose O(n) ``_Step``'s metadata copy
-already pays.
-Combine computes a lane's receiver set once per owner; the unit's filter
-context and the next-frontier rule both read that array. Update *streams*
-(one entry per valid update, in walk order) are not sets and stay as walked.
+ascending range order are all canonical, and a union of several sets is
+one vertex-indexed flag pass of the kernel backend - the host-side twin of
+the ballot scan. Combine computes a lane's receiver set once per owner; the
+unit's filter context and the next-frontier rule both read that array, so
+a thread-bin worklist (unsorted, with duplicates) is never turned back into
+a set: its set is the lane's ``received ∩ active``, an ascending selection
+of the receiver set. Update *streams* (one entry per valid update, in walk
+order) are not sets and stay as walked.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from repro.core.direction import (
     SubBatchPlan,
 )
 from repro.core.filters import (
-    FilterMode, FilterOverflowError, FilterResult, make_filter,
+    FilterMode, FilterOverflowError, make_filter,
 )
 from repro.core.frontier import (
     LANES_PER_WORD,
@@ -94,16 +95,10 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 
 
 def _take(array: np.ndarray, index) -> np.ndarray:
-    """``array[index]`` for integer positions, with ``None`` meaning every
-    element (no copy).
-
-    The driver selects by index, never by boolean compress: positions are
-    ``mask.nonzero()[0]`` and the arrays are read with ``ndarray.take``,
-    which skips the fancy-index machinery (``np.flatnonzero``'s Python
-    wrapper alone costs ~2 us a call, which a high-diameter run's
-    per-superstep sites pay thousands of times).
-    """
-    return array if index is None else array.take(index)
+    """``array[index]`` for ascending positions (``mask.nonzero()[0]``);
+    ``None`` or every position is the array itself (no copy), the common
+    case on a road graph, where every update lands and turns active."""
+    return array if index is None or index.size == array.size else array.take(index)
 
 
 def _concat(parts: List[np.ndarray]) -> np.ndarray:
@@ -306,8 +301,8 @@ class _Step:
         self.received = [0] * len(driver.streams)
         self.active: Dict[int, np.ndarray] = {}
         self.active_unions: Dict[Tuple[int, ...], np.ndarray] = {}
-        #: Lanes whose next frontier is a filter pass's own worklist.
-        self.solo: Dict[int, FilterResult] = {}
+        #: Lanes whose next frontier is a ballot scan's own worklist.
+        self.scanned: Dict[int, np.ndarray] = {}
 
 
 class SuperstepDriver:
@@ -577,32 +572,23 @@ class SuperstepDriver:
             self.filter_trace.append("+".join(r.filter_used for r in tail))
 
             # ---------------- next frontiers ----------------------------
-            # The one next-frontier rule: a lane whose filter pass covered
-            # exactly that lane over the whole vertex range continues from
-            # the pass's own worklist (what a single run has always done -
-            # a ballot scan may carry active vertices that received no
-            # update this superstep, e.g. delta-stepping's pending set) -
-            # as is after a ballot scan, through one flag pass when it is
-            # concatenated thread bins; every other lane derives its own
-            # ``received ∩ active`` from Combine's receiver sets (canonical
-            # per owner, owners in ascending range order).
+            # The one next-frontier rule: a lane continues from a ballot
+            # scan's worklist when the scan covered exactly that lane over
+            # the whole vertex range (it may hold active vertices that
+            # received nothing, e.g. delta-stepping's pending set); every
+            # other lane takes its ``received ∩ active`` from Combine's
+            # receiver sets - O(|received|), and the set any thread-bin
+            # worklist holds.
             unconverged = False
             for lane in live:
                 active = step.active[lane]
-                result = step.solo.get(lane)
-                if result is None:
+                frontier = step.scanned.get(lane)
+                if frontier is None:
                     received = _concat([
                         step.touched.get((owner, lane), _EMPTY)
                         for owner in range(len(self.streams))
                     ])
-                    still = active.take(received).nonzero()[0]
-                    frontier = received.take(still)
-                elif result.is_sorted and result.is_unique:
-                    frontier = result.worklist
-                else:
-                    frontier = engine.kernel.sorted_unique(
-                        result.worklist, self.graph.num_vertices
-                    )
+                    frontier = _take(received, active.take(received).nonzero()[0])
                 if frontier.size == 0 and not clones[lane].converged(
                     metadata[lane], step.prev[lane], iteration
                 ):
@@ -629,13 +615,15 @@ class SuperstepDriver:
         for owner in range(len(self.streams)):
             queue = step.pending.pop((owner, lane), None)
             if queue:
-                step.touched[owner, lane] = self.engine._combine_and_apply(
-                    clone, row,
-                    _concat([u for u, _, _ in queue]),
-                    _concat([d for _, d, _ in queue]),
-                    len(queue) == 1 and queue[0][2],
+                updates, dst, ids_sorted = queue[0] if len(queue) == 1 else (
+                    np.concatenate([u for u, _, _ in queue]),
+                    np.concatenate([d for _, d, _ in queue]), False,
                 )
-        step.active[lane] = np.asarray(
+                step.touched[owner, lane] = self.engine._combine_and_apply(
+                    clone, row, updates, dst, ids_sorted
+                )
+        # A one-lane unit's active union is the lane's own mask.
+        step.active[lane] = step.active_unions[(lane,)] = np.asarray(
             clone.active_mask(row, step.prev[lane]), dtype=bool
         )
 
@@ -843,7 +831,7 @@ class SuperstepDriver:
         kept = 0
         recorded = producers = _EMPTY
         if total:
-            dst = csr.targets[edge_idx].astype(np.int64)
+            dst = csr.targets.take(edge_idx).astype(np.int64)
             if step.dst_is_push is not None:
                 keep = step.dst_is_push.take(dst).nonzero()[0]
                 if keep.size != dst.size:
@@ -872,7 +860,7 @@ class SuperstepDriver:
         if kept:
             weights = csr.weights.take(edge_idx).astype(np.float64)
             valid = self._compute_and_route(
-                unit, step, lane_parts(), worklist[slot], dst, weights,
+                unit, step, lane_parts(), worklist.take(slot), dst, weights,
                 want_valid=True,
             )
             recorded, producers = _take(dst, valid), _take(slot, valid)
@@ -987,7 +975,7 @@ class SuperstepDriver:
                 dtype=np.float64,
             )
             unit.lane_pairs += int(updates.size)
-            valid = (~np.isnan(updates)).nonzero()[0]
+            valid = (updates == updates).nonzero()[0]  # NaN is no update
             if want_valid:
                 lane_hit = valid if at is None else at.take(valid)
                 if hit is None:
@@ -1100,9 +1088,9 @@ class SuperstepDriver:
             expansion.num_workers = int(receivers.size)
         unit_active = step.active_unions.get(unit.lanes)
         if unit_active is None:
-            masks = [step.active[lane] for lane in unit.lanes]
-            unit_active = masks[0] if len(masks) == 1 else np.logical_or.reduce(masks)
-            step.active_unions[unit.lanes] = unit_active
+            unit_active = step.active_unions[unit.lanes] = np.logical_or.reduce(
+                [step.active[lane] for lane in unit.lanes]
+            )
         success_rate = 1.0
         if (
             push and stream.jit is not None
@@ -1126,8 +1114,11 @@ class SuperstepDriver:
             extra_lane_pairs=max(0, unit.lane_pairs - expansion.active_edges),
         )
         stream.sortedness = filter_result.sortedness
-        if len(unit.lanes) == 1 and self.sharding is None:
-            step.solo[unit.lanes[0]] = filter_result
+        if (
+            filter_result.is_sorted and len(unit.lanes) == 1
+            and self.sharding is None
+        ):
+            step.scanned[unit.lanes[0]] = filter_result.worklist
         record = IterationRecord(
             iteration=step.iteration,
             direction=unit.direction.value,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.gpu.kernel import Kernel, KernelLaunch, LaunchResult
+from repro.gpu.kernel import Kernel, KernelLaunch, LaunchResult, WorkEstimate
 from repro.gpu.registers import OccupancyInfo, compute_occupancy
 from repro.gpu.profiler import DeviceProfiler
 
@@ -168,6 +168,7 @@ class GPUDevice:
         # launch-limited: occupancy is memoised on the grid size clamped to
         # the slot count, which bounds the table by the hardware.
         self._cta_slots = max(1, spec.max_ctas_per_smx) * spec.num_smx
+        self._peak_ops_per_us = spec.peak_gips * 1e3
         self._occupancy: Dict[Tuple[int, int, int], OccupancyInfo] = {}
         #: ``(kernel, fused) -> `` the result of a phase with no work.
         self._idle: Dict[Tuple[Kernel, bool], LaunchResult] = {}
@@ -213,20 +214,26 @@ class GPUDevice:
     # Kernel execution cost model
     # ------------------------------------------------------------------
     def launch(self, launch: KernelLaunch) -> LaunchResult:
-        """Account the cost of one kernel launch and return its timing.
-
-        A phase with no work on one CTA (an empty Thread / Warp / CTA stage)
-        costs the same every time - its launch overhead, if it pays one -
-        so it is estimated once per ``(kernel, fused)`` and charged from
-        the table after that.
-        """
+        """Account the cost of one kernel launch and return its timing."""
         if launch.num_ctas == 1 and not launch.work.nonzero():
-            key = (launch.kernel, launch.fused_continuation)
-            result = self._idle.get(key)
-            if result is None:
-                result = self._idle[key] = self.estimate(launch)
-        else:
-            result = self.estimate(launch)
+            return self.launch_idle(launch.kernel, launch.fused_continuation)
+        result = self.estimate(launch)
+        self.profiler.record_launch(result)
+        return result
+
+    def launch_idle(self, kernel: Kernel, fused: bool) -> LaunchResult:
+        """Account a phase with no work on one CTA (an empty Thread / Warp /
+        CTA stage).
+
+        It costs the same every time - its launch overhead, if it pays
+        one - so it is estimated once per ``(kernel, fused)`` and charged
+        from the table after that, with no estimate or launch to build.
+        """
+        result = self._idle.get((kernel, fused))
+        if result is None:
+            result = self._idle[kernel, fused] = self.estimate(
+                KernelLaunch(kernel, WorkEstimate(), 1, fused)
+            )
         self.profiler.record_launch(result)
         return result
 
@@ -262,7 +269,7 @@ class GPUDevice:
         # Compute time: simple ops at peak integer throughput, derated by
         # occupancy (fewer resident warps -> fewer issue slots covered) and
         # by warp divergence (divergent branches serialize lanes).
-        compute_throughput = spec.peak_gips * 1e3 * max(occupancy.occupancy, 0.05)
+        compute_throughput = self._peak_ops_per_us * max(occupancy.occupancy, 0.05)
         divergence_penalty = 1.0 + work.divergence_fraction
         compute_us = (
             work.compute_ops * divergence_penalty / compute_throughput
@@ -282,7 +289,7 @@ class GPUDevice:
             atomic_us = work.atomic_ops * cost_ops / compute_throughput
 
         # Warp-vote / scan primitives are cheap but not free.
-        primitive_us = work.warp_primitive_ops * 0.5 / (spec.peak_gips * 1e3)
+        primitive_us = work.warp_primitive_ops * 0.5 / self._peak_ops_per_us
 
         # Fixed latency per kernel phase (pipeline drain, barrier at end).
         latency_us = spec.global_latency_us if work.nonzero() else 0.0
@@ -290,19 +297,10 @@ class GPUDevice:
         launch_us = 0.0 if fused else spec.kernel_launch_overhead_us
 
         busy_us = memory_us + compute_us + atomic_us + primitive_us + latency_us
-        total_us = launch_us + busy_us
-
+        # Positional, in ``LaunchResult`` field order.
         return LaunchResult(
-            kernel_name=kernel.name,
-            total_us=total_us,
-            launch_overhead_us=launch_us,
-            memory_us=memory_us,
-            compute_us=compute_us,
-            atomic_us=atomic_us,
-            primitive_us=primitive_us,
-            latency_us=latency_us,
-            occupancy=occupancy,
-            fused=fused,
+            kernel.name, launch_us + busy_us, launch_us, memory_us,
+            compute_us, atomic_us, primitive_us, latency_us, occupancy, fused,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -43,19 +43,21 @@ def divergence_fraction(per_lane_work: np.ndarray, warp_size: int = WARP_SIZE) -
     among 32 idle ones approaches 31/32. Thread-per-vertex scheduling of a
     skewed frontier produces exactly this pathology, which is why SIMD-X
     routes high-degree vertices to warp/CTA kernels instead.
+    The per-warp ratios are plain floats (the same IEEE operations as
+    arrays), averaged in ``np.add.reduce`` order.
     """
-    work = np.asarray(per_lane_work, dtype=np.float64)
+    work = np.asarray(per_lane_work)
     if work.size == 0:
         return 0.0
     # One segment per warp; the last warp's missing lanes are idle, so its
     # mean still divides by the full warp size.
     starts = np.arange(0, work.size, warp_size)
-    maxes = np.maximum.reduceat(work, starts)
-    means = np.add.reduceat(work, starts) / warp_size
-    busy = maxes > 0
-    if not busy.all():
-        maxes, means = maxes[busy], means[busy]
-        if maxes.size == 0:
-            return 0.0
-    waste = 1.0 - means / maxes
-    return min(1.0, max(0.0, float(np.add.reduce(waste)) / waste.size))
+    maxes = np.maximum.reduceat(work, starts).tolist()
+    sums = np.add.reduceat(work, starts).tolist()
+    waste = [
+        1.0 - total / warp_size / peak
+        for total, peak in zip(sums, maxes) if peak > 0
+    ]
+    if not waste:
+        return 0.0
+    return min(1.0, max(0.0, float(np.add.reduce(waste)) / len(waste)))

@@ -187,10 +187,12 @@ class SIMDXServer:
         #: applies between batches.
         self._updates: Deque[tuple] = deque()
         self._stats: Dict[str, float] = dict.fromkeys((
-            "submitted", "served", "shed", "cancelled_after_dispatch",
-            "failed", "batches", "cache_hits", "cache_repairs", "updates",
-            "updates_failed", "updates_shed",
+            "submitted", "served", "shed", "cancelled_before_dispatch",
+            "cancelled_after_dispatch", "failed", "batches", "cache_hits",
+            "cache_repairs", "updates", "updates_failed", "updates_shed",
         ), 0)
+        #: Lanes popped from the queue whose outcome is not counted yet.
+        self._unsettled = 0
 
     @property
     def dyn(self) -> DynamicGraph:
@@ -209,9 +211,20 @@ class SIMDXServer:
 
     @property
     def stats(self) -> Dict[str, float]:
-        """Serving counters (snapshot; includes the former's prune count)."""
+        """Serving counters (a snapshot). Each query counts once on entry -
+        ``submitted`` (not answered by the cache: admitted, shed, or failed
+        on its reuse attempt), ``cache_hits`` or ``cache_repairs`` - and
+        once by outcome (a hit or repair is also ``served``; ``in_flight``
+        is queued plus popped-but-unresolved), so at any instant::
+
+            submitted + cache_hits + cache_repairs = served + shed
+              + cancelled_before_dispatch + cancelled_after_dispatch
+              + failed + in_flight
+        """
+        queued = self._former.depth  # prunes first
         snapshot = dict(self._stats)
-        snapshot["cancelled_before_dispatch"] = self._former.pruned
+        snapshot["cancelled_before_dispatch"] += self._former.pruned
+        snapshot["in_flight"] = queued + self._unsettled
         return snapshot
 
     # ------------------------------------------------------------------
@@ -285,6 +298,7 @@ class SIMDXServer:
         try:
             answer = self.front.reuse(algorithm, source, params)
         except Exception as exc:  # noqa: BLE001 - a repair fails its caller only
+            self._stats["submitted"] += 1
             self._stats["failed"] += 1
             raise EngineFailure(f"{type(exc).__name__}: {exc}") from exc
         if answer is not None:
@@ -299,12 +313,12 @@ class SIMDXServer:
             enqueued_at=loop.time(),
             future=loop.create_future(),
         )
+        self._stats["submitted"] += 1
         try:
             self._former.add(query)
         except ServerOverloaded:
             self._stats["shed"] += 1
             raise
-        self._stats["submitted"] += 1
         self._wake.set()
         return await query.future
 
@@ -312,6 +326,7 @@ class SIMDXServer:
         """A hit, or a repair reported as the one single-source run it is."""
         run = answer.result
         self._stats["cache_hits" if run is None else "cache_repairs"] += 1
+        self._stats["served"] += 1
         return ServedResult(
             values=answer.values,
             lane=-1,
@@ -417,6 +432,7 @@ class SIMDXServer:
             self._apply_pending_updates()
             batch = self._former.next_batch(loop.time())
             if batch is not None:
+                self._unsettled += len(batch)
                 await self._dispatch(batch)
                 continue
             if self._closed:
@@ -438,12 +454,13 @@ class SIMDXServer:
             batch = self._former.next_batch(loop.time(), force=True)
             if batch is None:
                 break
+            self._unsettled += len(batch)
             if self._drain_on_close:
                 await self._dispatch(batch)
             else:
                 for query in batch:
-                    if not query.future.done():
-                        query.future.cancel()
+                    query.future.cancel()
+                    self._settle("cancelled_before_dispatch")
         # Updates that arrived during the drain still resolve.
         self._apply_pending_updates()
 
@@ -507,7 +524,7 @@ class SIMDXServer:
                 if query.future.done():
                     # Cancelled between dispatch and demultiplex: the lane
                     # ran with the batch; its result is discarded here.
-                    self._stats["cancelled_after_dispatch"] += 1
+                    self._settle("cancelled_after_dispatch")
                 else:
                     query.future.set_result(
                         ServedResult(
@@ -521,7 +538,7 @@ class SIMDXServer:
                             extra=extra,
                         )
                     )
-                    self._stats["served"] += 1
+                    self._settle("served")
                 resolved += 1
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
             reason = (
@@ -534,7 +551,12 @@ class SIMDXServer:
         """A batch fault resolves exactly these unresolved lanes."""
         for query in batch:
             if query.future.cancelled():
-                self._stats["cancelled_after_dispatch"] += 1
+                self._settle("cancelled_after_dispatch")
             elif not query.future.done():
                 query.future.set_exception(EngineFailure(reason))
-                self._stats["failed"] += 1
+                self._settle("failed")
+
+    def _settle(self, outcome: str) -> None:
+        """Count one popped lane's outcome; it is no longer in flight."""
+        self._stats[outcome] += 1
+        self._unsettled -= 1

@@ -16,8 +16,10 @@ already ask a method or an attribute:
 * :meth:`SIMDXServer._dispatch` - every popped batch on its way to the
   engine.
 
-:class:`RecordingEngine` only watches: it logs the order in which a
-batched superstep computes, hooks and combines its lanes.
+:class:`RecordingEngine` and :class:`FrontierRecordingEngine` only
+watch: the first logs the order in which a batched superstep computes,
+hooks and combines its lanes, the second what each task-management pass
+built and the frontier each lane continued from.
 """
 
 from __future__ import annotations
@@ -177,6 +179,75 @@ class RecordingEngine(ScheduledEngine):
             for lane in range(len(sources))
         ]
         return super().run_batch(algorithm, sources, lane_params, **params)
+
+
+class FrontierRecordingEngine(ScheduledEngine):
+    """A :class:`ScheduledEngine` that logs both sides of the
+    next-frontier rule.
+
+    ``passes`` receives ``(iteration, lanes, worklist, is_sorted)`` for
+    every task-management pass (:meth:`SIMDXEngine._finish_iteration`), in
+    unit order; ``lanes`` is the unit's lane group - the planned group of
+    a batched superstep on one device, else ``(0,)``, which covers every
+    unit of a ``run`` on any number of shards (batched shards are not
+    supported). ``frontiers[iteration, lane]`` is the frontier lane
+    ``lane`` expanded at superstep ``iteration``, as its
+    ``on_frontier_expanded`` hook received it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.passes: List[tuple] = []
+        self.frontiers = {}
+        self._groups = {}
+        self._iteration = 0
+
+    def _forced_direction(self, iteration: int) -> Optional[Direction]:
+        self._iteration = iteration  # asked once per superstep, first
+        return super()._forced_direction(iteration)
+
+    def _plan_groups(self, iteration, live, *args):
+        groups = super()._plan_groups(iteration, live, *args)
+        self._groups[iteration] = [group.lanes for group in groups]
+        return groups
+
+    def _finish_iteration(self, **kwargs):
+        out = super()._finish_iteration(**kwargs)
+        iteration, result = kwargs["iteration"], out[0]
+        index = sum(1 for p in self.passes if p[0] == iteration)
+        groups = self._groups.get(iteration)
+        self.passes.append((
+            iteration, groups[index] if groups else (0,),
+            result.worklist.copy(), result.is_sorted,
+        ))
+        return out
+
+    def _recording(self, algorithm):
+        frontiers, engine = self.frontiers, self
+        base = type(algorithm)
+
+        def on_frontier_expanded(alg, frontier, metadata):
+            frontiers[engine._iteration, alg.recorded_lane] = frontier.copy()
+            return base.on_frontier_expanded(alg, frontier, metadata)
+
+        recording = type(f"FrontierRecording{base.__name__}", (base,), {
+            "recorded_lane": 0, "on_frontier_expanded": on_frontier_expanded,
+        })
+        algorithm = copy.copy(algorithm)
+        algorithm.__class__ = recording
+        return algorithm
+
+    def run(self, algorithm, **params):
+        return super().run(self._recording(algorithm), **params)
+
+    def run_batch(self, algorithm, sources, lane_params=None, **params):
+        lane_params = [
+            {**(lane_params[lane] if lane_params else {}), "recorded_lane": lane}
+            for lane in range(len(sources))
+        ]
+        return super().run_batch(
+            self._recording(algorithm), sources, lane_params, **params
+        )
 
 
 def random_split_schedule(seed: int) -> SplitSchedule:

@@ -2,8 +2,9 @@
 
 Textbook implementations with no cost modelling, like the ones in
 ``repro.baselines.reference`` (BFS, SSSP, PageRank), which the examples
-read too, and :class:`PythonKernelBackend`, the loop reference of the
-engine's kernel primitives.
+read too; :class:`PythonKernelBackend`, the loop reference of the
+engine's kernel primitives; and :func:`classify_reference`, the
+three-mask worklist split the classifier is checked against.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.core.frontier import ClassifiedFrontier, WorklistSizes
 from repro.graph.csr import CSRGraph
 
 
@@ -109,6 +111,40 @@ def spmv_product(graph: CSRGraph, x: np.ndarray) -> np.ndarray:
     y = np.zeros(n, dtype=np.float64)
     np.add.at(y, dsts, weights * x[srcs])
     return y
+
+
+def classify_reference(
+    degrees: np.ndarray,
+    frontier: np.ndarray,
+    small_medium_separator: int,
+    medium_large_separator: int,
+) -> ClassifiedFrontier:
+    """The three-mask split of ``frontier`` by ``degrees`` (Section 4,
+    step I) that :meth:`WorklistClassifier.classify` must reproduce field
+    for field: one boolean mask per worklist, each list and its degree
+    total read through its own mask."""
+    frontier = np.asarray(frontier, dtype=np.int64)
+    if frontier.size == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return ClassifiedFrontier(
+            empty, empty, empty, WorklistSizes(0, 0, 0, 0, 0, 0), empty, 0
+        )
+    degs = degrees[frontier]
+    small_mask = degs < small_medium_separator
+    large_mask = degs >= medium_large_separator
+    medium_mask = ~(small_mask | large_mask)
+    sizes = WorklistSizes(
+        small_vertices=int(small_mask.sum()),
+        medium_vertices=int(medium_mask.sum()),
+        large_vertices=int(large_mask.sum()),
+        small_edges=int(degs[small_mask].sum()),
+        medium_edges=int(degs[medium_mask].sum()),
+        large_edges=int(degs[large_mask].sum()),
+    )
+    return ClassifiedFrontier(
+        frontier[small_mask], frontier[medium_mask], frontier[large_mask],
+        sizes, degs[small_mask], int(degs.max()),
+    )
 
 
 class PythonKernelBackend:

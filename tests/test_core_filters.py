@@ -44,7 +44,6 @@ class TestOnlineFilter:
         assert np.array_equal(np.sort(result.worklist), [3, 5, 7, 7])
         assert not result.overflowed
         assert not result.is_sorted
-        assert not result.is_unique
 
     def test_redundancy_preserved(self):
         result = OnlineFilter(capacity=8).build(make_ctx(updated=(7, 7, 7, 3)))
@@ -114,7 +113,7 @@ class TestBallotFilter:
     def test_sorted_unique_worklist_from_active_mask(self):
         result = BallotFilter().build(make_ctx())
         assert np.array_equal(result.worklist, [3, 5, 7])
-        assert result.is_sorted and result.is_unique
+        assert result.is_sorted
         assert result.sortedness == 1.0
 
     def test_cost_scales_with_vertex_count_not_frontier(self):
@@ -174,7 +173,7 @@ class TestJITTaskManager:
                                 active=tuple(range(50)))
         result = jit.build(overflow_ctx, iteration=1)
         assert jit._use_ballot
-        assert result.is_sorted and result.is_unique
+        assert result.is_sorted
         assert result.overflowed
         # The ballot output covers every active vertex despite the overflow.
         assert result.worklist.size == 50

@@ -192,6 +192,62 @@ def test_snapshot_matches_from_edges_oracle(graph, directed_graph, case):
         assert dyn.snapshot().out_degrees()[7] == 0 < graph.out_degrees()[7]
 
 
+def _replay_sequence(seed: int) -> int:
+    """Update algebra across rebuilds: a seeded sequence of batches -
+    inserts of new and existing edges (re-weights), deletes of present
+    and absent edges, pairs in both lists, explicit ``rebuild()`` calls
+    and a small auto-rebuild threshold - leaves, after every batch, the
+    snapshot a from-scratch ``from_edges`` build of the replayed edge set
+    gives. Returns the automatic rebuilds the sequence crossed."""
+    rng = np.random.default_rng(seed)
+    directed = bool(seed % 2)
+    base = gen.random_uniform_graph(
+        40, 120, seed=seed, directed=directed, name=f"algebra-{seed}"
+    )
+    dyn = DynamicGraph(base, rebuild_threshold=int(rng.integers(6, 40)))
+    model = {(u, v): w for u, v, w in graphs.edge_triples(base)}
+    rebuilds = 0
+    for _ in range(int(rng.integers(3, 9))):
+        if rng.random() < 0.2 and dyn.pending_edges:
+            dyn.rebuild()
+            rebuilds += 1
+        present = np.array(list(model) or [(0, 1)], dtype=np.int64)
+        fresh = rng.integers(0, base.num_vertices, size=(int(rng.integers(0, 10)), 2))
+        inserts = np.concatenate([
+            fresh, present[rng.choice(len(present), size=3)],
+        ])
+        inserts = inserts[inserts[:, 0] != inserts[:, 1]]
+        absent = rng.integers(0, base.num_vertices, size=(3, 2))
+        deletes = np.concatenate([
+            present[rng.choice(len(present), size=int(rng.integers(0, 8)))],
+            absent[absent[:, 0] != absent[:, 1]],
+            inserts[: int(rng.integers(0, 3))],  # deleted, then re-inserted
+        ])
+        step = dict(
+            inserts=inserts.tolist(),
+            insert_weights=(rng.integers(1, 9, size=len(inserts)) + 0.5).tolist(),
+            deletes=deletes.tolist(),
+        )
+        dyn.apply(EdgeUpdateBatch.of(**step))
+        _model_apply(model, step, directed)
+        oracle = CSRGraph.from_edges(
+            base.num_vertices, list(model), weights=list(model.values()),
+            directed=True,
+        )
+        assert_csr_equal(dyn.snapshot(), oracle)
+    return dyn.rebuilds - rebuilds  # beyond the explicit ones
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_multi_batch_sequences_replay_from_scratch(seed):
+    _replay_sequence(seed)
+
+
+def test_multi_batch_sequences_cross_auto_rebuilds():
+    # The threshold path is taken, not just the explicit rebuild().
+    assert sum(_replay_sequence(seed) > 0 for seed in range(50)) >= 40
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_batch_then_inverse_restores_snapshot(graph, seed):
     """Update algebra: a batch, then its inverse built from the receipt

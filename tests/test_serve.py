@@ -1222,3 +1222,107 @@ def test_tcp_every_non_hit_reply_has_a_batch_size(graph):
     assert all(
         r["batch_size"] >= 1 for r in answers if r["cache_outcome"] != "hit"
     )
+
+
+# ----------------------------------------------------------------------
+# The query counters close
+# ----------------------------------------------------------------------
+def assert_counters_close(stats):
+    """``SIMDXServer.stats``'s law: every query entered once, left once."""
+    entered = stats["submitted"] + stats["cache_hits"] + stats["cache_repairs"]
+    left = (
+        stats["served"] + stats["shed"] + stats["cancelled_before_dispatch"]
+        + stats["cancelled_after_dispatch"] + stats["failed"]
+        + stats["in_flight"]
+    )
+    assert entered == left, stats
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_query_counters_close_under_a_seeded_mix(graph, seed):
+    """Hits, repairs, a shed at ``max_queue``, cancels before and after
+    dispatch and a failing batch: the law holds at every checkpoint,
+    in-flight lanes included, and nothing is in flight at the end."""
+    rng = np.random.default_rng(seed)
+    sources = [int(v) for v in rng.choice(graph.num_vertices, 12, replace=False)]
+    held = {}
+
+    async def before_dispatch(batch):
+        # The first batch is held open: its lanes are popped but unsettled.
+        if "release" in held:
+            return
+        held["release"] = asyncio.Event()
+        held["snapshot"] = server.stats
+        batch[int(rng.integers(len(batch)))].future.cancel()
+        await held["release"].wait()
+
+    server = InterceptingServer(
+        graph,
+        policy=AdmissionPolicy(max_batch=4, max_wait_ms=NEVER_MS, max_queue=4),
+        config=serve_config(),
+        cache=True,
+        algorithms={"bfs": BFS, "sssp": SSSP, "boom": _BoomBFS},
+        before_dispatch=before_dispatch,
+    )
+    checkpoints = []
+
+    async def scenario():
+        async with server:
+            first = await submit_tasks(
+                server, [("bfs", s, None) for s in sources[:4]]
+            )
+            checkpoints.append(held["snapshot"])
+            assert held["snapshot"]["in_flight"] == 4
+            held["release"].set()
+            await asyncio.gather(*first, return_exceptions=True)
+            checkpoints.append(server.stats)
+            # Hits: the served sources again.
+            for source in sources[:4]:
+                await server.submit("bfs", source)
+            # A repair: an update makes a cached entry stale.
+            await server.update(inserts=[(sources[0], sources[5])])
+            await server.submit("bfs", sources[1])
+            checkpoints.append(server.stats)
+            # Three queued sssp queries, one cancelled before dispatch, a
+            # fourth shed at max_queue=4 while a boom query waits too.
+            queued = await submit_tasks(
+                server, [("sssp", s, None) for s in sources[6:9]]
+            )
+            boom = await submit_tasks(server, [("boom", sources[9], None)])
+            with pytest.raises(ServerOverloaded):
+                await server.submit("sssp", sources[10])
+            queued[int(rng.integers(3))].cancel()
+            await asyncio.sleep(0)
+            checkpoints.append(server.stats)
+        # Shutdown drained the rest: the sssp batch and the failing one.
+        return await asyncio.gather(*queued, *boom, return_exceptions=True)
+
+    outcomes = asyncio.run(scenario())
+    final = server.stats
+    checkpoints.append(final)
+    for stats in checkpoints:
+        assert_counters_close(stats)
+    assert final["in_flight"] == 0
+    assert final["cache_hits"] == 4 and final["cache_repairs"] == 1
+    assert final["shed"] == 1
+    assert final["cancelled_before_dispatch"] == 1
+    assert final["cancelled_after_dispatch"] == 1
+    assert final["failed"] == 1
+    assert isinstance(outcomes[-1], EngineFailure)
+
+
+def test_query_counters_close_after_a_shutdown_that_cancels(graph):
+    async def scenario():
+        server = make_server(
+            graph, AdmissionPolicy(max_batch=8, max_wait_ms=NEVER_MS)
+        )
+        await server.start()
+        tasks = await submit_tasks(server, [("bfs", s, None) for s in (3, 5, 9)])
+        assert server.stats["in_flight"] == 3
+        await server.shutdown(drain=False)
+        await asyncio.gather(*tasks, return_exceptions=True)
+        return server
+
+    stats = asyncio.run(scenario()).stats
+    assert_counters_close(stats)
+    assert stats["cancelled_before_dispatch"] == 3 and stats["in_flight"] == 0
