@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
 A single session-scoped :class:`BenchmarkContext` is shared by every bench so
-graphs and functional traces are generated once. The ``REPRO_BENCH_SCALE``
-and ``REPRO_BENCH_DATASETS`` environment variables shrink the sweep for quick
-smoke runs (e.g. ``REPRO_BENCH_DATASETS=LJ,RC pytest benchmarks/``).
+graphs, and the forced-push SIMD-X runs the baselines price, are generated
+once. The ``REPRO_BENCH_SCALE`` and ``REPRO_BENCH_DATASETS`` environment
+variables shrink the sweep for quick smoke runs (e.g. ``REPRO_BENCH_DATASETS=LJ,RC pytest benchmarks/``).
 """
 
 from __future__ import annotations

@@ -12,10 +12,14 @@
 * :mod:`repro.baselines.galois` -- Galois-like CPU system: asynchronous
   worklist execution with work-stealing.
 
-The GPU baselines run on the same simulated device and produce the same
-functional results as SIMD-X; they differ in how much memory they allocate,
-how many atomics they issue, how they build worklists and how many kernels
-they launch - exactly the axes along which the paper compares them.
+None of the four executes anything of its own: each prices one SIMD-X run
+forced to push with atomic Combine (:func:`repro.baselines.common.execute`,
+one execution for every system), so all produce SIMD-X's functional results
+and price SIMD-X's frontier definition. They differ in how much memory they
+allocate, how many atomics they issue, how they build worklists and how
+many kernels they launch - exactly the axes along which the paper compares
+them. The GPU baselines reserve and launch on a simulated device of their
+own.
 """
 
 from repro.baselines.gunrock import GunrockLike

@@ -2,147 +2,115 @@
 
 All comparator systems (GPU and CPU) produce results that are functionally
 identical to SIMD-X - the paper compares *performance*, not outputs - so
-their functional execution is factored out here as :func:`trace_execution`:
-a plain BSP run of the ACC algorithm that records, per iteration, the
-frontier size, expanded edge count, update count and the destination
-distribution (for atomic-contention modelling). Each baseline then converts
-that trace into simulated time using its own cost model, which is where the
-systems genuinely differ (memory layout, atomics, filtering strategy, kernel
-launches, CPU vs GPU execution).
+none of them executes anything of its own: each prices one SIMD-X run,
+:func:`execute`, forced to push with Combine priced as atomics. Its
+iteration records carry, per iteration, the frontier size, the expanded
+edge count, the valid and applied update counts and the atomic profile of
+the update destinations; each baseline converts them into simulated time
+with its own cost model, which is where the systems genuinely differ
+(memory layout, atomics, filtering strategy, kernel launches, CPU vs GPU
+execution). The frontier they price is therefore SIMD-X's: a vertex that is
+active but received no update this iteration does not expand next
+iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
+from repro.analysis import registry as extra_keys
 from repro.core.acc import ACCAlgorithm
-from repro.gpu.atomics import AtomicProfile, profile_atomic_updates
+from repro.core.direction import Direction
+from repro.core.engine import EngineConfig, SIMDXEngine
+from repro.core.metrics import IterationRecord, RunResult
+from repro.gpu.device import DeviceOutOfMemory, GPUDevice
 from repro.graph.csr import CSRGraph
 
-
-@dataclass
-class IterationTrace:
-    """Workload of one BSP iteration, independent of any cost model."""
-
-    iteration: int
-    frontier_vertices: int
-    frontier_edges: int
-    updates_valid: int          # edges whose compute produced an update
-    updates_applied: int        # destinations whose metadata changed
-    active_after: int           # active vertices after the iteration
-    atomic_profile: AtomicProfile
-    max_frontier_degree: int
-    mean_frontier_degree: float
+#: The configuration of the run every baseline prices: a pure scatter every
+#: iteration (the baselines' frontier expansion) with each record carrying
+#: the atomic profile of its updates.
+PRICED_CONFIG = EngineConfig(forced_direction=Direction.PUSH, atomic_combine=True)
 
 
-@dataclass
-class ExecutionTrace:
-    """Functional outcome plus per-iteration workload of a full run."""
-
-    algorithm: str
-    graph: str
-    values: np.ndarray
-    iterations: List[IterationTrace] = field(default_factory=list)
-
-    @property
-    def num_iterations(self) -> int:
-        return len(self.iterations)
-
-    @property
-    def total_frontier_edges(self) -> int:
-        return sum(t.frontier_edges for t in self.iterations)
-
-    @property
-    def total_updates(self) -> int:
-        return sum(t.updates_valid for t in self.iterations)
-
-
-def trace_execution(
-    algorithm: ACCAlgorithm,
-    graph: CSRGraph,
-    *,
-    max_iterations: Optional[int] = None,
-    **params,
-) -> ExecutionTrace:
-    """Run ``algorithm`` functionally and record its per-iteration workload."""
-    state = algorithm.init(graph, **params)
-    metadata = np.asarray(state.metadata, dtype=np.float64).copy()
-    frontier = np.unique(np.asarray(state.frontier, dtype=np.int64))
-
-    csr = graph.out_csr
-    offsets = csr.offsets.astype(np.int64)
-    degrees = np.diff(offsets)
-    limit = max_iterations or algorithm.max_iterations
-
-    trace = ExecutionTrace(algorithm=algorithm.name, graph=graph.name, values=metadata)
-    iteration = 0
-    while frontier.size and iteration < limit:
-        iteration += 1
-        prev = metadata.copy()
-
-        counts = degrees[frontier]
-        total = int(counts.sum())
-        if total:
-            starts = offsets[frontier]
-            cum = np.zeros(frontier.size, dtype=np.int64)
-            np.cumsum(counts[:-1], out=cum[1:])
-            edge_idx = np.repeat(starts - cum, counts) + np.arange(total, dtype=np.int64)
-            src_slot = np.repeat(np.arange(frontier.size, dtype=np.int64), counts)
-            src = frontier[src_slot]
-            dst = csr.targets[edge_idx].astype(np.int64)
-            weights = csr.weights[edge_idx].astype(np.float64)
-            updates = np.asarray(
-                algorithm.compute_edges(
-                    metadata[src], weights, metadata[dst], src, dst, graph
-                ),
-                dtype=np.float64,
-            )
-            algorithm.on_frontier_expanded(frontier, metadata)
-            valid = ~np.isnan(updates)
-            dst_valid = dst[valid]
-            updates_valid = updates[valid]
-            if updates_valid.size:
-                combined = algorithm.combine_op.segment_reduce(
-                    updates_valid, dst_valid, graph.num_vertices
-                )
-                touched = np.unique(dst_valid)
-                new_values = algorithm.apply(metadata[touched], combined[touched], touched)
-                changed = new_values != metadata[touched]
-                metadata[touched[changed]] = new_values[changed]
-                applied = int(np.count_nonzero(changed))
-            else:
-                applied = 0
-            atomic_profile = profile_atomic_updates(dst_valid)
-            num_valid = int(updates_valid.size)
-        else:
-            algorithm.on_frontier_expanded(frontier, metadata)
-            atomic_profile = profile_atomic_updates(np.zeros(0, dtype=np.int64))
-            applied = 0
-            num_valid = 0
-
-        active = algorithm.active_mask(metadata, prev)
-        next_frontier = np.nonzero(active)[0].astype(np.int64)
-
-        trace.iterations.append(
-            IterationTrace(
-                iteration=iteration,
-                frontier_vertices=int(frontier.size),
-                frontier_edges=total,
-                updates_valid=num_valid,
-                updates_applied=applied,
-                active_after=int(next_frontier.size),
-                atomic_profile=atomic_profile,
-                max_frontier_degree=int(counts.max()) if counts.size else 0,
-                mean_frontier_degree=float(counts.mean()) if counts.size else 0.0,
-            )
+def execute(algorithm: ACCAlgorithm, graph: CSRGraph, **params) -> RunResult:
+    """The SIMD-X run a baseline prices, on a simulated device of its own
+    (the baseline's device keeps only the baseline's allocations and
+    launches). Raises if the run fails: a failed run is never priced."""
+    result = SIMDXEngine(graph, config=PRICED_CONFIG).run(algorithm, **params)
+    if result.failed:
+        raise RuntimeError(
+            f"{algorithm.name} on {graph.name}: the run the baselines price "
+            f"failed ({result.failure_reason})"
         )
-        frontier = next_frontier
+    return result
 
-    trace.values = algorithm.vertex_value(metadata)
-    return trace
+
+class PricedSystem:
+    """A comparator system: one :func:`execute` run, priced.
+
+    A subclass names itself (``SYSTEM_NAME``, ``MODEL``), prices the run's
+    iteration records in ``_price`` and, on the GPU, holds its ``device``
+    and reserves its resident buffers in ``_allocate_static`` (an
+    allocation that does not fit fails the run as an OOM, before anything
+    executes); a CPU system holds a ``cpu`` instead.
+    """
+
+    SYSTEM_NAME = ""
+    MODEL = ""
+    device: Optional[GPUDevice] = None
+    cpu: Optional[CPUSpec] = None
+
+    def run(
+        self,
+        algorithm: ACCAlgorithm,
+        graph: CSRGraph,
+        *,
+        execution: Optional[RunResult] = None,
+        **params,
+    ) -> RunResult:
+        """Price ``algorithm`` on ``graph``. ``execution`` shares one
+        :func:`execute` run of it across systems (the benchmark harness
+        caches them); when omitted the system executes it itself."""
+        device = self.device
+        name = self.cpu.name if device is None else device.spec.name
+        if device is not None:
+            device.profiler.reset()
+            device.reset_memory()
+        try:
+            self._allocate_static(algorithm, graph)
+            if execution is None:
+                execution = execute(algorithm, graph, **params)
+            total_us = self._price(execution.iteration_records, algorithm, graph)
+        except DeviceOutOfMemory as exc:
+            return RunResult.failure(
+                self.SYSTEM_NAME, algorithm.name, graph.name, f"OOM: {exc}",
+                device=name,
+            )
+        finally:
+            if device is not None:
+                device.reset_memory()
+        return RunResult(
+            system=self.SYSTEM_NAME,
+            algorithm=algorithm.name,
+            graph=graph.name,
+            values=execution.values,
+            elapsed_us=total_us,
+            iterations=execution.iterations,
+            device=name,
+            kernel_launches=0 if device is None else device.profiler.launch_count(),
+            extra={extra_keys.MODEL: self.MODEL},
+        )
+
+    def _allocate_static(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> None:
+        """Reserve the system's resident device buffers (a CPU system has none)."""
+
+    def _price(
+        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
+        graph: CSRGraph,
+    ) -> float:
+        """Simulated microseconds of the priced run's ``records``."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -25,22 +25,22 @@ model below preserves that trade-off.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from repro.analysis import registry as extra_keys
-from repro.baselines.common import ExecutionTrace, trace_execution
+from repro.baselines.common import PricedSystem
 from repro.core.acc import ACCAlgorithm
-from repro.core.metrics import RunResult
+from repro.core.metrics import IterationRecord
 from repro.gpu import memory as gmem
-from repro.gpu.device import DeviceOutOfMemory, GPUDevice, K40
+from repro.gpu.device import GPUDevice, K40
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.graph.csr import CSRGraph
 
 
-class CuShaLike:
+class CuShaLike(PricedSystem):
     """CuSha-style full-edge-sweep execution on the simulated GPU."""
 
     SYSTEM_NAME = "CuSha"
+    MODEL = "G-Shards edge list, full sweep per iteration"
 
     #: Bytes per shard edge entry: src value, src index, dst index, weight.
     SHARD_ENTRY_BYTES = 16
@@ -51,46 +51,8 @@ class CuShaLike:
     def __init__(self, device: Optional[GPUDevice] = None):
         self.device = device if device is not None else GPUDevice(K40)
 
-    def run(
-        self,
-        algorithm: ACCAlgorithm,
-        graph: CSRGraph,
-        *,
-        trace: Optional["ExecutionTrace"] = None,
-        **params,
-    ) -> RunResult:
-        device = self.device
-        device.profiler.reset()
-        device.reset_memory()
-
-        try:
-            self._allocate_static(graph)
-        except DeviceOutOfMemory as exc:
-            device.reset_memory()
-            return RunResult.failure(
-                self.SYSTEM_NAME, algorithm.name, graph.name, f"OOM: {exc}",
-                device=device.spec.name,
-            )
-
-        if trace is None:
-            trace = trace_execution(algorithm, graph, **params)
-        total_us = self._price_trace(trace, algorithm, graph)
-        device.reset_memory()
-
-        return RunResult(
-            system=self.SYSTEM_NAME,
-            algorithm=algorithm.name,
-            graph=graph.name,
-            values=trace.values,
-            elapsed_us=total_us,
-            iterations=trace.num_iterations,
-            device=device.spec.name,
-            kernel_launches=device.profiler.launch_count(),
-            extra={extra_keys.MODEL: "G-Shards edge list, full sweep per iteration"},
-        )
-
     # ------------------------------------------------------------------
-    def _allocate_static(self, graph: CSRGraph) -> None:
+    def _allocate_static(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> None:
         v = graph.modeled_num_vertices
         e = graph.modeled_num_edges
         self.device.malloc(e * self.SHARD_ENTRY_BYTES, label="g_shards")
@@ -99,8 +61,9 @@ class CuShaLike:
         self.device.malloc(e * 4, label="shard_index")
         self.device.malloc(2 * v * 8, label="vertex_windows")
 
-    def _price_trace(
-        self, trace: ExecutionTrace, algorithm: ACCAlgorithm, graph: CSRGraph
+    def _price(
+        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
+        graph: CSRGraph,
     ) -> float:
         device = self.device
         kernel = Kernel("cusha_shard_sweep", self.KERNEL_REGISTERS)
@@ -108,7 +71,7 @@ class CuShaLike:
         num_vertices = graph.num_vertices
 
         total_us = 0.0
-        for _ in trace.iterations:
+        for _ in records:
             # Every iteration streams every shard: all edges in, the whole
             # vertex window out, regardless of how many vertices are active.
             work = WorkEstimate(

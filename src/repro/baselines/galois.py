@@ -27,19 +27,19 @@ for SSSP on high-diameter road graphs so Table 4 keeps its blank cell; pass
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from repro.analysis import registry as extra_keys
-from repro.baselines.common import CPUSpec, DEFAULT_CPU, ExecutionTrace, trace_execution
+from repro.baselines.common import CPUSpec, DEFAULT_CPU, PricedSystem
 from repro.core.acc import ACCAlgorithm
-from repro.core.metrics import RunResult
+from repro.core.metrics import IterationRecord, RunResult
 from repro.graph.csr import CSRGraph
 
 
-class GaloisLike:
+class GaloisLike(PricedSystem):
     """Galois-style asynchronous worklist execution on a multicore CPU."""
 
     SYSTEM_NAME = "Galois"
+    MODEL = "CPU asynchronous worklist (work stealing)"
 
     #: Fraction of BSP edge work the asynchronous schedule actually performs
     #: (priority scheduling skips some re-relaxations).
@@ -54,14 +54,7 @@ class GaloisLike:
         self.cpu = cpu if cpu is not None else DEFAULT_CPU
         self.reproduce_paper_failures = reproduce_paper_failures
 
-    def run(
-        self,
-        algorithm: ACCAlgorithm,
-        graph: CSRGraph,
-        *,
-        trace: Optional[ExecutionTrace] = None,
-        **params,
-    ) -> RunResult:
+    def run(self, algorithm: ACCAlgorithm, graph: CSRGraph, **kwargs) -> RunResult:
         if self.reproduce_paper_failures and self._known_failure(algorithm, graph):
             return RunResult.failure(
                 self.SYSTEM_NAME,
@@ -71,20 +64,7 @@ class GaloisLike:
                 "road network; Table 4 reports the same failure)",
                 device=self.cpu.name,
             )
-
-        if trace is None:
-            trace = trace_execution(algorithm, graph, **params)
-        total_us = self._price_trace(trace, algorithm, graph)
-        return RunResult(
-            system=self.SYSTEM_NAME,
-            algorithm=algorithm.name,
-            graph=graph.name,
-            values=trace.values,
-            elapsed_us=total_us,
-            iterations=trace.num_iterations,
-            device=self.cpu.name,
-            extra={extra_keys.MODEL: "CPU asynchronous worklist (work stealing)"},
-        )
+        return super().run(algorithm, graph, **kwargs)
 
     # ------------------------------------------------------------------
     def _known_failure(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> bool:
@@ -96,16 +76,18 @@ class GaloisLike:
             and meta.get("paper_name") == "Europe-osm"
         )
 
-    def _price_trace(
-        self, trace: ExecutionTrace, algorithm: ACCAlgorithm, graph: CSRGraph
+    def _price(
+        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
+        graph: CSRGraph,
     ) -> float:
         cpu = self.cpu
-        effective_edges = trace.total_frontier_edges * self.WORK_EFFICIENCY
-        activated_tasks = sum(t.updates_applied for t in trace.iterations)
+        effective_edges = sum(r.frontier_edges for r in records) * self.WORK_EFFICIENCY
+        activated_tasks = sum(r.updates_applied for r in records)
         work_ns = (
             effective_edges * cpu.edge_ns
             + activated_tasks * cpu.task_overhead_ns
-            + trace.total_updates * 0.5  # conflict detection / commit checks
+            # conflict detection / commit checks
+            + sum(r.updates_valid for r in records) * 0.5
         )
         # No per-iteration barrier: a single start-up/tear-down cost instead.
         startup_us = 2.0 * cpu.sync_overhead_us

@@ -16,31 +16,30 @@ Advance / Filter / Compute (Table 1 of the SIMD-X paper):
 * kernels are not fused across the iteration barrier, so every iteration
   pays two kernel launches.
 
-The functional result comes from the shared :func:`trace_execution`; this
-class only prices the trace under Gunrock's design decisions.
+This class executes nothing itself: it prices the shared forced-push
+SIMD-X run (:func:`repro.baselines.common.execute`) under Gunrock's design
+decisions, its atomics from the atomic profile each iteration record
+carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
-import numpy as np
-
-from repro.analysis import registry as extra_keys
-from repro.baselines.common import ExecutionTrace, trace_execution
-from repro.core.acc import ACCAlgorithm, CombineKind
-from repro.core.metrics import RunResult
+from repro.baselines.common import PricedSystem
+from repro.core.acc import ACCAlgorithm
+from repro.core.metrics import IterationRecord
 from repro.gpu import memory as gmem
-from repro.gpu.device import DeviceOutOfMemory, GPUDevice, K40
+from repro.gpu.device import GPUDevice, K40
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.graph.csr import CSRGraph
 
 
-class GunrockLike:
+class GunrockLike(PricedSystem):
     """Gunrock-style advance/filter execution on the simulated GPU."""
 
     SYSTEM_NAME = "Gunrock"
+    MODEL = "AFC + batch filter + atomic updates"
 
     #: Register footprints of the advance and filter kernels (comparable to
     #: the unfused SIMD-X kernels of Table 2).
@@ -56,51 +55,6 @@ class GunrockLike:
 
     def __init__(self, device: Optional[GPUDevice] = None):
         self.device = device if device is not None else GPUDevice(K40)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        algorithm: ACCAlgorithm,
-        graph: CSRGraph,
-        *,
-        trace: Optional[ExecutionTrace] = None,
-        **params,
-    ) -> RunResult:
-        """Execute ``algorithm`` and price it under the Gunrock model.
-
-        ``trace`` lets the benchmark harness share one functional execution
-        across baselines (the functional results are identical by design);
-        when omitted the baseline runs the algorithm itself.
-        """
-        device = self.device
-        device.profiler.reset()
-        device.reset_memory()
-
-        try:
-            self._allocate_static(algorithm, graph)
-        except DeviceOutOfMemory as exc:
-            device.reset_memory()
-            return RunResult.failure(
-                self.SYSTEM_NAME, algorithm.name, graph.name, f"OOM: {exc}",
-                device=device.spec.name,
-            )
-
-        if trace is None:
-            trace = trace_execution(algorithm, graph, **params)
-        total_us = self._price_trace(trace, algorithm, graph)
-        device.reset_memory()
-
-        return RunResult(
-            system=self.SYSTEM_NAME,
-            algorithm=algorithm.name,
-            graph=graph.name,
-            values=trace.values,
-            elapsed_us=total_us,
-            iterations=trace.num_iterations,
-            device=device.spec.name,
-            kernel_launches=device.profiler.launch_count(),
-            extra={extra_keys.MODEL: "AFC + batch filter + atomic updates"},
-        )
 
     # ------------------------------------------------------------------
     def _allocate_static(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> None:
@@ -123,15 +77,16 @@ class GunrockLike:
             self.device.malloc(e * per_entry, label="batch_edge_list")
 
     # ------------------------------------------------------------------
-    def _price_trace(
-        self, trace: ExecutionTrace, algorithm: ACCAlgorithm, graph: CSRGraph
+    def _price(
+        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
+        graph: CSRGraph,
     ) -> float:
         device = self.device
         advance_kernel = Kernel("gunrock_advance", self.ADVANCE_REGISTERS)
         filter_kernel = Kernel("gunrock_filter", self.FILTER_REGISTERS)
 
         total_us = 0.0
-        for it in trace.iterations:
+        for it in records:
             # Advance: expand frontier (unsorted worklist -> poor offset
             # coalescing), apply updates with atomics.
             traffic = gmem.frontier_expansion_traffic(

@@ -20,19 +20,19 @@ The cost model charges:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-from repro.analysis import registry as extra_keys
-from repro.baselines.common import CPUSpec, DEFAULT_CPU, ExecutionTrace, trace_execution
+from repro.baselines.common import CPUSpec, DEFAULT_CPU, PricedSystem
 from repro.core.acc import ACCAlgorithm
-from repro.core.metrics import RunResult
+from repro.core.metrics import IterationRecord
 from repro.graph.csr import CSRGraph
 
 
-class LigraLike:
+class LigraLike(PricedSystem):
     """Ligra-style push/pull frontier processing on a multicore CPU."""
 
     SYSTEM_NAME = "Ligra"
+    MODEL = "CPU push/pull frontier (edgeMap/vertexMap)"
 
     #: Frontier-edge share beyond which Ligra switches to its dense mode.
     DENSE_THRESHOLD = 0.05
@@ -43,36 +43,15 @@ class LigraLike:
     def __init__(self, cpu: Optional[CPUSpec] = None):
         self.cpu = cpu if cpu is not None else DEFAULT_CPU
 
-    def run(
-        self,
-        algorithm: ACCAlgorithm,
+    def _price(
+        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
         graph: CSRGraph,
-        *,
-        trace: Optional[ExecutionTrace] = None,
-        **params,
-    ) -> RunResult:
-        if trace is None:
-            trace = trace_execution(algorithm, graph, **params)
-        total_us = self._price_trace(trace, algorithm, graph)
-        return RunResult(
-            system=self.SYSTEM_NAME,
-            algorithm=algorithm.name,
-            graph=graph.name,
-            values=trace.values,
-            elapsed_us=total_us,
-            iterations=trace.num_iterations,
-            device=self.cpu.name,
-            extra={extra_keys.MODEL: "CPU push/pull frontier (edgeMap/vertexMap)"},
-        )
-
-    def _price_trace(
-        self, trace: ExecutionTrace, algorithm: ACCAlgorithm, graph: CSRGraph
     ) -> float:
         cpu = self.cpu
         cores = cpu.cores
         total_us = 0.0
         total_edges = max(1, graph.num_edges)
-        for it in trace.iterations:
+        for it in records:
             parallel_ns = (
                 it.frontier_edges * cpu.edge_ns
                 + it.frontier_vertices * cpu.vertex_ns

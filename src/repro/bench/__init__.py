@@ -1,8 +1,9 @@
 """Benchmark harness reproducing every table and figure of the paper.
 
 * :mod:`repro.bench.harness` -- run-matrix utilities: build algorithms,
-  pick deterministic sources, run any system on any dataset, share
-  functional traces across baselines.
+  pick deterministic sources, run any system on any dataset, share one
+  forced-push SIMD-X run per (graph, algorithm) across the baselines that
+  price it.
 * :mod:`repro.bench.experiments` -- one sweep function per experiment and
   the ordered ``EXPERIMENTS`` registry that binds each to its key, title
   and table specs (``python -m repro.bench.experiments`` regenerates

@@ -2,10 +2,12 @@
 
 The experiments sweep (system x algorithm x graph x device); this module
 holds the shared plumbing: deterministic source selection, algorithm
-construction, running one configuration, and caching of graphs and
-functional traces so an 11-graph sweep does not recompute the same BFS five
-times for five systems. It reports simulated time only; host wall-clock is
-measured by ``python -m perfbench`` (see ``perfbench/README.md``).
+construction, running one configuration, and caching of graphs and of
+the forced-push SIMD-X runs the four baselines price
+(:func:`repro.baselines.common.execute`), so an 11-graph sweep does not
+execute the same BFS once per baseline. It reports simulated time only;
+host wall-clock is measured by ``python -m perfbench`` (see
+``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -16,17 +18,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms import ALGORITHMS
-from repro.baselines import CuShaLike, GaloisLike, GunrockLike, LigraLike
-from repro.baselines.common import ExecutionTrace, trace_execution
+from repro.baselines import SYSTEMS
+from repro.baselines.common import execute
 from repro.core.acc import ACCAlgorithm
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import RunResult
 from repro.gpu.device import GPUDevice, GPUSpec, K40, get_device_spec
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DATASET_ORDER, load_dataset
-
-#: Systems understood by :func:`run_system`.
-SYSTEM_NAMES = ("simdx", "gunrock", "cusha", "galois", "ligra")
 
 #: Paper Table 4 evaluates these four algorithms across systems.
 TABLE4_ALGORITHMS = ("bfs", "pagerank", "sssp", "kcore")
@@ -92,40 +91,13 @@ def run_simdx(
     return engine.run(algorithm, **params)
 
 
-def run_system(
-    system: str,
-    graph: CSRGraph,
-    algorithm: ACCAlgorithm,
-    *,
-    device_spec: GPUSpec = K40,
-    config: Optional[EngineConfig] = None,
-    trace: Optional[ExecutionTrace] = None,
-    **params,
-) -> RunResult:
-    """Run one named system (``simdx`` / ``gunrock`` / ``cusha`` / ...)."""
-    key = system.lower()
-    if key == "simdx":
-        return run_simdx(
-            graph, algorithm, device_spec=device_spec, config=config, **params
-        )
-    if key == "gunrock":
-        return GunrockLike(GPUDevice(device_spec)).run(
-            algorithm, graph, trace=trace, **params
-        )
-    if key == "cusha":
-        return CuShaLike(GPUDevice(device_spec)).run(
-            algorithm, graph, trace=trace, **params
-        )
-    if key == "galois":
-        return GaloisLike().run(algorithm, graph, trace=trace, **params)
-    if key == "ligra":
-        return LigraLike().run(algorithm, graph, trace=trace, **params)
-    raise KeyError(f"unknown system {system!r}; known: {SYSTEM_NAMES}")
-
-
 @dataclass
 class BenchmarkContext:
-    """Caches graphs and functional traces across an experiment sweep.
+    """Caches graphs and the runs the baselines price across a sweep.
+
+    A baseline cell prices the cached :func:`~repro.baselines.common.execute`
+    run of its (graph, algorithm): one execution per pair, whatever the
+    number of systems and devices that price it.
 
     Parameters
     ----------
@@ -141,7 +113,9 @@ class BenchmarkContext:
     datasets: Tuple[str, ...] = tuple(DATASET_ORDER)
     device: str = "K40"
     _graphs: Dict[str, CSRGraph] = field(default_factory=dict, repr=False)
-    _traces: Dict[Tuple[str, str], ExecutionTrace] = field(default_factory=dict, repr=False)
+    _executions: Dict[Tuple[str, str], RunResult] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def device_spec(self) -> GPUSpec:
@@ -153,14 +127,15 @@ class BenchmarkContext:
             self._graphs[key] = load_dataset(key, self.scale)
         return self._graphs[key]
 
-    def trace(self, abbrev: str, algorithm_name: str) -> ExecutionTrace:
-        """Functional trace shared across baseline cost models."""
+    def execution(self, abbrev: str, algorithm_name: str) -> RunResult:
+        """The forced-push SIMD-X run every baseline cell prices."""
         key = (abbrev.upper(), algorithm_name.lower())
-        if key not in self._traces:
+        if key not in self._executions:
             graph = self.graph(abbrev)
-            algorithm = make_algorithm(algorithm_name, graph)
-            self._traces[key] = trace_execution(algorithm, graph)
-        return self._traces[key]
+            self._executions[key] = execute(
+                make_algorithm(algorithm_name, graph), graph
+            )
+        return self._executions[key]
 
     def run(
         self,
@@ -171,17 +146,18 @@ class BenchmarkContext:
         config: Optional[EngineConfig] = None,
         device_spec: Optional[GPUSpec] = None,
     ) -> RunResult:
-        """Run one (system, graph, algorithm) cell of the matrix."""
+        """Run one (system, graph, algorithm) cell of the matrix: ``simdx``
+        or a :data:`~repro.baselines.SYSTEMS` key (``config`` is SIMD-X's)."""
         graph = self.graph(abbrev)
         algorithm = make_algorithm(algorithm_name, graph)
-        trace = None
-        if system.lower() not in ("simdx",):
-            trace = self.trace(abbrev, algorithm_name)
-        return run_system(
-            system,
-            graph,
-            algorithm,
-            device_spec=device_spec or self.device_spec,
-            config=config,
-            trace=trace,
+        spec = device_spec or self.device_spec
+        key = system.lower()
+        if key == "simdx":
+            return run_simdx(graph, algorithm, device_spec=spec, config=config)
+        if key not in SYSTEMS:
+            raise KeyError(f"unknown system {system!r}; known: simdx, {list(SYSTEMS)}")
+        cls = SYSTEMS[key]
+        baseline = cls(GPUDevice(spec)) if key in ("gunrock", "cusha") else cls()
+        return baseline.run(
+            algorithm, graph, execution=self.execution(abbrev, algorithm_name)
         )

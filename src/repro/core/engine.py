@@ -72,7 +72,7 @@ from repro.core.fusion import FusionPlan, FusionStrategy
 from repro.core.metrics import BatchRunResult, RunResult
 from repro.core.superstep import Stream, SuperstepDriver, _ExpansionResult, _take
 from repro.gpu import memory as gmem
-from repro.gpu.atomics import profile_atomic_updates
+from repro.gpu.atomics import AtomicProfile
 from repro.gpu.barrier import SoftwareGlobalBarrier
 from repro.gpu.device import GPUDevice, K40
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
@@ -130,7 +130,9 @@ class EngineConfig:
     #: When True, the Combine step is priced as Gunrock prices it - direct
     #: atomic updates to vertex state instead of the ACC model's shared-memory
     #: staging - which is the ablation behind Figure 5. Functional results are
-    #: unchanged; only the cost differs.
+    #: unchanged; only the cost differs. Each iteration record then carries
+    #: the atomic profile it was priced with, which the Gunrock model prices
+    #: in turn (:mod:`repro.baselines`).
     atomic_combine: bool = False
     #: Shadow every superstep with the runtime sanitizer
     #: (:mod:`repro.analysis.sanitizer`): ACC hooks run on read-only views,
@@ -392,6 +394,7 @@ class SIMDXEngine:
         iteration: int,
         success_rate: float = 1.0,
         extra_lane_pairs: int = 0,
+        atomic_profile: Optional[AtomicProfile] = None,
     ) -> Tuple[FilterResult, str, float, float, float, float]:
         """Task management + cost accounting of one work unit.
 
@@ -400,7 +403,8 @@ class SIMDXEngine:
         of either - its largest out-degree bounds a scatter worker's
         recordings); ``active_mask``/``expansion`` describe what the unit
         updated and ``stream`` carries the filter state and the device to
-        charge.
+        charge; ``atomic_profile`` (``atomic_combine`` only) prices Combine
+        as atomic updates.
         Returns ``(filter_result, filter_name, compute_us, launch_us,
         filter_us, barrier_us)``. Keeping this tail in one place guarantees
         batched and sharded units are charged and traced exactly like
@@ -453,10 +457,6 @@ class SIMDXEngine:
                 label="active_edge_list",
             )
 
-        atomic_profile = None
-        if cfg.atomic_combine and expansion.update_destinations is not None:
-            # A gather that kept no edge built no destinations: no atomics.
-            atomic_profile = profile_atomic_updates(expansion.update_destinations)
         compute_us, launch_us, task_kernel = self._charge_compute(
             classified, direction, stream, algorithm,
             atomic_profile=atomic_profile,
@@ -505,8 +505,9 @@ class SIMDXEngine:
         updates: np.ndarray,
         dst: np.ndarray,
         ids_sorted: bool = False,
-    ) -> np.ndarray:
-        """Shared Combine + apply tail; returns the canonical receiver set."""
+    ) -> Tuple[np.ndarray, int]:
+        """Shared Combine + apply tail; returns the canonical receiver set
+        and how many of its metadata entries the apply changed."""
         touched, combined = algorithm.combine_op.compact_reduce(
             updates, dst, self.graph.num_vertices,
             ids_sorted=ids_sorted, backend=self.kernel,
@@ -515,7 +516,7 @@ class SIMDXEngine:
         new_values = algorithm.apply(old_values, combined, touched)
         changed = (new_values != old_values).nonzero()[0]
         metadata[_take(touched, changed)] = _take(new_values, changed)
-        return touched
+        return touched, int(changed.size)
 
     # ------------------------------------------------------------------
     # Cost accounting helpers

@@ -22,6 +22,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.gpu.atomics import AtomicProfile
+
 
 @dataclass
 class IterationRecord:
@@ -41,6 +43,15 @@ class IterationRecord:
     ``active_edges`` is the subset of those edges whose source lay in the
     frontier: equal to ``frontier_edges`` in push mode, and the share that
     paid full per-edge work (rather than just a bitmap test) in pull mode.
+
+    ``updates_valid``, ``updates_applied`` and ``atomic_profile`` are what
+    the baseline cost models (:mod:`repro.baselines`) price: the unit's
+    Compute outputs that were an update (not NaN), summed over its lanes;
+    the metadata entries Combine + apply changed, credited to the unit
+    each lane drained in; and, under ``EngineConfig.atomic_combine`` only
+    (``None`` otherwise), the :class:`~repro.gpu.atomics.AtomicProfile` of
+    the update destinations the unit's Combine was priced with - in a
+    batched unit, the edges on which any lane produced an update.
     """
 
     iteration: int
@@ -64,6 +75,9 @@ class IterationRecord:
     #: group's lanes on one device; on a shard, the lanes holding frontier
     #: vertices inside the shard's range).
     active_lanes: int = 0
+    updates_valid: int = 0
+    updates_applied: int = 0
+    atomic_profile: Optional[AtomicProfile] = None
 
     @property
     def total_us(self) -> float:

@@ -89,6 +89,7 @@ from repro.core.frontier import (
 )
 from repro.core.jit import JITTaskManager
 from repro.core.metrics import BatchRunResult, IterationRecord, RunResult
+from repro.gpu.atomics import profile_atomic_updates
 from repro.gpu.device import DeviceOutOfMemory
 
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -271,6 +272,7 @@ class _Unit:
     lane_candidates: Optional[List[np.ndarray]] = None
     expansion: Optional[_ExpansionResult] = None
     lane_pairs: int = 0
+    updates_valid: int = 0  # non-NaN Compute outputs over the unit's lanes
 
     def __post_init__(self) -> None:
         self.worklist = self.frontier
@@ -298,6 +300,8 @@ class _Step:
         self.pending: Dict[Tuple[int, int], List[tuple]] = {}
         #: ``(owner stream, lane) ->`` the receiver set Combine returned.
         self.touched: Dict[Tuple[int, int], np.ndarray] = {}
+        #: ``lane ->`` metadata entries its applies changed this superstep.
+        self.applied: Dict[int, int] = {}
         self.received = [0] * len(driver.streams)
         self.active: Dict[int, np.ndarray] = {}
         self.active_unions: Dict[Tuple[int, ...], np.ndarray] = {}
@@ -619,9 +623,10 @@ class SuperstepDriver:
                     np.concatenate([u for u, _, _ in queue]),
                     np.concatenate([d for _, d, _ in queue]), False,
                 )
-                step.touched[owner, lane] = self.engine._combine_and_apply(
+                step.touched[owner, lane], applied = self.engine._combine_and_apply(
                     clone, row, updates, dst, ids_sorted
                 )
+                step.applied[lane] = step.applied.get(lane, 0) + applied
         # A one-lane unit's active union is the lane's own mask.
         step.active[lane] = step.active_unions[(lane,)] = np.asarray(
             clone.active_mask(row, step.prev[lane]), dtype=bool
@@ -976,6 +981,7 @@ class SuperstepDriver:
             )
             unit.lane_pairs += int(updates.size)
             valid = (updates == updates).nonzero()[0]  # NaN is no update
+            unit.updates_valid += int(valid.size)
             if want_valid:
                 lane_hit = valid if at is None else at.take(valid)
                 if hit is None:
@@ -1099,6 +1105,13 @@ class SuperstepDriver:
             # Pull->push hand-over on this stream: the pre-arm bound folds
             # in the expected offer success rate.
             success_rate = self._offer_success_rate(unit.lanes, step)
+        atomic_profile = None
+        if engine.config.atomic_combine:
+            # A gather that kept no edge built no destinations: no atomics.
+            destinations = expansion.update_destinations
+            atomic_profile = profile_atomic_updates(
+                _EMPTY if destinations is None else destinations
+            )
         (
             filter_result, filter_name,
             compute_us, launch_us, filter_us, barrier_us,
@@ -1112,6 +1125,7 @@ class SuperstepDriver:
             iteration=step.iteration,
             success_rate=success_rate,
             extra_lane_pairs=max(0, unit.lane_pairs - expansion.active_edges),
+            atomic_profile=atomic_profile,
         )
         stream.sortedness = filter_result.sortedness
         if (
@@ -1133,6 +1147,13 @@ class SuperstepDriver:
             active_edges=int(expansion.active_edges),
             lane_edge_pairs=unit.lane_pairs if lanes.batched else 0,
             active_lanes=len(unit.range_lanes) if lanes.batched else 0,
+            updates_valid=unit.updates_valid,
+            # Each lane's applies count once: in the unit it drained in.
+            updates_applied=sum(
+                step.applied.get(lane, 0) for lane in unit.lanes
+                if step.last_unit[lane] is unit
+            ),
+            atomic_profile=atomic_profile,
         )
         stream.scanned_edges += record.frontier_edges
         self.records.append(record)

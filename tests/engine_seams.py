@@ -16,16 +16,19 @@ already ask a method or an attribute:
 * :meth:`SIMDXServer._dispatch` - every popped batch on its way to the
   engine.
 
-:class:`RecordingEngine` and :class:`FrontierRecordingEngine` only
-watch: the first logs the order in which a batched superstep computes,
-hooks and combines its lanes, the second what each task-management pass
-built and the frontier each lane continued from.
+:class:`RecordingEngine`, :class:`FrontierRecordingEngine` and
+:class:`UpdateRecordingEngine` only watch: the first logs the order in
+which a batched superstep computes, hooks and combines its lanes, the
+second what each task-management pass built and the frontier each lane
+continued from, the third each superstep's updates as the ACC hooks see
+them.
 """
 
 from __future__ import annotations
 
 import copy
 import inspect
+from collections import Counter, defaultdict
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -245,6 +248,60 @@ class FrontierRecordingEngine(ScheduledEngine):
             {**(lane_params[lane] if lane_params else {}), "recorded_lane": lane}
             for lane in range(len(sources))
         ]
+        return super().run_batch(
+            self._recording(algorithm), sources, lane_params, **params
+        )
+
+
+class UpdateRecordingEngine(ScheduledEngine):
+    """A :class:`ScheduledEngine` that counts each superstep's updates from
+    the ACC hooks' side of the engine, in every lane.
+
+    ``valid[i]`` counts superstep ``i``'s non-NaN ``compute_edges``
+    outputs and ``destinations[i]`` holds their destinations (one array
+    per call); ``applied[i]`` counts the vertices whose ``apply`` result
+    differs from their old metadata - what the iteration records'
+    ``updates_valid``, ``atomic_profile`` and ``updates_applied`` report.
+    Combine it with another engine of this module by subclassing both.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.valid = Counter()
+        self.applied = Counter()
+        self.destinations = defaultdict(list)
+        self._iteration = 0
+
+    def _forced_direction(self, iteration: int) -> Optional[Direction]:
+        self._iteration = iteration  # asked once per superstep, first
+        return super()._forced_direction(iteration)
+
+    def _recording(self, algorithm):
+        engine, base = self, type(algorithm)
+
+        def compute_edges(alg, *args):
+            updates = np.asarray(base.compute_edges(alg, *args), dtype=np.float64)
+            valid = ~np.isnan(updates)
+            engine.valid[engine._iteration] += int(np.count_nonzero(valid))
+            engine.destinations[engine._iteration].append(np.asarray(args[4])[valid])
+            return updates
+
+        def apply(alg, old, combined, touched):
+            new = base.apply(alg, old, combined, touched)
+            engine.applied[engine._iteration] += int(np.count_nonzero(new != old))
+            return new
+
+        recording = type(f"UpdateRecording{base.__name__}", (base,), {
+            "compute_edges": compute_edges, "apply": apply,
+        })
+        algorithm = copy.copy(algorithm)
+        algorithm.__class__ = recording
+        return algorithm
+
+    def run(self, algorithm, **params):
+        return super().run(self._recording(algorithm), **params)
+
+    def run_batch(self, algorithm, sources, lane_params=None, **params):
         return super().run_batch(
             self._recording(algorithm), sources, lane_params, **params
         )

@@ -1,48 +1,136 @@
 """Tests for the baseline systems: functional agreement with SIMD-X,
-cost-model orderings, memory/OOM behaviour and the shared trace machinery."""
+cost-model orderings, memory/OOM behaviour and the one execution they all
+price (a forced-push, atomic-combine SIMD-X run) with the three record
+fields the cost models read."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS, SSSP, PageRank, KCore
+from repro.algorithms import ALGORITHMS, BFS, SSSP, PageRank, KCore
 from repro.baselines import CuShaLike, GaloisLike, GunrockLike, LigraLike
 from repro.baselines import reference as ref
-from repro.baselines.common import CPUSpec, trace_execution
-from repro.core.engine import SIMDXEngine
+from repro.baselines.common import CPUSpec, execute
+from repro.bench.harness import make_algorithm
+from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import RunResult
+from repro.gpu.atomics import profile_atomic_updates
 from repro.gpu.device import GPUDevice, K40
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from tests.conftest import assert_distances_equal
+from tests.engine_seams import KERNEL_ENGINES, UpdateRecordingEngine
+
+# The run every baseline prices is shadowed by the sanitizer under
+# REPRO_SANITIZE=1 (CI's static-analysis job).
+pytestmark = pytest.mark.usefixtures("armed_by_env")
 
 ALL_BASELINES = [GunrockLike, CuShaLike, LigraLike, GaloisLike]
 
 
-class TestTraceExecution:
-    def test_trace_values_match_engine(self, rmat_graph):
+class TestPricedExecution:
+    def test_execution_values_match_engine(self, rmat_graph):
         src = int(np.argmax(rmat_graph.out_degrees()))
-        trace = trace_execution(BFS(source=src), rmat_graph)
+        execution = execute(BFS(source=src), rmat_graph)
         engine_result = SIMDXEngine(rmat_graph).run(BFS(source=src))
-        assert np.array_equal(trace.values, engine_result.values)
-        assert trace.num_iterations == engine_result.iterations
+        assert np.array_equal(execution.values, engine_result.values)
+        assert execution.iterations == engine_result.iterations
 
-    def test_trace_iteration_workloads(self, rmat_graph):
+    def test_execution_iteration_workloads(self, rmat_graph):
         src = int(np.argmax(rmat_graph.out_degrees()))
-        trace = trace_execution(BFS(source=src), rmat_graph)
-        first = trace.iterations[0]
+        records = execute(BFS(source=src), rmat_graph).iteration_records
+        first = records[0]
+        assert first.direction == "push"
         assert first.frontier_vertices == 1
         assert first.frontier_edges == rmat_graph.out_degrees()[src]
-        assert trace.total_updates > 0
+        assert sum(r.updates_valid for r in records) > 0
 
-    def test_trace_respects_max_iterations(self, road_graph):
-        trace = trace_execution(BFS(source=0), road_graph, max_iterations=3)
-        assert trace.num_iterations == 3
+    def test_execution_respects_max_iterations(self, road_graph):
+        algorithm = BFS(source=0)
+        algorithm.max_iterations = 3
+        assert execute(algorithm, road_graph).iterations == 3
+
+    def test_frontier_is_received_and_active(self):
+        # Vertex 3 is isolated: belief propagation keeps it active, but it
+        # never receives an update, so SIMD-X's next frontier (received ∩
+        # active) - the one every baseline prices - drops it from
+        # iteration 2 on.
+        graph = CSRGraph.from_edges(4, [(0, 1), (1, 2), (2, 0)], [1.0] * 3, name="iso")
+        records = execute(make_algorithm("bp", graph), graph).iteration_records
+        assert [r.frontier_vertices for r in records[:3]] == [4, 3, 3]
 
     def test_atomic_profile_recorded_per_iteration(self, star_graph):
         # Pushing from all leaves contends on the hub.
-        trace = trace_execution(PageRank(tolerance=1e-3), star_graph)
-        assert any(t.atomic_profile.max_contention > 10 for t in trace.iterations)
+        records = execute(PageRank(tolerance=1e-3), star_graph).iteration_records
+        assert any(r.atomic_profile.max_contention > 10 for r in records)
+
+
+def _recording_engine(kernel: str):
+    return type(
+        f"UpdateRecording{KERNEL_ENGINES[kernel].__name__}",
+        (UpdateRecordingEngine, KERNEL_ENGINES[kernel]), {},
+    )
+
+
+class TestRecordUpdateFields:
+    """``updates_valid``, ``updates_applied`` and ``atomic_profile`` of
+    every record equal the counts an ACC-hook recorder takes on its own."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_ENGINES))
+    @pytest.mark.parametrize("fixture", ["rmat_graph", "grid_graph", "star_graph"])
+    @pytest.mark.parametrize("name", ["bfs", "sssp", "pagerank", "kcore", "spmv"])
+    def test_single_run_records(self, request, kernel, fixture, name):
+        graph = request.getfixturevalue(fixture)
+        engine = _recording_engine(kernel)(
+            graph, config=EngineConfig(atomic_combine=True)
+        )
+        # k = 3 peels the fixtures (the default 16 removes every vertex
+        # of the grid and the star up front, with no update to count);
+        # an x that is zero on even vertices sends SpMV destinations valid
+        # updates that leave them unchanged.
+        params = {
+            "kcore": {"k": 3},
+            "spmv": {"x": (np.arange(graph.num_vertices) % 2).astype(float)},
+        }.get(name, {})
+        result = engine.run(make_algorithm(name, graph, **params))
+        assert not result.failed
+        records = result.iteration_records
+        assert [r.iteration for r in records] == list(range(1, result.iterations + 1))
+        assert sum(engine.valid.values()) > 0
+        for r in records:
+            i = r.iteration
+            assert r.updates_valid == engine.valid[i], i
+            assert r.updates_applied == engine.applied[i], i
+            parts = engine.destinations[i]
+            destinations = np.concatenate(parts) if parts else np.zeros(0)
+            assert r.atomic_profile == profile_atomic_updates(destinations), i
+
+    @pytest.mark.parametrize("fixture", ["rmat_graph", "grid_graph"])
+    @pytest.mark.parametrize("path", ["batch", "sharded"])
+    def test_unit_records_sum_per_superstep(self, request, fixture, path):
+        graph = request.getfixturevalue(fixture)
+        config = EngineConfig(
+            atomic_combine=True, num_shards=2 if path == "sharded" else 1
+        )
+        engine = _recording_engine("numpy")(graph, config=config)
+        if path == "batch":
+            result = engine.run_batch(SSSP(), [0, 5, 17])
+        else:
+            result = engine.run(make_algorithm("sssp", graph))
+        assert not result.failed
+        for i in range(1, result.iterations + 1):
+            unit = [r for r in result.iteration_records if r.iteration == i]
+            assert sum(r.updates_valid for r in unit) == engine.valid[i], i
+            assert sum(r.updates_applied for r in unit) == engine.applied[i], i
+            if path == "sharded":
+                ops = sum(r.atomic_profile.num_ops for r in unit)
+                assert ops == engine.valid[i], i
+
+    def test_profile_only_under_atomic_combine(self, rmat_graph):
+        result = SIMDXEngine(rmat_graph).run(make_algorithm("bfs", rmat_graph))
+        assert all(r.atomic_profile is None for r in result.iteration_records)
+        assert sum(r.updates_applied for r in result.iteration_records) > 0
 
 
 class TestFunctionalAgreement:
@@ -58,13 +146,24 @@ class TestFunctionalAgreement:
         result = baseline_cls().run(SSSP(source=0), grid_graph)
         assert_distances_equal(result.values, ref.sssp_distances(grid_graph, 0))
 
-    def test_shared_trace_reuse(self, rmat_graph):
+    def test_shared_execution_reuse(self, rmat_graph):
         src = int(np.argmax(rmat_graph.out_degrees()))
-        trace = trace_execution(BFS(source=src), rmat_graph)
-        a = GunrockLike().run(BFS(source=src), rmat_graph, trace=trace)
-        b = LigraLike().run(BFS(source=src), rmat_graph, trace=trace)
+        execution = execute(BFS(source=src), rmat_graph)
+        a = GunrockLike().run(BFS(source=src), rmat_graph, execution=execution)
+        b = LigraLike().run(BFS(source=src), rmat_graph, execution=execution)
         assert np.array_equal(a.values, b.values)
-        assert a.iterations == b.iterations == trace.num_iterations
+        assert a.iterations == b.iterations == execution.iterations
+
+    @pytest.mark.parametrize("baseline_cls", ALL_BASELINES)
+    @pytest.mark.parametrize("fixture", ["rmat_graph", "grid_graph", "star_graph", "road_graph"])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_every_algorithm_matches_simdx(self, request, baseline_cls, fixture, name):
+        graph = request.getfixturevalue(fixture)
+        simdx = SIMDXEngine(graph).run(make_algorithm(name, graph))
+        result = baseline_cls().run(make_algorithm(name, graph), graph)
+        assert not result.failed
+        np.testing.assert_array_equal(result.values, simdx.values)
+        assert result.iterations == simdx.iterations
 
 
 class TestGunrockModel:

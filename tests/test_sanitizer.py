@@ -143,7 +143,7 @@ class RawScatterEngine(SIMDXEngine):
 
     def _combine_and_apply(self, algorithm, metadata, updates, dst, ids_sorted=False):
         metadata[dst] = updates
-        return np.unique(dst)
+        return np.unique(dst), int(dst.size)
 
 
 def test_raw_scatter_flagged_as_write_write_conflict():
@@ -162,11 +162,11 @@ class StrayWriteEngine(SIMDXEngine):
     """Combines correctly, then pokes a vertex no update touched."""
 
     def _combine_and_apply(self, algorithm, metadata, updates, dst, ids_sorted=False):
-        touched = super()._combine_and_apply(
+        touched, applied = super()._combine_and_apply(
             algorithm, metadata, updates, dst, ids_sorted
         )
         metadata[metadata.shape[0] - 1] = -7.0  # vertex 5 has no in-edges
-        return touched
+        return touched, applied
 
 
 def test_stray_write_flagged_as_non_combined_write():
@@ -256,10 +256,10 @@ class ReversedReceiversEngine(SIMDXEngine):
     the unsorted id set the driver's deleted re-sorts used to paper over."""
 
     def _combine_and_apply(self, algorithm, metadata, updates, dst, ids_sorted=False):
-        touched = super()._combine_and_apply(
+        touched, applied = super()._combine_and_apply(
             algorithm, metadata, updates, dst, ids_sorted
         )
-        return touched[::-1]
+        return touched[::-1], applied
 
 
 def test_non_canonical_frontier_flagged_as_frontier_order():
