@@ -36,6 +36,7 @@ class BeliefPropagation(ACCAlgorithm):
     combine_kind = CombineKind.AGGREGATION
     combine_op = CombineOp.SUM
     uses_weights = True
+    reads_src_meta, reads_dst_meta = True, False  # w-scaled src belief
     starts_in_pull = True
     max_iterations = 30
 

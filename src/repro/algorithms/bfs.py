@@ -35,6 +35,7 @@ class BFS(ACCAlgorithm):
     combine_kind = CombineKind.VOTING
     combine_op = CombineOp.MIN
     uses_weights = False
+    reads_src_meta = reads_dst_meta = True  # offer src + 1 if below dst
     starts_in_pull = False
     supports_multi_source = True
 

@@ -38,6 +38,7 @@ class KCore(ACCAlgorithm):
     combine_kind = CombineKind.AGGREGATION
     combine_op = CombineOp.SUM
     uses_weights = False
+    reads_src_meta, reads_dst_meta = False, True  # decrement dst if in core
     starts_in_pull = True
 
     def __init__(self, k: int = DEFAULT_K):

@@ -40,6 +40,7 @@ class PageRank(ACCAlgorithm):
     combine_kind = CombineKind.AGGREGATION
     combine_op = CombineOp.SUM
     uses_weights = False
+    reads_src_meta = reads_dst_meta = False  # Compute reads only src_ids
     starts_in_pull = True
     max_iterations = 200
 

@@ -29,6 +29,7 @@ class SpMV(ACCAlgorithm):
     combine_kind = CombineKind.AGGREGATION
     combine_op = CombineOp.SUM
     uses_weights = True
+    reads_src_meta = reads_dst_meta = False  # y += w * x[src]
     starts_in_pull = True
     max_iterations = 1
 

@@ -45,6 +45,7 @@ class SSSP(ACCAlgorithm):
     combine_kind = CombineKind.AGGREGATION
     combine_op = CombineOp.MIN
     uses_weights = True
+    reads_src_meta = reads_dst_meta = True  # relax src + w against dst
     starts_in_pull = False
     #: K sources batch into K lanes (``SIMDXEngine.run_batch``): the
     #: per-edge relaxation is a pure map, and the per-lane pending-set

@@ -36,6 +36,7 @@ class WCC(ACCAlgorithm):
     combine_kind = CombineKind.VOTING
     combine_op = CombineOp.MIN
     uses_weights = False
+    reads_src_meta = reads_dst_meta = True  # offer src's label if smaller
     starts_in_pull = False
 
     def init(self, graph: CSRGraph, **params) -> InitialState:

@@ -537,24 +537,26 @@ class _SanitizedAlgorithm:
     def _check_operands(
         self, hook: str, src_meta, dst_meta, src_ids, dst_ids
     ) -> None:
-        """Compute operands must be iteration-start metadata, bit-for-bit."""
+        """Compute operands must be iteration-start metadata, bit-for-bit.
+        Only the metadata operands given are checked: the engine passes
+        ``None`` for one the algorithm declares it does not read."""
         snap = self._san._snapshot
-        if snap is None:
+        if snap is None or (src_meta is None and dst_meta is None):
             return
-        src_ids = np.asarray(src_ids, dtype=np.int64)
-        dst_ids = np.asarray(dst_ids, dtype=np.int64)
         if snap.ndim == 1:
-            exp_src, exp_dst = snap[src_ids], snap[dst_ids]
+            row = snap
         elif self._lane is not None:
-            exp_src = snap[self._lane, src_ids]
-            exp_dst = snap[self._lane, dst_ids]
+            row = snap[self._lane]
         else:
             return
         self._san._checks["phase_order"] += 1
-        for name, got, exp, ids in (
-            ("source", np.asarray(src_meta), exp_src, src_ids),
-            ("destination", np.asarray(dst_meta), exp_dst, dst_ids),
+        for name, got, ids in (
+            ("source", src_meta, src_ids), ("destination", dst_meta, dst_ids),
         ):
+            if got is None:
+                continue
+            ids = np.asarray(ids, dtype=np.int64)
+            got, exp = np.asarray(got), row[ids]
             if not _equal_nan(got, exp):
                 bad = ids[np.nonzero(_mismatch_mask(exp, got.astype(np.float64)))[0]]
                 self._san._violation(

@@ -148,6 +148,11 @@ class ACCAlgorithm(abc.ABC):
     #: True when edge weights participate in ``compute`` (SSSP, BP, SpMV).
     uses_weights: bool = True
 
+    #: Whether ``compute_edges`` reads ``src_meta`` / ``dst_meta``; the
+    #: engine passes ``None`` for an operand not declared read.
+    reads_src_meta: bool = True
+    reads_dst_meta: bool = True
+
     #: Algorithms that start in pull mode (PageRank, BP, k-Core) override
     #: this; BFS/SSSP start in push mode from a single source.
     starts_in_pull: bool = False
@@ -189,6 +194,11 @@ class ACCAlgorithm(abc.ABC):
         bit-identical per-edge arithmetic. An edge contributes nothing when
         its update is NaN: the engine drops NaN updates before Combine and
         passes every other value (``inf`` included) to the reduction.
+
+        An edge pays only for the operands its algorithm reads: ``src_meta``
+        and ``dst_meta`` are ``None`` unless ``reads_src_meta`` /
+        ``reads_dst_meta`` is set, and ``weights`` (float64) is ``None``
+        unless ``uses_weights`` is - so a wrong declaration fails loudly.
 
         The extra ``src_ids`` / ``dst_ids`` / ``graph`` arguments let
         degree-normalized algorithms (PageRank, BP) look up degrees without

@@ -484,11 +484,12 @@ class SIMDXEngine:
     #: seam tests patch or override to count or substitute walks.
     _walk_edges = staticmethod(NumpyKernelBackend.walk_edges)
 
-    def _walk_kept(self, csr, worklist: np.ndarray, source_mask: np.ndarray):
-        """The gather walk on :attr:`kernel`; counts every edge it scanned."""
-        src, dst, edge_idx, walked = self.kernel.walk_kept(csr, worklist, source_mask)
-        self._kernel_edges_walked += int(walked)
-        return src, dst, edge_idx, walked
+    def _walk_kept(self, csr, worklist, source_mask, edge_ids: bool):
+        """The gather walk on :attr:`kernel` (edge ids only with ``edge_ids``:
+        they gather weights); counts every edge it scanned."""
+        walk = self.kernel.walk_kept(csr, worklist, source_mask, edge_ids)
+        self._kernel_edges_walked += int(walk[3])  # (src, dst, edge_idx, walked)
+        return walk
 
     def _walk(self, csr, worklist: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
         """The scatter walk every push expansion runs, through

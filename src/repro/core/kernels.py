@@ -18,6 +18,8 @@ The contract a substitute must keep, so results stay bit-identical:
   ``np.arange`` produces and a Python double loop reproduces.
 * ``walk_kept`` emits the walk's edges whose source passes a vertex mask,
   in the same order, whether the numpy body scans the span or the rows.
+  Their CSR edge ids exist only to gather weights: with ``edge_ids=False``
+  (an algorithm that reads no weights) it returns ``None`` in their place.
 * ``segment_reduce`` returns the compact pair ``(touched, combined)`` of
   :meth:`repro.core.acc.CombineOp.compact_reduce`. SUM accumulates in
   *input order* (``np.bincount`` adds weights sequentially, exactly like
@@ -76,15 +78,16 @@ class NumpyKernelBackend:
         slot = np.arange(worklist.size, dtype=np.int64).repeat(counts)
         return slot, edge_idx, total
 
-    def walk_kept(self, csr, worklist, source_mask):
+    def walk_kept(self, csr, worklist, source_mask, edge_ids=True):
         """The gather walk: int64 ``(src, dst, edge_idx)`` of the in-edges of
         the canonical ``worklist``'s rows whose source has ``source_mask``
-        set, in CSR order, and ``walked``, the number of edges scanned."""
+        set, in CSR order, and ``walked``, the number of edges scanned.
+        ``edge_idx`` is ``None`` unless ``edge_ids``."""
         offsets = csr.offsets
         walked = int((offsets[worklist + 1] - offsets[worklist]).sum())
         if walked == 0:
             empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty, 0
+            return empty, empty, empty if edge_ids else None, 0
         first, last = int(worklist[0]), int(worklist[-1]) + 1
         lo, hi = int(offsets[first]), int(offsets[last])
         if 2 * walked < hi - lo:
@@ -92,7 +95,8 @@ class NumpyKernelBackend:
             slot, edge_idx, _ = self.walk_edges(csr, worklist)
             src = csr.targets[edge_idx].astype(np.int64)
             e = np.flatnonzero(source_mask[src])
-            return src[e], worklist[slot[e]], edge_idx[e], walked
+            edge_idx = edge_idx[e] if edge_ids else None
+            return src[e], worklist[slot[e]], edge_idx, walked
         # Dense rows: scan the span, masking out skipped rows that own edges.
         sources = csr.targets[lo:hi].astype(np.int64)  # int64 indexes faster
         keep = source_mask[sources]
@@ -103,9 +107,10 @@ class NumpyKernelBackend:
             keep &= np.repeat(rows, degrees)
         dst = np.repeat(np.arange(first, last, dtype=np.int64), degrees)
         if keep.all():  # the whole span is kept: nothing to narrow
-            return sources, dst, np.arange(lo, hi, dtype=np.int64), walked
+            edge_idx = np.arange(lo, hi, dtype=np.int64) if edge_ids else None
+            return sources, dst, edge_idx, walked
         e = np.flatnonzero(keep)
-        return sources[e], dst[e], e + lo, walked
+        return sources[e], dst[e], e + lo if edge_ids else None, walked
 
     def membership_mask(self, vertices, size):
         """Boolean array of ``size`` with ``True`` at each of ``vertices``."""

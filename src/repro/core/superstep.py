@@ -124,9 +124,6 @@ def _reaches(vertices: np.ndarray, start: int, stop: int) -> bool:
 class _ExpansionResult:
     """What one unit's expansion hands the task-management/cost tail."""
 
-    #: Destination of every valid update; only the atomic-combine ablation
-    #: prices it, so a gather keeps it (it can be edge-sized) only then.
-    update_destinations: Optional[np.ndarray]
     #: What the task-management filter observes: in push mode one entry per
     #: valid update (the scatter thread saw each one happen); in pull mode
     #: one entry per destination that received any update (the gather thread
@@ -273,6 +270,10 @@ class _Unit:
     expansion: Optional[_ExpansionResult] = None
     lane_pairs: int = 0
     updates_valid: int = 0  # non-NaN Compute outputs over the unit's lanes
+    #: ``lane * n + destination`` of every valid update, per Compute call -
+    #: what the atomic-combine ablation prices (built only under it). Lanes
+    #: write separate metadata rows, so an address is a (lane, vertex) pair.
+    atomic_keys: Optional[List[np.ndarray]] = None
 
     def __post_init__(self) -> None:
         self.worklist = self.frontier
@@ -863,14 +864,14 @@ class SuperstepDriver:
                     yield lane, lane_edges
 
         if kept:
-            weights = csr.weights.take(edge_idx).astype(np.float64)
+            weights = None
+            if self.lanes.prototype.uses_weights:
+                weights = csr.weights.take(edge_idx).astype(np.float64)
             valid = self._compute_and_route(
-                unit, step, lane_parts(), worklist.take(slot), dst, weights,
-                want_valid=True,
+                unit, step, lane_parts(), worklist.take(slot), dst, weights
             )
             recorded, producers = _take(dst, valid), _take(slot, valid)
         unit.expansion = _ExpansionResult(
-            update_destinations=recorded,
             recorded_destinations=recorded,
             recorded_producers=producers,
             num_workers=int(worklist.size),
@@ -905,12 +906,13 @@ class SuperstepDriver:
             np.logical_or, bitmaps, np.zeros(n, dtype=bool)
         )
         src, dst, edge_idx, total = self.engine._walk_kept(
-            csr, unit.worklist, sources
+            csr, unit.worklist, sources, self.lanes.prototype.uses_weights
         )
         active = int(src.size)
-        updated = None
         if active:
-            weights = csr.weights.take(edge_idx).astype(np.float64)
+            weights = None
+            if edge_idx is not None:
+                weights = csr.weights.take(edge_idx).astype(np.float64)
             kept_any = None
             if len(present) == 1:
                 parts = [(present[0][0], None)]
@@ -930,30 +932,23 @@ class SuperstepDriver:
                             yield lane, lane_edges
 
                 parts = lane_parts()
-            # Only the atomic-combine ablation prices a gather's update
-            # destinations, so only it asks for the valid edge positions.
-            atomic = self.engine.config.atomic_combine
-            valid = self._compute_and_route(
-                unit, step, parts, src, dst, weights, want_valid=atomic
-            )
+            self._compute_and_route(unit, step, parts, src, dst, weights)
             if kept_any is not None:
                 active = int(np.count_nonzero(kept_any))
-            if atomic and active:
-                updated = _take(dst, valid)
         unit.expansion = _ExpansionResult(
-            update_destinations=updated,
             recorded_destinations=_EMPTY, recorded_producers=_EMPTY, num_workers=0,
             edges_expanded=total, active_edges=active,
         )
 
-    def _compute_and_route(
-        self, unit: _Unit, step: _Step, parts, src, dst, weights, want_valid
-    ):
+    def _compute_and_route(self, unit: _Unit, step: _Step, parts, src, dst, weights):
         """Compute every ``(edge, lane)`` pair of ``parts``, one lane at a
         time, and queue each lane's valid updates at their owners.
 
-        ``src``, ``dst`` and the float64 ``weights`` are the unit's walked
-        edges, gathered once for all its lanes. ``parts`` yields ``(lane,
+        ``src``, ``dst`` and the float64 ``weights`` (``None`` unless the
+        algorithm ``uses_weights``) are the unit's walked edges, gathered
+        once for all its lanes; a lane gathers from its metadata row only
+        the operands the algorithm declares it reads (``reads_src_meta`` /
+        ``reads_dst_meta``), ``None`` for the rest. ``parts`` yields ``(lane,
         edge positions)`` lazily, ``None`` meaning "every edge" (the walked
         arrays themselves - no gather). A lane is computed, filtered and
         routed before the next lane's edge positions exist, so a unit's
@@ -961,28 +956,36 @@ class SuperstepDriver:
         selection is by index (``nonzero`` positions + ``take``): an SSSP
         gather lane's valid updates are sparse (a median 6.5 % of its pairs
         on LJ), where numpy's boolean compress costs several times as much
-        (``docs/batching.md``, "What a lane pays"). With ``want_valid``,
-        returns the ascending positions of the edges that produced a valid
-        update in any lane (``None`` for all) - what a push unit's
-        task-management pass records.
+        (``docs/batching.md``, "What a lane pays"). A push unit gets back
+        the ascending positions of the edges that produced a valid update
+        in any lane (``None`` for all) - what its task-management pass
+        records; a pull unit records receivers instead and gets ``None``.
         """
         lanes, graph = self.lanes, self.graph
         push = unit.direction is Direction.PUSH
+        reads_src = lanes.prototype.reads_src_meta
+        reads_dst = lanes.prototype.reads_dst_meta
         # Only a sharded gather needs the sources again after Compute, to
         # count its boundary reads.
         remote_reads = self.sharding is not None and not push
+        keys = unit.atomic_keys = [] if self.engine.config.atomic_combine else None
         hit = None  # edge positions with a valid update: one lane's, or a mask
         for lane, at in parts:
             alg, row = lanes.clones[lane], lanes.metadata[lane]
-            s, d, w = _take(src, at), _take(dst, at), _take(weights, at)
+            s, d = _take(src, at), _take(dst, at)
             updates = np.asarray(
-                alg.compute_edges(row.take(s), w, row.take(d), s, d, graph),
+                alg.compute_edges(
+                    row.take(s) if reads_src else None,
+                    None if weights is None else _take(weights, at),
+                    row.take(d) if reads_dst else None,
+                    s, d, graph,
+                ),
                 dtype=np.float64,
             )
             unit.lane_pairs += int(updates.size)
             valid = (updates == updates).nonzero()[0]  # NaN is no update
             unit.updates_valid += int(valid.size)
-            if want_valid:
+            if push:
                 lane_hit = valid if at is None else at.take(valid)
                 if hit is None:
                     hit = lane_hit  # one lane's positions: no mask yet
@@ -996,6 +999,8 @@ class SuperstepDriver:
                 updates, d = updates.take(valid), d.take(valid)
                 if remote_reads:
                     s = s.take(valid)
+            if keys is not None:
+                keys.append(d + lane * graph.num_vertices)
             if updates.size:
                 self._route(
                     unit, step, lane, updates, d, s if remote_reads else None
@@ -1107,10 +1112,10 @@ class SuperstepDriver:
             success_rate = self._offer_success_rate(unit.lanes, step)
         atomic_profile = None
         if engine.config.atomic_combine:
-            # A gather that kept no edge built no destinations: no atomics.
-            destinations = expansion.update_destinations
+            # A unit that computed nothing issued no atomics.
+            keys = unit.atomic_keys
             atomic_profile = profile_atomic_updates(
-                _EMPTY if destinations is None else destinations
+                _concat(keys) if keys else _EMPTY
             )
         (
             filter_result, filter_name,

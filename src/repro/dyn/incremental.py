@@ -263,6 +263,8 @@ class WarmStartAlgorithm(ACCAlgorithm):
         self.combine_op = inner.combine_op
         self.max_iterations = inner.max_iterations
         self.uses_weights = inner.uses_weights
+        self.reads_src_meta = inner.reads_src_meta
+        self.reads_dst_meta = inner.reads_dst_meta
         self.starts_in_pull = inner.starts_in_pull
         # Warm runs repair one query; the batched path is not used.
         self.supports_multi_source = False

@@ -165,7 +165,7 @@ class PythonKernelBackend:
             len(edges),
         )
 
-    def walk_kept(self, csr, worklist, source_mask):
+    def walk_kept(self, csr, worklist, source_mask, edge_ids=True):
         kept = []  # (src, dst, edge index)
         walked = 0
         for v in worklist.tolist():
@@ -176,7 +176,7 @@ class PythonKernelBackend:
                 if source_mask[u]:
                     kept.append((u, v, e))
         src, dst, edge_idx = np.array(kept, dtype=np.int64).reshape(-1, 3).T
-        return src, dst, edge_idx, walked
+        return src, dst, edge_idx if edge_ids else None, walked
 
     def membership_mask(self, vertices, size):
         mask = np.zeros(size, dtype=bool)

@@ -329,8 +329,8 @@ class TestUnionWalkAmortization:
         calls = []
         original = NumpyKernelBackend.walk_kept
 
-        def counting_walk_kept(backend, csr, worklist, source_mask):
-            result = original(backend, csr, worklist, source_mask)
+        def counting_walk_kept(backend, csr, worklist, source_mask, edge_ids):
+            result = original(backend, csr, worklist, source_mask, edge_ids)
             calls.append(result[3])
             return result
 
@@ -382,16 +382,16 @@ class TestBatchAPI:
         assert np.array_equal(acc.values, atomic.values)
         assert atomic.elapsed_us > acc.elapsed_us
 
-        # Only the ablation reads a gather's update destinations (one entry
-        # per in-edge with a valid update in any lane), so only it has them
-        # built - and what it prices is pinned: SSSP's forced-pull atomic
-        # charge, where a gather that kept no edge charges no atomics.
+        # Only the ablation builds a unit's atomic keys - one per valid
+        # update of each lane, since lanes write separate metadata rows -
+        # and what it prices is pinned: SSSP's forced-pull atomic charge,
+        # where a gather that kept no edge charges no atomics.
         gathers = []
         finish_unit = superstep.SuperstepDriver._finish_unit
 
         def recording(self, unit, step):
             if unit.direction is Direction.PULL:
-                gathers.append(unit.expansion)
+                gathers.append(unit)
             return finish_unit(self, unit, step)
 
         monkeypatch.setattr(superstep.SuperstepDriver, "_finish_unit", recording)
@@ -401,14 +401,39 @@ class TestBatchAPI:
                 forced_direction=Direction.PULL, atomic_combine=atomic_combine,
             )).run_batch(SSSP(), sources)
             assert gathers
-            for expansion in gathers:
-                built = expansion.update_destinations is not None
-                assert built == (atomic_combine and expansion.active_edges > 0)
-                if built:
-                    assert expansion.update_destinations.size <= expansion.active_edges
+            for unit in gathers:
+                if not atomic_combine:
+                    assert unit.atomic_keys is None
+                    continue
+                keys = unit.atomic_keys or []
+                assert sum(k.size for k in keys) == unit.updates_valid
         assert pulled.extra["breakdown"]["atomic_us"] == pytest.approx(
-            16.25539979001857, rel=1e-12
+            54.24480730729077, rel=1e-12
         )
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("direction", [None, Direction.PUSH, Direction.PULL])
+    def test_atomic_ops_are_the_valid_updates(
+        self, graph, sources, direction, shards
+    ):
+        # Each lane writes its own metadata row, so every valid update of
+        # every lane is one atomic: a record prices exactly its
+        # ``updates_valid``, and a batch issues what its lanes' solo runs do.
+        config = EngineConfig(
+            atomic_combine=True, forced_direction=direction, num_shards=shards,
+        )
+
+        def atomic_ops(result):
+            records = result.iteration_records
+            assert records
+            for record in records:
+                assert record.atomic_profile.num_ops == record.updates_valid
+            return sum(record.updates_valid for record in records)
+
+        lanes = sources[:4]
+        batch = SIMDXEngine(graph, config=config).run_batch(SSSP(), lanes)
+        solo = _single_runs(graph, SSSP, lanes, config)
+        assert atomic_ops(batch) == sum(atomic_ops(run) for run in solo) > 0
 
     def test_queries_per_second_reported(self, graph, sources):
         batch = SIMDXEngine(graph).run_batch(BFS(), sources)

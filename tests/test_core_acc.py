@@ -10,6 +10,7 @@ import inspect
 from repro.algorithms import ALGORITHMS, BFS, SSSP, PageRank, KCore, SpMV, WCC
 from repro.core.acc import ACCAlgorithm, CombineKind, CombineOp, InitialState
 from repro.core.direction import Direction
+from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.dyn.incremental import WarmStartAlgorithm
 from repro.graph import generators as gen
 from tests.engine_seams import KERNEL_ENGINES
@@ -325,6 +326,92 @@ class TestUpdateDropRule:
         assert np.isinf(expected).any() and np.isfinite(expected).any()
         assert np.array_equal(np.isinf(got), np.isinf(expected))
         np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+#: ``compute_edges`` operand -> the class attribute declaring it is read.
+DECLARATIONS = {
+    "src_meta": "reads_src_meta",
+    "weights": "uses_weights",
+    "dst_meta": "reads_dst_meta",
+}
+
+
+@pytest.mark.usefixtures("armed_by_env")
+class TestDeclaredOperands:
+    """An algorithm declares which ``compute_edges`` operands it reads and
+    the engine builds only those, passing ``None`` for the rest. A
+    declaration is honest when an undeclared operand cannot change an
+    update: the real operand, ``None`` and NaN-laced garbage in its place
+    give bit-identical outputs. A dishonest one raises in the engine
+    instead of computing silently (``REPRO_SANITIZE=1``: armed engines)."""
+
+    GRAPHS = ("rmat_graph", "grid_graph", "star_graph")
+
+    @staticmethod
+    def _edges(graph):
+        """Every edge in push orientation: int64 ``(src, dst)`` and the
+        float64 weights, in out-CSR order."""
+        csr = graph.out_csr
+        degrees = np.diff(csr.offsets.astype(np.int64))
+        src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), degrees)
+        return src, csr.targets.astype(np.int64), csr.weights.astype(np.float64)
+
+    @pytest.mark.parametrize("fixture", GRAPHS)
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_undeclared_operands_change_nothing(self, name, fixture, request):
+        graph = request.getfixturevalue(fixture)
+        algorithm = ALGORITHMS[name]()
+        algorithm.init(graph)
+        rng = np.random.default_rng(31)
+        src, dst, weights = self._edges(graph)
+        # Spans k-Core's k = 16 and BFS / SSSP / WCC's offer comparisons.
+        metadata = rng.uniform(0.0, 32.0, graph.num_vertices)
+        real = {
+            "src_meta": metadata[src], "weights": weights,
+            "dst_meta": metadata[dst],
+        }
+
+        def compute(fill):
+            operands = {
+                key: value if getattr(algorithm, DECLARATIONS[key]) else fill(value)
+                for key, value in real.items()
+            }
+            return np.asarray(algorithm.compute_edges(
+                operands["src_meta"], operands["weights"], operands["dst_meta"],
+                src, dst, graph,
+            ), dtype=np.float64)
+
+        def garbage(value):
+            noise = rng.normal(0.0, 1e300, value.size)
+            return np.where(rng.random(value.size) < 0.5, np.nan, noise)
+
+        want = compute(lambda value: value)
+        assert (want == want).any(), "no valid update to compare"
+        for fill in (lambda value: None, garbage):
+            assert compute(fill).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("direction", [Direction.PUSH, Direction.PULL])
+    @pytest.mark.parametrize("cls,key", [
+        # Every operand a shipped algorithm reads, declared unread.
+        pytest.param(cls, key, id=f"{name}-{key}")
+        for name, cls in sorted(ALGORITHMS.items())
+        for key, flag in DECLARATIONS.items() if getattr(cls, flag)
+    ])
+    def test_misdeclared_operand_raises(self, cls, key, direction, rmat_graph):
+        lying = type(f"Lying{cls.__name__}", (cls,), {DECLARATIONS[key]: False})
+        engine = SIMDXEngine(
+            rmat_graph, config=EngineConfig(forced_direction=direction)
+        )
+        with pytest.raises(TypeError):
+            engine.run(lying())
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_warm_start_forwards_declarations(self, name):
+        # A repair run gathers what the wrapped algorithm reads, no more.
+        inner = ALGORITHMS[name]()
+        warm = WarmStartAlgorithm(inner, plan=None)
+        for flag in DECLARATIONS.values():
+            assert getattr(warm, flag) == getattr(inner, flag), flag
 
 
 #: The hooks of :class:`ACCAlgorithm` - every method the engine calls.

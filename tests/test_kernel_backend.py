@@ -177,6 +177,13 @@ class TestPrimitiveParity:
                 assert np.array_equal(edge_idx, every_edge[kept]), name
                 assert np.array_equal(dst, worklist[slot[kept]]), name
                 assert np.array_equal(src, csr.targets[edge_idx]), name
+                # Without edge ids (no weights to gather) the same walk
+                # builds none, on either backend.
+                for backend in (NUMPY, PYTHON):
+                    lean = backend.walk_kept(csr, worklist, source_mask, False)
+                    assert lean[2] is None and lean[3] == walked, name
+                    assert np.array_equal(lean[0], src), name
+                    assert np.array_equal(lean[1], dst), name
 
     def test_membership_and_rows(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,9 @@ pairs it hands lane k at superstep i - concatenated over lane k's calls in
 unit order - must be the operands lane k's single-source ``run`` hands its
 one instance at superstep i: the same source and destination ids, the same
 float64 weights and the same source/destination metadata, in the same
-order. The log comes from a recording subclass of the algorithm (the
+order. An operand the algorithm does not read (``uses_weights``,
+``reads_src_meta``, ``reads_dst_meta``) is ``None`` in both logs, on every
+call. The log comes from a recording subclass of the algorithm (the
 :mod:`engine_seams` pattern), not from any hook in ``src/``. Tier-1 runs
 every case plain; ``REPRO_SANITIZE=1`` (CI's static-analysis job) runs
 them with the runtime sanitizer armed instead.
@@ -47,9 +49,9 @@ def _recording(algorithm_cls, engine, log):
     call (push or pull) as ``log[(superstep, lane)] -> [operands, ...]``."""
 
     def compute_edges(self, *args):
-        log[engine.iteration, self.contract_lane].append(
-            tuple(np.array(a, copy=True) for a in args[:5])
-        )
+        log[engine.iteration, self.contract_lane].append(tuple(
+            None if a is None else np.array(a, copy=True) for a in args[:5]
+        ))
         return super(recording, self).compute_edges(*args)
 
     recording = type(f"Contract{algorithm_cls.__name__}", (algorithm_cls,), {
@@ -60,12 +62,25 @@ def _recording(algorithm_cls, engine, log):
 
 
 def _concatenated(calls):
-    """One lane's superstep operands, each concatenated across its calls."""
+    """One lane's superstep operands, each concatenated across its calls;
+    an operand is ``None`` only if every call passed ``None``."""
     if not calls:
         return None
-    return [
-        np.concatenate([np.asarray(c[i]) for c in calls]) for i in range(5)
-    ]
+    operands = []
+    for i in range(5):
+        parts = [c[i] for c in calls]
+        unread = [p is None for p in parts]
+        assert all(unread) or not any(unread), f"{OPERANDS[i]} passed mixed"
+        operands.append(None if unread[0] else np.concatenate(parts))
+    return operands
+
+
+def _declared(algorithm_cls):
+    """Which operands ``algorithm_cls`` declares it reads, by position."""
+    return (
+        algorithm_cls.reads_src_meta, algorithm_cls.uses_weights,
+        algorithm_cls.reads_dst_meta, True, True,
+    )
 
 
 def _check_contract(graph, algorithm_cls, sources, direction, shards):
@@ -100,10 +115,17 @@ def _check_contract(graph, algorithm_cls, sources, direction, shards):
             assert (got is None) == (want is None), where
             if got is None:
                 continue
-            for name, g, w in zip(OPERANDS, got, want):
+            for name, read, g, w in zip(
+                OPERANDS, _declared(algorithm_cls), got, want
+            ):
+                # An unread operand is never built, on either side.
+                assert (g is None) == (w is None) == (not read), f"{where}: {name}"
+                if g is None:
+                    continue
                 assert g.dtype == w.dtype, f"{where}: {name} dtype"
                 np.testing.assert_array_equal(g, w, err_msg=f"{where}: {name}")
-            assert got[1].dtype == np.float64, f"{where}: weights dtype"
+            if got[1] is not None:
+                assert got[1].dtype == np.float64, f"{where}: weights dtype"
 
 
 def _graph(seed: int, directed: bool, scale: int = 7):
@@ -145,4 +167,24 @@ def test_sixty_five_lanes(direction, shards):
         graph = _graph(seed, directed, scale=7)
         _check_contract(
             graph, SSSP, _sources(graph, 65, seed), direction, shards
+        )
+
+
+class _Reach(BFS):
+    """BFS without the visited test: every frontier edge offers its source's
+    level + 1 and Combine's min keeps the smallest. It reads no destination
+    metadata and no weights, so both arrive as ``None``."""
+
+    reads_dst_meta = False
+
+    def compute_edges(self, src_meta, weights, dst_meta, src_ids, dst_ids, graph):
+        return src_meta + 1.0
+
+
+@pytest.mark.parametrize("direction,shards", CASES)
+def test_unread_operands_are_never_built(direction, shards):
+    for seed in (7, 8, 9):
+        graph = _graph(seed, directed=seed % 3 == 0, scale=6)
+        _check_contract(
+            graph, _Reach, _sources(graph, 5, seed), direction, shards
         )

@@ -10,7 +10,7 @@ direction traces and the integer ``extra`` keys, as produced by the commit
 that last *meant* to change simulated time. A host-only change must leave
 the file untouched; a deliberate cost-model change regenerates it:
 
-    PYTHONPATH=src python tests/test_sim_golden.py --write
+    PYTHONPATH=src:. python tests/test_sim_golden.py --write
 
 ``REPRO_SANITIZE=1`` arms the runtime sanitizer on every case (the CI
 static-analysis job), holding a sanitized engine to the same pins.
@@ -76,6 +76,10 @@ def _cases() -> Iterator[Tuple[str, str, str, Dict[str, object]]]:
                 yield f"{dataset}/{algo}/{name}", dataset, algo, kwargs
         yield f"{dataset}/batch-sssp4", dataset, "batch", {}
         yield f"{dataset}/batch-sssp4/shards=2", dataset, "batch", {"num_shards": 2}
+        yield (
+            f"{dataset}/batch-sssp4/atomic_combine", dataset, "batch",
+            {"atomic_combine": True},
+        )
 
 
 CASES = {case[0]: case[1:] for case in _cases()}
