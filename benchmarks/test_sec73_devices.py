@@ -8,7 +8,11 @@ register file and so convert the larger machines into more resident threads.
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
 from repro.bench import experiments
+from repro.gpu.device import get_device_spec
 
 
 def test_section73_device_scaling(ctx):
@@ -17,6 +21,27 @@ def test_section73_device_scaling(ctx):
     print(experiments.experiment("section7_3").render(result))
 
     rows = {r["system"]: r for r in result["rows"]}
+
+    # A system's devices are averaged over one graph set: the graphs it
+    # completed on every device, and no other.
+    for system, row in rows.items():
+        assert row["graphs"], system
+        runs = {
+            device: {
+                abbrev: ctx.run(system, abbrev, "bfs", device_spec=get_device_spec(device))
+                for abbrev in ctx.datasets
+            }
+            for device in row["mean_ms"]
+        }
+        completed = [
+            g for g in ctx.datasets
+            if not any(runs[device][g].failed for device in runs)
+        ]
+        assert row["graphs"] == completed, system
+        for device, by_graph in runs.items():
+            assert row["mean_ms"][device] == pytest.approx(
+                np.mean([by_graph[g].elapsed_ms for g in completed])
+            ), (system, device)
 
     # Every system gets faster on newer devices.
     for system, row in rows.items():

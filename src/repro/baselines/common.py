@@ -36,14 +36,8 @@ PRICED_CONFIG = EngineConfig(forced_direction=Direction.PUSH, atomic_combine=Tru
 def execute(algorithm: ACCAlgorithm, graph: CSRGraph, **params) -> RunResult:
     """The SIMD-X run a baseline prices, on a simulated device of its own
     (the baseline's device keeps only the baseline's allocations and
-    launches). Raises if the run fails: a failed run is never priced."""
-    result = SIMDXEngine(graph, config=PRICED_CONFIG).run(algorithm, **params)
-    if result.failed:
-        raise RuntimeError(
-            f"{algorithm.name} on {graph.name}: the run the baselines price "
-            f"failed ({result.failure_reason})"
-        )
-    return result
+    launches)."""
+    return SIMDXEngine(graph, config=PRICED_CONFIG).run(algorithm, **params)
 
 
 class PricedSystem:
@@ -71,7 +65,8 @@ class PricedSystem:
     ) -> RunResult:
         """Price ``algorithm`` on ``graph``. ``execution`` shares one
         :func:`execute` run of it across systems (the benchmark harness
-        caches them); when omitted the system executes it itself."""
+        caches them); when omitted the system executes it itself. Raises
+        if that run failed: a failed run is never priced."""
         device = self.device
         name = self.cpu.name if device is None else device.spec.name
         if device is not None:
@@ -81,6 +76,11 @@ class PricedSystem:
             self._allocate_static(algorithm, graph)
             if execution is None:
                 execution = execute(algorithm, graph, **params)
+            if execution.failed:
+                raise RuntimeError(
+                    f"{algorithm.name} on {graph.name}: the run the baselines "
+                    f"price failed ({execution.failure_reason})"
+                )
             total_us = self._price(execution.iteration_records, algorithm, graph)
         except DeviceOutOfMemory as exc:
             return RunResult.failure(

@@ -29,7 +29,6 @@ from repro.bench.harness import (
     default_source,
     default_sources,
     make_algorithm,
-    run_simdx,
 )
 from repro.bench.reporting import Table, render
 from repro.core.engine import SIMDXEngine
@@ -433,27 +432,32 @@ def figure13(ctx: BenchmarkContext) -> Dict:
 def section7_3(ctx: BenchmarkContext) -> Dict:
     """BFS performance of each system across GPU models, normalized to K20.
 
-    ``tables`` holds the ready ``(title, headers, rows)`` block - one ms and
-    one speedup column per swept device.
+    A system's mean per device covers the graphs it completed on every
+    device (``graphs`` in its row), so each device is averaged over the
+    same set. ``tables`` holds the ready ``(title, headers, rows)`` block -
+    one ms and one speedup column per swept device.
     """
     devices = ("K20", "K40", "P100")
     rows = []
     for system in ("simdx", "gunrock", "cusha"):
-        per_device = {}
-        for device in devices:
-            times = []
-            for abbrev in ctx.datasets:
-                result = ctx.run(
-                    system, abbrev, "bfs",
-                    device_spec=get_device_spec(device),
-                )
-                if not result.failed:
-                    times.append(result.elapsed_us)
-            per_device[device] = float(np.mean(times)) if times else float("nan")
-        base = per_device.get(devices[0], float("nan"))
+        times = {
+            abbrev: [
+                ctx.run(system, abbrev, "bfs", device_spec=get_device_spec(d))
+                for d in devices
+            ]
+            for abbrev in ctx.datasets
+        }
+        graphs = [g for g, runs in times.items() if not any(r.failed for r in runs)]
+        per_device = {
+            d: float(np.mean([times[g][i].elapsed_us for g in graphs]))
+            if graphs else float("nan")
+            for i, d in enumerate(devices)
+        }
+        base = per_device[devices[0]]
         rows.append(
             {
                 "system": system,
+                "graphs": graphs,
                 "mean_ms": {d: per_device[d] / 1000.0 for d in devices},
                 "speedup_vs_first": {
                     d: (base / per_device[d]) if per_device[d] else float("nan")
@@ -658,8 +662,10 @@ def gather_refinement(ctx: BenchmarkContext) -> Dict:
             kwargs = (
                 {"source": default_source(graph)} if algorithm_name == "sssp" else {}
             )
-            pruned = run_simdx(graph, pruned_cls(**kwargs), config=_FORCED_PULL)
-            unpruned = run_simdx(graph, unpruned_cls(**kwargs), config=_FORCED_PULL)
+            pruned = SIMDXEngine(graph, config=_FORCED_PULL).run(pruned_cls(**kwargs))
+            unpruned = SIMDXEngine(graph, config=_FORCED_PULL).run(
+                unpruned_cls(**kwargs)
+            )
             if pruned.failed or unpruned.failed:
                 continue
             identical = bool(np.array_equal(pruned.values, unpruned.values))
@@ -720,9 +726,8 @@ class _LaneCell:
         """The K independent single-source runs of this cell's sources."""
         for source in self.sources[len(self._serial):]:
             algorithm = make_algorithm(self.algorithm, self.graph, source=source)
-            self._serial.append(
-                run_simdx(self.graph, algorithm, device_spec=self.ctx.device_spec)
-            )
+            engine = SIMDXEngine(self.graph, device=GPUDevice(self.ctx.device_spec))
+            self._serial.append(engine.run(algorithm))
         return self._serial[: self.lanes]
 
     def identical(self, batch: BatchRunResult) -> bool:
@@ -1369,6 +1374,9 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
             rows="tables",
             footer=lambda r: "SIMD-X fused-kernel configurable threads -- " + ", ".join(
                 f"{d}: {v}" for d, v in r["simdx_configurable_threads"].items()
+            ) + "".join(
+                f"\n  {row['system']} averages {','.join(row['graphs']) or 'no graph'}"
+                for row in r["rows"]
             ),
         ),
     ),

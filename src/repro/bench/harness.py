@@ -3,11 +3,12 @@
 The experiments sweep (system x algorithm x graph x device); this module
 holds the shared plumbing: deterministic source selection, algorithm
 construction, running one configuration, and caching of graphs and of
-the forced-push SIMD-X runs the four baselines price
-(:func:`repro.baselines.common.execute`), so an 11-graph sweep does not
-execute the same BFS once per baseline. It reports simulated time only;
-host wall-clock is measured by ``python -m perfbench`` (see
-``perfbench/README.md``).
+executions. Every system prices a cached SIMD-X execution - SIMD-X its
+own configuration's, the four baselines the forced-push run of
+:func:`repro.baselines.common.execute` - so a sweep over fusion
+strategies, baselines or repeated default cells executes each run once.
+It reports simulated time only; host wall-clock is measured by
+``python -m perfbench`` (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import numpy as np
 
 from repro.algorithms import ALGORITHMS
 from repro.baselines import SYSTEMS
-from repro.baselines.common import execute
+from repro.baselines.common import PRICED_CONFIG
 from repro.core.acc import ACCAlgorithm
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import RunResult
+from repro.core.pricing import priced_result
 from repro.gpu.device import GPUDevice, GPUSpec, K40, get_device_spec
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DATASET_ORDER, load_dataset
@@ -78,26 +80,15 @@ def make_algorithm(name: str, graph: CSRGraph, **kwargs) -> ACCAlgorithm:
     return ALGORITHMS[key](**kwargs)
 
 
-def run_simdx(
-    graph: CSRGraph,
-    algorithm: ACCAlgorithm,
-    *,
-    device_spec: GPUSpec = K40,
-    config: Optional[EngineConfig] = None,
-    **params,
-) -> RunResult:
-    """Run SIMD-X with the given configuration on one graph."""
-    engine = SIMDXEngine(graph, device=GPUDevice(device_spec), config=config)
-    return engine.run(algorithm, **params)
-
-
 @dataclass
 class BenchmarkContext:
-    """Caches graphs and the runs the baselines price across a sweep.
+    """Caches graphs and the executions every cell of a sweep prices.
 
-    A baseline cell prices the cached :func:`~repro.baselines.common.execute`
-    run of its (graph, algorithm): one execution per pair, whatever the
-    number of systems and devices that price it.
+    An execution is keyed by (graph, algorithm, ``EngineConfig`` without
+    ``fusion``, device): what a run executes does not depend on fusion, and
+    the device decides memory feasibility. A SIMD-X cell prices it under its
+    own fusion; a baseline cell prices the forced-push run every baseline
+    shares (:data:`~repro.baselines.common.PRICED_CONFIG` on K40).
 
     Parameters
     ----------
@@ -113,9 +104,7 @@ class BenchmarkContext:
     datasets: Tuple[str, ...] = tuple(DATASET_ORDER)
     device: str = "K40"
     _graphs: Dict[str, CSRGraph] = field(default_factory=dict, repr=False)
-    _executions: Dict[Tuple[str, str], RunResult] = field(
-        default_factory=dict, repr=False
-    )
+    _executions: Dict[tuple, RunResult] = field(default_factory=dict, repr=False)
 
     @property
     def device_spec(self) -> GPUSpec:
@@ -127,14 +116,18 @@ class BenchmarkContext:
             self._graphs[key] = load_dataset(key, self.scale)
         return self._graphs[key]
 
-    def execution(self, abbrev: str, algorithm_name: str) -> RunResult:
-        """The forced-push SIMD-X run every baseline cell prices."""
-        key = (abbrev.upper(), algorithm_name.lower())
+    def execution(
+        self, abbrev: str, algorithm_name: str, config: EngineConfig, spec: GPUSpec
+    ) -> RunResult:
+        """The SIMD-X run of one cell, executed once per session."""
+        key = (
+            abbrev.upper(), algorithm_name.lower(), spec.name,
+            *(value for name, value in vars(config).items() if name != "fusion"),
+        )
         if key not in self._executions:
             graph = self.graph(abbrev)
-            self._executions[key] = execute(
-                make_algorithm(algorithm_name, graph), graph
-            )
+            engine = SIMDXEngine(graph, device=GPUDevice(spec), config=config)
+            self._executions[key] = engine.run(make_algorithm(algorithm_name, graph))
         return self._executions[key]
 
     def run(
@@ -148,16 +141,18 @@ class BenchmarkContext:
     ) -> RunResult:
         """Run one (system, graph, algorithm) cell of the matrix: ``simdx``
         or a :data:`~repro.baselines.SYSTEMS` key (``config`` is SIMD-X's)."""
-        graph = self.graph(abbrev)
-        algorithm = make_algorithm(algorithm_name, graph)
         spec = device_spec or self.device_spec
         key = system.lower()
         if key == "simdx":
-            return run_simdx(graph, algorithm, device_spec=spec, config=config)
+            config = config or EngineConfig()
+            execution = self.execution(abbrev, algorithm_name, config, spec)
+            return priced_result(execution, spec, config.fusion)
         if key not in SYSTEMS:
             raise KeyError(f"unknown system {system!r}; known: simdx, {list(SYSTEMS)}")
+        graph = self.graph(abbrev)
         cls = SYSTEMS[key]
         baseline = cls(GPUDevice(spec)) if key in ("gunrock", "cusha") else cls()
         return baseline.run(
-            algorithm, graph, execution=self.execution(abbrev, algorithm_name)
+            make_algorithm(algorithm_name, graph), graph,
+            execution=self.execution(abbrev, algorithm_name, PRICED_CONFIG, K40),
         )

@@ -4,7 +4,7 @@ The engine runs an :class:`~repro.core.acc.ACCAlgorithm` as a BSP loop. The
 loop itself lives in :mod:`repro.core.superstep` - one driver shared by
 ``run``, ``run_batch`` and sharded execution; this module holds the engine's
 configuration, its entry points, the lane-group planner and the shared
-Combine/apply, task-management and cost-accounting tails the driver calls.
+Combine/apply and task-management tails the driver calls.
 Each iteration:
 
 1. picks the execution direction with the Beamer-style selector (Section 5):
@@ -28,16 +28,18 @@ Each iteration:
    the next worklist. In push mode the recording workers are the frontier
    slots (one per scatter source); in pull mode each gather worker records
    its own destination once, post-combine;
-5. charges the simulated device for the compute kernels, the task-management
-   kernel, the software global barrier (for fused strategies) and any kernel
-   launches the fusion strategy requires - and the push-pull fusion plan
-   relaunches exactly when the executed direction switches, so
-   ``direction_trace`` always reflects the expansion path that actually ran.
+5. records the unit as an :class:`~repro.core.metrics.IterationRecord`
+   holding every scalar the cost model reads. Memory is allocated as the
+   run executes, so an OOM ends it there; time is priced once it ends:
+   :func:`repro.core.pricing.price` charges the compute kernels, the
+   task-management kernel, the software global barrier (fused strategies)
+   and the launches the fusion strategy requires, record by record.
 
 The functional result (distances, ranks, core flags) is identical across
 filter modes, fusion strategies, directions and devices; only the simulated
 time and the recorded traces change. That separation mirrors the paper's own
-claim that programming (ACC) is decoupled from processing (JIT + fusion).
+claim that programming (ACC) is decoupled from processing (JIT + fusion),
+and it is why one execution prices under every fusion strategy and device.
 """
 
 from __future__ import annotations
@@ -47,45 +49,20 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.acc import ACCAlgorithm, CombineKind
-from repro.core.direction import (
-    BatchDirectionPolicy,
-    DEFAULT_TRAFFIC_MODEL,
-    Direction,
-    SubBatchPlan,
-)
+from repro.core.acc import ACCAlgorithm
+from repro.core.direction import BatchDirectionPolicy, Direction, SubBatchPlan
 from repro.core.filters import (
     FilterContext,
     FilterMode,
     FilterOverflowError,
     FilterResult,
 )
-from repro.core.frontier import (
-    THREADS_PER_LARGE_TASK,
-    THREADS_PER_MEDIUM_TASK,
-    THREADS_PER_SMALL_TASK,
-    ClassifiedFrontier,
-    WorklistClassifier,
-)
+from repro.core.frontier import ClassifiedFrontier, WorklistClassifier
 from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
-from repro.core.fusion import FusionPlan, FusionStrategy
+from repro.core.fusion import FusionStrategy
 from repro.core.metrics import BatchRunResult, RunResult
 from repro.core.superstep import Stream, SuperstepDriver, _ExpansionResult, _take
-from repro.gpu import memory as gmem
-from repro.gpu.atomics import AtomicProfile
-from repro.gpu.barrier import SoftwareGlobalBarrier
 from repro.gpu.device import GPUDevice, K40
-from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
-from repro.gpu.warp import divergence_fraction, reduction_primitive_ops
-
-
-#: The three compute stages in kernel order, with the threads one task of
-#: each takes (Figure 7).
-_COMPUTE_STAGES = (
-    ("thread", THREADS_PER_SMALL_TASK),
-    ("warp", THREADS_PER_MEDIUM_TASK),
-    ("cta", THREADS_PER_LARGE_TASK),
-)
 
 
 @dataclass
@@ -182,7 +159,6 @@ class SIMDXEngine:
         # needs in-degrees, which force the lazy in-CSR transpose.
         self._pull_classifier: Optional[WorklistClassifier] = None
         self._in_degrees: Optional[np.ndarray] = None
-        self.fusion_plan = FusionPlan(self.config.fusion)
         #: The kernel primitives every path runs on; the scatter walk goes
         #: through :meth:`_walk_edges` (docs/kernels.md).
         self.kernel = DEFAULT_KERNEL
@@ -198,20 +174,20 @@ class SIMDXEngine:
         per device), so every piece of per-run mutable state must be
         reset here: the profiler's records, the device's simulated
         allocations (also cleared on the way out, but an aborted run must
-        not leak into the next), the fusion plan's active-kernel latch
-        and the kernel-edge counter. Everything else that persists on the
-        instance is a deterministic graph-derived cache (the worklist
-        classifiers, in-degrees, the lazily-built in-CSR transpose) -
-        the *intended* reuse. Per-run controllers (JIT task managers,
-        direction selector, batch direction policy, barrier) are
-        constructed inside each run. ``tests/test_engine_reuse.py`` pins
-        the contract: call N on a reused engine is bit-identical, values
-        and ``extra`` counters alike, to the same call on a fresh engine.
+        not leak into the next) and the kernel-edge counter. Everything
+        else that persists on the instance is a deterministic
+        graph-derived cache (the worklist classifiers, in-degrees, the
+        lazily-built in-CSR transpose) - the *intended* reuse. Per-run
+        controllers (JIT task managers, direction selector, batch direction
+        policy) are constructed inside each run, and pricing builds its
+        fusion plans and barriers afresh. ``tests/test_engine_reuse.py``
+        pins the contract: call N on a reused engine is bit-identical,
+        values and ``extra`` counters alike, to the same call on a fresh
+        engine.
         """
         self._kernel_edges_walked = 0
         self.device.profiler.reset()
         self.device.reset_memory()
-        self.fusion_plan.reset()
 
     @property
     def pull_classifier(self) -> WorklistClassifier:
@@ -328,7 +304,7 @@ class SIMDXEngine:
         """The superstep driver over this engine's own device.
 
         One device is the one-stream plan: a single stream covering every
-        vertex, bound to ``self.device`` / ``self.fusion_plan`` (the
+        vertex, bound to ``self.device`` (the
         :class:`~repro.shard.executor.ShardedExecutor` builds one stream
         per shard around the same driver).
         """
@@ -337,7 +313,6 @@ class SIMDXEngine:
         stream = Stream(
             self, 0, 0, graph.num_vertices,
             device=self.device,
-            fusion_plan=self.fusion_plan,
             total_edges=graph.num_edges,
             start_direction=(
                 Direction.PULL if algorithm.starts_in_pull else Direction.PUSH
@@ -380,12 +355,11 @@ class SIMDXEngine:
         return [SubBatchPlan(union_direction, tuple(live))]
 
     # ------------------------------------------------------------------
-    # Shared iteration tail (task management + cost accounting)
+    # Shared iteration tail (task management + memory feasibility)
     # ------------------------------------------------------------------
     def _finish_iteration(
         self,
         *,
-        algorithm: ACCAlgorithm,
         classified: ClassifiedFrontier,
         direction: Direction,
         expansion: _ExpansionResult,
@@ -393,28 +367,18 @@ class SIMDXEngine:
         stream: Stream,
         iteration: int,
         success_rate: float = 1.0,
-        extra_lane_pairs: int = 0,
-        atomic_profile: Optional[AtomicProfile] = None,
-    ) -> Tuple[FilterResult, str, float, float, float, float]:
-        """Task management + cost accounting of one work unit.
+    ) -> Tuple[FilterResult, str]:
+        """Task management of one work unit.
 
         ``classified`` is the executed worklist (in push mode the active
         frontier in a single run, the lane union in a batch, a shard's slice
         of either - its largest out-degree bounds a scatter worker's
         recordings); ``active_mask``/``expansion`` describe what the unit
-        updated and ``stream`` carries the filter state and the device to
-        charge; ``atomic_profile`` (``atomic_combine`` only) prices Combine
-        as atomic updates.
-        Returns ``(filter_result, filter_name, compute_us, launch_us,
-        filter_us, barrier_us)``. Keeping this tail in one place guarantees
-        batched and sharded units are charged and traced exactly like
-        single-source iterations over their worklist.
+        updated and ``stream`` carries the filter state and the device whose
+        memory the filter's transient buffer must fit. Returns
+        ``(filter_result, filter_name)``; one tail keeps batched and sharded
+        units' task management exactly like a single-source iteration's.
         """
-        cfg = self.config
-        graph = self.graph
-        device = stream.device
-        jit = stream.jit
-
         # The online/batch filters record destinations that just
         # became active, as observed by the worker that updated them.
         destinations = expansion.recorded_destinations
@@ -427,54 +391,39 @@ class SIMDXEngine:
         else:
             max_producer_records = classified.max_degree
         ctx = FilterContext(
-            num_vertices=graph.num_vertices,
+            num_vertices=self.graph.num_vertices,
             updated_destinations=_take(destinations, recorded),
             producer_thread=_take(expansion.recorded_producers, recorded),
             active_mask=active_mask,
-            frontier_edges=expansion.edges_expanded,
+            frontier_edges=classified.total_edges,
             num_worker_threads=max(1, expansion.num_workers),
             max_producer_records=max_producer_records,
             success_rate=success_rate,
         )
+        jit = stream.jit
         if jit is not None:
             filter_result = jit.build(ctx, iteration, direction=direction)
             filter_name = jit.decisions[-1].filter_used
         else:
             filter_result = stream.standalone_filter.build(ctx)
             filter_name = stream.standalone_filter.name
-            if filter_result.overflowed and cfg.filter_mode == FilterMode.ONLINE:
+            if (
+                filter_result.overflowed
+                and self.config.filter_mode == FilterMode.ONLINE
+            ):
                 raise FilterOverflowError(
                     f"iteration {iteration}: thread bin exceeded "
-                    f"{cfg.overflow_threshold} entries"
+                    f"{self.config.overflow_threshold} entries"
                 )
 
         # Batch-filter style approaches need the active edge list resident;
         # its size scales with the modeled graph like everything else.
-        transient_alloc = None
         if filter_result.extra_memory_bytes:
-            transient_alloc = device.malloc(
-                int(filter_result.extra_memory_bytes * graph.modeled_edge_scale()),
+            stream.device.free(stream.device.malloc(
+                int(filter_result.extra_memory_bytes * self.graph.modeled_edge_scale()),
                 label="active_edge_list",
-            )
-
-        compute_us, launch_us, task_kernel = self._charge_compute(
-            classified, direction, stream, algorithm,
-            atomic_profile=atomic_profile,
-            active_edge_fraction=(
-                expansion.active_edges / expansion.edges_expanded
-                if expansion.edges_expanded else 1.0
-            ),
-            extra_lane_pairs=extra_lane_pairs,
-        )
-        filter_us = self._charge_filter(filter_result, task_kernel, device)
-        barrier_us = self._charge_barrier(stream.barrier)
-
-        if transient_alloc is not None:
-            device.free(transient_alloc)
-        return (
-            filter_result, filter_name,
-            compute_us, launch_us, filter_us, barrier_us,
-        )
+            ))
+        return filter_result, filter_name
 
     # ------------------------------------------------------------------
     # Functional primitives shared by every expansion
@@ -518,215 +467,3 @@ class SIMDXEngine:
         changed = (new_values != old_values).nonzero()[0]
         metadata[_take(touched, changed)] = _take(new_values, changed)
         return touched, int(changed.size)
-
-    # ------------------------------------------------------------------
-    # Cost accounting helpers
-    # ------------------------------------------------------------------
-    def _make_barrier(
-        self, device: GPUDevice, fusion_plan: FusionPlan
-    ) -> Optional[SoftwareGlobalBarrier]:
-        if self.config.fusion == FusionStrategy.NONE:
-            return None
-        kernel_key = (
-            "fused_all" if self.config.fusion == FusionStrategy.ALL else "fused_push"
-        )
-        kernel = fusion_plan.kernel(kernel_key)
-        return SoftwareGlobalBarrier(device.spec, kernel)
-
-    def _stage_work(
-        self,
-        num_vertices: int,
-        num_edges: int,
-        degrees: np.ndarray,
-        stage: str,
-        direction: Direction,
-        sortedness: float,
-        algorithm: ACCAlgorithm,
-        active_fraction: float = 1.0,
-    ) -> WorkEstimate:
-        """Work estimate for one compute stage (thread / warp / cta kernel).
-
-        ``active_fraction`` is the share of this iteration's edges whose
-        source lies in the frontier: a gather scans every candidate in-edge
-        (coalesced adjacency reads) but checks the frontier bitmap before
-        paying the scattered source-metadata read and the Compute evaluation,
-        so only the active share costs the full per-edge work.
-        """
-        model = DEFAULT_TRAFFIC_MODEL
-        effective_edges = float(num_edges)
-        if (
-            direction is Direction.PULL
-            and algorithm.combine_kind is CombineKind.VOTING
-        ):
-            # Voting combines terminate a vertex's gather as soon as any
-            # update arrives (collaborative early termination), so a pull
-            # iteration touches only part of the candidate edges.
-            effective_edges *= model.voting_pull_scan_fraction
-
-        if direction is Direction.PUSH:
-            coalesced, scattered = gmem.frontier_expansion_traffic(
-                num_vertices,
-                int(effective_edges),
-                sortedness=sortedness,
-                weighted=algorithm.uses_weights,
-            )
-            compute_ops = (
-                effective_edges * model.push_edge_ops
-                + num_vertices * model.vertex_ops
-            )
-        else:
-            active_edges = effective_edges * min(1.0, max(0.0, active_fraction))
-            coalesced, scattered = gmem.pull_expansion_traffic(
-                num_vertices,
-                int(effective_edges),
-                weighted=algorithm.uses_weights,
-                active_edges=int(active_edges),
-            )
-            # One bitmap test per scanned in-edge; the full Compute only for
-            # contributing (frontier-sourced) edges.
-            compute_ops = (
-                effective_edges * model.pull_scan_ops
-                + active_edges * model.pull_active_edge_ops
-                + num_vertices * model.vertex_ops
-            )
-
-        if stage == "thread":
-            divergence = divergence_fraction(degrees)
-            primitives = 0.0
-        elif stage == "warp":
-            divergence = 0.05
-            primitives = num_vertices * reduction_primitive_ops(32) + effective_edges / 32.0
-        else:  # cta
-            divergence = 0.02
-            primitives = num_vertices * reduction_primitive_ops(256) + effective_edges / 32.0
-
-        return WorkEstimate(
-            coalesced_bytes=coalesced,
-            scattered_transactions=scattered,
-            compute_ops=compute_ops,
-            warp_primitive_ops=primitives,
-            divergence_fraction=min(1.0, divergence),
-        )
-
-    def _charge_compute(
-        self,
-        classified: ClassifiedFrontier,
-        direction: Direction,
-        stream: Stream,
-        algorithm: ACCAlgorithm,
-        *,
-        atomic_profile=None,
-        active_edge_fraction: float = 1.0,
-        extra_lane_pairs: int = 0,
-    ) -> Tuple[float, float, Tuple[Kernel, bool]]:
-        """Charge the three compute kernels.
-
-        Returns ``(busy_us, launch_us, task_kernel)`` where ``task_kernel``
-        is the ``(kernel, fused)`` slot the same phase reserves for task
-        management; the caller hands it to :meth:`_charge_filter` so the
-        filter launch shares the phase's fusion state without any
-        cross-iteration instance state.
-
-        ``extra_lane_pairs`` is the batched path's lane-axis work: the
-        ``(edge, lane)`` Compute evaluations beyond the one-per-union-edge
-        pass the three stages already price. Each extra pair pays exactly
-        what the single-run model charges an edge beyond its CSR walk: the
-        per-edge compute constant plus one scattered metadata access (the
-        lane's source/destination metadata read; the ACC combine stages
-        updates in shared memory, which is never charged as scattered).
-        The adjacency, offset and worklist traffic is *not* re-paid - that
-        is what ``run_batch`` amortizes across lanes.
-        """
-        device = stream.device
-        stages = stream.fusion_plan.phase_kernels(direction).stages
-        sizes = classified.sizes
-        total_edges = max(1, classified.total_edges)
-
-        busy_us = 0.0
-        launch_us = 0.0
-        for (kernel, fused), (stage, threads), vertices, edges in zip(
-            stages, _COMPUTE_STAGES,
-            (sizes.small_vertices, sizes.medium_vertices, sizes.large_vertices),
-            (sizes.small_edges, sizes.medium_edges, sizes.large_edges),
-        ):
-            if not vertices:
-                # An empty stage launches with no work on one CTA, which the
-                # device charges straight from its idle table.
-                result = device.launch_idle(kernel, fused)
-            else:
-                work = self._stage_work(
-                    vertices,
-                    edges,
-                    classified.small_degrees,
-                    stage,
-                    direction,
-                    stream.sortedness,
-                    algorithm,
-                    active_fraction=active_edge_fraction,
-                )
-                if atomic_profile is not None and atomic_profile.num_ops:
-                    # Gunrock-style pricing: updates are applied with atomics
-                    # on the destination (attributed proportionally to this
-                    # stage's edge share) and the shared-memory staging
-                    # reductions of the ACC combine are dropped.
-                    work = WorkEstimate(
-                        coalesced_bytes=work.coalesced_bytes,
-                        scattered_transactions=work.scattered_transactions,
-                        compute_ops=work.compute_ops,
-                        atomic_ops=atomic_profile.num_ops * (edges / total_edges),
-                        atomic_contention=atomic_profile.contention,
-                        warp_primitive_ops=0.0,
-                        divergence_fraction=work.divergence_fraction,
-                    )
-                num_ctas = -(-vertices * threads // kernel.threads_per_cta)
-                result = device.launch(KernelLaunch(kernel, work, num_ctas, fused))
-            busy_us += result.busy_us
-            launch_us += result.launch_overhead_us
-
-        if extra_lane_pairs > 0:
-            model = DEFAULT_TRAFFIC_MODEL
-            per_pair_ops = (
-                model.push_edge_ops if direction is Direction.PUSH
-                else model.pull_active_edge_ops
-            )
-            lane_kernel = stages[2][0]
-            extra_work = WorkEstimate(
-                scattered_transactions=gmem.metadata_scatter_transactions(
-                    extra_lane_pairs
-                ),
-                compute_ops=float(extra_lane_pairs) * per_pair_ops,
-            )
-            result = device.launch(
-                KernelLaunch(
-                    kernel=lane_kernel,
-                    work=extra_work,
-                    num_ctas=max(
-                        1, -(-extra_lane_pairs // lane_kernel.threads_per_cta)
-                    ),
-                    # The lane axis rides the same kernel invocation as the
-                    # union pass (each thread loops over its edge's lane
-                    # bits), so it never pays an extra launch.
-                    fused_continuation=True,
-                )
-            )
-            busy_us += result.busy_us
-            launch_us += result.launch_overhead_us
-        return busy_us, launch_us, stages[3]
-
-    def _charge_filter(
-        self,
-        filter_result: FilterResult,
-        task_kernel: Tuple[Kernel, bool],
-        device: GPUDevice,
-    ) -> float:
-        kernel, fused = task_kernel
-        return device.launch(
-            KernelLaunch(kernel, filter_result.work, None, fused)
-        ).total_us
-
-    def _charge_barrier(self, barrier: Optional[SoftwareGlobalBarrier]) -> float:
-        if barrier is None:
-            return 0.0
-        # Two device-wide synchronizations per iteration: after compute and
-        # after task management (Figure 4(b), lines 15 and 21).
-        return barrier.synchronize() + barrier.synchronize()

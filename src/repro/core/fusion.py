@@ -115,10 +115,6 @@ class FusionPlan:
             )
         return self._kernels[key]
 
-    def reset(self) -> None:
-        """Forget any resident fused kernel (start of a new run)."""
-        self._active_fused_kernel = None
-
     # ------------------------------------------------------------------
     def phase_kernels(self, direction: Direction) -> PhaseKernels:
         """Kernels for one iteration in ``direction`` under this strategy.

@@ -18,11 +18,15 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.gpu.atomics import AtomicProfile
+from repro.gpu.kernel import WorkEstimate
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.frontier import WorklistSizes
 
 
 @dataclass
@@ -52,6 +56,10 @@ class IterationRecord:
     (``None`` otherwise), the :class:`~repro.gpu.atomics.AtomicProfile` of
     the update destinations the unit's Combine was priced with - in a
     batched unit, the edges on which any lane produced an update.
+
+    The four ``*_us`` fields are priced (:func:`repro.core.pricing.price`;
+    0.0 until then) from the fields after ``atomic_profile``, which the
+    execution fixes.
     """
 
     iteration: int
@@ -60,10 +68,10 @@ class IterationRecord:
     frontier_edges: int
     filter_used: str
     filter_overflowed: bool
-    compute_us: float
-    filter_us: float
-    barrier_us: float
-    launch_us: float
+    compute_us: float = 0.0
+    filter_us: float = 0.0
+    barrier_us: float = 0.0
+    launch_us: float = 0.0
     active_edges: int = 0
     #: Batched runs only: total (edge, lane) pairs evaluated this iteration.
     #: ``frontier_edges`` stays the *union* worklist's edge count - the pairs
@@ -78,10 +86,25 @@ class IterationRecord:
     updates_valid: int = 0
     updates_applied: int = 0
     atomic_profile: Optional[AtomicProfile] = None
+    #: The stream (shard; 0 on one device) that ran the unit.
+    stream: int = 0
+    #: Per-stage vertex and edge counts of the classified worklist.
+    sizes: Optional["WorklistSizes"] = None
+    small_divergence: float = 0.0  # warp divergence of the Thread stage
+    #: Sortedness of the worklist the unit loads (its stream's last filter's).
+    sortedness: float = 1.0
+    filter_work: Optional[WorkEstimate] = None  # task management's work
+    #: The algorithm reads edge weights; it combines by voting.
+    weighted: bool = False
+    voting: bool = False
+    #: A sharded superstep's last unit only: each shard's boundary receives.
+    received: Tuple[int, ...] = ()
 
     @property
     def total_us(self) -> float:
-        return self.compute_us + self.filter_us + self.barrier_us + self.launch_us
+        """The unit's time, added in pricing's order: a single-device run's
+        ``elapsed_us`` is its records' ``total_us`` summed in order."""
+        return self.compute_us + self.launch_us + self.filter_us + self.barrier_us
 
 
 @dataclass

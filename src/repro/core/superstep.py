@@ -26,9 +26,13 @@ selector decision - and the schedule runs them:
    fires its frontier hook and combines its queues through
    ``SIMDXEngine._combine_and_apply`` - on one device right after its one
    Compute call, sharded in the superstep's last unit.
-2. **Tail** - every unit goes through the shared task-management / cost
-   tail (``SIMDXEngine._finish_iteration``) and emits one
+2. **Tail** - every unit goes through the shared task-management tail
+   (``SIMDXEngine._finish_iteration``) and emits one
    :class:`~repro.core.metrics.IterationRecord`.
+
+Once the loop ends, :func:`~repro.core.pricing.price` charges the records
+to the streams' devices: execution decides what ran and whether it fit in
+memory, pricing what it cost.
 
 **Why every path is bit-identical.** A lane's Combine stream at any
 destination is in global source-ascending order on every path: a push unit
@@ -89,8 +93,10 @@ from repro.core.frontier import (
 )
 from repro.core.jit import JITTaskManager
 from repro.core.metrics import BatchRunResult, IterationRecord, RunResult
+from repro.core.pricing import price
 from repro.gpu.atomics import profile_atomic_updates
 from repro.gpu.device import DeviceOutOfMemory
+from repro.gpu.warp import divergence_fraction
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 
@@ -122,7 +128,7 @@ def _reaches(vertices: np.ndarray, start: int, stop: int) -> bool:
 
 @dataclass
 class _ExpansionResult:
-    """What one unit's expansion hands the task-management/cost tail."""
+    """What one unit's expansion hands the task-management tail."""
 
     #: What the task-management filter observes: in push mode one entry per
     #: valid update (the scatter thread saw each one happen); in pull mode
@@ -132,7 +138,6 @@ class _ExpansionResult:
     recorded_destinations: np.ndarray
     recorded_producers: np.ndarray    # worker slot owning each recorded entry
     num_workers: int                  # worker threads (frontier / receivers)
-    edges_expanded: int
     #: Edges that paid the Compute evaluation: every walked edge in push
     #: mode (minus edges whose destination a pull-mode shard gathers
     #: itself); in pull mode the scanned in-edges whose source was in the
@@ -143,29 +148,28 @@ class _ExpansionResult:
 class Stream:
     """One device's share of a run.
 
-    Owns the vertex range ``[start, stop)``, the simulated device with its
-    fusion plan and barrier, the direction selector deciding for that
-    range's frontier slice, and the task-management state (JIT controller
-    or standalone filter plus the sortedness of the worklist it last
-    produced). Stream identity affects cost and traces only, never values.
+    Owns the vertex range ``[start, stop)``, the simulated device (its
+    memory during the run, its launches once the run is priced), the
+    direction selector deciding for that range's frontier slice, and the
+    task-management state (JIT controller or standalone filter plus the
+    sortedness of the worklist it last produced). Stream identity affects
+    cost and traces only, never values.
     """
 
     __slots__ = (
-        "index", "start", "stop", "device", "fusion_plan", "barrier", "jit",
-        "standalone_filter", "selector", "sortedness", "scanned_edges",
+        "index", "start", "stop", "device", "jit",
+        "standalone_filter", "selector", "sortedness",
         "modeled_vertices", "modeled_edges",
     )
 
     def __init__(
         self, engine, index: int, start: int, stop: int, *, device,
-        fusion_plan, total_edges: int, start_direction: Direction,
+        total_edges: int, start_direction: Direction,
         modeled_vertices: int, modeled_edges: int,
     ):
         cfg = engine.config
         self.index, self.start, self.stop = index, start, stop
         self.device = device
-        self.fusion_plan = fusion_plan
-        self.barrier = engine._make_barrier(device, fusion_plan)
         self.jit: Optional[JITTaskManager] = None
         self.standalone_filter = None
         if cfg.filter_mode == FilterMode.JIT:
@@ -181,7 +185,6 @@ class Stream:
             total_edges=total_edges, start_direction=start_direction
         )
         self.sortedness = 1.0
-        self.scanned_edges = 0
         self.modeled_vertices = modeled_vertices
         self.modeled_edges = modeled_edges
 
@@ -318,7 +321,7 @@ class SuperstepDriver:
         self.graph = engine.graph
         self.streams = streams
         #: The :class:`~repro.shard.executor.ShardedExecutor` behind a
-        #: multi-stream plan (owner lookup, boundary-merge charge, shard
+        #: multi-stream plan (owner lookup, boundary receive buffers, shard
         #: ``extra`` keys); ``None`` on a single device.
         self.sharding = sharding
         name = engine.device.spec.name
@@ -336,7 +339,6 @@ class SuperstepDriver:
         self.split_iterations: List[int] = []
         self.lane_iterations: List[int] = []
         self.boundary_updates = 0
-        self.total_us = 0.0
         self.iteration = 0
         self.stopped_at_cap = False
 
@@ -349,20 +351,9 @@ class SuperstepDriver:
         def body() -> RunResult:
             lanes = LaneSet.single(algorithm, graph, params, self.sanitizer)
             self._loop(lanes)
-            extra = self._extra()
             return RunResult(
-                system=engine.SYSTEM_NAME,
-                algorithm=algorithm.name,
-                graph=graph.name,
                 values=lanes.clones[0].vertex_value(lanes.metadata[0]),
-                elapsed_us=self.total_us,
-                iterations=self.iteration,
-                device=self.device_name,
-                kernel_launches=self._kernel_launches(),
-                filter_trace=self.filter_trace,
-                direction_trace=self.direction_trace,
-                iteration_records=self.records,
-                extra=extra,
+                **self._priced(algorithm),
             )
 
         return self._guarded(body, None, lambda reason: RunResult.failure(
@@ -381,7 +372,7 @@ class SuperstepDriver:
             )
             self._loop(lanes)
             records = self.records
-            extra = self._extra({
+            fields = self._priced(algorithm, {
                 # Amortization bookkeeping: edges the union walks touched
                 # vs the (edge, lane) pairs a serial execution would have
                 # walked, plus the gather share (the quantity lane-aware
@@ -402,24 +393,14 @@ class SuperstepDriver:
                 extra_keys.LANE_SPLITS: len(self.split_iterations),
             })
             return BatchRunResult(
-                system=engine.SYSTEM_NAME,
-                algorithm=algorithm.name,
-                graph=graph.name,
                 sources=sources,
                 metadata=lanes.metadata,
                 values=np.stack([
                     clone.vertex_value(row)
                     for clone, row in zip(lanes.clones, lanes.metadata)
                 ]),
-                elapsed_us=self.total_us,
-                iterations=self.iteration,
                 lane_iterations=self.lane_iterations,
-                device=self.device_name,
-                kernel_launches=self._kernel_launches(),
-                filter_trace=self.filter_trace,
-                direction_trace=self.direction_trace,
-                iteration_records=records,
-                extra=extra,
+                **fields,
             )
 
         return self._guarded(
@@ -472,15 +453,33 @@ class SuperstepDriver:
                 malloc(2 * num_lanes * mv * 8, label="metadata_lanes")
                 malloc(3 * mv * 4 + mv * num_words * 8, label="worklists")
 
-    def _kernel_launches(self) -> int:
-        return sum(s.device.profiler.launch_count() for s in self.streams)
+    def _priced(self, algorithm: ACCAlgorithm, batch_keys: Optional[dict] = None) -> dict:
+        """Price the finished run's records on the streams' devices; returns
+        the result fields ``run`` and ``run_batch`` share."""
+        engine = self.engine
+        elapsed_us, self.records, launches, breakdown = price(
+            self.records, engine.device.spec, engine.config.fusion,
+            [s.device for s in self.streams],
+        )
+        if self.sanitizer is not None:
+            for record in self.records:
+                self.sanitizer.observe_record(record)
+        return dict(
+            system=engine.SYSTEM_NAME,
+            algorithm=algorithm.name,
+            graph=self.graph.name,
+            elapsed_us=elapsed_us,
+            iterations=self.iteration,
+            device=self.device_name,
+            kernel_launches=launches,
+            filter_trace=self.filter_trace,
+            direction_trace=self.direction_trace,
+            iteration_records=self.records,
+            extra=self._extra(breakdown, batch_keys),
+        )
 
-    def _extra(self, batch_keys: Optional[dict] = None) -> dict:
+    def _extra(self, breakdown: dict, batch_keys: Optional[dict]) -> dict:
         cfg = self.engine.config
-        breakdown: Dict[str, float] = {}
-        for stream in self.streams:
-            for key, value in stream.device.profiler.breakdown().items():
-                breakdown[key] = breakdown.get(key, 0.0) + value
         # Iterations whose ballot was pre-armed at a pull->push switch
         # (empty for non-JIT filter modes), over every stream that ran.
         pre_armed = set()
@@ -501,7 +500,9 @@ class SuperstepDriver:
             extra.update(batch_keys)
         if self.sharding is not None:
             extra.update(
-                self.sharding.shard_extra(self.streams, self.boundary_updates)
+                self.sharding.shard_extra(
+                    self.streams, self.records, self.boundary_updates
+                )
             )
         if self.sanitizer is not None:
             self.sanitizer.validate_extra(extra)
@@ -555,23 +556,17 @@ class SuperstepDriver:
             for lane in live:
                 self._drain(step, lane)
 
-            # ---------------- task management, cost, records ------------
-            shard_us = [0.0] * len(self.streams)
+            # ---------------- task management, records -----------------
             for unit in units:
-                unit_us = self._finish_unit(unit, step)
-                if sharded:
-                    shard_us[unit.stream.index] += unit_us
-                else:
-                    # One device runs its units back to back.
-                    self.total_us += unit_us
+                self._finish_unit(unit, step)
             if sharded:
-                # Devices run concurrently: the superstep costs its slowest
-                # shard, boundary-merge drain included.
+                # Each shard drains its boundary updates after its units;
+                # the superstep's last record carries what each received.
                 for stream in self.streams:
-                    shard_us[stream.index] += self.sharding.charge_boundary_merge(
+                    self.sharding.stage_boundary_updates(
                         stream, step.received[stream.index]
                     )
-                self.total_us += max(shard_us)
+                self.records[-1].received = tuple(step.received)
             tail = self.records[len(self.records) - len(units):]
             self.direction_trace.append("+".join(r.direction for r in tail))
             self.filter_trace.append("+".join(r.filter_used for r in tail))
@@ -875,7 +870,6 @@ class SuperstepDriver:
             recorded_destinations=recorded,
             recorded_producers=producers,
             num_workers=int(worklist.size),
-            edges_expanded=total,
             active_edges=kept,
         )
 
@@ -905,7 +899,7 @@ class SuperstepDriver:
         sources = bitmaps[0] if len(bitmaps) == 1 else reduce(
             np.logical_or, bitmaps, np.zeros(n, dtype=bool)
         )
-        src, dst, edge_idx, total = self.engine._walk_kept(
+        src, dst, edge_idx, _ = self.engine._walk_kept(
             csr, unit.worklist, sources, self.lanes.prototype.uses_weights
         )
         active = int(src.size)
@@ -937,7 +931,7 @@ class SuperstepDriver:
                 active = int(np.count_nonzero(kept_any))
         unit.expansion = _ExpansionResult(
             recorded_destinations=_EMPTY, recorded_producers=_EMPTY, num_workers=0,
-            edges_expanded=total, active_edges=active,
+            active_edges=active,
         )
 
     def _compute_and_route(self, unit: _Unit, step: _Step, parts, src, dst, weights):
@@ -1041,7 +1035,7 @@ class SuperstepDriver:
                 step.received[t] += int(counts[t])
 
     # ------------------------------------------------------------------
-    # Per-unit tail: task management, cost accounting, the record
+    # Per-unit tail: task management and the record
     # ------------------------------------------------------------------
     def _offer_success_rate(self, unit_lanes, step: _Step) -> float:
         """Estimated share of scatter offers that can still change a vertex.
@@ -1073,10 +1067,9 @@ class SuperstepDriver:
             )
         return float(updatable.mean())
 
-    def _finish_unit(self, unit: _Unit, step: _Step) -> float:
-        """One task-management pass per unit, charged and traced exactly
-        like a single-source iteration over the unit's worklist; returns
-        the unit's simulated microseconds."""
+    def _finish_unit(self, unit: _Unit, step: _Step) -> None:
+        """One task-management pass per unit, recorded exactly like a
+        single-source iteration over the unit's worklist."""
         engine, lanes, stream = self.engine, self.lanes, unit.stream
         push = unit.direction is Direction.PUSH
         classified = unit.classified
@@ -1117,11 +1110,7 @@ class SuperstepDriver:
             atomic_profile = profile_atomic_updates(
                 _concat(keys) if keys else _EMPTY
             )
-        (
-            filter_result, filter_name,
-            compute_us, launch_us, filter_us, barrier_us,
-        ) = engine._finish_iteration(
-            algorithm=lanes.prototype,
+        filter_result, filter_name = engine._finish_iteration(
             classified=classified,
             direction=unit.direction,
             expansion=expansion,
@@ -1129,10 +1118,8 @@ class SuperstepDriver:
             stream=stream,
             iteration=step.iteration,
             success_rate=success_rate,
-            extra_lane_pairs=max(0, unit.lane_pairs - expansion.active_edges),
-            atomic_profile=atomic_profile,
         )
-        stream.sortedness = filter_result.sortedness
+        sizes = classified.sizes
         if (
             filter_result.is_sorted and len(unit.lanes) == 1
             and self.sharding is None
@@ -1145,10 +1132,6 @@ class SuperstepDriver:
             frontier_edges=int(classified.total_edges),
             filter_used=filter_name,
             filter_overflowed=filter_result.overflowed,
-            compute_us=compute_us,
-            filter_us=filter_us,
-            barrier_us=barrier_us,
-            launch_us=launch_us,
             active_edges=int(expansion.active_edges),
             lane_edge_pairs=unit.lane_pairs if lanes.batched else 0,
             active_lanes=len(unit.range_lanes) if lanes.batched else 0,
@@ -1159,9 +1142,16 @@ class SuperstepDriver:
                 if step.last_unit[lane] is unit
             ),
             atomic_profile=atomic_profile,
+            stream=stream.index,
+            sizes=sizes,
+            small_divergence=(
+                divergence_fraction(classified.small_degrees)
+                if sizes.small_vertices else 0.0
+            ),
+            sortedness=stream.sortedness,
+            filter_work=filter_result.work,
+            weighted=lanes.prototype.uses_weights,
+            voting=lanes.prototype.combine_kind is CombineKind.VOTING,
         )
-        stream.scanned_edges += record.frontier_edges
+        stream.sortedness = filter_result.sortedness
         self.records.append(record)
-        if self.sanitizer is not None:
-            self.sanitizer.observe_record(record)
-        return compute_us + launch_us + filter_us + barrier_us

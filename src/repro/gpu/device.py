@@ -193,7 +193,7 @@ class GPUDevice:
         alloc = Allocation(label=label, nbytes=nbytes)
         self._allocations.append(alloc)
         self._allocated += nbytes
-        self.profiler.record_allocation(label, nbytes, self._allocated)
+        self.profiler.record_allocation(self._allocated)
         return alloc
 
     def free(self, alloc: Allocation) -> None:

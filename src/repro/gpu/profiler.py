@@ -25,7 +25,6 @@ class DeviceProfiler:
     #: One entry per kernel phase, in launch order.
     records: List["LaunchResult"] = field(default_factory=list)
     peak_allocated_bytes: int = 0
-    allocation_log: List[tuple] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     # Recording
@@ -33,14 +32,12 @@ class DeviceProfiler:
     def record_launch(self, result: "LaunchResult") -> None:
         self.records.append(result)
 
-    def record_allocation(self, label: str, nbytes: int, total_allocated: int) -> None:
-        self.allocation_log.append((label, nbytes))
+    def record_allocation(self, total_allocated: int) -> None:
         if total_allocated > self.peak_allocated_bytes:
             self.peak_allocated_bytes = total_allocated
 
     def reset(self) -> None:
         self.records.clear()
-        self.allocation_log.clear()
         self.peak_allocated_bytes = 0
 
     # ------------------------------------------------------------------

@@ -5,8 +5,8 @@ semantics across ``EngineConfig.num_shards`` simulated devices, one per
 contiguous vertex range of a :class:`~repro.shard.partition.ShardPlan`.
 It does not own a loop: it builds one
 :class:`~repro.core.superstep.Stream` per shard - the range's metadata
-(and lane-metadata) slice, its own device + memory budget, fusion plan,
-JIT task-management stream and direction selector - and hands them to the
+(and lane-metadata) slice, its own device + memory budget, JIT
+task-management stream and direction selector - and hands them to the
 same :class:`~repro.core.superstep.SuperstepDriver` a single device runs
 on one stream. Direction is decided per shard on the shard's own frontier
 slice, so one superstep may mix push and pull shards.
@@ -25,9 +25,10 @@ source-ascending order - the single-device order that makes the ACC
 ordering invariants (and bit-identity) hold across shards
 (``docs/sharding.md``).
 
-Costs are charged per shard through the engine's shared iteration tail; a
-superstep's elapsed time is the *max* over shards (devices run
-concurrently) including the per-shard boundary-merge kernel charged here.
+A shard that cannot hold its boundary receive buffer fails the run as an
+OOM. Pricing (:func:`repro.core.pricing.price`) charges each shard's units
+and its boundary-merge kernel to its own device; a superstep costs its
+slowest shard (devices run concurrently).
 """
 
 from __future__ import annotations
@@ -36,18 +37,10 @@ from typing import List
 
 from repro.analysis import registry as extra_keys
 from repro.core.direction import Direction
-from repro.core.fusion import FusionPlan
 from repro.core.metrics import BatchRunResult, RunResult
 from repro.core.superstep import Stream, SuperstepDriver
-from repro.gpu import memory as gmem
 from repro.gpu.device import GPUDevice
-from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.shard.partition import ShardPlan
-
-
-#: The per-superstep exchange kernel: each shard scatters the boundary
-#: updates it received into its local combine buffers.
-BOUNDARY_MERGE_KERNEL = Kernel("shard_boundary_merge", 24)
 
 #: Modeled bytes per exchanged boundary update: destination id (8) plus
 #: the update value (8), staged in a transient receive buffer.
@@ -82,7 +75,6 @@ class ShardedExecutor:
                 device=GPUDevice(
                     engine.device.spec, memory_scale=engine.device.memory_scale
                 ),
-                fusion_plan=FusionPlan(engine.config.fusion),
                 total_edges=int(plan.out_edge_counts[t]),
                 start_direction=start_direction,
                 modeled_vertices=int(plan.modeled_vertices[t]),
@@ -105,17 +97,13 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     # What the driver asks of a sharded plan
     # ------------------------------------------------------------------
-    def charge_boundary_merge(self, stream: Stream, received: int) -> float:
-        """Charge ``stream`` for draining ``received`` boundary updates.
-
-        The receive buffer is a transient allocation (modeled at paper
-        scale like every other edge-proportional buffer) and the merge
-        itself is one scatter-dominated kernel on the receiving device.
-        Returns the simulated microseconds.
-        """
+    def stage_boundary_updates(self, stream: Stream, received: int) -> None:
+        """Reserve and release ``stream``'s transient receive buffer for
+        one superstep's ``received`` boundary updates, modeled at paper
+        scale like every other edge-proportional buffer."""
         if received <= 0:
-            return 0.0
-        buffer_alloc = stream.device.malloc(
+            return
+        stream.device.free(stream.device.malloc(
             min(
                 int(
                     received * BOUNDARY_UPDATE_BYTES
@@ -124,29 +112,17 @@ class ShardedExecutor:
                 EXCHANGE_CHUNK_BYTES,
             ),
             label="boundary_updates",
-        )
-        work = WorkEstimate(
-            scattered_transactions=gmem.metadata_scatter_transactions(received),
-            compute_ops=float(received),
-        )
-        result = stream.device.launch(KernelLaunch(
-            kernel=BOUNDARY_MERGE_KERNEL,
-            work=work,
-            num_ctas=max(
-                1, -(-received // BOUNDARY_MERGE_KERNEL.threads_per_cta)
-            ),
         ))
-        stream.device.free(buffer_alloc)
-        return result.total_us
 
-    def shard_extra(self, streams: List[Stream], boundary_updates: int) -> dict:
+    def shard_extra(self, streams: List[Stream], records, boundary_updates: int) -> dict:
         """The ``shard_*`` keys a sharded run adds to ``extra``."""
+        scanned = [0] * len(streams)
+        for record in records:
+            scanned[record.stream] += record.frontier_edges
         return {
             extra_keys.SHARDS: self.plan.num_shards,
             extra_keys.SHARD_BOUNDARY_UPDATES: int(boundary_updates),
-            extra_keys.SHARD_SCANNED_EDGES: [
-                int(s.scanned_edges) for s in streams
-            ],
+            extra_keys.SHARD_SCANNED_EDGES: scanned,
             extra_keys.SHARD_PEAK_BYTES: [
                 int(s.device.profiler.peak_allocated_bytes) for s in streams
             ],

@@ -15,7 +15,9 @@ other consumer relies on:
   that record is a full ``python -m perfbench --out`` run: every workload
   and end-to-end metric ``BENCHMARK.json`` names, no failed operation;
 * the claims EXPERIMENTS.md §2 and §4 state in prose hold on every row (the
-  ``benchmarks/`` suite has no test for §1-4).
+  ``benchmarks/`` suite has no test for §1-4);
+* a sweep over fusion strategies executes each (algorithm, graph) once,
+  and a later sweep reading a default cell does not execute it again.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import pytest
 
 from repro.bench import experiments, reporting
 from repro.bench.harness import BenchmarkContext
+from repro.core.superstep import SuperstepDriver
 
 REPO = Path(__file__).resolve().parent.parent
 #: The benchmark's contract: workload and end-to-end metric names.
@@ -235,3 +238,35 @@ def test_gather_refinement_is_exact_and_only_prunes(results):
     for row in rows:
         assert row["values_identical"], row
         assert row["scanned_edges_pruned"] <= row["scanned_edges_unpruned"], row
+
+
+def test_sweeps_execute_each_cell_once(monkeypatch):
+    """Fusion is priced, not executed: ``table2`` and ``figure13`` run one
+    execution per (algorithm, graph), and the default cells they priced
+    serve ``figure8`` without another."""
+    executions = []
+    loop = SuperstepDriver._loop
+
+    def counted(self, lanes):
+        executions.append((lanes.prototype.name, self.graph.name))
+        return loop(self, lanes)
+
+    monkeypatch.setattr(SuperstepDriver, "_loop", counted)
+    ctx = BenchmarkContext(scale=0.05, datasets=("LJ", "RC"))
+    lj = ctx.graph("LJ").name
+
+    experiments.table2(ctx)
+    assert executions == [("bfs", lj)]
+
+    executions.clear()
+    experiments.figure13(ctx)
+    cells = {
+        (algorithm, ctx.graph(abbrev).name)
+        for algorithm in ("bfs", "bp", "kcore", "pagerank", "sssp")
+        for abbrev in ctx.datasets
+    }
+    assert sorted(executions) == sorted(cells - {("bfs", lj)})
+
+    executions.clear()
+    experiments.figure8(ctx)
+    assert executions == []

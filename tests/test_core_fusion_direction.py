@@ -65,12 +65,6 @@ class TestFusionPlan:
             phase = plan.phase_kernels(direction)
             assert len(phase.launch_kernels) == 0
 
-    def test_reset_forgets_resident_kernel(self):
-        plan = FusionPlan(FusionStrategy.ALL)
-        plan.phase_kernels(Direction.PUSH)
-        plan.reset()
-        assert len(plan.phase_kernels(Direction.PUSH).launch_kernels) == 1
-
     def test_max_registers_per_strategy(self):
         assert FusionPlan(FusionStrategy.NONE).max_registers_per_thread() == 30
         assert FusionPlan(FusionStrategy.PUSH_PULL).max_registers_per_thread() == 50

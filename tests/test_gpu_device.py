@@ -316,19 +316,23 @@ class TestFixedCostTail:
         monkeypatch.setattr("repro.gpu.device.compute_occupancy", counted)
         return keys
 
-    def test_road_bfs_pays_only_for_non_empty_stages(self, road_graph, occupancy_keys):
+    def test_road_bfs_pays_only_for_non_empty_stages(
+        self, road_graph, occupancy_keys, monkeypatch
+    ):
         from repro.algorithms import BFS
+        from repro.core import pricing
         from repro.core.engine import SIMDXEngine
 
         stage_vertices = []
+        stage_work = pricing.stage_work
 
-        class CountingEngine(SIMDXEngine):
-            def _stage_work(self, num_vertices, *args, **kwargs):
-                stage_vertices.append(num_vertices)
-                return super()._stage_work(num_vertices, *args, **kwargs)
+        def counting(num_vertices, *args, **kwargs):
+            stage_vertices.append(num_vertices)
+            return stage_work(num_vertices, *args, **kwargs)
 
+        monkeypatch.setattr(pricing, "stage_work", counting)
         device = _CountingDevice()
-        engine = CountingEngine(road_graph, device=device)
+        engine = SIMDXEngine(road_graph, device=device)
         result = engine.run(BFS(source=0))
         assert not result.failed
 
