@@ -22,26 +22,26 @@ def test_section73_device_scaling(ctx):
 
     rows = {r["system"]: r for r in result["rows"]}
 
-    # A system's devices are averaged over one graph set: the graphs it
-    # completed on every device, and no other.
-    for system, row in rows.items():
-        assert row["graphs"], system
-        runs = {
-            device: {
-                abbrev: ctx.run(system, abbrev, "bfs", device_spec=get_device_spec(device))
-                for abbrev in ctx.datasets
-            }
-            for device in row["mean_ms"]
+    # Every system and device is averaged over one graph set: the graphs
+    # all three systems completed on every device, and no other.
+    runs = {
+        (system, device): {
+            abbrev: ctx.run(system, abbrev, "bfs", device_spec=get_device_spec(device))
+            for abbrev in ctx.datasets
         }
-        completed = [
-            g for g in ctx.datasets
-            if not any(runs[device][g].failed for device in runs)
-        ]
-        assert row["graphs"] == completed, system
-        for device, by_graph in runs.items():
-            assert row["mean_ms"][device] == pytest.approx(
-                np.mean([by_graph[g].elapsed_ms for g in completed])
-            ), (system, device)
+        for system in rows
+        for device in rows[system]["mean_ms"]
+    }
+    common = [
+        g for g in ctx.datasets
+        if not any(by_graph[g].failed for by_graph in runs.values())
+    ]
+    assert result["graphs"] == common
+    assert common
+    for (system, device), by_graph in runs.items():
+        assert rows[system]["mean_ms"][device] == pytest.approx(
+            np.mean([by_graph[g].elapsed_ms for g in common])
+        ), (system, device)
 
     # Every system gets faster on newer devices.
     for system, row in rows.items():

@@ -19,10 +19,9 @@ re-relaxations a BSP schedule performs).
 
 The paper also reports that Galois *fails to converge* for SSSP on the
 Europe-osm road network; its asynchronous delta-stepping implementation
-struggles on graphs whose diameter is in the thousands. With
-``reproduce_paper_failures=True`` (the default) the same failure is reported
-for SSSP on high-diameter road graphs so Table 4 keeps its blank cell; pass
-``False`` to let the run complete instead.
+struggles on graphs whose diameter is in the thousands. The same failure
+is reported for SSSP on the Europe-osm analogue, so Table 4 keeps its blank
+cell.
 """
 
 from __future__ import annotations
@@ -45,17 +44,11 @@ class GaloisLike(PricedSystem):
     #: (priority scheduling skips some re-relaxations).
     WORK_EFFICIENCY = 0.8
 
-    def __init__(
-        self,
-        cpu: Optional[CPUSpec] = None,
-        *,
-        reproduce_paper_failures: bool = True,
-    ):
+    def __init__(self, cpu: Optional[CPUSpec] = None):
         self.cpu = cpu if cpu is not None else DEFAULT_CPU
-        self.reproduce_paper_failures = reproduce_paper_failures
 
     def run(self, algorithm: ACCAlgorithm, graph: CSRGraph, **kwargs) -> RunResult:
-        if self.reproduce_paper_failures and self._known_failure(algorithm, graph):
+        if self._known_failure(algorithm, graph):
             return RunResult.failure(
                 self.SYSTEM_NAME,
                 algorithm.name,

@@ -270,23 +270,14 @@ class BatchDirectionPolicy:
         *,
         total_edges: int,
         num_lanes: int,
-        to_pull_threshold: float = 0.05,
-        to_push_threshold: float = 0.01,
         start_direction: Direction = Direction.PUSH,
-        traffic_model: TrafficModel = DEFAULT_TRAFFIC_MODEL,
     ):
-        self.traffic_model = traffic_model
         self.lane_selectors = [
             DirectionSelector(
-                total_edges=total_edges,
-                to_pull_threshold=to_pull_threshold,
-                to_push_threshold=to_push_threshold,
-                start_direction=start_direction,
+                total_edges=total_edges, start_direction=start_direction
             )
             for _ in range(num_lanes)
         ]
-        #: One entry per planned iteration: True when the batch split.
-        self.split_history: List[bool] = []
 
     def plan(
         self,
@@ -304,7 +295,6 @@ class BatchDirectionPolicy:
         for the lane's own gather worklist; ``pull_scan_fraction`` scales
         the scan for voting combines (collaborative early termination).
         """
-        model = self.traffic_model
         preferences: Dict[int, Direction] = {}
         for lane in live:
             preferences[lane] = self.lane_selectors[lane].decide(
@@ -315,7 +305,6 @@ class BatchDirectionPolicy:
         pull_lanes = tuple(l for l in live if preferences[l] is Direction.PULL)
         if not push_lanes or not pull_lanes:
             agreed = Direction.PULL if pull_lanes else Direction.PUSH
-            self.split_history.append(False)
             return SplitDecision(
                 groups=(SubBatchPlan(agreed, tuple(live)),),
                 split=False,
@@ -340,7 +329,6 @@ class BatchDirectionPolicy:
         split_cost = sum(scores[l].cost(preferences[l]) for l in live)
         benefit = union_cost - split_cost
         if benefit > self.margin * max(union_cost, 1.0):
-            self.split_history.append(True)
             return SplitDecision(
                 groups=(
                     SubBatchPlan(Direction.PUSH, push_lanes),
@@ -350,31 +338,12 @@ class BatchDirectionPolicy:
                 benefit_ops=benefit,
                 reason="split",
             )
-        self.split_history.append(False)
         return SplitDecision(
             groups=(SubBatchPlan(union_direction, tuple(live)),),
             split=False,
             benefit_ops=0.0,
             reason="margin",
         )
-
-    def force(self, groups: Sequence[SubBatchPlan]) -> None:
-        """Record an externally-imposed grouping (a forced split schedule).
-
-        The lane-axis analogue of :meth:`DirectionSelector.force`: each
-        lane's selector records the direction its group actually executed,
-        so the per-lane hysteresis of later *automatic* iterations starts
-        from what ran rather than from a stale preference, and
-        ``split_history`` counts the forced iteration like any other.
-        """
-        for group in groups:
-            for lane in group.lanes:
-                self.lane_selectors[lane].force(group.direction)
-        self.split_history.append(len(groups) > 1)
-
-    def splits(self) -> int:
-        """Number of planned iterations that split the batch."""
-        return sum(1 for s in self.split_history if s)
 
     # ------------------------------------------------------------------
     def _score(
@@ -396,10 +365,10 @@ class BatchDirectionPolicy:
             pull_scanned=scanned,
             pull_candidates=candidates,
             pull_active=active,
-            push_cost=self.traffic_model.push_cost_ops(
+            push_cost=DEFAULT_TRAFFIC_MODEL.push_cost_ops(
                 push_edges, frontier_vertices
             ),
-            pull_cost=self.traffic_model.pull_cost_ops(
+            pull_cost=DEFAULT_TRAFFIC_MODEL.pull_cost_ops(
                 scanned, active, candidates
             ),
             preferred=preferred,

@@ -51,12 +51,7 @@ import numpy as np
 
 from repro.core.acc import ACCAlgorithm
 from repro.core.direction import BatchDirectionPolicy, Direction, SubBatchPlan
-from repro.core.filters import (
-    FilterContext,
-    FilterMode,
-    FilterOverflowError,
-    FilterResult,
-)
+from repro.core.filters import FilterContext, FilterMode, FilterResult
 from repro.core.frontier import ClassifiedFrontier, WorklistClassifier
 from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
 from repro.core.fusion import FusionStrategy
@@ -367,17 +362,19 @@ class SIMDXEngine:
         stream: Stream,
         iteration: int,
         success_rate: float = 1.0,
-    ) -> Tuple[FilterResult, str]:
+    ) -> FilterResult:
         """Task management of one work unit.
 
         ``classified`` is the executed worklist (in push mode the active
         frontier in a single run, the lane union in a batch, a shard's slice
         of either - its largest out-degree bounds a scatter worker's
         recordings); ``active_mask``/``expansion`` describe what the unit
-        updated and ``stream`` carries the filter state and the device whose
-        memory the filter's transient buffer must fit. Returns
-        ``(filter_result, filter_name)``; one tail keeps batched and sharded
-        units' task management exactly like a single-source iteration's.
+        updated and ``stream`` carries the controller - adaptive under
+        ``FilterMode.JIT``, pinned to one filter otherwise; its last
+        decision names the filter that ran - and the device whose memory
+        the filter's transient buffer must fit. One tail keeps batched and
+        sharded units' task management exactly like a single-source
+        iteration's.
         """
         # The online/batch filters record destinations that just
         # became active, as observed by the worker that updated them.
@@ -400,21 +397,7 @@ class SIMDXEngine:
             max_producer_records=max_producer_records,
             success_rate=success_rate,
         )
-        jit = stream.jit
-        if jit is not None:
-            filter_result = jit.build(ctx, iteration, direction=direction)
-            filter_name = jit.decisions[-1].filter_used
-        else:
-            filter_result = stream.standalone_filter.build(ctx)
-            filter_name = stream.standalone_filter.name
-            if (
-                filter_result.overflowed
-                and self.config.filter_mode == FilterMode.ONLINE
-            ):
-                raise FilterOverflowError(
-                    f"iteration {iteration}: thread bin exceeded "
-                    f"{self.config.overflow_threshold} entries"
-                )
+        filter_result = stream.jit.build(ctx, iteration, direction=direction)
 
         # Batch-filter style approaches need the active edge list resident;
         # its size scales with the modeled graph like everything else.
@@ -423,7 +406,7 @@ class SIMDXEngine:
                 int(filter_result.extra_memory_bytes * self.graph.modeled_edge_scale()),
                 label="active_edge_list",
             ))
-        return filter_result, filter_name
+        return filter_result
 
     # ------------------------------------------------------------------
     # Functional primitives shared by every expansion

@@ -30,7 +30,8 @@ are parameterized here-ish for reference:
   (64 entries by default, the Figure 9a knob); a non-overflowing shadow run
   switches back. The controller is also direction-aware: pull phases force
   the online filter (a gather worker records at most one destination) and a
-  pull->push switch pre-arms the ballot filter.
+  pull->push switch pre-arms the ballot filter. The other
+  :class:`FilterMode` values pin the same controller to one filter.
 
 Each filter performs the *functional* worklist construction with NumPy and
 reports the work a GPU implementation would have done, so the engine can
@@ -60,11 +61,11 @@ class FilterMode(enum.Enum):
 
 
 class FilterOverflowError(RuntimeError):
-    """Raised when a standalone online filter overflows its thread bins.
+    """Raised when a pinned online filter overflows its thread bins.
 
     Under JIT control overflow is handled by switching filters; when the user
-    forces ``FilterMode.ONLINE`` the worklist would be silently incomplete,
-    so the engine surfaces the failure instead (these are the blank "cannot
+    pins ``FilterMode.ONLINE`` the worklist would be silently incomplete, so
+    the controller surfaces the failure instead (these are the blank "cannot
     complete" cells of Figure 12 for the online-only configuration).
     """
 
@@ -240,13 +241,3 @@ class BatchFilter(Filter):
             extra_memory_bytes=edge_list_bytes,
         )
 
-
-def make_filter(mode: FilterMode, *, online_capacity: int = 64) -> Filter:
-    """Instantiate the filter for a non-JIT mode."""
-    if mode == FilterMode.ONLINE:
-        return OnlineFilter(capacity=online_capacity)
-    if mode == FilterMode.BALLOT:
-        return BallotFilter()
-    if mode == FilterMode.BATCH:
-        return BatchFilter()
-    raise ValueError(f"{mode} is not a standalone filter (use JITTaskManager)")

@@ -54,6 +54,13 @@ recording workers can observe:
 
 Every :class:`JITDecision` records the direction that drove it (and whether
 the ballot was pre-armed), so the Figure 8 traces can be read per phase.
+
+The same controller serves every :class:`~repro.core.filters.FilterMode`:
+the Figure 12 ablations pin it to one filter (online, ballot or batch)
+instead of choosing per iteration, so a pinned run records its decisions
+exactly like an adaptive one. A pinned online filter has nothing to fall
+back to: an overflow would silently truncate the worklist, so it raises
+:class:`~repro.core.filters.FilterOverflowError`.
 """
 
 from __future__ import annotations
@@ -64,7 +71,10 @@ from typing import List, Optional
 from repro.core.direction import Direction
 from repro.core.filters import (
     BallotFilter,
+    BatchFilter,
     FilterContext,
+    FilterMode,
+    FilterOverflowError,
     FilterResult,
     OnlineFilter,
 )
@@ -77,7 +87,7 @@ class JITDecision:
     """Record of one iteration's filter choice (Figure 8 raw data)."""
 
     iteration: int
-    filter_used: str           # "online" or "ballot"
+    filter_used: str           # "online", "ballot" or (pinned) "batch"
     overflowed: bool
     worklist_size: int
     #: Execution direction of the iteration whose worklist this built -
@@ -89,20 +99,29 @@ class JITDecision:
 
 
 class JITTaskManager:
-    """Adaptive controller choosing between the online and ballot filters."""
+    """The task-management controller: adaptive between the online and
+    ballot filters under ``FilterMode.JIT``, pinned to the mode's filter
+    under any other mode."""
 
     def __init__(
         self,
+        mode: FilterMode = FilterMode.JIT,
         *,
         overflow_threshold: int = DEFAULT_OVERFLOW_THRESHOLD,
         shadow_online: bool = True,
     ):
         if overflow_threshold <= 0:
             raise ValueError("overflow_threshold must be positive")
+        self.mode = mode
         self.overflow_threshold = overflow_threshold
         self.shadow_online = shadow_online
         self.online = OnlineFilter(capacity=overflow_threshold)
         self.ballot = BallotFilter()
+        #: The one filter a non-JIT mode runs every iteration.
+        self.pinned = {
+            FilterMode.JIT: None, FilterMode.ONLINE: self.online,
+            FilterMode.BALLOT: self.ballot, FilterMode.BATCH: BatchFilter(),
+        }[mode]
         self._use_ballot = False
         self._last_direction: Optional[Direction] = None
         self.decisions: List[JITDecision] = []
@@ -119,11 +138,6 @@ class JITTaskManager:
         """
         return self._last_direction
 
-    def reset(self) -> None:
-        self._use_ballot = False
-        self._last_direction = None
-        self.decisions.clear()
-
     def fork(self) -> "JITTaskManager":
         """Clone the controller state for a split-off sub-batch.
 
@@ -136,9 +150,11 @@ class JITTaskManager:
         hands back to push pre-arms the ballot from *its own* frontier's
         degree bound, not the merged batch's. Decisions recorded after the
         fork stay private to the fork; the engine aggregates them for
-        ``RunResult.extra``.
+        ``RunResult.extra``. A pinned controller forks pinned to the same
+        filter.
         """
         fork = JITTaskManager(
+            self.mode,
             overflow_threshold=self.overflow_threshold,
             shadow_online=self.shadow_online,
         )
@@ -165,10 +181,13 @@ class JITTaskManager:
         the first push iteration after a pull pre-arms the ballot filter
         instead of waiting for the overflow signal whenever a single worker
         could overflow its bin (``ctx.max_producer_records`` exceeds the
-        overflow threshold).
+        overflow threshold). A pinned controller runs its filter and
+        nothing else.
         """
         prev_direction = self._last_direction
         self._last_direction = direction
+        if self.pinned is not None:
+            return self._build_pinned(ctx, iteration, direction)
 
         online_result = self.online.build(ctx)
 
@@ -218,6 +237,21 @@ class JITTaskManager:
             iteration, "ballot", online_result.overflowed, result, direction,
             pre_armed=pre_armed,
         )
+        return result
+
+    def _build_pinned(
+        self, ctx: FilterContext, iteration: int, direction: Direction
+    ) -> FilterResult:
+        """A non-JIT mode: the pinned filter builds every worklist. Only the
+        online filter can overflow, and pinned it has no ballot to fall
+        back to (the blank cells of Figure 12's online-only row)."""
+        result = self.pinned.build(ctx)
+        if result.overflowed:
+            raise FilterOverflowError(
+                f"iteration {iteration}: thread bin exceeded "
+                f"{self.overflow_threshold} entries"
+            )
+        self._record(iteration, self.pinned.name, False, result, direction)
         return result
 
     def _build_pull(
@@ -272,22 +306,6 @@ class JITTaskManager:
         )
 
     # ------------------------------------------------------------------
-    # Trace queries (Figure 8)
-    # ------------------------------------------------------------------
-    def filter_trace(self) -> List[str]:
-        """Filter used at each iteration, in order."""
-        return [d.filter_used for d in self.decisions]
-
-    def direction_trace(self) -> List[str]:
-        """Direction that drove each decision, in order."""
-        return [d.direction for d in self.decisions]
-
-    def ballot_iterations(self) -> List[int]:
-        return [d.iteration for d in self.decisions if d.filter_used == "ballot"]
-
-    def online_iterations(self) -> List[int]:
-        return [d.iteration for d in self.decisions if d.filter_used == "online"]
-
     def pre_armed_iterations(self) -> List[int]:
         """Iterations whose ballot ran because of a pull->push switch."""
         return [d.iteration for d in self.decisions if d.pre_armed]

@@ -18,6 +18,8 @@ constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -55,7 +57,9 @@ class IterationRecord:
     each lane drained in; and, under ``EngineConfig.atomic_combine`` only
     (``None`` otherwise), the :class:`~repro.gpu.atomics.AtomicProfile` of
     the update destinations the unit's Combine was priced with - in a
-    batched unit, the edges on which any lane produced an update.
+    batched unit, one atomic per valid update, addressed by its (lane,
+    destination) pair (lanes write separate metadata rows), so its
+    ``num_ops`` equals ``updates_valid``.
 
     The four ``*_us`` fields are priced (:func:`repro.core.pricing.price`;
     0.0 until then) from the fields after ``atomic_profile``, which the
@@ -114,7 +118,8 @@ class RunResult:
     ``values`` is the user-facing result (distances, ranks, core flags...);
     ``elapsed_us`` the simulated GPU time (or modelled CPU time for the CPU
     baselines); ``failed``/``failure_reason`` record OOM or non-convergence
-    the way Table 4's blank cells do.
+    the way Table 4's blank cells do. ``iteration_records`` is the run's
+    one per-iteration log: the traces are views of it.
     """
 
     system: str
@@ -127,14 +132,31 @@ class RunResult:
     failed: bool = False
     failure_reason: str = ""
     kernel_launches: int = 0
-    filter_trace: List[str] = field(default_factory=list)
-    direction_trace: List[str] = field(default_factory=list)
     iteration_records: List[IterationRecord] = field(default_factory=list)
     extra: Dict[str, object] = field(default_factory=dict)
 
     @property
     def elapsed_ms(self) -> float:
         return self.elapsed_us / 1000.0
+
+    @property
+    def filter_trace(self) -> List[str]:
+        """The filter each iteration ran (Figure 8): one entry per
+        iteration, its units' ``filter_used`` joined by ``+``."""
+        return self._trace("filter_used")
+
+    @property
+    def direction_trace(self) -> List[str]:
+        """The direction each iteration ran, its units' joined by ``+``."""
+        return self._trace("direction")
+
+    def _trace(self, name: str) -> List[str]:
+        return [
+            "+".join(getattr(r, name) for r in units)
+            for _, units in groupby(
+                self.iteration_records, key=attrgetter("iteration")
+            )
+        ]
 
     @classmethod
     def failure(
@@ -145,8 +167,10 @@ class RunResult:
         reason: str,
         *,
         device: str = "",
+        **fields,
     ) -> "RunResult":
-        """Construct the record for a failed run (OOM, non-convergence)."""
+        """Construct the record for a failed run (OOM, non-convergence);
+        ``fields`` sets a subclass's own (a batch's ``sources``)."""
         return cls(
             system=system,
             algorithm=algorithm,
@@ -157,11 +181,12 @@ class RunResult:
             device=device,
             failed=True,
             failure_reason=reason,
+            **fields,
         )
 
 
 @dataclass
-class BatchRunResult:
+class BatchRunResult(RunResult):
     """Outcome of one batched multi-source execution (``run_batch``).
 
     One row per query lane: ``metadata[k]`` is lane k's final metadata
@@ -190,31 +215,13 @@ class BatchRunResult:
     record-for-record identical to the single run, delta-stepping included.
     """
 
-    system: str
-    algorithm: str
-    graph: str
-    sources: List[int]
-    metadata: Optional[np.ndarray]      # (num_lanes, num_vertices)
-    values: Optional[np.ndarray]        # (num_lanes, num_vertices)
-    elapsed_us: float
-    iterations: int
+    sources: List[int] = field(default_factory=list)
+    metadata: Optional[np.ndarray] = None  # (num_lanes, num_vertices)
     lane_iterations: List[int] = field(default_factory=list)
-    device: str = ""
-    failed: bool = False
-    failure_reason: str = ""
-    kernel_launches: int = 0
-    filter_trace: List[str] = field(default_factory=list)
-    direction_trace: List[str] = field(default_factory=list)
-    iteration_records: List[IterationRecord] = field(default_factory=list)
-    extra: Dict[str, object] = field(default_factory=dict)
 
     @property
     def num_lanes(self) -> int:
         return len(self.sources)
-
-    @property
-    def elapsed_ms(self) -> float:
-        return self.elapsed_us / 1000.0
 
     @property
     def queries_per_second(self) -> float:
@@ -222,31 +229,6 @@ class BatchRunResult:
         if self.failed or self.elapsed_us == 0:
             return float("nan")
         return self.num_lanes / (self.elapsed_us / 1e6)
-
-    @classmethod
-    def failure(
-        cls,
-        system: str,
-        algorithm: str,
-        graph: str,
-        sources: List[int],
-        reason: str,
-        *,
-        device: str = "",
-    ) -> "BatchRunResult":
-        return cls(
-            system=system,
-            algorithm=algorithm,
-            graph=graph,
-            sources=list(sources),
-            metadata=None,
-            values=None,
-            elapsed_us=float("inf"),
-            iterations=0,
-            device=device,
-            failed=True,
-            failure_reason=reason,
-        )
 
 
 @dataclass

@@ -27,8 +27,9 @@ selector decision - and the schedule runs them:
    ``SIMDXEngine._combine_and_apply`` - on one device right after its one
    Compute call, sharded in the superstep's last unit.
 2. **Tail** - every unit goes through the shared task-management tail
-   (``SIMDXEngine._finish_iteration``) and emits one
-   :class:`~repro.core.metrics.IterationRecord`.
+   (``SIMDXEngine._finish_iteration``, one controller for every filter
+   mode) and emits one :class:`~repro.core.metrics.IterationRecord`, the
+   run's one per-iteration log (the traces are views of it).
 
 Once the loop ends, :func:`~repro.core.pricing.price` charges the records
 to the streams' devices: execution decides what ran and whether it fit in
@@ -83,9 +84,7 @@ from repro.core.direction import (
     DirectionSelector,
     SubBatchPlan,
 )
-from repro.core.filters import (
-    FilterMode, FilterOverflowError, make_filter,
-)
+from repro.core.filters import FilterMode, FilterOverflowError
 from repro.core.frontier import (
     LANES_PER_WORD,
     BatchedFrontier,
@@ -151,14 +150,13 @@ class Stream:
     Owns the vertex range ``[start, stop)``, the simulated device (its
     memory during the run, its launches once the run is priced), the
     direction selector deciding for that range's frontier slice, and the
-    task-management state (JIT controller or standalone filter plus the
-    sortedness of the worklist it last produced). Stream identity affects
-    cost and traces only, never values.
+    task-management state (the controller, adaptive or pinned to the
+    configured filter, plus the sortedness of the worklist it last
+    produced). Stream identity affects cost and traces only, never values.
     """
 
     __slots__ = (
-        "index", "start", "stop", "device", "jit",
-        "standalone_filter", "selector", "sortedness",
+        "index", "start", "stop", "device", "jit", "selector", "sortedness",
         "modeled_vertices", "modeled_edges",
     )
 
@@ -170,17 +168,11 @@ class Stream:
         cfg = engine.config
         self.index, self.start, self.stop = index, start, stop
         self.device = device
-        self.jit: Optional[JITTaskManager] = None
-        self.standalone_filter = None
-        if cfg.filter_mode == FilterMode.JIT:
-            self.jit = JITTaskManager(
-                overflow_threshold=cfg.overflow_threshold,
-                shadow_online=cfg.shadow_online,
-            )
-        else:
-            self.standalone_filter = make_filter(
-                cfg.filter_mode, online_capacity=cfg.overflow_threshold
-            )
+        self.jit: Optional[JITTaskManager] = JITTaskManager(
+            cfg.filter_mode,
+            overflow_threshold=cfg.overflow_threshold,
+            shadow_online=cfg.shadow_online,
+        )
         self.selector = DirectionSelector(
             total_edges=total_edges, start_direction=start_direction
         )
@@ -329,13 +321,9 @@ class SuperstepDriver:
         self.lanes: Optional[LaneSet] = None
         self.sanitizer: Optional[RuntimeSanitizer] = None
         self.side: Optional[Stream] = None
-        #: Every JIT controller that ran: the streams' own plus side forks.
-        self.jits: List[JITTaskManager] = [
-            s.jit for s in streams if s.jit is not None
-        ]
+        #: Every controller that ran: the streams' own plus side forks.
+        self.jits: List[JITTaskManager] = [s.jit for s in streams]
         self.records: List[IterationRecord] = []
-        self.filter_trace: List[str] = []
-        self.direction_trace: List[str] = []
         self.split_iterations: List[int] = []
         self.lane_iterations: List[int] = []
         self.boundary_updates = 0
@@ -405,8 +393,8 @@ class SuperstepDriver:
 
         return self._guarded(
             body, len(sources), lambda reason: BatchRunResult.failure(
-                engine.SYSTEM_NAME, algorithm.name, graph.name, sources,
-                reason, device=self.device_name,
+                engine.SYSTEM_NAME, algorithm.name, graph.name, reason,
+                device=self.device_name, sources=list(sources),
             ),
         )
 
@@ -472,8 +460,6 @@ class SuperstepDriver:
             iterations=self.iteration,
             device=self.device_name,
             kernel_launches=launches,
-            filter_trace=self.filter_trace,
-            direction_trace=self.direction_trace,
             iteration_records=self.records,
             extra=self._extra(breakdown, batch_keys),
         )
@@ -567,9 +553,6 @@ class SuperstepDriver:
                         stream, step.received[stream.index]
                     )
                 self.records[-1].received = tuple(step.received)
-            tail = self.records[len(self.records) - len(units):]
-            self.direction_trace.append("+".join(r.direction for r in tail))
-            self.filter_trace.append("+".join(r.filter_used for r in tail))
 
             # ---------------- next frontiers ----------------------------
             # The one next-frontier rule: a lane continues from a ballot
@@ -762,7 +745,7 @@ class SuperstepDriver:
             if self.side is None:
                 self.side = copy.copy(main)
                 self.side.jit, self.side.sortedness = None, 1.0
-            if main.jit is not None and self.side.jit is None:
+            if self.side.jit is None:
                 self.side.jit = main.jit.fork()
                 self.jits.append(self.side.jit)
         elif self.side is not None:
@@ -1097,11 +1080,12 @@ class SuperstepDriver:
             )
         success_rate = 1.0
         if (
-            push and stream.jit is not None
+            push and stream.jit.mode is FilterMode.JIT
             and stream.jit.last_direction is Direction.PULL
         ):
             # Pull->push hand-over on this stream: the pre-arm bound folds
-            # in the expected offer success rate.
+            # in the expected offer success rate (only the adaptive
+            # controller reads it).
             success_rate = self._offer_success_rate(unit.lanes, step)
         atomic_profile = None
         if engine.config.atomic_combine:
@@ -1110,7 +1094,7 @@ class SuperstepDriver:
             atomic_profile = profile_atomic_updates(
                 _concat(keys) if keys else _EMPTY
             )
-        filter_result, filter_name = engine._finish_iteration(
+        filter_result = engine._finish_iteration(
             classified=classified,
             direction=unit.direction,
             expansion=expansion,
@@ -1130,7 +1114,7 @@ class SuperstepDriver:
             direction=unit.direction.value,
             frontier_vertices=int(unit.frontier.size),
             frontier_edges=int(classified.total_edges),
-            filter_used=filter_name,
+            filter_used=stream.jit.decisions[-1].filter_used,
             filter_overflowed=filter_result.overflowed,
             active_edges=int(expansion.active_edges),
             lane_edge_pairs=unit.lane_pairs if lanes.batched else 0,

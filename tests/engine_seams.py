@@ -46,6 +46,19 @@ SplitSchedule = Callable[
 ]
 
 
+def force_groups(policy, groups: Sequence[SubBatchPlan]) -> None:
+    """Record an externally-imposed grouping on a ``BatchDirectionPolicy``.
+
+    The lane-axis analogue of ``DirectionSelector.force``: each lane's
+    selector records the direction its group actually executed, so the
+    per-lane hysteresis of later *automatic* iterations starts from what
+    ran rather than from a stale preference.
+    """
+    for group in groups:
+        for lane in group.lanes:
+            policy.lane_selectors[lane].force(group.direction)
+
+
 class ScheduledEngine(SIMDXEngine):
     """A :class:`SIMDXEngine` driven by explicit schedules.
 
@@ -102,10 +115,10 @@ class ScheduledEngine(SIMDXEngine):
                 f"the live lanes {sorted(live)}, got {sorted(seen)}"
             )
         if policy is not None:
-            # Keep the per-lane selectors (and split_history) in step with
-            # what actually executes, so automatic iterations interleaved
-            # with forced ones plan from real hysteresis.
-            policy.force(groups)
+            # Keep the per-lane selectors in step with what actually
+            # executes, so automatic iterations interleaved with forced
+            # ones plan from real hysteresis.
+            force_groups(policy, groups)
         return groups
 
 
@@ -215,15 +228,15 @@ class FrontierRecordingEngine(ScheduledEngine):
         return groups
 
     def _finish_iteration(self, **kwargs):
-        out = super()._finish_iteration(**kwargs)
-        iteration, result = kwargs["iteration"], out[0]
+        result = super()._finish_iteration(**kwargs)
+        iteration = kwargs["iteration"]
         index = sum(1 for p in self.passes if p[0] == iteration)
         groups = self._groups.get(iteration)
         self.passes.append((
             iteration, groups[index] if groups else (0,),
             result.worklist.copy(), result.is_sorted,
         ))
-        return out
+        return result
 
     def _recording(self, algorithm):
         frontiers, engine = self.frontiers, self

@@ -251,12 +251,6 @@ class TestCPUBaselines:
         assert result.failed
         assert "converge" in result.failure_reason
 
-    def test_galois_failure_reproduction_can_be_disabled(self):
-        graph = load_dataset("ER", scale=0.25)
-        result = GaloisLike(reproduce_paper_failures=False).run(SSSP(source=0), graph)
-        assert not result.failed
-        assert_distances_equal(result.values, ref.sssp_distances(graph, 0))
-
     def test_custom_cpu_spec_scales_time(self, rmat_graph):
         fast = CPUSpec(cores=56, edge_ns=8.0)
         slow = CPUSpec(cores=14, edge_ns=32.0)

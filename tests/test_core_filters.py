@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,10 @@ from repro.core.filters import (
     BatchFilter,
     FilterContext,
     FilterMode,
+    FilterOverflowError,
     OnlineFilter,
-    make_filter,
 )
+from repro.core.direction import Direction
 from repro.core.jit import JITTaskManager, run_length_pattern
 from repro.gpu.kernel import WorkEstimate
 
@@ -142,21 +145,65 @@ class TestBatchFilter:
         assert large.extra_memory_bytes > 100 * small.extra_memory_bytes
 
 
-class TestMakeFilter:
-    @pytest.mark.parametrize(
-        "mode,cls",
-        [
-            (FilterMode.ONLINE, OnlineFilter),
-            (FilterMode.BALLOT, BallotFilter),
-            (FilterMode.BATCH, BatchFilter),
-        ],
-    )
-    def test_factory(self, mode, cls):
-        assert isinstance(make_filter(mode), cls)
+def _filters_used(controller: JITTaskManager):
+    return [d.filter_used for d in controller.decisions]
 
-    def test_jit_is_not_a_standalone_filter(self):
-        with pytest.raises(ValueError):
-            make_filter(FilterMode.JIT)
+
+class TestPinnedController:
+    """A non-JIT mode pins the one controller to that mode's filter."""
+
+    PINNED = [
+        (FilterMode.ONLINE, lambda: OnlineFilter(capacity=8)),
+        (FilterMode.BALLOT, BallotFilter),
+        (FilterMode.BATCH, BatchFilter),
+    ]
+
+    @pytest.mark.parametrize("mode,make", PINNED)
+    def test_builds_what_its_filter_builds(self, mode, make):
+        controller = JITTaskManager(mode, overflow_threshold=8)
+        for iteration, ctx in enumerate(
+            (make_ctx(), make_ctx(updated=(1, 2), active=(1, 2))), start=1
+        ):
+            got, expected = controller.build(ctx, iteration), make().build(ctx)
+            assert np.array_equal(got.worklist, expected.worklist)
+            assert got.work == expected.work
+            assert got.is_sorted == expected.is_sorted
+            # The batch filter's edge list, which the engine allocates.
+            assert got.extra_memory_bytes == expected.extra_memory_bytes
+        # One decision per build, naming the pinned filter.
+        assert [(d.iteration, d.overflowed) for d in controller.decisions] == [
+            (1, False), (2, False),
+        ]
+        assert _filters_used(controller) == [make().name] * 2
+
+    def test_pinned_online_overflow_raises(self):
+        controller = JITTaskManager(FilterMode.ONLINE, overflow_threshold=8)
+        ctx = make_ctx(updated=tuple(range(40)), num_threads=1)
+        with pytest.raises(
+            FilterOverflowError, match="iteration 3: thread bin exceeded 8 entries"
+        ):
+            controller.build(ctx, 3)
+
+    def test_pinned_controller_never_pre_arms(self):
+        controller = JITTaskManager(FilterMode.ONLINE, overflow_threshold=4)
+        controller.build(make_ctx(updated=(1,)), 1, direction=Direction.PULL)
+        # A hub past the threshold at a pull->push switch: JIT would
+        # pre-arm the ballot, a pinned controller runs its filter.
+        controller.build(
+            replace(make_ctx(updated=(1, 2)), max_producer_records=10),
+            2, direction=Direction.PUSH,
+        )
+        assert _filters_used(controller) == ["online", "online"]
+        assert controller.pre_armed_iterations() == []
+
+    @pytest.mark.parametrize("mode", list(FilterMode))
+    def test_fork_keeps_the_mode(self, mode):
+        fork = JITTaskManager(mode, overflow_threshold=8).fork()
+        assert fork.mode is mode
+        assert fork.overflow_threshold == 8
+        expected = {FilterMode.JIT: None, FilterMode.ONLINE: "online",
+                    FilterMode.BALLOT: "ballot", FilterMode.BATCH: "batch"}[mode]
+        assert getattr(fork.pinned, "name", None) == expected
 
 
 class TestJITTaskManager:
@@ -164,7 +211,7 @@ class TestJITTaskManager:
         jit = JITTaskManager(overflow_threshold=8)
         result = jit.build(make_ctx(), iteration=1)
         assert not jit._use_ballot
-        assert jit.filter_trace() == ["online"]
+        assert _filters_used(jit) == ["online"]
         assert not result.is_sorted
 
     def test_switches_to_ballot_on_overflow(self):
@@ -185,7 +232,7 @@ class TestJITTaskManager:
         jit.build(make_ctx(updated=(1, 2)), iteration=2)
         # The shadow online filter did not overflow, so iteration 3 is online.
         assert not jit._use_ballot
-        assert jit.filter_trace() == ["ballot", "ballot"]
+        assert _filters_used(jit) == ["ballot", "ballot"]
 
     def test_no_switch_back_without_shadow(self):
         jit = JITTaskManager(overflow_threshold=4, shadow_online=False)
@@ -211,16 +258,11 @@ class TestJITTaskManager:
         assert len(jit.decisions) == 3
         # Iteration 3 still runs the ballot filter (the switch back to the
         # online filter takes effect the following iteration).
-        assert jit.ballot_iterations() == [2, 3]
-        assert jit.online_iterations() == [1]
-        assert run_length_pattern(jit.filter_trace()) == "online*1, ballot*2"
-
-    def test_reset(self):
-        jit = JITTaskManager(overflow_threshold=4)
-        jit.build(make_ctx(updated=tuple(range(50)), num_threads=1), 1)
-        jit.reset()
-        assert not jit._use_ballot
-        assert jit.decisions == []
+        ballot = [d.iteration for d in jit.decisions if d.filter_used == "ballot"]
+        online = [d.iteration for d in jit.decisions if d.filter_used == "online"]
+        assert ballot == [2, 3]
+        assert online == [1]
+        assert run_length_pattern(_filters_used(jit)) == "online*1, ballot*2"
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

@@ -180,15 +180,15 @@ class TestControllerUnit:
         )
         assert jit.decisions[-1].filter_used == "online"
 
-    def test_reset_clears_direction_memory(self):
+    def test_fresh_controller_has_no_direction_memory(self):
+        # Every run builds its own controllers: no pull precedes the first
+        # push, so a hub in its frontier does not pre-arm the ballot.
         jit = JITTaskManager(overflow_threshold=4)
-        jit.build(pull_ctx(), 1, direction=Direction.PULL)
-        jit.reset()
+        assert jit.last_direction is None
         jit.build(
             make_ctx(updated=(1, 2), max_producer_records=10), 1,
             direction=Direction.PUSH,
         )
-        # No pull preceded this push in the controller's (reset) history.
         assert jit.decisions[-1].filter_used == "online"
 
 

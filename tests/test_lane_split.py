@@ -38,7 +38,9 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.frontier import BatchedFrontier
 from repro.core.jit import JITTaskManager
 from repro.graph import generators as gen
-from tests.engine_seams import ScheduledEngine, random_split_schedule
+from tests.engine_seams import (
+    ScheduledEngine, force_groups, random_split_schedule,
+)
 
 #: ``REPRO_SANITIZE=1`` runs every engine here armed (conftest.py).
 pytestmark = pytest.mark.usefixtures("armed_by_env")
@@ -85,7 +87,6 @@ class TestBatchDirectionPolicy:
         assert decision.groups == (
             SubBatchPlan(Direction.PUSH, (0, 1, 2)),
         )
-        assert policy.splits() == 0
 
     def test_divergence_past_margin_splits_push_group_first(self):
         policy = self._policy(margin=0.01)
@@ -103,7 +104,6 @@ class TestBatchDirectionPolicy:
         assert decision.benefit_ops > 0
         assert decision.groups[0] == SubBatchPlan(Direction.PUSH, (0,))
         assert decision.groups[1] == SubBatchPlan(Direction.PULL, (1, 2))
-        assert policy.splits() == 1
 
     def test_infinite_margin_never_splits(self):
         policy = self._policy(margin=1e12)
@@ -140,20 +140,19 @@ class TestBatchDirectionPolicy:
         )
         assert not merged.split
         assert merged.groups == (SubBatchPlan(Direction.PUSH, (0, 1)),)
-        assert policy.split_history == [True, False]
+        assert [diverged.split, merged.split] == [True, False]
 
     def test_forced_groups_advance_lane_selectors(self):
         # A forced schedule (ScheduledEngine.split_schedule) must keep the
         # per-lane hysteresis in step with what executed, exactly like
         # DirectionSelector.force does for a single run.
         policy = self._policy(margin=0.0, num_lanes=2)
-        policy.force([
+        force_groups(policy, [
             SubBatchPlan(Direction.PUSH, (0,)),
             SubBatchPlan(Direction.PULL, (1,)),
         ])
         assert policy.lane_selectors[0]._current is Direction.PUSH
         assert policy.lane_selectors[1]._current is Direction.PULL
-        assert policy.split_history == [True]
         # Lane 1 now plans from pull-side hysteresis: a mid-threshold
         # share (between to_push and to_pull) keeps it pulling, so with a
         # zero margin the next automatic plan splits along the forced
@@ -253,6 +252,18 @@ class TestSplitScheduleEquivalence:
             for lane, source in enumerate(sources):
                 single = SIMDXEngine(rmat).run(BFS(source=source))
                 assert np.array_equal(batch.values[lane], single.values)
+
+    def test_forced_split_counts_like_any_other(self, rmat):
+        # The driver's split_iterations (extra) counts a forced split.
+        sources = _top_sources(rmat, 4)
+        batch = ScheduledEngine(
+            rmat, split_schedule=lambda it, live: (
+                [(Direction.PUSH, live[:1]), (Direction.PULL, live[1:])]
+                if it == 1 else [(Direction.PUSH, list(live))]
+            ),
+        ).run_batch(BFS(), sources)
+        assert batch.extra["split_iterations"] == [1]
+        assert batch.extra["lane_splits"] == 1
 
     def test_invalid_schedule_partition_rejected(self, rmat):
         sources = _top_sources(rmat, 4)
