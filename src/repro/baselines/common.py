@@ -24,7 +24,7 @@ from repro.core.acc import ACCAlgorithm
 from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import IterationRecord, RunResult
-from repro.gpu.device import DeviceOutOfMemory, GPUDevice
+from repro.gpu.device import DeviceOutOfMemory, GPUDevice, reserve
 from repro.graph.csr import CSRGraph
 
 #: The configuration of the run every baseline prices: a pure scatter every
@@ -35,8 +35,7 @@ PRICED_CONFIG = EngineConfig(forced_direction=Direction.PUSH, atomic_combine=Tru
 
 def execute(algorithm: ACCAlgorithm, graph: CSRGraph, **params) -> RunResult:
     """The SIMD-X run a baseline prices, on a simulated device of its own
-    (the baseline's device keeps only the baseline's allocations and
-    launches)."""
+    (the baseline's device keeps only the baseline's launches)."""
     return SIMDXEngine(graph, config=PRICED_CONFIG).run(algorithm, **params)
 
 
@@ -45,9 +44,10 @@ class PricedSystem:
 
     A subclass names itself (``SYSTEM_NAME``, ``MODEL``), prices the run's
     iteration records in ``_price`` and, on the GPU, holds its ``device``
-    and reserves its resident buffers in ``_allocate_static`` (an
-    allocation that does not fit fails the run as an OOM, before anything
-    executes); a CPU system holds a ``cpu`` instead.
+    and lists its resident buffers, ``(label, bytes)`` at paper scale, in
+    ``_footprint(algorithm, graph)`` (a buffer that does not fit the device
+    fails the run as an OOM, before anything executes); a CPU system holds
+    a ``cpu`` instead.
     """
 
     SYSTEM_NAME = ""
@@ -71,25 +71,21 @@ class PricedSystem:
         name = self.cpu.name if device is None else device.spec.name
         if device is not None:
             device.profiler.reset()
-            device.reset_memory()
-        try:
-            self._allocate_static(algorithm, graph)
-            if execution is None:
-                execution = execute(algorithm, graph, **params)
-            if execution.failed:
-                raise RuntimeError(
-                    f"{algorithm.name} on {graph.name}: the run the baselines "
-                    f"price failed ({execution.failure_reason})"
+            try:
+                reserve(device.spec, self._footprint(algorithm, graph))
+            except DeviceOutOfMemory as exc:
+                return RunResult.failure(
+                    self.SYSTEM_NAME, algorithm.name, graph.name, f"OOM: {exc}",
+                    device=name,
                 )
-            total_us = self._price(execution.iteration_records, algorithm, graph)
-        except DeviceOutOfMemory as exc:
-            return RunResult.failure(
-                self.SYSTEM_NAME, algorithm.name, graph.name, f"OOM: {exc}",
-                device=name,
+        if execution is None:
+            execution = execute(algorithm, graph, **params)
+        if execution.failed:
+            raise RuntimeError(
+                f"{algorithm.name} on {graph.name}: the run the baselines "
+                f"price failed ({execution.failure_reason})"
             )
-        finally:
-            if device is not None:
-                device.reset_memory()
+        total_us = self._price(execution.iteration_records, algorithm, graph)
         return RunResult(
             system=self.SYSTEM_NAME,
             algorithm=algorithm.name,
@@ -101,9 +97,6 @@ class PricedSystem:
             kernel_launches=0 if device is None else device.profiler.launch_count(),
             extra={extra_keys.MODEL: self.MODEL},
         )
-
-    def _allocate_static(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> None:
-        """Reserve the system's resident device buffers (a CPU system has none)."""
 
     def _price(
         self, records: List[IterationRecord], algorithm: ACCAlgorithm,

@@ -52,14 +52,16 @@ class CuShaLike(PricedSystem):
         self.device = device if device is not None else GPUDevice(K40)
 
     # ------------------------------------------------------------------
-    def _allocate_static(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> None:
+    def _footprint(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> list:
         v = graph.modeled_num_vertices
         e = graph.modeled_num_edges
-        self.device.malloc(e * self.SHARD_ENTRY_BYTES, label="g_shards")
-        # Shard construction keeps a per-edge destination index resident in
-        # addition to the shards themselves.
-        self.device.malloc(e * 4, label="shard_index")
-        self.device.malloc(2 * v * 8, label="vertex_windows")
+        return [
+            ("g_shards", e * self.SHARD_ENTRY_BYTES),
+            # Shard construction keeps a per-edge destination index
+            # resident in addition to the shards themselves.
+            ("shard_index", e * 4),
+            ("vertex_windows", 2 * v * 8),
+        ]
 
     def _price(
         self, records: List[IterationRecord], algorithm: ACCAlgorithm,

@@ -57,8 +57,8 @@ class GunrockLike(PricedSystem):
         self.device = device if device is not None else GPUDevice(K40)
 
     # ------------------------------------------------------------------
-    def _allocate_static(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> None:
-        """Reserve CSR, metadata and the batch filter's edge-list buffer.
+    def _footprint(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> list:
+        """CSR, metadata and the batch filter's edge-list buffer.
 
         Frontier-driven traversal algorithms (BFS, SSSP, WCC) must be able to
         hold the worst-case active edge list; the paper attributes Gunrock's
@@ -69,12 +69,15 @@ class GunrockLike(PricedSystem):
         e = graph.modeled_num_edges
         per_edge_csr = 8 if algorithm.uses_weights else 4
         directions = 2 if graph.directed else 1
-        self.device.malloc(directions * (v * 8 + e * per_edge_csr), label="csr")
-        self.device.malloc(2 * v * 8, label="metadata")
-        self.device.malloc(2 * v * 4, label="frontier_queues")
+        buffers = [
+            ("csr", directions * (v * 8 + e * per_edge_csr)),
+            ("metadata", 2 * v * 8),
+            ("frontier_queues", 2 * v * 4),
+        ]
         if algorithm.name in ("bfs", "sssp", "wcc"):
             per_entry = self.EDGE_ENTRY_BYTES if algorithm.uses_weights else 4
-            self.device.malloc(e * per_entry, label="batch_edge_list")
+            buffers.append(("batch_edge_list", e * per_entry))
+        return buffers
 
     # ------------------------------------------------------------------
     def _price(

@@ -39,6 +39,7 @@ from repro.core.filters import FilterMode
 from repro.core.fusion import FusionPlan, FusionStrategy, REGISTERS_TABLE
 from repro.core.jit import run_length_pattern
 from repro.core.metrics import BatchRunResult, RunResult, geometric_mean_speedup
+from repro.core.superstep import place_static
 from repro.gpu.device import GPUDevice, get_device_spec
 from repro.graph.datasets import DATASETS
 from repro.graph.properties import summarize
@@ -717,15 +718,13 @@ class _LaneCell:
         #: The identity columns every row of this cell starts with.
         self.key = {"algorithm": algorithm, "graph": abbrev, "lanes": lanes}
 
-    def run_batch(
-        self, config: Optional[EngineConfig] = None
-    ) -> Tuple[SIMDXEngine, BatchRunResult]:
+    def run_batch(self, config: Optional[EngineConfig] = None) -> BatchRunResult:
         """Answer the K sources as one batch on a fresh engine and device."""
         engine = SIMDXEngine(
             self.graph, device=GPUDevice(self.ctx.device_spec), config=config
         )
         algorithm = make_algorithm(self.algorithm, self.graph)
-        return engine, engine.run_batch(algorithm, self.sources)
+        return engine.run_batch(algorithm, self.sources)
 
     def serial(self) -> List[RunResult]:
         """The K independent single-source runs of this cell's sources."""
@@ -780,7 +779,7 @@ def batching_throughput(ctx: BenchmarkContext) -> Dict:
     """
     rows: List[Dict] = []
     for cell in _lane_cells(ctx, ("bfs", "sssp"), ctx.datasets, (1, 4, 16, 64)):
-        _, batch = cell.run_batch()
+        batch = cell.run_batch()
         if batch.failed:
             rows.append(
                 {**cell.key, "failed": True, "failure_reason": batch.failure_reason}
@@ -837,8 +836,8 @@ def split_benefit(ctx: BenchmarkContext) -> Dict:
     graphs = _shapes_or_all(ctx, SPLIT_BENEFIT_SHAPES)
     rows: List[Dict] = []
     for cell in _lane_cells(ctx, ("sssp", "bfs"), graphs, (4, 16)):
-        _, on = cell.run_batch(EngineConfig())
-        _, off = cell.run_batch(EngineConfig(lane_aware_split=False))
+        on = cell.run_batch(EngineConfig())
+        off = cell.run_batch(EngineConfig(lane_aware_split=False))
         if on.failed or off.failed:
             reason = on.failure_reason or off.failure_reason
             rows.append({**cell.key, "failed": True, "failure_reason": reason})
@@ -884,7 +883,7 @@ def shard_scaling(ctx: BenchmarkContext) -> Dict:
     for cell in _lane_cells(ctx, ("bfs", "sssp"), graphs, (4, 16)):
         # One device (the feasibility baseline), then 2 and 4 shards.
         for num_shards in (1, 2, 4):
-            engine, batch = cell.run_batch(EngineConfig(num_shards=num_shards))
+            batch = cell.run_batch(EngineConfig(num_shards=num_shards))
             row = {**cell.key, "shards": num_shards, "device": batch.device}
             if batch.failed:
                 rows.append(
@@ -895,7 +894,11 @@ def shard_scaling(ctx: BenchmarkContext) -> Dict:
                 peak = max(batch.extra[extra_keys.SHARD_PEAK_BYTES])
                 boundary = batch.extra[extra_keys.SHARD_BOUNDARY_UPDATES]
             else:
-                peak = engine.device.profiler.peak_allocated_bytes
+                # Resident bytes plus the largest transient buffer, as
+                # for a shard.
+                peak = place_static(ctx.device_spec, cell.graph, cell.lanes)[0] + max(
+                    (r.edge_list_bytes for r in batch.iteration_records), default=0
+                )
                 boundary = 0
             rows.append(
                 {

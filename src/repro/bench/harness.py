@@ -6,13 +6,15 @@ construction, running one configuration, and caching of graphs and of
 executions. Every system prices a cached SIMD-X execution - SIMD-X its
 own configuration's, the four baselines the forced-push run of
 :func:`repro.baselines.common.execute` - so a sweep over fusion
-strategies, baselines or repeated default cells executes each run once.
+strategies, devices, baselines or repeated default cells executes each
+run once.
 It reports simulated time only; host wall-clock is measured by
 ``python -m perfbench`` (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -25,12 +27,20 @@ from repro.core.acc import ACCAlgorithm
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import RunResult
 from repro.core.pricing import priced_result
-from repro.gpu.device import GPUDevice, GPUSpec, K40, get_device_spec
+from repro.core.superstep import place_static
+from repro.gpu.device import (
+    DeviceOutOfMemory, GPUDevice, GPUSpec, K40, get_device_spec,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DATASET_ORDER, load_dataset
+from repro.shard.partition import ShardPlan
 
 #: Paper Table 4 evaluates these four algorithms across systems.
 TABLE4_ALGORITHMS = ("bfs", "pagerank", "sssp", "kcore")
+
+#: The board cached executions run on: a run executes the same on every
+#: device, and each cell checks memory on the spec it is priced on.
+EXECUTION_SPEC = replace(K40, global_memory_bytes=sys.maxsize)
 
 
 def default_source(graph: CSRGraph) -> int:
@@ -85,10 +95,13 @@ class BenchmarkContext:
     """Caches graphs and the executions every cell of a sweep prices.
 
     An execution is keyed by (graph, algorithm, ``EngineConfig`` without
-    ``fusion``, device): what a run executes does not depend on fusion, and
-    the device decides memory feasibility. A SIMD-X cell prices it under its
-    own fusion; a baseline cell prices the forced-push run every baseline
-    shares (:data:`~repro.baselines.common.PRICED_CONFIG` on K40).
+    ``fusion``): what a run executes depends on neither the fusion strategy
+    nor the device. A SIMD-X cell first places the run's static footprint
+    on its own device - a cell that cannot hold it fails as an OOM without
+    executing - then prices the execution on that device under its own
+    fusion, transient buffers included. A baseline cell prices the
+    forced-push run every baseline shares
+    (:data:`~repro.baselines.common.PRICED_CONFIG`).
 
     Parameters
     ----------
@@ -117,17 +130,19 @@ class BenchmarkContext:
         return self._graphs[key]
 
     def execution(
-        self, abbrev: str, algorithm_name: str, config: EngineConfig, spec: GPUSpec
+        self, abbrev: str, algorithm_name: str, config: EngineConfig
     ) -> RunResult:
-        """The SIMD-X run of one cell, executed once per session and kept
-        without its ``values``."""
+        """The SIMD-X run of one cell, executed once per session on
+        :data:`EXECUTION_SPEC` and kept without its ``values``."""
         key = (
-            abbrev.upper(), algorithm_name.lower(), spec.name,
+            abbrev.upper(), algorithm_name.lower(),
             *(value for name, value in vars(config).items() if name != "fusion"),
         )
         if key not in self._executions:
             graph = self.graph(abbrev)
-            engine = SIMDXEngine(graph, device=GPUDevice(spec), config=config)
+            engine = SIMDXEngine(
+                graph, device=GPUDevice(EXECUTION_SPEC), config=config
+            )
             # Cells price the records; none reads the values, so the
             # session keeps none (one n-sized array per cached execution).
             self._executions[key] = replace(
@@ -148,16 +163,25 @@ class BenchmarkContext:
         or a :data:`~repro.baselines.SYSTEMS` key (``config`` is SIMD-X's)."""
         spec = device_spec or self.device_spec
         key = system.lower()
+        graph = self.graph(abbrev)
         if key == "simdx":
             config = config or EngineConfig()
-            execution = self.execution(abbrev, algorithm_name, config, spec)
-            return priced_result(execution, spec, config.fusion)
+            shards = config.num_shards
+            plan = ShardPlan.build(graph, shards) if shards > 1 else None
+            try:
+                static = place_static(spec, graph, None, plan)
+            except DeviceOutOfMemory:
+                # A run there fails the same way, before it executes.
+                return SIMDXEngine(graph, GPUDevice(spec), config).run(
+                    make_algorithm(algorithm_name, graph)
+                )
+            execution = self.execution(abbrev, algorithm_name, config)
+            return priced_result(execution, spec, config.fusion, static)
         if key not in SYSTEMS:
             raise KeyError(f"unknown system {system!r}; known: simdx, {list(SYSTEMS)}")
-        graph = self.graph(abbrev)
         cls = SYSTEMS[key]
         baseline = cls(GPUDevice(spec)) if key in ("gunrock", "cusha") else cls()
         return baseline.run(
             make_algorithm(algorithm_name, graph), graph,
-            execution=self.execution(abbrev, algorithm_name, PRICED_CONFIG, K40),
+            execution=self.execution(abbrev, algorithm_name, PRICED_CONFIG),
         )

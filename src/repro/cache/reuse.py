@@ -115,9 +115,7 @@ class CachedQueryEngine:
         self.max_repair_chain = max_repair_chain
         self._recompute = IncrementalRecompute(
             config=config,
-            device=None if device is None else GPUDevice(
-                device.spec, memory_scale=device.memory_scale
-            ),
+            device=None if device is None else GPUDevice(device.spec),
         )
         self._engine: Optional[SIMDXEngine] = None
         self._engine_version = -1

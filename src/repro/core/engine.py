@@ -29,11 +29,13 @@ Each iteration:
    slots (one per scatter source); in pull mode each gather worker records
    its own destination once, post-combine;
 5. records the unit as an :class:`~repro.core.metrics.IterationRecord`
-   holding every scalar the cost model reads. Memory is allocated as the
-   run executes, so an OOM ends it there; time is priced once it ends:
-   :func:`repro.core.pricing.price` charges the compute kernels, the
-   task-management kernel, the software global barrier (fused strategies)
-   and the launches the fusion strategy requires, record by record.
+   holding every scalar the cost model reads, its transient buffers
+   included. A run whose static footprint does not fit the device fails
+   before it executes; everything else is priced once it ends:
+   :func:`repro.core.pricing.price` checks each unit's transient buffers,
+   then charges the compute kernels, the task-management kernel, the
+   software global barrier (fused strategies) and the launches the fusion
+   strategy requires, record by record.
 
 The functional result (distances, ranks, core flags) is identical across
 filter modes, fusion strategies, directions and devices; only the simulated
@@ -167,10 +169,8 @@ class SIMDXEngine:
         One engine instance may serve any number of consecutive
         ``run``/``run_batch`` calls (the serving layer reuses one engine
         per device), so every piece of per-run mutable state must be
-        reset here: the profiler's records, the device's simulated
-        allocations (also cleared on the way out, but an aborted run must
-        not leak into the next) and the kernel-edge counter. Everything
-        else that persists on the instance is a deterministic
+        reset here: the profiler's records and the kernel-edge counter.
+        Everything else that persists on the instance is a deterministic
         graph-derived cache (the worklist classifiers, in-degrees, the
         lazily-built in-CSR transpose) - the *intended* reuse. Per-run
         controllers (JIT task managers, direction selector, batch direction
@@ -182,7 +182,6 @@ class SIMDXEngine:
         """
         self._kernel_edges_walked = 0
         self.device.profiler.reset()
-        self.device.reset_memory()
 
     @property
     def pull_classifier(self) -> WorklistClassifier:
@@ -299,7 +298,7 @@ class SIMDXEngine:
         """The superstep driver over this engine's own device.
 
         One device is the one-stream plan: a single stream covering every
-        vertex, bound to ``self.device`` (the
+        vertex, priced on ``self.device`` (the
         :class:`~repro.shard.executor.ShardedExecutor` builds one stream
         per shard around the same driver).
         """
@@ -307,13 +306,10 @@ class SIMDXEngine:
         graph = self.graph
         stream = Stream(
             self, 0, 0, graph.num_vertices,
-            device=self.device,
             total_edges=graph.num_edges,
             start_direction=(
                 Direction.PULL if algorithm.starts_in_pull else Direction.PUSH
             ),
-            modeled_vertices=graph.modeled_num_vertices,
-            modeled_edges=graph.modeled_num_edges,
         )
         return SuperstepDriver(self, [stream])
 
@@ -350,7 +346,7 @@ class SIMDXEngine:
         return [SubBatchPlan(union_direction, tuple(live))]
 
     # ------------------------------------------------------------------
-    # Shared iteration tail (task management + memory feasibility)
+    # Shared iteration tail (task management)
     # ------------------------------------------------------------------
     def _finish_iteration(
         self,
@@ -371,8 +367,7 @@ class SIMDXEngine:
         recordings); ``active_mask``/``expansion`` describe what the unit
         updated and ``stream`` carries the controller - adaptive under
         ``FilterMode.JIT``, pinned to one filter otherwise; its last
-        decision names the filter that ran - and the device whose memory
-        the filter's transient buffer must fit. One tail keeps batched and
+        decision names the filter that ran. One tail keeps batched and
         sharded units' task management exactly like a single-source
         iteration's.
         """
@@ -397,16 +392,7 @@ class SIMDXEngine:
             max_producer_records=max_producer_records,
             success_rate=success_rate,
         )
-        filter_result = stream.jit.build(ctx, iteration, direction=direction)
-
-        # Batch-filter style approaches need the active edge list resident;
-        # its size scales with the modeled graph like everything else.
-        if filter_result.extra_memory_bytes:
-            stream.device.free(stream.device.malloc(
-                int(filter_result.extra_memory_bytes * self.graph.modeled_edge_scale()),
-                label="active_edge_list",
-            ))
-        return filter_result
+        return stream.jit.build(ctx, iteration, direction=direction)
 
     # ------------------------------------------------------------------
     # Functional primitives shared by every expansion

@@ -211,10 +211,10 @@ class BatchFilter(Filter):
     """Gunrock/B40C-style batch filter (Figure 6(a)).
 
     Materializes the active edge list in device memory (reported via
-    ``extra_memory_bytes`` so the engine can attempt the allocation and hit
-    OOM on large frontiers), then records updated destinations in thread bins
-    of unbounded size and concatenates them. The output is unsorted and
-    redundant.
+    ``extra_memory_bytes``: the unit's record carries it and pricing places
+    it on the device, an OOM on large frontiers), then records updated
+    destinations in thread bins of unbounded size and concatenates them.
+    The output is unsorted and redundant.
     """
 
     name = "batch"

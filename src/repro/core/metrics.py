@@ -103,6 +103,11 @@ class IterationRecord:
     voting: bool = False
     #: A sharded superstep's last unit only: each shard's boundary receives.
     received: Tuple[int, ...] = ()
+    #: Transient device buffers (paper scale), placed when the run is
+    #: priced: the batch filter's active edge list and, on a sharded
+    #: superstep's last unit, each shard's boundary receive buffer.
+    edge_list_bytes: int = 0
+    boundary_bytes: Tuple[int, ...] = ()
 
     @property
     def total_us(self) -> float:

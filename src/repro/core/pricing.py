@@ -6,9 +6,10 @@ superstep driver (:mod:`repro.core.superstep`) executes a run and leaves
 one :class:`~repro.core.metrics.IterationRecord` per work unit holding
 every scalar the cost model reads; :func:`price` turns the records into
 simulated time for one device model and one fusion strategy. What a run
-executes depends on neither - only memory feasibility depends on the
-device, and the driver decides it while it executes - so one execution
-prices under any (device, fusion) pair exactly as a fresh run under that
+executes depends on neither - the device decides memory feasibility, and
+that is priced too: every transient buffer a record carries must fit
+beside the streams' static footprint - so one execution prices under any
+(device, fusion) pair, an OOM included, exactly as a fresh run under that
 pair does (``tests/test_price_equivalence.py``).
 """
 
@@ -26,10 +27,10 @@ from repro.core.frontier import (
     THREADS_PER_SMALL_TASK,
 )
 from repro.core.fusion import FusionPlan, FusionStrategy
-from repro.core.metrics import IterationRecord
+from repro.core.metrics import BatchRunResult, IterationRecord
 from repro.gpu import memory as gmem
 from repro.gpu.barrier import SoftwareGlobalBarrier
-from repro.gpu.device import GPUDevice, GPUSpec
+from repro.gpu.device import DeviceOutOfMemory, GPUDevice, GPUSpec, reserve
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.gpu.warp import reduction_primitive_ops
 
@@ -52,6 +53,7 @@ def price(
     records: Sequence[IterationRecord],
     spec: GPUSpec,
     fusion: FusionStrategy,
+    static: Sequence[int],
     devices: Optional[List[GPUDevice]] = None,
 ) -> Tuple[float, List[IterationRecord], int, Dict[str, float]]:
     """Price an executed run's ``records`` on ``spec`` under ``fusion``.
@@ -64,11 +66,15 @@ def price(
     ran. One device runs its units back to back; sharded devices run
     concurrently, so a superstep costs its slowest shard, boundary merge
     included.
+
+    ``static`` holds each stream's resident bytes on ``spec``. A unit's
+    transient buffers (its active edge list, then at a sharded superstep's
+    end each shard's receive buffer) must fit beside them, in run order;
+    the first that does not raises ``DeviceOutOfMemory``.
     """
-    sharded = bool(records) and bool(records[-1].received)
+    sharded = len(static) > 1
     if devices is None:
-        count = len(records[-1].received) if sharded else 1
-        devices = [GPUDevice(spec) for _ in range(count)]
+        devices = [GPUDevice(spec) for _ in static]
     plans = [FusionPlan(fusion) for _ in devices]
     # The fused kernel whose residency bounds the software global barrier.
     fused = {FusionStrategy.ALL: "fused_all", FusionStrategy.PUSH_PULL: "fused_push"}
@@ -82,6 +88,8 @@ def price(
     priced: List[IterationRecord] = []
     for record in records:
         t = record.stream
+        if record.edge_list_bytes:
+            reserve(spec, (("active_edge_list", record.edge_list_bytes),), static[t])
         out = copy.copy(record)
         out.compute_us, out.launch_us, out.filter_us, out.barrier_us = _price_unit(
             record, devices[t], plans[t], barriers[t]
@@ -95,6 +103,10 @@ def price(
         if record.received:  # the superstep's last unit
             for s, received in enumerate(record.received):
                 if received > 0:
+                    reserve(
+                        spec, (("boundary_updates", record.boundary_bytes[s]),),
+                        static[s],
+                    )
                     # Each shard scatters its boundary updates into its
                     # local combine buffers.
                     shard_us[s] += devices[s].launch(KernelLaunch(
@@ -114,17 +126,32 @@ def price(
     return elapsed_us, priced, sum(d.profiler.launch_count() for d in devices), breakdown
 
 
-def priced_result(execution, spec: GPUSpec, fusion: FusionStrategy):
+def priced_result(
+    execution, spec: GPUSpec, fusion: FusionStrategy, static: Sequence[int]
+):
     """A finished ``run`` / ``run_batch`` result priced again on ``spec``
-    under ``fusion``: the fields pricing decides replaced, the rest (values,
-    traces, counters) the execution's own. A failed run is returned as is."""
+    under ``fusion``, ``static`` its streams' resident bytes there: the
+    fields pricing decides replaced, the rest (values, traces, counters)
+    the execution's own - or, where a transient buffer does not fit, the
+    OOM failure a fresh run there returns. A failed execution stays one."""
+    device = spec.name if len(static) == 1 else f"{spec.name}x{len(static)}"
     if execution.failed:
-        return execution
-    elapsed_us, records, launches, breakdown = price(
-        execution.iteration_records, spec, fusion
-    )
+        return replace(execution, device=device)
+    try:
+        elapsed_us, records, launches, breakdown = price(
+            execution.iteration_records, spec, fusion, static
+        )
+    except DeviceOutOfMemory as exc:
+        lanes = {"sources": execution.sources} if isinstance(
+            execution, BatchRunResult
+        ) else {}
+        return type(execution).failure(
+            execution.system, execution.algorithm, execution.graph,
+            f"OOM: {exc}", device=device, **lanes,
+        )
     return replace(
         execution,
+        device=device,
         elapsed_us=elapsed_us,
         iteration_records=records,
         kernel_launches=launches,

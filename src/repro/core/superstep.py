@@ -8,8 +8,8 @@ Combine loop (Figure 4(b)) over two axes:
   one-lane set whose lane is the caller's own instance; ``run_batch``
   clones the algorithm once per source.
 * a list of **streams** (:class:`Stream`): one per device, each owning a
-  contiguous vertex range, a simulated device and its task-management
-  state. A single device is the one-stream plan covering ``[0, n)``;
+  contiguous vertex range and its task-management state (pricing gives
+  each stream a simulated device). A single device is the one-stream plan covering ``[0, n)``;
   ``EngineConfig(num_shards=N)`` supplies one stream per
   :class:`~repro.shard.partition.ShardPlan` range.
 
@@ -31,9 +31,10 @@ selector decision - and the schedule runs them:
    mode) and emits one :class:`~repro.core.metrics.IterationRecord`, the
    run's one per-iteration log (the traces are views of it).
 
-Once the loop ends, :func:`~repro.core.pricing.price` charges the records
-to the streams' devices: execution decides what ran and whether it fit in
-memory, pricing what it cost.
+A run whose :func:`static_footprint` does not fit its device fails before
+anything executes. Once the loop ends, :func:`~repro.core.pricing.price`
+charges the records to the streams' devices: execution decides what ran,
+pricing what it cost and whether each unit's transient buffers fit.
 
 **Why every path is bit-identical.** A lane's Combine stream at any
 destination is in global source-ascending order on every path: a push unit
@@ -94,7 +95,7 @@ from repro.core.jit import JITTaskManager
 from repro.core.metrics import BatchRunResult, IterationRecord, RunResult
 from repro.core.pricing import price
 from repro.gpu.atomics import profile_atomic_updates
-from repro.gpu.device import DeviceOutOfMemory
+from repro.gpu.device import DeviceOutOfMemory, reserve
 from repro.gpu.warp import divergence_fraction
 
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -147,27 +148,21 @@ class _ExpansionResult:
 class Stream:
     """One device's share of a run.
 
-    Owns the vertex range ``[start, stop)``, the simulated device (its
-    memory during the run, its launches once the run is priced), the
-    direction selector deciding for that range's frontier slice, and the
-    task-management state (the controller, adaptive or pinned to the
-    configured filter, plus the sortedness of the worklist it last
-    produced). Stream identity affects cost and traces only, never values.
+    Owns the vertex range ``[start, stop)``, the direction selector
+    deciding for that range's frontier slice, and the task-management
+    state (the controller, adaptive or pinned to the configured filter,
+    plus the sortedness of the worklist it last produced). Stream identity
+    affects cost and traces only, never values.
     """
 
-    __slots__ = (
-        "index", "start", "stop", "device", "jit", "selector", "sortedness",
-        "modeled_vertices", "modeled_edges",
-    )
+    __slots__ = ("index", "start", "stop", "jit", "selector", "sortedness")
 
     def __init__(
-        self, engine, index: int, start: int, stop: int, *, device,
+        self, engine, index: int, start: int, stop: int, *,
         total_edges: int, start_direction: Direction,
-        modeled_vertices: int, modeled_edges: int,
     ):
         cfg = engine.config
         self.index, self.start, self.stop = index, start, stop
-        self.device = device
         self.jit: Optional[JITTaskManager] = JITTaskManager(
             cfg.filter_mode,
             overflow_threshold=cfg.overflow_threshold,
@@ -177,8 +172,42 @@ class Stream:
             total_edges=total_edges, start_direction=start_direction
         )
         self.sortedness = 1.0
-        self.modeled_vertices = modeled_vertices
-        self.modeled_edges = modeled_edges
+
+
+def static_footprint(
+    graph, num_lanes: Optional[int], plan=None
+) -> List[List[Tuple[str, int]]]:
+    """Each stream's resident buffers, ``(label, bytes)`` in allocation
+    order, sized by its share of the modeled (paper-scale) graph - all of
+    it on one device, a ``plan`` range's when sharded - so the Table 4
+    memory behaviour holds on the scaled-down analogue. ``num_lanes`` is
+    ``None`` for ``run``."""
+    directions = 2 if graph.directed else 1
+    if plan is None:
+        shares = [(graph.modeled_num_vertices, graph.modeled_num_edges)]
+    else:
+        shares = zip(plan.modeled_vertices, plan.modeled_edges)
+    footprint = []
+    for mv, me in shares:
+        mv, me = int(mv), int(me)
+        buffers = [("csr_graph", directions * (mv * 8 + me * 8))]
+        if num_lanes is None:
+            buffers += [("metadata", 2 * mv * 8), ("worklists", 3 * mv * 4)]
+        else:
+            # The dominant batching cost: one metadata array (current +
+            # previous) per lane; the worklists carry the per-vertex lane
+            # bitmask words on top of the union worklists.
+            words = -(-num_lanes // LANES_PER_WORD)
+            buffers += [("metadata_lanes", 2 * num_lanes * mv * 8),
+                        ("worklists", 3 * mv * 4 + mv * words * 8)]
+        footprint.append(buffers)
+    return footprint
+
+
+def place_static(spec, graph, num_lanes: Optional[int], plan=None) -> List[int]:
+    """Each stream's resident bytes once its :func:`static_footprint` is
+    placed on ``spec`` (raises ``DeviceOutOfMemory`` where it does not fit)."""
+    return [reserve(spec, b) for b in static_footprint(graph, num_lanes, plan)]
 
 
 @dataclass
@@ -316,6 +345,8 @@ class SuperstepDriver:
         #: multi-stream plan (owner lookup, boundary receive buffers, shard
         #: ``extra`` keys); ``None`` on a single device.
         self.sharding = sharding
+        #: Each stream's resident bytes, once its static footprint fits.
+        self.static: List[int] = []
         name = engine.device.spec.name
         self.device_name = name if sharding is None else f"{name}x{len(streams)}"
         self.lanes: Optional[LaneSet] = None
@@ -399,11 +430,15 @@ class SuperstepDriver:
         )
 
     def _guarded(self, body, num_lanes: Optional[int], failure):
-        """Allocate, run ``body``, map the two failure modes to a result."""
+        """Place the static footprint, run ``body``, map the two failure
+        modes to a result."""
         if self.engine.config.sanitize:
             self.sanitizer = RuntimeSanitizer(self.graph)
         try:
-            self._allocate(num_lanes)
+            self.static = place_static(
+                self.engine.device.spec, self.graph, num_lanes,
+                None if self.sharding is None else self.sharding.plan,
+            )
             return body()
         except DeviceOutOfMemory as exc:
             return failure(f"OOM: {exc}")
@@ -414,40 +449,15 @@ class SuperstepDriver:
                 # Unfreeze the CSR arrays on every exit path, including a
                 # raised SanitizerError - the graph outlives the run.
                 self.sanitizer.release()
-            for stream in self.streams:
-                stream.device.reset_memory()
-
-    def _allocate(self, num_lanes: Optional[int]) -> None:
-        """Resident per-stream allocations, modeled at paper scale.
-
-        Sizes follow the stream's share of the modeled (paper-scale) graph
-        so the memory-feasibility behaviour of Table 4 is reproduced even
-        though the functional run uses the scaled-down analogue - at
-        1/num_shards scale per device when sharded.
-        """
-        directions = 2 if self.graph.directed else 1
-        for stream in self.streams:
-            mv, me = stream.modeled_vertices, stream.modeled_edges
-            malloc = stream.device.malloc
-            malloc(directions * (mv * 8 + me * 8), label="csr_graph")
-            if num_lanes is None:
-                malloc(2 * mv * 8, label="metadata")
-                malloc(3 * mv * 4, label="worklists")
-            else:
-                # The dominant batching cost: one metadata array (current
-                # + previous) per lane; the worklists carry the per-vertex
-                # lane bitmask words on top of the union worklists.
-                num_words = -(-num_lanes // LANES_PER_WORD)
-                malloc(2 * num_lanes * mv * 8, label="metadata_lanes")
-                malloc(3 * mv * 4 + mv * num_words * 8, label="worklists")
 
     def _priced(self, algorithm: ACCAlgorithm, batch_keys: Optional[dict] = None) -> dict:
-        """Price the finished run's records on the streams' devices; returns
-        the result fields ``run`` and ``run_batch`` share."""
+        """Price the finished run's records - on the engine's own device, or
+        one fresh device per shard; returns the result fields ``run`` and
+        ``run_batch`` share."""
         engine = self.engine
         elapsed_us, self.records, launches, breakdown = price(
-            self.records, engine.device.spec, engine.config.fusion,
-            [s.device for s in self.streams],
+            self.records, engine.device.spec, engine.config.fusion, self.static,
+            [engine.device] if self.sharding is None else None,
         )
         if self.sanitizer is not None:
             for record in self.records:
@@ -487,7 +497,7 @@ class SuperstepDriver:
         if self.sharding is not None:
             extra.update(
                 self.sharding.shard_extra(
-                    self.streams, self.records, self.boundary_updates
+                    self.records, self.boundary_updates, self.static
                 )
             )
         if self.sanitizer is not None:
@@ -547,12 +557,13 @@ class SuperstepDriver:
                 self._finish_unit(unit, step)
             if sharded:
                 # Each shard drains its boundary updates after its units;
-                # the superstep's last record carries what each received.
-                for stream in self.streams:
-                    self.sharding.stage_boundary_updates(
-                        stream, step.received[stream.index]
-                    )
-                self.records[-1].received = tuple(step.received)
+                # the superstep's last record carries what each received
+                # and the receive buffer that took it.
+                last = self.records[-1]
+                last.received = tuple(step.received)
+                last.boundary_bytes = tuple(
+                    map(self.sharding.boundary_buffer_bytes, step.received)
+                )
 
             # ---------------- next frontiers ----------------------------
             # The one next-frontier rule: a lane continues from a ballot
@@ -1137,5 +1148,11 @@ class SuperstepDriver:
             weighted=lanes.prototype.uses_weights,
             voting=lanes.prototype.combine_kind is CombineKind.VOTING,
         )
+        if filter_result.extra_memory_bytes:
+            # The batch filter's active edge list scales with the modeled
+            # graph like every other buffer.
+            record.edge_list_bytes = int(
+                filter_result.extra_memory_bytes * self.graph.modeled_edge_scale()
+            )
         stream.sortedness = filter_result.sortedness
         self.records.append(record)

@@ -7,15 +7,17 @@ K20 as stated in Section 5) and from the architecture whitepapers otherwise.
 Absolute bandwidth numbers matter only in that their *ratios* across devices
 determine the Section 7.3 scaling experiment.
 
-Device memory capacities are scaled down by ``memory_scale`` in
-:class:`GPUDevice` so the laptop-sized dataset analogues reproduce the OOM
-behaviour the paper observes with the full-size graphs on 5-16 GB boards.
+Memory feasibility is a pure check, :func:`reserve`: the systems size
+their buffers against the *modeled* (paper-scale) graph and place them on
+``GPUSpec.global_memory_bytes``, so the laptop-sized dataset analogues
+reproduce the OOM behaviour the paper observes with the full-size graphs on
+5-16 GB boards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.gpu.kernel import Kernel, KernelLaunch, LaunchResult, WorkEstimate
 from repro.gpu.registers import OccupancyInfo, compute_occupancy
@@ -125,43 +127,35 @@ def get_device_spec(name: str) -> GPUSpec:
     return KNOWN_DEVICES[key]
 
 
-@dataclass
-class Allocation:
-    """A live device-memory allocation."""
+def reserve(
+    spec: GPUSpec, buffers: Iterable[Tuple[str, int]], resident: int = 0
+) -> int:
+    """Place ``buffers`` - ``(label, bytes)`` in allocation order - on top
+    of ``resident`` bytes of ``spec``'s global memory.
 
-    label: str
-    nbytes: int
-    freed: bool = False
+    Returns the bytes then resident; raises :class:`DeviceOutOfMemory`
+    naming the first buffer that does not fit and the room left for it.
+    """
+    capacity = spec.global_memory_bytes
+    for label, nbytes in buffers:
+        if resident + nbytes > capacity:
+            raise DeviceOutOfMemory(
+                f"{spec.name}: cannot allocate {nbytes} bytes for {label}; "
+                f"{capacity - resident} of {capacity} bytes free"
+            )
+        resident += nbytes
+    return resident
 
 
 class GPUDevice:
-    """A simulated GPU: memory allocator plus kernel-launch cost model.
+    """A simulated GPU: the kernel-launch cost model of one ``spec``
+    (defaults to the paper's primary K40 device), with its profiler.
+    Memory feasibility is :func:`reserve`'s, priced from the run's
+    buffers."""
 
-    Parameters
-    ----------
-    spec:
-        Hardware description (defaults to the paper's primary K40 device).
-    memory_scale:
-        Multiplier applied to ``spec.global_memory_bytes``. The systems size
-        their allocations against the *modeled* (paper-scale) graph sizes
-        (see :meth:`repro.graph.csr.CSRGraph.modeled_csr_bytes`), so the
-        default is the device's real capacity; shrink it to study OOM
-        behaviour on graphs without paper-size annotations.
-    """
-
-    DEFAULT_MEMORY_SCALE = 1.0
-
-    def __init__(self, spec: GPUSpec = K40, *, memory_scale: float = DEFAULT_MEMORY_SCALE):
-        if memory_scale <= 0:
-            raise ValueError("memory_scale must be positive")
+    def __init__(self, spec: GPUSpec = K40):
         self.spec = spec
-        #: Kept so sharded execution can build per-shard devices with the
-        #: same (possibly shrunken) budget as the device it replaces.
-        self.memory_scale = memory_scale
-        self.memory_capacity = int(spec.global_memory_bytes * memory_scale)
-        self._allocated = 0
-        self._allocations: List[Allocation] = []
-        self.profiler = DeviceProfiler(device_name=spec.name)
+        self.profiler = DeviceProfiler()
         # Both tables cache pure functions of the (immutable) spec, so they
         # outlive runs. No kernel shape keeps more CTAs resident than the
         # hardware has slots, and a grid at least that large is never
@@ -172,43 +166,6 @@ class GPUDevice:
         self._occupancy: Dict[Tuple[int, int, int], OccupancyInfo] = {}
         #: ``(kernel, fused) -> `` the result of a phase with no work.
         self._idle: Dict[Tuple[Kernel, bool], LaunchResult] = {}
-
-    # ------------------------------------------------------------------
-    # Memory management
-    # ------------------------------------------------------------------
-    @property
-    def free_bytes(self) -> int:
-        return self.memory_capacity - self._allocated
-
-    def malloc(self, nbytes: int, label: str = "") -> Allocation:
-        """Reserve device memory or raise :class:`DeviceOutOfMemory`."""
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        if self._allocated + nbytes > self.memory_capacity:
-            raise DeviceOutOfMemory(
-                f"{self.spec.name}: cannot allocate {nbytes} bytes for "
-                f"{label or 'buffer'}; {self.free_bytes} of "
-                f"{self.memory_capacity} bytes free"
-            )
-        alloc = Allocation(label=label, nbytes=nbytes)
-        self._allocations.append(alloc)
-        self._allocated += nbytes
-        self.profiler.record_allocation(self._allocated)
-        return alloc
-
-    def free(self, alloc: Allocation) -> None:
-        """Release a previous allocation (idempotent)."""
-        if alloc.freed:
-            return
-        alloc.freed = True
-        self._allocated -= alloc.nbytes
-
-    def reset_memory(self) -> None:
-        """Release every allocation (device reset between experiments)."""
-        for alloc in self._allocations:
-            alloc.freed = True
-        self._allocations.clear()
-        self._allocated = 0
 
     # ------------------------------------------------------------------
     # Kernel execution cost model
@@ -301,10 +258,4 @@ class GPUDevice:
         return LaunchResult(
             kernel.name, launch_us + busy_us, launch_us, memory_us,
             compute_us, atomic_us, primitive_us, latency_us, occupancy, fused,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"GPUDevice({self.spec.name}, mem={self.memory_capacity} B, "
-            f"allocated={self._allocated} B)"
         )

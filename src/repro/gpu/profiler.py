@@ -1,4 +1,4 @@
-"""Per-device profiling: launches, timing breakdowns, memory high-water mark.
+"""Per-device profiling: launches and timing breakdowns.
 
 The profiler is what the systems read to report kernel launch counts
 (Table 2) and what the superstep driver reads for a run's per-component
@@ -21,10 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class DeviceProfiler:
     """Accumulates statistics for every launch on one simulated device."""
 
-    device_name: str = ""
     #: One entry per kernel phase, in launch order.
     records: List["LaunchResult"] = field(default_factory=list)
-    peak_allocated_bytes: int = 0
 
     # ------------------------------------------------------------------
     # Recording
@@ -32,13 +30,8 @@ class DeviceProfiler:
     def record_launch(self, result: "LaunchResult") -> None:
         self.records.append(result)
 
-    def record_allocation(self, total_allocated: int) -> None:
-        if total_allocated > self.peak_allocated_bytes:
-            self.peak_allocated_bytes = total_allocated
-
     def reset(self) -> None:
         self.records.clear()
-        self.peak_allocated_bytes = 0
 
     # ------------------------------------------------------------------
     # Queries

@@ -5,7 +5,7 @@ semantics across ``EngineConfig.num_shards`` simulated devices, one per
 contiguous vertex range of a :class:`~repro.shard.partition.ShardPlan`.
 It does not own a loop: it builds one
 :class:`~repro.core.superstep.Stream` per shard - the range's metadata
-(and lane-metadata) slice, its own device + memory budget, JIT
+(and lane-metadata) slice with a whole device's memory budget, its JIT
 task-management stream and direction selector - and hands them to the
 same :class:`~repro.core.superstep.SuperstepDriver` a single device runs
 on one stream. Direction is decided per shard on the shard's own frontier
@@ -25,10 +25,11 @@ source-ascending order - the single-device order that makes the ACC
 ordering invariants (and bit-identity) hold across shards
 (``docs/sharding.md``).
 
-A shard that cannot hold its boundary receive buffer fails the run as an
-OOM. Pricing (:func:`repro.core.pricing.price`) charges each shard's units
-and its boundary-merge kernel to its own device; a superstep costs its
-slowest shard (devices run concurrently).
+Each superstep's last record carries every shard's boundary receive
+buffer. Pricing (:func:`repro.core.pricing.price`) fails the run as an OOM
+on a shard that cannot hold it beside its static footprint, and charges
+each shard's units and its boundary-merge kernel to its own device; a
+superstep costs its slowest shard (devices run concurrently).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.analysis import registry as extra_keys
 from repro.core.direction import Direction
 from repro.core.metrics import BatchRunResult, RunResult
 from repro.core.superstep import Stream, SuperstepDriver
-from repro.gpu.device import GPUDevice
 from repro.shard.partition import ShardPlan
 
 #: Modeled bytes per exchanged boundary update: destination id (8) plus
@@ -64,7 +64,7 @@ class ShardedExecutor:
         self.plan = ShardPlan.build(engine.graph, engine.config.num_shards)
 
     def _driver(self, algorithm) -> SuperstepDriver:
-        """One stream per shard, each on its own simulated device."""
+        """One stream per shard (each priced on its own simulated device)."""
         engine, plan = self.engine, self.plan
         start_direction = (
             Direction.PULL if algorithm.starts_in_pull else Direction.PUSH
@@ -72,13 +72,8 @@ class ShardedExecutor:
         streams: List[Stream] = [
             Stream(
                 engine, t, int(plan.starts[t]), int(plan.stops[t]),
-                device=GPUDevice(
-                    engine.device.spec, memory_scale=engine.device.memory_scale
-                ),
                 total_edges=int(plan.out_edge_counts[t]),
                 start_direction=start_direction,
-                modeled_vertices=int(plan.modeled_vertices[t]),
-                modeled_edges=int(plan.modeled_edges[t]),
             )
             for t in range(plan.num_shards)
         ]
@@ -97,33 +92,30 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     # What the driver asks of a sharded plan
     # ------------------------------------------------------------------
-    def stage_boundary_updates(self, stream: Stream, received: int) -> None:
-        """Reserve and release ``stream``'s transient receive buffer for
-        one superstep's ``received`` boundary updates, modeled at paper
-        scale like every other edge-proportional buffer."""
-        if received <= 0:
-            return
-        stream.device.free(stream.device.malloc(
-            min(
-                int(
-                    received * BOUNDARY_UPDATE_BYTES
-                    * self.graph.modeled_edge_scale()
-                ),
-                EXCHANGE_CHUNK_BYTES,
-            ),
-            label="boundary_updates",
-        ))
+    def boundary_buffer_bytes(self, received: int) -> int:
+        """A shard's transient receive buffer for one superstep's
+        ``received`` boundary updates, modeled at paper scale like every
+        other edge-proportional buffer (0: no buffer)."""
+        return 0 if received <= 0 else min(
+            int(received * BOUNDARY_UPDATE_BYTES * self.graph.modeled_edge_scale()),
+            EXCHANGE_CHUNK_BYTES,
+        )
 
-    def shard_extra(self, streams: List[Stream], records, boundary_updates: int) -> dict:
-        """The ``shard_*`` keys a sharded run adds to ``extra``."""
-        scanned = [0] * len(streams)
+    def shard_extra(self, records, boundary_updates: int, static: List[int]) -> dict:
+        """The ``shard_*`` keys a sharded run adds to ``extra``. A shard's
+        peak is its resident (``static``) bytes plus its largest transient
+        buffer - each is released before the next is placed."""
+        scanned = [0] * len(static)
+        peak = list(static)
         for record in records:
-            scanned[record.stream] += record.frontier_edges
+            t = record.stream
+            scanned[t] += record.frontier_edges
+            peak[t] = max(peak[t], static[t] + record.edge_list_bytes)
+            for s, nbytes in enumerate(record.boundary_bytes):
+                peak[s] = max(peak[s], static[s] + nbytes)
         return {
             extra_keys.SHARDS: self.plan.num_shards,
             extra_keys.SHARD_BOUNDARY_UPDATES: int(boundary_updates),
             extra_keys.SHARD_SCANNED_EDGES: scanned,
-            extra_keys.SHARD_PEAK_BYTES: [
-                int(s.device.profiler.peak_allocated_bytes) for s in streams
-            ],
+            extra_keys.SHARD_PEAK_BYTES: peak,
         }

@@ -22,7 +22,7 @@ traffic.
 
 The plan also pre-computes per-shard *modeled* (paper-scale) vertex and
 edge counts by rounding the modeled totals onto the same cut points, so
-per-shard device allocations reproduce the Table-4 memory-feasibility
+per-shard static footprints reproduce the Table-4 memory-feasibility
 behaviour at 1/num_shards scale.
 """
 

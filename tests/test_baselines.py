@@ -5,6 +5,8 @@ fields the cost models read."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,10 +194,21 @@ class TestGunrockModel:
         assert not bfs.failed
         assert sssp.failed
 
-    def test_memory_released_after_run(self, rmat_graph):
-        device = GPUDevice(K40)
-        GunrockLike(device).run(BFS(source=0), rmat_graph)
-        assert device._allocated == 0
+    def test_footprint_fails_at_the_first_buffer_that_does_not_fit(
+        self, rmat_graph
+    ):
+        # CSR, metadata and frontier queues fit; BFS's batch edge list
+        # (4 B per edge) misses by one byte.
+        v, e = rmat_graph.num_vertices, rmat_graph.num_edges
+        directions = 2 if rmat_graph.directed else 1
+        resident = directions * (v * 8 + e * 4) + 2 * v * 8 + 2 * v * 4
+        capacity = resident + e * 4 - 1
+        device = GPUDevice(replace(K40, global_memory_bytes=capacity))
+        result = GunrockLike(device).run(BFS(source=0), rmat_graph)
+        assert result.failure_reason == (
+            f"OOM: K40: cannot allocate {e * 4} bytes for batch_edge_list; "
+            f"{e * 4 - 1} of {capacity} bytes free"
+        )
 
 
 class TestCuShaModel:

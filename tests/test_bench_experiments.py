@@ -35,6 +35,7 @@ import pytest
 from repro.bench import experiments, reporting
 from repro.bench.harness import BenchmarkContext
 from repro.core.superstep import SuperstepDriver
+from repro.gpu.device import get_device_spec
 
 REPO = Path(__file__).resolve().parent.parent
 #: The benchmark's contract: workload and end-to-end metric names.
@@ -269,4 +270,33 @@ def test_sweeps_execute_each_cell_once(monkeypatch):
 
     executions.clear()
     experiments.figure8(ctx)
+    assert executions == []
+
+
+def test_device_sweep_executes_each_graph_once(monkeypatch):
+    """Memory is priced, not executed: ``section7_3`` runs SIMD-X once per
+    graph - its own configuration, and the forced-push run the baselines
+    price - whatever the device; a cell whose static footprint does not
+    fit its device fails as an OOM without executing."""
+    executions = []
+    loop = SuperstepDriver._loop
+
+    def counted(self, lanes):
+        baseline = self.engine.config.forced_direction is not None
+        executions.append((self.graph.name, baseline))
+        return loop(self, lanes)
+
+    monkeypatch.setattr(SuperstepDriver, "_loop", counted)
+    ctx = BenchmarkContext(scale=0.05, datasets=("LJ", "TW"))
+    experiments.section7_3(ctx)
+    graphs = [ctx.graph(abbrev).name for abbrev in ctx.datasets]
+    assert sorted(executions) == sorted(
+        (graph, baseline) for graph in graphs for baseline in (False, True)
+    )
+
+    executions.clear()
+    fresh = BenchmarkContext(scale=0.05, datasets=("TW",))
+    oom = fresh.run("simdx", "TW", "bfs", device_spec=get_device_spec("K20"))
+    assert oom.failed and oom.device == "K20"
+    assert oom.failure_reason.startswith("OOM: K20: cannot allocate "), oom
     assert executions == []

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.algorithms import BFS
+from repro.core.engine import SIMDXEngine
+from repro.core.superstep import static_footprint
 from repro.gpu.barrier import SoftwareGlobalBarrier
 from repro.gpu.device import (
     DeviceOutOfMemory,
@@ -14,6 +19,7 @@ from repro.gpu.device import (
     P100,
     KNOWN_DEVICES,
     get_device_spec,
+    reserve,
 )
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.gpu.registers import (
@@ -45,54 +51,50 @@ class TestSpecs:
         assert K40.max_resident_threads == 15 * 2048
 
 
-class TestMemoryAllocator:
-    def test_alloc_and_free(self):
-        dev = GPUDevice(K40)
-        a = dev.malloc(1000, "a")
-        assert dev._allocated == 1000
-        dev.free(a)
-        assert dev._allocated == 0
+class TestFootprintCheck:
+    """``reserve`` places buffers in order on the spec's global memory."""
 
-    def test_free_is_idempotent(self):
-        dev = GPUDevice(K40)
-        a = dev.malloc(1000)
-        dev.free(a)
-        dev.free(a)
-        assert dev._allocated == 0
+    SPEC = replace(K40, global_memory_bytes=1000)
 
-    def test_oom_raised(self):
-        dev = GPUDevice(K40, memory_scale=1e-9)
-        with pytest.raises(DeviceOutOfMemory):
-            dev.malloc(10**9, "huge")
+    def test_buffers_accumulate_in_order(self):
+        assert reserve(self.SPEC, [("a", 300), ("b", 500)]) == 800
+        assert reserve(self.SPEC, [("c", 200)], resident=800) == 1000
 
-    def test_oom_message_mentions_label(self):
-        dev = GPUDevice(K40, memory_scale=1e-9)
-        with pytest.raises(DeviceOutOfMemory, match="edge_list"):
-            dev.malloc(10**9, "edge_list")
+    def test_first_buffer_that_does_not_fit_is_named(self):
+        # "b" alone fits; "a" then "b" does not, and "c" is never tried.
+        with pytest.raises(DeviceOutOfMemory) as exc:
+            reserve(self.SPEC, [("a", 600), ("b", 500), ("c", 2000)])
+        assert str(exc.value) == (
+            "K40: cannot allocate 500 bytes for b; 400 of 1000 bytes free"
+        )
 
-    def test_reset_memory(self):
-        dev = GPUDevice(K40)
-        dev.malloc(100)
-        dev.malloc(200)
-        dev.reset_memory()
-        assert dev._allocated == 0
-        assert dev.free_bytes == dev.memory_capacity
+    def test_resident_bytes_count_against_the_capacity(self):
+        with pytest.raises(DeviceOutOfMemory) as exc:
+            reserve(self.SPEC, [("active_edge_list", 101)], resident=900)
+        assert str(exc.value) == (
+            "K40: cannot allocate 101 bytes for active_edge_list; "
+            "100 of 1000 bytes free"
+        )
 
-    def test_peak_allocation_tracked(self):
-        dev = GPUDevice(K40)
-        a = dev.malloc(500)
-        dev.malloc(300)
-        dev.free(a)
-        assert dev.profiler.peak_allocated_bytes == 800
-
-    def test_negative_allocation_rejected(self):
-        dev = GPUDevice(K40)
-        with pytest.raises(ValueError):
-            dev.malloc(-1)
-
-    def test_invalid_memory_scale_rejected(self):
-        with pytest.raises(ValueError):
-            GPUDevice(K40, memory_scale=0)
+    def test_engine_places_its_static_footprint_in_order(self, rmat_graph):
+        # The run's buffers are csr_graph, metadata, worklists: a capacity
+        # one byte short of all three fails on the last, with the room the
+        # first two left.
+        footprint = static_footprint(rmat_graph, None)
+        assert [label for label, _ in footprint[0]] == [
+            "csr_graph", "metadata", "worklists",
+        ]
+        csr, metadata, worklists = (n for _, n in footprint[0])
+        capacity = csr + metadata + worklists - 1
+        spec = replace(K40, global_memory_bytes=capacity)
+        result = SIMDXEngine(rmat_graph, device=GPUDevice(spec)).run(BFS(source=0))
+        assert result.failure_reason == (
+            f"OOM: K40: cannot allocate {worklists} bytes for worklists; "
+            f"{capacity - csr - metadata} of {capacity} bytes free"
+        )
+        spec = replace(K40, global_memory_bytes=capacity + 1)
+        result = SIMDXEngine(rmat_graph, device=GPUDevice(spec)).run(BFS(source=0))
+        assert not result.failed, result.failure_reason
 
 
 class TestOccupancy:

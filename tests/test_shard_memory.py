@@ -13,13 +13,15 @@ below the single-device capacity that the unsharded run blew through.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.algorithms import BFS
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.graph import generators as gen
-from repro.gpu.device import K40
+from repro.gpu.device import GPUDevice, K40
 
 #: Twitter-scale annotation (Table 4's largest graphs): K=16 lanes of
 #: paper-scale metadata alone need 2 * 16 * 60e6 * 8 B = 15.36 GB, which
@@ -94,3 +96,24 @@ class TestShardOOMRegression:
         sources = _sources(annotated_graph, 4)
         result = SIMDXEngine(annotated_graph).run_batch(BFS(source=0), sources)
         assert not result.failed, result.failure_reason
+
+
+class TestBoundaryBufferOOM:
+    """Each shard's resident buffers fit, one superstep's boundary receive
+    buffer does not: the run fails as an OOM on that shard."""
+
+    def test_boundary_receive_buffer_ooms(self, rmat_graph):
+        rmat_graph.meta["paper_vertices"] = 10**7
+        rmat_graph.meta["paper_edges"] = 10**8
+        # The larger shard's static footprint (590,406,180 B) plus 1 MiB.
+        spec = replace(K40, global_memory_bytes=591_454_756)
+        source = int(np.argmax(rmat_graph.out_degrees()))
+        result = SIMDXEngine(
+            rmat_graph, device=GPUDevice(spec), config=EngineConfig(num_shards=2)
+        ).run(BFS(source=source))
+        assert result.failed
+        assert result.device == "K40x2"
+        assert result.failure_reason == (
+            "OOM: K40: cannot allocate 26732325 bytes for boundary_updates; "
+            "21860944 of 591454756 bytes free"
+        )

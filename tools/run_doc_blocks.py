@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Execute the ```python code blocks of a markdown document.
 
-CI's docs job runs this against docs/batching.md so the documented
+CI's docs job runs this against every docs page so the documented
 examples cannot rot: every fenced ``python`` block is executed in order,
 in one shared namespace (so later blocks may build on earlier ones), and
 any exception fails the run with the offending block echoed.
