@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.algorithms import BFS, SSSP
 from repro.core.engine import SIMDXEngine
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import K40
 from repro.graph.datasets import load_dataset
 
 
@@ -32,7 +32,7 @@ def main() -> None:
     sources = [int(v) for v in np.argsort(graph.out_degrees())[::-1][:16]]
 
     # --- batched: one engine pass answers all 16 BFS queries ------------
-    engine = SIMDXEngine(graph, device=GPUDevice(K40))
+    engine = SIMDXEngine(graph, K40)
     batch = engine.run_batch(BFS(), sources)
     print(f"\nBatched BFS over K={batch.num_lanes} sources:")
     print(f"  iterations        = {batch.iterations} "
@@ -47,7 +47,7 @@ def main() -> None:
     serial_us = 0.0
     identical = True
     for lane, source in enumerate(sources):
-        single = SIMDXEngine(graph, device=GPUDevice(K40)).run(BFS(source=source))
+        single = engine.run(BFS(source=source))
         serial_us += single.elapsed_us
         identical &= bool(np.array_equal(batch.values[lane], single.values))
     print(f"\nSerial loop over the same sources:")

@@ -16,7 +16,7 @@ import numpy as np
 from repro.algorithms import BFS, KCore, PageRank, SSSP
 from repro.baselines import reference
 from repro.core.engine import SIMDXEngine
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import K40
 from repro.graph.datasets import load_dataset
 
 
@@ -27,9 +27,10 @@ def main() -> None:
     print(f"  average degree = {graph.average_degree():.1f}, "
           f"max degree = {graph.max_degree()}")
 
-    # 2. Create the engine: a simulated K40 with SIMD-X's default
-    #    configuration (JIT task management + push-pull kernel fusion).
-    engine = SIMDXEngine(graph, device=GPUDevice(K40))
+    # 2. Create the engine: runs priced on a simulated K40, with SIMD-X's
+    #    default configuration (JIT task management + push-pull kernel
+    #    fusion). One engine serves every run below.
+    engine = SIMDXEngine(graph, K40)
 
     # 3. BFS from the highest-degree vertex.
     source = int(np.argmax(graph.out_degrees()))

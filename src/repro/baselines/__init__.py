@@ -18,8 +18,8 @@ one execution for every system), so all produce SIMD-X's functional results
 and price SIMD-X's frontier definition. They differ in how much memory they
 allocate, how many atomics they issue, how they build worklists and how
 many kernels they launch - exactly the axes along which the paper compares
-them. The GPU baselines reserve and launch on a simulated device of their
-own.
+them. The GPU baselines place their buffers on their ``GPUSpec`` and
+launch on a device built for each ``run``.
 """
 
 from repro.baselines.gunrock import GunrockLike

@@ -24,7 +24,7 @@ from repro.core.acc import ACCAlgorithm
 from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import IterationRecord, RunResult
-from repro.gpu.device import DeviceOutOfMemory, GPUDevice, reserve
+from repro.gpu.device import DeviceOutOfMemory, GPUDevice, GPUSpec, reserve
 from repro.graph.csr import CSRGraph
 
 #: The configuration of the run every baseline prices: a pure scatter every
@@ -34,25 +34,25 @@ PRICED_CONFIG = EngineConfig(forced_direction=Direction.PUSH, atomic_combine=Tru
 
 
 def execute(algorithm: ACCAlgorithm, graph: CSRGraph, **params) -> RunResult:
-    """The SIMD-X run a baseline prices, on a simulated device of its own
-    (the baseline's device keeps only the baseline's launches)."""
+    """The SIMD-X run a baseline prices."""
     return SIMDXEngine(graph, config=PRICED_CONFIG).run(algorithm, **params)
 
 
 class PricedSystem:
     """A comparator system: one :func:`execute` run, priced.
 
-    A subclass names itself (``SYSTEM_NAME``, ``MODEL``), prices the run's
-    iteration records in ``_price`` and, on the GPU, holds its ``device``
-    and lists its resident buffers, ``(label, bytes)`` at paper scale, in
+    A subclass names itself (``SYSTEM_NAME``, ``MODEL``) and prices the
+    run's iteration records in ``_price``. On the GPU it holds its
+    ``spec``, is priced on a fresh ``GPUDevice(spec)`` per ``run`` and
+    lists its resident buffers, ``(label, bytes)`` at paper scale, in
     ``_footprint(algorithm, graph)`` (a buffer that does not fit the device
     fails the run as an OOM, before anything executes); a CPU system holds
-    a ``cpu`` instead.
+    a ``cpu`` instead and prices with ``device=None``.
     """
 
     SYSTEM_NAME = ""
     MODEL = ""
-    device: Optional[GPUDevice] = None
+    spec: Optional[GPUSpec] = None
     cpu: Optional[CPUSpec] = None
 
     def run(
@@ -67,12 +67,11 @@ class PricedSystem:
         :func:`execute` run of it across systems (the benchmark harness
         caches them); when omitted the system executes it itself. Raises
         if that run failed: a failed run is never priced."""
-        device = self.device
-        name = self.cpu.name if device is None else device.spec.name
-        if device is not None:
-            device.profiler.reset()
+        spec = self.spec
+        name = self.cpu.name if spec is None else spec.name
+        if spec is not None:
             try:
-                reserve(device.spec, self._footprint(algorithm, graph))
+                reserve(spec, self._footprint(algorithm, graph))
             except DeviceOutOfMemory as exc:
                 return RunResult.failure(
                     self.SYSTEM_NAME, algorithm.name, graph.name, f"OOM: {exc}",
@@ -85,7 +84,8 @@ class PricedSystem:
                 f"{algorithm.name} on {graph.name}: the run the baselines "
                 f"price failed ({execution.failure_reason})"
             )
-        total_us = self._price(execution.iteration_records, algorithm, graph)
+        device = None if spec is None else GPUDevice(spec)
+        total_us = self._price(device, execution.iteration_records, algorithm, graph)
         return RunResult(
             system=self.SYSTEM_NAME,
             algorithm=algorithm.name,

@@ -25,13 +25,13 @@ model below preserves that trade-off.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.baselines.common import PricedSystem
 from repro.core.acc import ACCAlgorithm
 from repro.core.metrics import IterationRecord
 from repro.gpu import memory as gmem
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import GPUDevice, GPUSpec, K40
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.graph.csr import CSRGraph
 
@@ -48,8 +48,8 @@ class CuShaLike(PricedSystem):
     #: Registers of the shard-processing kernel (vertex-centric CW kernel).
     KERNEL_REGISTERS = 30
 
-    def __init__(self, device: Optional[GPUDevice] = None):
-        self.device = device if device is not None else GPUDevice(K40)
+    def __init__(self, spec: GPUSpec = K40):
+        self.spec = spec
 
     # ------------------------------------------------------------------
     def _footprint(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> list:
@@ -64,10 +64,9 @@ class CuShaLike(PricedSystem):
         ]
 
     def _price(
-        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
-        graph: CSRGraph,
+        self, device: GPUDevice, records: List[IterationRecord],
+        algorithm: ACCAlgorithm, graph: CSRGraph,
     ) -> float:
-        device = self.device
         kernel = Kernel("cusha_shard_sweep", self.KERNEL_REGISTERS)
         total_edges = graph.num_edges
         num_vertices = graph.num_vertices

@@ -70,8 +70,8 @@ class GaloisLike(PricedSystem):
         )
 
     def _price(
-        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
-        graph: CSRGraph,
+        self, device: None, records: List[IterationRecord],
+        algorithm: ACCAlgorithm, graph: CSRGraph,
     ) -> float:
         cpu = self.cpu
         effective_edges = sum(r.frontier_edges for r in records) * self.WORK_EFFICIENCY

@@ -24,13 +24,13 @@ carries.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.baselines.common import PricedSystem
 from repro.core.acc import ACCAlgorithm
 from repro.core.metrics import IterationRecord
 from repro.gpu import memory as gmem
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import GPUDevice, GPUSpec, K40
 from repro.gpu.kernel import Kernel, KernelLaunch, WorkEstimate
 from repro.graph.csr import CSRGraph
 
@@ -53,8 +53,8 @@ class GunrockLike(PricedSystem):
     #: frontiers (reactive load balancing recovers part of it).
     ADVANCE_DIVERGENCE = 0.30
 
-    def __init__(self, device: Optional[GPUDevice] = None):
-        self.device = device if device is not None else GPUDevice(K40)
+    def __init__(self, spec: GPUSpec = K40):
+        self.spec = spec
 
     # ------------------------------------------------------------------
     def _footprint(self, algorithm: ACCAlgorithm, graph: CSRGraph) -> list:
@@ -81,10 +81,9 @@ class GunrockLike(PricedSystem):
 
     # ------------------------------------------------------------------
     def _price(
-        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
-        graph: CSRGraph,
+        self, device: GPUDevice, records: List[IterationRecord],
+        algorithm: ACCAlgorithm, graph: CSRGraph,
     ) -> float:
-        device = self.device
         advance_kernel = Kernel("gunrock_advance", self.ADVANCE_REGISTERS)
         filter_kernel = Kernel("gunrock_filter", self.FILTER_REGISTERS)
 

@@ -44,8 +44,8 @@ class LigraLike(PricedSystem):
         self.cpu = cpu if cpu is not None else DEFAULT_CPU
 
     def _price(
-        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
-        graph: CSRGraph,
+        self, device: None, records: List[IterationRecord],
+        algorithm: ACCAlgorithm, graph: CSRGraph,
     ) -> float:
         cpu = self.cpu
         cores = cpu.cores

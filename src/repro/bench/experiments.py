@@ -40,7 +40,7 @@ from repro.core.fusion import FusionPlan, FusionStrategy, REGISTERS_TABLE
 from repro.core.jit import run_length_pattern
 from repro.core.metrics import BatchRunResult, RunResult, geometric_mean_speedup
 from repro.core.superstep import place_static
-from repro.gpu.device import GPUDevice, get_device_spec
+from repro.gpu.device import get_device_spec
 from repro.graph.datasets import DATASETS
 from repro.graph.properties import summarize
 
@@ -719,10 +719,8 @@ class _LaneCell:
         self.key = {"algorithm": algorithm, "graph": abbrev, "lanes": lanes}
 
     def run_batch(self, config: Optional[EngineConfig] = None) -> BatchRunResult:
-        """Answer the K sources as one batch on a fresh engine and device."""
-        engine = SIMDXEngine(
-            self.graph, device=GPUDevice(self.ctx.device_spec), config=config
-        )
+        """Answer the K sources as one batch on a fresh engine."""
+        engine = SIMDXEngine(self.graph, self.ctx.device_spec, config)
         algorithm = make_algorithm(self.algorithm, self.graph)
         return engine.run_batch(algorithm, self.sources)
 
@@ -730,7 +728,7 @@ class _LaneCell:
         """The K independent single-source runs of this cell's sources."""
         for source in self.sources[len(self._serial):]:
             algorithm = make_algorithm(self.algorithm, self.graph, source=source)
-            engine = SIMDXEngine(self.graph, device=GPUDevice(self.ctx.device_spec))
+            engine = SIMDXEngine(self.graph, self.ctx.device_spec)
             self._serial.append(engine.run(algorithm))
         return self._serial[: self.lanes]
 
@@ -957,7 +955,7 @@ def serving_latency(ctx: BenchmarkContext) -> Dict:
     graph = ctx.graph(abbrev)
     pool = default_sources(graph, min(24, graph.num_vertices))
 
-    engine = SIMDXEngine(graph, device=GPUDevice(ctx.device_spec))
+    engine = SIMDXEngine(graph, ctx.device_spec)
     service_cache: Dict[Tuple[int, ...], float] = {}
 
     def service_us(sources: Tuple[int, ...]) -> float:

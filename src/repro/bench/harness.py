@@ -29,7 +29,7 @@ from repro.core.metrics import RunResult
 from repro.core.pricing import priced_result
 from repro.core.superstep import place_static
 from repro.gpu.device import (
-    DeviceOutOfMemory, GPUDevice, GPUSpec, K40, get_device_spec,
+    DeviceOutOfMemory, GPUSpec, K40, get_device_spec,
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DATASET_ORDER, load_dataset
@@ -140,9 +140,7 @@ class BenchmarkContext:
         )
         if key not in self._executions:
             graph = self.graph(abbrev)
-            engine = SIMDXEngine(
-                graph, device=GPUDevice(EXECUTION_SPEC), config=config
-            )
+            engine = SIMDXEngine(graph, EXECUTION_SPEC, config)
             # Cells price the records; none reads the values, so the
             # session keeps none (one n-sized array per cached execution).
             self._executions[key] = replace(
@@ -172,7 +170,7 @@ class BenchmarkContext:
                 static = place_static(spec, graph, None, plan)
             except DeviceOutOfMemory:
                 # A run there fails the same way, before it executes.
-                return SIMDXEngine(graph, GPUDevice(spec), config).run(
+                return SIMDXEngine(graph, spec, config).run(
                     make_algorithm(algorithm_name, graph)
                 )
             execution = self.execution(abbrev, algorithm_name, config)
@@ -180,7 +178,7 @@ class BenchmarkContext:
         if key not in SYSTEMS:
             raise KeyError(f"unknown system {system!r}; known: simdx, {list(SYSTEMS)}")
         cls = SYSTEMS[key]
-        baseline = cls(GPUDevice(spec)) if key in ("gunrock", "cusha") else cls()
+        baseline = cls(spec) if key in ("gunrock", "cusha") else cls()
         return baseline.run(
             make_algorithm(algorithm_name, graph), graph,
             execution=self.execution(abbrev, algorithm_name, PRICED_CONFIG),

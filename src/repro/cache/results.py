@@ -28,6 +28,8 @@ from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.gpu.device import GPUSpec, K40
+
 
 def params_key(params: Optional[Mapping[str, object]]) -> Tuple:
     """Canonical hashable form of a query's extra parameters."""
@@ -175,7 +177,7 @@ class ResultCache:
         *,
         algorithms: Mapping[str, object],
         config=None,
-        device=None,
+        spec: GPUSpec = K40,
     ) -> int:
         """Repair pinned entries forward through one update receipt.
 
@@ -189,7 +191,7 @@ class ResultCache:
         from repro.cache.reuse import repair_entry
         from repro.dyn.incremental import IncrementalRecompute
 
-        recompute = IncrementalRecompute(config=config, device=device)
+        recompute = IncrementalRecompute(config=config, spec=spec)
         refreshed = 0
         for entry in self.entries():
             if not entry.pinned or entry.version != receipt.version - 1:

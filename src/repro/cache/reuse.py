@@ -8,7 +8,7 @@ run on the current snapshot would return, or not at all:
 * **repair** - it holds them at an older version and the receipt chain
   since is retained and at most ``max_repair_chain`` long: repair the
   entry forward through it (:func:`repair_entry`, exact - see
-  docs/dynamic.md) on a device of its own, and store it;
+  docs/dynamic.md), and store it;
 * **miss** - ``None``: the caller runs the query on ``engine`` and
   ``store``s it (``query`` alone, :class:`repro.serve.SIMDXServer` in a
   batch lane).
@@ -33,7 +33,7 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import RunResult
 from repro.dyn.incremental import REPAIRABLE_ALGORITHMS, IncrementalRecompute
 from repro.dyn.overlay import DynamicGraph, EdgeUpdateBatch, UpdateReceipt
-from repro.gpu.device import GPUDevice
+from repro.gpu.device import GPUSpec, K40
 
 
 def make_algorithm(algorithms: Mapping[str, Callable], name, source, params):
@@ -95,7 +95,7 @@ class CachedQueryEngine:
         graph,
         *,
         config: Optional[EngineConfig] = None,
-        device=None,
+        spec: GPUSpec = K40,
         cache: Union[ResultCache, bool, None] = None,
         algorithms: Optional[Dict[str, Callable]] = None,
         max_repair_chain: int = 8,
@@ -104,7 +104,7 @@ class CachedQueryEngine:
             graph if isinstance(graph, DynamicGraph) else DynamicGraph(graph)
         )
         self.config = config
-        self.device = device
+        self.spec = spec
         # Not ``cache or ...``: an *empty* ResultCache is falsy (len 0).
         if cache is None or cache is True:
             cache = ResultCache()
@@ -113,10 +113,7 @@ class CachedQueryEngine:
             algorithms if algorithms is not None else ALGORITHMS
         )
         self.max_repair_chain = max_repair_chain
-        self._recompute = IncrementalRecompute(
-            config=config,
-            device=None if device is None else GPUDevice(device.spec),
-        )
+        self._recompute = IncrementalRecompute(config=config, spec=spec)
         self._engine: Optional[SIMDXEngine] = None
         self._engine_version = -1
 
@@ -127,9 +124,7 @@ class CachedQueryEngine:
         to one immutable graph)."""
         version = self.dyn.version
         if self._engine is None or self._engine_version != version:
-            self._engine = SIMDXEngine(
-                self.dyn.snapshot(), device=self.device, config=self.config
-            )
+            self._engine = SIMDXEngine(self.dyn.snapshot(), self.spec, self.config)
             self._engine_version = version
         return self._engine
 
@@ -203,7 +198,7 @@ class CachedQueryEngine:
                 receipt,
                 algorithms=self._algorithms,
                 config=self.config,
-                device=self._recompute.device,
+                spec=self.spec,
             )
         return receipt
 

@@ -59,7 +59,7 @@ from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
 from repro.core.fusion import FusionStrategy
 from repro.core.metrics import BatchRunResult, RunResult
 from repro.core.superstep import Stream, SuperstepDriver, _ExpansionResult, _take
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import GPUSpec, K40
 
 
 @dataclass
@@ -133,18 +133,27 @@ class EngineConfig:
 
 
 class SIMDXEngine:
-    """Run ACC algorithms on a simulated GPU with SIMD-X's optimizations."""
+    """Run ACC algorithms on a simulated GPU with SIMD-X's optimizations.
+
+    An engine holds its configuration, the device ``spec`` its runs are
+    priced on and caches derived from its graph (the worklist classifiers,
+    in-degrees, the lazily-built in-CSR transpose), and nothing else: every
+    per-run controller, counter and device is built inside the run. So one
+    instance serves any number of ``run``/``run_batch`` calls (the serving
+    layer reuses one per graph version), each bit-identical to the same
+    call on a fresh engine (``tests/test_engine_reuse.py``).
+    """
 
     SYSTEM_NAME = "SIMD-X"
 
     def __init__(
         self,
         graph,
-        device: Optional[GPUDevice] = None,
+        spec: GPUSpec = K40,
         config: Optional[EngineConfig] = None,
     ):
         self.graph = graph
-        self.device = device if device is not None else GPUDevice(K40)
+        self.spec = spec
         self.config = config if config is not None else EngineConfig()
         self.classifier = WorklistClassifier(
             graph,
@@ -159,29 +168,6 @@ class SIMDXEngine:
         #: The kernel primitives every path runs on; the scatter walk goes
         #: through :meth:`_walk_edges` (docs/kernels.md).
         self.kernel = DEFAULT_KERNEL
-        #: Edges expanded by this run's CSR walks (reset per run; equals
-        #: the iteration records' frontier_edges total).
-        self._kernel_edges_walked = 0
-
-    def _begin_run(self) -> None:
-        """Reset all cross-run mutable state before a ``run``/``run_batch``.
-
-        One engine instance may serve any number of consecutive
-        ``run``/``run_batch`` calls (the serving layer reuses one engine
-        per device), so every piece of per-run mutable state must be
-        reset here: the profiler's records and the kernel-edge counter.
-        Everything else that persists on the instance is a deterministic
-        graph-derived cache (the worklist classifiers, in-degrees, the
-        lazily-built in-CSR transpose) - the *intended* reuse. Per-run
-        controllers (JIT task managers, direction selector, batch direction
-        policy) are constructed inside each run, and pricing builds its
-        fusion plans and barriers afresh. ``tests/test_engine_reuse.py``
-        pins the contract: call N on a reused engine is bit-identical,
-        values and ``extra`` counters alike, to the same call on a fresh
-        engine.
-        """
-        self._kernel_edges_walked = 0
-        self.device.profiler.reset()
 
     @property
     def pull_classifier(self) -> WorklistClassifier:
@@ -211,9 +197,6 @@ class SIMDXEngine:
     # ------------------------------------------------------------------
     def run(self, algorithm: ACCAlgorithm, **params) -> RunResult:
         """Execute ``algorithm`` to convergence and return its result."""
-        # Before the shard delegation: the sharded executor walks edges
-        # through this same engine instance, so the counter covers it too.
-        self._kernel_edges_walked = 0
         if self.config.num_shards > 1:
             from repro.shard.executor import ShardedExecutor
 
@@ -283,7 +266,6 @@ class SIMDXEngine:
                         raise ValueError(
                             f"unknown algorithm parameter {key!r} in lane_params"
                         )
-        self._kernel_edges_walked = 0
         if self.config.num_shards > 1:
             from repro.shard.executor import ShardedExecutor
 
@@ -295,14 +277,12 @@ class SIMDXEngine:
         )
 
     def _device_driver(self, algorithm: ACCAlgorithm) -> SuperstepDriver:
-        """The superstep driver over this engine's own device.
+        """The superstep driver over one device.
 
         One device is the one-stream plan: a single stream covering every
-        vertex, priced on ``self.device`` (the
-        :class:`~repro.shard.executor.ShardedExecutor` builds one stream
-        per shard around the same driver).
+        vertex (the :class:`~repro.shard.executor.ShardedExecutor` builds
+        one stream per shard around the same driver).
         """
-        self._begin_run()
         graph = self.graph
         stream = Stream(
             self, 0, 0, graph.num_vertices,
@@ -401,21 +381,6 @@ class SIMDXEngine:
     #: class-level alias of the one body in :mod:`repro.core.kernels` - the
     #: seam tests patch or override to count or substitute walks.
     _walk_edges = staticmethod(NumpyKernelBackend.walk_edges)
-
-    def _walk_kept(self, csr, worklist, source_mask, edge_ids: bool):
-        """The gather walk on :attr:`kernel` (edge ids only with ``edge_ids``:
-        they gather weights); counts every edge it scanned."""
-        walk = self.kernel.walk_kept(csr, worklist, source_mask, edge_ids)
-        self._kernel_edges_walked += int(walk[3])  # (src, dst, edge_idx, walked)
-        return walk
-
-    def _walk(self, csr, worklist: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-        """The scatter walk every push expansion runs, through
-        :meth:`_walk_edges`; advances the per-run ``kernel_edges_walked``
-        counter by the edges expanded."""
-        slot, edge_idx, total = self._walk_edges(csr, worklist)
-        self._kernel_edges_walked += int(total)
-        return slot, edge_idx, total
 
     def _combine_and_apply(
         self,

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.frontier import WorklistSizes
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """One work unit of one BSP iteration.
 
@@ -61,9 +61,10 @@ class IterationRecord:
     destination) pair (lanes write separate metadata rows), so its
     ``num_ops`` equals ``updates_valid``.
 
-    The four ``*_us`` fields are priced (:func:`repro.core.pricing.price`;
-    0.0 until then) from the fields after ``atomic_profile``, which the
-    execution fixes.
+    The four ``*_us`` fields are priced (0.0 until then) from the fields
+    after ``atomic_profile``, which the execution fixes:
+    :func:`repro.core.pricing.price` returns new records and never writes
+    the ones it reads. Slotted, as a run holds one record per unit.
     """
 
     iteration: int

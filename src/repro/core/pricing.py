@@ -15,7 +15,6 @@ pair does (``tests/test_price_equivalence.py``).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,15 +53,14 @@ def price(
     spec: GPUSpec,
     fusion: FusionStrategy,
     static: Sequence[int],
-    devices: Optional[List[GPUDevice]] = None,
 ) -> Tuple[float, List[IterationRecord], int, Dict[str, float]]:
     """Price an executed run's ``records`` on ``spec`` under ``fusion``.
 
     Returns ``(elapsed_us, priced, kernel_launches, breakdown)``: the run's
-    simulated time, a copy of every record with its four ``*_us`` fields
+    simulated time, a new record per record with its four ``*_us`` fields
     priced, and the launch count and per-component time breakdown of the
-    devices charged - one per stream, ``devices`` (an engine's own) or a
-    fresh ``GPUDevice(spec)`` each. Units are charged in the order they
+    devices charged - a fresh ``GPUDevice(spec)`` per stream, which lives
+    for this call. Units are charged in the order they
     ran. One device runs its units back to back; sharded devices run
     concurrently, so a superstep costs its slowest shard, boundary merge
     included.
@@ -73,8 +71,7 @@ def price(
     the first that does not raises ``DeviceOutOfMemory``.
     """
     sharded = len(static) > 1
-    if devices is None:
-        devices = [GPUDevice(spec) for _ in static]
+    devices = [GPUDevice(spec) for _ in static]
     plans = [FusionPlan(fusion) for _ in devices]
     # The fused kernel whose residency bounds the software global barrier.
     fused = {FusionStrategy.ALL: "fused_all", FusionStrategy.PUSH_PULL: "fused_push"}
@@ -90,9 +87,12 @@ def price(
         t = record.stream
         if record.edge_list_bytes:
             reserve(spec, (("active_edge_list", record.edge_list_bytes),), static[t])
-        out = copy.copy(record)
-        out.compute_us, out.launch_us, out.filter_us, out.barrier_us = _price_unit(
+        compute_us, launch_us, filter_us, barrier_us = _price_unit(
             record, devices[t], plans[t], barriers[t]
+        )
+        out = replace(
+            record, compute_us=compute_us, launch_us=launch_us,
+            filter_us=filter_us, barrier_us=barrier_us,
         )
         priced.append(out)
         unit_us = out.total_us

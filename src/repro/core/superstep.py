@@ -347,7 +347,7 @@ class SuperstepDriver:
         self.sharding = sharding
         #: Each stream's resident bytes, once its static footprint fits.
         self.static: List[int] = []
-        name = engine.device.spec.name
+        name = engine.spec.name
         self.device_name = name if sharding is None else f"{name}x{len(streams)}"
         self.lanes: Optional[LaneSet] = None
         self.sanitizer: Optional[RuntimeSanitizer] = None
@@ -358,6 +358,9 @@ class SuperstepDriver:
         self.split_iterations: List[int] = []
         self.lane_iterations: List[int] = []
         self.boundary_updates = 0
+        #: Edges the run's CSR walks expanded (the ``kernel_edges_walked``
+        #: extra; equals the records' ``frontier_edges`` total).
+        self.edges_walked = 0
         self.iteration = 0
         self.stopped_at_cap = False
 
@@ -436,7 +439,7 @@ class SuperstepDriver:
             self.sanitizer = RuntimeSanitizer(self.graph)
         try:
             self.static = place_static(
-                self.engine.device.spec, self.graph, num_lanes,
+                self.engine.spec, self.graph, num_lanes,
                 None if self.sharding is None else self.sharding.plan,
             )
             return body()
@@ -451,13 +454,11 @@ class SuperstepDriver:
                 self.sanitizer.release()
 
     def _priced(self, algorithm: ACCAlgorithm, batch_keys: Optional[dict] = None) -> dict:
-        """Price the finished run's records - on the engine's own device, or
-        one fresh device per shard; returns the result fields ``run`` and
-        ``run_batch`` share."""
+        """Price the finished run's records on the engine's spec; returns
+        the result fields ``run`` and ``run_batch`` share."""
         engine = self.engine
         elapsed_us, self.records, launches, breakdown = price(
-            self.records, engine.device.spec, engine.config.fusion, self.static,
-            [engine.device] if self.sharding is None else None,
+            self.records, engine.spec, engine.config.fusion, self.static
         )
         if self.sanitizer is not None:
             for record in self.records:
@@ -489,7 +490,7 @@ class SuperstepDriver:
             ),
             extra_keys.BREAKDOWN: breakdown,
             extra_keys.JIT_PRE_ARMED_ITERATIONS: sorted(pre_armed),
-            extra_keys.KERNEL_EDGES_WALKED: int(self.engine._kernel_edges_walked),
+            extra_keys.KERNEL_EDGES_WALKED: self.edges_walked,
             extra_keys.STOPPED_AT_CAP: self.stopped_at_cap,
         }
         if batch_keys:
@@ -822,7 +823,8 @@ class SuperstepDriver:
         """
         csr = self.graph.out_csr
         worklist = unit.frontier
-        slot, edge_idx, total = self.engine._walk(csr, worklist)
+        slot, edge_idx, total = self.engine._walk_edges(csr, worklist)
+        self.edges_walked += int(total)
         kept = 0
         recorded = producers = _EMPTY
         if total:
@@ -893,9 +895,10 @@ class SuperstepDriver:
         sources = bitmaps[0] if len(bitmaps) == 1 else reduce(
             np.logical_or, bitmaps, np.zeros(n, dtype=bool)
         )
-        src, dst, edge_idx, _ = self.engine._walk_kept(
+        src, dst, edge_idx, walked = kernel.walk_kept(
             csr, unit.worklist, sources, self.lanes.prototype.uses_weights
         )
+        self.edges_walked += int(walked)
         active = int(src.size)
         if active:
             weights = None

@@ -56,6 +56,7 @@ from repro.core.acc import ACCAlgorithm, InitialState
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import RunResult
 from repro.dyn.overlay import UpdateReceipt
+from repro.gpu.device import GPUSpec, K40
 from repro.graph.csr import CSRGraph
 
 #: Algorithms incremental repair supports (monotone min-combine with a
@@ -327,33 +328,18 @@ class IncrementalRecompute:
     materialized snapshot like any other run).
     """
 
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        device=None,
-    ):
+    def __init__(self, config: Optional[EngineConfig] = None, spec: GPUSpec = K40):
         self.config = config
-        self.device = device
+        self.spec = spec
 
     def run(
-        self,
-        receipt: UpdateReceipt,
-        algorithm: ACCAlgorithm,
-        old_values: Optional[np.ndarray],
-        *,
-        force_scratch: bool = False,
+        self, receipt: UpdateReceipt, algorithm: ACCAlgorithm, old_values: np.ndarray
     ) -> RunResult:
-        plan = None
-        if old_values is not None and not force_scratch:
-            plan = plan_repair(
-                algorithm.name,
-                receipt,
-                old_values,
-                source=getattr(algorithm, "source", None),
-            )
-        engine = SIMDXEngine(
-            receipt.new_graph, device=self.device, config=self.config
+        plan = plan_repair(
+            algorithm.name, receipt, old_values,
+            source=getattr(algorithm, "source", None),
         )
+        engine = SIMDXEngine(receipt.new_graph, self.spec, self.config)
         if plan is None:
             result = engine.run(algorithm)
             mode, reset, seeds = "from_scratch", 0, 0

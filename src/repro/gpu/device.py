@@ -151,13 +151,17 @@ class GPUDevice:
     """A simulated GPU: the kernel-launch cost model of one ``spec``
     (defaults to the paper's primary K40 device), with its profiler.
     Memory feasibility is :func:`reserve`'s, priced from the run's
-    buffers."""
+    buffers.
+
+    A device lives for one pricing (:func:`repro.core.pricing.price`, a
+    baseline's ``run``): the systems hold a :class:`GPUSpec`, never a
+    device, so no launch log outlives the run it priced."""
 
     def __init__(self, spec: GPUSpec = K40):
         self.spec = spec
         self.profiler = DeviceProfiler()
-        # Both tables cache pure functions of the (immutable) spec, so they
-        # outlive runs. No kernel shape keeps more CTAs resident than the
+        # Both tables cache pure functions of the (immutable) spec. No
+        # kernel shape keeps more CTAs resident than the
         # hardware has slots, and a grid at least that large is never
         # launch-limited: occupancy is memoised on the grid size clamped to
         # the slot count, which bounds the table by the hardware.

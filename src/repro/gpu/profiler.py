@@ -1,8 +1,9 @@
 """Per-device profiling: launches and timing breakdowns.
 
-The profiler is what the systems read to report kernel launch counts
-(Table 2) and what the superstep driver reads for a run's per-component
-time breakdown. It is intentionally append-only and cheap: recording a launch is
+The profiler is what pricing reads for a run's kernel launch count
+(Table 2) and per-component time breakdown. A device, and so its
+profiler, lives for one pricing, so nothing ever resets it. It is
+intentionally append-only and cheap: recording a launch is
 one list append of the :class:`~repro.gpu.kernel.LaunchResult` the device
 just computed (or, for an idle phase, looked up) - there is no second record
 type - and every query walks ``records`` when asked.
@@ -30,16 +31,11 @@ class DeviceProfiler:
     def record_launch(self, result: "LaunchResult") -> None:
         self.records.append(result)
 
-    def reset(self) -> None:
-        self.records.clear()
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def launch_count(self, *, include_fused: bool = False) -> int:
-        """Number of real kernel launches (fused phases excluded by default)."""
-        if include_fused:
-            return len(self.records)
+    def launch_count(self) -> int:
+        """Number of real kernel launches (fused phases excluded)."""
         return sum(1 for r in self.records if not r.fused)
 
     def breakdown(self) -> Dict[str, float]:

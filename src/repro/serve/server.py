@@ -47,8 +47,7 @@ Two request types beyond plain queries (docs/dynamic.md, docs/caching.md):
 default it runs inline on the event loop - dispatches serialize, which is
 also what one physical device would do. ``use_executor=True`` runs
 batches on the default thread pool instead (the TCP demo does, so slow
-batches do not stall accepts); repairs run on the event loop, on a
-device of their own.
+batches do not stall accepts); repairs run on the event loop.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from repro.cache.results import ResultCache
 from repro.cache.reuse import CachedAnswer, CachedQueryEngine
 from repro.core.engine import EngineConfig
 from repro.dyn.overlay import DynamicGraph, EdgeUpdateBatch
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import GPUSpec, K40
 from repro.serve.batcher import BatchFormer, PendingQuery
 from repro.serve.policy import AdmissionPolicy, ServerOverloaded
 
@@ -147,7 +146,7 @@ class SIMDXServer:
         *,
         policy: Optional[AdmissionPolicy] = None,
         config: Optional[EngineConfig] = None,
-        device: Optional[GPUDevice] = None,
+        spec: GPUSpec = K40,
         algorithms: Optional[Dict[str, Callable]] = None,
         use_executor: bool = False,
         cache: Optional[object] = None,
@@ -163,7 +162,7 @@ class SIMDXServer:
         self.front = CachedQueryEngine(
             graph,
             config=config,
-            device=device if device is not None else GPUDevice(K40),
+            spec=spec,
             cache=False if cache is None else cache,
             algorithms=self._algorithms,
         )

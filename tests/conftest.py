@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineConfig, SIMDXEngine
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import K40
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
 from tests import graphs
@@ -31,9 +31,9 @@ def armed_by_env(monkeypatch):
         return
     plain_init = SIMDXEngine.__init__
 
-    def armed_init(self, graph, device=None, config=None):
+    def armed_init(self, graph, spec=K40, config=None):
         config = dataclasses.replace(config or EngineConfig(), sanitize=True)
-        plain_init(self, graph, device=device, config=config)
+        plain_init(self, graph, spec, config)
 
     monkeypatch.setattr(SIMDXEngine, "__init__", armed_init)
 
@@ -99,16 +99,11 @@ def directed_graph() -> CSRGraph:
 
 
 @pytest.fixture
-def device() -> GPUDevice:
-    return GPUDevice(K40)
-
-
-@pytest.fixture
 def engine_factory():
     """Factory building an engine for a graph with an optional config."""
 
     def make(graph: CSRGraph, config: EngineConfig | None = None) -> SIMDXEngine:
-        return SIMDXEngine(graph, device=GPUDevice(K40), config=config)
+        return SIMDXEngine(graph, K40, config)
 
     return make
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.direction import Direction, SubBatchPlan
 from repro.core.engine import SIMDXEngine
+from repro.gpu.device import K40
 from repro.serve import SIMDXServer
 from tests.oracles import PythonKernelBackend
 
@@ -72,13 +73,13 @@ class ScheduledEngine(SIMDXEngine):
     def __init__(
         self,
         graph,
-        device=None,
+        spec=K40,
         config=None,
         *,
         direction_schedule: Optional[Sequence[Direction]] = None,
         split_schedule: Optional[SplitSchedule] = None,
     ):
-        super().__init__(graph, device=device, config=config)
+        super().__init__(graph, spec, config)
         self.direction_schedule = direction_schedule
         self.split_schedule = split_schedule
 

@@ -18,7 +18,7 @@ from repro.bench.harness import make_algorithm
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.metrics import RunResult
 from repro.gpu.atomics import profile_atomic_updates
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import K40
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from tests.conftest import assert_distances_equal
@@ -203,8 +203,8 @@ class TestGunrockModel:
         directions = 2 if rmat_graph.directed else 1
         resident = directions * (v * 8 + e * 4) + 2 * v * 8 + 2 * v * 4
         capacity = resident + e * 4 - 1
-        device = GPUDevice(replace(K40, global_memory_bytes=capacity))
-        result = GunrockLike(device).run(BFS(source=0), rmat_graph)
+        spec = replace(K40, global_memory_bytes=capacity)
+        result = GunrockLike(spec).run(BFS(source=0), rmat_graph)
         assert result.failure_reason == (
             f"OOM: K40: cannot allocate {e * 4} bytes for batch_edge_list; "
             f"{e * 4 - 1} of {capacity} bytes free"

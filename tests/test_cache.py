@@ -27,7 +27,7 @@ from repro.algorithms import ALGORITHMS, BFS
 from repro.cache import CachedQueryEngine, ResultCache
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.dyn import DynamicGraph, EdgeUpdateBatch
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import P100
 from repro.graph import generators as gen
 
 SANITIZE = os.environ.get("REPRO_SANITIZE", "") == "1"
@@ -219,25 +219,25 @@ def test_reuse_on_a_miss_runs_nothing(graph, monkeypatch):
 
 def test_landmark_refresh_and_reuse_repair_are_one_routine(graph, monkeypatch):
     """The same stale entry repaired eagerly (landmark refresh) and lazily
-    (``reuse``) gives the same bits, on a device that is not the one the
-    front-end's engine runs batches on."""
+    (``reuse``) gives the same bits, on an engine that is not the one the
+    front-end runs batches on, priced on the front-end's spec."""
     warm = SIMDXEngine(graph, config=_config()).run(BFS(source=5)).values
     batch = {
         "inserts": [(5, 150), (7, 90)], "deletes": [graph.to_edge_array()[0]]
     }
     eager = CachedQueryEngine(
-        graph, config=_config(), device=GPUDevice(K40),
+        graph, config=_config(), spec=P100,
         cache=ResultCache(landmark_threshold=1),
     )
-    lazy = CachedQueryEngine(graph, config=_config(), device=GPUDevice(K40))
+    lazy = CachedQueryEngine(graph, config=_config(), spec=P100)
     for qe in (eager, lazy):
         qe.cache.store("bfs", 5, {}, warm, version=0)
     eager.cache.lookup("bfs", 5, {}, version=0)  # promote to landmark
-    devices = []
+    engines = []
     run = SIMDXEngine.run
     monkeypatch.setattr(
         SIMDXEngine, "run",
-        lambda self, *a, **k: devices.append(self.device) or run(self, *a, **k),
+        lambda self, *a, **k: engines.append(self) or run(self, *a, **k),
     )
     for qe in (eager, lazy):
         qe.update(**batch)
@@ -246,11 +246,11 @@ def test_landmark_refresh_and_reuse_repair_are_one_routine(graph, monkeypatch):
     np.testing.assert_array_equal(refreshed.values, repaired.values)
     scratch = run(SIMDXEngine(lazy.dyn.snapshot(), config=_config()), BFS(source=5))
     np.testing.assert_array_equal(repaired.values, scratch.values)
-    assert len(devices) == 2
-    for device in devices:
-        assert device is not eager.engine.device
-        assert device is not lazy.engine.device
-        assert device.spec is K40
+    assert len(engines) == 2
+    for engine in engines:
+        assert engine is not eager.engine
+        assert engine is not lazy.engine
+        assert engine.spec is P100
 
 
 def test_no_reuse_front_end_still_runs_and_updates(graph):

@@ -179,21 +179,6 @@ def test_unsupported_algorithm_falls_back_to_scratch():
     assert np.array_equal(result.values, scratch.values)
 
 
-def test_force_scratch_flag():
-    graph = gen.random_uniform_graph(150, 900, seed=91)
-    dyn = DynamicGraph(graph)
-    warm = SIMDXEngine(graph, config=_config()).run(BFS(source=3)).values
-    receipt = dyn.apply(EdgeUpdateBatch.of(inserts=[(3, 140)]))
-    result = IncrementalRecompute(config=_config()).run(
-        receipt, BFS(source=3), warm, force_scratch=True
-    )
-    assert result.extra[extra_keys.DYN_REPAIR_MODE] == "from_scratch"
-    scratch = SIMDXEngine(receipt.new_graph, config=_config()).run(
-        BFS(source=3)
-    )
-    assert np.array_equal(result.values, scratch.values)
-
-
 def test_sssp_nonpositive_weight_refuses_repair_plan():
     # plan_repair must return None when min weight <= 0 (support-closure
     # soundness needs strictly positive weights), forcing exact fallback.

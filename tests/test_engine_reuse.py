@@ -3,15 +3,15 @@
 The serving layer (``src/repro/serve/``) answers every dispatched batch
 with **one** long-lived :class:`SIMDXEngine`, so any state leaking from
 one ``run``/``run_batch`` into the next silently corrupts served answers.
-``SIMDXEngine._begin_run`` documents the contract: the only state an
-engine may carry across calls is graph-derived and source-independent
-(the pull classifier, cached in-degrees, the in-CSR transpose); profiler
-counters, device memory accounting and the fusion plan reset per call.
+The :class:`SIMDXEngine` docstring states the contract: an engine holds
+its configuration, its device spec and graph-derived, source-independent
+caches (the pull classifier, cached in-degrees, the in-CSR transpose);
+every controller, counter and device a run uses is built inside it.
 
-These tests pin that contract the strong way: a mixed sequence of
-``run`` and ``run_batch`` calls on one engine must produce results
-bit-identical - values, traces and counters alike - to running each call
-on a brand-new engine.
+These tests pin that contract two ways: no ``run`` or ``run_batch`` changes
+the engine's state beyond building those caches, and a mixed sequence of
+calls on one engine produces results bit-identical - values, traces and
+counters alike - to running each call on a brand-new engine.
 """
 
 from __future__ import annotations
@@ -21,8 +21,11 @@ import pytest
 
 from repro.algorithms import BFS, SSSP
 from repro.core.engine import EngineConfig, SIMDXEngine
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import K40
 from repro.graph import generators as gen
+
+#: Engine attributes a run may build (from ``None``); nothing else changes.
+LAZY_CACHES = {"_pull_classifier", "_in_degrees"}
 
 #: Result fields that must be bit-identical between a reused engine and a
 #: fresh one. ``values``/``metadata`` are compared with array equality;
@@ -45,7 +48,7 @@ def graph():
 
 
 def fresh_engine(graph) -> SIMDXEngine:
-    return SIMDXEngine(graph, device=GPUDevice(K40), config=EngineConfig())
+    return SIMDXEngine(graph, K40, EngineConfig())
 
 
 def call_sequence(graph):
@@ -129,11 +132,12 @@ def test_repeated_identical_run_batch_is_stable(graph):
 
 
 def test_profiler_counters_reset_between_calls(graph):
-    """Cross-run counters restart at zero: no accumulation across calls.
+    """Per-run counters restart at zero: no accumulation across calls.
 
-    ``kernel_launches`` and the ``kernel_edges_walked`` extra are summed
-    by the profiler during a run; if ``_begin_run`` ever stopped
-    resetting them, call 2 would report call 1's work on top of its own.
+    ``kernel_launches`` is counted on the devices pricing builds and the
+    ``kernel_edges_walked`` extra by the run's superstep driver; were
+    either kept on the engine, call 2 would report call 1's work on top
+    of its own.
     """
     engine = fresh_engine(graph)
     first = engine.run(BFS(source=3))
@@ -143,3 +147,52 @@ def test_profiler_counters_reset_between_calls(graph):
         second.extra["kernel_edges_walked"]
         == first.extra["kernel_edges_walked"]
     )
+
+
+def _state(obj, seen=None):
+    """A comparable snapshot of everything reachable from ``obj``'s
+    attributes: arrays by content, containers and objects recursively."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        return ("array", obj.dtype.str, obj.shape, obj.tobytes())
+    if obj is None or isinstance(obj, (bool, int, float, str, type)):
+        return obj
+    if id(obj) in seen:
+        return ("seen", type(obj).__name__)
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        return {key: _state(value, seen) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return [_state(value, seen) for value in obj]
+    fields = getattr(obj, "__dict__", None)
+    if fields is None:
+        return repr(obj)
+    return (type(obj).__name__, _state(fields, seen))
+
+
+def _engine_state(engine):
+    """``vars(engine)`` as a snapshot, the graph's lazy in-CSR left out."""
+    graph = {k: v for k, v in vars(engine.graph).items() if k != "_in_csr"}
+    return {
+        name: _state(graph if value is engine.graph else value)
+        for name, value in vars(engine).items()
+    }
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_engine_carries_no_per_run_state(graph, num_shards):
+    """A run changes nothing on its engine but the lazy graph caches, which
+    go from unbuilt to built once; every later run changes nothing."""
+    engine = SIMDXEngine(graph, K40, EngineConfig(num_shards=num_shards))
+    before = _engine_state(engine)
+    engine.run(BFS(source=3))
+    engine.run_batch(SSSP(source=3), [3, 5, 9, 11])
+    after = _engine_state(engine)
+    changed = {name for name in before if before[name] != after[name]}
+    assert set(after) == set(before)
+    assert changed <= LAZY_CACHES, changed
+    assert all(before[name] is None for name in changed)
+    assert graph.in_csr_built
+    engine.run_batch(BFS(source=3), [3, 5])
+    engine.run(SSSP(source=5))
+    assert _engine_state(engine) == after

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms import BFS
+from repro.algorithms import BFS, PageRank
 from repro.analysis import registry as keys
 from repro.analysis.sanitizer import RuntimeSanitizer, SanitizerError
 from repro.cache import CachedQueryEngine
@@ -134,16 +134,14 @@ def _updated(graph):
     return dyn, receipt
 
 
-@pytest.mark.parametrize("old_values", ["none", "warm"])
-def test_recompute_paths_are_clean_unpinned(graph, old_values):
+@pytest.mark.parametrize("mode", ["from_scratch", "incremental"])
+def test_recompute_paths_are_clean_unpinned(graph, mode):
     _, receipt = _updated(graph)
-    warm = SIMDXEngine(graph).run(BFS(source=0)).values
-    result = IncrementalRecompute(config=SANITIZE).run(
-        receipt, BFS(source=0), warm if old_values == "warm" else None
-    )
-    assert result.extra[keys.DYN_REPAIR_MODE] == (
-        "incremental" if old_values == "warm" else "from_scratch"
-    )
+    # PageRank has no repair plan: it takes the from-scratch fallback.
+    make = (lambda: BFS(source=0)) if mode == "incremental" else PageRank
+    warm = SIMDXEngine(graph).run(make()).values
+    result = IncrementalRecompute(config=SANITIZE).run(receipt, make(), warm)
+    assert result.extra[keys.DYN_REPAIR_MODE] == mode
 
 
 @pytest.mark.parametrize("rule", sorted(DYN_RULES))

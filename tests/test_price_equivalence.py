@@ -47,7 +47,7 @@ from repro.core.filters import FilterMode
 from repro.core.fusion import FusionStrategy
 from repro.core.pricing import price, priced_result
 from repro.core.superstep import place_static
-from repro.gpu.device import K20, K40, P100, DeviceOutOfMemory, GPUDevice
+from repro.gpu.device import K20, K40, P100, DeviceOutOfMemory
 from repro.gpu.profiler import DeviceProfiler
 from repro.graph import generators as gen
 from repro.shard.partition import ShardPlan
@@ -116,14 +116,13 @@ def _check_pricing(graph, num_shards, execute, launches, num_lanes=None):
             fresh, fresh_launches = execution, own_launches
         else:
             fresh = execute(SIMDXEngine(
-                graph, device=GPUDevice(spec), config=replace(config, fusion=fusion)
+                graph, spec, config=replace(config, fusion=fusion)
             ))
             assert not fresh.failed, fresh.failure_reason
             fresh_launches = launches()
-        devices = [GPUDevice(spec) for _ in range(num_shards)]
         elapsed_us, records, kernel_launches, breakdown = price(
             execution.iteration_records, spec, fusion,
-            _place(graph, spec, num_shards, num_lanes), devices,
+            _place(graph, spec, num_shards, num_lanes),
         )
         where = f"{graph.name} x{num_shards} priced on {spec.name}/{fusion.value}"
         assert np.array_equal(execution.values, fresh.values), where
@@ -141,6 +140,27 @@ def _check_pricing(graph, num_shards, execute, launches, num_lanes=None):
             assert total.hex() == elapsed_us.hex(), where
     # Pricing reads the records; it never writes them.
     assert _priced_fields(execution.iteration_records) == own
+
+
+@pytest.mark.parametrize("num_shards", SHARDS)
+def test_price_returns_new_records_and_writes_none(num_shards):
+    """``price`` builds a new record per record and leaves the four
+    ``*_us`` fields of the (unpriced) records it reads at 0.0."""
+    graph = gen.rmat_graph(9, 8, seed=7, name="rmat9")
+    run = SIMDXEngine(graph, config=EngineConfig(num_shards=num_shards)).run(
+        BFS(source=3)
+    )
+    unpriced = [
+        replace(r, compute_us=0.0, launch_us=0.0, filter_us=0.0, barrier_us=0.0)
+        for r in run.iteration_records
+    ]
+    _, priced, _, _ = price(
+        unpriced, K40, FusionStrategy.PUSH_PULL, _place(graph, K40, num_shards)
+    )
+    assert priced == run.iteration_records
+    assert all(p is not u for p, u in zip(priced, unpriced))
+    assert _priced_fields(unpriced) == [("0x0.0p+0",) * 4] * len(unpriced)
+    assert any(r.total_us for r in priced)
 
 
 @pytest.mark.parametrize("num_shards", SHARDS)
@@ -205,7 +225,7 @@ class TestOutOfMemory:
         )
 
         def execute(spec):
-            engine = SIMDXEngine(graph, device=GPUDevice(spec), config=config)
+            engine = SIMDXEngine(graph, spec, config)
             if sources is None:
                 return engine.run(BFS(source=hub))
             return engine.run_batch(BFS(source=hub), sources)

@@ -41,7 +41,7 @@ from repro.algorithms import BFS, SSSP
 from repro.cache import ResultCache
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.dyn import DynamicGraph, EdgeUpdateBatch
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import K40
 from repro.graph import generators as gen
 from repro.serve import (
     AdmissionPolicy,
@@ -395,7 +395,7 @@ def test_per_lane_params_route_to_their_lane(graph):
     log = server.batch_log[0]
     assert log["lane_params"] == [{"delta": d} for d in deltas]
     direct = SIMDXEngine(
-        graph, device=GPUDevice(K40), config=serve_config()
+        graph, K40, config=serve_config()
     ).run_batch(
         SSSP(source=log["sources"][0]),
         log["sources"],
@@ -570,7 +570,7 @@ def test_served_differential_vs_direct_run_batch(graph):
     replays = {}
     for log in server.batch_log:
         engine = SIMDXEngine(
-            graph, device=GPUDevice(K40), config=serve_config()
+            graph, K40, config=serve_config()
         )
         replays[log["batch_index"]] = engine.run_batch(
             classes[log["algorithm"]](source=log["sources"][0]),
@@ -631,7 +631,7 @@ def test_cache_hit_does_not_consume_batch_capacity(graph):
     # Prepopulate the cache with a direct run's bits - exactly what a
     # served batch lane would have stored (the bit-identity contract).
     warm = SIMDXEngine(
-        graph, device=GPUDevice(K40), config=serve_config()
+        graph, K40, config=serve_config()
     ).run(BFS(source=3))
     cache = ResultCache()
     cache.store("bfs", 3, {}, warm.values, version=0)

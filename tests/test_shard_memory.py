@@ -21,7 +21,7 @@ import pytest
 from repro.algorithms import BFS
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.graph import generators as gen
-from repro.gpu.device import GPUDevice, K40
+from repro.gpu.device import K40
 
 #: Twitter-scale annotation (Table 4's largest graphs): K=16 lanes of
 #: paper-scale metadata alone need 2 * 16 * 60e6 * 8 B = 15.36 GB, which
@@ -109,7 +109,7 @@ class TestBoundaryBufferOOM:
         spec = replace(K40, global_memory_bytes=591_454_756)
         source = int(np.argmax(rmat_graph.out_degrees()))
         result = SIMDXEngine(
-            rmat_graph, device=GPUDevice(spec), config=EngineConfig(num_shards=2)
+            rmat_graph, spec, config=EngineConfig(num_shards=2)
         ).run(BFS(source=source))
         assert result.failed
         assert result.device == "K40x2"
