@@ -31,7 +31,6 @@ def run_matrix(ctx: BenchmarkContext, abbrev: str, algorithm_name: str) -> None:
         "SIMD-X (JIT + push-pull fusion)": EngineConfig(),
         "  ... ballot filter only": EngineConfig(filter_mode=FilterMode.BALLOT),
         "  ... online filter only": EngineConfig(filter_mode=FilterMode.ONLINE),
-        "  ... batch filter (Gunrock-style)": EngineConfig(filter_mode=FilterMode.BATCH),
         "  ... no kernel fusion": EngineConfig(fusion=FusionStrategy.NONE),
         "  ... all-fusion": EngineConfig(fusion=FusionStrategy.ALL),
         "  ... atomic combine (no ACC)": EngineConfig(atomic_combine=True),

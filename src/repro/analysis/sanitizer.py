@@ -18,9 +18,8 @@ contracts into checked invariants:
   metadata: operands are compared bit-for-bit against the superstep's
   snapshot, so a gather that observes metadata mutated earlier in the
   same superstep is flagged.
-* **lane remaps** - across a :meth:`BatchedFrontier.sub_batch`
-  split/merge, the planned sub-batches must partition the live lanes and
-  every view's lane must map back to exactly its own frontier.
+* **lane remaps** - across a batched split/merge, the planned
+  sub-batches must partition the live lanes.
 * **impure hooks** - ACC hooks receive read-only views of caller-owned
   arrays; an in-place mutation raises inside NumPy and is converted to a
   violation. The graph's CSR arrays are additionally frozen
@@ -138,8 +137,8 @@ class RuntimeSanitizer:
       ``finally``;
     * :meth:`begin_superstep` / :meth:`end_superstep` around each
       iteration's functional work;
-    * :meth:`check_groups` / :meth:`check_sub_batch` at the batched
-      loop's split points, :meth:`observe_record` per iteration record;
+    * :meth:`check_groups` at the batched loop's split points,
+      :meth:`observe_record` per iteration record;
     * :meth:`validate_extra` on the finished ``extra`` mapping, then
       :meth:`report` for ``extra["sanitizer"]``.
     """
@@ -310,44 +309,6 @@ class RuntimeSanitizer:
                 ViolationKind.LANE_REMAP,
                 f"sub-batches do not partition the live lanes "
                 f"(missing {missing}, unexpected {extra})",
-            )
-
-    def check_sub_batch(self, view, lanes, lane_frontiers, iteration: int) -> None:
-        """A sub-batch view must map each lane to exactly its frontier."""
-        self._checks["sub_batch_views"] += 1
-        lanes = [int(l) for l in lanes]
-        if view.lane_ids is not None:
-            if [int(l) for l in view.lane_ids] != lanes:
-                self._violation(
-                    ViolationKind.LANE_REMAP,
-                    f"sub-batch lane_ids {list(view.lane_ids)} do not match "
-                    f"the planned lanes {lanes}",
-                )
-                return
-            local_of = {lane: i for i, lane in enumerate(lanes)}
-        else:
-            local_of = {lane: lane for lane in lanes}
-        parts = []
-        for lane in lanes:
-            frontier = lane_frontiers[lane]
-            if frontier.size:
-                parts.append(frontier)
-            if not np.array_equal(view.lane_vertices(local_of[lane]), frontier):
-                self._violation(
-                    ViolationKind.LANE_REMAP,
-                    "sub-batch view does not reproduce the lane's frontier "
-                    "after the split remap",
-                    lane=lane,
-                )
-        expected_union = (
-            np.unique(np.concatenate(parts)) if parts
-            else np.zeros(0, dtype=np.int64)
-        )
-        if not np.array_equal(view.vertices, expected_union):
-            self._violation(
-                ViolationKind.LANE_REMAP,
-                "sub-batch union vertices differ from the union of the "
-                "group lanes' frontiers",
             )
 
     # ------------------------------------------------------------------

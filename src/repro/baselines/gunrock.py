@@ -117,9 +117,9 @@ class GunrockLike(PricedSystem):
 
             # Filter: materialize + scan the active edge list, compact the
             # (unsorted, redundant) next frontier.
-            edge_list_bytes = it.frontier_edges * self.EDGE_ENTRY_BYTES
+            edge_list = it.frontier_edges * self.EDGE_ENTRY_BYTES
             filter_work = WorkEstimate(
-                coalesced_bytes=2.0 * edge_list_bytes
+                coalesced_bytes=2.0 * edge_list
                 + gmem.sequential_bytes(it.updates_valid, gmem.VERTEX_ID_BYTES),
                 compute_ops=float(it.frontier_edges),
                 warp_primitive_ops=float(-(-max(it.frontier_edges, 1) // 32)),

@@ -892,11 +892,8 @@ def shard_scaling(ctx: BenchmarkContext) -> Dict:
                 peak = max(batch.extra[extra_keys.SHARD_PEAK_BYTES])
                 boundary = batch.extra[extra_keys.SHARD_BOUNDARY_UPDATES]
             else:
-                # Resident bytes plus the largest transient buffer, as
-                # for a shard.
-                peak = place_static(ctx.device_spec, cell.graph, cell.lanes)[0] + max(
-                    (r.edge_list_bytes for r in batch.iteration_records), default=0
-                )
+                # Resident bytes: one device has no transient buffer.
+                peak = place_static(ctx.device_spec, cell.graph, cell.lanes)[0]
                 boundary = 0
             rows.append(
                 {

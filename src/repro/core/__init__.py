@@ -6,8 +6,7 @@ This subpackage is the paper's primary contribution:
   user implements to express a graph algorithm (Section 3).
 * :mod:`repro.core.frontier` -- worklists, degree classification into
   small/medium/large lists and bounded per-thread bins (Section 4).
-* :mod:`repro.core.filters` -- the online and ballot filters plus the
-  prior-work batch filter used as an ablation baseline.
+* :mod:`repro.core.filters` -- the online and ballot filters.
 * :mod:`repro.core.jit` -- the just-in-time controller that picks a filter
   each iteration (Section 4, Figure 7).
 * :mod:`repro.core.fusion` -- push-pull based kernel fusion and the register

@@ -218,16 +218,17 @@ class SIMDXEngine:
         metadata is bit-identical per lane (for delta-stepping SSSP the
         lockstep is per-value, not per-iteration - see
         :class:`~repro.core.metrics.BatchRunResult`) - but every iteration
-        walks the CSR over the *union* of the lane frontiers
-        (:class:`~repro.core.frontier.BatchedFrontier`) and expands each
-        union edge only into the lanes whose frontier contains its source.
+        walks the CSR over the *union* of the lane frontiers and expands
+        each union edge only into the lanes whose frontier contains its
+        source (each lane's frontier is one n-sized membership mask per
+        superstep, read by push and pull alike).
 
         Direction selection is *lane-aware* by default
         (``EngineConfig.lane_aware_split``): each iteration every lane's
         own frontier is scored with the traffic model and the batch splits
         into a push-leaning and a pull-leaning sub-batch when lane
         interests diverge past ``BatchDirectionPolicy.margin`` - each
-        sub-batch walks the CSR (or in-CSR) with its own frontier view, JIT
+        sub-batch walks the CSR (or in-CSR) over its own lanes' union, JIT
         filter state and pre-arm bound, and lanes re-merge when their
         decisions reconverge.
         With ``lane_aware_split=False`` direction and the task-management
@@ -351,7 +352,7 @@ class SIMDXEngine:
         sharded units' task management exactly like a single-source
         iteration's.
         """
-        # The online/batch filters record destinations that just
+        # The online filter records destinations that just
         # became active, as observed by the worker that updated them.
         destinations = expansion.recorded_destinations
         recorded = active_mask.take(destinations).nonzero()[0]
@@ -367,7 +368,6 @@ class SIMDXEngine:
             updated_destinations=_take(destinations, recorded),
             producer_thread=_take(expansion.recorded_producers, recorded),
             active_mask=active_mask,
-            frontier_edges=classified.total_edges,
             num_worker_threads=max(1, expansion.num_workers),
             max_producer_records=max_producer_records,
             success_rate=success_rate,

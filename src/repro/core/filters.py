@@ -1,9 +1,8 @@
 """Task-management filters (Section 4).
 
 A *filter* turns the updates of one iteration into the next iteration's
-active worklist. The paper contributes two filters and compares them to
-Gunrock's batch filter, all of which are implemented here so the ablation
-experiments (Figure 12) can be reproduced:
+active worklist. The paper contributes two filters, both implemented here so
+the ablation experiments (Figure 12) can be reproduced:
 
 * :class:`OnlineFilter`  -- record updated destinations into bounded
   per-thread bins *while computing*; extremely cheap when the frontier is
@@ -11,9 +10,9 @@ experiments (Figure 12) can be reproduced:
 * :class:`BallotFilter`  -- update the metadata first, then perform a
   coalesced scan of the whole metadata array using warp ballots, producing a
   sorted, duplicate-free worklist (SIMD-X's contribution).
-* :class:`BatchFilter`   -- Gunrock/B40C style: materialize the full active
-  *edge* list (up to 2|E| memory), then compact the updated destinations;
-  unsorted, redundant, memory hungry.
+
+Gunrock's batch filter, the prior work both are compared to, is priced once,
+by the Gunrock baseline (``repro.baselines.gunrock``).
 
 The paper's Section 4 pipeline has two more pieces that live elsewhere but
 are parameterized here-ish for reference:
@@ -57,7 +56,6 @@ class FilterMode(enum.Enum):
     JIT = "jit"
     ONLINE = "online"
     BALLOT = "ballot"
-    BATCH = "batch"
 
 
 class FilterOverflowError(RuntimeError):
@@ -80,7 +78,7 @@ class FilterContext:
         Total vertex count (the ballot filter scans all of them).
     updated_destinations:
         Destination vertex of every update that *changed* metadata this
-        iteration, duplicates included (online/batch filters record these
+        iteration, duplicates included (the online filter records these
         as they happen).
     producer_thread:
         For each entry of ``updated_destinations``, the index of the
@@ -90,8 +88,6 @@ class FilterContext:
         Boolean mask over all vertices, true where the algorithm's ``Active``
         function holds after this iteration's updates (the ballot filter
         recomputes the worklist from this).
-    frontier_edges:
-        Edges expanded this iteration (batch filter materializes them).
     num_worker_threads:
         Number of simulated worker threads owning online-filter bins.
     max_producer_records:
@@ -116,7 +112,6 @@ class FilterContext:
     updated_destinations: np.ndarray
     producer_thread: np.ndarray
     active_mask: np.ndarray
-    frontier_edges: int
     num_worker_threads: int
     max_producer_records: int = 0
     success_rate: float = 1.0
@@ -132,7 +127,6 @@ class FilterResult:
     #: A ballot scan's worklist: sorted and duplicate-free, the only one
     #: the driver continues from as is (thread bins are neither).
     is_sorted: bool = False
-    extra_memory_bytes: int = 0
 
     @property
     def sortedness(self) -> float:
@@ -205,39 +199,3 @@ class BallotFilter(Filter):
         return FilterResult(
             compacted.values, scan_work.merged_with(compacted.work), is_sorted=True
         )
-
-
-class BatchFilter(Filter):
-    """Gunrock/B40C-style batch filter (Figure 6(a)).
-
-    Materializes the active edge list in device memory (reported via
-    ``extra_memory_bytes``: the unit's record carries it and pricing places
-    it on the device, an OOM on large frontiers), then records updated
-    destinations in thread bins of unbounded size and concatenates them.
-    The output is unsorted and redundant.
-    """
-
-    name = "batch"
-
-    #: Bytes per active-edge-list entry: source, destination, weight.
-    EDGE_ENTRY_BYTES = 12
-
-    def build(self, ctx: FilterContext) -> FilterResult:
-        edge_list_bytes = ctx.frontier_edges * self.EDGE_ENTRY_BYTES
-        materialize_work = WorkEstimate(
-            coalesced_bytes=2.0 * edge_list_bytes,  # write then re-read
-            compute_ops=float(ctx.frontier_edges),
-        )
-        # Unbounded per-thread bins, then concatenation (no atomics).
-        dests = ctx.updated_destinations
-        record_work = WorkEstimate(
-            coalesced_bytes=gmem.sequential_bytes(int(dests.size), gmem.VERTEX_ID_BYTES) * 2,
-            compute_ops=float(dests.size),
-        )
-        worklist = np.asarray(dests, dtype=np.int64).copy()
-        return FilterResult(
-            worklist,
-            materialize_work.merged_with(record_work),
-            extra_memory_bytes=edge_list_bytes,
-        )
-

@@ -24,23 +24,21 @@ simulated thread owns a bin of ``capacity`` slots (the overflow threshold,
 any bin would exceed its capacity the iteration reports overflow, which is
 the JIT controller's signal to switch to the ballot filter.
 
-For batched multi-source execution (``SIMDXEngine.run_batch``), the
-:class:`BatchedFrontier` carries K concurrent query *lanes* over one graph
-as an ``(active_vertices, lane_bitmask)`` pair: the sorted union of every
-lane's frontier plus, per union vertex, a packed bitmask of the lanes it is
-active in. One CSR walk over the union then serves all K queries; the lane
-bitmask recovers each lane's exact edge subset. See ``docs/batching.md``.
+Batched multi-source execution (``SIMDXEngine.run_batch``) classifies the
+union of its K lanes' frontiers like any other worklist; the superstep
+driver tells the lanes apart with one n-sized membership mask per lane
+(``core/superstep.py``). :data:`LANES_PER_WORD` sizes the lane bitmask
+words the *modeled* device keeps per vertex. See ``docs/batching.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.direction import Direction
-from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
 from repro.graph.csr import CSRGraph
 
 #: Default worklist separators (paper Section 4, "Classification of small,
@@ -254,117 +252,5 @@ class ThreadBins:
         return self.entries
 
 
-#: Lanes packed per bitmask word (uint64).
+#: Lanes packed per modeled bitmask word (uint64).
 LANES_PER_WORD = 64
-
-
-@dataclass(frozen=True)
-class BatchedFrontier:
-    """K query lanes over one graph: union frontier + per-vertex lane bits.
-
-    ``vertices`` is the sorted, duplicate-free union of all lanes'
-    frontiers; ``lane_bits`` has one row per union vertex holding a packed
-    uint64 bitmask (``ceil(num_lanes / 64)`` words) of the lanes the vertex
-    is active in. The engine walks the union's CSR rows once per iteration
-    and uses the bitmask to expand each edge only into the lanes whose
-    frontier contains its source - the K-wide amortization behind
-    ``SIMDXEngine.run_batch``.
-
-    Memory cost is ``8 * ceil(K / 64)`` bytes per union vertex on top of the
-    union worklist itself - negligible next to the K metadata rows the
-    batched run keeps (see ``docs/batching.md``).
-    """
-
-    vertices: np.ndarray   # sorted unique union of the lane frontiers, int64
-    lane_bits: np.ndarray  # (vertices.size, num_words) uint64
-    num_lanes: int
-    #: For a sub-batch view (:meth:`sub_batch`): the *global* lane id of
-    #: each local lane, so the engine can map a sub-batch's rows back onto
-    #: the full batch's per-lane state. ``None`` for a full batch, where
-    #: local and global ids coincide.
-    lane_ids: Optional[Tuple[int, ...]] = None
-    #: Kernel the bitmask primitives run on (``docs/kernels.md``);
-    #: ``None`` is :data:`~repro.core.kernels.DEFAULT_KERNEL`. Excluded
-    #: from equality.
-    backend: Optional[NumpyKernelBackend] = field(
-        default=None, compare=False, repr=False
-    )
-
-    def _kernel(self) -> NumpyKernelBackend:
-        return self.backend or DEFAULT_KERNEL
-
-    @classmethod
-    def from_lanes(
-        cls,
-        lane_frontiers: List[np.ndarray],
-        backend: Optional[NumpyKernelBackend] = None,
-    ) -> "BatchedFrontier":
-        """Build the union + bitmask pair from per-lane frontiers.
-
-        Each per-lane frontier is a 1-D array of vertex ids (duplicates
-        and any order tolerated - the build is one vertex-indexed pass, so
-        neither costs anything); an empty array is a lane that has finished
-        or is momentarily inactive. ``backend`` is the kernel the
-        union/bitmask primitive (and later :meth:`lane_mask` calls) runs
-        on - the engine passes its own ``SIMDXEngine.kernel``.
-        """
-        num_lanes = len(lane_frontiers)
-        if num_lanes == 0:
-            raise ValueError("at least one lane is required")
-        kernel = backend or DEFAULT_KERNEL
-        lanes = [np.asarray(f, dtype=np.int64) for f in lane_frontiers]
-        size = 1 + max((int(f.max()) for f in lanes if f.size), default=-1)
-        vertices, lane_bits = kernel.build_lane_bits(lanes, size)
-        return cls(
-            vertices=vertices,
-            lane_bits=lane_bits,
-            num_lanes=num_lanes,
-            backend=backend,
-        )
-
-    def lane_mask(self, lane: int) -> np.ndarray:
-        """Boolean mask over ``vertices``: which union slots lane holds."""
-        if not (0 <= lane < self.num_lanes):
-            raise IndexError(f"lane {lane} out of range")
-        return self._kernel().lane_mask(self.lane_bits, lane)
-
-    def lane_vertices(self, lane: int) -> np.ndarray:
-        """The lane's frontier (sorted, unique) recovered from the bitmask."""
-        return self.vertices[self.lane_mask(lane)]
-
-    def sub_batch(self, lanes: Sequence[int]) -> "BatchedFrontier":
-        """View of this batch restricted to ``lanes`` (global lane ids).
-
-        The selected lanes are remapped to local ids ``0..len(lanes)-1``
-        (recorded in :attr:`lane_ids`), the union shrinks to the vertices
-        active in at least one selected lane, and the packed bitmask is
-        rebuilt at the sub-batch's own word width - each group of a K=65
-        batch split into 64 + 1 lanes needs one mask word, not two.
-        Lane-aware direction splitting (``docs/batching.md``) walks each
-        sub-batch's CSR rows with exactly this view.
-        """
-        lanes = [int(l) for l in lanes]
-        for lane in lanes:
-            if not (0 <= lane < self.num_lanes):
-                raise IndexError(f"lane {lane} out of range")
-        if self.lane_ids is not None:
-            raise ValueError("sub_batch of a sub_batch is not supported")
-        sub = BatchedFrontier.from_lanes(
-            [self.lane_vertices(lane) for lane in lanes], backend=self.backend
-        )
-        return BatchedFrontier(
-            vertices=sub.vertices,
-            lane_bits=sub.lane_bits,
-            num_lanes=sub.num_lanes,
-            lane_ids=tuple(lanes),
-            backend=self.backend,
-        )
-
-    def total_memberships(self) -> int:
-        """Sum of per-lane frontier sizes (the would-be serial worklist)."""
-        counts = np.zeros(self.vertices.shape[0], dtype=np.int64)
-        bits = self.lane_bits.copy()
-        while bits.any():
-            counts += (bits & np.uint64(1)).sum(axis=1).astype(np.int64)
-            bits >>= np.uint64(1)
-        return int(counts.sum())

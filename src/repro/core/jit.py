@@ -56,7 +56,7 @@ Every :class:`JITDecision` records the direction that drove it (and whether
 the ballot was pre-armed), so the Figure 8 traces can be read per phase.
 
 The same controller serves every :class:`~repro.core.filters.FilterMode`:
-the Figure 12 ablations pin it to one filter (online, ballot or batch)
+the Figure 12 ablations pin it to one filter (online or ballot)
 instead of choosing per iteration, so a pinned run records its decisions
 exactly like an adaptive one. A pinned online filter has nothing to fall
 back to: an overflow would silently truncate the worklist, so it raises
@@ -71,7 +71,6 @@ from typing import List, Optional
 from repro.core.direction import Direction
 from repro.core.filters import (
     BallotFilter,
-    BatchFilter,
     FilterContext,
     FilterMode,
     FilterOverflowError,
@@ -87,7 +86,7 @@ class JITDecision:
     """Record of one iteration's filter choice (Figure 8 raw data)."""
 
     iteration: int
-    filter_used: str           # "online", "ballot" or (pinned) "batch"
+    filter_used: str           # "online" or "ballot"
     overflowed: bool
     worklist_size: int
     #: Execution direction of the iteration whose worklist this built -
@@ -120,7 +119,7 @@ class JITTaskManager:
         #: The one filter a non-JIT mode runs every iteration.
         self.pinned = {
             FilterMode.JIT: None, FilterMode.ONLINE: self.online,
-            FilterMode.BALLOT: self.ballot, FilterMode.BATCH: BatchFilter(),
+            FilterMode.BALLOT: self.ballot,
         }[mode]
         self._use_ballot = False
         self._last_direction: Optional[Direction] = None

@@ -1,15 +1,17 @@
 """The CSR-walk kernel primitives every superstep runs.
 
 The engine's hot loops - edge expansion over CSR rows, frontier-membership
-masks, canonical id-set unions, lane-bitmask construction/extraction for
-batched runs, and the per-destination Combine reduction - are the methods
-of :class:`NumpyKernelBackend`: ``np.repeat``/``np.cumsum`` edge expansion,
-boolean scatter membership and unions (vertex-indexed flag passes; nothing
-sorts or hashes), packed ``uint64`` lane-bit rows built with bulk OR, and
-``np.bincount`` / sort + ``ufunc.reduceat`` segment reductions. The engine
+masks, canonical id-set unions and the per-destination Combine reduction -
+are the methods of :class:`NumpyKernelBackend`: ``np.repeat``/``np.cumsum``
+edge expansion, boolean scatter membership and unions (vertex-indexed flag
+passes; nothing sorts or hashes), and ``np.bincount`` / sort +
+``ufunc.reduceat`` segment reductions. The engine
 reaches them through one instance, ``SIMDXEngine.kernel`` (and its scatter
 walk through ``SIMDXEngine._walk_edges``), which is the seam the tests
-substitute a loop reference through (``docs/kernels.md``).
+substitute a loop reference through (``docs/kernels.md``). The packed
+lane-bit pair (``build_lane_bits`` / ``lane_mask``), ``sorted_unique`` and
+``rows_in_sorted`` have no superstep caller; ``perfbench/layers.py`` still
+traces them.
 
 The contract a substitute must keep, so results stay bit-identical:
 
@@ -40,7 +42,7 @@ import numpy as np
 __all__ = ["DEFAULT_KERNEL", "NumpyKernelBackend"]
 
 #: Lanes packed per bitmask word (uint64); mirrors ``frontier.LANES_PER_WORD``
-#: (defined here too so this module stays import-cycle free).
+#: (defined here too so this module imports nothing of the engine).
 _LANES_PER_WORD = 64
 
 
@@ -175,6 +177,5 @@ class NumpyKernelBackend:
         return segment_ids.take(starts), ufunc.reduceat(values, starts)
 
 
-#: The instance the engine, ``CombineOp`` and ``BatchedFrontier`` use unless
-#: handed another.
+#: The instance the engine and ``CombineOp`` use unless handed another.
 DEFAULT_KERNEL = NumpyKernelBackend()

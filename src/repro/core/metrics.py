@@ -104,10 +104,8 @@ class IterationRecord:
     voting: bool = False
     #: A sharded superstep's last unit only: each shard's boundary receives.
     received: Tuple[int, ...] = ()
-    #: Transient device buffers (paper scale), placed when the run is
-    #: priced: the batch filter's active edge list and, on a sharded
-    #: superstep's last unit, each shard's boundary receive buffer.
-    edge_list_bytes: int = 0
+    #: A sharded superstep's last unit only: each shard's transient
+    #: boundary receive buffer (paper scale), placed when the run is priced.
     boundary_bytes: Tuple[int, ...] = ()
 
     @property

@@ -85,8 +85,6 @@ def price(
     priced: List[IterationRecord] = []
     for record in records:
         t = record.stream
-        if record.edge_list_bytes:
-            reserve(spec, (("active_edge_list", record.edge_list_bytes),), static[t])
         compute_us, launch_us, filter_us, barrier_us = _price_unit(
             record, devices[t], plans[t], barriers[t]
         )

@@ -64,6 +64,15 @@ a thread-bin worklist (unsorted, with duplicates) is never turned back into
 a set: its set is the lane's ``received ∩ active``, an ascending selection
 of the receiver set. Update *streams* (one entry per valid update, in walk
 order) are not sets and stay as walked.
+
+**One lane-membership representation.** A multi-lane unit asks of every
+walked edge whether its source is in lane k's frontier. Push and pull units
+both answer from the same n-sized membership mask of the lane's canonical
+frontier (:meth:`SuperstepDriver._bitmap`, built at most once per superstep),
+and a split group's or a shard's frontier is the :meth:`~SuperstepDriver._union`
+of its lanes' frontiers - no packed lane words and no lane-id remap exist on
+the host. (The modeled device still carries the lane words: see
+:func:`static_footprint`.)
 """
 
 from __future__ import annotations
@@ -86,11 +95,7 @@ from repro.core.direction import (
     SubBatchPlan,
 )
 from repro.core.filters import FilterMode, FilterOverflowError
-from repro.core.frontier import (
-    LANES_PER_WORD,
-    BatchedFrontier,
-    ClassifiedFrontier,
-)
+from repro.core.frontier import LANES_PER_WORD, ClassifiedFrontier
 from repro.core.jit import JITTaskManager
 from repro.core.metrics import BatchRunResult, IterationRecord, RunResult
 from repro.core.pricing import price
@@ -280,10 +285,6 @@ class _Unit:
     stream: Stream
     #: Union of the lanes' frontiers inside the stream's vertex range.
     frontier: np.ndarray
-    #: Lane-bit view over ``frontier`` rows ``[rows[0], rows[1])`` of
-    #: ``view.vertices`` (``None`` while a single lane is live).
-    view: Optional[BatchedFrontier] = None
-    rows: Optional[Tuple[int, int]] = None
     #: Lanes with a non-empty frontier inside the range (default: all).
     range_lanes: Optional[Sequence[int]] = None
     classified: Optional[ClassifiedFrontier] = None
@@ -317,6 +318,7 @@ class _Step:
         self.candidates: Dict[int, np.ndarray] = {}
         #: ``candidates[lane]`` as an n-sized membership mask (built with it).
         self.candidate_masks: Dict[int, np.ndarray] = {}
+        #: ``frontiers[lane]`` as an n-sized membership mask (``_bitmap``).
         self.bitmaps: Dict[int, np.ndarray] = {}
         self.lane_out_edges: Dict[int, int] = {}
         self.last_unit: Dict[int, _Unit] = {}  # lane -> where it drains
@@ -632,19 +634,14 @@ class SuperstepDriver:
         frontiers, live, streams = lanes.frontiers, step.live, self.streams
         sharded = self.sharding is not None
 
-        # Union frontier; the lane bitmask only exists when it has
-        # something to tell apart (more than one live lane).
-        batched: Optional[BatchedFrontier] = None
-        if len(live) == 1:
-            union = frontiers[live[0]]
-        else:
-            batched = BatchedFrontier.from_lanes(frontiers, backend=engine.kernel)
-            union = batched.vertices
+        union = self._union([frontiers[lane] for lane in live])
         if sharded:
-            rows = [_range_rows(union, s.start, s.stop) for s in streams]
-            slices = [union[lo:hi] for lo, hi in rows]
+            slices = [
+                union[slice(*_range_rows(union, s.start, s.stop))]
+                for s in streams
+            ]
         else:
-            rows, slices = [(0, int(union.size))], [union]
+            slices = [union]
         # The Beamer-style test prices each stream's frontier slice by its
         # out-edges (the would-be push cost); a push unit over the slice
         # reuses the classification, a pull unit reclassifies its gather
@@ -682,9 +679,8 @@ class SuperstepDriver:
                 ] if slices[t].size else []
                 if any_push and slices[t].size:
                     units.append(_Unit(
-                        Direction.PUSH, live, stream, slices[t], view=batched,
-                        rows=rows[t], range_lanes=in_range,
-                        classified=classified[t],
+                        Direction.PUSH, live, stream, slices[t],
+                        range_lanes=in_range, classified=classified[t],
                     ))
                 if directions[t] is Direction.PULL:
                     unit = _Unit(
@@ -702,29 +698,18 @@ class SuperstepDriver:
         else:
             groups = [SubBatchPlan(directions[0], (live[0],))]
         for index, group in enumerate(groups):
-            stream = main if index == 0 else self.side
-            if group.direction is Direction.PUSH:
-                view = batched
-                if len(groups) > 1:
-                    view = batched.sub_batch(group.lanes)
-                if view is not None and self.sanitizer is not None:
-                    self.sanitizer.check_sub_batch(
-                        view, group.lanes, frontiers, step.iteration
-                    )
-                units.append(_Unit(
-                    Direction.PUSH, group.lanes, stream,
-                    union if len(groups) == 1 else view.vertices, view=view,
-                    rows=None if view is None else (0, int(view.vertices.size)),
-                    classified=classified[0] if len(groups) == 1 else None,
-                ))
-            else:
-                unit = _Unit(
-                    Direction.PULL, group.lanes, stream,
-                    union if len(groups) == 1
-                    else self._union([frontiers[lane] for lane in group.lanes]),
-                )
+            # A split group's frontier is the union of its own lanes'.
+            unit = _Unit(
+                group.direction, group.lanes,
+                main if index == 0 else self.side,
+                union if len(groups) == 1
+                else self._union([frontiers[lane] for lane in group.lanes]),
+            )
+            if group.direction is Direction.PULL:
                 self._gather_worklist(unit, step)
-                units.append(unit)
+            elif len(groups) == 1:
+                unit.classified = classified[0]
+            units.append(unit)
         return units
 
     def _lane_groups(self, step: _Step, policy, union_direction) -> List[SubBatchPlan]:
@@ -809,6 +794,17 @@ class SuperstepDriver:
             return parts[0] if parts else _EMPTY
         return self.engine.kernel.union_sorted(parts, self.graph.num_vertices)
 
+    def _bitmap(self, step: _Step, lane: int) -> np.ndarray:
+        """Lane ``lane``'s frontier as an n-sized membership mask - the one
+        answer push and pull units read to "is this walked edge's source in
+        the lane's frontier?"; built at most once per superstep."""
+        bitmap = step.bitmaps.get(lane)
+        if bitmap is None:
+            bitmap = step.bitmaps[lane] = self.engine.kernel.membership_mask(
+                self.lanes.frontiers[lane], self.graph.num_vertices
+            )
+        return bitmap
+
     # ------------------------------------------------------------------
     # Expansion: one scatter, one gather
     # ------------------------------------------------------------------
@@ -837,20 +833,13 @@ class SuperstepDriver:
                     )
             kept = int(dst.size)
 
-        def lane_parts():
+        def lane_parts(src):
             if len(unit.range_lanes) == 1:
-                # Every frontier row belongs to the one lane: no bitmask.
+                # Every frontier row belongs to the one lane: no mask.
                 yield unit.range_lanes[0], None
                 return
-            lo, hi = unit.rows
-            view = unit.view
             for lane in unit.range_lanes:
-                local = (
-                    lane if view.lane_ids is None
-                    else view.lane_ids.index(lane)
-                )
-                rows = view.lane_mask(local)[lo:hi]
-                lane_edges = rows.take(slot).nonzero()[0]
+                lane_edges = self._bitmap(step, lane).take(src).nonzero()[0]
                 if lane_edges.size:
                     yield lane, lane_edges
 
@@ -858,8 +847,9 @@ class SuperstepDriver:
             weights = None
             if self.lanes.prototype.uses_weights:
                 weights = csr.weights.take(edge_idx).astype(np.float64)
+            src = worklist.take(slot)
             valid = self._compute_and_route(
-                unit, step, lane_parts(), worklist.take(slot), dst, weights
+                unit, step, lane_parts(src), src, dst, weights
             )
             recorded, producers = _take(dst, valid), _take(slot, valid)
         unit.expansion = _ExpansionResult(
@@ -885,12 +875,7 @@ class SuperstepDriver:
         csr = self.graph.in_csr
         per_lane = zip(unit.lanes, unit.lane_candidates)
         present = [(lane, c) for lane, c in per_lane if c.size]  # lanes that gather
-        for lane, _ in present:
-            if lane not in step.bitmaps:
-                step.bitmaps[lane] = kernel.membership_mask(
-                    self.lanes.frontiers[lane], n
-                )
-        bitmaps = [step.bitmaps[lane] for lane, _ in present]
+        bitmaps = [self._bitmap(step, lane) for lane, _ in present]
         # The walk keeps the in-edges whose source some lane's frontier holds.
         sources = bitmaps[0] if len(bitmaps) == 1 else reduce(
             np.logical_or, bitmaps, np.zeros(n, dtype=bool)
@@ -1151,11 +1136,5 @@ class SuperstepDriver:
             weighted=lanes.prototype.uses_weights,
             voting=lanes.prototype.combine_kind is CombineKind.VOTING,
         )
-        if filter_result.extra_memory_bytes:
-            # The batch filter's active edge list scales with the modeled
-            # graph like every other buffer.
-            record.edge_list_bytes = int(
-                filter_result.extra_memory_bytes * self.graph.modeled_edge_scale()
-            )
         stream.sortedness = filter_result.sortedness
         self.records.append(record)

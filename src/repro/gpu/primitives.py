@@ -40,8 +40,8 @@ def _scan_work(n: int) -> WorkEstimate:
 def concatenate_bins(entries: np.ndarray, sizes: np.ndarray) -> PrimitiveResult:
     """Concatenate per-thread bins into one worklist via scan + scatter.
 
-    This is how both the online filter and the batch filter assemble their
-    next active list without atomics: scan the bin sizes to get each thread's
+    This is how the online filter assembles its next active list without
+    atomics: scan the bin sizes to get each thread's
     output offset, then copy each bin to its slice. The bins arrive flat -
     ``entries`` already in bin order, ``sizes`` entries per bin - so the
     worklist is ``entries`` itself, the scan's last offset is its length,

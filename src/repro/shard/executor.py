@@ -103,14 +103,13 @@ class ShardedExecutor:
 
     def shard_extra(self, records, boundary_updates: int, static: List[int]) -> dict:
         """The ``shard_*`` keys a sharded run adds to ``extra``. A shard's
-        peak is its resident (``static``) bytes plus its largest transient
-        buffer - each is released before the next is placed."""
+        peak is its resident (``static``) bytes plus its largest boundary
+        receive buffer - each is released before the next is placed."""
         scanned = [0] * len(static)
         peak = list(static)
         for record in records:
             t = record.stream
             scanned[t] += record.frontier_edges
-            peak[t] = max(peak[t], static[t] + record.edge_list_bytes)
             for s, nbytes in enumerate(record.boundary_bytes):
                 peak[s] = max(peak[s], static[s] + nbytes)
         return {

@@ -14,8 +14,8 @@ walk per iteration (docs/batching.md); these tests pin its contract:
   the amortization the batching exists for;
 * a one-lane batch is its single run record for record (elapsed time,
   traces, every shared ``extra`` key), plain, sanitized and sharded;
-* the :class:`~repro.core.frontier.BatchedFrontier` lane bitmask
-  round-trips per-lane frontiers through the union representation.
+* K=65 lanes, past the modeled device's 64-lane bitmask word, match their
+  single runs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.core import superstep
 from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.filters import FilterMode
-from repro.core.frontier import BatchedFrontier
 from repro.core.kernels import NumpyKernelBackend
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -66,69 +65,6 @@ def _single_runs(graph, algorithm_cls, sources, config):
         engine = SIMDXEngine(graph, config=config)
         results.append(engine.run(algorithm_cls(source=source)))
     return results
-
-
-class TestBatchedFrontier:
-    def test_union_and_bitmask_roundtrip(self):
-        lanes = [
-            np.array([3, 1, 7], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([7, 7, 2], dtype=np.int64),
-        ]
-        bf = BatchedFrontier.from_lanes(lanes)
-        assert np.array_equal(bf.vertices, [1, 2, 3, 7])
-        assert np.array_equal(bf.lane_vertices(0), [1, 3, 7])
-        assert bf.lane_vertices(1).size == 0
-        assert np.array_equal(bf.lane_vertices(2), [2, 7])
-        assert bf.total_memberships() == 5
-
-    def test_many_lanes_cross_word_boundary(self):
-        # 70 lanes forces a second uint64 bitmask word.
-        lanes = [np.array([lane % 5], dtype=np.int64) for lane in range(70)]
-        bf = BatchedFrontier.from_lanes(lanes)
-        assert bf.lane_bits.shape == (5, 2)
-        for lane in range(70):
-            assert np.array_equal(bf.lane_vertices(lane), [lane % 5])
-        assert bf.total_memberships() == 70
-
-    def test_empty_everywhere(self):
-        bf = BatchedFrontier.from_lanes([np.zeros(0, dtype=np.int64)] * 3)
-        assert bf.vertices.size == 0
-
-    def test_k65_crosses_the_word_width(self):
-        # One lane past the 64-bit word width: every bitmask operation -
-        # membership, sizes, memberships, sub-batch remapping - must use
-        # multi-word masks, not a single uint64.
-        lanes = [np.array([lane % 7], dtype=np.int64) for lane in range(65)]
-        bf = BatchedFrontier.from_lanes(lanes)
-        assert bf.lane_bits.shape == (7, 2)
-        for lane in range(65):
-            assert np.array_equal(bf.lane_vertices(lane), [lane % 7])
-        assert bf.total_memberships() == 65
-        assert all(bf.lane_vertices(k).size == 1 for k in range(65))
-        # A sub-batch that mixes lanes from both words: lane 64 (word 1)
-        # and lane 0 (word 0) repack into a single-word two-lane view.
-        sub = bf.sub_batch([64, 0])
-        assert sub.lane_bits.shape[1] == 1
-        assert np.array_equal(sub.lane_vertices(0), [64 % 7])
-        assert np.array_equal(sub.lane_vertices(1), [0])
-        assert sub.lane_ids == (64, 0)
-
-    def test_k65_run_batch_matches_singles(self):
-        # End-to-end K=65: the engine's bitmask walk, the lane-aware
-        # policy's per-lane selectors and the memory model all index past
-        # the first mask word.
-        graph = gen.rmat_graph(8, 8, seed=3, name="rmat8")
-        degrees = graph.out_degrees()
-        sources = [
-            int(v) for v in np.argsort(-degrees, kind="stable")[:65]
-        ]
-        batch = SIMDXEngine(graph).run_batch(BFS(), sources)
-        assert not batch.failed, batch.failure_reason
-        assert batch.num_lanes == 65
-        for lane, source in enumerate(sources):
-            single = SIMDXEngine(graph).run(BFS(source=source))
-            assert np.array_equal(batch.values[lane], single.values), lane
 
 
 class TestBitIdenticalEquivalence:
@@ -197,6 +133,21 @@ class TestBitIdenticalEquivalence:
                 SSSP(source=source, delta=10.0)
             )
             assert np.array_equal(batch.values[lane], single.values)
+
+    def test_k65_run_batch_matches_singles(self):
+        # End-to-end K=65: the lane-aware policy's per-lane selectors and
+        # the memory model's lane words all index past the first word.
+        graph = gen.rmat_graph(8, 8, seed=3, name="rmat8")
+        degrees = graph.out_degrees()
+        sources = [
+            int(v) for v in np.argsort(-degrees, kind="stable")[:65]
+        ]
+        batch = SIMDXEngine(graph).run_batch(BFS(), sources)
+        assert not batch.failed, batch.failure_reason
+        assert batch.num_lanes == 65
+        for lane, source in enumerate(sources):
+            single = SIMDXEngine(graph).run(BFS(source=source))
+            assert np.array_equal(batch.values[lane], single.values), lane
 
 
 class TestKEqualsOneIsRun:

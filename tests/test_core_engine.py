@@ -29,8 +29,7 @@ class TestFunctionalCorrectness:
         result = SIMDXEngine(rmat_graph).run(SSSP(source=src))
         assert_distances_equal(result.values, ref.sssp_distances(rmat_graph, src))
 
-    @pytest.mark.parametrize("filter_mode", [FilterMode.JIT, FilterMode.BALLOT,
-                                             FilterMode.BATCH])
+    @pytest.mark.parametrize("filter_mode", [FilterMode.JIT, FilterMode.BALLOT])
     def test_results_invariant_across_filters(self, rmat_graph, filter_mode):
         src = int(np.argmax(rmat_graph.out_degrees()))
         config = EngineConfig(filter_mode=filter_mode)
@@ -287,28 +286,6 @@ class TestMemoryFailureModes:
         finally:
             rmat_graph.meta.pop("paper_vertices")
             rmat_graph.meta.pop("paper_edges")
-
-    def test_batch_filter_oom_on_modeled_large_graph(self, rmat_graph):
-        # 1.4e9 modeled edges: the static CSR fits one K40, the batch
-        # filter's active edge list does not; the default JIT controller
-        # never materializes one, so the same run completes.
-        rmat_graph.meta["paper_edges"] = 14 * 10**8
-        rmat_graph.meta["paper_vertices"] = 10**7
-        source = int(np.argmax(rmat_graph.out_degrees()))
-        try:
-            config = EngineConfig(filter_mode=FilterMode.BATCH)
-            result = SIMDXEngine(rmat_graph, config=config).run(BFS(source=source))
-            assert result.failed
-            assert result.failure_reason == (
-                "OOM: K40: cannot allocate 2540977840 bytes for active_edge_list; "
-                "1324901888 of 12884901888 bytes free"
-            )
-            jit = SIMDXEngine(rmat_graph).run(BFS(source=source))
-            assert not jit.failed, jit.failure_reason
-            assert jit.iterations == 4
-        finally:
-            rmat_graph.meta.pop("paper_edges")
-            rmat_graph.meta.pop("paper_vertices")
 
 
 class TestConfigKnobs:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.filters import (
     BallotFilter,
-    BatchFilter,
     FilterContext,
     FilterMode,
     FilterOverflowError,
@@ -24,7 +23,6 @@ def make_ctx(
     num_vertices: int = 100,
     updated=(5, 7, 7, 3),
     active=(3, 5, 7),
-    frontier_edges: int = 50,
     num_threads: int = 4,
 ) -> FilterContext:
     updated = np.asarray(updated, dtype=np.int64)
@@ -36,7 +34,6 @@ def make_ctx(
         updated_destinations=updated,
         producer_thread=producers,
         active_mask=active_mask,
-        frontier_edges=frontier_edges,
         num_worker_threads=num_threads,
     )
 
@@ -69,7 +66,6 @@ class TestOnlineFilter:
             updated_destinations=updated,
             producer_thread=producers,
             active_mask=np.zeros(100, dtype=bool),
-            frontier_edges=300,
             num_worker_threads=40,
         )
         result = OnlineFilter(capacity=8).build(ctx)
@@ -91,7 +87,6 @@ class TestOnlineFilter:
             updated_destinations=np.arange(50) * 2 % 100,
             producer_thread=np.arange(50),
             active_mask=np.zeros(100, dtype=bool),
-            frontier_edges=50,
             num_worker_threads=50,
         )
         result = OnlineFilter(capacity=64).build(pull)
@@ -129,22 +124,6 @@ class TestBallotFilter:
         assert not BallotFilter().build(ctx).overflowed
 
 
-class TestBatchFilter:
-    def test_worklist_is_raw_updates(self):
-        result = BatchFilter().build(make_ctx())
-        assert np.array_equal(result.worklist, [5, 7, 7, 3])
-        assert not result.is_sorted
-
-    def test_requires_edge_list_memory(self):
-        result = BatchFilter().build(make_ctx(frontier_edges=1000))
-        assert result.extra_memory_bytes == 1000 * BatchFilter.EDGE_ENTRY_BYTES
-
-    def test_memory_scales_with_frontier(self):
-        small = BatchFilter().build(make_ctx(frontier_edges=10))
-        large = BatchFilter().build(make_ctx(frontier_edges=10_000))
-        assert large.extra_memory_bytes > 100 * small.extra_memory_bytes
-
-
 def _filters_used(controller: JITTaskManager):
     return [d.filter_used for d in controller.decisions]
 
@@ -155,7 +134,6 @@ class TestPinnedController:
     PINNED = [
         (FilterMode.ONLINE, lambda: OnlineFilter(capacity=8)),
         (FilterMode.BALLOT, BallotFilter),
-        (FilterMode.BATCH, BatchFilter),
     ]
 
     @pytest.mark.parametrize("mode,make", PINNED)
@@ -168,8 +146,6 @@ class TestPinnedController:
             assert np.array_equal(got.worklist, expected.worklist)
             assert got.work == expected.work
             assert got.is_sorted == expected.is_sorted
-            # The batch filter's edge list, which the engine allocates.
-            assert got.extra_memory_bytes == expected.extra_memory_bytes
         # One decision per build, naming the pinned filter.
         assert [(d.iteration, d.overflowed) for d in controller.decisions] == [
             (1, False), (2, False),
@@ -202,7 +178,7 @@ class TestPinnedController:
         assert fork.mode is mode
         assert fork.overflow_threshold == 8
         expected = {FilterMode.JIT: None, FilterMode.ONLINE: "online",
-                    FilterMode.BALLOT: "ballot", FilterMode.BATCH: "batch"}[mode]
+                    FilterMode.BALLOT: "ballot"}[mode]
         assert getattr(fork.pinned, "name", None) == expected
 
 

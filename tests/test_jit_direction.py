@@ -39,7 +39,6 @@ def make_ctx(
         updated_destinations=updated,
         producer_thread=producers,
         active_mask=active_mask,
-        frontier_edges=50,
         num_worker_threads=num_threads,
         max_producer_records=max_producer_records,
         success_rate=success_rate,
@@ -56,7 +55,6 @@ def pull_ctx(num_vertices: int = 100, receivers=(3, 5, 7)) -> FilterContext:
         updated_destinations=receivers,
         producer_thread=np.arange(receivers.size, dtype=np.int64),
         active_mask=active_mask,
-        frontier_edges=50,
         num_worker_threads=max(1, receivers.size),
         max_producer_records=1,
     )

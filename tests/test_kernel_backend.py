@@ -34,7 +34,6 @@ from repro.algorithms import BFS, SSSP, PageRank
 from repro.core.acc import CombineOp
 from repro.core.direction import BatchDirectionPolicy, Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
-from repro.core.frontier import BatchedFrontier
 from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
 from repro.core.superstep import SuperstepDriver
 from repro.graph import generators as gen
@@ -252,26 +251,6 @@ class TestPrimitiveParity:
             assert none.size == 0 and none.dtype == np.int64
             assert no_bits.shape == (0, 2) and no_bits.dtype == np.uint64
 
-    def test_batched_frontier_parity_and_sub_batch(self):
-        rng = np.random.default_rng(8)
-        lane_frontiers = [
-            rng.integers(0, 100, size=rng.integers(0, 20)).astype(np.int64)
-            for _ in range(65)
-        ]
-        via_np = BatchedFrontier.from_lanes(lane_frontiers, backend=NUMPY)
-        via_py = BatchedFrontier.from_lanes(lane_frontiers, backend=PYTHON)
-        assert np.array_equal(via_np.vertices, via_py.vertices)
-        assert np.array_equal(via_np.lane_bits, via_py.lane_bits)
-        for lane in (0, 31, 63, 64):
-            assert np.array_equal(
-                via_np.lane_mask(lane), via_py.lane_mask(lane)
-            )
-        sub_np = via_np.sub_batch([64, 3])
-        sub_py = via_py.sub_batch([64, 3])
-        assert np.array_equal(sub_np.vertices, sub_py.vertices)
-        assert np.array_equal(sub_np.lane_bits, sub_py.lane_bits)
-        assert sub_py.backend is PYTHON  # views keep their kernel
-
     @pytest.mark.parametrize("op", list(CombineOp))
     def test_segment_reduce_parity(self, op):
         rng = np.random.default_rng(9)
@@ -424,13 +403,71 @@ class TestReferenceSeam:
             if path == "split-batch":
                 assert got.extra["lane_splits"] > 0
             reached |= used
-        # Both walks, the lane bitmask and Combine all crossed the seam.
-        # (``sorted_unique`` and ``rows_in_sorted`` are perfbench-only
-        # targets: no superstep path calls them.)
+        # Both walks, the lane masks, the unions and Combine all crossed
+        # the seam. (``sorted_unique``, ``rows_in_sorted``,
+        # ``build_lane_bits`` and ``lane_mask`` are perfbench-only targets:
+        # no superstep path calls them.)
         assert reached >= {
             "walk_edges", "walk_kept", "membership_mask",
-            "union_sorted", "build_lane_bits", "lane_mask", "segment_reduce",
+            "union_sorted", "segment_reduce",
         }, reached
+
+
+class MaskRecordingKernel(CountingKernel):
+    """A :class:`CountingKernel` that also keeps every id array
+    ``membership_mask`` was asked to mask (alive, so no two share an id)."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.masked = []
+
+    def membership_mask(self, vertices, size):
+        self.calls["membership_mask"] += 1
+        self.masked.append(vertices)
+        return self.inner.membership_mask(vertices, size)
+
+
+class TestOneMaskPerLane:
+    """A batched superstep tells its lanes apart with one n-sized
+    membership mask per live lane, read by push and pull units alike; the
+    packed lane-bit primitives have no superstep caller."""
+
+    RUNS = {
+        "single-device": EngineConfig(),
+        "split": EngineConfig(),
+        "shards=2": EngineConfig(num_shards=2),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_membership_mask_once_per_superstep_and_live_lane(
+        self, rmat, run, monkeypatch
+    ):
+        if run == "split":
+            # A zero margin splits every diverging batched superstep.
+            monkeypatch.setattr(BatchDirectionPolicy, "margin", 0.0)
+        config = self.RUNS[run]
+        sources = [
+            int(v) for v in np.argsort(-rmat.out_degrees(), kind="stable")[:8]
+        ]
+        kernel = MaskRecordingKernel(NUMPY)
+        batch = ReferenceKernelEngine(rmat, config=config, kernel=kernel).run_batch(
+            SSSP(), sources
+        )
+        assert not batch.failed, batch.failure_reason
+        assert kernel.calls["build_lane_bits"] == 0
+        assert kernel.calls["lane_mask"] == 0
+        # The mask of a lane's frontier is built from the lane's own array,
+        # which a superstep replaces: one array masked twice would be one
+        # (superstep, lane) masked twice.
+        masked = kernel.masked
+        assert masked
+        assert len({id(vertices) for vertices in masked}) == len(masked)
+        assert len(masked) <= sum(batch.lane_iterations)
+        if run == "split":
+            assert batch.extra["lane_splits"] > 0
+        reference = SIMDXEngine(rmat, config=config).run_batch(SSSP(), sources)
+        assert np.array_equal(batch.values, reference.values)
+        assert batch.extra == reference.extra
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +584,7 @@ class TestSortFreeSupersteps:
         batch = SIMDXEngine(rmat, config=config).run_batch(SSSP(), sources)
         assert not batch.failed
         if lane_aware_split and num_shards == 1:
-            assert batch.extra["lane_splits"] > 0  # sub_batch views were built
+            assert batch.extra["lane_splits"] > 0  # split groups were unioned
         assert unique_calls == []
 
 

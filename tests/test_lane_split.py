@@ -16,7 +16,6 @@ selection"). These tests pin the contract:
 * the split policy itself: agreement never splits, divergence past the
   margin splits into push-first groups, an infinite margin never splits,
   and lanes re-merge when their decisions reconverge;
-* sub-batch frontier views remap the packed lane bitmask correctly;
 * heterogeneous per-lane algorithm parameters (per-lane SSSP delta) ride
   in sub-batches and match the corresponding single runs;
 * forced per-iteration direction schedules (``ScheduledEngine`` again)
@@ -35,7 +34,6 @@ from repro.core.direction import (
     SubBatchPlan,
 )
 from repro.core.engine import EngineConfig, SIMDXEngine
-from repro.core.frontier import BatchedFrontier
 from repro.core.jit import JITTaskManager
 from repro.graph import generators as gen
 from tests.engine_seams import (
@@ -167,45 +165,6 @@ class TestBatchDirectionPolicy:
         assert policy.lane_selectors[1]._current is Direction.PULL
         assert decision.split
         assert decision.groups[1] == SubBatchPlan(Direction.PULL, (1,))
-
-
-# ----------------------------------------------------------------------
-# Sub-batch frontier views
-# ----------------------------------------------------------------------
-class TestSubBatchView:
-    def test_lane_remapping(self):
-        lanes = [
-            np.array([3, 1, 7], dtype=np.int64),
-            np.array([2], dtype=np.int64),
-            np.array([7, 9], dtype=np.int64),
-        ]
-        bf = BatchedFrontier.from_lanes(lanes)
-        sub = bf.sub_batch([2, 0])
-        assert np.array_equal(sub.vertices, [1, 3, 7, 9])
-        assert sub.num_lanes == 2
-        assert sub.lane_ids == (2, 0)
-        assert np.array_equal(sub.lane_vertices(0), [7, 9])   # global lane 2
-        assert np.array_equal(sub.lane_vertices(1), [1, 3, 7])  # global lane 0
-        # The full batch keeps no map: local and global ids coincide.
-        assert bf.lane_ids is None
-
-    def test_sub_batch_drops_other_lanes_vertices(self):
-        bf = BatchedFrontier.from_lanes(
-            [np.array([0], dtype=np.int64), np.array([5], dtype=np.int64)]
-        )
-        sub = bf.sub_batch([1])
-        assert np.array_equal(sub.vertices, [5])
-
-    def test_nested_sub_batch_rejected(self):
-        bf = BatchedFrontier.from_lanes([np.array([1], dtype=np.int64)] * 2)
-        sub = bf.sub_batch([0])
-        with pytest.raises(ValueError, match="sub_batch"):
-            sub.sub_batch([0])
-
-    def test_out_of_range_lane_rejected(self):
-        bf = BatchedFrontier.from_lanes([np.array([1], dtype=np.int64)])
-        with pytest.raises(IndexError):
-            bf.sub_batch([3])
 
 
 # ----------------------------------------------------------------------

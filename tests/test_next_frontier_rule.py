@@ -107,7 +107,7 @@ def test_next_frontier_is_the_set_of_the_filter_worklist(
     binned, scanned = _check_rule(
         engine, road_graph, single_device=path != "shards=2"
     )
-    if mode in (FilterMode.ONLINE, FilterMode.BATCH, FilterMode.JIT):
+    if mode in (FilterMode.ONLINE, FilterMode.JIT):
         assert binned > 0
     elif path != "shards=2":
         assert scanned > 0

@@ -43,7 +43,6 @@ import pytest
 from repro.algorithms import BFS
 from repro.bench.harness import EXECUTION_SPEC
 from repro.core.engine import EngineConfig, SIMDXEngine
-from repro.core.filters import FilterMode
 from repro.core.fusion import FusionStrategy
 from repro.core.pricing import price, priced_result
 from repro.core.superstep import place_static
@@ -199,12 +198,6 @@ OOM_CASES = {
     "static": (14 * 10**8, {}, None, None),
     # Per shard, K20 cannot hold the CSR; K40 and P100 complete.
     "static-shards": (2 * 10**9, {"num_shards": 2}, None, None),
-    # K20: static OOM; K40: the active edge list OOMs; P100 completes.
-    "active-edge-list": (14 * 10**8, {"filter_mode": FilterMode.BATCH}, None, None),
-    # Four lanes' edge lists: K20 static OOM; K40 and P100 OOM mid-run.
-    "active-edge-list-batch": (
-        14 * 10**8, {"filter_mode": FilterMode.BATCH}, 4, None,
-    ),
     # Every shard's static footprint fits (the larger one with 1 MiB to
     # spare); the first superstep's boundary receive buffer does not.
     "boundary-buffer": (10**8, {"num_shards": 2}, None, 591_454_756),

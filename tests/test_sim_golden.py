@@ -46,9 +46,7 @@ ALGORITHMS: Dict[str, Callable[[int], object]] = {
     "pagerank": lambda source: PageRank(),
     "kcore": lambda source: KCore(),
 }
-FILTER_MODES = (
-    FilterMode.JIT, FilterMode.ONLINE, FilterMode.BALLOT, FilterMode.BATCH,
-)
+FILTER_MODES = (FilterMode.JIT, FilterMode.ONLINE, FilterMode.BALLOT)
 #: One-axis variations of the default configuration; ``engine`` names the
 #: engine class (``backend=python``: the loop reference primitives, through
 #: the kernel seam), every other key is an ``EngineConfig`` field.
@@ -97,8 +95,8 @@ def _observe(dataset: str, algo: str, kwargs: Dict[str, object]) -> Dict[str, ob
     else:
         result = engine.run(ALGORITHMS[algo](hubs[0]))
     if result.failed:
-        # "Where valid": a forced online filter that overflows (or a batch
-        # filter that runs out of memory) is pinned as the failure it is.
+        # "Where valid": a forced online filter that overflows is pinned
+        # as the failure it is.
         return {"failed": result.failure_reason}
     return {
         "elapsed_us": result.elapsed_us.hex(),
