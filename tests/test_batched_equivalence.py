@@ -15,7 +15,11 @@ walk per iteration (docs/batching.md); these tests pin its contract:
 * a one-lane batch is its single run record for record (elapsed time,
   traces, every shared ``extra`` key), plain, sanitized and sharded;
 * K=65 lanes, past the modeled device's 64-lane bitmask word, match their
-  single runs.
+  single runs;
+* the lane model: a lane's frontier is its canonical id array plus one
+  n-sized membership mask, which answers per walked source what the packed
+  lane words answered per union row; only the modeled device still carries
+  the words (one uint64 per 64 lanes per vertex).
 """
 
 from __future__ import annotations
@@ -30,9 +34,12 @@ from repro.core import superstep
 from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.filters import FilterMode
-from repro.core.kernels import NumpyKernelBackend
+from repro.core.kernels import DEFAULT_KERNEL, NumpyKernelBackend
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
+from tests.oracles import PythonKernelBackend
+
+KERNELS = {"numpy": DEFAULT_KERNEL, "python": PythonKernelBackend()}
 
 #: ``REPRO_SANITIZE=1`` runs every engine here armed (conftest.py).
 pytestmark = pytest.mark.usefixtures("armed_by_env")
@@ -65,6 +72,73 @@ def _single_runs(graph, algorithm_cls, sources, config):
         engine = SIMDXEngine(graph, config=config)
         results.append(engine.run(algorithm_cls(source=source)))
     return results
+
+
+class TestLaneMasks:
+    """One representation per lane: canonical ids plus a membership mask."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_union_and_mask_roundtrip(self, kernel):
+        backend = KERNELS[kernel]
+        lanes = [
+            np.unique(np.array(ids, dtype=np.int64))
+            for ids in ([3, 1, 7], [], [7, 7, 2])
+        ]
+        union = backend.union_sorted(lanes, 10)
+        assert union.dtype == np.int64
+        assert np.array_equal(union, [1, 2, 3, 7])
+        masks = [backend.membership_mask(lane, 10) for lane in lanes]
+        # What a push unit keeps of a walked source array, per lane.
+        assert np.array_equal(union[masks[0].take(union)], [1, 3, 7])
+        assert not masks[1].any()
+        assert np.array_equal(union[masks[2].take(union)], [2, 7])
+        assert sum(int(mask.sum()) for mask in masks) == 5
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_masks_answer_what_packed_lane_words_answered(self, kernel):
+        # 65 lanes cross the 64-lane word: every lane's mask, read at the
+        # union rows or at a walked source array, agrees with its bit.
+        backend = KERNELS[kernel]
+        rng = np.random.default_rng(3)
+        lanes = [
+            np.unique(rng.integers(0, 200, size=rng.integers(0, 15)))
+            for _ in range(65)
+        ]
+        union = backend.union_sorted(lanes, 200)
+        vertices, bits = backend.build_lane_bits(lanes, 200)
+        assert np.array_equal(union, vertices)
+        src = rng.choice(union, size=300)  # a walk repeats its sources
+        rows = np.searchsorted(union, src)
+        for lane in range(65):
+            mask = backend.membership_mask(lanes[lane], 200)
+            packed = backend.lane_mask(bits, lane)
+            assert np.array_equal(mask.take(union), packed)
+            assert np.array_equal(
+                mask.take(src).nonzero()[0], packed.take(rows).nonzero()[0]
+            )
+
+    def test_modeled_lane_words_cross_the_word_width(self, graph):
+        # The device the cost model prices still packs 64 lanes per word:
+        # K=65 is the first batch that needs a second word per vertex.
+        def lane_words(num_lanes):
+            (buffers,) = superstep.static_footprint(graph, num_lanes)
+            single = 3 * graph.modeled_num_vertices * 4
+            extra = dict(buffers)["worklists"] - single
+            return extra // (graph.modeled_num_vertices * 8)
+
+        assert [lane_words(k) for k in (1, 64, 65, 128, 129)] == [1, 1, 2, 2, 3]
+
+    def test_empty_everywhere(self):
+        # Every lane's source has no out-edge: the first superstep walks
+        # nothing, and each lane ends as its single run does.
+        graph = CSRGraph.from_edges(6, [(0, 1), (1, 2)], name="tail")
+        sources = [3, 4, 5]
+        batch = SIMDXEngine(graph).run_batch(BFS(), sources)
+        assert not batch.failed, batch.failure_reason
+        for lane, source in enumerate(sources):
+            single = SIMDXEngine(graph).run(BFS(source=source))
+            assert np.array_equal(batch.values[lane], single.values)
+            assert batch.lane_iterations[lane] == single.iterations
 
 
 class TestBitIdenticalEquivalence:

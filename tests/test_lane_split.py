@@ -16,6 +16,8 @@ selection"). These tests pin the contract:
 * the split policy itself: agreement never splits, divergence past the
   margin splits into push-first groups, an infinite margin never splits,
   and lanes re-merge when their decisions reconverge;
+* a split group walks the union of its own lanes' frontiers and keeps the
+  batch's lane ids (nothing is remapped);
 * heterogeneous per-lane algorithm parameters (per-lane SSSP delta) ride
   in sub-batches and match the corresponding single runs;
 * forced per-iteration direction schedules (``ScheduledEngine`` again)
@@ -35,7 +37,9 @@ from repro.core.direction import (
 )
 from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.jit import JITTaskManager
+from repro.core.superstep import SuperstepDriver
 from repro.graph import generators as gen
+from repro.graph.csr import CSRGraph
 from tests.engine_seams import (
     ScheduledEngine, force_groups, random_split_schedule,
 )
@@ -165,6 +169,87 @@ class TestBatchDirectionPolicy:
         assert policy.lane_selectors[1]._current is Direction.PULL
         assert decision.split
         assert decision.groups[1] == SubBatchPlan(Direction.PULL, (1,))
+
+
+# ----------------------------------------------------------------------
+# Split group frontiers
+# ----------------------------------------------------------------------
+def _record_units(monkeypatch):
+    """Patch both expansions to log ``(direction, lanes, frontier, the
+    lanes' own frontiers, the other live lanes' frontiers)`` per unit."""
+    units = []
+    for name in ("_expand_push", "_expand_pull"):
+        def recording(driver, unit, step, _expand=getattr(SuperstepDriver, name)):
+            frontiers = driver.lanes.frontiers
+            units.append((
+                unit.direction, unit.lanes, unit.frontier.copy(),
+                [frontiers[lane].copy() for lane in unit.lanes],
+                [frontiers[lane].copy() for lane in step.live
+                 if lane not in unit.lanes],
+            ))
+            return _expand(driver, unit, step)
+        monkeypatch.setattr(SuperstepDriver, name, recording)
+    return units
+
+
+class TestSplitGroupFrontier:
+    @pytest.mark.parametrize("graph_name", ["rmat", "road"])
+    def test_group_frontier_is_its_lanes_union(
+        self, graph_name, rmat, road, monkeypatch
+    ):
+        graph = {"rmat": rmat, "road": road}[graph_name]
+        units = _record_units(monkeypatch)
+        batch = ScheduledEngine(
+            graph, split_schedule=lambda it, live: [
+                (Direction.PUSH, live[::2]), (Direction.PULL, live[1::2]),
+            ] if len(live) > 1 else None,
+        ).run_batch(BFS(), _top_sources(graph, 4))
+        assert not batch.failed, batch.failure_reason
+        split = [unit for unit in units if unit[4]]
+        assert {direction for direction, *_ in split} == {
+            Direction.PUSH, Direction.PULL,
+        }
+        for _, lanes, frontier, own, _others in split:
+            expected = np.unique(np.concatenate(own))
+            assert np.array_equal(frontier, expected), lanes
+
+    def test_group_frontier_drops_other_lanes_vertices(self, monkeypatch):
+        # Two disjoint paths: lane 0 walks 0-1-2, lane 1 walks 3-4-5.
+        graph = CSRGraph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        units = _record_units(monkeypatch)
+        ScheduledEngine(
+            graph, split_schedule=lambda it, live: [
+                (Direction.PUSH, [lane]) for lane in live
+            ],
+        ).run_batch(BFS(), [0, 3])
+        pushed = [
+            (lanes, frontier) for direction, lanes, frontier, *_ in units
+            if direction is Direction.PUSH
+        ]
+        assert pushed
+        for lanes, frontier in pushed:
+            assert len(lanes) == 1
+            side = {0: {0, 1, 2}, 1: {3, 4, 5}}[lanes[0]]
+            assert set(frontier.tolist()) <= side
+
+    def test_group_lanes_keep_their_batch_ids(self, rmat, monkeypatch):
+        # Groups list their lanes out of order; each lane still reads and
+        # writes its own row.
+        units = _record_units(monkeypatch)
+        sources = _top_sources(rmat, 3)
+        batch = ScheduledEngine(
+            rmat, split_schedule=lambda it, live: (
+                [(Direction.PUSH, [2, 0]), (Direction.PULL, [1])]
+                if sorted(live) == [0, 1, 2] else None
+            ),
+        ).run_batch(SSSP(), sources)
+        assert not batch.failed, batch.failure_reason
+        assert (Direction.PUSH, (2, 0)) in {
+            (direction, lanes) for direction, lanes, *_ in units
+        }
+        for lane, source in enumerate(sources):
+            single = SIMDXEngine(rmat).run(SSSP(source=source))
+            assert np.array_equal(batch.values[lane], single.values), lane
 
 
 # ----------------------------------------------------------------------

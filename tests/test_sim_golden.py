@@ -57,11 +57,27 @@ VARIANTS: Dict[str, Dict[str, object]] = {
     "shards=2": {"num_shards": 2},
     "backend=python": {"engine": ReferenceKernelEngine},
 }
+#: ``run_batch`` over the four hubs: the batched default, every single-run
+#: variant and the two pinned non-default filters. Hub lanes agree on
+#: every direction, so the ``-spread`` batch (one hub and the vertices at
+#: the out-degree quartiles) is the one whose lanes diverge and split; its
+#: variants turn splitting off and route it through the loop primitives.
+BATCH_ALGORITHMS: Dict[str, Callable[[], object]] = {"bfs": BFS, "sssp": SSSP}
+BATCH_VARIANTS: Dict[str, Dict[str, object]] = {
+    **VARIANTS,
+    "filter=online": {"filter_mode": FilterMode.ONLINE},
+    "filter=ballot": {"filter_mode": FilterMode.BALLOT},
+}
+SPREAD_VARIANTS: Dict[str, Dict[str, object]] = {
+    "split=off": {"lane_aware_split": False},
+    "backend=python": {"engine": ReferenceKernelEngine},
+}
 
 
 def _cases() -> Iterator[Tuple[str, str, str, Dict[str, object]]]:
-    """``(case id, dataset, algorithm | "batch", kwargs)``: EngineConfig
-    fields plus an optional ``engine`` class."""
+    """``(case id, dataset, algorithm | "batch-<algorithm>", kwargs)``:
+    EngineConfig fields plus an optional ``engine`` class and, for a batch,
+    an optional ``sources`` choice."""
     for dataset in DATASETS:
         for algo in ALGORITHMS:
             for fusion in FusionStrategy:
@@ -72,12 +88,18 @@ def _cases() -> Iterator[Tuple[str, str, str, Dict[str, object]]]:
                     )
             for name, kwargs in VARIANTS.items():
                 yield f"{dataset}/{algo}/{name}", dataset, algo, kwargs
-        yield f"{dataset}/batch-sssp4", dataset, "batch", {}
-        yield f"{dataset}/batch-sssp4/shards=2", dataset, "batch", {"num_shards": 2}
-        yield (
-            f"{dataset}/batch-sssp4/atomic_combine", dataset, "batch",
-            {"atomic_combine": True},
-        )
+        for algo in BATCH_ALGORITHMS:
+            batch = f"batch-{algo}"
+            yield f"{dataset}/{batch}4", dataset, batch, {}
+            for name, kwargs in BATCH_VARIANTS.items():
+                yield f"{dataset}/{batch}4/{name}", dataset, batch, kwargs
+            spread = {"sources": "spread"}
+            yield f"{dataset}/{batch}4-spread", dataset, batch, spread
+            for name, kwargs in SPREAD_VARIANTS.items():
+                yield (
+                    f"{dataset}/{batch}4-spread/{name}", dataset, batch,
+                    {**spread, **kwargs},
+                )
 
 
 CASES = {case[0]: case[1:] for case in _cases()}
@@ -86,12 +108,16 @@ CASES = {case[0]: case[1:] for case in _cases()}
 def _observe(dataset: str, algo: str, kwargs: Dict[str, object]) -> Dict[str, object]:
     """Run one case and keep everything the cost model decided."""
     graph = load_dataset(dataset, SCALE)
-    hubs = [int(v) for v in np.argsort(-graph.out_degrees(), kind="stable")[:4]]
+    by_degree = np.argsort(-graph.out_degrees(), kind="stable")
+    hubs = [int(v) for v in by_degree[:4]]
     kwargs = dict(kwargs)
     engine_cls = kwargs.pop("engine", SIMDXEngine)
+    if kwargs.pop("sources", "hubs") == "spread":
+        n = graph.num_vertices
+        hubs = [int(by_degree[i]) for i in (0, n // 4, n // 2, 3 * n // 4)]
     engine = engine_cls(graph, config=EngineConfig(sanitize=SANITIZE, **kwargs))
-    if algo == "batch":
-        result = engine.run_batch(SSSP(), hubs)
+    if algo.startswith("batch-"):
+        result = engine.run_batch(BATCH_ALGORITHMS[algo[len("batch-"):]](), hubs)
     else:
         result = engine.run(ALGORITHMS[algo](hubs[0]))
     if result.failed:
