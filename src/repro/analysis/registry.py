@@ -163,7 +163,9 @@ DIRECTION_SWITCHES = register(ExtraKey(
 ))
 BREAKDOWN = register(ExtraKey(
     "breakdown",
-    "Per-kernel simulated-time breakdown from the device profiler.",
+    "Simulated time by cost component (launch overhead, memory, compute, "
+    "atomics): each device's running sums of its charges, added device "
+    "by device.",
     producers=("engine", "batch"),
 ))
 JIT_PRE_ARMED_ITERATIONS = register(ExtraKey(
@@ -182,9 +184,9 @@ STOPPED_AT_CAP = register(ExtraKey(
 ))
 KERNEL_EDGES_WALKED = register(ExtraKey(
     "kernel_edges_walked",
-    "Edges expanded by the engine's CSR walks across the whole run; "
-    "equals the iteration records' frontier_edges total on every path "
-    "(single, batched, sharded) - the sanitizer enforces the identity.",
+    "Edges expanded by the engine's CSR walks across the whole run, "
+    "folded from the iteration records' frontier_edges on every path "
+    "(single, batched, sharded).",
     producers=("engine", "batch", "shard"),
     value=COUNTER,
     equals_record_edges=True,
@@ -213,7 +215,8 @@ PULL_EDGES_SCANNED = register(ExtraKey(
 ))
 SPLIT_ITERATIONS = register(ExtraKey(
     "split_iterations",
-    "Iterations on which the batch executed as >1 sub-batch.",
+    "Iterations on which the batch executed as >1 sub-batch (>1 record "
+    "on one device; empty when sharded).",
     producers=("batch",),
 ))
 LANE_SPLITS = register(ExtraKey(

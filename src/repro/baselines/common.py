@@ -94,15 +94,16 @@ class PricedSystem:
             elapsed_us=total_us,
             iterations=execution.iterations,
             device=name,
-            kernel_launches=0 if device is None else device.profiler.launch_count(),
+            kernel_launches=0 if device is None else device.launches,
             extra={extra_keys.MODEL: self.MODEL},
         )
 
     def _price(
-        self, records: List[IterationRecord], algorithm: ACCAlgorithm,
-        graph: CSRGraph,
+        self, device: Optional[GPUDevice], records: List[IterationRecord],
+        algorithm: ACCAlgorithm, graph: CSRGraph,
     ) -> float:
-        """Simulated microseconds of the priced run's ``records``."""
+        """Simulated microseconds of the priced run's ``records``, charging
+        its kernels to ``device`` - ``None`` for a CPU system."""
         raise NotImplementedError
 
 

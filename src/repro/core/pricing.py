@@ -119,9 +119,9 @@ def price(
             shard_us = [0.0] * len(devices)
     breakdown: Dict[str, float] = {}
     for device in devices:
-        for key, value in device.profiler.breakdown().items():
+        for key, value in device.breakdown.items():
             breakdown[key] = breakdown.get(key, 0.0) + value
-    return elapsed_us, priced, sum(d.profiler.launch_count() for d in devices), breakdown
+    return elapsed_us, priced, sum(d.launches for d in devices), breakdown
 
 
 def priced_result(

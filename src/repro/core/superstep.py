@@ -29,7 +29,9 @@ selector decision - and the schedule runs them:
 2. **Tail** - every unit goes through the shared task-management tail
    (``SIMDXEngine._finish_iteration``, one controller for every filter
    mode) and emits one :class:`~repro.core.metrics.IterationRecord`, the
-   run's one per-iteration log (the traces are views of it).
+   run's one log: the traces are views of it, and every count ``extra``
+   reports about the run's work is a fold over it
+   (:meth:`SuperstepDriver._extra`).
 
 A run whose :func:`static_footprint` does not fit its device fails before
 anything executes. Once the loop ends, :func:`~repro.core.pricing.price`
@@ -78,6 +80,7 @@ the host. (The modeled device still carries the lane words: see
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -337,7 +340,11 @@ class _Step:
 
 
 class SuperstepDriver:
-    """Runs one lane set over one stream plan (see the module docstring)."""
+    """Runs one lane set over one stream plan (see the module docstring).
+
+    ``records`` is the run's ledger: pricing reads it, and ``_extra``
+    folds the counts it reports (edges walked, split iterations, boundary
+    updates) from it after the loop."""
 
     def __init__(self, engine, streams: List[Stream], sharding=None):
         self.engine = engine
@@ -357,12 +364,7 @@ class SuperstepDriver:
         #: Every controller that ran: the streams' own plus side forks.
         self.jits: List[JITTaskManager] = [s.jit for s in streams]
         self.records: List[IterationRecord] = []
-        self.split_iterations: List[int] = []
         self.lane_iterations: List[int] = []
-        self.boundary_updates = 0
-        #: Edges the run's CSR walks expanded (the ``kernel_edges_walked``
-        #: extra; equals the records' ``frontier_edges`` total).
-        self.edges_walked = 0
         self.iteration = 0
         self.stopped_at_cap = False
 
@@ -395,27 +397,7 @@ class SuperstepDriver:
                 algorithm, graph, sources, lane_params, params, self.sanitizer
             )
             self._loop(lanes)
-            records = self.records
-            fields = self._priced(algorithm, {
-                # Amortization bookkeeping: edges the union walks touched
-                # vs the (edge, lane) pairs a serial execution would have
-                # walked, plus the gather share (the quantity lane-aware
-                # splitting shrinks on road-style graphs).
-                extra_keys.UNION_EDGES_WALKED: sum(
-                    r.frontier_edges for r in records
-                ),
-                extra_keys.LANE_EDGE_PAIRS: sum(
-                    r.lane_edge_pairs for r in records
-                ),
-                extra_keys.PULL_EDGES_SCANNED: sum(
-                    r.frontier_edges for r in records
-                    if r.direction == Direction.PULL.value
-                ),
-                # Empty when sharded: per-shard direction selection
-                # replaces lane-group splitting (EngineConfig.num_shards).
-                extra_keys.SPLIT_ITERATIONS: self.split_iterations,
-                extra_keys.LANE_SPLITS: len(self.split_iterations),
-            })
+            fields = self._priced(algorithm)
             return BatchRunResult(
                 sources=sources,
                 metadata=lanes.metadata,
@@ -455,7 +437,7 @@ class SuperstepDriver:
                 # raised SanitizerError - the graph outlives the run.
                 self.sanitizer.release()
 
-    def _priced(self, algorithm: ACCAlgorithm, batch_keys: Optional[dict] = None) -> dict:
+    def _priced(self, algorithm: ACCAlgorithm) -> dict:
         """Price the finished run's records on the engine's spec; returns
         the result fields ``run`` and ``run_batch`` share."""
         engine = self.engine
@@ -474,11 +456,16 @@ class SuperstepDriver:
             device=self.device_name,
             kernel_launches=launches,
             iteration_records=self.records,
-            extra=self._extra(breakdown, batch_keys),
+            extra=self._extra(breakdown),
         )
 
-    def _extra(self, breakdown: dict, batch_keys: Optional[dict]) -> dict:
-        cfg = self.engine.config
+    def _extra(self, breakdown: dict) -> dict:
+        """The result's ``extra``; every count of the run's work in it is
+        a fold over ``records`` - each attributed to the unit that paid
+        for it."""
+        cfg, records = self.engine.config, self.records
+        # Every unit's CSR walk expands its worklist's frontier_edges.
+        walked = sum(r.frontier_edges for r in records)
         # Iterations whose ballot was pre-armed at a pull->push switch
         # (empty for non-JIT filter modes), over every stream that ran.
         pre_armed = set()
@@ -492,17 +479,33 @@ class SuperstepDriver:
             ),
             extra_keys.BREAKDOWN: breakdown,
             extra_keys.JIT_PRE_ARMED_ITERATIONS: sorted(pre_armed),
-            extra_keys.KERNEL_EDGES_WALKED: self.edges_walked,
+            extra_keys.KERNEL_EDGES_WALKED: walked,
             extra_keys.STOPPED_AT_CAP: self.stopped_at_cap,
         }
-        if batch_keys:
-            extra.update(batch_keys)
+        if self.lanes.batched:
+            # A one-device iteration that ran as more than one unit was
+            # split into lane groups; sharded runs never split (per-shard
+            # direction selection replaces it, EngineConfig.num_shards).
+            units = Counter(r.iteration for r in records)
+            split = [] if self.sharding is not None else [
+                iteration for iteration, count in units.items() if count > 1
+            ]
+            extra.update({
+                # Amortization bookkeeping: edges the union walks touched
+                # vs the (edge, lane) pairs a serial execution would have
+                # walked, plus the gather share (the quantity lane-aware
+                # splitting shrinks on road-style graphs).
+                extra_keys.UNION_EDGES_WALKED: walked,
+                extra_keys.LANE_EDGE_PAIRS: sum(r.lane_edge_pairs for r in records),
+                extra_keys.PULL_EDGES_SCANNED: sum(
+                    r.frontier_edges for r in records
+                    if r.direction == Direction.PULL.value
+                ),
+                extra_keys.SPLIT_ITERATIONS: split,
+                extra_keys.LANE_SPLITS: len(split),
+            })
         if self.sharding is not None:
-            extra.update(
-                self.sharding.shard_extra(
-                    self.records, self.boundary_updates, self.static
-                )
-            )
+            extra.update(self.sharding.shard_extra(records, self.static))
         if self.sanitizer is not None:
             self.sanitizer.validate_extra(extra)
             extra[extra_keys.SANITIZER] = self.sanitizer.report()
@@ -738,7 +741,6 @@ class SuperstepDriver:
             self.sanitizer.check_groups(step.iteration, step.live, groups)
         main = self.streams[0]
         if len(groups) > 1:
-            self.split_iterations.append(step.iteration)
             if self.side is None:
                 self.side = copy.copy(main)
                 self.side.jit, self.side.sortedness = None, 1.0
@@ -820,7 +822,6 @@ class SuperstepDriver:
         csr = self.graph.out_csr
         worklist = unit.frontier
         slot, edge_idx, total = self.engine._walk_edges(csr, worklist)
-        self.edges_walked += int(total)
         kept = 0
         recorded = producers = _EMPTY
         if total:
@@ -880,10 +881,9 @@ class SuperstepDriver:
         sources = bitmaps[0] if len(bitmaps) == 1 else reduce(
             np.logical_or, bitmaps, np.zeros(n, dtype=bool)
         )
-        src, dst, edge_idx, walked = kernel.walk_kept(
+        src, dst, edge_idx, _ = kernel.walk_kept(
             csr, unit.worklist, sources, self.lanes.prototype.uses_weights
         )
-        self.edges_walked += int(walked)
         active = int(src.size)
         if active:
             weights = None
@@ -1001,9 +1001,7 @@ class SuperstepDriver:
             # its sources may live on a remote shard - a boundary read.
             step.pending.setdefault((here, lane), []).append((updates, dst, True))
             local = (src >= unit.stream.start) & (src < unit.stream.stop)
-            remote = src.size - int(np.count_nonzero(local))
-            self.boundary_updates += remote
-            step.received[here] += remote
+            step.received[here] += src.size - int(np.count_nonzero(local))
             return
         owner = self.sharding.plan.owner_of(dst)
         counts = np.bincount(owner, minlength=len(self.streams))
@@ -1013,7 +1011,6 @@ class SuperstepDriver:
                 (updates[member], dst[member], False)
             )
             if t != here:
-                self.boundary_updates += int(counts[t])
                 step.received[t] += int(counts[t])
 
     # ------------------------------------------------------------------

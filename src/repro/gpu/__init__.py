@@ -34,7 +34,6 @@ from repro.gpu.device import (
 from repro.gpu.kernel import Kernel, KernelLaunch, LaunchResult, WorkEstimate
 from repro.gpu.registers import OccupancyInfo, compute_cta_count, compute_occupancy
 from repro.gpu.barrier import SoftwareGlobalBarrier, BarrierDeadlockError
-from repro.gpu.profiler import DeviceProfiler
 
 __all__ = [
     "GPUSpec",
@@ -54,5 +53,4 @@ __all__ = [
     "compute_occupancy",
     "SoftwareGlobalBarrier",
     "BarrierDeadlockError",
-    "DeviceProfiler",
 ]

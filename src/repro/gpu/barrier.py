@@ -3,11 +3,11 @@
 GPUs have no device-wide barrier a kernel can call, so fusing kernels across
 iterations requires a *software* global barrier: worker CTAs flip a flag in a
 ``lock`` array on arrival and spin until a monitor CTA flips every flag to
-"depart" (simulated here as one arrival counter - the flags of a round are
-only ever all set, then all cleared). The paper's observation is that this
-deadlocks whenever more CTAs are launched than can be simultaneously
-resident - non-resident CTAs can never arrive because the resident
-(spinning) ones never release their SMX resources.
+"depart" (simulated here by its cost alone - the flags of a round are only
+ever all set, then all cleared, so no state outlives a round). The paper's
+observation is that this deadlocks whenever more CTAs are launched than can
+be simultaneously resident - non-resident CTAs can never arrive because the
+resident (spinning) ones never release their SMX resources.
 
 SIMD-X sidesteps the problem by computing the resident-CTA bound from the
 kernel's register footprint at compile time (Eq. 1, implemented in
@@ -22,8 +22,6 @@ demonstrate the failure mode the paper describes for prior work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.gpu.device import GPUSpec
 from repro.gpu.kernel import Kernel
 from repro.gpu.registers import compute_cta_count
@@ -31,14 +29,6 @@ from repro.gpu.registers import compute_cta_count
 
 class BarrierDeadlockError(RuntimeError):
     """Raised when a software global barrier would hang on real hardware."""
-
-
-@dataclass
-class BarrierStats:
-    """Counters for one barrier instance."""
-
-    synchronizations: int = 0
-    total_cta_arrivals: int = 0
 
 
 class SoftwareGlobalBarrier:
@@ -84,9 +74,6 @@ class SoftwareGlobalBarrier:
         self.num_ctas = num_ctas if num_ctas is not None else self.max_resident_ctas
         if self.num_ctas <= 0:
             raise ValueError("a barrier needs at least one CTA")
-        #: CTAs currently waiting at the barrier (0 once a round released).
-        self.arrived = 0
-        self.stats = BarrierStats()
 
         if check_deadlock and not self.is_deadlock_free:
             raise BarrierDeadlockError(
@@ -113,12 +100,6 @@ class SoftwareGlobalBarrier:
                 f"{self.kernel.name}: barrier hang - "
                 f"{self.num_ctas - self.max_resident_ctas} CTAs can never arrive"
             )
-        # Arrival: every worker CTA checks in; the monitor observes them all.
-        self.arrived = self.num_ctas
-        self.stats.total_cta_arrivals += self.arrived
-        # Departure: the monitor resets the count, releasing the workers.
-        self.arrived = 0
-        self.stats.synchronizations += 1
         return self.SYNC_BASE_COST_US + self.SYNC_COST_PER_CTA_US * self.num_ctas
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

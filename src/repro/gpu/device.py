@@ -21,7 +21,6 @@ from typing import Dict, Iterable, Tuple
 
 from repro.gpu.kernel import Kernel, KernelLaunch, LaunchResult, WorkEstimate
 from repro.gpu.registers import OccupancyInfo, compute_occupancy
-from repro.gpu.profiler import DeviceProfiler
 
 
 class DeviceOutOfMemory(MemoryError):
@@ -149,17 +148,23 @@ def reserve(
 
 class GPUDevice:
     """A simulated GPU: the kernel-launch cost model of one ``spec``
-    (defaults to the paper's primary K40 device), with its profiler.
-    Memory feasibility is :func:`reserve`'s, priced from the run's
-    buffers.
+    (defaults to the paper's primary K40 device). Memory feasibility is
+    :func:`reserve`'s, priced from the run's buffers.
 
     A device lives for one pricing (:func:`repro.core.pricing.price`, a
     baseline's ``run``): the systems hold a :class:`GPUSpec`, never a
-    device, so no launch log outlives the run it priced."""
+    device. It keeps no launch log, only two running totals of what it
+    charged - ``launches`` (Table 2) and ``breakdown``, the time by cost
+    component - each charge added with ``+`` in launch order."""
 
     def __init__(self, spec: GPUSpec = K40):
         self.spec = spec
-        self.profiler = DeviceProfiler()
+        #: Real kernel launches charged (fused phases excluded).
+        self.launches = 0
+        #: Charged time by cost component.
+        self.breakdown: Dict[str, float] = dict.fromkeys(
+            ("launch_overhead_us", "memory_us", "compute_us", "atomic_us"), 0.0
+        )
         # Both tables cache pure functions of the (immutable) spec. No
         # kernel shape keeps more CTAs resident than the
         # hardware has slots, and a grid at least that large is never
@@ -178,9 +183,7 @@ class GPUDevice:
         """Account the cost of one kernel launch and return its timing."""
         if launch.num_ctas == 1 and not launch.work.nonzero():
             return self.launch_idle(launch.kernel, launch.fused_continuation)
-        result = self.estimate(launch)
-        self.profiler.record_launch(result)
-        return result
+        return self._charge(self.estimate(launch))
 
     def launch_idle(self, kernel: Kernel, fused: bool) -> LaunchResult:
         """Account a phase with no work on one CTA (an empty Thread / Warp /
@@ -195,7 +198,17 @@ class GPUDevice:
             result = self._idle[kernel, fused] = self.estimate(
                 KernelLaunch(kernel, WorkEstimate(), 1, fused)
             )
-        self.profiler.record_launch(result)
+        return self._charge(result)
+
+    def _charge(self, result: LaunchResult) -> LaunchResult:
+        """Add one launch's charge to the device's totals."""
+        if not result.fused:
+            self.launches += 1
+        breakdown = self.breakdown
+        breakdown["launch_overhead_us"] += result.launch_overhead_us
+        breakdown["memory_us"] += result.memory_us
+        breakdown["compute_us"] += result.compute_us
+        breakdown["atomic_us"] += result.atomic_us
         return result
 
     def estimate(self, launch: KernelLaunch) -> LaunchResult:

@@ -147,7 +147,7 @@ class LaunchResult(NamedTuple):
     """Timing breakdown for one (possibly fused) kernel phase.
 
     Immutable: the device hands the same instance to every idle launch of
-    a kernel, and the profiler keeps it as that launch's record.
+    a kernel, and adds each to its running totals of launches and time.
     """
 
     kernel_name: str

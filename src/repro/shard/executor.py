@@ -101,10 +101,12 @@ class ShardedExecutor:
             EXCHANGE_CHUNK_BYTES,
         )
 
-    def shard_extra(self, records, boundary_updates: int, static: List[int]) -> dict:
-        """The ``shard_*`` keys a sharded run adds to ``extra``. A shard's
-        peak is its resident (``static``) bytes plus its largest boundary
-        receive buffer - each is released before the next is placed."""
+    def shard_extra(self, records, static: List[int]) -> dict:
+        """The ``shard_*`` keys a sharded run adds to ``extra``, folded
+        from its ``records``: a superstep's last record carries what each
+        shard received across the boundary. A shard's peak is its resident
+        (``static``) bytes plus its largest boundary receive buffer - each
+        is released before the next is placed."""
         scanned = [0] * len(static)
         peak = list(static)
         for record in records:
@@ -114,7 +116,7 @@ class ShardedExecutor:
                 peak[s] = max(peak[s], static[s] + nbytes)
         return {
             extra_keys.SHARDS: self.plan.num_shards,
-            extra_keys.SHARD_BOUNDARY_UPDATES: int(boundary_updates),
+            extra_keys.SHARD_BOUNDARY_UPDATES: sum(sum(r.received) for r in records),
             extra_keys.SHARD_SCANNED_EDGES: scanned,
             extra_keys.SHARD_PEAK_BYTES: peak,
         }

@@ -40,6 +40,7 @@ the large one (more seeds, more graph shapes, K=16, random schedules) -
 from __future__ import annotations
 
 import os
+from collections import Counter
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -82,6 +83,25 @@ def _finished(result):
     assert not result.failed, result.failure_reason
     assert not result.extra["stopped_at_cap"], "run stopped at max_iterations"
     return result
+
+
+def _assert_record_folds(result, num_shards=1):
+    """The counts ``extra`` reports about a run's work are folds over its
+    iteration records: walked edges over ``frontier_edges``, a batch's
+    split iterations over the one-device iterations with more than one
+    record (none when sharded), boundary updates over ``received``."""
+    records, extra = result.iteration_records, result.extra
+    assert extra["kernel_edges_walked"] == sum(r.frontier_edges for r in records)
+    if "union_edges_walked" in extra:  # a run_batch result
+        assert extra["union_edges_walked"] == extra["kernel_edges_walked"]
+        units = Counter(r.iteration for r in records)
+        split = [] if num_shards > 1 else [i for i, n in units.items() if n > 1]
+        assert extra["split_iterations"] == split
+        assert extra["lane_splits"] == len(split)
+    if num_shards > 1:
+        assert extra["shard_boundary_updates"] == sum(
+            sum(r.received) for r in records
+        )
 
 
 #: The reference-kernel axis: every differential cell that crosses it must
@@ -256,6 +276,7 @@ def _check_single_source_modes(
     auto_algo = make_algo()
     auto = _finished(SIMDXEngine(graph, config=_config()).run(auto_algo))
     oracle(auto.values, auto_algo)
+    _assert_record_folds(auto)
 
     schedule = _random_direction_schedule(rng) if with_schedules else None
     for backend in backends:
@@ -271,6 +292,7 @@ def _check_single_source_modes(
                 graph, config=config,
                 direction_schedule=schedule if mode == "schedule" else None,
             ).run(make_algo()))
+            _assert_record_folds(result)
             assert np.array_equal(result.values, auto.values), (
                 f"{case_name} diverged in mode {mode} "
                 f"(kernel {backend}) on {graph.name}"
@@ -314,6 +336,7 @@ def _check_batched_modes(graph, case_name, seed, lane_counts,
                 batch = _finished(KERNEL_ENGINES[backend](
                     graph, config=config, split_schedule=split_schedule
                 ).run_batch(make_algo(), sources))
+            _assert_record_folds(batch)
             for lane, source in enumerate(sources):
                 assert np.array_equal(batch.values[lane], serial(source)), (
                     f"{case_name} lane {lane} (source {source}) diverged "
@@ -375,10 +398,9 @@ def _assert_shard_extra(result, num_shards):
     assert sum(scanned) == sum(
         r.frontier_edges for r in result.iteration_records
     )
-    # The backend walk counter covers every shard's expansions.
     assert result.extra["kernel_edges_walked"] == sum(scanned)
-    assert result.extra["shard_boundary_updates"] >= 0
     assert len(result.extra["shard_peak_bytes"]) == num_shards
+    _assert_record_folds(result, num_shards)
 
 
 def _check_sharded_single_source(

@@ -135,9 +135,9 @@ def test_profiler_counters_reset_between_calls(graph):
     """Per-run counters restart at zero: no accumulation across calls.
 
     ``kernel_launches`` is counted on the devices pricing builds and the
-    ``kernel_edges_walked`` extra by the run's superstep driver; were
-    either kept on the engine, call 2 would report call 1's work on top
-    of its own.
+    ``kernel_edges_walked`` extra is folded from the run's own records;
+    were either kept on the engine, call 2 would report call 1's work on
+    top of its own.
     """
     engine = fresh_engine(graph)
     first = engine.run(BFS(source=3))

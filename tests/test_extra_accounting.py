@@ -20,6 +20,7 @@ import pytest
 from repro.algorithms import SSSP
 from repro.core.direction import Direction
 from repro.core.engine import EngineConfig, SIMDXEngine
+from repro.core.kernels import NumpyKernelBackend
 from repro.graph import generators as gen
 
 
@@ -203,3 +204,45 @@ class TestShardedRunAccounting:
                 r.frontier_vertices for r in records
                 if r.iteration == single_record.iteration
             )
+
+
+class TestWalksAreCounted:
+    """``kernel_edges_walked`` is folded from the records; the edges the
+    kernels actually walk - every scatter's ``_walk_edges`` and every
+    gather's ``walk_kept`` - must add up to it, on every path."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("batched", [False, True], ids=["run", "run_batch"])
+    def test_kernel_walks_equal_the_folded_count(
+        self, rmat, road, monkeypatch, num_shards, batched
+    ):
+        walked = []
+        walk_edges = SIMDXEngine._walk_edges
+        walk_kept = NumpyKernelBackend.walk_kept
+
+        def counting_walk(csr, worklist):
+            result = walk_edges(csr, worklist)
+            walked.append(int(result[2]))
+            return result
+
+        def counting_walk_kept(backend, *args):
+            result = walk_kept(backend, *args)
+            walked.append(int(result[3]))
+            return result
+
+        monkeypatch.setattr(SIMDXEngine, "_walk_edges", staticmethod(counting_walk))
+        monkeypatch.setattr(NumpyKernelBackend, "walk_kept", counting_walk_kept)
+        config = EngineConfig(num_shards=num_shards)
+        if batched:
+            result = SIMDXEngine(road, config=config).run_batch(
+                SSSP(), TestBatchRunAccounting.SOURCES
+            )
+        else:
+            source = int(np.argmax(rmat.out_degrees()))
+            result = SIMDXEngine(rmat, config=config).run(SSSP(source=source))
+        assert not result.failed
+        # Both walks ran, one per unit.
+        directions = [r.direction for r in result.iteration_records]
+        assert {"push", "pull"} <= set(directions)
+        assert len(walked) == len(directions)
+        assert sum(walked) == result.extra["kernel_edges_walked"]

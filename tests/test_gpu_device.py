@@ -254,44 +254,58 @@ class TestCostModel:
         t_p100 = GPUDevice(P100).launch(KernelLaunch(kernel=kernel, work=work)).total_us
         assert t_p100 < t_k20
 
-    def test_estimate_does_not_record(self):
+    def test_estimate_does_not_charge(self):
         dev = GPUDevice(K40)
-        dev.estimate(KernelLaunch(kernel=Kernel("k", 32), work=WorkEstimate()))
-        assert dev.profiler.launch_count() == 0
+        dev.estimate(KernelLaunch(kernel=Kernel("k", 32), work=WorkEstimate(compute_ops=1e6)))
+        assert dev.launches == 0
+        assert set(dev.breakdown.values()) == {0.0}
         dev.launch(KernelLaunch(kernel=Kernel("k", 32), work=WorkEstimate()))
-        assert dev.profiler.launch_count() == 1
+        assert dev.launches == 1
 
-    def test_profiler_breakdown(self):
+    def test_breakdown_by_component(self):
         dev = GPUDevice(K40)
         self._launch(dev, compute_ops=1e6, coalesced_bytes=1e6, atomic_ops=100)
-        breakdown = dev.profiler.breakdown()
-        assert breakdown["compute_us"] > 0
-        assert breakdown["memory_us"] > 0
+        assert list(dev.breakdown) == [
+            "launch_overhead_us", "memory_us", "compute_us", "atomic_us",
+        ]
+        assert dev.breakdown["compute_us"] > 0
+        assert dev.breakdown["memory_us"] > 0
+        assert dev.breakdown["atomic_us"] > 0
 
-    def test_profiler_by_kernel_queries(self):
+    def test_fused_phases_are_charged_but_not_launches(self):
         dev = GPUDevice(K40)
         kernel_a = Kernel("alpha", 32)
         kernel_b = Kernel("beta", 32)
-        dev.launch(KernelLaunch(kernel=kernel_a, work=WorkEstimate(compute_ops=1e6)))
-        dev.launch(KernelLaunch(kernel=kernel_b, work=WorkEstimate(compute_ops=1e6)))
-        dev.launch(KernelLaunch(kernel=kernel_a, work=WorkEstimate(compute_ops=1e6),
-                                fused_continuation=True))
-        launched = [r.kernel_name for r in dev.profiler.records if not r.fused]
-        assert launched == ["alpha", "beta"]
-        assert dev.profiler.launch_count() == 2
-        assert len(dev.profiler.records) == 3
+        charged = [
+            dev.launch(KernelLaunch(kernel=kernel_a, work=WorkEstimate(compute_ops=1e6))),
+            dev.launch(KernelLaunch(kernel=kernel_b, work=WorkEstimate(compute_ops=1e6))),
+            dev.launch(KernelLaunch(kernel=kernel_a, work=WorkEstimate(compute_ops=1e6),
+                                    fused_continuation=True)),
+        ]
+        assert dev.launches == 2
+        assert charged[2].launch_overhead_us == 0.0
+        assert dev.breakdown["compute_us"] == (
+            charged[0].compute_us + charged[1].compute_us + charged[2].compute_us
+        )
+        assert dev.breakdown["launch_overhead_us"] == 2 * K40.kernel_launch_overhead_us
 
 
 class _CountingDevice(GPUDevice):
-    """Records every launch that reaches the cost formula."""
+    """Records every launch that reaches the cost formula, and every
+    charge."""
 
     def __init__(self, spec=K40):
         super().__init__(spec)
         self.estimated = []
+        self.charged = []
 
     def estimate(self, launch):
         self.estimated.append(launch)
         return super().estimate(launch)
+
+    def _charge(self, result):
+        self.charged.append(result)
+        return super()._charge(result)
 
 
 def _is_idle(launch: KernelLaunch) -> bool:
@@ -343,7 +357,7 @@ class TestFixedCostTail:
         assert not result.failed
         (device,) = devices
 
-        records = device.profiler.records
+        records = device.charged
         idle_records = [r for r in records if r.busy_us == 0.0]
         # Max out-degree is far below the warp separator: the Warp and CTA
         # stages are empty on every superstep, half of all launches.
@@ -380,6 +394,7 @@ class TestFixedCostTail:
         kernels = [Kernel("lean", 24), Kernel("fused_push", 48),
                    Kernel("fused_all", 110), Kernel("wide", 64, threads_per_cta=256)]
         device = GPUDevice(spec)
+        launches, totals = 0, dict.fromkeys(device.breakdown, 0.0)
         for _ in range(200):
             kernel = kernels[int(rng.integers(len(kernels)))]
             if rng.random() < 0.3:
@@ -404,4 +419,9 @@ class TestFixedCostTail:
                 spec, registers_per_thread=kernel.registers_per_thread,
                 threads_per_cta=kernel.threads_per_cta, num_ctas=num_ctas,
             )
-            assert device.profiler.records[-1] is charged
+            # The device's totals are the plain ``+`` fold of its charges.
+            launches += not charged.fused
+            for key in totals:
+                totals[key] += getattr(charged, key)
+            assert device.launches == launches
+            assert device.breakdown == totals

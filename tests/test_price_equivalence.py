@@ -16,8 +16,9 @@ full run under that pair:
   order the units ran - on one device, the records' ``total_us`` summed in
   order, to the bit);
 * ``kernel_launches`` and ``extra["breakdown"]``;
-* the devices' profiler launch records, in order (logged through
-  ``DeviceProfiler.record_launch``, device by first use).
+* every charge the devices took, in order (each ``LaunchResult`` logged
+  at ``GPUDevice._charge``, the device's one charge point, with its
+  device by first use).
 
 The fuzz graphs carry no paper-scale sizes, so none of them runs out of
 memory; :class:`TestOutOfMemory` covers the cells that do - a static
@@ -46,8 +47,7 @@ from repro.core.engine import EngineConfig, SIMDXEngine
 from repro.core.fusion import FusionStrategy
 from repro.core.pricing import price, priced_result
 from repro.core.superstep import place_static
-from repro.gpu.device import K20, K40, P100, DeviceOutOfMemory
-from repro.gpu.profiler import DeviceProfiler
+from repro.gpu.device import K20, K40, P100, DeviceOutOfMemory, GPUDevice
 from repro.graph import generators as gen
 from repro.shard.partition import ShardPlan
 from tests.test_differential_fuzz import (
@@ -67,17 +67,17 @@ SHARDS = (1, 2)
 
 @pytest.fixture
 def launches(monkeypatch):
-    """Every profiler launch record, as ``(device index, record)`` in
+    """Every charge a device took, as ``(device index, LaunchResult)`` in
     order; a device's index is its order of first launch."""
     log: List[tuple] = []
     devices = {}
-    record_launch = DeviceProfiler.record_launch
+    charge = GPUDevice._charge
 
     def logged(self, result):
         log.append((devices.setdefault(id(self), len(devices)), result))
-        record_launch(self, result)
+        return charge(self, result)
 
-    monkeypatch.setattr(DeviceProfiler, "record_launch", logged)
+    monkeypatch.setattr(GPUDevice, "_charge", logged)
 
     def take():
         out = list(log)
